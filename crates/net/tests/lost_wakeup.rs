@@ -15,21 +15,31 @@ use std::time::{Duration, Instant};
 
 use widx_db::hash::HashRecipe;
 use widx_net::{NetConfig, WidxClient, WidxServer};
-use widx_serve::{ProbeService, ServeConfig};
+use widx_serve::{ProbeService, ServeConfig, Stage};
 
-/// A service whose completions are gated on the batch deadline: with a
-/// size target no single request can reach, the shard worker flushes
-/// the batch (and fires the completion waker) `deadline` after the
-/// submit — a completion that lands squarely inside the server's idle
-/// wait.
-fn deadline_gated_service(deadline: Duration) -> Arc<ProbeService> {
-    Arc::new(ProbeService::build_with_range(
+/// A small point-lookup service (keys `0..1000`, payload `key + 1`).
+fn small_service() -> Arc<ProbeService> {
+    Arc::new(ProbeService::build(
         HashRecipe::robust64(),
         (0..1000u64).map(|k| (k, k + 1)),
-        &ServeConfig::default()
-            .with_shards(2)
-            .with_batch_size(1 << 20)
-            .with_batch_deadline(deadline),
+        &ServeConfig::default().with_shards(2),
+    ))
+}
+
+/// Index size and probe count of the walk-gated fixture: one shard, so
+/// the whole `JoinProbe` is one batch on one worker, and enough keys
+/// over a large enough index that the walk alone takes tens of
+/// milliseconds in the test profile — a completion that lands squarely
+/// inside the server's idle wait. (The frame stays well under
+/// `MAX_BODY_LEN`: 8 B per key out, 16 B per matched pair back.)
+const GATED_ENTRIES: u64 = 1 << 19;
+const GATED_PROBES: u64 = 1 << 18;
+
+fn walk_gated_service() -> Arc<ProbeService> {
+    Arc::new(ProbeService::build(
+        HashRecipe::robust64(),
+        (0..GATED_ENTRIES).map(|k| (k, k + 1)),
+        &ServeConfig::default().with_shards(1),
     ))
 }
 
@@ -49,10 +59,14 @@ fn readiness_backends() -> Vec<&'static str> {
 
 #[test]
 fn completion_landing_mid_wait_is_flushed_at_completion_speed() {
-    let deadline = Duration::from_millis(100);
     let idle_backoff = Duration::from_millis(1500);
+    // Every other probe hits; scattered so the walk misses cache.
+    let keys: Vec<u64> = (0..GATED_PROBES)
+        .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) % (2 * GATED_ENTRIES))
+        .collect();
+    let hits = keys.iter().filter(|k| **k < GATED_ENTRIES).count();
     for backend in readiness_backends() {
-        let service = deadline_gated_service(deadline);
+        let service = walk_gated_service();
         let server = WidxServer::bind(
             "127.0.0.1:0",
             Arc::clone(&service),
@@ -64,14 +78,18 @@ fn completion_landing_mid_wait_is_flushed_at_completion_speed() {
         let mut client = WidxClient::connect(server.local_addr()).expect("connect");
 
         let started = Instant::now();
-        assert_eq!(client.lookup(41).expect("lookup"), vec![42], "{backend}");
+        let pairs = client.join_probe(&keys).expect("join_probe");
         let elapsed = started.elapsed();
+        assert_eq!(pairs.len(), hits, "{backend}");
 
-        // The reply really was gated on the deadline flush (the race
-        // window this test aims at)...
+        // The reply really was gated on the walk (the race window this
+        // test aims at): the worker was still walking — by the
+        // service's own account — long after the reactor had nothing
+        // left to do but block in `poller.wait`...
+        let walk = Duration::from_nanos(service.stage_times().snapshot().get(Stage::Walk).sum_ns);
         assert!(
-            elapsed >= deadline / 2,
-            "{backend}: reply at {elapsed:?} beat the batch deadline — \
+            walk >= Duration::from_millis(5) && elapsed >= walk,
+            "{backend}: reply at {elapsed:?} against a {walk:?} walk — \
              the completion did not land inside the idle wait"
         );
         // ...and the wake handle cut the wait short: well under the
@@ -96,10 +114,9 @@ fn completion_landing_mid_wait_is_flushed_at_completion_speed() {
 fn pipelined_completions_mid_wait_all_flush_at_completion_speed() {
     // Same race, wider window: several requests in flight, each
     // completing on a worker thread while the loop blocks.
-    let deadline = Duration::from_millis(60);
     let idle_backoff = Duration::from_millis(1500);
     for backend in readiness_backends() {
-        let service = deadline_gated_service(deadline);
+        let service = small_service();
         let server = WidxServer::bind(
             "127.0.0.1:0",
             Arc::clone(&service),
@@ -149,7 +166,7 @@ fn shutdown_interrupts_a_blocked_idle_wait() {
     // return long before that — the old loop's flag check also only
     // happened once per sleep, which this inherits a guarantee against.
     for backend in readiness_backends() {
-        let service = deadline_gated_service(Duration::from_millis(10));
+        let service = small_service();
         let server = WidxServer::bind(
             "127.0.0.1:0",
             Arc::clone(&service),
@@ -176,7 +193,7 @@ fn shutdown_interrupts_a_blocked_idle_wait() {
 
 #[test]
 fn bind_rejects_an_unknown_poller_backend() {
-    let service = deadline_gated_service(Duration::from_millis(10));
+    let service = small_service();
     match WidxServer::bind(
         "127.0.0.1:0",
         Arc::clone(&service),

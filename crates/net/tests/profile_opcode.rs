@@ -7,7 +7,6 @@
 //! selects, so CI exercises it on both epoll and poll.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use widx_db::hash::HashRecipe;
 use widx_net::{NetConfig, WidxClient, WidxServer};
@@ -38,12 +37,7 @@ fn stop(client: WidxClient, server: WidxServer, service: Arc<ProbeService>) {
 
 #[test]
 fn profile_opcode_round_trips_over_tcp() {
-    let (service, server) = start(
-        ServeConfig::default()
-            .with_shards(2)
-            .with_batch_deadline(Duration::from_micros(100))
-            .with_profile(true),
-    );
+    let (service, server) = start(ServeConfig::default().with_shards(2).with_profile(true));
     let mut client = WidxClient::connect(server.local_addr()).expect("connect");
 
     // Serve real load so the counters have something to attribute.

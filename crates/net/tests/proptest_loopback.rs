@@ -136,8 +136,7 @@ fn stack(
 ) -> (Arc<ProbeService>, WidxServer, WidxClient) {
     let config = ServeConfig::default()
         .with_shards(shards)
-        .with_batch_size(batch)
-        .with_batch_deadline(Duration::from_micros(100));
+        .with_batch_size(batch);
     let service = Arc::new(ProbeService::build_with_range(
         HashRecipe::robust64(),
         pairs.iter().copied(),
@@ -304,8 +303,7 @@ proptest! {
         let config = ServeConfig::default()
             .with_shards(shards)
             .with_batch_size(8)
-            .with_stream_chunk(chunk)
-            .with_batch_deadline(Duration::from_micros(100));
+            .with_stream_chunk(chunk);
         let service = Arc::new(ProbeService::build_with_range(
             HashRecipe::robust64(),
             pairs.iter().copied(),

@@ -14,10 +14,7 @@ use widx_net::{NetConfig, Reply, WidxClient, WidxServer};
 use widx_serve::{ProbeService, Request, Response, ServeConfig};
 
 fn stack(pairs: &[(u64, u64)], net: NetConfig) -> (Arc<ProbeService>, WidxServer) {
-    let config = ServeConfig::default()
-        .with_shards(2)
-        .with_batch_size(16)
-        .with_batch_deadline(Duration::from_micros(100));
+    let config = ServeConfig::default().with_shards(2).with_batch_size(16);
     let service = Arc::new(ProbeService::build_with_range(
         HashRecipe::robust64(),
         pairs.iter().copied(),

@@ -6,7 +6,6 @@
 //! `WIDX_POLLER` selects, so CI exercises it on both epoll and poll.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use widx_db::hash::HashRecipe;
 use widx_net::{NetConfig, WidxClient, WidxServer};
@@ -16,10 +15,7 @@ use widx_serve::{ProbeService, Request, Response, ServeConfig};
 const ENTRIES: u64 = 4096;
 
 fn serve_config() -> ServeConfig {
-    ServeConfig::default()
-        .with_shards(2)
-        .with_batch_size(16)
-        .with_batch_deadline(Duration::from_micros(200))
+    ServeConfig::default().with_shards(2).with_batch_size(16)
 }
 
 /// Recovers sole ownership once the server (the only other holder) has

@@ -43,7 +43,6 @@ fn slow_request_is_tail_recorded_with_the_full_span_seam() {
     let (service, server) = start(
         ServeConfig::default()
             .with_shards(2)
-            .with_batch_deadline(Duration::from_micros(100))
             .with_slow_threshold(Some(Duration::from_micros(50))),
     );
     let mut client = WidxClient::connect(server.local_addr()).expect("connect");
@@ -113,12 +112,7 @@ fn slow_request_is_tail_recorded_with_the_full_span_seam() {
 
 #[test]
 fn trace_opcode_round_trips_over_tcp() {
-    let (service, server) = start(
-        ServeConfig::default()
-            .with_shards(2)
-            .with_batch_deadline(Duration::from_micros(100))
-            .with_trace_sample(1),
-    );
+    let (service, server) = start(ServeConfig::default().with_shards(2).with_trace_sample(1));
     let mut client = WidxClient::connect(server.local_addr()).expect("connect");
 
     // A scrape before any load parses and reports an empty ring.

@@ -7,7 +7,6 @@
 //! epoll and poll.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use widx_db::hash::HashRecipe;
 use widx_net::{NetConfig, WidxClient, WidxServer};
@@ -17,10 +16,7 @@ use widx_serve::{ProbeService, Request, Response, ServeConfig};
 const ENTRIES: u64 = 2048;
 
 fn serve_config() -> ServeConfig {
-    ServeConfig::default()
-        .with_shards(2)
-        .with_batch_size(16)
-        .with_batch_deadline(Duration::from_micros(200))
+    ServeConfig::default().with_shards(2).with_batch_size(16)
 }
 
 /// Recovers sole ownership once the server (the only other holder) has

@@ -10,13 +10,15 @@ use std::time::Duration;
 
 use crate::hist::{AtomicHistogram, HistogramSnapshot};
 
-/// Why a batch was flushed, mirroring the serving layer's flush reasons.
+/// Why a shard worker closed a batch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FlushKind {
     /// The batch reached its size target.
     Size,
-    /// The batch deadline expired.
-    Deadline,
+    /// The queue ran dry short of the size target. Counted under the
+    /// exported name `deadline_flushes`, kept from when a timer closed
+    /// short batches so scrapers and the benchmark keep reading it.
+    QueueDry,
     /// The worker was told to shut down mid-batch.
     Shutdown,
 }
@@ -64,7 +66,7 @@ impl WorkerCell {
         self.keys.fetch_add(keys, Ordering::Relaxed);
         let counter = match kind {
             FlushKind::Size => &self.size_flushes,
-            FlushKind::Deadline => &self.deadline_flushes,
+            FlushKind::QueueDry => &self.deadline_flushes,
             FlushKind::Shutdown => &self.shutdown_flushes,
         };
         counter.fetch_add(1, Ordering::Relaxed);
@@ -142,7 +144,8 @@ pub struct WorkerCellSnapshot {
     pub matches: u64,
     /// Batches flushed because they reached the size target.
     pub size_flushes: u64,
-    /// Batches flushed because the deadline expired.
+    /// Batches closed short of the size target because the queue ran
+    /// dry (the name predates the rule: no timer is involved).
     pub deadline_flushes: u64,
     /// Batches flushed by shutdown.
     pub shutdown_flushes: u64,
@@ -171,7 +174,7 @@ mod tests {
         let cell = WorkerCell::new();
         cell.add_jobs(3);
         cell.add_batch(64, FlushKind::Size);
-        cell.add_batch(5, FlushKind::Deadline);
+        cell.add_batch(5, FlushKind::QueueDry);
         cell.add_batch(1, FlushKind::Shutdown);
         cell.add_matches(17);
         cell.add_busy(Duration::from_micros(10));

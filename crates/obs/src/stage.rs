@@ -14,7 +14,8 @@ use crate::hist::{AtomicHistogram, HistogramSnapshot};
 pub enum Stage {
     /// Submit to first admission by a worker (time spent in a shard queue).
     QueueWait,
-    /// Batch open to batch flush (time spent waiting for co-batched work).
+    /// Batch open to batch close: admitting (and starting to walk) what
+    /// was already queued. Workers never wait on a clock for company.
     BatchWait,
     /// Time spent actually walking the index, per batch.
     Walk,

@@ -32,7 +32,8 @@ pub enum TraceStage {
     NetRead,
     /// Submission until a shard worker admitted the request into a batch.
     QueueWait,
-    /// Admission until the batch closed (size or deadline).
+    /// Admission until the batch closed (size target reached or queue
+    /// dry).
     BatchWait,
     /// Walker execution over the whole batch the request rode in.
     Walk,

@@ -14,8 +14,10 @@
 //! * [`ProbeService`] — one worker thread per shard (the dispatcher
 //!   role), each driving a resumable
 //!   [`AmacWalker`](widx_soft::AmacWalker) ring (the walkers) over
-//!   *batches* assembled from a bounded queue: flush at
-//!   [`batch_size`](ServeConfig::batch_size) keys or a deadline,
+//!   *batches* assembled from a bounded queue: a worker admits what is
+//!   already queued and closes the batch at
+//!   [`batch_size`](ServeConfig::batch_size) keys or the moment the
+//!   queue runs dry (it never waits on a clock),
 //!   backpressure when queues fill, and poison-pill shutdown mirroring
 //!   [`widx_core::POISON_KEY`] — drain accepted work, then halt;
 //! * [`OrderedShardedIndex`] — the *range-partitioned* counterpart:
@@ -85,7 +87,7 @@ mod shard;
 mod stats;
 mod worker;
 
-pub use batch::{BatchPolicy, FlushReason};
+pub use batch::BatchPolicy;
 pub use ordered::OrderedShardedIndex;
 pub use queue::PushError;
 pub use request::{

@@ -11,7 +11,6 @@
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Instant;
 
 use widx_core::POISON_KEY;
 use widx_soft::ScanRange;
@@ -198,42 +197,31 @@ impl ShardQueue {
         self.not_full.notify_all();
     }
 
+    /// Takes the head job off the locked queue, handing its keys'
+    /// capacity back to blocked pushers.
+    fn take(&self, inner: &mut QueueInner) -> Option<Job> {
+        let job = inner.jobs.pop_front()?;
+        inner.queued_keys -= job.key_count();
+        self.not_full.notify_all();
+        Some(job)
+    }
+
     /// Blocking pop: waits until a job is available.
     pub(crate) fn pop(&self) -> Job {
         let mut inner = self.inner.lock().expect("queue lock");
         loop {
-            if let Some(job) = inner.jobs.pop_front() {
-                inner.queued_keys -= job.key_count();
-                self.not_full.notify_all();
+            if let Some(job) = self.take(&mut inner) {
                 return job;
             }
             inner = self.not_empty.wait(inner).expect("queue wait");
         }
     }
 
-    /// Pop with a deadline: returns `None` if no job arrives by
-    /// `deadline` (used by workers to close a batch on time).
-    pub(crate) fn pop_until(&self, deadline: Instant) -> Option<Job> {
-        let mut inner = self.inner.lock().expect("queue lock");
-        loop {
-            if let Some(job) = inner.jobs.pop_front() {
-                inner.queued_keys -= job.key_count();
-                self.not_full.notify_all();
-                return Some(job);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let (guard, timeout) = self
-                .not_empty
-                .wait_timeout(inner, deadline - now)
-                .expect("queue wait");
-            inner = guard;
-            if timeout.timed_out() && inner.jobs.is_empty() {
-                return None;
-            }
-        }
+    /// Non-blocking pop: `None` the moment the queue is observed empty.
+    /// A worker that already holds a job uses this to admit whatever
+    /// else is *already queued* — it never waits for company.
+    pub(crate) fn try_pop(&self) -> Option<Job> {
+        self.take(&mut self.inner.lock().expect("queue lock"))
     }
 
     /// Keys currently waiting (for occupancy/backlog introspection).
@@ -246,7 +234,7 @@ impl ShardQueue {
 mod tests {
     use super::*;
     use crate::request::RequestKind;
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     fn probe_job(keys: &[u64]) -> Job {
         Job::Probe {
@@ -429,22 +417,57 @@ mod tests {
     }
 
     #[test]
-    fn pop_until_times_out_when_idle() {
+    fn try_pop_never_blocks() {
+        // An empty queue answers at once — there is no clock to wait out.
         let q = ShardQueue::new(8);
-        let deadline = Instant::now() + Duration::from_millis(20);
-        assert!(q.pop_until(deadline).is_none());
-        assert!(Instant::now() >= deadline);
+        assert!(q.try_pop().is_none());
+        q.push(probe_job(&[1])).unwrap();
+        assert!(matches!(q.try_pop(), Some(Job::Probe { .. })));
+        assert!(q.try_pop().is_none());
     }
 
     #[test]
-    fn pop_until_returns_early_arrivals() {
-        let q = Arc::new(ShardQueue::new(8));
+    fn try_pop_keeps_fifo_and_key_accounting() {
+        let q = ShardQueue::new(16);
+        q.push(probe_job(&[1, 2])).unwrap();
+        q.push(probe_job(&[3])).unwrap();
+        q.push(probe_job(&[4, 5, 6])).unwrap();
+        let mut sizes = Vec::new();
+        while let Some(Job::Probe { entries, .. }) = q.try_pop() {
+            sizes.push((entries.len(), q.backlog_keys()));
+        }
+        assert_eq!(sizes, vec![(2, 4), (1, 3), (3, 0)]);
+    }
+
+    #[test]
+    fn try_pop_releases_a_blocked_push() {
+        let q = Arc::new(ShardQueue::new(4));
+        q.push(probe_job(&[1, 2, 3, 4])).unwrap();
         let q2 = Arc::clone(&q);
-        std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(10));
-            q2.push(probe_job(&[1])).unwrap();
-        });
-        let job = q.pop_until(Instant::now() + Duration::from_secs(5));
-        assert!(job.is_some(), "job should arrive well before the deadline");
+        let pusher = std::thread::spawn(move || q2.push(probe_job(&[5, 6])).unwrap());
+        // Wait until the pusher holds a ticket it cannot redeem: seen
+        // under the lock, that means it is parked on `not_full`.
+        let parked = || {
+            let inner = q.inner.lock().unwrap();
+            inner.next_ticket > inner.serving
+        };
+        while !parked() {
+            std::thread::yield_now();
+        }
+        assert!(matches!(q.try_pop(), Some(Job::Probe { entries, .. }) if entries.len() == 4));
+        pusher.join().unwrap();
+        assert_eq!(q.backlog_keys(), 2);
+    }
+
+    #[test]
+    fn try_pop_yields_poison_only_after_queued_work() {
+        let q = ShardQueue::new(8);
+        q.push(probe_job(&[1])).unwrap();
+        q.push(probe_job(&[2])).unwrap();
+        q.push_poison();
+        assert!(matches!(q.try_pop(), Some(Job::Probe { .. })));
+        assert!(matches!(q.try_pop(), Some(Job::Probe { .. })));
+        assert!(matches!(q.try_pop(), Some(Job::Poison { .. })));
+        assert!(q.try_pop().is_none());
     }
 }

@@ -33,10 +33,11 @@ pub struct ServeConfig {
     /// In-flight depth per worker: AMAC probes on hash shards, resumable
     /// scan cursors on ordered shards (walkers per shard).
     pub inflight: usize,
-    /// Keys per batch before a size flush.
+    /// Keys per batch before a size flush. A worker never waits to
+    /// reach it: a batch also closes the moment the shard's queue is
+    /// observed empty, so this caps batches under load and costs a lone
+    /// request nothing.
     pub batch_size: usize,
-    /// Longest a batch waits for company before a deadline flush.
-    pub batch_deadline: Duration,
     /// Per-shard queue capacity in keys (backpressure threshold).
     pub queue_capacity: usize,
     /// Bucket floor per shard at build time.
@@ -81,7 +82,6 @@ impl Default for ServeConfig {
             shards: 4,
             inflight: 8,
             batch_size: 64,
-            batch_deadline: Duration::from_micros(200),
             queue_capacity: 4096,
             min_buckets: 64,
             load: 1.0,
@@ -114,13 +114,6 @@ impl ServeConfig {
     #[must_use]
     pub fn with_batch_size(mut self, batch_size: usize) -> ServeConfig {
         self.batch_size = batch_size;
-        self
-    }
-
-    /// Sets the deadline-flush bound.
-    #[must_use]
-    pub fn with_batch_deadline(mut self, deadline: Duration) -> ServeConfig {
-        self.batch_deadline = deadline;
         self
     }
 
@@ -370,7 +363,7 @@ impl ProbeService {
     ) -> ProbeService {
         assert!(config.inflight > 0, "need at least one in-flight probe");
         assert!(config.stream_chunk > 0, "need a positive stream chunk");
-        let policy = BatchPolicy::new(config.batch_size, config.batch_deadline);
+        let policy = BatchPolicy::new(config.batch_size);
         // Re-home every shard onto one service-owned domain, whatever
         // domain(s) the tiers were built against: workers advance and
         // reclaim against *this* domain, so a foreign domain would

@@ -29,7 +29,10 @@ pub struct WorkerStats {
     pub matches: u64,
     /// Batches closed because they reached the size target.
     pub size_flushes: u64,
-    /// Batches closed by the deadline.
+    /// Batches closed short of the size target because the queue ran
+    /// dry. The exported name predates the rule (a timer used to close
+    /// short batches); `size_flushes + deadline_flushes +
+    /// shutdown_flushes == batches` still holds.
     pub deadline_flushes: u64,
     /// Final partial batches flushed at shutdown.
     pub shutdown_flushes: u64,

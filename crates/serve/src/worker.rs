@@ -8,6 +8,13 @@
 //! [`BTreeRangeWalker`] over an ordered (B+-tree) shard, keeping several
 //! resumable scan cursors in flight per batch.
 //!
+//! Workers are work-conserving: a worker blocks (`pop`) only while it
+//! holds nothing. Holding a job, it admits what is already queued and
+//! closes the batch when [`BatchPolicy::next_job`] — the one close rule
+//! both loops call — reports the size target reached, the queue dry, or
+//! the poison pill. No timer exists; batches grow with load because
+//! jobs queue while the worker walks.
+//!
 //! Workers own no private counters: everything is published straight
 //! into the worker's lock-free [`WorkerCell`] (plus the shared
 //! [`StageTimes`] seam) as batches complete, so a live scrape sees the
@@ -32,7 +39,7 @@ use widx_db::epoch::EpochDomain;
 use widx_obs::{FlushKind, ProfCell, Stage, StageTimes, ThreadProfiler, TraceStage, WorkerCell};
 use widx_soft::{AmacWalker, BTreeRangeWalker, ScanRange};
 
-use crate::batch::{BatchPolicy, FlushReason};
+use crate::batch::BatchPolicy;
 use crate::ordered::OrderedShardedIndex;
 use crate::queue::{Job, ShardQueue};
 use crate::request::{ResponseState, RoutedMatch, WriteOp};
@@ -79,9 +86,9 @@ pub(crate) struct RangeWorkerContext {
 
 /// A write part stashed mid-batch, applied at the next batch barrier.
 pub(crate) struct WriteJob {
-    ops: Vec<(u32, WriteOp)>,
-    ack: bool,
-    reply: Arc<ResponseState>,
+    pub(crate) ops: Vec<(u32, WriteOp)>,
+    pub(crate) ack: bool,
+    pub(crate) reply: Arc<ResponseState>,
 }
 
 /// Anything a write barrier can mutate: both index flavours expose the
@@ -193,14 +200,6 @@ fn attach_profiler(prof: &Option<Arc<ProfCell>>) -> ThreadProfiler {
     match prof {
         Some(cell) => ThreadProfiler::attach(Arc::clone(cell)),
         None => ThreadProfiler::disabled(),
-    }
-}
-
-fn flush_kind(reason: FlushReason) -> FlushKind {
-    match reason {
-        FlushReason::Size => FlushKind::Size,
-        FlushReason::Deadline => FlushKind::Deadline,
-        FlushReason::Shutdown => FlushKind::Shutdown,
     }
 }
 
@@ -372,7 +371,6 @@ fn run_batch(
     let mut open: Vec<OpenJob> = Vec::new();
     let mut raw: Vec<(u32, u64, u64)> = Vec::new();
     let mut busy = Duration::ZERO;
-    let mut shutdown = false;
 
     let admit = |entries: Vec<(u32, u64)>,
                  reply: Arc<ResponseState>,
@@ -417,36 +415,20 @@ fn run_batch(
         prof,
     );
 
-    // Keep admitting until the policy closes the batch.
+    // Admit what is already queued until the close rule says stop.
     let reason = loop {
-        if let Some(reason) = policy.flush_due(meta.len(), opened) {
-            break reason;
-        }
-        let idle_from = Instant::now();
-        let mark = prof.mark();
-        let next = queue.pop_until(policy.flush_deadline(opened));
-        prof.record(Stage::BatchWait, mark);
-        cell.add_idle(idle_from.elapsed());
-        match next {
-            Some(Job::Probe { entries, reply }) => {
+        match policy.next_job(meta.len(), queue, writes, prof) {
+            Ok(Job::Probe { entries, reply }) => {
                 admit(
                     entries, reply, &mut meta, &mut open, &mut raw, walker, &mut busy, prof,
                 );
             }
-            Some(Job::Scan { .. }) => unreachable!("scan job routed to a point-probe queue"),
-            Some(Job::Write { ops, ack, reply }) => {
-                // Writes never interleave into an open walker batch:
-                // stash for the barrier right after this batch closes.
-                writes.push(WriteJob { ops, ack, reply });
-            }
-            Some(Job::Poison { .. }) => {
-                shutdown = true;
-                break FlushReason::Shutdown;
-            }
-            None => break FlushReason::Deadline,
+            Ok(_) => unreachable!("only probe jobs join a point-probe batch"),
+            Err(reason) => break reason,
         }
     };
-    stages.record(Stage::BatchWait, opened.elapsed());
+    let closed = Instant::now();
+    stages.record(Stage::BatchWait, closed - opened);
 
     // Drain every in-flight probe, then attribute matches to requests.
     let busy_from = Instant::now();
@@ -459,10 +441,9 @@ fn run_batch(
         let (open_idx, row) = meta[tag as usize];
         open[open_idx as usize].items.push((row, key, payload));
     }
-    cell.add_batch(meta.len() as u64, flush_kind(reason));
+    cell.add_batch(meta.len() as u64, reason);
     cell.add_busy(busy);
     stages.record(Stage::Walk, busy);
-    let batch_done = Instant::now();
     let walk_counters = walker.take_counters();
     prof.add_walk(&walk_counters);
     let gather_mark = prof.mark();
@@ -472,7 +453,7 @@ fn run_batch(
             job.reply.trace_annotate(|trace, submitted| {
                 trace.add_shard(shard as u32);
                 trace.span_between(TraceStage::QueueWait, submitted, job.admitted);
-                trace.span_between(TraceStage::BatchWait, job.admitted, batch_done);
+                trace.span_between(TraceStage::BatchWait, job.admitted, closed);
                 trace.span_for(TraceStage::Walk, opened, busy);
                 trace.add_walk(&walk_counters);
             });
@@ -480,7 +461,7 @@ fn run_batch(
         job.reply.complete_part(&job.items, Some(cell));
     }
     prof.record(Stage::Gather, gather_mark);
-    shutdown
+    reason == FlushKind::Shutdown
 }
 
 /// The range-worker thread body: identical drain-batches-until-poison
@@ -583,7 +564,6 @@ fn run_range_batch(
     // tag → the streaming chunk being built (unused by buffered tags).
     let mut chunks: Vec<Vec<(u64, u64)>> = Vec::new();
     let mut busy = Duration::ZERO;
-    let mut shutdown = false;
 
     let admit = |scans: Vec<(u32, ScanRange)>,
                  reply: Arc<ResponseState>,
@@ -639,16 +619,8 @@ fn run_range_batch(
     );
 
     let reason = loop {
-        if let Some(reason) = policy.flush_due(meta.len(), opened) {
-            break reason;
-        }
-        let idle_from = Instant::now();
-        let mark = prof.mark();
-        let next = queue.pop_until(policy.flush_deadline(opened));
-        prof.record(Stage::BatchWait, mark);
-        cell.add_idle(idle_from.elapsed());
-        match next {
-            Some(Job::Scan { scans, reply }) => {
+        match policy.next_job(meta.len(), queue, writes, prof) {
+            Ok(Job::Scan { scans, reply }) => {
                 admit(
                     scans,
                     reply,
@@ -660,18 +632,12 @@ fn run_range_batch(
                     prof,
                 );
             }
-            Some(Job::Probe { .. }) => unreachable!("probe job routed to a range queue"),
-            Some(Job::Write { ops, ack, reply }) => {
-                writes.push(WriteJob { ops, ack, reply });
-            }
-            Some(Job::Poison { .. }) => {
-                shutdown = true;
-                break FlushReason::Shutdown;
-            }
-            None => break FlushReason::Deadline,
+            Ok(_) => unreachable!("only scan jobs join a range batch"),
+            Err(reason) => break reason,
         }
     };
-    stages.record(Stage::BatchWait, opened.elapsed());
+    let closed = Instant::now();
+    stages.record(Stage::BatchWait, closed - opened);
 
     // Drain the ring: emissions attribute inline, in emit order, so
     // each tag's slice (and chunk sequence) stays key-ordered — the
@@ -693,10 +659,9 @@ fn run_range_batch(
             let _ = job.reply.push_chunk(rank, std::mem::take(buf));
         }
     }
-    cell.add_batch(meta.len() as u64, flush_kind(reason));
+    cell.add_batch(meta.len() as u64, reason);
     cell.add_busy(busy);
     stages.record(Stage::Walk, busy);
-    let batch_done = Instant::now();
     let walk_counters = walker.take_counters();
     prof.add_walk(&walk_counters);
     let gather_mark = prof.mark();
@@ -706,7 +671,7 @@ fn run_range_batch(
             job.reply.trace_annotate(|trace, submitted| {
                 trace.add_shard(shard as u32);
                 trace.span_between(TraceStage::QueueWait, submitted, job.admitted);
-                trace.span_between(TraceStage::BatchWait, job.admitted, batch_done);
+                trace.span_between(TraceStage::BatchWait, job.admitted, closed);
                 trace.span_for(TraceStage::Walk, opened, busy);
                 trace.add_walk(&walk_counters);
             });
@@ -720,5 +685,5 @@ fn run_range_batch(
         }
     }
     prof.record(Stage::Gather, gather_mark);
-    shutdown
+    reason == FlushKind::Shutdown
 }

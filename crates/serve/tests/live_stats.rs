@@ -17,10 +17,7 @@ fn build() -> ProbeService {
     ProbeService::build_with_range(
         HashRecipe::robust64(),
         (0..ENTRIES).map(|k| (k, k + 1)),
-        &ServeConfig::default()
-            .with_shards(2)
-            .with_batch_size(32)
-            .with_batch_deadline(Duration::from_micros(200)),
+        &ServeConfig::default().with_shards(2).with_batch_size(32),
     )
 }
 

@@ -7,8 +7,6 @@
 //! truncation landing at shard seams — including shutdown arriving
 //! mid-stream.
 
-use std::time::Duration;
-
 use proptest::prelude::*;
 use widx_db::hash::HashRecipe;
 use widx_db::index::BTreeIndex;
@@ -27,7 +25,6 @@ fn config(shards: usize, fanout: usize, batch: usize, inflight: usize) -> ServeC
         .with_fanout(fanout)
         .with_batch_size(batch)
         .with_inflight(inflight)
-        .with_batch_deadline(Duration::from_micros(100))
 }
 
 /// `(lo, hi)` pairs biased toward interesting shapes: mostly ordered

@@ -3,8 +3,6 @@
 //! shard counts, batch sizes, in-flight depths, and skewed/duplicate
 //! key streams — including shutdown arriving mid-stream.
 
-use std::time::Duration;
-
 use proptest::prelude::*;
 use widx_db::hash::HashRecipe;
 use widx_db::index::HashIndex;
@@ -27,9 +25,6 @@ fn config(shards: usize, batch: usize, inflight: usize, capacity: usize) -> Serv
         .with_batch_size(batch)
         .with_inflight(inflight)
         .with_queue_capacity(capacity)
-        // Short enough that deadline flushes actually happen in-test,
-        // long enough not to dominate runtime.
-        .with_batch_deadline(Duration::from_micros(100))
 }
 
 proptest! {

@@ -32,7 +32,6 @@ fn config(shards: usize, fanout: usize, chunk: usize) -> ServeConfig {
         .with_fanout(fanout)
         .with_stream_chunk(chunk)
         .with_batch_size(8)
-        .with_batch_deadline(Duration::from_micros(100))
 }
 
 /// `(lo, hi)` pairs biased toward interesting shapes: ordered spans,

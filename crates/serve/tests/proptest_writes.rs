@@ -12,7 +12,6 @@
 //! never inserts on miss).
 
 use std::collections::BTreeMap;
-use std::time::Duration;
 
 use proptest::prelude::*;
 use widx_db::hash::HashRecipe;
@@ -76,7 +75,6 @@ fn config(shards: usize, fanout: usize, batch: usize, inflight: usize) -> ServeC
         .with_fanout(fanout)
         .with_batch_size(batch)
         .with_inflight(inflight)
-        .with_batch_deadline(Duration::from_micros(100))
 }
 
 proptest! {

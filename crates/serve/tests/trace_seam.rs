@@ -30,12 +30,7 @@ fn span_dur(trace: &RequestTrace, stage: TraceStage) -> Option<u64> {
 
 #[test]
 fn head_sampled_requests_carry_the_full_span_seam() {
-    let service = build(
-        ServeConfig::default()
-            .with_shards(2)
-            .with_batch_deadline(Duration::from_micros(100))
-            .with_trace_sample(1),
-    );
+    let service = build(ServeConfig::default().with_shards(2).with_trace_sample(1));
 
     for key in 0..32u64 {
         assert_eq!(service.lookup(key).expect("lookup"), vec![key + 1]);
@@ -123,12 +118,55 @@ fn head_sampled_requests_carry_the_full_span_seam() {
     let _ = service.shutdown();
 }
 
+/// Where a stage's span ends on the trace timeline.
+fn span_end(trace: &RequestTrace, stage: TraceStage) -> u64 {
+    trace
+        .spans
+        .iter()
+        .filter(|s| s.stage == stage)
+        .map(|s| s.start_ns + s.dur_ns)
+        .max()
+        .unwrap_or_else(|| panic!("trace missing {} span", stage.name()))
+}
+
+#[test]
+fn batch_wait_span_ends_at_the_close_decision() {
+    // One shard, one lone join: the whole request is one batch that
+    // closes the moment its keys are admitted. A quarter of the probes
+    // (the in-flight ring) are still walking at that instant, so the
+    // batch-wait span — admission until the batch *closed* — must end
+    // before the walk span does, not after the drain and attribution.
+    let service = build(
+        ServeConfig::default()
+            .with_shards(1)
+            .with_inflight(1024)
+            .with_trace_sample(1),
+    );
+    let keys: Vec<u64> = (0..4096).map(|i| i * 97 % ENTRIES).collect();
+    assert_eq!(service.join_probe(&keys).expect("join").len(), keys.len());
+    service.flight_recorder().flush();
+    let traces = service.flight_recorder().snapshot();
+    let trace = traces
+        .iter()
+        .find(|t| t.kind == "join_probe")
+        .expect("join_probe trace");
+    let (batch_wait, walk) = (
+        span_end(trace, TraceStage::BatchWait),
+        span_end(trace, TraceStage::Walk),
+    );
+    assert!(
+        batch_wait <= walk,
+        "batch-wait span ends at {batch_wait} ns, after the walk span ({walk} ns): \
+         it swallowed the drain"
+    );
+    let _ = service.shutdown();
+}
+
 #[test]
 fn tail_sampling_catches_slow_requests_without_head_sampling() {
     let service = build(
         ServeConfig::default()
             .with_shards(2)
-            .with_batch_deadline(Duration::from_micros(100))
             .with_slow_threshold(Some(Duration::from_nanos(1))),
     );
     // Head sampling is off; the 1ns threshold tail-selects everything.
