@@ -654,7 +654,7 @@ impl Connection {
                     let submitted = match value {
                         WireRequest::Plain(request) => {
                             let wkind = wire::WriteKind::of(&request);
-                            service.try_submit_traced(request, net_ctx).map(|pending| {
+                            service.try_submit(request, net_ctx).map(|pending| {
                                 pending.set_waker(waker);
                                 self.pending.push((id, wkind, pending));
                             })
@@ -665,7 +665,7 @@ impl Connection {
                             limit,
                             desc,
                         } => service
-                            .try_range_stream_traced(lo, hi, limit, desc, net_ctx)
+                            .try_range_stream(lo, hi, limit, desc, net_ctx)
                             .map(|stream| {
                                 stream.set_waker(waker);
                                 self.streams.push(OpenStream {

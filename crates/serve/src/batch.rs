@@ -18,9 +18,9 @@ use crate::worker::WriteJob;
 
 /// The batch-closure policy for one worker: a size target.
 #[derive(Clone, Copy, Debug)]
-pub struct BatchPolicy {
+pub(crate) struct BatchPolicy {
     /// Close once this many keys are batched.
-    pub batch_size: usize,
+    batch_size: usize,
 }
 
 impl BatchPolicy {
@@ -29,13 +29,12 @@ impl BatchPolicy {
     /// # Panics
     ///
     /// Panics if `batch_size` is zero.
-    #[must_use]
-    pub fn new(batch_size: usize) -> BatchPolicy {
+    pub(crate) fn new(batch_size: usize) -> BatchPolicy {
         assert!(batch_size > 0, "batch size must be positive");
         BatchPolicy { batch_size }
     }
 
-    /// The close rule, called by both worker loops before every
+    /// The close rule, called by the worker loop before every
     /// admission into a batch already holding `keys` keys: `Ok` is the
     /// next walker job to admit, `Err` closes the batch and says why —
     /// size target reached, queue dry, or poison pill.

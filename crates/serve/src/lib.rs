@@ -87,9 +87,7 @@ mod shard;
 mod stats;
 mod worker;
 
-pub use batch::BatchPolicy;
 pub use ordered::OrderedShardedIndex;
-pub use queue::PushError;
 pub use request::{
     PendingResponse, PendingStream, Request, Response, StreamConsumed, StreamPoll, TraceFinisher,
 };

@@ -65,7 +65,7 @@ impl Job {
 
 /// Why a push was refused.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PushError {
+pub(crate) enum PushError {
     /// The service has begun shutdown; no new work is accepted.
     Stopped,
 }

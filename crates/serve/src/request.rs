@@ -4,7 +4,7 @@
 //! ([`PendingStream`]).
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use widx_obs::{
@@ -371,6 +371,10 @@ pub(crate) struct ResponseState {
     /// construction, so workers skip the annotation lock entirely on
     /// the (default) untraced path.
     traced: bool,
+    /// Whether workers stream chunks to this state instead of
+    /// accumulating a buffered reply — fixed by the constructor, so
+    /// workers read it on every admitted part without the lock.
+    streaming: bool,
 }
 
 impl ResponseState {
@@ -390,6 +394,7 @@ impl ResponseState {
             ready: Condvar::new(),
             submitted: Instant::now(),
             traced: false,
+            streaming: false,
         }
     }
 
@@ -445,15 +450,16 @@ impl ResponseState {
     }
 
     /// Time since the request was submitted (lock-free).
-    pub(crate) fn since_submit(&self) -> std::time::Duration {
+    pub(crate) fn since_submit(&self) -> Duration {
         self.submitted.elapsed()
     }
 
     /// A streaming state: `parts` scatter ranks whose chunks the seam
     /// releases in rank order, `limit` applied as they release.
     pub(crate) fn new_stream(kind: RequestKind, parts: usize, limit: usize) -> ResponseState {
-        let state = ResponseState::new(kind, parts);
-        state.inner.lock().expect("pending lock").stream = Some(StreamState {
+        let mut state = ResponseState::new(kind, parts);
+        state.streaming = true;
+        state.inner.get_mut().expect("pending lock").stream = Some(StreamState {
             head: 0,
             ranks: (0..parts).map(|_| RankBuf::default()).collect(),
             ready: VecDeque::new(),
@@ -464,9 +470,9 @@ impl ResponseState {
     }
 
     /// Whether workers should stream chunks to this state instead of
-    /// accumulating a buffered reply.
+    /// accumulating a buffered reply (lock-free).
     pub(crate) fn is_streaming(&self) -> bool {
-        self.inner.lock().expect("pending lock").stream.is_some()
+        self.streaming
     }
 
     /// Releases everything releasable: the head rank's stashed chunks,
@@ -548,15 +554,13 @@ impl ResponseState {
 
     /// Called by a range worker when a streaming scan's part for
     /// scatter rank `rank` has fully drained (every chunk pushed).
-    /// Returns the completion latency when this was the final part,
-    /// already recorded into `cell` **before** any completion signal —
-    /// a caller whose `wait()` has returned must find the request
-    /// counted by a `live_stats()` scrape.
+    /// Returns the completion latency when this was the final part (see
+    /// [`finish_part`](Self::finish_part)).
     pub(crate) fn complete_stream_part(
         &self,
         rank: u32,
         cell: Option<&WorkerCell>,
-    ) -> Option<std::time::Duration> {
+    ) -> Option<Duration> {
         let mut inner = self.inner.lock().expect("pending lock");
         let stream = inner
             .stream
@@ -564,28 +568,61 @@ impl ResponseState {
             .expect("stream part completed on a buffered request");
         stream.ranks[rank as usize].done = true;
         Self::drain_released(stream);
+        // Head advancement may have released chunks even when parts
+        // remain — wake unconditionally; a spurious wake only costs the
+        // consumer one empty poll.
+        self.finish_part(inner, cell, true)
+    }
+
+    /// Called by a shard worker when this request's slice of a batch has
+    /// fully drained. Returns the request's completion latency when this
+    /// was the final outstanding part (see
+    /// [`finish_part`](Self::finish_part)).
+    pub(crate) fn complete_part(
+        &self,
+        items: &[RoutedMatch],
+        cell: Option<&WorkerCell>,
+    ) -> Option<Duration> {
+        let mut inner = self.inner.lock().expect("pending lock");
+        inner.items.extend_from_slice(items);
+        self.finish_part(inner, cell, false)
+    }
+
+    /// The tail both completion flavours share: counts the part down
+    /// and, on the final one, marks the request done, records the
+    /// gather window, seals the trace and returns the completion
+    /// latency — already recorded into `cell` **before** any completion
+    /// signal, so a caller whose `wait()` has returned finds the request
+    /// counted by a `live_stats()` scrape. Waiters and the waker are
+    /// signalled on the final part, and on every part when `progress`
+    /// says the consumer-visible state may have changed regardless.
+    fn finish_part(
+        &self,
+        mut inner: MutexGuard<'_, PendingInner>,
+        cell: Option<&WorkerCell>,
+        progress: bool,
+    ) -> Option<Duration> {
         if inner.first_done.is_none() {
             inner.first_done = Some(Instant::now());
         }
         inner.parts_left -= 1;
-        let mut commit = None;
-        let latency = if inner.parts_left == 0 {
+        let last = inner.parts_left == 0;
+        if !last && !progress {
+            return None;
+        }
+        let (mut latency, mut commit) = (None, None);
+        if last {
             inner.done = true;
             if let (Some(stages), Some(first)) = (inner.stages.as_ref(), inner.first_done) {
                 stages.record(Stage::Gather, first.elapsed());
             }
-            let latency = self.submitted.elapsed();
-            commit = self.close_trace(&mut inner, latency);
+            let took = self.submitted.elapsed();
+            commit = self.close_trace(&mut inner, took);
             if let Some(cell) = cell {
-                cell.record_latency(latency);
+                cell.record_latency(took);
             }
-            Some(latency)
-        } else {
-            None
-        };
-        // Head advancement may have released chunks, and completion may
-        // have ended the stream — wake unconditionally; spurious wakes
-        // only cost the consumer one empty poll.
+            latency = Some(took);
+        }
         self.ready.notify_all();
         let waker = inner.waker.clone();
         drop(inner);
@@ -620,50 +657,6 @@ impl ResponseState {
             None
         } else {
             inner.trace.take().map(|t| (t, latency))
-        }
-    }
-
-    /// Called by a shard worker when this request's slice of a batch has
-    /// fully drained. Returns the request's completion latency when this
-    /// was the final outstanding part, already recorded into `cell`
-    /// **before** any completion signal — a caller whose `wait()` has
-    /// returned must find the request counted by a `live_stats()`
-    /// scrape.
-    pub(crate) fn complete_part(
-        &self,
-        items: &[RoutedMatch],
-        cell: Option<&WorkerCell>,
-    ) -> Option<std::time::Duration> {
-        let mut inner = self.inner.lock().expect("pending lock");
-        inner.items.extend_from_slice(items);
-        if inner.first_done.is_none() {
-            inner.first_done = Some(Instant::now());
-        }
-        inner.parts_left -= 1;
-        if inner.parts_left == 0 {
-            inner.done = true;
-            if let (Some(stages), Some(first)) = (inner.stages.as_ref(), inner.first_done) {
-                stages.record(Stage::Gather, first.elapsed());
-            }
-            let latency = self.submitted.elapsed();
-            let commit = self.close_trace(&mut inner, latency);
-            if let Some(cell) = cell {
-                cell.record_latency(latency);
-            }
-            self.ready.notify_all();
-            let waker = inner.waker.clone();
-            drop(inner);
-            if let Some((trace, latency)) = commit {
-                trace
-                    .recorder
-                    .offer(trace.active, latency, trace.slow_threshold);
-            }
-            if let Some(wake) = waker {
-                wake();
-            }
-            Some(latency)
-        } else {
-            None
         }
     }
 

@@ -15,14 +15,14 @@ use widx_soft::ScanRange;
 
 use crate::batch::BatchPolicy;
 use crate::ordered::OrderedShardedIndex;
-use crate::queue::{Job, PushError, ShardQueue};
+use crate::queue::{Job, ShardQueue};
 use crate::request::{
     PendingResponse, PendingStream, Request, RequestKind, Response, ResponseState, TraceState,
     WriteOp,
 };
 use crate::shard::ShardedIndex;
 use crate::stats::{LatencySummary, ServiceStats, StageStats, WorkerStats};
-use crate::worker::{run_range_worker, run_worker, RangeWorkerContext, WorkerContext};
+use crate::worker::{run_worker, ShardIndex, Tier, WorkerContext};
 
 /// Tuning knobs for a [`ProbeService`].
 #[derive(Clone, Debug)]
@@ -199,10 +199,10 @@ impl std::fmt::Display for SubmitError {
 impl std::error::Error for SubmitError {}
 
 /// What the net tier knows about a request when it submits one on
-/// behalf of a connection — passed to the `*_traced` submission surface
-/// so an armed trace is anchored at the frame-decode instant, carries
-/// the wire request id, and is *deferred*: the service leaves the
-/// completed trace attached for the reactor to close with the
+/// behalf of a connection — passed to the non-blocking submission
+/// surface so an armed trace is anchored at the frame-decode instant,
+/// carries the wire request id, and is *deferred*: the service leaves
+/// the completed trace attached for the reactor to close with the
 /// reply-write span (see `PendingResponse::take_trace`).
 #[derive(Clone, Copy, Debug)]
 pub struct NetTraceCtx {
@@ -215,6 +215,139 @@ pub struct NetTraceCtx {
     pub decoded_at: Instant,
 }
 
+/// One tier's serving runtime: its index plus, per shard and in shard
+/// order, the queue, the worker thread and the telemetry cells. The
+/// service runs one for the hash tier and, when built, one for the
+/// ordered tier — the same struct, the same worker loop.
+struct TierRuntime<T: Tier> {
+    index: Arc<T>,
+    queues: Vec<Arc<ShardQueue>>,
+    workers: Vec<JoinHandle<()>>,
+    /// Per-worker registry cells: each worker publishes its counters
+    /// and latencies here while it runs, so stats are a read-only
+    /// snapshot at any time — no join required.
+    cells: Vec<Arc<WorkerCell>>,
+    /// Per-worker hardware-profiling cells, populated only when the
+    /// config enabled profiling — empty otherwise, which is also how
+    /// `prof_snapshot` knows profiling is off.
+    prof_cells: Vec<Arc<ProfCell>>,
+}
+
+impl<T: Tier> TierRuntime<T> {
+    /// Re-homes `index` onto the service's reclamation domain and
+    /// spawns one worker per shard.
+    fn start(
+        index: T,
+        config: &ServeConfig,
+        stages: &Arc<StageTimes>,
+        domain: &Arc<EpochDomain>,
+    ) -> TierRuntime<T> {
+        // Whatever domain the tier was built against, its workers
+        // advance and reclaim against the service's: a foreign domain
+        // would strand retired nodes. A freshly built tier has retired
+        // nothing, so re-homing is a pure pointer swap.
+        for shard in 0..index.shard_count() {
+            index.write(shard).rehome(Arc::clone(domain));
+        }
+        let mut tier = TierRuntime {
+            index: Arc::new(index),
+            queues: Vec::new(),
+            workers: Vec::new(),
+            cells: Vec::new(),
+            prof_cells: Vec::new(),
+        };
+        for shard in 0..tier.index.shard_count() {
+            let ctx = WorkerContext {
+                shard,
+                queue: Arc::new(ShardQueue::new(config.queue_capacity)),
+                index: Arc::clone(&tier.index),
+                policy: BatchPolicy::new(config.batch_size),
+                inflight: config.inflight,
+                stream_chunk: config.stream_chunk,
+                cell: Arc::new(WorkerCell::new()),
+                stages: Arc::clone(stages),
+                prof: config.profile.then(|| Arc::new(ProfCell::new())),
+                domain: Arc::clone(domain),
+            };
+            tier.queues.push(Arc::clone(&ctx.queue));
+            tier.cells.push(Arc::clone(&ctx.cell));
+            tier.prof_cells.extend(ctx.prof.clone());
+            let worker = std::thread::Builder::new()
+                .name(format!("{}-{shard}", T::THREAD_NAME))
+                .spawn(move || run_worker(&ctx))
+                .expect("spawn shard worker");
+            tier.workers.push(worker);
+        }
+        tier
+    }
+
+    /// Keys (or scan cursors) currently queued per shard.
+    fn backlog(&self) -> Vec<usize> {
+        self.queues.iter().map(|q| q.backlog_keys()).collect()
+    }
+
+    /// Per-worker statistics in shard order, folding every worker's
+    /// latency histogram into `latency`.
+    fn worker_stats(&self, latency: &mut HistogramSnapshot) -> Vec<WorkerStats> {
+        let stats = |(shard, cell): (usize, &Arc<WorkerCell>)| {
+            let snap = cell.snapshot();
+            latency.merge_from(&snap.latency);
+            WorkerStats::from_cell(shard, &snap)
+        };
+        self.cells.iter().enumerate().map(stats).collect()
+    }
+
+    /// Joins every worker; returns how many had panicked.
+    fn join(&mut self) -> usize {
+        let joins = self.workers.drain(..).map(JoinHandle::join);
+        joins.filter(Result::is_err).count()
+    }
+
+    /// Drains every shard's retire list (callers advance the epoch
+    /// first, with no worker left to pin one).
+    fn reclaim(&self) {
+        for shard in 0..self.index.shard_count() {
+            let _ = self.index.write(shard).reclaim_retired();
+        }
+    }
+}
+
+/// A planned request: the shared completion state, sized to the live
+/// parts, and one job per part already resolved to the queue it enters.
+/// Parts are in the one lock order every multi-queue push uses — hash
+/// shards ascending, then ordered shards ascending — so concurrent
+/// pushers cannot deadlock.
+struct Plan<'s> {
+    state: Arc<ResponseState>,
+    parts: Vec<(&'s ShardQueue, Job)>,
+}
+
+/// What [`ProbeService::admit`] does about a full queue.
+enum Admission {
+    /// Wait out the backpressure, part by part.
+    Block,
+    /// Refuse with [`SubmitError::Busy`], enqueuing nothing.
+    Try,
+}
+
+/// Scatters `items` over `shards` buckets by `shard_of`, tagging each
+/// with its position in the request.
+fn scatter<W: Copy>(
+    items: &[W],
+    shards: usize,
+    shard_of: impl Fn(&W) -> usize,
+) -> Vec<Vec<(u32, W)>> {
+    assert!(
+        u32::try_from(items.len()).is_ok(),
+        "request exceeds u32 row space"
+    );
+    let mut parts = vec![Vec::new(); shards];
+    for (row, item) in items.iter().enumerate() {
+        parts[shard_of(item)].push((row as u32, *item));
+    }
+    parts
+}
+
 /// A running probe-serving engine: one worker thread per shard, each
 /// driving AMAC walkers over its own index partition.
 ///
@@ -225,25 +358,11 @@ pub struct NetTraceCtx {
 /// stop still completes — drain, then halt. After `stop`, new
 /// submissions fail with [`SubmitError::Stopped`].
 pub struct ProbeService {
-    sharded: Arc<ShardedIndex>,
-    queues: Vec<Arc<ShardQueue>>,
-    workers: Vec<JoinHandle<()>>,
-    /// The ordered (range-partitioned B+-tree) tier, when built: its
-    /// index, per-shard queues, and worker handles. `None` on services
-    /// built for point traffic only.
-    ordered: Option<Arc<OrderedShardedIndex>>,
-    range_queues: Vec<Arc<ShardQueue>>,
-    range_workers: Vec<JoinHandle<()>>,
-    /// Per-worker registry cells (shard order): each worker publishes
-    /// its counters and latencies here while it runs, so stats are a
-    /// read-only snapshot at any time — no join required.
-    cells: Vec<Arc<WorkerCell>>,
-    range_cells: Vec<Arc<WorkerCell>>,
-    /// Per-worker hardware-profiling cells (shard order), populated only
-    /// when the config enabled profiling — both empty otherwise, which
-    /// is also how `snapshot_stats` knows profiling is off.
-    prof_cells: Vec<Arc<ProfCell>>,
-    range_prof_cells: Vec<Arc<ProfCell>>,
+    /// The hash tier: point probes, and the acking side of writes.
+    hash: TierRuntime<ShardedIndex>,
+    /// The ordered (range-partitioned B+-tree) tier, when built; `None`
+    /// on services built for point traffic only.
+    ordered: Option<TierRuntime<OrderedShardedIndex>>,
     /// The shared stage-timing seam (queue-wait / batch-wait / walk /
     /// write / gather / reply-write).
     stages: Arc<StageTimes>,
@@ -260,11 +379,11 @@ pub struct ProbeService {
     trace_sample: u64,
     slow_threshold: Option<Duration>,
     started: Instant,
-    /// Stop gate: `submit` holds a read guard across all of its queue
-    /// pushes; `stop` flips the flag and poisons the queues under the
-    /// write guard. A request is therefore accepted (every shard part
-    /// enqueued) or refused atomically — it can never be half-enqueued
-    /// by racing with `stop`.
+    /// Stop gate: `admit` holds a read guard across all of a plan's
+    /// queue pushes; `stop` flips the flag and poisons the queues under
+    /// the write guard. A request is therefore accepted (every shard
+    /// part enqueued) or refused atomically — it can never be
+    /// half-enqueued by racing with `stop`.
     stopped: RwLock<bool>,
     /// The statistics from the join that already happened, kept so a
     /// second pass through `shutdown_inner` (an explicit `shutdown`
@@ -363,105 +482,11 @@ impl ProbeService {
     ) -> ProbeService {
         assert!(config.inflight > 0, "need at least one in-flight probe");
         assert!(config.stream_chunk > 0, "need a positive stream chunk");
-        let policy = BatchPolicy::new(config.batch_size);
-        // Re-home every shard onto one service-owned domain, whatever
-        // domain(s) the tiers were built against: workers advance and
-        // reclaim against *this* domain, so a foreign domain would
-        // strand retired nodes. Freshly built tiers have retired
-        // nothing, so re-homing is a pure pointer swap.
         let domain = EpochDomain::new();
-        for shard in 0..sharded.shard_count() {
-            sharded.write(shard).set_domain(Arc::clone(&domain));
-        }
-        if let Some(ordered) = &ordered {
-            for shard in 0..ordered.shard_count() {
-                ordered.write(shard).set_domain(Arc::clone(&domain));
-            }
-        }
-        let sharded = Arc::new(sharded);
         let stages = Arc::new(StageTimes::new());
-        let queues: Vec<Arc<ShardQueue>> = (0..sharded.shard_count())
-            .map(|_| Arc::new(ShardQueue::new(config.queue_capacity)))
-            .collect();
-        let cells: Vec<Arc<WorkerCell>> = (0..sharded.shard_count())
-            .map(|_| Arc::new(WorkerCell::new()))
-            .collect();
-        let prof_for = |count: usize| -> Vec<Arc<ProfCell>> {
-            if config.profile {
-                (0..count).map(|_| Arc::new(ProfCell::new())).collect()
-            } else {
-                Vec::new()
-            }
-        };
-        let prof_cells = prof_for(sharded.shard_count());
-        let workers = queues
-            .iter()
-            .enumerate()
-            .map(|(shard, queue)| {
-                let ctx = WorkerContext {
-                    shard,
-                    queue: Arc::clone(queue),
-                    sharded: Arc::clone(&sharded),
-                    policy,
-                    inflight: config.inflight,
-                    cell: Arc::clone(&cells[shard]),
-                    stages: Arc::clone(&stages),
-                    prof: prof_cells.get(shard).cloned(),
-                    domain: Arc::clone(&domain),
-                };
-                std::thread::Builder::new()
-                    .name(format!("widx-serve-{shard}"))
-                    .spawn(move || run_worker(&ctx))
-                    .expect("spawn shard worker")
-            })
-            .collect();
-        let ordered = ordered.map(Arc::new);
-        let mut range_queues = Vec::new();
-        let mut range_cells = Vec::new();
-        let mut range_prof_cells = Vec::new();
-        let mut range_workers = Vec::new();
-        if let Some(ordered) = &ordered {
-            range_queues = (0..ordered.shard_count())
-                .map(|_| Arc::new(ShardQueue::new(config.queue_capacity)))
-                .collect();
-            range_cells = (0..ordered.shard_count())
-                .map(|_| Arc::new(WorkerCell::new()))
-                .collect();
-            range_prof_cells = prof_for(ordered.shard_count());
-            range_workers = range_queues
-                .iter()
-                .enumerate()
-                .map(|(shard, queue)| {
-                    let ctx = RangeWorkerContext {
-                        shard,
-                        queue: Arc::clone(queue),
-                        ordered: Arc::clone(ordered),
-                        policy,
-                        inflight: config.inflight,
-                        stream_chunk: config.stream_chunk,
-                        cell: Arc::clone(&range_cells[shard]),
-                        stages: Arc::clone(&stages),
-                        prof: range_prof_cells.get(shard).cloned(),
-                        domain: Arc::clone(&domain),
-                    };
-                    std::thread::Builder::new()
-                        .name(format!("widx-range-{shard}"))
-                        .spawn(move || run_range_worker(&ctx))
-                        .expect("spawn range shard worker")
-                })
-                .collect();
-        }
         ProbeService {
-            sharded,
-            queues,
-            workers,
-            ordered,
-            range_queues,
-            range_workers,
-            cells,
-            range_cells,
-            prof_cells,
-            range_prof_cells,
+            hash: TierRuntime::start(sharded, config, &stages, &domain),
+            ordered: ordered.map(|index| TierRuntime::start(index, config, &stages, &domain)),
             stages,
             domain,
             recorder: Arc::new(FlightRecorder::new(config.trace_capacity)),
@@ -477,13 +502,13 @@ impl ProbeService {
     /// The served index.
     #[must_use]
     pub fn sharded(&self) -> &ShardedIndex {
-        &self.sharded
+        &self.hash.index
     }
 
     /// The served ordered index, when the service has a range tier.
     #[must_use]
     pub fn ordered(&self) -> Option<&OrderedShardedIndex> {
-        self.ordered.as_deref()
+        self.ordered.as_ref().map(|tier| &*tier.index)
     }
 
     /// The service-wide epoch-reclamation domain (both tiers retire
@@ -496,14 +521,16 @@ impl ProbeService {
     /// Keys currently queued per shard (backlog snapshot).
     #[must_use]
     pub fn backlog(&self) -> Vec<usize> {
-        self.queues.iter().map(|q| q.backlog_keys()).collect()
+        self.hash.backlog()
     }
 
     /// Scan cursors currently queued per ordered shard (empty without a
     /// range tier).
     #[must_use]
     pub fn range_backlog(&self) -> Vec<usize> {
-        self.range_queues.iter().map(|q| q.backlog_keys()).collect()
+        self.ordered
+            .as_ref()
+            .map_or_else(Vec::new, TierRuntime::backlog)
     }
 
     /// Whether the sampling knobs can ever arm a trace — the cheap
@@ -532,7 +559,7 @@ impl ProbeService {
     /// ([`ServeConfig::with_profile`]).
     #[must_use]
     pub fn profiling_enabled(&self) -> bool {
-        !self.prof_cells.is_empty() || !self.range_prof_cells.is_empty()
+        !self.hash.prof_cells.is_empty()
     }
 
     /// The merged profiling snapshot across every worker, or `None`
@@ -542,8 +569,9 @@ impl ProbeService {
         if !self.profiling_enabled() {
             return None;
         }
+        let ordered = self.ordered.iter().flat_map(|tier| &tier.prof_cells);
         let mut merged = ProfSnapshot::default();
-        for cell in self.prof_cells.iter().chain(&self.range_prof_cells) {
+        for cell in self.hash.prof_cells.iter().chain(ordered) {
             merged.merge(&cell.snapshot());
         }
         Some(merged)
@@ -594,240 +622,142 @@ impl ProbeService {
         }))
     }
 
-    /// Submits a request, blocking only when a target shard queue is
-    /// over capacity (backpressure). The returned handle resolves once
-    /// every involved shard has answered.
-    ///
-    /// # Errors
-    ///
-    /// [`SubmitError::Stopped`] once [`stop`](ProbeService::stop) or
-    /// shutdown has begun.
-    pub fn submit(&self, request: Request) -> Result<PendingResponse, SubmitError> {
-        let kind = match &request {
-            Request::Lookup { key } => RequestKind::Lookup { key: *key },
-            Request::MultiLookup { .. } => RequestKind::MultiLookup,
-            Request::JoinProbe { .. } => RequestKind::JoinProbe,
-            Request::RangeScan {
+    /// A request's shared completion state: `parts` shard-parts
+    /// outstanding (zero is born complete), a streaming seam when
+    /// `stream_limit` is set, wired to the stage seam and — when the
+    /// sampling knobs say so — carrying an armed trace.
+    fn new_state(
+        &self,
+        kind: RequestKind,
+        kind_name: &'static str,
+        parts: usize,
+        stream_limit: Option<usize>,
+        net: Option<&NetTraceCtx>,
+    ) -> Arc<ResponseState> {
+        let state = match stream_limit {
+            Some(limit) => ResponseState::new_stream(kind, parts, limit),
+            None => ResponseState::new(kind, parts),
+        }
+        .with_stages(&self.stages);
+        Arc::new(match self.arm_trace(kind_name, net) {
+            Some(trace) => state.with_trace(trace),
+            None => state,
+        })
+    }
+
+    /// Plans any buffered request shape.
+    fn plan(&self, request: &Request, net: Option<&NetTraceCtx>) -> Result<Plan<'_>, SubmitError> {
+        Ok(match request {
+            Request::Lookup { key } => self.plan_keys(
+                RequestKind::Lookup { key: *key },
+                std::slice::from_ref(key),
+                net,
+            ),
+            Request::MultiLookup { keys } => self.plan_keys(RequestKind::MultiLookup, keys, net),
+            Request::JoinProbe { keys } => self.plan_keys(RequestKind::JoinProbe, keys, net),
+            &Request::RangeScan {
                 lo,
                 hi,
                 limit,
                 desc,
-            } => {
-                return self.submit_scan(*lo, *hi, *limit, *desc);
-            }
+            } => self.plan_scan(lo, hi, limit, desc, false, net)?,
             Request::Insert { .. } | Request::Delete { .. } | Request::Update { .. } => {
+                let kind_name = match request {
+                    Request::Insert { .. } => "insert",
+                    Request::Delete { .. } => "delete",
+                    _ => "update",
+                };
                 let ops = request.write_ops().expect("write request variant");
-                return self.submit_write(Self::write_kind_name(&request), ops);
+                self.plan_write(kind_name, &ops, net)
+            }
+        })
+    }
+
+    /// Partitions `keys` over the hash shards that own them.
+    fn plan_keys(&self, kind: RequestKind, keys: &[u64], net: Option<&NetTraceCtx>) -> Plan<'_> {
+        let kind_name = match kind {
+            RequestKind::Lookup { .. } => "lookup",
+            RequestKind::MultiLookup => "multi_lookup",
+            RequestKind::JoinProbe => "join_probe",
+            RequestKind::RangeScan { .. } | RequestKind::Write { .. } => {
+                unreachable!("scans and writes have their own planners")
             }
         };
-        self.submit_keys(kind, request.keys())
-    }
-
-    /// The trace kind label of a write request variant.
-    fn write_kind_name(request: &Request) -> &'static str {
-        match request {
-            Request::Insert { .. } => "insert",
-            Request::Delete { .. } => "delete",
-            Request::Update { .. } => "update",
-            _ => unreachable!("not a write request"),
+        let tier = &self.hash;
+        let probe = |state: &Arc<ResponseState>, shard: usize, entries: Vec<(u32, u64)>| {
+            let reply = Arc::clone(state);
+            (&*tier.queues[shard], Job::Probe { entries, reply })
+        };
+        if let [key] = keys {
+            // Fast path: a single-key request touches exactly one shard
+            // — skip the per-shard partition scaffolding.
+            let state = self.new_state(kind, kind_name, 1, None, net);
+            let parts = vec![probe(&state, tier.index.shard_of(*key), vec![(0, *key)])];
+            return Plan { state, parts };
         }
-    }
-
-    /// The blocking write submission path: scatters `ops` over both
-    /// tiers' owning shards and enqueues every part under the stop
-    /// gate's read guard (all-or-nothing with respect to `stop`).
-    fn submit_write(
-        &self,
-        kind_name: &'static str,
-        ops: Vec<WriteOp>,
-    ) -> Result<PendingResponse, SubmitError> {
-        let stopped = self.stopped.read().expect("stop gate");
-        if *stopped {
-            return Err(SubmitError::Stopped);
-        }
-        let (state, parts) = self.plan_write(kind_name, &ops, None);
-        for (range_tier, shard, job) in parts {
-            let queue = if range_tier {
-                &self.range_queues[shard]
-            } else {
-                &self.queues[shard]
-            };
-            self.push_part(queue, job);
-        }
-        drop(stopped);
-        Ok(PendingResponse { state })
+        let scattered = scatter(keys, tier.queues.len(), |key| tier.index.shard_of(*key));
+        let live = scattered.iter().filter(|p| !p.is_empty()).count();
+        let state = self.new_state(kind, kind_name, live, None, net);
+        let parts = scattered
+            .into_iter()
+            .enumerate()
+            .filter(|(_, entries)| !entries.is_empty())
+            .map(|(shard, entries)| probe(&state, shard, entries))
+            .collect();
+        Plan { state, parts }
     }
 
     /// Scatters a write over the shards that own its keys: the hash
     /// tier routes by `shard_of` and carries the acks (its parts report
     /// `(op, key, applied)` rows); the ordered tier, when built, routes
     /// by the *pure* `write_shard_of` and applies the same mutations
-    /// silently (parts complete empty). Returned parts are `(range
-    /// tier, shard, job)` in a fixed order — hash shards ascending,
-    /// then ordered shards ascending — the single consistent lock
-    /// order every multi-queue pusher must use.
-    #[allow(clippy::type_complexity)]
+    /// silently (parts complete empty).
     fn plan_write(
         &self,
         kind_name: &'static str,
         ops: &[WriteOp],
         net: Option<&NetTraceCtx>,
-    ) -> (Arc<ResponseState>, Vec<(bool, usize, Job)>) {
-        assert!(
-            u32::try_from(ops.len()).is_ok(),
-            "request exceeds u32 op space"
-        );
-        let kind = RequestKind::Write { ops: ops.len() };
-        let mut hash_parts: Vec<Vec<(u32, WriteOp)>> = vec![Vec::new(); self.sharded.shard_count()];
-        for (i, op) in ops.iter().enumerate() {
-            hash_parts[self.sharded.shard_of(op.key())].push((i as u32, *op));
-        }
-        let mut ordered_parts: Vec<Vec<(u32, WriteOp)>> = Vec::new();
-        if let Some(ordered) = &self.ordered {
-            ordered_parts = vec![Vec::new(); ordered.shard_count()];
-            for (i, op) in ops.iter().enumerate() {
-                ordered_parts[ordered.write_shard_of(op.key())].push((i as u32, *op));
-            }
-        }
-        let live = hash_parts.iter().filter(|p| !p.is_empty()).count()
-            + ordered_parts.iter().filter(|p| !p.is_empty()).count();
-        let state = ResponseState::new(kind, live).with_stages(&self.stages);
-        let state = Arc::new(match self.arm_trace(kind_name, net) {
-            Some(trace) => state.with_trace(trace),
-            None => state,
-        });
-        let mut jobs = Vec::with_capacity(live);
-        for (shard, part) in hash_parts.into_iter().enumerate() {
-            if !part.is_empty() {
-                let job = Job::Write {
-                    ops: part,
-                    ack: true,
-                    reply: Arc::clone(&state),
-                };
-                jobs.push((false, shard, job));
-            }
-        }
-        for (shard, part) in ordered_parts.into_iter().enumerate() {
-            if !part.is_empty() {
-                let job = Job::Write {
-                    ops: part,
-                    ack: false,
-                    reply: Arc::clone(&state),
-                };
-                jobs.push((true, shard, job));
-            }
-        }
-        (state, jobs)
-    }
-
-    /// The real submission path: partitions `keys` by shard and
-    /// enqueues every part while holding the stop gate's read guard, so
-    /// acceptance is all-or-nothing with respect to `stop`.
-    fn submit_keys(&self, kind: RequestKind, keys: &[u64]) -> Result<PendingResponse, SubmitError> {
-        let stopped = self.stopped.read().expect("stop gate");
-        if *stopped {
-            return Err(SubmitError::Stopped);
-        }
-        let (state, parts) = self.plan_keys(kind, keys, None);
-        for (shard, job) in parts {
-            self.push_part(&self.queues[shard], job);
-        }
-        drop(stopped);
-        Ok(PendingResponse { state })
-    }
-
-    /// Partitions `keys` by shard into ready-to-enqueue jobs (shard
-    /// index ascending) plus the shared completion state sized to the
-    /// number of live parts.
-    fn plan_keys(
-        &self,
-        kind: RequestKind,
-        keys: &[u64],
-        net: Option<&NetTraceCtx>,
-    ) -> (Arc<ResponseState>, Vec<(usize, Job)>) {
-        assert!(
-            u32::try_from(keys.len()).is_ok(),
-            "request exceeds u32 row space"
-        );
-        let kind_name = match kind {
-            RequestKind::Lookup { .. } => "lookup",
-            RequestKind::MultiLookup => "multi_lookup",
-            RequestKind::JoinProbe => "join_probe",
-            RequestKind::RangeScan { .. } => "range_scan",
-            RequestKind::Write { .. } => unreachable!("writes plan through plan_write"),
-        };
-        let attach = |state: ResponseState| match self.arm_trace(kind_name, net) {
-            Some(trace) => state.with_trace(trace),
-            None => state,
-        };
-        if let [key] = keys {
-            // Fast path: a single-key request touches exactly one shard
-            // — skip the per-shard partition scaffolding.
-            let state = Arc::new(attach(
-                ResponseState::new(kind, 1).with_stages(&self.stages),
-            ));
-            let job = Job::Probe {
-                entries: vec![(0, *key)],
-                reply: Arc::clone(&state),
-            };
-            return (state, vec![(self.sharded.shard_of(*key), job)]);
-        }
-        let shard_count = self.sharded.shard_count();
-        let mut parts: Vec<Vec<(u32, u64)>> = vec![Vec::new(); shard_count];
-        for (row, key) in keys.iter().enumerate() {
-            parts[self.sharded.shard_of(*key)].push((row as u32, *key));
-        }
-        let live_parts = parts.iter().filter(|p| !p.is_empty()).count();
-        let state = Arc::new(attach(
-            ResponseState::new(kind, live_parts).with_stages(&self.stages),
-        ));
-        let jobs = parts
-            .into_iter()
-            .enumerate()
-            .filter(|(_, entries)| !entries.is_empty())
-            .map(|(shard, entries)| {
-                let job = Job::Probe {
-                    entries,
-                    reply: Arc::clone(&state),
-                };
-                (shard, job)
+    ) -> Plan<'_> {
+        let index = &self.hash.index;
+        let acked = scatter(ops, index.shard_count(), |op| index.shard_of(op.key()));
+        let silent = self.ordered.as_ref().map_or_else(Vec::new, |tier| {
+            let index = &tier.index;
+            scatter(ops, index.shard_count(), |op| {
+                index.write_shard_of(op.key())
             })
-            .collect();
-        (state, jobs)
+        });
+        let live = acked
+            .iter()
+            .chain(&silent)
+            .filter(|p| !p.is_empty())
+            .count();
+        let kind = RequestKind::Write { ops: ops.len() };
+        let state = self.new_state(kind, kind_name, live, None, net);
+        let ordered_queues = self.ordered.as_ref().map_or(&[][..], |tier| &tier.queues);
+        let mut parts = Vec::with_capacity(live);
+        for (queues, scattered, ack) in [
+            (&self.hash.queues[..], acked, true),
+            (ordered_queues, silent, false),
+        ] {
+            for (queue, ops) in queues.iter().zip(scattered) {
+                if !ops.is_empty() {
+                    let reply = Arc::clone(&state);
+                    parts.push((&**queue, Job::Write { ops, ack, reply }));
+                }
+            }
+        }
+        Plan { state, parts }
     }
 
-    /// The range-scan submission path: scatters the scan over every
-    /// ordered shard its key interval overlaps (each part carrying the
-    /// full interval and limit — shard trees only hold their own span,
-    /// and the global `limit` is re-applied at gather time), under the
-    /// same all-or-nothing stop gate as `submit_keys`.
-    fn submit_scan(
-        &self,
-        lo: u64,
-        hi: u64,
-        limit: usize,
-        desc: bool,
-    ) -> Result<PendingResponse, SubmitError> {
-        let stopped = self.stopped.read().expect("stop gate");
-        if *stopped {
-            return Err(SubmitError::Stopped);
-        }
-        let (state, parts) = self.plan_scan(lo, hi, limit, desc, false, None)?;
-        for (shard, job) in parts {
-            self.push_part(&self.range_queues[shard], job);
-        }
-        drop(stopped);
-        Ok(PendingResponse { state })
-    }
-
-    /// Scatters a scan into per-shard jobs (shard index ascending) plus
-    /// the shared completion state; degenerate scans yield zero parts
+    /// Scatters a scan over every ordered shard its key interval
+    /// overlaps (each part carrying the full interval and limit — shard
+    /// trees only hold their own span, and the global `limit` is
+    /// re-applied at gather time); degenerate scans yield zero parts
     /// and a state that is born complete. Scatter *ranks* are assigned
     /// in output order — shard order ascending, or descending for a
     /// `desc` scan — so the gather side (buffered bucket concatenation
     /// and the streaming seam alike) never needs to know the direction:
     /// rank order *is* reply order.
-    #[allow(clippy::type_complexity)]
     fn plan_scan(
         &self,
         lo: u64,
@@ -836,55 +766,118 @@ impl ProbeService {
         desc: bool,
         streaming: bool,
         net: Option<&NetTraceCtx>,
-    ) -> Result<(Arc<ResponseState>, Vec<(usize, Job)>), SubmitError> {
-        let Some(ordered) = &self.ordered else {
+    ) -> Result<Plan<'_>, SubmitError> {
+        let Some(tier) = &self.ordered else {
             return Err(SubmitError::NoOrderedIndex);
         };
-        let kind = RequestKind::RangeScan { limit };
-        let kind_name = if streaming {
-            "range_stream"
+        let (kind_name, stream_limit) = if streaming {
+            ("range_stream", Some(limit))
         } else {
-            "range_scan"
+            ("range_scan", None)
         };
-        let state_for = |parts: usize| {
-            let state = if streaming {
-                ResponseState::new_stream(kind, parts, limit)
-            } else {
-                ResponseState::new(kind, parts)
-            };
-            let state = state.with_stages(&self.stages);
-            match self.arm_trace(kind_name, net) {
-                Some(trace) => state.with_trace(trace),
-                None => state,
-            }
+        let span = if lo > hi || limit == 0 {
+            0..0 // Degenerate scans complete immediately: zero parts.
+        } else {
+            let (first, last) = tier.index.shard_span(lo, hi);
+            first..last + 1
         };
-        if lo > hi || limit == 0 {
-            // Degenerate scans complete immediately: zero parts.
-            return Ok((Arc::new(state_for(0)), Vec::new()));
-        }
-        let (first, last) = ordered.shard_span(lo, hi);
-        let parts = last - first + 1;
-        let state = Arc::new(state_for(parts));
-        let jobs = (first..=last)
+        let count = span.len();
+        let kind = RequestKind::RangeScan { limit };
+        let state = self.new_state(kind, kind_name, count, stream_limit, net);
+        let range = ScanRange {
+            lo,
+            hi,
+            limit,
+            desc,
+        };
+        let parts = span
             .enumerate()
             .map(|(i, shard)| {
-                let rank = if desc { parts - 1 - i } else { i } as u32;
-                let job = Job::Scan {
-                    scans: vec![(
-                        rank,
-                        ScanRange {
-                            lo,
-                            hi,
-                            limit,
-                            desc,
-                        },
-                    )],
-                    reply: Arc::clone(&state),
-                };
-                (shard, job)
+                let rank = if desc { count - 1 - i } else { i } as u32;
+                let scans = vec![(rank, range)];
+                let reply = Arc::clone(&state);
+                (&*tier.queues[shard], Job::Scan { scans, reply })
             })
             .collect();
-        Ok((state, jobs))
+        Ok(Plan { state, parts })
+    }
+
+    /// The one way in: enqueues every part of `plan`, or none. This is
+    /// the only holder of the stop gate's read guard on the submission
+    /// path and the only caller of the queues' push primitives, so
+    /// acceptance is all-or-nothing with respect to [`stop`](Self::stop)
+    /// for every request shape — and, under [`Admission::Try`], with
+    /// respect to backpressure across every shard of *both* tiers. A
+    /// refused plan is simply dropped.
+    fn admit(&self, plan: Plan<'_>, how: Admission) -> Result<Arc<ResponseState>, SubmitError> {
+        let stopped = self.stopped.read().expect("stop gate");
+        if *stopped {
+            return Err(SubmitError::Stopped);
+        }
+        match how {
+            Admission::Block => {
+                for (queue, job) in plan.parts {
+                    // Queues are poisoned only under the stop gate's
+                    // write guard, which cannot be held while we hold
+                    // the read guard.
+                    queue
+                        .push(job)
+                        .expect("queue poisoned while stop gate held open");
+                }
+            }
+            Admission::Try => {
+                crate::queue::try_push_all(plan.parts).map_err(|_| SubmitError::Busy)?;
+            }
+        }
+        drop(stopped);
+        Ok(plan.state)
+    }
+
+    /// Admits `plan`, waiting out backpressure, then blocks for the
+    /// assembled response — the body of every blocking convenience.
+    fn wait(&self, plan: Plan<'_>) -> Result<Response, SubmitError> {
+        let state = self.admit(plan, Admission::Block)?;
+        Ok(PendingResponse { state }.wait())
+    }
+
+    /// Submits a request, blocking only when a target shard queue is
+    /// over capacity (backpressure). The returned handle resolves once
+    /// every involved shard has answered.
+    ///
+    /// # Errors
+    ///
+    /// [`SubmitError::Stopped`] once [`stop`](ProbeService::stop) or
+    /// shutdown has begun, or [`SubmitError::NoOrderedIndex`] for a
+    /// [`Request::RangeScan`] without a range tier.
+    pub fn submit(&self, request: Request) -> Result<PendingResponse, SubmitError> {
+        let state = self.admit(self.plan(&request, None)?, Admission::Block)?;
+        Ok(PendingResponse { state })
+    }
+
+    /// Non-blocking [`submit`](ProbeService::submit): never waits out
+    /// backpressure. When any target shard queue is at capacity the
+    /// request is refused with [`SubmitError::Busy`] and *nothing* is
+    /// enqueued (all-or-nothing across shards), so a caller that cannot
+    /// block — the `widx-net` event loop — can turn backpressure into a
+    /// typed error reply instead of stalling every other connection.
+    ///
+    /// When the front-end carries a sampled (or potentially slow)
+    /// request, `net` anchors the trace at frame-decode time and tags
+    /// it with the reactor that owns the connection. Pass `None` for
+    /// in-process callers.
+    ///
+    /// # Errors
+    ///
+    /// [`SubmitError::Busy`] under backpressure, [`SubmitError::Stopped`]
+    /// once shutdown has begun, or [`SubmitError::NoOrderedIndex`] for a
+    /// [`Request::RangeScan`] without a range tier.
+    pub fn try_submit(
+        &self,
+        request: Request,
+        net: Option<NetTraceCtx>,
+    ) -> Result<PendingResponse, SubmitError> {
+        let state = self.admit(self.plan(&request, net.as_ref())?, Admission::Try)?;
+        Ok(PendingResponse { state })
     }
 
     /// Submits a chunk-streaming range scan, blocking only under queue
@@ -906,22 +899,17 @@ impl ProbeService {
         limit: usize,
         desc: bool,
     ) -> Result<PendingStream, SubmitError> {
-        let stopped = self.stopped.read().expect("stop gate");
-        if *stopped {
-            return Err(SubmitError::Stopped);
-        }
-        let (state, parts) = self.plan_scan(lo, hi, limit, desc, true, None)?;
-        for (shard, job) in parts {
-            self.push_part(&self.range_queues[shard], job);
-        }
-        drop(stopped);
+        let plan = self.plan_scan(lo, hi, limit, desc, true, None)?;
+        let state = self.admit(plan, Admission::Block)?;
         Ok(PendingStream { state })
     }
 
     /// Non-blocking [`range_stream`](Self::range_stream): refuses with
     /// [`SubmitError::Busy`] instead of waiting out backpressure
     /// (all-or-nothing across shards) — the submission surface the
-    /// `widx-net` event loop uses for the chunked reply opcodes.
+    /// `widx-net` event loop uses for the chunked reply opcodes. `net`
+    /// is the optional network trace context, as for
+    /// [`try_submit`](Self::try_submit).
     ///
     /// # Errors
     ///
@@ -934,139 +922,11 @@ impl ProbeService {
         hi: u64,
         limit: usize,
         desc: bool,
-    ) -> Result<PendingStream, SubmitError> {
-        self.try_range_stream_traced(lo, hi, limit, desc, None)
-    }
-
-    /// [`try_range_stream`](Self::try_range_stream) with an optional
-    /// network trace context: when the front-end carries a sampled (or
-    /// potentially slow) request, `net` anchors the trace at
-    /// frame-decode time and tags it with the reactor that owns the
-    /// connection. Pass `None` for in-process callers.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`try_range_stream`](Self::try_range_stream).
-    pub fn try_range_stream_traced(
-        &self,
-        lo: u64,
-        hi: u64,
-        limit: usize,
-        desc: bool,
         net: Option<NetTraceCtx>,
     ) -> Result<PendingStream, SubmitError> {
-        let stopped = self.stopped.read().expect("stop gate");
-        if *stopped {
-            return Err(SubmitError::Stopped);
-        }
-        let (state, parts) = self.plan_scan(lo, hi, limit, desc, true, net.as_ref())?;
-        let targeted = parts
-            .into_iter()
-            .map(|(shard, job)| (&*self.range_queues[shard], job))
-            .collect();
-        crate::queue::try_push_all(targeted).map_err(|_| SubmitError::Busy)?;
-        drop(stopped);
+        let plan = self.plan_scan(lo, hi, limit, desc, true, net.as_ref())?;
+        let state = self.admit(plan, Admission::Try)?;
         Ok(PendingStream { state })
-    }
-
-    /// Non-blocking [`submit`](ProbeService::submit): never waits out
-    /// backpressure. When any target shard queue is at capacity the
-    /// request is refused with [`SubmitError::Busy`] and *nothing* is
-    /// enqueued (all-or-nothing across shards), so a caller that cannot
-    /// block — the `widx-net` event loop — can turn backpressure into a
-    /// typed error reply instead of stalling every other connection.
-    ///
-    /// # Errors
-    ///
-    /// [`SubmitError::Busy`] under backpressure, [`SubmitError::Stopped`]
-    /// once shutdown has begun, or [`SubmitError::NoOrderedIndex`] for a
-    /// [`Request::RangeScan`] without a range tier.
-    pub fn try_submit(&self, request: Request) -> Result<PendingResponse, SubmitError> {
-        self.try_submit_traced(request, None)
-    }
-
-    /// [`try_submit`](Self::try_submit) with an optional network trace
-    /// context: when the front-end carries a sampled (or potentially
-    /// slow) request, `net` anchors the trace at frame-decode time and
-    /// tags it with the reactor that owns the connection. Pass `None`
-    /// for in-process callers.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`try_submit`](Self::try_submit).
-    pub fn try_submit_traced(
-        &self,
-        request: Request,
-        net: Option<NetTraceCtx>,
-    ) -> Result<PendingResponse, SubmitError> {
-        let stopped = self.stopped.read().expect("stop gate");
-        if *stopped {
-            return Err(SubmitError::Stopped);
-        }
-        let net = net.as_ref();
-        if matches!(
-            &request,
-            Request::Insert { .. } | Request::Delete { .. } | Request::Update { .. }
-        ) {
-            let ops = request.write_ops().expect("write request variant");
-            let (state, parts) = self.plan_write(Self::write_kind_name(&request), &ops, net);
-            let targeted = parts
-                .into_iter()
-                .map(|(range_tier, shard, job)| {
-                    let queue = if range_tier {
-                        &*self.range_queues[shard]
-                    } else {
-                        &*self.queues[shard]
-                    };
-                    (queue, job)
-                })
-                .collect();
-            crate::queue::try_push_all(targeted).map_err(|_| SubmitError::Busy)?;
-            drop(stopped);
-            return Ok(PendingResponse { state });
-        }
-        let (queues, (state, parts)) = match &request {
-            Request::Lookup { key } => (
-                &self.queues,
-                self.plan_keys(RequestKind::Lookup { key: *key }, request.keys(), net),
-            ),
-            Request::MultiLookup { .. } => (
-                &self.queues,
-                self.plan_keys(RequestKind::MultiLookup, request.keys(), net),
-            ),
-            Request::JoinProbe { .. } => (
-                &self.queues,
-                self.plan_keys(RequestKind::JoinProbe, request.keys(), net),
-            ),
-            Request::RangeScan {
-                lo,
-                hi,
-                limit,
-                desc,
-            } => (
-                &self.range_queues,
-                self.plan_scan(*lo, *hi, *limit, *desc, false, net)?,
-            ),
-            Request::Insert { .. } | Request::Delete { .. } | Request::Update { .. } => {
-                unreachable!("write requests early-return above")
-            }
-        };
-        let targeted = parts
-            .into_iter()
-            .map(|(shard, job)| (&*queues[shard], job))
-            .collect();
-        crate::queue::try_push_all(targeted).map_err(|_| SubmitError::Busy)?;
-        drop(stopped);
-        Ok(PendingResponse { state })
-    }
-
-    fn push_part(&self, queue: &ShardQueue, job: Job) {
-        match queue.push(job) {
-            Ok(()) => {}
-            // Queues are poisoned only under the stop gate's write
-            // guard, which cannot be held while we hold the read guard.
-            Err(PushError::Stopped) => unreachable!("queue poisoned while stop gate held open"),
-        }
     }
 
     /// Blocking convenience: all payloads under `key`.
@@ -1075,10 +935,7 @@ impl ProbeService {
     ///
     /// [`SubmitError::Stopped`] once shutdown has begun.
     pub fn lookup(&self, key: u64) -> Result<Vec<u64>, SubmitError> {
-        match self
-            .submit_keys(RequestKind::Lookup { key }, &[key])?
-            .wait()
-        {
+        match self.wait(self.plan_keys(RequestKind::Lookup { key }, &[key], None))? {
             Response::Lookup { payloads, .. } => Ok(payloads),
             _ => unreachable!("lookup requests assemble lookup responses"),
         }
@@ -1090,7 +947,7 @@ impl ProbeService {
     ///
     /// [`SubmitError::Stopped`] once shutdown has begun.
     pub fn multi_lookup(&self, keys: &[u64]) -> Result<Vec<(u64, u64)>, SubmitError> {
-        match self.submit_keys(RequestKind::MultiLookup, keys)?.wait() {
+        match self.wait(self.plan_keys(RequestKind::MultiLookup, keys, None))? {
             Response::MultiLookup { matches } => Ok(matches),
             _ => unreachable!("multi-lookup requests assemble multi-lookup responses"),
         }
@@ -1103,7 +960,7 @@ impl ProbeService {
     ///
     /// [`SubmitError::Stopped`] once shutdown has begun.
     pub fn join_probe(&self, keys: &[u64]) -> Result<Vec<(u64, u64)>, SubmitError> {
-        match self.submit_keys(RequestKind::JoinProbe, keys)?.wait() {
+        match self.wait(self.plan_keys(RequestKind::JoinProbe, keys, None))? {
             Response::JoinProbe { pairs } => Ok(pairs),
             _ => unreachable!("join-probe requests assemble join-probe responses"),
         }
@@ -1142,7 +999,7 @@ impl ProbeService {
     }
 
     fn write_one(&self, op: WriteOp, kind_name: &'static str) -> Result<bool, SubmitError> {
-        match self.submit_write(kind_name, vec![op])?.wait() {
+        match self.wait(self.plan_write(kind_name, &[op], None))? {
             Response::Write { acks } => Ok(acks[0]),
             _ => unreachable!("write requests assemble write responses"),
         }
@@ -1163,10 +1020,7 @@ impl ProbeService {
         hi: u64,
         limit: usize,
     ) -> Result<Vec<(u64, u64)>, SubmitError> {
-        match self.submit_scan(lo, hi, limit, false)?.wait() {
-            Response::RangeScan { entries } => Ok(entries),
-            _ => unreachable!("range-scan requests assemble range-scan responses"),
-        }
+        self.scan(lo, hi, limit, false)
     }
 
     /// Blocking convenience: [`range_scan`](Self::range_scan) in
@@ -1183,7 +1037,17 @@ impl ProbeService {
         hi: u64,
         limit: usize,
     ) -> Result<Vec<(u64, u64)>, SubmitError> {
-        match self.submit_scan(lo, hi, limit, true)?.wait() {
+        self.scan(lo, hi, limit, true)
+    }
+
+    fn scan(
+        &self,
+        lo: u64,
+        hi: u64,
+        limit: usize,
+        desc: bool,
+    ) -> Result<Vec<(u64, u64)>, SubmitError> {
+        match self.wait(self.plan_scan(lo, hi, limit, desc, false, None)?)? {
             Response::RangeScan { entries } => Ok(entries),
             _ => unreachable!("range-scan requests assemble range-scan responses"),
         }
@@ -1200,38 +1064,17 @@ impl ProbeService {
     /// final [`shutdown`](Self::shutdown) snapshot, field for field,
     /// except `wall` (which keeps advancing), each worker's `idle`
     /// (which accumulates while the worker blocks on an empty queue),
-    /// and `net` (attached by the network tier, if any).
+    /// and `net` (attached by the network tier, if any) — the shutdown
+    /// join materializes its report through this same path, so "final
+    /// stats" is literally the last live scrape.
     #[must_use]
     pub fn live_stats(&self) -> ServiceStats {
-        self.snapshot_stats()
-    }
-
-    /// The service's stage-timing seam, shared with whatever front-end
-    /// wants to record phases the service itself cannot see (the
-    /// `widx-net` server records [`reply-write`](widx_obs::Stage) here).
-    #[must_use]
-    pub fn stage_times(&self) -> Arc<StageTimes> {
-        Arc::clone(&self.stages)
-    }
-
-    /// The one materialization path: both `live_stats` and the shutdown
-    /// join read the same registry, so "final stats" is literally the
-    /// last live scrape.
-    fn snapshot_stats(&self) -> ServiceStats {
         let mut latency = HistogramSnapshot::default();
-        let mut tier = |cells: &[Arc<WorkerCell>]| -> Vec<WorkerStats> {
-            cells
-                .iter()
-                .enumerate()
-                .map(|(shard, cell)| {
-                    let snap = cell.snapshot();
-                    latency.merge_from(&snap.latency);
-                    WorkerStats::from_cell(shard, &snap)
-                })
-                .collect()
+        let workers = self.hash.worker_stats(&mut latency);
+        let range_workers = match &self.ordered {
+            Some(tier) => tier.worker_stats(&mut latency),
+            None => Vec::new(),
         };
-        let workers = tier(&self.cells);
-        let range_workers = tier(&self.range_cells);
         ServiceStats {
             workers,
             range_workers,
@@ -1246,6 +1089,14 @@ impl ProbeService {
         }
     }
 
+    /// The service's stage-timing seam, shared with whatever front-end
+    /// wants to record phases the service itself cannot see (the
+    /// `widx-net` server records [`reply-write`](widx_obs::Stage) here).
+    #[must_use]
+    pub fn stage_times(&self) -> Arc<StageTimes> {
+        Arc::clone(&self.stages)
+    }
+
     /// Begins shutdown without consuming the service: marks the service
     /// stopped (subsequent [`submit`](ProbeService::submit)s fail with
     /// [`SubmitError::Stopped`]) and enqueues one poison pill per shard
@@ -1256,7 +1107,8 @@ impl ProbeService {
         let mut stopped = self.stopped.write().expect("stop gate");
         if !*stopped {
             *stopped = true;
-            for queue in self.queues.iter().chain(&self.range_queues) {
+            let ordered = self.ordered.iter().flat_map(|tier| &tier.queues);
+            for queue in self.hash.queues.iter().chain(ordered) {
                 queue.push_poison();
             }
         }
@@ -1279,40 +1131,31 @@ impl ProbeService {
 
     fn shutdown_inner(&mut self) -> (ServiceStats, usize) {
         self.stop();
-        if self.workers.is_empty() && self.range_workers.is_empty() {
-            // Already joined by a prior pass (an explicit shutdown
-            // followed by `Drop`, or concurrent shutdown paths racing a
-            // `stop`): hand back the stats that pass produced instead
-            // of re-snapshotting with a later wall clock.
-            if let Some(prior) = self.joined.clone() {
-                return prior;
-            }
-            return (self.snapshot_stats(), 0);
+        // Already joined by a prior pass (an explicit shutdown followed
+        // by `Drop`, or concurrent shutdown paths racing a `stop`):
+        // hand back the stats that pass produced instead of
+        // re-snapshotting with a later wall clock.
+        if let Some(prior) = self.joined.clone() {
+            return prior;
         }
         // Workers publish into the registry as they run, so the join is
         // purely a drain barrier: once every worker has halted, the
         // registry holds its final values and one more live snapshot
         // *is* the post-mortem report.
-        let mut panicked = 0usize;
-        for handle in self.workers.drain(..).chain(self.range_workers.drain(..)) {
-            if handle.join().is_err() {
-                panicked += 1;
-            }
+        let mut panicked = self.hash.join();
+        if let Some(tier) = &mut self.ordered {
+            panicked += tier.join();
         }
         // Every worker has halted, so no epoch pins remain: one final
         // advance makes every outstanding retirement safe, and a sweep
         // over both tiers drains the retire lists — the final snapshot
         // reports `epoch_retired == 0` whenever writes ever happened.
         self.domain.advance();
-        for shard in 0..self.sharded.shard_count() {
-            let _ = self.sharded.write(shard).reclaim();
+        self.hash.reclaim();
+        if let Some(tier) = &self.ordered {
+            tier.reclaim();
         }
-        if let Some(ordered) = &self.ordered {
-            for shard in 0..ordered.shard_count() {
-                let _ = ordered.write(shard).reclaim();
-            }
-        }
-        let result = (self.snapshot_stats(), panicked);
+        let result = (self.live_stats(), panicked);
         self.joined = Some(result.clone());
         result
     }
@@ -1444,17 +1287,24 @@ mod tests {
     #[test]
     fn try_submit_serves_and_respects_stop() {
         let s = range_service(500, &ServeConfig::default());
-        match s.try_submit(Request::Lookup { key: 20 }).unwrap().wait() {
+        match s
+            .try_submit(Request::Lookup { key: 20 }, None)
+            .unwrap()
+            .wait()
+        {
             Response::Lookup { payloads, .. } => assert_eq!(payloads, vec![10]),
             other => panic!("wrong variant: {other:?}"),
         }
         match s
-            .try_submit(Request::RangeScan {
-                lo: 10,
-                hi: 20,
-                limit: usize::MAX,
-                desc: false,
-            })
+            .try_submit(
+                Request::RangeScan {
+                    lo: 10,
+                    hi: 20,
+                    limit: usize::MAX,
+                    desc: false,
+                },
+                None,
+            )
             .unwrap()
             .wait()
         {
@@ -1465,7 +1315,11 @@ mod tests {
         }
         // Multi-shard fan-out through the non-blocking path.
         let keys: Vec<u64> = (0..200).collect();
-        let mut got = match s.try_submit(Request::MultiLookup { keys }).unwrap().wait() {
+        let mut got = match s
+            .try_submit(Request::MultiLookup { keys }, None)
+            .unwrap()
+            .wait()
+        {
             Response::MultiLookup { matches } => matches,
             other => panic!("wrong variant: {other:?}"),
         };
@@ -1474,7 +1328,7 @@ mod tests {
         assert_eq!(got, want);
         s.stop();
         assert_eq!(
-            s.try_submit(Request::Lookup { key: 1 }).err(),
+            s.try_submit(Request::Lookup { key: 1 }, None).err(),
             Some(SubmitError::Stopped)
         );
     }
@@ -1483,12 +1337,15 @@ mod tests {
     fn try_submit_without_ordered_tier_is_refused() {
         let s = service(50, &ServeConfig::default());
         assert_eq!(
-            s.try_submit(Request::RangeScan {
-                lo: 0,
-                hi: 9,
-                limit: 1,
-                desc: false,
-            })
+            s.try_submit(
+                Request::RangeScan {
+                    lo: 0,
+                    hi: 9,
+                    limit: 1,
+                    desc: false,
+                },
+                None
+            )
             .err(),
             Some(SubmitError::NoOrderedIndex)
         );
@@ -1653,7 +1510,7 @@ mod tests {
             Some(SubmitError::Stopped)
         );
         assert_eq!(
-            s.try_range_stream(0, 10, usize::MAX, false).err(),
+            s.try_range_stream(0, 10, usize::MAX, false, None).err(),
             Some(SubmitError::Stopped)
         );
         let _ = s.shutdown();
@@ -1667,7 +1524,7 @@ mod tests {
     #[test]
     fn try_range_stream_serves_chunks() {
         let s = range_service(500, &ServeConfig::default().with_stream_chunk(32));
-        let mut stream = s.try_range_stream(10, 600, usize::MAX, true).unwrap();
+        let mut stream = s.try_range_stream(10, 600, usize::MAX, true, None).unwrap();
         assert_eq!(
             stream.collect_remaining(),
             s.ordered().unwrap().scan_desc(10, 600, usize::MAX)
