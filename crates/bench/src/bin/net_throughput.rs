@@ -59,15 +59,16 @@
 //! [--trace-sample N] [--trace-ab] [--profile] [--seed-baseline PATH]
 //! [--json PATH] [--smoke]`.
 
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+use widx_bench::prof::bench_document;
 use widx_bench::table::{f1, f2, Table};
 use widx_db::hash::HashRecipe;
 use widx_net::{NetConfig, WidxClient, WidxServer};
-use widx_serve::{LatencySummary, NetStats, ProbeService, Request, ServeConfig};
+use widx_obs::json::Writer;
+use widx_serve::{LatencySummary, ProbeService, Request, ServeConfig, ServiceStats};
 use widx_workloads::datagen;
 
 const SEED: u64 = 0x7E7;
@@ -162,18 +163,16 @@ struct Run {
     depth: usize,
     wall_ms: f64,
     reqs_per_sec: f64,
+    /// Client-side round-trip latency.
     latency: LatencySummary,
-    net: NetStats,
     busy_replies: u64,
     /// `Stats`-opcode scrapes taken over the wire while the run was hot
     /// (0 without `--scrape-ms`).
     scrapes: u64,
-    /// Flight-recorder commits over the run (0 with tracing unarmed).
-    traces_recorded: u64,
-    /// Write ops applied across both tiers (0 without `--write-frac`).
-    write_ops: u64,
-    /// Per-stage counter breakdown (`--profile` only).
-    prof: Option<widx_obs::ProfSnapshot>,
+    /// The server's final snapshot, network tier attached: frame
+    /// counters, write ops, flight-recorder commits and (`--profile`
+    /// only) the per-stage counter breakdown.
+    stats: ServiceStats,
 }
 
 /// The per-client mixed workload: mostly Zipfian lookups, a slice of
@@ -339,16 +338,17 @@ fn run_once(
         let mut scraper = WidxClient::connect(addr).expect("profile scrape connect");
         let json = scraper.profile_json().expect("profile scrape");
         assert!(
-            json.starts_with("{\"enabled\": true,"),
+            json.starts_with("{\"enabled\":true,"),
             "profiled server answered {json}"
         );
     }
 
     let net = server.shutdown();
-    let final_stats = Arc::try_unwrap(service)
+    let stats = Arc::try_unwrap(service)
         .ok()
         .expect("sole owner")
-        .shutdown();
+        .shutdown()
+        .with_net(net);
     Run {
         reactors,
         clients,
@@ -356,12 +356,9 @@ fn run_once(
         wall_ms: wall.as_secs_f64() * 1e3,
         reqs_per_sec: samples.len() as f64 / wall.as_secs_f64(),
         latency: LatencySummary::from_samples(samples),
-        net,
         busy_replies,
         scrapes,
-        traces_recorded: final_stats.trace.recorded,
-        write_ops: final_stats.total_write_ops(),
-        prof: final_stats.prof,
+        stats,
     }
 }
 
@@ -525,11 +522,11 @@ fn run_trace_ab(pairs: &[(u64, u64)], args: &Args) -> TraceAb {
     let off = run_once(pairs, args, 1, 2, 8, 0);
     let on = run_once(pairs, args, 1, 2, 8, sample);
     assert_eq!(
-        off.traces_recorded, 0,
+        off.stats.trace.recorded, 0,
         "unarmed run committed traces to the recorder"
     );
     assert!(
-        on.traces_recorded > 0,
+        on.stats.trace.recorded > 0,
         "armed run (1-in-{sample}) recorded nothing"
     );
     TraceAb {
@@ -537,7 +534,7 @@ fn run_trace_ab(pairs: &[(u64, u64)], args: &Args) -> TraceAb {
         off_reqs_per_sec: off.reqs_per_sec,
         on_reqs_per_sec: on.reqs_per_sec,
         delta_pct: (on.reqs_per_sec - off.reqs_per_sec) / off.reqs_per_sec * 100.0,
-        recorded: on.traces_recorded,
+        recorded: on.stats.trace.recorded,
     }
 }
 
@@ -575,118 +572,71 @@ fn render_json(
     overhead: Option<&Overhead>,
     trace_ab: Option<&TraceAb>,
 ) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"bench\": \"net_throughput\",");
-    let _ = writeln!(out, "  \"seed\": {SEED},");
-    let _ = writeln!(out, "  \"requests\": {},", args.requests);
-    let _ = writeln!(out, "  \"entries\": {},", args.entries);
-    let _ = writeln!(out, "  \"span\": {},", args.span);
-    let _ = writeln!(out, "  \"scan_share\": {},", args.scan_share);
-    let _ = writeln!(out, "  \"write_frac\": {},", args.write_frac);
-    let _ = writeln!(out, "  \"theta\": {},", args.theta);
-    let _ = writeln!(out, "  \"trace_sample\": {},", args.trace_sample);
-    let reactors: Vec<String> = args.reactors.iter().map(usize::to_string).collect();
-    let _ = writeln!(out, "  \"reactors_sweep\": [{}],", reactors.join(", "));
-    // Reactor scaling is meaningless without knowing how many cores the
-    // host could actually run them on.
-    let _ = writeln!(
-        out,
-        "  \"host_cpus\": {},",
-        std::thread::available_parallelism().map_or(0, std::num::NonZero::get)
-    );
-    let _ = writeln!(out, "  \"host\": {},", widx_bench::prof::host_json());
-    let _ = writeln!(out, "  \"profile\": {},", args.profile);
-    out.push_str("  \"runs\": [\n");
-    for (i, run) in runs.iter().enumerate() {
-        let lat = &run.latency;
-        out.push_str("    {");
-        let _ = write!(
-            out,
-            "\"reactors\": {}, \"clients\": {}, \"depth\": {}, \"wall_ms\": {:.3}, \
-             \"reqs_per_sec\": {:.0}, \"busy_replies\": {}, \"live_scrapes\": {}, \
-             \"traces_recorded\": {}, \"write_ops\": {}, ",
-            run.reactors,
-            run.clients,
-            run.depth,
-            run.wall_ms,
-            run.reqs_per_sec,
-            run.busy_replies,
-            run.scrapes,
-            run.traces_recorded,
-            run.write_ops
-        );
-        let _ = write!(
-            out,
-            "\"latency_ns\": {{\"count\": {}, \"mean\": {:.0}, \"p50\": {}, \
-             \"p95\": {}, \"p99\": {}, \"p999\": {}, \"max\": {}}}, ",
-            lat.count, lat.mean_ns, lat.p50_ns, lat.p95_ns, lat.p99_ns, lat.p999_ns, lat.max_ns
-        );
-        if let Some(prof) = &run.prof {
-            let _ = write!(out, "\"prof\": {}, ", prof.to_json());
+    bench_document("net_throughput", SEED, |w| {
+        w.key("requests").u64(args.requests as u64);
+        w.key("entries").u64(args.entries);
+        w.key("span").u64(args.span);
+        w.key("scan_share").f64(args.scan_share, 2);
+        w.key("write_frac").f64(args.write_frac, 2);
+        w.key("theta").f64(args.theta, 2);
+        w.key("trace_sample").u64(args.trace_sample);
+        w.key("reactors_sweep").array(|w| {
+            for reactors in &args.reactors {
+                w.u64(*reactors as u64);
+            }
+        });
+        // Reactor scaling is meaningless without knowing how many cores
+        // the host could actually run them on: see `host.cpus`.
+        w.key("profile").bool(args.profile);
+        w.key("runs").array(|w| {
+            for run in runs {
+                w.object(|w| write_run(w, run));
+            }
+        });
+        w.key("idle").object(|w| {
+            w.key("reactors").u64(idle.reactors as u64);
+            w.key("idle_conns").u64(idle.idle_conns as u64);
+            w.key("active_clients").u64(idle.active_clients as u64);
+            w.key("depth").u64(idle.depth as u64);
+            w.key("requests").u64(idle.requests as u64);
+            w.key("latency").object(|w| idle.latency.write_fields(w));
+            w.key("zero_load_window_ms")
+                .u64(idle.zero_load_window.as_millis() as u64);
+            w.key("zero_load_cpu_pct")
+                .f64(idle.zero_load_cpu.map(|frac| frac * 100.0), 3);
+        });
+        if let Some(o) = overhead {
+            w.key("telemetry_overhead").object(|w| {
+                w.key("seed_reqs_per_sec").f64(o.seed_reqs_per_sec, 0);
+                w.key("instrumented_reqs_per_sec")
+                    .f64(o.instrumented_reqs_per_sec, 0);
+                w.key("delta_pct").f64(o.delta_pct, 2);
+            });
         }
-        let _ = write!(
-            out,
-            "\"net\": {{\"connections\": {}, \"frames_in\": {}, \"frames_out\": {}, \
-             \"busy_rejects\": {}, \"decode_errors\": {}}}",
-            run.net.connections,
-            run.net.frames_in,
-            run.net.frames_out,
-            run.net.busy_rejects,
-            run.net.decode_errors
-        );
-        out.push('}');
-        out.push_str(if i + 1 < runs.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ],\n");
-    let lat = &idle.latency;
-    out.push_str("  \"idle\": {");
-    let _ = write!(
-        out,
-        "\"reactors\": {}, \"idle_conns\": {}, \"active_clients\": {}, \"depth\": {}, \
-         \"requests\": {}, ",
-        idle.reactors, idle.idle_conns, idle.active_clients, idle.depth, idle.requests
-    );
-    let _ = write!(
-        out,
-        "\"latency_ns\": {{\"count\": {}, \"mean\": {:.0}, \"p50\": {}, \
-         \"p95\": {}, \"p99\": {}, \"p999\": {}, \"max\": {}}}, ",
-        lat.count, lat.mean_ns, lat.p50_ns, lat.p95_ns, lat.p99_ns, lat.p999_ns, lat.max_ns
-    );
-    let _ = write!(
-        out,
-        "\"zero_load_window_ms\": {}, \"zero_load_cpu_pct\": {}",
-        idle.zero_load_window.as_millis(),
-        match idle.zero_load_cpu {
-            Some(frac) => format!("{:.3}", frac * 100.0),
-            None => "null".to_string(),
+        if let Some(ab) = trace_ab {
+            // Distinct key names from the sweep rows, so baseline-comparison
+            // scans over "reqs_per_sec" never pick up the A/B cells.
+            w.key("trace_ab").object(|w| {
+                w.key("sample").u64(ab.sample);
+                w.key("off_rps").f64(ab.off_reqs_per_sec, 0);
+                w.key("on_rps").f64(ab.on_reqs_per_sec, 0);
+                w.key("delta_pct").f64(ab.delta_pct, 2);
+                w.key("recorded").u64(ab.recorded);
+            });
         }
-    );
-    out.push('}');
-    if let Some(o) = overhead {
-        out.push_str(",\n  \"telemetry_overhead\": {");
-        let _ = write!(
-            out,
-            "\"seed_reqs_per_sec\": {:.0}, \"instrumented_reqs_per_sec\": {:.0}, \
-             \"delta_pct\": {:.2}",
-            o.seed_reqs_per_sec, o.instrumented_reqs_per_sec, o.delta_pct
-        );
-        out.push('}');
-    }
-    if let Some(ab) = trace_ab {
-        // Distinct key names from the sweep rows, so baseline-comparison
-        // scans over "reqs_per_sec" never pick up the A/B cells.
-        out.push_str(",\n  \"trace_ab\": {");
-        let _ = write!(
-            out,
-            "\"sample\": {}, \"off_rps\": {:.0}, \"on_rps\": {:.0}, \
-             \"delta_pct\": {:.2}, \"recorded\": {}",
-            ab.sample, ab.off_reqs_per_sec, ab.on_reqs_per_sec, ab.delta_pct, ab.recorded
-        );
-        out.push('}');
-    }
-    out.push_str("\n}\n");
-    out
+    })
+}
+
+fn write_run(w: &mut Writer, run: &Run) {
+    w.key("reactors").u64(run.reactors as u64);
+    w.key("clients").u64(run.clients as u64);
+    w.key("depth").u64(run.depth as u64);
+    w.key("wall_ms").f64(run.wall_ms, 3);
+    w.key("reqs_per_sec").f64(run.reqs_per_sec, 0);
+    w.key("busy_replies").u64(run.busy_replies);
+    w.key("live_scrapes").u64(run.scrapes);
+    w.key("latency").object(|w| run.latency.write_fields(w));
+    run.stats.write_json(w.key("stats"));
 }
 
 fn main() {
@@ -739,9 +689,9 @@ fn main() {
                     f2(run.reqs_per_sec / 1e3),
                     f1(run.latency.p50_ns as f64 / 1e3),
                     f1(run.latency.p99_ns as f64 / 1e3),
-                    run.net.frames_in.to_string(),
+                    run.stats.net.frames_in.to_string(),
                     run.busy_replies.to_string(),
-                    run.write_ops.to_string(),
+                    run.stats.total_write_ops().to_string(),
                 ]);
                 runs.push(run);
             }
@@ -765,7 +715,7 @@ fn main() {
         let (backend, hw, _) = widx_bench::prof::prof_backend();
         let windows: u64 = runs
             .iter()
-            .filter_map(|r| r.prof.as_ref())
+            .filter_map(|r| r.stats.prof.as_ref())
             .map(|p| p.total().windows)
             .sum();
         println!(
@@ -786,7 +736,7 @@ fn main() {
         );
     }
     if args.trace_sample > 0 {
-        let total: u64 = runs.iter().map(|r| r.traces_recorded).sum();
+        let total: u64 = runs.iter().map(|r| r.stats.trace.recorded).sum();
         println!(
             "(per-request tracing armed at 1-in-{}: {total} traces committed across the sweep)",
             args.trace_sample

@@ -12,11 +12,12 @@
 //! Usage: `range_throughput [--shards N] [--scans N] [--entries N]
 //! [--span N] [--limit N] [--theta T] [--json PATH] [--smoke]`.
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
+use widx_bench::prof::bench_document;
 use widx_bench::table::{f1, f2, pct, Table};
 use widx_db::hash::HashRecipe;
+use widx_obs::json::Writer;
 use widx_serve::{ProbeService, Request, ServeConfig, ServiceStats};
 use widx_workloads::datagen;
 
@@ -140,64 +141,31 @@ fn run_once(
 }
 
 fn render_json(args: &Args, runs: &[Run]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"bench\": \"range_throughput\",");
-    let _ = writeln!(out, "  \"seed\": {SEED},");
-    let _ = writeln!(out, "  \"host\": {},", widx_bench::prof::host_json());
-    let _ = writeln!(out, "  \"entries\": {},", args.entries);
-    let _ = writeln!(out, "  \"scans\": {},", args.scans);
-    let _ = writeln!(out, "  \"span\": {},", args.span);
-    let _ = writeln!(out, "  \"limit\": {},", args.limit);
-    let _ = writeln!(out, "  \"theta\": {},", args.theta);
-    let _ = writeln!(out, "  \"clients\": {CLIENTS},");
-    out.push_str("  \"runs\": [\n");
-    for (i, run) in runs.iter().enumerate() {
-        let lat = &run.stats.latency;
-        out.push_str("    {");
-        let _ = write!(
-            out,
-            "\"shards\": {}, \"inflight\": {}, \"batch_size\": {}, \
-             \"wall_ms\": {:.3}, \"scans_per_sec\": {:.0}, \"entries_per_sec\": {:.0}, ",
-            run.shards,
-            run.inflight,
-            run.batch_size,
-            run.wall_ms,
-            run.scans_per_sec,
-            run.entries_per_sec
-        );
-        let _ = write!(
-            out,
-            "\"latency_ns\": {{\"count\": {}, \"mean\": {:.0}, \"p50\": {}, \
-             \"p95\": {}, \"p99\": {}, \"max\": {}}}, ",
-            lat.count, lat.mean_ns, lat.p50_ns, lat.p95_ns, lat.p99_ns, lat.max_ns
-        );
-        out.push_str("\"range_workers\": [");
-        for (j, w) in run.stats.range_workers.iter().enumerate() {
-            let _ = write!(
-                out,
-                "{{\"shard\": {}, \"cursors\": {}, \"entries\": {}, \"batches\": {}, \
-                 \"mean_batch\": {:.2}, \"size_flushes\": {}, \"deadline_flushes\": {}, \
-                 \"occupancy\": {:.4}, \"busy_cursors_per_sec\": {:.0}}}",
-                w.shard,
-                w.keys,
-                w.matches,
-                w.batches,
-                w.mean_batch(),
-                w.size_flushes,
-                w.deadline_flushes,
-                w.occupancy(),
-                w.busy_throughput(),
-            );
-            if j + 1 < run.stats.range_workers.len() {
-                out.push_str(", ");
+    bench_document("range_throughput", SEED, |w| {
+        w.key("entries").u64(args.entries);
+        w.key("scans").u64(args.scans as u64);
+        w.key("span").u64(args.span);
+        w.key("limit").u64(args.limit as u64);
+        w.key("theta").f64(args.theta, 2);
+        w.key("clients").u64(CLIENTS as u64);
+        w.key("runs").array(|w| {
+            for run in runs {
+                w.object(|w| write_run(w, run));
             }
-        }
-        out.push_str("]}");
-        out.push_str(if i + 1 < runs.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
+        });
+    })
+}
+
+fn write_run(w: &mut Writer, run: &Run) {
+    w.key("shards").u64(run.shards as u64);
+    w.key("inflight").u64(run.inflight as u64);
+    w.key("batch_size").u64(run.batch_size as u64);
+    w.key("wall_ms").f64(run.wall_ms, 3);
+    w.key("scans_per_sec").f64(run.scans_per_sec, 0);
+    w.key("entries_per_sec").f64(run.entries_per_sec, 0);
+    // On the range tier a worker's `keys` are scan cursors fed and its
+    // `matches` entries emitted.
+    run.stats.write_json(w.key("stats"));
 }
 
 fn main() {

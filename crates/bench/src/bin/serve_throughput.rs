@@ -33,14 +33,14 @@
 //! [--theta T] [--req-size N] [--write-frac F] [--scrape-ms N]
 //! [--profile] [--smoke] [--json PATH]`.
 
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use widx_bench::prof::{engines_json, host_json, profile_engines, render_engine_table};
+use widx_bench::prof::{bench_document, profile_engines, render_engine_table};
 use widx_bench::table::{f1, f2, pct, Table};
 use widx_db::hash::HashRecipe;
 use widx_db::index::HashIndex;
+use widx_obs::json::Writer;
 use widx_serve::{ProbeService, Request, ServeConfig, ServiceStats};
 use widx_workloads::datagen;
 
@@ -229,75 +229,37 @@ fn run_once(
 }
 
 fn render_json(args: &Args, runs: &[Run], engines: &[widx_bench::prof::EngineProfile]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"bench\": \"serve_throughput\",");
-    let _ = writeln!(out, "  \"seed\": {SEED},");
-    let _ = writeln!(out, "  \"host\": {},", host_json());
-    let _ = writeln!(out, "  \"entries\": {},", args.entries);
-    let _ = writeln!(out, "  \"probes\": {},", args.probes);
-    let _ = writeln!(out, "  \"theta\": {},", args.theta);
-    let _ = writeln!(out, "  \"req_size\": {},", args.req_size);
-    let _ = writeln!(out, "  \"write_frac\": {},", args.write_frac);
-    let _ = writeln!(out, "  \"clients\": {CLIENTS},");
-    let _ = writeln!(out, "  \"profile\": {},", args.profile);
-    if args.profile {
-        let _ = writeln!(out, "  \"engine_profiles\": {},", engines_json(engines));
-    }
-    out.push_str("  \"runs\": [\n");
-    for (i, run) in runs.iter().enumerate() {
-        let lat = &run.stats.latency;
-        out.push_str("    {");
-        let _ = write!(
-            out,
-            "\"shards\": {}, \"inflight\": {}, \"batch_size\": {}, \
-             \"wall_ms\": {:.3}, \"keys_per_sec\": {:.0}, \"live_scrapes\": {}, \
-             \"write_ops\": {}, \"write_batches\": {}, \"epoch_reclaimed\": {}, ",
-            run.shards,
-            run.inflight,
-            run.batch_size,
-            run.wall_ms,
-            run.keys_per_sec,
-            run.scrapes,
-            run.stats.total_write_ops(),
-            run.stats.total_write_batches(),
-            run.stats.epoch_reclaimed,
-        );
-        let _ = write!(
-            out,
-            "\"latency_ns\": {{\"count\": {}, \"mean\": {:.0}, \"p50\": {}, \
-             \"p95\": {}, \"p99\": {}, \"max\": {}}}, ",
-            lat.count, lat.mean_ns, lat.p50_ns, lat.p95_ns, lat.p99_ns, lat.max_ns
-        );
-        if let Some(prof) = &run.stats.prof {
-            let _ = write!(out, "\"prof\": {}, ", prof.to_json());
+    bench_document("serve_throughput", SEED, |w| {
+        w.key("entries").u64(args.entries);
+        w.key("probes").u64(args.probes as u64);
+        w.key("theta").f64(args.theta, 2);
+        w.key("req_size").u64(args.req_size as u64);
+        w.key("write_frac").f64(args.write_frac, 2);
+        w.key("clients").u64(CLIENTS as u64);
+        w.key("profile").bool(args.profile);
+        if args.profile {
+            w.key("engine_profiles").array(|w| {
+                for engine in engines {
+                    engine.write_json(w);
+                }
+            });
         }
-        out.push_str("\"workers\": [");
-        for (j, w) in run.stats.workers.iter().enumerate() {
-            let _ = write!(
-                out,
-                "{{\"shard\": {}, \"keys\": {}, \"matches\": {}, \"batches\": {}, \
-                 \"mean_batch\": {:.2}, \"size_flushes\": {}, \"deadline_flushes\": {}, \
-                 \"occupancy\": {:.4}, \"busy_keys_per_sec\": {:.0}}}",
-                w.shard,
-                w.keys,
-                w.matches,
-                w.batches,
-                w.mean_batch(),
-                w.size_flushes,
-                w.deadline_flushes,
-                w.occupancy(),
-                w.busy_throughput(),
-            );
-            if j + 1 < run.stats.workers.len() {
-                out.push_str(", ");
+        w.key("runs").array(|w| {
+            for run in runs {
+                w.object(|w| write_run(w, run));
             }
-        }
-        out.push_str("]}");
-        out.push_str(if i + 1 < runs.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
+        });
+    })
+}
+
+fn write_run(w: &mut Writer, run: &Run) {
+    w.key("shards").u64(run.shards as u64);
+    w.key("inflight").u64(run.inflight as u64);
+    w.key("batch_size").u64(run.batch_size as u64);
+    w.key("wall_ms").f64(run.wall_ms, 3);
+    w.key("keys_per_sec").f64(run.keys_per_sec, 0);
+    w.key("live_scrapes").u64(run.scrapes);
+    run.stats.write_json(w.key("stats"));
 }
 
 fn main() {

@@ -16,10 +16,10 @@
 //! Usage: `stream_throughput [--scans N] [--entries N] [--span N]
 //! [--json PATH] [--smoke]`.
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
+use widx_bench::prof::bench_document;
 use widx_bench::table::{f1, f2, Table};
 use widx_db::hash::HashRecipe;
 use widx_net::{NetConfig, WidxClient, WidxServer};
@@ -184,42 +184,28 @@ fn run_once(pairs: &[(u64, u64)], args: &Args, chunk: usize, depth: usize) -> Ru
 }
 
 fn render_json(args: &Args, runs: &[Run]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"bench\": \"stream_throughput\",");
-    let _ = writeln!(out, "  \"seed\": {SEED},");
-    let _ = writeln!(out, "  \"host\": {},", widx_bench::prof::host_json());
-    let _ = writeln!(out, "  \"scans\": {},", args.scans);
-    let _ = writeln!(out, "  \"entries\": {},", args.entries);
-    let _ = writeln!(out, "  \"span\": {},", args.span);
-    out.push_str("  \"runs\": [\n");
-    for (i, run) in runs.iter().enumerate() {
-        out.push_str("    {");
-        let _ = write!(
-            out,
-            "\"chunk\": {}, \"depth\": {}, \"chunks\": {}, \"entries_streamed\": {}, ",
-            run.chunk, run.depth, run.chunks_received, run.entries_streamed
-        );
-        let _ = write!(
-            out,
-            "\"first_chunk_ns\": {{\"p50\": {}, \"p95\": {}, \"mean\": {:.0}}}, ",
-            run.first_chunk.p50_ns, run.first_chunk.p95_ns, run.first_chunk.mean_ns
-        );
-        let _ = write!(
-            out,
-            "\"stream_total_ns\": {{\"p50\": {}, \"p95\": {}}}, ",
-            run.stream_total.p50_ns, run.stream_total.p95_ns
-        );
-        let _ = write!(
-            out,
-            "\"buffered_ns\": {{\"p50\": {}, \"p95\": {}, \"mean\": {:.0}}}",
-            run.buffered.p50_ns, run.buffered.p95_ns, run.buffered.mean_ns
-        );
-        out.push('}');
-        out.push_str(if i + 1 < runs.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
+    bench_document("stream_throughput", SEED, |w| {
+        w.key("scans").u64(args.scans as u64);
+        w.key("entries").u64(args.entries);
+        w.key("span").u64(args.span);
+        w.key("runs").array(|w| {
+            for run in runs {
+                w.object(|w| {
+                    w.key("chunk").u64(run.chunk as u64);
+                    w.key("depth").u64(run.depth as u64);
+                    w.key("chunks").u64(run.chunks_received);
+                    w.key("entries_streamed").u64(run.entries_streamed);
+                    for (key, summary) in [
+                        ("first_chunk", &run.first_chunk),
+                        ("stream_total", &run.stream_total),
+                        ("buffered", &run.buffered),
+                    ] {
+                        w.key(key).object(|w| summary.write_fields(w));
+                    }
+                });
+            }
+        });
+    })
 }
 
 fn main() {

@@ -10,6 +10,7 @@ use std::sync::Arc;
 
 use perf_event::CounterGroup;
 use widx_db::index::{BTreeIndex, HashIndex};
+use widx_obs::json::Writer;
 use widx_obs::{ProfCell, ProfSnapshot, Stage, ThreadProfiler, WalkCounters};
 use widx_soft::{
     probe_amac, probe_group_prefetch, probe_scalar, scan_btree_amac, scan_btree_group,
@@ -45,18 +46,27 @@ pub fn prof_backend() -> (&'static str, bool, Option<String>) {
     )
 }
 
-/// The host-metadata JSON object (`"host": {...}`) shared by every
-/// bench emitter: CPU count plus the shim backends in use.
+/// Renders one bench document: `{"bench":…,"seed":…,"host":{…},…}` — the
+/// header every emitter shares (the host block records CPU count plus
+/// the shim backends in use) followed by the members `body` writes —
+/// with a trailing newline.
 #[must_use]
-pub fn host_json() -> String {
+pub fn bench_document(bench: &str, seed: u64, body: impl FnOnce(&mut Writer)) -> String {
     let (backend, hw, _) = prof_backend();
-    format!(
-        "{{\"cpus\": {}, \"prof_backend\": \"{}\", \"prof_hw\": {}, \"poller_backend\": \"{}\"}}",
-        host_cpus(),
-        backend,
-        hw,
-        poller_backend()
-    )
+    let doc = Writer::document(|w| {
+        w.object(|w| {
+            w.key("bench").str(bench);
+            w.key("seed").u64(seed);
+            w.key("host").object(|w| {
+                w.key("cpus").u64(host_cpus() as u64);
+                w.key("prof_backend").str(backend);
+                w.key("prof_hw").bool(hw);
+                w.key("poller_backend").str(&poller_backend());
+            });
+            body(w);
+        });
+    });
+    doc + "\n"
 }
 
 /// One engine's profiled run: its walk window snapshot plus wall-clock
@@ -76,20 +86,17 @@ impl EngineProfile {
     /// The walk-stage breakdown this engine recorded.
     #[must_use]
     pub fn walk(&self) -> &widx_obs::ProfStageSnapshot {
-        // Index 2 is `Stage::Walk` in `Stage::ALL` order.
-        &self.snap.stages[2]
+        self.snap.get(Stage::Walk)
     }
 
-    /// One JSON object for the bench emitters.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"engine\": \"{}\", \"matches\": {}, \"keys_per_sec\": {:.0}, \"prof\": {}}}",
-            self.engine,
-            self.matches,
-            self.keys_per_sec,
-            self.snap.to_json()
-        )
+    /// Writes one JSON object for the bench emitters.
+    pub fn write_json(&self, w: &mut Writer) {
+        w.object(|w| {
+            w.key("engine").str(self.engine);
+            w.key("matches").u64(self.matches as u64);
+            w.key("keys_per_sec").f64(self.keys_per_sec, 0);
+            self.snap.write_json(w.key("prof"));
+        });
     }
 }
 
@@ -224,12 +231,4 @@ pub fn render_engine_table(profiles: &[EngineProfile]) -> String {
         ]);
     }
     t.render()
-}
-
-/// The `"engine_profiles"` JSON array plus its backend header, shared
-/// by the emitters that run the profiled sweep.
-#[must_use]
-pub fn engines_json(profiles: &[EngineProfile]) -> String {
-    let rows: Vec<String> = profiles.iter().map(EngineProfile::to_json).collect();
-    format!("[{}]", rows.join(", "))
 }

@@ -26,7 +26,7 @@ use std::net::{TcpStream, ToSocketAddrs};
 
 use widx_serve::{Request, Response};
 
-use crate::wire::{self, Decoded, ErrorReply, Reply};
+use crate::wire::{self, Decoded, ErrorReply, Reply, ScrapeKind};
 
 /// Why a client call failed.
 #[derive(Debug)]
@@ -360,12 +360,7 @@ impl WidxClient {
                         self.streams.remove(&id);
                     }
                 }
-                Ok(
-                    Reply::Response(_)
-                    | Reply::Stats { .. }
-                    | Reply::Trace { .. }
-                    | Reply::Profile { .. },
-                ) => {
+                Ok(Reply::Response(_) | Reply::Scrape { .. }) => {
                     // A buffered reply on a stream id: protocol
                     // violation; fault the stream rather than lose sync.
                     slot.fault = Some(StreamFault::Remote(ErrorReply::new(
@@ -388,17 +383,10 @@ impl WidxClient {
         match reply {
             Ok(Reply::Response(response)) => Some((id, Ok(response))),
             // Stream frames for an id we never opened (or already
-            // forgot), and stats/trace snapshots nobody is waiting on
-            // ([`stats_json`](WidxClient::stats_json) and
-            // [`traces_json`](WidxClient::traces_json) reap their own):
-            // dropping them keeps the connection usable.
-            Ok(
-                Reply::RangeChunk(_)
-                | Reply::RangeEnd { .. }
-                | Reply::Stats { .. }
-                | Reply::Trace { .. }
-                | Reply::Profile { .. },
-            ) => None,
+            // forgot), and scrape documents nobody is waiting on
+            // ([`scrape`](WidxClient::scrape) reaps its own): dropping
+            // them keeps the connection usable.
+            Ok(Reply::RangeChunk(_) | Reply::RangeEnd { .. } | Reply::Scrape { .. }) => None,
             Err(error) => Some((id, Err(error))),
         }
     }
@@ -604,6 +592,40 @@ impl WidxClient {
         }
     }
 
+    /// Scrapes one observability document: sends one empty `kind`
+    /// frame and blocks for its JSON reply (the server answers from the
+    /// event loop, ahead of queued probe work). Replies to other
+    /// pipelined ids arriving meanwhile are stashed for their own
+    /// `recv` calls, as usual.
+    ///
+    /// # Errors
+    ///
+    /// [`ClientError::Remote`] when the server answered with an error
+    /// frame — `Unsupported` means a server that predates `kind`,
+    /// `TooLarge` a document bigger than any frame;
+    /// [`ClientError::Io`] on connection failure or a reply of another
+    /// kind on this id.
+    pub fn scrape(&mut self, kind: ScrapeKind) -> Result<String, ClientError> {
+        let id = self.next_id;
+        self.next_id = self.next_id.wrapping_add(1);
+        wire::encode_scrape_request(&mut self.ebuf, id, kind);
+        self.dispatch_encoded()?;
+        loop {
+            let (got, reply) = self.read_frame()?;
+            if got != id {
+                if let Some(stashed) = self.route_frame((got, reply)) {
+                    self.stash.push_back(stashed);
+                }
+                continue;
+            }
+            return match reply {
+                Ok(Reply::Scrape { kind: got, json }) if got == kind => Ok(json),
+                Ok(_) => Err(protocol_violation("mismatched reply variant for a scrape")),
+                Err(error) => Err(ClientError::Remote(error)),
+            };
+        }
+    }
+
     /// Scrapes the server's live telemetry: sends one `Stats` frame and
     /// blocks for the JSON snapshot (the server answers it from the
     /// event loop, ahead of queued probe work). Replies to other
@@ -618,24 +640,7 @@ impl WidxClient {
     /// [`ClientError::Io`] on connection failure or a non-stats reply
     /// on this id.
     pub fn stats_json(&mut self) -> Result<String, ClientError> {
-        let id = self.next_id;
-        self.next_id = self.next_id.wrapping_add(1);
-        wire::encode_stats_request(&mut self.ebuf, id);
-        self.dispatch_encoded()?;
-        loop {
-            let (got, reply) = self.read_frame()?;
-            if got != id {
-                if let Some(stashed) = self.route_frame((got, reply)) {
-                    self.stash.push_back(stashed);
-                }
-                continue;
-            }
-            return match reply {
-                Ok(Reply::Stats { json }) => Ok(json),
-                Ok(_) => Err(protocol_violation("mismatched reply variant for Stats")),
-                Err(error) => Err(ClientError::Remote(error)),
-            };
-        }
+        self.scrape(ScrapeKind::Stats)
     }
 
     /// Scrapes the server's flight recorder: sends one `Trace` frame
@@ -653,24 +658,7 @@ impl WidxClient {
     /// [`ClientError::Io`] on connection failure or a non-trace reply
     /// on this id.
     pub fn traces_json(&mut self) -> Result<String, ClientError> {
-        let id = self.next_id;
-        self.next_id = self.next_id.wrapping_add(1);
-        wire::encode_trace_request(&mut self.ebuf, id);
-        self.dispatch_encoded()?;
-        loop {
-            let (got, reply) = self.read_frame()?;
-            if got != id {
-                if let Some(stashed) = self.route_frame((got, reply)) {
-                    self.stash.push_back(stashed);
-                }
-                continue;
-            }
-            return match reply {
-                Ok(Reply::Trace { json }) => Ok(json),
-                Ok(_) => Err(protocol_violation("mismatched reply variant for Trace")),
-                Err(error) => Err(ClientError::Remote(error)),
-            };
-        }
+        self.scrape(ScrapeKind::Trace)
     }
 
     /// Scrapes the server's hardware-profiling counters: sends one
@@ -678,7 +666,7 @@ impl WidxClient {
     /// counter totals and derived ratios (answered inline from the
     /// event loop, like [`stats_json`](WidxClient::stats_json)). A
     /// server built without `--profile` answers
-    /// `{"enabled": false}` rather than an error. Replies to other
+    /// `{"enabled":false}` rather than an error. Replies to other
     /// pipelined ids arriving meanwhile are stashed for their own
     /// `recv` calls.
     ///
@@ -689,24 +677,7 @@ impl WidxClient {
     /// [`ClientError::Io`] on connection failure or a non-profile reply
     /// on this id.
     pub fn profile_json(&mut self) -> Result<String, ClientError> {
-        let id = self.next_id;
-        self.next_id = self.next_id.wrapping_add(1);
-        wire::encode_profile_request(&mut self.ebuf, id);
-        self.dispatch_encoded()?;
-        loop {
-            let (got, reply) = self.read_frame()?;
-            if got != id {
-                if let Some(stashed) = self.route_frame((got, reply)) {
-                    self.stash.push_back(stashed);
-                }
-                continue;
-            }
-            return match reply {
-                Ok(Reply::Profile { json }) => Ok(json),
-                Ok(_) => Err(protocol_violation("mismatched reply variant for Profile")),
-                Err(error) => Err(ClientError::Remote(error)),
-            };
-        }
+        self.scrape(ScrapeKind::Profile)
     }
 
     /// Starts a chunked range scan and returns an iterator over its

@@ -92,7 +92,9 @@ pub mod wire;
 
 pub use client::{ClientError, RangeStream, WidxClient};
 pub use server::{NetConfig, WidxServer};
-pub use wire::{DecodeError, Decoded, ErrorCode, ErrorReply, FrameError, Reply, WireRequest};
+pub use wire::{
+    DecodeError, Decoded, ErrorCode, ErrorReply, FrameError, Reply, ScrapeKind, WireRequest,
+};
 
 // Re-exported so client code can build requests and match responses
 // without naming the serving crate.

@@ -50,7 +50,7 @@ use widx_serve::{
     ReactorStats, Stage, StageTimes, StreamConsumed, SubmitError, TraceFinisher,
 };
 
-use crate::wire::{self, Decoded, ErrorCode, ErrorReply, WireRequest};
+use crate::wire::{self, Decoded, ErrorCode, ErrorReply, ScrapeKind, WireRequest};
 
 /// The listener's key on the *acceptor's* poller; reactors register
 /// connection slot `i` as `i + CONN_KEY_BASE` on their own pollers.
@@ -596,40 +596,32 @@ impl Connection {
                 }) => {
                     consumed_total += consumed;
                     counters.frames_in.fetch_add(1, Ordering::Relaxed);
-                    if matches!(value, WireRequest::Stats) {
+                    if let WireRequest::Scrape(kind) = value {
                         // Answered inline from the event loop, ahead of
                         // the in-flight cap: a scrape must not wait
                         // behind the shard queues (or the pipelining
                         // window) it is there to observe, and it never
                         // occupies a window slot.
-                        let stats = service.live_stats().with_net(counters.snapshot());
-                        self.wbuf
-                            .encode_with(|b| wire::encode_stats_reply(b, id, &stats.to_json()));
-                        counters.frames_out.fetch_add(1, Ordering::Relaxed);
-                        self.mark_reply_written(None);
-                        continue;
-                    }
-                    if matches!(value, WireRequest::Trace) {
-                        // Same inline contract as Stats: the flight
-                        // recorder is there to observe the queues, so a
-                        // scrape never waits behind them.
-                        let json = service.traces_json();
-                        self.wbuf
-                            .encode_with(|b| wire::encode_trace_reply(b, id, &json));
-                        counters.frames_out.fetch_add(1, Ordering::Relaxed);
-                        self.mark_reply_written(None);
-                        continue;
-                    }
-                    if matches!(value, WireRequest::Profile) {
-                        // Same inline contract as Stats: the counter
-                        // snapshot is a handful of atomic loads, and a
-                        // profiling scrape must not perturb the queues
-                        // it is attributing stalls to.
-                        let json = service.profile_json();
-                        self.wbuf
-                            .encode_with(|b| wire::encode_profile_reply(b, id, &json));
-                        counters.frames_out.fetch_add(1, Ordering::Relaxed);
-                        self.mark_reply_written(None);
+                        let json = match kind {
+                            ScrapeKind::Stats => {
+                                let stats = service.live_stats().with_net(counters.snapshot());
+                                stats.to_json()
+                            }
+                            ScrapeKind::Trace => service.traces_json(),
+                            ScrapeKind::Profile => service.profile_json(),
+                        };
+                        if wire::scrape_fits(&json) {
+                            self.wbuf
+                                .encode_with(|b| wire::encode_scrape_reply(b, id, kind, &json));
+                            counters.frames_out.fetch_add(1, Ordering::Relaxed);
+                            self.mark_reply_written(None);
+                        } else {
+                            // A recorder sized past the frame cap: refuse,
+                            // never ship a document cut mid-token.
+                            let message = format!("{kind:?} document exceeds the frame cap");
+                            let error = ErrorReply::new(ErrorCode::TooLarge, message);
+                            self.reply_error(id, &error, counters);
+                        }
                         continue;
                     }
                     if self.inflight() >= config.max_inflight_per_conn {
@@ -674,7 +666,7 @@ impl Connection {
                                     entries: 0,
                                 });
                             }),
-                        WireRequest::Stats | WireRequest::Trace | WireRequest::Profile => {
+                        WireRequest::Scrape(_) => {
                             unreachable!("answered before the in-flight cap")
                         }
                     };

@@ -61,28 +61,18 @@ const OP_RANGE_SCAN2: u8 = 0x05;
 /// A chunked range scan: answered with zero or more `RangeChunk`
 /// frames followed by one `RangeEnd` (or a single error frame).
 const OP_RANGE_STREAM: u8 = 0x06;
-/// A live-telemetry scrape (empty payload): answered immediately from
-/// the event loop with one [`OP_R_STATS`] frame carrying a JSON
-/// snapshot of the service's stats — no trip through the shard queues.
-/// Like the streaming opcodes, this extends the opcode space without a
-/// version bump: a pre-telemetry server answers `Unsupported` and the
-/// connection survives.
+/// The scrape class (`0x07`–`0x09`, one opcode per [`ScrapeKind`]): an
+/// empty-payload request answered immediately from the event loop — no
+/// trip through the shard queues — with one reply frame (`0x87`–`0x89`)
+/// whose payload is the remaining body, a UTF-8 JSON document. These
+/// extend the opcode space without a version bump (rule 4): a server
+/// that predates a kind answers `Unsupported` and the connection
+/// survives.
 const OP_STATS: u8 = 0x07;
-/// A flight-recorder scrape (empty payload): answered immediately from
-/// the event loop with one [`OP_R_TRACE`] frame carrying the recorder's
-/// gauges plus its recent request traces as JSON. Rule-4 opcode
-/// extension like [`OP_STATS`]: a pre-tracing server answers
-/// `Unsupported` and the connection survives.
 const OP_TRACE: u8 = 0x08;
-/// A hardware-profiling scrape (empty payload): answered immediately
-/// from the event loop with one [`OP_R_PROFILE`] frame carrying the
-/// service's per-stage counter breakdown as JSON
-/// (`ProbeService::profile_json`). Rule-4 opcode extension like
-/// [`OP_STATS`]: a pre-profiling server answers `Unsupported` and the
-/// connection survives.
 const OP_PROFILE: u8 = 0x09;
 /// Insert `(key, payload)` pairs (payload: pair list). Rule-4 opcode
-/// extension like [`OP_STATS`]: a read-only peer answers `Unsupported`
+/// extension like the scrape class: a read-only peer answers `Unsupported`
 /// and the connection survives. Answered with [`OP_R_INSERT`] carrying
 /// one ack byte per pair, in request order.
 const OP_INSERT: u8 = 0x0A;
@@ -104,13 +94,9 @@ const OP_R_RANGE_SCAN: u8 = 0x84;
 const OP_R_RANGE_CHUNK: u8 = 0x85;
 /// End-of-stream marker carrying the total entry count.
 const OP_R_RANGE_END: u8 = 0x86;
-/// A stats snapshot: the payload is the remaining body, UTF-8 JSON.
+/// Scrape replies mirror their requests; see [`OP_STATS`].
 const OP_R_STATS: u8 = 0x87;
-/// A flight-recorder snapshot: the payload is the remaining body,
-/// UTF-8 JSON (`FlightRecorder::to_json`).
 const OP_R_TRACE: u8 = 0x88;
-/// A profiling snapshot: the payload is the remaining body, UTF-8 JSON
-/// (`ProbeService::profile_json`).
 const OP_R_PROFILE: u8 = 0x89;
 /// Per-key insert acks: `u32` count then one byte per submitted pair
 /// (1 = applied), in request order.
@@ -169,6 +155,32 @@ impl WriteKind {
             WriteKind::Delete => OP_R_DELETE,
             WriteKind::Update => OP_R_UPDATE,
         }
+    }
+}
+
+/// Which observability document a scrape asks for. The three are one
+/// exchange — empty request, JSON reply, answered inline by the event
+/// loop — told apart only by their opcode.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[repr(u8)]
+pub enum ScrapeKind {
+    /// The live `ServiceStats` snapshot (`ServiceStats::to_json`).
+    Stats = OP_STATS,
+    /// The flight recorder: gauges plus recent traces, newest first
+    /// (`ProbeService::traces_json`).
+    Trace = OP_TRACE,
+    /// The per-stage hardware-counter breakdown
+    /// (`ProbeService::profile_json`).
+    Profile = OP_PROFILE,
+}
+
+impl ScrapeKind {
+    /// Every scrape kind, in opcode order.
+    pub const ALL: [ScrapeKind; 3] = [ScrapeKind::Stats, ScrapeKind::Trace, ScrapeKind::Profile];
+
+    /// The reply opcode mirrors the request's, high bit set.
+    fn reply_opcode(self) -> u8 {
+        self as u8 | 0x80
     }
 }
 
@@ -241,15 +253,9 @@ pub enum WireRequest {
         /// Descending key order when set.
         desc: bool,
     },
-    /// A live-telemetry scrape ([`OP_STATS`]): answered from the event
-    /// loop itself, never submitted to a shard queue.
-    Stats,
-    /// A flight-recorder scrape ([`OP_TRACE`]): answered from the event
-    /// loop itself, never submitted to a shard queue.
-    Trace,
-    /// A hardware-profiling scrape ([`OP_PROFILE`]): answered from the
-    /// event loop itself, never submitted to a shard queue.
-    Profile,
+    /// A scrape: answered from the event loop itself, never submitted
+    /// to a shard queue.
+    Scrape(ScrapeKind),
 }
 
 /// A decoded reply frame, as the client sees it: a buffered response,
@@ -267,22 +273,11 @@ pub enum Reply {
         /// Total `(key, payload)` entries the stream carried.
         entries: u64,
     },
-    /// A live-telemetry snapshot answering [`OP_STATS`].
-    Stats {
-        /// The stats document, as the server rendered it
-        /// (`ServiceStats::to_json`).
-        json: String,
-    },
-    /// A flight-recorder snapshot answering [`OP_TRACE`].
-    Trace {
-        /// The recorder document — gauges plus recent traces, newest
-        /// first (`FlightRecorder::to_json`).
-        json: String,
-    },
-    /// A profiling snapshot answering [`OP_PROFILE`].
-    Profile {
-        /// The profile document — backend, per-stage counters, and
-        /// derived ratios (`ProbeService::profile_json`).
+    /// The document answering a scrape.
+    Scrape {
+        /// Which document this is.
+        kind: ScrapeKind,
+        /// The document, as the server rendered it.
         json: String,
     },
 }
@@ -508,51 +503,23 @@ pub fn encode_range_stream(buf: &mut Vec<u8>, id: u64, lo: u64, hi: u64, limit: 
     });
 }
 
-/// Encodes one stats-scrape request frame onto `buf` — the client side
-/// of [`OP_STATS`]. The payload is empty; the reply carries the JSON.
-pub fn encode_stats_request(buf: &mut Vec<u8>, id: u64) {
-    frame(buf, OP_STATS, id, |_| {});
+/// Encodes one scrape request frame onto `buf` — the client side of
+/// the scrape class. The payload is empty; the reply carries the JSON.
+pub fn encode_scrape_request(buf: &mut Vec<u8>, id: u64, kind: ScrapeKind) {
+    frame(buf, kind as u8, id, |_| {});
 }
 
-/// Encodes one stats-snapshot reply frame onto `buf`. The JSON is
-/// truncated at the frame cap in the (practically unreachable) case a
-/// snapshot outgrows it — a scrape must never kill the event loop.
-pub fn encode_stats_reply(buf: &mut Vec<u8>, id: u64, json: &str) {
-    let body = json.as_bytes();
-    let body = &body[..body.len().min(MAX_BODY_LEN - HEADER_LEN)];
-    frame(buf, OP_R_STATS, id, |b| b.extend_from_slice(body));
-}
-
-/// Encodes one flight-recorder scrape request frame onto `buf` — the
-/// client side of [`OP_TRACE`]. The payload is empty; the reply carries
-/// the JSON.
-pub fn encode_trace_request(buf: &mut Vec<u8>, id: u64) {
-    frame(buf, OP_TRACE, id, |_| {});
-}
-
-/// Encodes one flight-recorder reply frame onto `buf`. Like the stats
-/// reply, the JSON is truncated at the frame cap rather than panicking
-/// the event loop (unreachable with default recorder capacities).
-pub fn encode_trace_reply(buf: &mut Vec<u8>, id: u64, json: &str) {
-    let body = json.as_bytes();
-    let body = &body[..body.len().min(MAX_BODY_LEN - HEADER_LEN)];
-    frame(buf, OP_R_TRACE, id, |b| b.extend_from_slice(body));
-}
-
-/// Encodes one profiling scrape request frame onto `buf` — the client
-/// side of [`OP_PROFILE`]. The payload is empty; the reply carries the
-/// JSON.
-pub fn encode_profile_request(buf: &mut Vec<u8>, id: u64) {
-    frame(buf, OP_PROFILE, id, |_| {});
-}
-
-/// Encodes one profiling reply frame onto `buf`. Like the stats reply,
-/// the JSON is truncated at the frame cap rather than panicking the
-/// event loop (unreachable: a profile document is a few hundred bytes).
-pub fn encode_profile_reply(buf: &mut Vec<u8>, id: u64, json: &str) {
-    let body = json.as_bytes();
-    let body = &body[..body.len().min(MAX_BODY_LEN - HEADER_LEN)];
-    frame(buf, OP_R_PROFILE, id, |b| b.extend_from_slice(body));
+/// Encodes one scrape reply frame onto `buf`: the body is the JSON
+/// document, verbatim.
+///
+/// # Panics
+///
+/// Panics if the document does not satisfy [`scrape_fits`] (callers
+/// check first and answer [`ErrorCode::TooLarge`] instead).
+pub fn encode_scrape_reply(buf: &mut Vec<u8>, id: u64, kind: ScrapeKind, json: &str) {
+    frame(buf, kind.reply_opcode(), id, |b| {
+        b.extend_from_slice(json.as_bytes());
+    });
 }
 
 /// Encodes one stream-chunk reply frame onto `buf`.
@@ -632,6 +599,16 @@ pub fn response_fits(response: &Response) -> bool {
         Response::Write { acks } => 4 + acks.len(),
     };
     HEADER_LEN + payload <= MAX_BODY_LEN
+}
+
+/// Whether a scrape document's reply body fits under [`MAX_BODY_LEN`].
+/// The server must check before encoding: a flight recorder built with
+/// a large enough capacity renders a document bigger than any frame,
+/// and cutting it at a byte offset would ship invalid JSON — that
+/// answers [`ErrorCode::TooLarge`] instead.
+#[must_use]
+pub fn scrape_fits(json: &str) -> bool {
+    HEADER_LEN + json.len() <= MAX_BODY_LEN
 }
 
 /// Encodes one error frame onto `buf`.
@@ -832,9 +809,9 @@ fn decode_request_payload(opcode: u8, payload: &[u8]) -> Result<WireRequest, Dec
                 desc: scan_flags(&mut c)?,
             }
         }
-        OP_STATS => WireRequest::Stats,
-        OP_TRACE => WireRequest::Trace,
-        OP_PROFILE => WireRequest::Profile,
+        OP_STATS => WireRequest::Scrape(ScrapeKind::Stats),
+        OP_TRACE => WireRequest::Scrape(ScrapeKind::Trace),
+        OP_PROFILE => WireRequest::Scrape(ScrapeKind::Profile),
         OP_INSERT => WireRequest::Plain(Request::Insert { pairs: c.pairs()? }),
         OP_DELETE => WireRequest::Plain(Request::Delete { keys: c.keys()? }),
         OP_UPDATE => WireRequest::Plain(Request::Update { pairs: c.pairs()? }),
@@ -842,6 +819,12 @@ fn decode_request_payload(opcode: u8, payload: &[u8]) -> Result<WireRequest, Dec
     };
     c.finish()?;
     Ok(request)
+}
+
+fn scrape_reply(kind: ScrapeKind, c: &mut Cursor<'_>) -> Result<Reply, DecodeError> {
+    let json = String::from_utf8(c.rest().to_vec())
+        .map_err(|_| DecodeError::Payload("scrape payload is not UTF-8"))?;
+    Ok(Reply::Scrape { kind, json })
 }
 
 fn decode_reply_payload(
@@ -863,18 +846,9 @@ fn decode_reply_payload(
         })),
         OP_R_RANGE_CHUNK => Ok(Reply::RangeChunk(c.pairs()?)),
         OP_R_RANGE_END => Ok(Reply::RangeEnd { entries: c.u64()? }),
-        OP_R_STATS => Ok(Reply::Stats {
-            json: String::from_utf8(c.rest().to_vec())
-                .map_err(|_| DecodeError::Payload("stats payload is not UTF-8"))?,
-        }),
-        OP_R_TRACE => Ok(Reply::Trace {
-            json: String::from_utf8(c.rest().to_vec())
-                .map_err(|_| DecodeError::Payload("trace payload is not UTF-8"))?,
-        }),
-        OP_R_PROFILE => Ok(Reply::Profile {
-            json: String::from_utf8(c.rest().to_vec())
-                .map_err(|_| DecodeError::Payload("profile payload is not UTF-8"))?,
-        }),
+        OP_R_STATS => Ok(scrape_reply(ScrapeKind::Stats, &mut c)?),
+        OP_R_TRACE => Ok(scrape_reply(ScrapeKind::Trace, &mut c)?),
+        OP_R_PROFILE => Ok(scrape_reply(ScrapeKind::Profile, &mut c)?),
         OP_R_INSERT | OP_R_DELETE | OP_R_UPDATE => {
             Ok(Reply::Response(Response::Write { acks: c.acks()? }))
         }
@@ -1134,12 +1108,13 @@ mod tests {
         }
     }
 
-    #[test]
-    fn stats_frames_roundtrip() {
-        // Request: empty payload under the new 0x07 opcode.
+    /// One body for the whole scrape class; the three tests below keep
+    /// the per-kind names the suite has always printed.
+    fn scrape_frames_roundtrip(kind: ScrapeKind, json: &str) {
+        // Request: empty payload under the kind's rule-4 opcode.
         let mut buf = Vec::new();
-        encode_stats_request(&mut buf, 21);
-        assert_eq!(buf[5], OP_STATS);
+        encode_scrape_request(&mut buf, 21, kind);
+        assert_eq!(buf[5], kind as u8);
         assert_eq!(buf.len(), 4 + HEADER_LEN, "empty payload");
         match decode_request(&buf).unwrap() {
             Decoded::Frame {
@@ -1148,13 +1123,13 @@ mod tests {
                 value,
             } => {
                 assert_eq!((consumed, id), (buf.len(), 21));
-                assert_eq!(value, WireRequest::Stats);
+                assert_eq!(value, WireRequest::Scrape(kind));
             }
             other => panic!("expected frame, got {other:?}"),
         }
-        // A stats request with trailing bytes is malformed, not ignored.
+        // A scrape request with trailing bytes is malformed, not ignored.
         let mut buf = Vec::new();
-        frame(&mut buf, OP_STATS, 22, |b| b.push(1));
+        frame(&mut buf, kind as u8, 22, |b| b.push(1));
         match decode_request(&buf).unwrap() {
             Decoded::Corrupt { error, .. } => {
                 assert_eq!(error, DecodeError::Payload("trailing bytes in payload"));
@@ -1162,150 +1137,94 @@ mod tests {
             other => panic!("expected corrupt, got {other:?}"),
         }
         // Reply: the body is the JSON, verbatim.
-        let json = r#"{"total_keys": 7, "latency": {"count": 3}}"#;
+        assert!(scrape_fits(json));
         let mut buf = Vec::new();
-        encode_stats_reply(&mut buf, 21, json);
-        assert_eq!(buf[5], OP_R_STATS);
+        encode_scrape_reply(&mut buf, 21, kind, json);
+        assert_eq!(buf[5], kind.reply_opcode());
         match decode_reply(&buf).unwrap() {
             Decoded::Frame { id, value, .. } => {
                 assert_eq!(id, 21);
-                assert_eq!(
-                    value,
-                    Ok(Reply::Stats {
-                        json: json.to_string(),
-                    })
-                );
+                let json = json.to_string();
+                assert_eq!(value, Ok(Reply::Scrape { kind, json }));
             }
             other => panic!("expected frame, got {other:?}"),
         }
-        // Non-UTF-8 stats bodies are corrupt but resynchronizable.
+        // Non-UTF-8 scrape bodies are corrupt but resynchronizable.
         let mut buf = Vec::new();
-        frame(&mut buf, OP_R_STATS, 23, |b| {
+        frame(&mut buf, kind.reply_opcode(), 23, |b| {
             b.extend_from_slice(&[0xFF, 0xFE])
         });
         match decode_reply(&buf).unwrap() {
             Decoded::Corrupt { id, error, .. } => {
                 assert_eq!(id, 23);
-                assert_eq!(error, DecodeError::Payload("stats payload is not UTF-8"));
+                assert_eq!(error, DecodeError::Payload("scrape payload is not UTF-8"));
             }
             other => panic!("expected corrupt, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn stats_frames_roundtrip() {
+        let json = r#"{"total_keys":7,"latency":{"count":3}}"#;
+        scrape_frames_roundtrip(ScrapeKind::Stats, json);
     }
 
     #[test]
     fn trace_frames_roundtrip() {
-        // Request: empty payload under the rule-4 0x08 opcode.
-        let mut buf = Vec::new();
-        encode_trace_request(&mut buf, 31);
-        assert_eq!(buf[5], OP_TRACE);
-        assert_eq!(buf.len(), 4 + HEADER_LEN, "empty payload");
-        match decode_request(&buf).unwrap() {
-            Decoded::Frame {
-                consumed,
-                id,
-                value,
-            } => {
-                assert_eq!((consumed, id), (buf.len(), 31));
-                assert_eq!(value, WireRequest::Trace);
-            }
-            other => panic!("expected frame, got {other:?}"),
-        }
-        // A trace request with trailing bytes is malformed, not ignored.
-        let mut buf = Vec::new();
-        frame(&mut buf, OP_TRACE, 32, |b| b.push(1));
-        match decode_request(&buf).unwrap() {
-            Decoded::Corrupt { error, .. } => {
-                assert_eq!(error, DecodeError::Payload("trailing bytes in payload"));
-            }
-            other => panic!("expected corrupt, got {other:?}"),
-        }
-        // Reply: the body is the JSON, verbatim.
         let json = r#"{"capacity":256,"depth":1,"traces":[{"id":9,"kind":"lookup"}]}"#;
-        let mut buf = Vec::new();
-        encode_trace_reply(&mut buf, 31, json);
-        assert_eq!(buf[5], OP_R_TRACE);
-        match decode_reply(&buf).unwrap() {
-            Decoded::Frame { id, value, .. } => {
-                assert_eq!(id, 31);
-                assert_eq!(
-                    value,
-                    Ok(Reply::Trace {
-                        json: json.to_string(),
-                    })
-                );
-            }
-            other => panic!("expected frame, got {other:?}"),
-        }
-        // Non-UTF-8 trace bodies are corrupt but resynchronizable.
-        let mut buf = Vec::new();
-        frame(&mut buf, OP_R_TRACE, 33, |b| {
-            b.extend_from_slice(&[0xFF, 0xFE])
-        });
-        match decode_reply(&buf).unwrap() {
-            Decoded::Corrupt { id, error, .. } => {
-                assert_eq!(id, 33);
-                assert_eq!(error, DecodeError::Payload("trace payload is not UTF-8"));
-            }
-            other => panic!("expected corrupt, got {other:?}"),
-        }
+        scrape_frames_roundtrip(ScrapeKind::Trace, json);
     }
 
     #[test]
     fn profile_frames_roundtrip() {
-        // Request: empty payload under the rule-4 0x09 opcode.
-        let mut buf = Vec::new();
-        encode_profile_request(&mut buf, 41);
-        assert_eq!(buf[5], OP_PROFILE);
-        assert_eq!(buf.len(), 4 + HEADER_LEN, "empty payload");
-        match decode_request(&buf).unwrap() {
-            Decoded::Frame {
-                consumed,
-                id,
-                value,
-            } => {
-                assert_eq!((consumed, id), (buf.len(), 41));
-                assert_eq!(value, WireRequest::Profile);
-            }
-            other => panic!("expected frame, got {other:?}"),
+        let json = r#"{"enabled":true,"prof":{"backend":"soft","hw":false}}"#;
+        scrape_frames_roundtrip(ScrapeKind::Profile, json);
+    }
+
+    /// The scrape class's bytes on the wire, pinned to what the six
+    /// per-opcode encoders produced before the fold into one
+    /// `ScrapeKind` (captured from commit 0af7e90).
+    #[test]
+    fn scrape_frames_are_byte_identical_to_the_three_opcode_wire() {
+        let id = 0x0102_0304_0506_0708u64;
+        for (kind, request_op, reply_op) in [
+            (ScrapeKind::Stats, 0x07u8, 0x87u8),
+            (ScrapeKind::Trace, 0x08, 0x88),
+            (ScrapeKind::Profile, 0x09, 0x89),
+        ] {
+            let mut buf = Vec::new();
+            encode_scrape_request(&mut buf, id, kind);
+            #[rustfmt::skip]
+            assert_eq!(buf, [
+                12, 0, 0, 0,            // body_len: header only
+                1, request_op, 0, 0,    // version, opcode, reserved
+                8, 7, 6, 5, 4, 3, 2, 1, // request id, little-endian
+            ]);
+            let mut buf = Vec::new();
+            encode_scrape_reply(&mut buf, id, kind, "{\"a\":1}");
+            #[rustfmt::skip]
+            assert_eq!(buf, [
+                19, 0, 0, 0,
+                1, reply_op, 0, 0,
+                8, 7, 6, 5, 4, 3, 2, 1,
+                b'{', b'"', b'a', b'"', b':', b'1', b'}',
+            ]);
         }
-        // A profile request with trailing bytes is malformed, not ignored.
+    }
+
+    #[test]
+    fn oversized_scrape_documents_do_not_fit() {
+        // Exactly at the cap the document fits and encodes whole…
+        let at_cap = "x".repeat(MAX_BODY_LEN - HEADER_LEN);
+        assert!(scrape_fits(&at_cap));
         let mut buf = Vec::new();
-        frame(&mut buf, OP_PROFILE, 42, |b| b.push(1));
-        match decode_request(&buf).unwrap() {
-            Decoded::Corrupt { error, .. } => {
-                assert_eq!(error, DecodeError::Payload("trailing bytes in payload"));
-            }
-            other => panic!("expected corrupt, got {other:?}"),
-        }
-        // Reply: the body is the JSON, verbatim.
-        let json = r#"{"enabled": true, "prof": {"backend":"soft","hw":false}}"#;
-        let mut buf = Vec::new();
-        encode_profile_reply(&mut buf, 41, json);
-        assert_eq!(buf[5], OP_R_PROFILE);
-        match decode_reply(&buf).unwrap() {
-            Decoded::Frame { id, value, .. } => {
-                assert_eq!(id, 41);
-                assert_eq!(
-                    value,
-                    Ok(Reply::Profile {
-                        json: json.to_string(),
-                    })
-                );
-            }
-            other => panic!("expected frame, got {other:?}"),
-        }
-        // Non-UTF-8 profile bodies are corrupt but resynchronizable.
-        let mut buf = Vec::new();
-        frame(&mut buf, OP_R_PROFILE, 43, |b| {
-            b.extend_from_slice(&[0xFF, 0xFE])
-        });
-        match decode_reply(&buf).unwrap() {
-            Decoded::Corrupt { id, error, .. } => {
-                assert_eq!(id, 43);
-                assert_eq!(error, DecodeError::Payload("profile payload is not UTF-8"));
-            }
-            other => panic!("expected corrupt, got {other:?}"),
-        }
+        encode_scrape_reply(&mut buf, 1, ScrapeKind::Trace, &at_cap);
+        assert_eq!(buf.len(), 4 + MAX_BODY_LEN);
+        // …one byte more must be refused up front, never truncated into
+        // invalid JSON: the server answers `TooLarge` on this verdict.
+        let over_cap = "x".repeat(MAX_BODY_LEN - HEADER_LEN + 1);
+        assert!(!scrape_fits(&over_cap));
+        assert!(!scrape_fits(&"x".repeat(MAX_BODY_LEN)));
     }
 
     #[test]

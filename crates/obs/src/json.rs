@@ -1,9 +1,11 @@
-//! Minimal JSON helpers for the telemetry wire payload.
+//! Minimal JSON helpers for the telemetry documents.
 //!
-//! The workspace carries no serde; stats payloads are small flat documents
-//! written by hand and read back with naive key scans. These helpers are
-//! deliberately not a JSON parser — they are just enough for benches and
-//! tests to pull numeric fields out of documents this workspace itself
+//! The workspace carries no serde. [`Writer`] is the one place JSON text is
+//! assembled — every stats, trace, profile and bench document goes through
+//! it, so they all share one compact style, one escaping rule and one
+//! `null` policy. The `find_*` helpers read numeric fields back with naive
+//! key scans; they are deliberately not a JSON parser — just enough for
+//! benches and tests to pull fields out of documents this workspace itself
 //! produced.
 
 /// Escape a string for embedding in a JSON document.
@@ -21,6 +23,107 @@ pub fn escape(s: &str) -> String {
         }
     }
     out
+}
+
+/// Incremental writer for one compact JSON document.
+///
+/// Values are appended in document order; the writer inserts the commas.
+/// Inside an object, call [`key`](Writer::key) before each value:
+///
+/// ```
+/// let doc = widx_obs::json::Writer::document(|w| {
+///     w.object(|w| {
+///         w.key("keys").u64(7);
+///         w.key("mlp").f64(None, 4);
+///         w.key("shards").array(|w| _ = w.u64(0).u64(2));
+///     });
+/// });
+/// assert_eq!(doc, r#"{"keys":7,"mlp":null,"shards":[0,2]}"#);
+/// ```
+#[derive(Debug)]
+pub struct Writer {
+    out: String,
+    /// Whether the next value at this nesting level follows a sibling.
+    comma: bool,
+}
+
+impl Writer {
+    /// Renders one document: `body` writes its single top-level value.
+    #[must_use]
+    pub fn document(body: impl FnOnce(&mut Writer)) -> String {
+        let mut w = Writer {
+            out: String::new(),
+            comma: false,
+        };
+        body(&mut w);
+        w.out
+    }
+
+    fn value(&mut self, text: &str) -> &mut Writer {
+        if self.comma {
+            self.out.push(',');
+        }
+        self.out.push_str(text);
+        self.comma = true;
+        self
+    }
+
+    fn nested(&mut self, open: char, close: char, body: impl FnOnce(&mut Writer)) -> &mut Writer {
+        self.value("");
+        self.out.push(open);
+        self.comma = false;
+        body(self);
+        self.out.push(close);
+        self.comma = true;
+        self
+    }
+
+    /// Write an object member's key; the next value written is its value.
+    pub fn key(&mut self, key: &str) -> &mut Writer {
+        self.str(key);
+        self.out.push(':');
+        self.comma = false;
+        self
+    }
+
+    /// Write `{…}`; `body` writes the members as `key` / value pairs.
+    pub fn object(&mut self, body: impl FnOnce(&mut Writer)) -> &mut Writer {
+        self.nested('{', '}', body)
+    }
+
+    /// Write `[…]`; `body` writes the elements.
+    pub fn array(&mut self, body: impl FnOnce(&mut Writer)) -> &mut Writer {
+        self.nested('[', ']', body)
+    }
+
+    /// Write an unsigned integer.
+    pub fn u64(&mut self, v: u64) -> &mut Writer {
+        self.value(&v.to_string())
+    }
+
+    /// Write `null`.
+    pub fn null(&mut self) -> &mut Writer {
+        self.value("null")
+    }
+
+    /// Write `true` / `false`.
+    pub fn bool(&mut self, v: bool) -> &mut Writer {
+        self.value(if v { "true" } else { "false" })
+    }
+
+    /// Write a string, escaped.
+    pub fn str(&mut self, v: &str) -> &mut Writer {
+        self.value(&format!("\"{}\"", escape(v)))
+    }
+
+    /// Write a float with exactly `decimals` fractional digits. `None`
+    /// and non-finite values (which JSON cannot carry) become `null`.
+    pub fn f64(&mut self, v: impl Into<Option<f64>>, decimals: usize) -> &mut Writer {
+        match v.into().filter(|v| v.is_finite()) {
+            Some(v) => self.value(&format!("{v:.decimals$}")),
+            None => self.null(),
+        }
+    }
 }
 
 fn number_after(json: &str, key: &str, from: usize) -> Option<(f64, usize)> {
@@ -95,6 +198,59 @@ mod tests {
         assert_eq!(escape("a\"b\\c"), "a\\\"b\\\\c");
         assert_eq!(escape("line\nbreak\ttab"), "line\\nbreak\\ttab");
         assert_eq!(escape("\u{1}"), "\\u0001");
+    }
+
+    #[test]
+    fn writer_nests_and_places_commas() {
+        let text = Writer::document(|w| {
+            w.object(|w| {
+                w.key("a").u64(1);
+                w.key("b").object(|w| {
+                    w.key("c").array(|w| {
+                        w.u64(2).object(|w| {
+                            w.key("d").bool(true);
+                        });
+                        w.array(|_| {});
+                    });
+                    w.key("e").null();
+                });
+                w.key("f").bool(false);
+            });
+        });
+        assert_eq!(
+            text,
+            r#"{"a":1,"b":{"c":[2,{"d":true},[]],"e":null},"f":false}"#
+        );
+        assert_eq!(Writer::document(|w| _ = w.object(|_| {})), "{}");
+        assert_eq!(Writer::document(|w| _ = w.array(|_| {})), "[]");
+    }
+
+    #[test]
+    fn writer_escapes_keys_and_strings() {
+        let text = Writer::document(|w| {
+            w.object(|w| {
+                w.key("q\"k").str("a\"b\\c\nd\u{1}");
+                w.key("utf8").str("µs → żółć");
+            });
+        });
+        assert_eq!(
+            text,
+            "{\"q\\\"k\":\"a\\\"b\\\\c\\nd\\u0001\",\"utf8\":\"µs → żółć\"}"
+        );
+    }
+
+    #[test]
+    fn writer_floats_are_fixed_precision_or_null() {
+        let text = Writer::document(|w| {
+            w.array(|w| {
+                w.f64(2.0, 3).f64(1.0 / 3.0, 4).f64(0.96, 1).f64(7.5, 0);
+                w.f64(None, 4)
+                    .f64(f64::NAN, 1)
+                    .f64(f64::INFINITY, 1)
+                    .f64(Some(f64::NEG_INFINITY), 1);
+            });
+        });
+        assert_eq!(text, "[2.000,0.3333,1.0,8,null,null,null,null]");
     }
 
     #[test]

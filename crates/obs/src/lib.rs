@@ -9,11 +9,14 @@
 //!   worker's counters plus its latency histogram. Workers publish directly
 //!   into their cell, so a shutdown join is just a final snapshot and
 //!   `live_stats()` is the same snapshot taken earlier.
-//! - [`Stage`] / [`StageTimes`]: the queue-wait / batch-wait / walk /
-//!   gather / reply-write breakdown of a request's life.
+//! - [`Stage`] / [`StageTimes`]: the net-read / queue-wait / batch-wait /
+//!   walk / write / gather / reply-write breakdown of a request's life —
+//!   the one vocabulary histograms, profiling windows and trace spans share.
 //! - [`ReactorGauges`]: a padded pair of gauges one net-tier reactor
 //!   re-publishes every event-loop pass (connections owned, unflushed
 //!   reply bytes), stored contiguously without false sharing.
+//! - [`metric`]: the metric tables — each scalar declared once (JSON key,
+//!   Prometheus family, kind, help, getter) with one driver per view.
 //! - [`PromText`]: Prometheus text-exposition builder.
 //! - [`FlightRecorder`] / [`RequestTrace`]: the per-request trace seam — a
 //!   bounded ring of completed traces (spans per stage plus walker-level
@@ -22,7 +25,8 @@
 //!   counter windows (cycles, instructions, LLC/dTLB misses) scoped to
 //!   the same stage seam, with derived IPC / MPKI / stall-fraction /
 //!   effective-MLP and a software-counter cross-check.
-//! - [`json`]: tiny escape/extract helpers for the JSON stats payload.
+//! - [`json`]: the one JSON [`Writer`](json::Writer) every document goes
+//!   through, plus tiny extract helpers for reading fields back.
 //!
 //! Everything here is plain `std` atomics — no locks on any record path.
 //! The only dependency is the vendored `perf-event` shim the `prof`
@@ -35,6 +39,7 @@ mod cell;
 mod gauge;
 mod hist;
 pub mod json;
+pub mod metric;
 mod prof;
 mod prom;
 mod stage;
@@ -51,6 +56,5 @@ pub use prof::{
 pub use prom::{lint_exposition, PromText};
 pub use stage::{Stage, StageSnapshot, StageTimes};
 pub use trace::{
-    ActiveTrace, FlightRecorder, PendingCommit, RecorderStats, RequestTrace, Span, TraceStage,
-    WalkCounters,
+    ActiveTrace, FlightRecorder, PendingCommit, RecorderStats, RequestTrace, Span, WalkCounters,
 };

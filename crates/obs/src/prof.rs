@@ -30,6 +30,8 @@ use std::sync::{Arc, OnceLock};
 
 use perf_event::{CounterGroup, CounterSnapshot};
 
+use crate::json::Writer;
+use crate::metric::{write_fields, Kind::*, Metric, Value::*};
 use crate::stage::Stage;
 use crate::trace::WalkCounters;
 
@@ -64,7 +66,7 @@ struct ProfMeta {
 /// its [`ThreadProfiler`]; any observer snapshots it live.
 #[derive(Debug, Default)]
 pub struct ProfCell {
-    per: [StageBin; 6],
+    per: [StageBin; Stage::COUNT],
     walk: WalkBin,
     meta: OnceLock<ProfMeta>,
 }
@@ -261,6 +263,34 @@ pub struct ProfStageSnapshot {
 }
 
 impl ProfStageSnapshot {
+    /// One stage's counters and derived ratios, declared once for the
+    /// JSON and Prometheus views (`time_ns` and `dtlb_mpki` are
+    /// JSON-only). The derived gauges have no reading on the `soft`
+    /// backend, so their families drop out of that exposition.
+    #[rustfmt::skip] // a table: one metric per row
+    pub const METRICS: &'static [Metric<ProfStageSnapshot>] = &[
+        Metric::new(Counter, "windows", "widx_prof_windows_total", |s| U64(s.windows),
+            "Counter windows recorded per stage."),
+        Metric::new(Counter, "cycles", "widx_prof_cycles_total", |s| U64(s.cycles),
+            "Core cycles attributed per stage."),
+        Metric::new(Counter, "instructions", "widx_prof_instructions_total", |s| U64(s.instructions),
+            "Instructions retired per stage."),
+        Metric::new(Counter, "llc_misses", "widx_prof_llc_misses_total", |s| U64(s.llc_misses),
+            "LLC misses per stage."),
+        Metric::new(Counter, "dtlb_misses", "widx_prof_dtlb_misses_total", |s| U64(s.dtlb_misses),
+            "dTLB misses per stage."),
+        Metric::json_only("time_ns", |s| U64(s.time_ns)),
+        Metric::new(Gauge, "ipc", "widx_prof_ipc", |s| F64(s.ipc(), 4),
+            "Instructions per cycle per stage."),
+        Metric::new(Gauge, "llc_mpki", "widx_prof_llc_mpki", |s| F64(s.llc_mpki(), 4),
+            "LLC misses per thousand instructions per stage."),
+        Metric::json_only("dtlb_mpki", |s| F64(s.dtlb_mpki(), 4)),
+        Metric::new(Gauge, "stall_fraction", "widx_prof_stall_fraction", |s| F64(s.stall_fraction(), 4),
+            "First-order fraction of stage cycles under an LLC miss."),
+        Metric::new(Gauge, "effective_mlp", "widx_prof_effective_mlp", |s| F64(s.effective_mlp(), 4),
+            "Miss-latency-weighted cycles over actual cycles per stage."),
+    ];
+
     /// Sum `other` into this snapshot.
     pub fn merge(&mut self, other: &ProfStageSnapshot) {
         self.windows = self.windows.saturating_add(other.windows);
@@ -326,8 +356,8 @@ pub struct ProfSnapshot {
     pub fallback: Option<String>,
     /// Worker cells merged into this snapshot.
     pub workers: u64,
-    /// Per-[`Stage`] accumulations, indexed in [`Stage::ALL`] order.
-    pub stages: [ProfStageSnapshot; 6],
+    /// Per-[`Stage`] accumulations; read with [`ProfSnapshot::get`].
+    stages: [ProfStageSnapshot; Stage::COUNT],
     /// Software walker totals across all profiled batches.
     pub walk: WalkCounters,
 }
@@ -339,17 +369,40 @@ impl Default for ProfSnapshot {
             hw: false,
             fallback: None,
             workers: 0,
-            stages: [ProfStageSnapshot::default(); 6],
+            stages: [ProfStageSnapshot::default(); Stage::COUNT],
             walk: WalkCounters::default(),
         }
     }
 }
 
 impl ProfSnapshot {
+    /// The snapshot's own scalars, declared once for the JSON and
+    /// Prometheus views; the document places them by name
+    /// ([`WORKERS`](Self::WORKERS), [`HW`](Self::HW),
+    /// [`SOFT_MLP`](Self::SOFT_MLP)), the exposition walks the table.
+    pub const METRICS: &'static [Metric<ProfSnapshot>] = &[Self::WORKERS, Self::HW, Self::SOFT_MLP];
+    /// Worker cells merged into the snapshot.
+    #[rustfmt::skip]
+    pub const WORKERS: Metric<ProfSnapshot> = Metric::new(Gauge, "workers", "widx_prof_workers",
+        |p| U64(p.workers), "Worker counter groups merged into the profile.");
+    /// Whether the counts are real hardware counts.
+    #[rustfmt::skip]
+    pub const HW: Metric<ProfSnapshot> = Metric::new(Gauge, "hw", "widx_prof_hw",
+        |p| Bool(p.hw), "1 when the profile carries real hardware counts.");
+    /// The software MLP cross-check.
+    #[rustfmt::skip]
+    pub const SOFT_MLP: Metric<ProfSnapshot> = Metric::new(Gauge, "soft_mlp", "widx_prof_soft_mlp",
+        |p| F64(p.soft_mlp(), 4), "Software MLP cross-check: walker occupancy per round.");
+
     /// The accumulation for one stage.
     #[must_use]
     pub fn get(&self, stage: Stage) -> &ProfStageSnapshot {
         &self.stages[stage.index()]
+    }
+
+    /// Mutable access to one stage's accumulation (fixtures).
+    pub fn get_mut(&mut self, stage: Stage) -> &mut ProfStageSnapshot {
+        &mut self.stages[stage.index()]
     }
 
     /// Merge another worker's snapshot into this one.
@@ -385,66 +438,38 @@ impl ProfSnapshot {
         (self.walk.rounds > 0).then(|| self.walk.occupancy as f64 / self.walk.rounds as f64)
     }
 
-    /// Render as a self-contained JSON object (the `prof` block of the
-    /// stats payload and the `Profile` opcode body).
+    /// Write as one JSON object (the `prof` block of the stats payload
+    /// and of the `Profile` opcode body).
+    pub fn write_json(&self, w: &mut Writer) {
+        w.object(|w| {
+            w.key("backend").str(self.backend);
+            ProfSnapshot::HW.write(w, self);
+            match &self.fallback {
+                Some(reason) => w.key("fallback").str(reason),
+                None => w.key("fallback").null(),
+            };
+            ProfSnapshot::WORKERS.write(w, self);
+            w.key("miss_latency_cycles").u64(MISS_LATENCY_CYCLES);
+            w.key("stages").object(|w| {
+                for stage in Stage::ALL {
+                    w.key(stage.name())
+                        .object(|w| write_fields(w, ProfStageSnapshot::METRICS, self.get(stage)));
+                }
+            });
+            w.key("total")
+                .object(|w| write_fields(w, ProfStageSnapshot::METRICS, &self.total()));
+            w.key("walk").object(|w| {
+                write_fields(w, WalkCounters::METRICS, &self.walk);
+                ProfSnapshot::SOFT_MLP.write(w, self);
+            });
+        });
+    }
+
+    /// [`write_json`](ProfSnapshot::write_json) as a standalone document.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        out.push_str(&format!(
-            "{{\"backend\":\"{}\",\"hw\":{},\"fallback\":{},\"workers\":{},\"miss_latency_cycles\":{}",
-            crate::json::escape(self.backend),
-            self.hw,
-            match &self.fallback {
-                Some(reason) => format!("\"{}\"", crate::json::escape(reason)),
-                None => "null".to_string(),
-            },
-            self.workers,
-            MISS_LATENCY_CYCLES
-        ));
-        out.push_str(",\"stages\":{");
-        for (i, stage) in Stage::ALL.into_iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\":", stage.name()));
-            push_stage_json(&mut out, self.get(stage));
-        }
-        out.push_str("},\"total\":");
-        push_stage_json(&mut out, &self.total());
-        out.push_str(&format!(
-            ",\"walk\":{{\"nodes\":{},\"max_chain\":{},\"rounds\":{},\"occupancy\":{},\"prefetches\":{},\"soft_mlp\":{}}}}}",
-            self.walk.nodes,
-            self.walk.max_chain,
-            self.walk.rounds,
-            self.walk.occupancy,
-            self.walk.prefetches,
-            json_f64(self.soft_mlp())
-        ));
-        out
+        Writer::document(|w| self.write_json(w))
     }
-}
-
-fn push_stage_json(out: &mut String, s: &ProfStageSnapshot) {
-    out.push_str(&format!(
-        "{{\"windows\":{},\"cycles\":{},\"instructions\":{},\"llc_misses\":{},\"dtlb_misses\":{},\"time_ns\":{},\"ipc\":{},\"llc_mpki\":{},\"dtlb_mpki\":{},\"stall_fraction\":{},\"effective_mlp\":{}}}",
-        s.windows,
-        s.cycles,
-        s.instructions,
-        s.llc_misses,
-        s.dtlb_misses,
-        s.time_ns,
-        json_f64(s.ipc()),
-        json_f64(s.llc_mpki()),
-        json_f64(s.dtlb_mpki()),
-        json_f64(s.stall_fraction()),
-        json_f64(s.effective_mlp()),
-    ));
-}
-
-/// A derived metric as a JSON value: fixed-point or `null` when the
-/// backend never produced a denominator.
-fn json_f64(value: Option<f64>) -> String {
-    value.map_or_else(|| "null".to_string(), |v| format!("{v:.4}"))
 }
 
 #[cfg(test)]

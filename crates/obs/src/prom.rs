@@ -5,6 +5,8 @@
 //! label names are supplied by the caller and assumed well-formed; label
 //! values are escaped.
 
+use std::collections::BTreeMap;
+
 /// Incremental builder for a Prometheus text-exposition document.
 #[derive(Debug, Default)]
 pub struct PromText {
@@ -30,23 +32,11 @@ impl PromText {
         Self::default()
     }
 
-    /// Emit a `# HELP` line for `name`.
-    pub fn help(&mut self, name: &str, text: &str) -> &mut Self {
-        self.out.push_str("# HELP ");
-        self.out.push_str(name);
-        self.out.push(' ');
-        self.out.push_str(text);
-        self.out.push('\n');
-        self
-    }
-
-    /// Emit a `# TYPE` line for `name` (`counter`, `gauge`, `summary`, ...).
-    pub fn type_(&mut self, name: &str, kind: &str) -> &mut Self {
-        self.out.push_str("# TYPE ");
-        self.out.push_str(name);
-        self.out.push(' ');
-        self.out.push_str(kind);
-        self.out.push('\n');
+    /// Open a metric family: its `# HELP` and `# TYPE` (`counter`,
+    /// `gauge`, `summary`, ...) lines, which its samples must follow.
+    pub fn family(&mut self, name: &str, kind: &str, help: &str) -> &mut Self {
+        self.out
+            .push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
         self
     }
 
@@ -54,17 +44,11 @@ impl PromText {
     pub fn sample(&mut self, name: &str, labels: &[(&str, &str)], value: f64) -> &mut Self {
         self.out.push_str(name);
         if !labels.is_empty() {
-            self.out.push('{');
-            for (i, (k, v)) in labels.iter().enumerate() {
-                if i > 0 {
-                    self.out.push(',');
-                }
-                self.out.push_str(k);
-                self.out.push_str("=\"");
-                self.out.push_str(&escape_label(v));
-                self.out.push('"');
-            }
-            self.out.push('}');
+            let pairs: Vec<String> = labels
+                .iter()
+                .map(|(k, v)| format!("{k}=\"{}\"", escape_label(v)))
+                .collect();
+            self.out.push_str(&format!("{{{}}}", pairs.join(",")));
         }
         self.out.push(' ');
         if value.fract() == 0.0 && value.abs() < 1e15 {
@@ -90,12 +74,13 @@ impl PromText {
 /// Lint a Prometheus text exposition: every metric family named by a
 /// `# HELP` or `# TYPE` line must carry exactly one of each, names must
 /// match `[a-zA-Z_:][a-zA-Z0-9_:]*`, every sample line's metric name must
-/// be valid, and no family may repeat a `# TYPE` line.
+/// be valid, no family may repeat a `# TYPE` line, and all of a family's
+/// samples must form one contiguous group (the text format forbids
+/// interleaving two families' lines).
 ///
 /// Returns the list of violations (empty = clean). Sample names ending in
-/// `_sum` / `_count` / `_bucket` are matched against their base family for
-/// the "samples follow metadata" association, per the summary/histogram
-/// conventions.
+/// `_sum` / `_count` / `_bucket` belong to their base family when that
+/// family is typed `summary` or `histogram`, per the conventions.
 pub fn lint_exposition(text: &str) -> Vec<String> {
     fn valid_name(name: &str) -> bool {
         let mut chars = name.chars();
@@ -107,68 +92,65 @@ pub fn lint_exposition(text: &str) -> Vec<String> {
     }
 
     let mut errors = Vec::new();
-    let mut help_counts: Vec<(String, usize)> = Vec::new();
-    let mut type_counts: Vec<(String, usize)> = Vec::new();
-    let bump = |counts: &mut Vec<(String, usize)>, name: &str| match counts
-        .iter_mut()
-        .find(|(n, _)| n == name)
-    {
-        Some((_, c)) => *c += 1,
-        None => counts.push((name.to_string(), 1)),
-    };
-
-    for (lineno, line) in text.lines().enumerate() {
-        let lineno = lineno + 1;
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("# HELP ") {
-            let name = rest.split(' ').next().unwrap_or("");
-            if !valid_name(name) {
-                errors.push(format!("line {lineno}: invalid HELP metric name {name:?}"));
+    // Per family named by metadata: HELP lines, TYPE lines, and whether
+    // it is a summary/histogram (so owns `_sum`/`_count`/`_bucket`).
+    let mut meta: BTreeMap<&str, (usize, usize, bool)> = BTreeMap::new();
+    // Families whose sample group has closed, and the one still open.
+    let (mut closed, mut open): (Vec<&str>, Option<&str>) = (Vec::new(), None);
+    for (lineno, line) in text.lines().enumerate().map(|(i, l)| (i + 1, l)) {
+        let words: Vec<&str> = line.split(' ').collect();
+        match words[..] {
+            [""] => {}
+            ["#", what @ ("HELP" | "TYPE"), name, ref rest @ ..] => {
+                if !valid_name(name) {
+                    errors.push(format!(
+                        "line {lineno}: invalid {what} metric name {name:?}"
+                    ));
+                }
+                let entry = meta.entry(name).or_default();
+                if what == "HELP" {
+                    entry.0 += 1;
+                    continue;
+                }
+                entry.1 += 1;
+                let kind = rest.first().copied().unwrap_or("");
+                entry.2 = matches!(kind, "summary" | "histogram");
+                if !(entry.2 || matches!(kind, "counter" | "gauge" | "untyped")) {
+                    errors.push(format!("line {lineno}: unknown metric type {kind:?}"));
+                }
             }
-            bump(&mut help_counts, name);
-        } else if let Some(rest) = line.strip_prefix("# TYPE ") {
-            let mut parts = rest.split(' ');
-            let name = parts.next().unwrap_or("");
-            let kind = parts.next().unwrap_or("");
-            if !valid_name(name) {
-                errors.push(format!("line {lineno}: invalid TYPE metric name {name:?}"));
-            }
-            if !matches!(
-                kind,
-                "counter" | "gauge" | "summary" | "histogram" | "untyped"
-            ) {
-                errors.push(format!("line {lineno}: unknown metric type {kind:?}"));
-            }
-            bump(&mut type_counts, name);
-        } else if line.starts_with('#') {
             // Other comments are allowed and ignored.
-        } else {
-            let name_end = line.find(['{', ' ']).unwrap_or(line.len());
-            let name = &line[..name_end];
-            if !valid_name(name) {
-                errors.push(format!(
-                    "line {lineno}: invalid sample metric name {name:?}"
-                ));
+            _ if line.starts_with('#') => {}
+            _ => {
+                let name = &line[..line.find(['{', ' ']).unwrap_or(line.len())];
+                if !valid_name(name) {
+                    errors.push(format!(
+                        "line {lineno}: invalid sample metric name {name:?}"
+                    ));
+                }
+                let family = ["_sum", "_count", "_bucket"]
+                    .iter()
+                    .find_map(|suffix| name.strip_suffix(suffix))
+                    .filter(|base| meta.get(base).is_some_and(|m| m.2))
+                    .unwrap_or(name);
+                if open != Some(family) {
+                    if closed.contains(&family) {
+                        errors.push(format!(
+                            "line {lineno}: family {family}'s samples are not contiguous"
+                        ));
+                    }
+                    closed.extend(open.replace(family));
+                }
             }
         }
     }
-
-    for (name, count) in &help_counts {
-        if *count != 1 {
-            errors.push(format!("metric {name}: {count} HELP lines (want 1)"));
-        }
-        if !type_counts.iter().any(|(n, _)| n == name) {
-            errors.push(format!("metric {name}: HELP without TYPE"));
-        }
-    }
-    for (name, count) in &type_counts {
-        if *count != 1 {
-            errors.push(format!("metric {name}: {count} TYPE lines (want 1)"));
-        }
-        if !help_counts.iter().any(|(n, _)| n == name) {
-            errors.push(format!("metric {name}: TYPE without HELP"));
+    for (name, (helps, types, _)) in meta {
+        for (count, what, other) in [(helps, "HELP", "TYPE"), (types, "TYPE", "HELP")] {
+            match count {
+                0 => errors.push(format!("metric {name}: {other} without {what}")),
+                1 => {}
+                n => errors.push(format!("metric {name}: {n} {what} lines (want 1)")),
+            }
         }
     }
     errors
@@ -181,8 +163,7 @@ mod tests {
     #[test]
     fn renders_help_type_and_samples() {
         let mut p = PromText::new();
-        p.help("widx_keys_total", "Probed keys.")
-            .type_("widx_keys_total", "counter")
+        p.family("widx_keys_total", "counter", "Probed keys.")
             .sample_u64("widx_keys_total", &[("tier", "point"), ("shard", "0")], 42)
             .sample("widx_occupancy", &[], 0.5);
         let text = p.finish();
@@ -205,14 +186,36 @@ mod tests {
     #[test]
     fn lint_accepts_well_formed_exposition() {
         let mut p = PromText::new();
-        p.help("widx_keys_total", "Probed keys.")
-            .type_("widx_keys_total", "counter")
+        p.family("widx_keys_total", "counter", "Probed keys.")
             .sample_u64("widx_keys_total", &[("shard", "0")], 42)
-            .help("widx_latency_ns", "Latency summary.")
-            .type_("widx_latency_ns", "summary")
+            .family("widx_latency_ns", "summary", "Latency summary.")
             .sample_u64("widx_latency_ns_sum", &[], 100)
             .sample_u64("widx_latency_ns_count", &[], 3);
         assert_eq!(lint_exposition(&p.finish()), Vec::<String>::new());
+    }
+
+    #[test]
+    fn lint_flags_interleaved_families() {
+        // Two workers' samples written worker by worker split both
+        // families; a summary's _sum/_count lines stay in its group.
+        let text = "# HELP widx_keys_total k\n\
+                    # TYPE widx_keys_total counter\n\
+                    # HELP widx_batches_total b\n\
+                    # TYPE widx_batches_total counter\n\
+                    widx_keys_total{shard=\"0\"} 1\n\
+                    widx_batches_total{shard=\"0\"} 1\n\
+                    widx_keys_total{shard=\"1\"} 2\n\
+                    widx_batches_total{shard=\"1\"} 2\n\
+                    # HELP widx_stage_ns s\n\
+                    # TYPE widx_stage_ns summary\n\
+                    widx_stage_ns{stage=\"walk\",quantile=\"0.5\"} 1\n\
+                    widx_stage_ns_sum{stage=\"walk\"} 1\n\
+                    widx_stage_ns{stage=\"gather\",quantile=\"0.5\"} 1\n\
+                    widx_stage_ns_count{stage=\"gather\"} 1\n";
+        let errors = lint_exposition(text);
+        assert_eq!(errors.len(), 2, "{errors:?}");
+        assert!(errors[0].contains("widx_keys_total") && errors[0].contains("not contiguous"));
+        assert!(errors[1].contains("widx_batches_total"));
     }
 
     #[test]

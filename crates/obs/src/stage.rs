@@ -1,9 +1,11 @@
 //! Stage-timing seam: attribute a request's life to pipeline phases.
 //!
-//! Every request passes through up to five phases between `submit` and the
-//! reply bytes leaving the server. [`StageTimes`] holds one shared
-//! [`AtomicHistogram`] per phase; any thread records into it lock-free and
-//! any observer snapshots it live.
+//! Every request passes through up to seven phases between its frame
+//! leaving the socket and the reply bytes leaving the server. [`Stage`] is
+//! the one vocabulary for that seam — aggregate histograms, profiling
+//! windows and per-request trace spans all name their phases with it.
+//! [`StageTimes`] holds one shared [`AtomicHistogram`] per phase; any thread
+//! records into it lock-free and any observer snapshots it live.
 
 use std::time::Duration;
 
@@ -12,6 +14,10 @@ use crate::hist::{AtomicHistogram, HistogramSnapshot};
 /// The phases of a request's life, in pipeline order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Stage {
+    /// Frame decoded off the socket up to submission into the service.
+    /// Measured from the trace seam's two instants, so it is populated
+    /// only for requests that carry a trace and reads zero in-process.
+    NetRead,
     /// Submit to first admission by a worker (time spent in a shard queue).
     QueueWait,
     /// Batch open to batch close: admitting (and starting to walk) what
@@ -29,8 +35,12 @@ pub enum Stage {
 }
 
 impl Stage {
+    /// Number of stages; every per-stage array sizes itself from this.
+    pub const COUNT: usize = Stage::ALL.len();
+
     /// All stages, in pipeline order.
-    pub const ALL: [Stage; 6] = [
+    pub const ALL: [Stage; 7] = [
+        Stage::NetRead,
         Stage::QueueWait,
         Stage::BatchWait,
         Stage::Walk,
@@ -42,6 +52,7 @@ impl Stage {
     /// Stable snake_case name, used in JSON and Prometheus exposition.
     pub fn name(self) -> &'static str {
         match self {
+            Stage::NetRead => "net_read",
             Stage::QueueWait => "queue_wait",
             Stage::BatchWait => "batch_wait",
             Stage::Walk => "walk",
@@ -51,23 +62,17 @@ impl Stage {
         }
     }
 
+    /// Position in [`Stage::ALL`] (the variants are declared in that order).
     #[inline]
-    pub(crate) fn index(self) -> usize {
-        match self {
-            Stage::QueueWait => 0,
-            Stage::BatchWait => 1,
-            Stage::Walk => 2,
-            Stage::Write => 3,
-            Stage::Gather => 4,
-            Stage::ReplyWrite => 5,
-        }
+    pub fn index(self) -> usize {
+        self as usize
     }
 }
 
 /// One shared latency histogram per [`Stage`].
 #[derive(Debug, Default)]
 pub struct StageTimes {
-    hists: [AtomicHistogram; 6],
+    hists: [AtomicHistogram; Stage::COUNT],
 }
 
 impl StageTimes {
@@ -87,7 +92,7 @@ impl StageTimes {
         &self.hists[stage.index()]
     }
 
-    /// Snapshot all six stages without resetting them.
+    /// Snapshot every stage without resetting any.
     pub fn snapshot(&self) -> StageSnapshot {
         StageSnapshot {
             per: std::array::from_fn(|i| self.hists[i].snapshot()),
@@ -95,10 +100,10 @@ impl StageTimes {
     }
 }
 
-/// Point-in-time copy of all six stage histograms.
+/// Point-in-time copy of every stage histogram.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct StageSnapshot {
-    per: [HistogramSnapshot; 6],
+    per: [HistogramSnapshot; Stage::COUNT],
 }
 
 impl StageSnapshot {
@@ -130,9 +135,17 @@ mod tests {
     #[test]
     fn stage_names_are_stable() {
         let names: Vec<&str> = Stage::ALL.iter().map(|s| s.name()).collect();
+        for (i, stage) in Stage::ALL.into_iter().enumerate() {
+            assert_eq!(
+                stage.index(),
+                i,
+                "ALL must list variants in declaration order"
+            );
+        }
         assert_eq!(
             names,
             [
+                "net_read",
                 "queue_wait",
                 "batch_wait",
                 "walk",

@@ -16,51 +16,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::json;
+use crate::json::Writer;
+use crate::metric::{write_fields, Kind::*, Metric, Value::*};
+use crate::stage::Stage;
 
 /// Minimum gap between two slow-request log lines.
 const SLOW_LOG_INTERVAL: Duration = Duration::from_millis(500);
-
-/// Stages a per-request span can cover.
-///
-/// This is deliberately separate from the aggregate [`crate::Stage`]
-/// taxonomy: traces additionally attribute the network read
-/// (frame-decode-to-submit) leg, and the two enums evolve independently.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TraceStage {
-    /// Frame decoded off the socket up to submission into the service.
-    NetRead,
-    /// Submission until a shard worker admitted the request into a batch.
-    QueueWait,
-    /// Admission until the batch closed (size target reached or queue
-    /// dry).
-    BatchWait,
-    /// Walker execution over the whole batch the request rode in.
-    Walk,
-    /// Write application at the batch barrier (the shard worker is the
-    /// sole writer for its shard).
-    Write,
-    /// First part completed until the final part landed (gather seam).
-    Gather,
-    /// Reply bytes encoded until the flush cursor passed them.
-    ReplyWrite,
-}
-
-impl TraceStage {
-    /// Stable snake_case name used in JSON payloads.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            TraceStage::NetRead => "net_read",
-            TraceStage::QueueWait => "queue_wait",
-            TraceStage::BatchWait => "batch_wait",
-            TraceStage::Walk => "walk",
-            TraceStage::Write => "write",
-            TraceStage::Gather => "gather",
-            TraceStage::ReplyWrite => "reply_write",
-        }
-    }
-}
 
 /// One timed stage within a request trace.
 ///
@@ -69,7 +30,7 @@ impl TraceStage {
 #[derive(Clone, Copy, Debug)]
 pub struct Span {
     /// Which stage this span covers.
-    pub stage: TraceStage,
+    pub stage: Stage,
     /// Offset of the span start from the trace base, in nanoseconds.
     pub start_ns: u64,
     /// Span duration in nanoseconds.
@@ -96,6 +57,21 @@ pub struct WalkCounters {
 }
 
 impl WalkCounters {
+    /// The walker counters, declared once for the JSON and Prometheus
+    /// views (`max_chain` is a maximum, not a total, and stays JSON-only).
+    #[rustfmt::skip] // a table: one metric per row
+    pub const METRICS: &'static [Metric<WalkCounters>] = &[
+        Metric::new(Counter, "nodes", "widx_prof_walk_nodes_total", |c| U64(c.nodes),
+            "Index nodes visited by profiled walkers."),
+        Metric::json_only("max_chain", |c| U64(c.max_chain)),
+        Metric::new(Counter, "rounds", "widx_prof_walk_rounds_total", |c| U64(c.rounds),
+            "Walker ring rounds across profiled batches."),
+        Metric::new(Counter, "occupancy", "widx_prof_walk_occupancy_total", |c| U64(c.occupancy),
+            "Live walker slots summed over rounds."),
+        Metric::new(Counter, "prefetches", "widx_prof_walk_prefetches_total", |c| U64(c.prefetches),
+            "Prefetches issued by profiled walkers."),
+    ];
+
     /// Merge another record into this one (sums; `max_chain` takes the max).
     pub fn merge(&mut self, other: &WalkCounters) {
         self.nodes = self.nodes.saturating_add(other.nodes);
@@ -135,49 +111,34 @@ pub struct RequestTrace {
 }
 
 impl RequestTrace {
-    /// Render this trace as a self-contained JSON object.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256);
-        out.push_str(&format!(
-            "{{\"id\":{},\"kind\":\"{}\",\"total_ns\":{},\"slow\":{}",
-            self.id,
-            json::escape(self.kind),
-            self.total_ns,
-            self.slow
-        ));
-        match self.reactor {
-            Some(rix) => out.push_str(&format!(",\"reactor\":{rix}")),
-            None => out.push_str(",\"reactor\":null"),
-        }
-        out.push_str(",\"shards\":[");
-        for (i, shard) in self.shards.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&shard.to_string());
-        }
-        out.push_str("],\"spans\":[");
-        for (i, span) in self.spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"stage\":\"{}\",\"start_ns\":{},\"dur_ns\":{}}}",
-                span.stage.name(),
-                span.start_ns,
-                span.dur_ns
-            ));
-        }
-        out.push_str(&format!(
-            "],\"walk\":{{\"nodes\":{},\"max_chain\":{},\"rounds\":{},\"occupancy\":{},\"prefetches\":{}}}}}",
-            self.walk.nodes,
-            self.walk.max_chain,
-            self.walk.rounds,
-            self.walk.occupancy,
-            self.walk.prefetches
-        ));
-        out
+    /// Write this trace as one JSON object.
+    pub fn write_json(&self, w: &mut Writer) {
+        w.object(|w| {
+            w.key("id").u64(self.id);
+            w.key("kind").str(self.kind);
+            w.key("total_ns").u64(self.total_ns);
+            w.key("slow").bool(self.slow);
+            match self.reactor {
+                Some(rix) => w.key("reactor").u64(u64::from(rix)),
+                None => w.key("reactor").null(),
+            };
+            w.key("shards").array(|w| {
+                for shard in &self.shards {
+                    w.u64(u64::from(*shard));
+                }
+            });
+            w.key("spans").array(|w| {
+                for span in &self.spans {
+                    w.object(|w| {
+                        w.key("stage").str(span.stage.name());
+                        w.key("start_ns").u64(span.start_ns);
+                        w.key("dur_ns").u64(span.dur_ns);
+                    });
+                }
+            });
+            w.key("walk")
+                .object(|w| write_fields(w, WalkCounters::METRICS, &self.walk));
+        });
     }
 }
 
@@ -247,18 +208,12 @@ impl ActiveTrace {
 
     /// Append a span covering `start..end` on the trace timeline.
     /// Instants before `base` clamp to offset zero.
-    pub fn span_between(&mut self, stage: TraceStage, start: Instant, end: Instant) {
-        let start_ns = dur_ns(start.saturating_duration_since(self.base));
-        let dur = dur_ns(end.saturating_duration_since(start));
-        self.spans.push(Span {
-            stage,
-            start_ns,
-            dur_ns: dur,
-        });
+    pub fn span_between(&mut self, stage: Stage, start: Instant, end: Instant) {
+        self.span_for(stage, start, end.saturating_duration_since(start));
     }
 
     /// Append a span starting at `start` with an explicit duration.
-    pub fn span_for(&mut self, stage: TraceStage, start: Instant, dur: Duration) {
+    pub fn span_for(&mut self, stage: Stage, start: Instant, dur: Duration) {
         let start_ns = dur_ns(start.saturating_duration_since(self.base));
         self.spans.push(Span {
             stage,
@@ -300,6 +255,24 @@ pub struct RecorderStats {
     pub dropped: u64,
     /// Recorded traces that were tail-selected (exceeded the slow threshold).
     pub slow: u64,
+}
+
+impl RecorderStats {
+    /// The recorder gauges, declared once for the JSON and Prometheus
+    /// views.
+    #[rustfmt::skip] // a table: one metric per row
+    pub const METRICS: &'static [Metric<RecorderStats>] = &[
+        Metric::new(Gauge, "capacity", "widx_trace_capacity", |s| U64(s.capacity),
+            "Flight-recorder ring capacity in traces."),
+        Metric::new(Gauge, "depth", "widx_trace_depth", |s| U64(s.depth),
+            "Traces currently held by the flight recorder."),
+        Metric::new(Counter, "recorded", "widx_trace_recorded_total", |s| U64(s.recorded),
+            "Request traces recorded (head-sampled or slow)."),
+        Metric::new(Counter, "dropped", "widx_trace_dropped_total", |s| U64(s.dropped),
+            "Traces evicted from a full flight-recorder ring."),
+        Metric::new(Counter, "slow", "widx_trace_slow_total", |s| U64(s.slow),
+            "Recorded traces that exceeded the slow threshold."),
+    ];
 }
 
 /// Bounded ring of completed request traces plus drop/depth gauges.
@@ -403,21 +376,16 @@ impl FlightRecorder {
     /// Render gauges plus recent traces (newest first) as one JSON object.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let stats = self.stats();
-        let traces = self.snapshot();
-        let mut out = String::with_capacity(128 + traces.len() * 256);
-        out.push_str(&format!(
-            "{{\"capacity\":{},\"depth\":{},\"recorded\":{},\"dropped\":{},\"slow\":{},\"traces\":[",
-            stats.capacity, stats.depth, stats.recorded, stats.dropped, stats.slow
-        ));
-        for (i, trace) in traces.iter().rev().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&trace.to_json());
-        }
-        out.push_str("]}");
-        out
+        Writer::document(|w| {
+            w.object(|w| {
+                write_fields(w, RecorderStats::METRICS, &self.stats());
+                w.key("traces").array(|w| {
+                    for trace in self.snapshot().iter().rev() {
+                        trace.write_json(w);
+                    }
+                });
+            });
+        })
     }
 
     /// Take a commit ticket: the recorder counts the trace as
@@ -513,7 +481,7 @@ mod tests {
             prefetches: 5,
         });
         let start = active.base();
-        active.span_for(TraceStage::Walk, start, Duration::from_micros(10));
+        active.span_for(Stage::Walk, start, Duration::from_micros(10));
         active.finish(Duration::from_micros(25), slow)
     }
 
@@ -603,9 +571,9 @@ mod tests {
         let mut active = ActiveTrace::new(base, 7, "range_scan", true);
         let start = base + Duration::from_micros(5);
         let end = start + Duration::from_micros(10);
-        active.span_between(TraceStage::QueueWait, start, end);
+        active.span_between(Stage::QueueWait, start, end);
         // An instant before base clamps to offset 0.
-        active.span_between(TraceStage::NetRead, base - Duration::from_micros(1), base);
+        active.span_between(Stage::NetRead, base - Duration::from_micros(1), base);
         let trace = active.finish(Duration::from_micros(20), false);
         assert_eq!(trace.spans[0].start_ns, 5_000);
         assert_eq!(trace.spans[0].dur_ns, 10_000);
@@ -644,11 +612,11 @@ mod tests {
         let rec = FlightRecorder::new(4);
         rec.record(mk_trace(42, true));
         let json_doc = rec.to_json();
-        assert_eq!(json::find_u64(&json_doc, "capacity"), Some(4));
-        assert_eq!(json::find_u64(&json_doc, "depth"), Some(1));
-        assert_eq!(json::find_u64(&json_doc, "recorded"), Some(1));
-        assert_eq!(json::find_u64(&json_doc, "id"), Some(42));
-        assert_eq!(json::find_u64(&json_doc, "nodes"), Some(3));
+        assert_eq!(crate::json::find_u64(&json_doc, "capacity"), Some(4));
+        assert_eq!(crate::json::find_u64(&json_doc, "depth"), Some(1));
+        assert_eq!(crate::json::find_u64(&json_doc, "recorded"), Some(1));
+        assert_eq!(crate::json::find_u64(&json_doc, "id"), Some(42));
+        assert_eq!(crate::json::find_u64(&json_doc, "nodes"), Some(3));
         assert!(json_doc.contains("\"kind\":\"lookup\""));
         assert!(json_doc.contains("\"slow\":true"));
         assert!(json_doc.contains("\"stage\":\"walk\""));

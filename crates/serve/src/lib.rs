@@ -99,5 +99,5 @@ pub use stats::{LatencySummary, NetStats, ReactorStats, ServiceStats, StageStats
 // dependency.
 pub use widx_obs::{
     AtomicHistogram, FlightRecorder, HistogramSnapshot, ReactorGauges, RecorderStats, RequestTrace,
-    Span, Stage, StageSnapshot, StageTimes, TraceStage, WalkCounters,
+    Span, Stage, StageSnapshot, StageTimes, WalkCounters,
 };

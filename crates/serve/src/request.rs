@@ -7,9 +7,7 @@ use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use widx_obs::{
-    ActiveTrace, FlightRecorder, PendingCommit, Stage, StageTimes, TraceStage, WorkerCell,
-};
+use widx_obs::{ActiveTrace, FlightRecorder, PendingCommit, Stage, StageTimes, WorkerCell};
 
 /// One write operation, as routed to the shard that owns its key. The
 /// owning shard worker applies it under the shard's write guard at a
@@ -327,7 +325,7 @@ impl TraceFinisher {
         let now = Instant::now();
         self.state
             .active
-            .span_between(TraceStage::ReplyWrite, start, now);
+            .span_between(Stage::ReplyWrite, start, now);
     }
 
     /// Seal the trace (end-to-end latency = trace base to now) and
@@ -651,7 +649,7 @@ impl ResponseState {
         if let Some(first) = first {
             trace
                 .active
-                .span_between(TraceStage::Gather, first, Instant::now());
+                .span_between(Stage::Gather, first, Instant::now());
         }
         if trace.deferred {
             None

@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 use widx_db::epoch::EpochDomain;
 use widx_db::hash::HashRecipe;
 use widx_obs::{
-    ActiveTrace, FlightRecorder, HistogramSnapshot, ProfCell, ProfSnapshot, StageTimes, TraceStage,
+    ActiveTrace, FlightRecorder, HistogramSnapshot, ProfCell, ProfSnapshot, Stage, StageTimes,
     WorkerCell,
 };
 use widx_soft::ScanRange;
@@ -21,7 +21,7 @@ use crate::request::{
     WriteOp,
 };
 use crate::shard::ShardedIndex;
-use crate::stats::{LatencySummary, ServiceStats, StageStats, WorkerStats};
+use crate::stats::{profile_document, LatencySummary, ServiceStats, StageStats, WorkerStats};
 use crate::worker::{run_worker, ShardIndex, Tier, WorkerContext};
 
 /// Tuning knobs for a [`ProbeService`].
@@ -579,14 +579,11 @@ impl ProbeService {
 
     /// The profiling snapshot as a self-describing JSON document — the
     /// payload of the `Profile` wire opcode. An unprofiled service
-    /// answers `{"enabled": false}` rather than erroring, so a scraper
+    /// answers `{"enabled":false}` rather than erroring, so a scraper
     /// can probe for the capability.
     #[must_use]
     pub fn profile_json(&self) -> String {
-        match self.prof_snapshot() {
-            Some(snap) => format!("{{\"enabled\": true, \"prof\": {}}}", snap.to_json()),
-            None => "{\"enabled\": false}".to_owned(),
-        }
+        profile_document(self.prof_snapshot().as_ref())
     }
 
     /// Decide whether this request carries a trace, and build it. Runs
@@ -611,7 +608,11 @@ impl ProbeService {
             active.set_reactor(rix);
         }
         if net.is_some() {
-            active.span_between(TraceStage::NetRead, base, Instant::now());
+            // The trace's own two instants also feed the aggregate
+            // histogram, so the untraced path still reads no clock here.
+            let submitted = Instant::now();
+            active.span_between(Stage::NetRead, base, submitted);
+            self.stages.record(Stage::NetRead, submitted - base);
         }
         Some(Box::new(TraceState {
             active,

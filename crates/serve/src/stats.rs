@@ -9,9 +9,11 @@
 
 use std::time::Duration;
 
+use widx_obs::json::Writer;
+use widx_obs::metric::{expose, write_fields, Kind::*, Labels, Metric, Value::*};
 use widx_obs::{
-    HistogramSnapshot, ProfSnapshot, PromText, RecorderStats, Stage, StageSnapshot,
-    WorkerCellSnapshot,
+    HistogramSnapshot, ProfSnapshot, ProfStageSnapshot, PromText, RecorderStats, Stage,
+    StageSnapshot, WalkCounters, WorkerCellSnapshot,
 };
 
 /// Counters one shard worker accumulates over its lifetime.
@@ -51,6 +53,40 @@ pub struct WorkerStats {
 }
 
 impl WorkerStats {
+    /// One worker's counters, declared once for the JSON and Prometheus
+    /// views (series are labelled `tier` / `shard`; `shard` itself is
+    /// only a JSON member).
+    #[rustfmt::skip] // a table: one metric per row
+    pub const METRICS: &'static [Metric<WorkerStats>] = &[
+        Metric::json_only("shard", |w| U64(w.shard as u64)),
+        Metric::new(Counter, "jobs", "widx_worker_jobs_total", |w| U64(w.jobs),
+            "Probe jobs (request shard-parts) processed per worker."),
+        Metric::new(Counter, "batches", "widx_worker_batches_total", |w| U64(w.batches),
+            "Batches flushed per worker."),
+        Metric::new(Counter, "keys", "widx_worker_keys_total", |w| U64(w.keys),
+            "Keys probed / scan cursors fed per worker."),
+        Metric::new(Counter, "matches", "widx_worker_matches_total", |w| U64(w.matches),
+            "Matches / scan entries emitted per worker."),
+        Metric::new(Counter, "size_flushes", "widx_worker_size_flushes_total", |w| U64(w.size_flushes),
+            "Batches closed at the size target per worker."),
+        Metric::new(Counter, "deadline_flushes", "widx_worker_deadline_flushes_total", |w| U64(w.deadline_flushes),
+            "Batches closed short of the size target on a dry queue per worker."),
+        Metric::new(Counter, "shutdown_flushes", "widx_worker_shutdown_flushes_total", |w| U64(w.shutdown_flushes),
+            "Final partial batches flushed at shutdown per worker."),
+        Metric::new(Counter, "write_ops", "widx_write_ops_total", |w| U64(w.write_ops),
+            "Mutation operations applied per worker."),
+        Metric::new(Counter, "write_applied", "widx_write_applied_total", |w| U64(w.write_applied),
+            "Mutation operations that took effect per worker."),
+        Metric::new(Counter, "write_batches", "widx_write_batches_total", |w| U64(w.write_batches),
+            "Write barriers executed per worker."),
+        Metric::new(Counter, "busy_ns", "widx_worker_busy_ns_total", |w| U64(w.busy.as_nanos() as u64),
+            "Nanoseconds spent walking per worker."),
+        Metric::new(Counter, "idle_ns", "widx_worker_idle_ns_total", |w| U64(w.idle.as_nanos() as u64),
+            "Nanoseconds spent waiting for work per worker."),
+        Metric::new(Gauge, "occupancy", "widx_worker_occupancy", |w| F64(Some(w.occupancy()), 4),
+            "Fraction of worker lifetime spent walking."),
+    ];
+
     /// Materializes worker stats from a live registry cell snapshot.
     pub(crate) fn from_cell(shard: usize, cell: &WorkerCellSnapshot) -> WorkerStats {
         WorkerStats {
@@ -170,43 +206,52 @@ impl LatencySummary {
         }
     }
 
-    fn to_json(self) -> String {
-        format!(
-            "{{\"count\": {}, \"mean_ns\": {:.1}, \"p50_ns\": {}, \"p95_ns\": {}, \
-             \"p99_ns\": {}, \"p999_ns\": {}, \"min_ns\": {}, \"max_ns\": {}}}",
-            self.count,
-            self.mean_ns,
-            self.p50_ns,
-            self.p95_ns,
-            self.p99_ns,
-            self.p999_ns,
-            self.min_ns,
-            self.max_ns
-        )
+    /// Write the summary as members of the currently open JSON object —
+    /// the one rendering every stats and bench document shares.
+    pub fn write_fields(&self, w: &mut Writer) {
+        w.key("count").u64(self.count as u64);
+        w.key("mean_ns").f64(self.mean_ns, 1);
+        for (key, ns) in [
+            ("p50_ns", self.p50_ns),
+            ("p95_ns", self.p95_ns),
+            ("p99_ns", self.p99_ns),
+            ("p999_ns", self.p999_ns),
+            ("min_ns", self.min_ns),
+            ("max_ns", self.max_ns),
+        ] {
+            w.key(key).u64(ns);
+        }
+    }
+
+    /// The samples of one Prometheus `summary` series: the chosen
+    /// quantiles, then `_sum` and `_count`.
+    fn expose(&self, p: &mut PromText, family: &str, labels: &[(&str, &str)], tail: bool) {
+        let quantiles = [
+            ("0.5", self.p50_ns, true),
+            ("0.95", self.p95_ns, tail),
+            ("0.99", self.p99_ns, true),
+            ("0.999", self.p999_ns, tail),
+        ];
+        for (q, ns, _) in quantiles.into_iter().filter(|(_, _, on)| *on) {
+            let labels = [labels, &[("quantile", q)]].concat();
+            p.sample_u64(family, &labels, ns);
+        }
+        let sum = self.mean_ns * self.count as f64;
+        p.sample(&format!("{family}_sum"), labels, sum);
+        p.sample_u64(&format!("{family}_count"), labels, self.count as u64);
     }
 }
 
 /// Per-stage latency summaries: where a request's life goes between
-/// `submit` and the reply bytes leaving the server.
+/// its frame leaving the socket and the reply bytes leaving the server.
 ///
 /// Counts differ per stage by design: queue-wait counts shard-parts,
 /// batch-wait and walk count batches, gather counts completed requests,
-/// and reply-write counts reply frames (zero unless a `widx-net` server
-/// is attached).
+/// net-read counts traced requests and reply-write counts reply frames
+/// (both zero unless a `widx-net` server is attached).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct StageStats {
-    /// Submit to first worker admission, per request shard-part.
-    pub queue_wait: LatencySummary,
-    /// Batch open to flush decision, per batch.
-    pub batch_wait: LatencySummary,
-    /// Index-walking time, per batch.
-    pub walk: LatencySummary,
-    /// Write-application time at batch barriers, per write batch.
-    pub write: LatencySummary,
-    /// First shard-part done to last shard-part done, per request.
-    pub gather: LatencySummary,
-    /// Reply frame encoded to bytes flushed to the socket, per frame.
-    pub reply_write: LatencySummary,
+    per: [LatencySummary; Stage::COUNT],
 }
 
 impl StageStats {
@@ -214,26 +259,20 @@ impl StageStats {
     #[must_use]
     pub fn from_snapshot(snap: &StageSnapshot) -> StageStats {
         StageStats {
-            queue_wait: LatencySummary::from_histogram(snap.get(Stage::QueueWait)),
-            batch_wait: LatencySummary::from_histogram(snap.get(Stage::BatchWait)),
-            walk: LatencySummary::from_histogram(snap.get(Stage::Walk)),
-            write: LatencySummary::from_histogram(snap.get(Stage::Write)),
-            gather: LatencySummary::from_histogram(snap.get(Stage::Gather)),
-            reply_write: LatencySummary::from_histogram(snap.get(Stage::ReplyWrite)),
+            per: Stage::ALL.map(|stage| LatencySummary::from_histogram(snap.get(stage))),
         }
+    }
+
+    /// The summary for one stage.
+    #[must_use]
+    pub fn get(&self, stage: Stage) -> &LatencySummary {
+        &self.per[stage.index()]
     }
 
     /// `(name, summary)` pairs in pipeline order.
     #[must_use]
-    pub fn named(&self) -> [(&'static str, LatencySummary); 6] {
-        [
-            (Stage::QueueWait.name(), self.queue_wait),
-            (Stage::BatchWait.name(), self.batch_wait),
-            (Stage::Walk.name(), self.walk),
-            (Stage::Write.name(), self.write),
-            (Stage::Gather.name(), self.gather),
-            (Stage::ReplyWrite.name(), self.reply_write),
-        ]
+    pub fn named(&self) -> [(&'static str, LatencySummary); Stage::COUNT] {
+        Stage::ALL.map(|stage| (stage.name(), *self.get(stage)))
     }
 }
 
@@ -280,7 +319,53 @@ pub struct NetStats {
     pub reactors: Vec<ReactorStats>,
 }
 
+impl ReactorStats {
+    /// One reactor's gauges, declared once for the JSON and Prometheus
+    /// views (series are labelled `reactor`).
+    #[rustfmt::skip] // a table: one metric per row
+    pub const METRICS: &'static [Metric<ReactorStats>] = &[
+        Metric::new(Gauge, "open", "widx_net_reactor_open_connections", |r| U64(r.open_connections),
+            "Connections pinned to each reactor."),
+        Metric::new(Gauge, "backlog_bytes", "widx_net_reactor_write_backlog_bytes", |r| U64(r.write_backlog_bytes),
+            "Bytes buffered for write per reactor."),
+    ];
+}
+
 impl NetStats {
+    /// The network tier's totals, declared once for the JSON and
+    /// Prometheus views.
+    #[rustfmt::skip] // a table: one metric per row
+    pub const METRICS: &'static [Metric<NetStats>] = &[
+        Metric::new(Counter, "connections", "widx_net_connections_total", |n| U64(n.connections),
+            "Connections accepted."),
+        Metric::new(Counter, "frames_in", "widx_net_frames_in_total", |n| U64(n.frames_in),
+            "Request frames decoded."),
+        Metric::new(Counter, "frames_out", "widx_net_frames_out_total", |n| U64(n.frames_out),
+            "Reply frames written."),
+        Metric::new(Counter, "busy_rejects", "widx_net_busy_rejects_total", |n| U64(n.busy_rejects),
+            "Requests refused Busy."),
+        Metric::new(Counter, "decode_errors", "widx_net_decode_errors_total", |n| U64(n.decode_errors),
+            "Frames that failed to decode."),
+        Metric::new(Gauge, "open_connections", "widx_net_open_connections", |n| U64(n.open_connections),
+            "Connections currently open."),
+        Metric::new(Gauge, "write_backlog_bytes", "widx_net_write_backlog_bytes", |n| U64(n.write_backlog_bytes),
+            "Bytes buffered for write across open connections."),
+    ];
+
+    /// Write the totals and the per-reactor breakdown as members of the
+    /// currently open JSON object.
+    pub fn write_fields(&self, w: &mut Writer) {
+        write_fields(w, NetStats::METRICS, self);
+        w.key("reactors").array(|w| {
+            for (i, reactor) in self.reactors.iter().enumerate() {
+                w.object(|w| {
+                    w.key("reactor").u64(i as u64);
+                    write_fields(w, ReactorStats::METRICS, reactor);
+                });
+            }
+        });
+    }
+
     /// Whether any traffic was observed at all.
     #[must_use]
     pub fn is_empty(&self) -> bool {
@@ -337,7 +422,36 @@ pub struct ServiceStats {
     pub wall: Duration,
 }
 
+/// A series that carries no labels.
+fn unlabelled<T>(snapshot: &T) -> [(Labels, &T); 1] {
+    [(Vec::new(), snapshot)]
+}
+
 impl ServiceStats {
+    /// The service-level scalars, declared once for the JSON and
+    /// Prometheus views. Uptime is milliseconds in the document and
+    /// seconds in the exposition, hence two rows.
+    #[rustfmt::skip] // a table: one metric per row
+    pub const METRICS: &'static [Metric<ServiceStats>] = &[
+        Metric::json_only("wall_ms", |s| F64(Some(s.wall.as_secs_f64() * 1e3), 3)),
+        Metric::json_only("uptime_ms", |s| F64(Some(s.wall.as_secs_f64() * 1e3), 3)),
+        Metric::new(Gauge, "", "widx_wall_seconds", |s| F64(Some(s.wall.as_secs_f64()), 3),
+            "Service uptime at snapshot time."),
+        Metric::json_only("host_cpus", |_| U64(std::thread::available_parallelism().map_or(0, usize::from) as u64)),
+        Metric::json_only("version", |_| Str(env!("CARGO_PKG_VERSION"))),
+        Metric::json_only("total_keys", |s| U64(s.total_keys())),
+        Metric::json_only("total_matches", |s| U64(s.total_matches())),
+        Metric::json_only("total_scan_cursors", |s| U64(s.total_scan_cursors())),
+        Metric::json_only("total_scan_entries", |s| U64(s.total_scan_entries())),
+        Metric::json_only("total_write_ops", |s| U64(s.total_write_ops())),
+        Metric::json_only("total_write_applied", |s| U64(s.total_write_applied())),
+        Metric::json_only("total_write_batches", |s| U64(s.total_write_batches())),
+        Metric::new(Gauge, "epoch_retired", "widx_epoch_retired", |s| U64(s.epoch_retired),
+            "Nodes retired by mutations, awaiting a safe epoch."),
+        Metric::new(Gauge, "epoch_reclaimed", "widx_epoch_reclaimed", |s| U64(s.epoch_reclaimed),
+            "Retired nodes freed after every walker moved past them."),
+    ];
+
     /// Attaches a network-tier snapshot (from `widx_net::WidxServer`) to
     /// the service's own counters, completing the full serving picture:
     /// sockets → frames → queues → walkers.
@@ -426,454 +540,100 @@ impl ServiceStats {
         }
     }
 
-    /// Renders the snapshot as a flat JSON document — the payload of the
-    /// wire protocol's `Stats` reply. Hand-rolled (the workspace carries
-    /// no serde); `widx_obs::json` can read the numeric fields back.
+    /// Writes the snapshot as one JSON object — the `Stats` document,
+    /// and the `stats` block of every bench run.
+    pub fn write_json(&self, w: &mut Writer) {
+        w.object(|w| {
+            write_fields(w, ServiceStats::METRICS, self);
+            w.key("trace")
+                .object(|w| write_fields(w, RecorderStats::METRICS, &self.trace));
+            if let Some(prof) = &self.prof {
+                prof.write_json(w.key("prof"));
+            }
+            w.key("latency").object(|w| self.latency.write_fields(w));
+            w.key("stages").object(|w| {
+                for (name, summary) in self.stages.named() {
+                    w.key(name).object(|w| summary.write_fields(w));
+                }
+            });
+            for (field, tier) in [
+                ("workers", &self.workers),
+                ("range_workers", &self.range_workers),
+            ] {
+                w.key(field).array(|w| {
+                    for worker in tier {
+                        w.object(|w| write_fields(w, WorkerStats::METRICS, worker));
+                    }
+                });
+            }
+            w.key("net").object(|w| self.net.write_fields(w));
+        });
+    }
+
+    /// Renders the snapshot as one JSON document — the payload of the
+    /// wire protocol's `Stats` reply, written by the shared
+    /// [`Writer`]; `widx_obs::json` can read the numeric fields back.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(2048);
-        let host_cpus = std::thread::available_parallelism().map_or(0, usize::from);
-        out.push_str(&format!(
-            "{{\"wall_ms\": {:.3}, \"uptime_ms\": {:.3}, \"host_cpus\": {}, \
-             \"version\": \"{}\", \"total_keys\": {}, \"total_matches\": {}, \
-             \"total_scan_cursors\": {}, \"total_scan_entries\": {}, \
-             \"total_write_ops\": {}, \"total_write_applied\": {}, \
-             \"total_write_batches\": {}, \"epoch_retired\": {}, \
-             \"epoch_reclaimed\": {},",
-            self.wall.as_secs_f64() * 1e3,
-            self.wall.as_secs_f64() * 1e3,
-            host_cpus,
-            env!("CARGO_PKG_VERSION"),
-            self.total_keys(),
-            self.total_matches(),
-            self.total_scan_cursors(),
-            self.total_scan_entries(),
-            self.total_write_ops(),
-            self.total_write_applied(),
-            self.total_write_batches(),
-            self.epoch_retired,
-            self.epoch_reclaimed
-        ));
-        out.push_str(&format!(
-            " \"trace\": {{\"capacity\": {}, \"depth\": {}, \"recorded\": {}, \
-             \"dropped\": {}, \"slow\": {}}},",
-            self.trace.capacity,
-            self.trace.depth,
-            self.trace.recorded,
-            self.trace.dropped,
-            self.trace.slow
-        ));
-        if let Some(prof) = &self.prof {
-            out.push_str(&format!(" \"prof\": {},", prof.to_json()));
-        }
-        out.push_str(&format!(" \"latency\": {},", self.latency.to_json()));
-        out.push_str(" \"stages\": {");
-        for (i, (name, summary)) in self.stages.named().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(" \"{}\": {}", name, summary.to_json()));
-        }
-        out.push_str("},");
-        for (field, tier) in [
-            ("workers", &self.workers),
-            ("range_workers", &self.range_workers),
-        ] {
-            out.push_str(&format!(" \"{field}\": ["));
-            for (i, w) in tier.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!(
-                    " {{\"shard\": {}, \"jobs\": {}, \"batches\": {}, \"keys\": {}, \
-                     \"matches\": {}, \"size_flushes\": {}, \"deadline_flushes\": {}, \
-                     \"shutdown_flushes\": {}, \"write_ops\": {}, \
-                     \"write_applied\": {}, \"write_batches\": {}, \
-                     \"busy_ns\": {}, \"idle_ns\": {}, \
-                     \"occupancy\": {:.4}}}",
-                    w.shard,
-                    w.jobs,
-                    w.batches,
-                    w.keys,
-                    w.matches,
-                    w.size_flushes,
-                    w.deadline_flushes,
-                    w.shutdown_flushes,
-                    w.write_ops,
-                    w.write_applied,
-                    w.write_batches,
-                    w.busy.as_nanos(),
-                    w.idle.as_nanos(),
-                    w.occupancy()
-                ));
-            }
-            out.push_str("],");
-        }
-        out.push_str(&format!(
-            " \"net\": {{\"connections\": {}, \"frames_in\": {}, \"frames_out\": {}, \
-             \"busy_rejects\": {}, \"decode_errors\": {}, \"open_connections\": {}, \
-             \"write_backlog_bytes\": {}, \"reactors\": [",
-            self.net.connections,
-            self.net.frames_in,
-            self.net.frames_out,
-            self.net.busy_rejects,
-            self.net.decode_errors,
-            self.net.open_connections,
-            self.net.write_backlog_bytes
-        ));
-        for (i, r) in self.net.reactors.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                " {{\"reactor\": {}, \"open\": {}, \"backlog_bytes\": {}}}",
-                i, r.open_connections, r.write_backlog_bytes
-            ));
-        }
-        out.push_str("]}}");
-        out
+        Writer::document(|w| self.write_json(w))
     }
 
     /// Renders the snapshot in Prometheus text-exposition format (0.0.4),
-    /// suitable for a scrape endpoint or `curl`-style inspection.
+    /// suitable for a scrape endpoint or `curl`-style inspection. Every
+    /// counter and gauge comes from the same metric tables `to_json`
+    /// walks; only the two latency summaries are laid out here.
     #[must_use]
     pub fn render_prometheus(&self) -> String {
         let mut p = PromText::new();
-        p.help("widx_wall_seconds", "Service uptime at snapshot time.")
-            .type_("widx_wall_seconds", "gauge")
-            .sample("widx_wall_seconds", &[], self.wall.as_secs_f64());
-        p.help(
-            "widx_worker_keys_total",
-            "Keys probed / scan cursors fed per worker.",
-        )
-        .type_("widx_worker_keys_total", "counter");
-        p.help(
-            "widx_worker_matches_total",
-            "Matches / scan entries emitted per worker.",
-        )
-        .type_("widx_worker_matches_total", "counter");
-        p.help("widx_worker_batches_total", "Batches flushed per worker.")
-            .type_("widx_worker_batches_total", "counter");
-        p.help(
-            "widx_worker_occupancy",
-            "Fraction of worker lifetime spent walking.",
-        )
-        .type_("widx_worker_occupancy", "gauge");
-        p.help(
-            "widx_write_ops_total",
-            "Mutation operations applied per worker.",
-        )
-        .type_("widx_write_ops_total", "counter");
-        p.help(
-            "widx_write_applied_total",
-            "Mutation operations that took effect per worker.",
-        )
-        .type_("widx_write_applied_total", "counter");
-        p.help(
-            "widx_write_batches_total",
-            "Write barriers executed per worker.",
-        )
-        .type_("widx_write_batches_total", "counter");
-        for (tier, workers) in [("point", &self.workers), ("range", &self.range_workers)] {
-            for w in workers.iter() {
-                let shard = w.shard.to_string();
-                let labels = [("tier", tier), ("shard", shard.as_str())];
-                p.sample_u64("widx_worker_keys_total", &labels, w.keys);
-                p.sample_u64("widx_worker_matches_total", &labels, w.matches);
-                p.sample_u64("widx_worker_batches_total", &labels, w.batches);
-                p.sample("widx_worker_occupancy", &labels, w.occupancy());
-                p.sample_u64("widx_write_ops_total", &labels, w.write_ops);
-                p.sample_u64("widx_write_applied_total", &labels, w.write_applied);
-                p.sample_u64("widx_write_batches_total", &labels, w.write_batches);
-            }
-        }
-        for (name, help, value) in [
-            (
-                "widx_epoch_retired",
-                "Nodes retired by mutations, awaiting a safe epoch.",
-                self.epoch_retired,
-            ),
-            (
-                "widx_epoch_reclaimed",
-                "Retired nodes freed after every walker moved past them.",
-                self.epoch_reclaimed,
-            ),
-        ] {
-            p.help(name, help)
-                .type_(name, "gauge")
-                .sample_u64(name, &[], value);
-        }
-        p.help(
-            "widx_request_latency_ns",
-            "End-to-end request completion latency.",
-        )
-        .type_("widx_request_latency_ns", "summary");
-        for (q, v) in [
-            ("0.5", self.latency.p50_ns),
-            ("0.95", self.latency.p95_ns),
-            ("0.99", self.latency.p99_ns),
-            ("0.999", self.latency.p999_ns),
-        ] {
-            p.sample_u64("widx_request_latency_ns", &[("quantile", q)], v);
-        }
-        p.sample(
-            "widx_request_latency_ns_sum",
-            &[],
-            self.latency.mean_ns * self.latency.count as f64,
-        );
-        p.sample_u64(
-            "widx_request_latency_ns_count",
-            &[],
-            self.latency.count as u64,
-        );
-        p.help("widx_stage_ns", "Per-stage latency breakdown.")
-            .type_("widx_stage_ns", "summary");
+        expose(&mut p, ServiceStats::METRICS, &unlabelled(self));
+        let workers: Vec<(Labels, &WorkerStats)> =
+            [("point", &self.workers), ("range", &self.range_workers)]
+                .into_iter()
+                .flat_map(|(tier, workers)| {
+                    workers.iter().map(move |w| {
+                        let labels =
+                            vec![("tier", tier.to_string()), ("shard", w.shard.to_string())];
+                        (labels, w)
+                    })
+                })
+                .collect();
+        expose(&mut p, WorkerStats::METRICS, &workers);
+        let help = "End-to-end request completion latency.";
+        p.family("widx_request_latency_ns", "summary", help);
+        self.latency
+            .expose(&mut p, "widx_request_latency_ns", &[], true);
+        p.family("widx_stage_ns", "summary", "Per-stage latency breakdown.");
         for (name, summary) in self.stages.named() {
-            for (q, v) in [("0.5", summary.p50_ns), ("0.99", summary.p99_ns)] {
-                p.sample_u64("widx_stage_ns", &[("stage", name), ("quantile", q)], v);
-            }
-            p.sample(
-                "widx_stage_ns_sum",
-                &[("stage", name)],
-                summary.mean_ns * summary.count as f64,
-            );
-            p.sample_u64(
-                "widx_stage_ns_count",
-                &[("stage", name)],
-                summary.count as u64,
-            );
+            summary.expose(&mut p, "widx_stage_ns", &[("stage", name)], false);
         }
-        for (name, help, value) in [
-            (
-                "widx_net_connections_total",
-                "Connections accepted.",
-                self.net.connections,
-            ),
-            (
-                "widx_net_frames_in_total",
-                "Request frames decoded.",
-                self.net.frames_in,
-            ),
-            (
-                "widx_net_frames_out_total",
-                "Reply frames written.",
-                self.net.frames_out,
-            ),
-            (
-                "widx_net_busy_rejects_total",
-                "Requests refused Busy.",
-                self.net.busy_rejects,
-            ),
-            (
-                "widx_net_decode_errors_total",
-                "Frames that failed to decode.",
-                self.net.decode_errors,
-            ),
-        ] {
-            p.help(name, help)
-                .type_(name, "counter")
-                .sample_u64(name, &[], value);
-        }
-        for (name, help, value) in [
-            (
-                "widx_net_open_connections",
-                "Connections currently open.",
-                self.net.open_connections,
-            ),
-            (
-                "widx_net_write_backlog_bytes",
-                "Bytes buffered for write across open connections.",
-                self.net.write_backlog_bytes,
-            ),
-        ] {
-            p.help(name, help)
-                .type_(name, "gauge")
-                .sample_u64(name, &[], value);
-        }
-        for (name, help, value) in [
-            (
-                "widx_trace_capacity",
-                "Flight-recorder ring capacity in traces.",
-                self.trace.capacity,
-            ),
-            (
-                "widx_trace_depth",
-                "Traces currently held by the flight recorder.",
-                self.trace.depth,
-            ),
-        ] {
-            p.help(name, help)
-                .type_(name, "gauge")
-                .sample_u64(name, &[], value);
-        }
-        for (name, help, value) in [
-            (
-                "widx_trace_recorded_total",
-                "Request traces recorded (head-sampled or slow).",
-                self.trace.recorded,
-            ),
-            (
-                "widx_trace_dropped_total",
-                "Traces evicted from a full flight-recorder ring.",
-                self.trace.dropped,
-            ),
-            (
-                "widx_trace_slow_total",
-                "Recorded traces that exceeded the slow threshold.",
-                self.trace.slow,
-            ),
-        ] {
-            p.help(name, help)
-                .type_(name, "counter")
-                .sample_u64(name, &[], value);
-        }
+        expose(&mut p, NetStats::METRICS, &unlabelled(&self.net));
+        let reactors: Vec<(Labels, &ReactorStats)> = (self.net.reactors.iter().enumerate())
+            .map(|(i, r)| (vec![("reactor", i.to_string())], r))
+            .collect();
+        expose(&mut p, ReactorStats::METRICS, &reactors);
+        expose(&mut p, RecorderStats::METRICS, &unlabelled(&self.trace));
         if let Some(prof) = &self.prof {
-            self.render_prof_prometheus(&mut p, prof);
-        }
-        if !self.net.reactors.is_empty() {
-            p.help(
-                "widx_net_reactor_open_connections",
-                "Connections pinned to each reactor.",
-            )
-            .type_("widx_net_reactor_open_connections", "gauge");
-            p.help(
-                "widx_net_reactor_write_backlog_bytes",
-                "Bytes buffered for write per reactor.",
-            )
-            .type_("widx_net_reactor_write_backlog_bytes", "gauge");
-            for (i, r) in self.net.reactors.iter().enumerate() {
-                let reactor = i.to_string();
-                let labels = [("reactor", reactor.as_str())];
-                p.sample_u64(
-                    "widx_net_reactor_open_connections",
-                    &labels,
-                    r.open_connections,
-                );
-                p.sample_u64(
-                    "widx_net_reactor_write_backlog_bytes",
-                    &labels,
-                    r.write_backlog_bytes,
-                );
-            }
+            expose(&mut p, ProfSnapshot::METRICS, &unlabelled(prof));
+            let stages = Stage::ALL.map(|s| (vec![("stage", s.name().to_string())], prof.get(s)));
+            expose(&mut p, ProfStageSnapshot::METRICS, &stages);
+            expose(&mut p, WalkCounters::METRICS, &unlabelled(&prof.walk));
         }
         p.finish()
     }
+}
 
-    /// The `widx_prof_*` series: per-stage hardware counters, derived
-    /// memory-boundedness gauges (only when their denominators ticked —
-    /// the `soft` backend emits none), and the software walker
-    /// cross-check.
-    fn render_prof_prometheus(&self, p: &mut PromText, prof: &ProfSnapshot) {
-        use widx_obs::ProfStageSnapshot;
-
-        p.help(
-            "widx_prof_workers",
-            "Worker counter groups merged into the profile.",
-        )
-        .type_("widx_prof_workers", "gauge")
-        .sample_u64("widx_prof_workers", &[], prof.workers);
-        p.help(
-            "widx_prof_hw",
-            "1 when the profile carries real hardware counts.",
-        )
-        .type_("widx_prof_hw", "gauge")
-        .sample_u64("widx_prof_hw", &[], u64::from(prof.hw));
-        for (name, help) in [
-            (
-                "widx_prof_cycles_total",
-                "Core cycles attributed per stage.",
-            ),
-            (
-                "widx_prof_instructions_total",
-                "Instructions retired per stage.",
-            ),
-            ("widx_prof_llc_misses_total", "LLC misses per stage."),
-            ("widx_prof_dtlb_misses_total", "dTLB misses per stage."),
-            (
-                "widx_prof_windows_total",
-                "Counter windows recorded per stage.",
-            ),
-        ] {
-            p.help(name, help).type_(name, "counter");
-        }
-        for stage in Stage::ALL {
-            let s = prof.get(stage);
-            let labels = [("stage", stage.name())];
-            p.sample_u64("widx_prof_cycles_total", &labels, s.cycles);
-            p.sample_u64("widx_prof_instructions_total", &labels, s.instructions);
-            p.sample_u64("widx_prof_llc_misses_total", &labels, s.llc_misses);
-            p.sample_u64("widx_prof_dtlb_misses_total", &labels, s.dtlb_misses);
-            p.sample_u64("widx_prof_windows_total", &labels, s.windows);
-        }
-        type Derived = fn(&ProfStageSnapshot) -> Option<f64>;
-        let derived: [(&str, &str, Derived); 4] = [
-            (
-                "widx_prof_ipc",
-                "Instructions per cycle per stage.",
-                ProfStageSnapshot::ipc,
-            ),
-            (
-                "widx_prof_llc_mpki",
-                "LLC misses per thousand instructions per stage.",
-                ProfStageSnapshot::llc_mpki,
-            ),
-            (
-                "widx_prof_stall_fraction",
-                "First-order fraction of stage cycles under an LLC miss.",
-                ProfStageSnapshot::stall_fraction,
-            ),
-            (
-                "widx_prof_effective_mlp",
-                "Miss-latency-weighted cycles over actual cycles per stage.",
-                ProfStageSnapshot::effective_mlp,
-            ),
-        ];
-        for (name, help, get) in derived {
-            if Stage::ALL.into_iter().all(|s| get(prof.get(s)).is_none()) {
-                continue;
+/// The `Profile` opcode's document: `{"enabled":true,"prof":{…}}`, or
+/// `{"enabled":false}` from a service built without profiling, so a
+/// scraper can probe for the capability.
+pub(crate) fn profile_document(prof: Option<&ProfSnapshot>) -> String {
+    Writer::document(|w| {
+        w.object(|w| {
+            w.key("enabled").bool(prof.is_some());
+            if let Some(prof) = prof {
+                prof.write_json(w.key("prof"));
             }
-            p.help(name, help).type_(name, "gauge");
-            for stage in Stage::ALL {
-                if let Some(v) = get(prof.get(stage)) {
-                    p.sample(name, &[("stage", stage.name())], v);
-                }
-            }
-        }
-        for (name, help, value) in [
-            (
-                "widx_prof_walk_nodes_total",
-                "Index nodes visited by profiled walkers.",
-                prof.walk.nodes,
-            ),
-            (
-                "widx_prof_walk_rounds_total",
-                "Walker ring rounds across profiled batches.",
-                prof.walk.rounds,
-            ),
-            (
-                "widx_prof_walk_occupancy_total",
-                "Live walker slots summed over rounds.",
-                prof.walk.occupancy,
-            ),
-            (
-                "widx_prof_walk_prefetches_total",
-                "Prefetches issued by profiled walkers.",
-                prof.walk.prefetches,
-            ),
-        ] {
-            p.help(name, help)
-                .type_(name, "counter")
-                .sample_u64(name, &[], value);
-        }
-        if let Some(mlp) = prof.soft_mlp() {
-            p.help(
-                "widx_prof_soft_mlp",
-                "Software MLP cross-check: walker occupancy per round.",
-            )
-            .type_("widx_prof_soft_mlp", "gauge")
-            .sample("widx_prof_soft_mlp", &[], mlp);
-        }
-    }
+        });
+    })
 }
 
 #[cfg(test)]
@@ -1009,8 +769,8 @@ mod tests {
             widx_obs::json::find_u64(&json, "host_cpus").is_some_and(|n| n >= 1),
             "host_cpus should report at least one CPU"
         );
-        assert!(json.contains(&format!("\"version\": \"{}\"", env!("CARGO_PKG_VERSION"))));
-        assert!(json.contains("\"trace\": {\"capacity\": 0, \"depth\": 0,"));
+        assert!(json.contains(&format!("\"version\":\"{}\"", env!("CARGO_PKG_VERSION"))));
+        assert!(json.contains("\"trace\":{\"capacity\":0,\"depth\":0,"));
 
         assert!(
             !json.contains("\"prof\""),
@@ -1047,14 +807,9 @@ mod tests {
 
     #[test]
     fn prof_snapshot_renders_in_json_and_prometheus() {
-        let mut prof = ProfSnapshot {
-            backend: "linux",
-            hw: true,
-            workers: 2,
-            ..ProfSnapshot::default()
-        };
-        // Index 2 is `Stage::Walk` in `Stage::ALL` order.
-        prof.stages[2] = widx_obs::ProfStageSnapshot {
+        let mut prof = ProfSnapshot::default();
+        (prof.backend, prof.hw, prof.workers) = ("linux", true, 2);
+        *prof.get_mut(Stage::Walk) = widx_obs::ProfStageSnapshot {
             windows: 4,
             cycles: 10_000,
             instructions: 5_000,
@@ -1083,7 +838,7 @@ mod tests {
         };
 
         let json = stats.to_json();
-        assert!(json.contains("\"prof\": {\"backend\":\"linux\",\"hw\":true,"));
+        assert!(json.contains("\"prof\":{\"backend\":\"linux\",\"hw\":true,"));
         assert!(json.contains("\"soft_mlp\":3.8000"));
 
         let prom = stats.render_prometheus();
@@ -1103,12 +858,10 @@ mod tests {
         // A soft-backend profile emits the counter series (all zero)
         // but none of the derived gauges — their denominators never
         // ticked — and still lints clean.
+        let mut soft_prof = ProfSnapshot::default();
+        (soft_prof.backend, soft_prof.workers) = ("soft", 1);
         let soft = ServiceStats {
-            prof: Some(ProfSnapshot {
-                backend: "soft",
-                workers: 1,
-                ..ProfSnapshot::default()
-            }),
+            prof: Some(soft_prof),
             ..stats
         };
         let prom = soft.render_prometheus();
@@ -1155,10 +908,8 @@ mod tests {
         // The *total* stays the first "open_connections" occurrence, so
         // existing scrapers keep reading it.
         assert_eq!(widx_obs::json::find_u64(&json, "open_connections"), Some(3));
-        assert!(
-            json.contains("\"reactors\": [ {\"reactor\": 0, \"open\": 2, \"backlog_bytes\": 512}")
-        );
-        assert!(json.contains("{\"reactor\": 1, \"open\": 1, \"backlog_bytes\": 188}"));
+        assert!(json.contains("\"reactors\":[{\"reactor\":0,\"open\":2,\"backlog_bytes\":512}"));
+        assert!(json.contains("{\"reactor\":1,\"open\":1,\"backlog_bytes\":188}"));
 
         let prom = stats.render_prometheus();
         assert!(prom.contains("widx_net_open_connections 3"));
@@ -1171,5 +922,445 @@ mod tests {
             ..NetStats::default()
         };
         assert!(idle.is_empty(), "zeroed reactors still count as no traffic");
+    }
+
+    // ---- Golden documents -------------------------------------------
+    //
+    // One fixed fixture rendered at the parent of the observability
+    // fold (commit 0af7e90) and checked in verbatim. The documents must
+    // stay key-for-key and value-for-value those, modulo whitespace
+    // outside strings and the `net_read` stage added by the fold.
+
+    const GOLDEN_STATS: &str = r#"{"wall_ms": 2500.000, "uptime_ms": 2500.000, "host_cpus": 2, "version": "0.1.0", "total_keys": 1600, "total_matches": 1212, "total_scan_cursors": 18, "total_scan_entries": 2304, "total_write_ops": 128, "total_write_applied": 118, "total_write_batches": 28, "epoch_retired": 31, "epoch_reclaimed": 29, "trace": {"capacity": 256, "depth": 1, "recorded": 17, "dropped": 2, "slow": 1}, "prof": {"backend":"soft","hw":false,"fallback":"perf_event_open: \"denied\" (EACCES)","workers":3,"miss_latency_cycles":200,"stages":{"queue_wait":{"windows":0,"cycles":0,"instructions":0,"llc_misses":0,"dtlb_misses":0,"time_ns":0,"ipc":null,"llc_mpki":null,"dtlb_mpki":null,"stall_fraction":null,"effective_mlp":null},"batch_wait":{"windows":0,"cycles":0,"instructions":0,"llc_misses":0,"dtlb_misses":0,"time_ns":0,"ipc":null,"llc_mpki":null,"dtlb_mpki":null,"stall_fraction":null,"effective_mlp":null},"walk":{"windows":61,"cycles":0,"instructions":0,"llc_misses":0,"dtlb_misses":0,"time_ns":5400000,"ipc":null,"llc_mpki":null,"dtlb_mpki":null,"stall_fraction":null,"effective_mlp":null},"write":{"windows":28,"cycles":0,"instructions":0,"llc_misses":0,"dtlb_misses":0,"time_ns":800000,"ipc":null,"llc_mpki":null,"dtlb_mpki":null,"stall_fraction":null,"effective_mlp":null},"gather":{"windows":0,"cycles":0,"instructions":0,"llc_misses":0,"dtlb_misses":0,"time_ns":0,"ipc":null,"llc_mpki":null,"dtlb_mpki":null,"stall_fraction":null,"effective_mlp":null},"reply_write":{"windows":0,"cycles":0,"instructions":0,"llc_misses":0,"dtlb_misses":0,"time_ns":0,"ipc":null,"llc_mpki":null,"dtlb_mpki":null,"stall_fraction":null,"effective_mlp":null}},"total":{"windows":89,"cycles":0,"instructions":0,"llc_misses":0,"dtlb_misses":0,"time_ns":6200000,"ipc":null,"llc_mpki":null,"dtlb_mpki":null,"stall_fraction":null,"effective_mlp":null},"walk":{"nodes":4000,"max_chain":5,"rounds":1000,"occupancy":3800,"prefetches":3900,"soft_mlp":3.8000}}, "latency": {"count": 212, "mean_ns": 15321.2, "p50_ns": 8191, "p95_ns": 65535, "p99_ns": 131071, "p999_ns": 262143, "min_ns": 950, "max_ns": 240000}, "stages": { "queue_wait": {"count": 3, "mean_ns": 233.3, "p50_ns": 255, "p95_ns": 400, "p99_ns": 400, "p999_ns": 400, "min_ns": 100, "max_ns": 400}, "batch_wait": {"count": 1, "mean_ns": 50.0, "p50_ns": 50, "p95_ns": 50, "p99_ns": 50, "p999_ns": 50, "min_ns": 50, "max_ns": 50}, "walk": {"count": 2, "mean_ns": 10000.0, "p50_ns": 11000, "p95_ns": 11000, "p99_ns": 11000, "p999_ns": 11000, "min_ns": 9000, "max_ns": 11000}, "write": {"count": 1, "mean_ns": 700.0, "p50_ns": 700, "p95_ns": 700, "p99_ns": 700, "p999_ns": 700, "min_ns": 700, "max_ns": 700}, "gather": {"count": 1, "mean_ns": 1234.0, "p50_ns": 1234, "p95_ns": 1234, "p99_ns": 1234, "p999_ns": 1234, "min_ns": 1234, "max_ns": 1234}, "reply_write": {"count": 1, "mean_ns": 14000.0, "p50_ns": 14000, "p95_ns": 14000, "p99_ns": 14000, "p999_ns": 14000, "min_ns": 14000, "max_ns": 14000}}, "workers": [ {"shard": 0, "jobs": 120, "batches": 30, "keys": 960, "matches": 700, "size_flushes": 20, "deadline_flushes": 9, "shutdown_flushes": 1, "write_ops": 40, "write_applied": 35, "write_batches": 8, "busy_ns": 3000000, "idle_ns": 1000000, "occupancy": 0.7500}, {"shard": 1, "jobs": 80, "batches": 25, "keys": 640, "matches": 512, "size_flushes": 15, "deadline_flushes": 10, "shutdown_flushes": 0, "write_ops": 24, "write_applied": 24, "write_batches": 6, "busy_ns": 2500000, "idle_ns": 7500000, "occupancy": 0.2500}], "range_workers": [ {"shard": 0, "jobs": 12, "batches": 6, "keys": 18, "matches": 2304, "size_flushes": 0, "deadline_flushes": 6, "shutdown_flushes": 0, "write_ops": 64, "write_applied": 59, "write_batches": 14, "busy_ns": 900000, "idle_ns": 100000, "occupancy": 0.9000}], "net": {"connections": 5, "frames_in": 230, "frames_out": 229, "busy_rejects": 3, "decode_errors": 1, "open_connections": 3, "write_backlog_bytes": 700, "reactors": [ {"reactor": 0, "open": 2, "backlog_bytes": 512}, {"reactor": 1, "open": 1, "backlog_bytes": 188}]}}"#;
+    const GOLDEN_TRACE: &str = r#"{"capacity":4,"depth":2,"recorded":2,"dropped":0,"slow":1,"traces":[{"id":42,"kind":"range_scan","total_ns":181000,"slow":true,"reactor":1,"shards":[0,2],"spans":[{"stage":"queue_wait","start_ns":1000,"dur_ns":4000},{"stage":"walk","start_ns":5000,"dur_ns":150000}],"walk":{"nodes":37,"max_chain":3,"rounds":12,"occupancy":40,"prefetches":36}},{"id":7,"kind":"lookup","total_ns":9500,"slow":false,"reactor":null,"shards":[],"spans":[],"walk":{"nodes":0,"max_chain":0,"rounds":0,"occupancy":0,"prefetches":0}}]}"#;
+    const GOLDEN_PROFILE_SOFT: &str = r#"{"enabled": true, "prof": {"backend":"soft","hw":false,"fallback":"perf_event_open: \"denied\" (EACCES)","workers":3,"miss_latency_cycles":200,"stages":{"queue_wait":{"windows":0,"cycles":0,"instructions":0,"llc_misses":0,"dtlb_misses":0,"time_ns":0,"ipc":null,"llc_mpki":null,"dtlb_mpki":null,"stall_fraction":null,"effective_mlp":null},"batch_wait":{"windows":0,"cycles":0,"instructions":0,"llc_misses":0,"dtlb_misses":0,"time_ns":0,"ipc":null,"llc_mpki":null,"dtlb_mpki":null,"stall_fraction":null,"effective_mlp":null},"walk":{"windows":61,"cycles":0,"instructions":0,"llc_misses":0,"dtlb_misses":0,"time_ns":5400000,"ipc":null,"llc_mpki":null,"dtlb_mpki":null,"stall_fraction":null,"effective_mlp":null},"write":{"windows":28,"cycles":0,"instructions":0,"llc_misses":0,"dtlb_misses":0,"time_ns":800000,"ipc":null,"llc_mpki":null,"dtlb_mpki":null,"stall_fraction":null,"effective_mlp":null},"gather":{"windows":0,"cycles":0,"instructions":0,"llc_misses":0,"dtlb_misses":0,"time_ns":0,"ipc":null,"llc_mpki":null,"dtlb_mpki":null,"stall_fraction":null,"effective_mlp":null},"reply_write":{"windows":0,"cycles":0,"instructions":0,"llc_misses":0,"dtlb_misses":0,"time_ns":0,"ipc":null,"llc_mpki":null,"dtlb_mpki":null,"stall_fraction":null,"effective_mlp":null}},"total":{"windows":89,"cycles":0,"instructions":0,"llc_misses":0,"dtlb_misses":0,"time_ns":6200000,"ipc":null,"llc_mpki":null,"dtlb_mpki":null,"stall_fraction":null,"effective_mlp":null},"walk":{"nodes":4000,"max_chain":5,"rounds":1000,"occupancy":3800,"prefetches":3900,"soft_mlp":3.8000}}}"#;
+    const GOLDEN_PROFILE_HW: &str = r#"{"enabled": true, "prof": {"backend":"linux","hw":true,"fallback":null,"workers":2,"miss_latency_cycles":200,"stages":{"queue_wait":{"windows":0,"cycles":0,"instructions":0,"llc_misses":0,"dtlb_misses":0,"time_ns":0,"ipc":null,"llc_mpki":null,"dtlb_mpki":null,"stall_fraction":null,"effective_mlp":null},"batch_wait":{"windows":3,"cycles":900,"instructions":1234,"llc_misses":1,"dtlb_misses":0,"time_ns":450,"ipc":1.3711,"llc_mpki":0.8104,"dtlb_mpki":0.0000,"stall_fraction":0.2222,"effective_mlp":0.2222},"walk":{"windows":4,"cycles":10000,"instructions":5000,"llc_misses":100,"dtlb_misses":10,"time_ns":7000,"ipc":0.5000,"llc_mpki":20.0000,"dtlb_mpki":2.0000,"stall_fraction":1.0000,"effective_mlp":2.0000},"write":{"windows":0,"cycles":0,"instructions":0,"llc_misses":0,"dtlb_misses":0,"time_ns":0,"ipc":null,"llc_mpki":null,"dtlb_mpki":null,"stall_fraction":null,"effective_mlp":null},"gather":{"windows":0,"cycles":0,"instructions":0,"llc_misses":0,"dtlb_misses":0,"time_ns":0,"ipc":null,"llc_mpki":null,"dtlb_mpki":null,"stall_fraction":null,"effective_mlp":null},"reply_write":{"windows":0,"cycles":0,"instructions":0,"llc_misses":0,"dtlb_misses":0,"time_ns":0,"ipc":null,"llc_mpki":null,"dtlb_mpki":null,"stall_fraction":null,"effective_mlp":null}},"total":{"windows":7,"cycles":10900,"instructions":6234,"llc_misses":101,"dtlb_misses":10,"time_ns":7450,"ipc":0.5719,"llc_mpki":16.2015,"dtlb_mpki":1.6041,"stall_fraction":1.0000,"effective_mlp":1.8532},"walk":{"nodes":400,"max_chain":3,"rounds":100,"occupancy":380,"prefetches":400,"soft_mlp":3.8000}}}"#;
+    /// The parent's Prometheus samples (comment lines dropped).
+    const GOLDEN_PROM_SAMPLES: &[&str] = &[
+        r#"widx_wall_seconds 2.5"#,
+        r#"widx_worker_keys_total{tier="point",shard="0"} 960"#,
+        r#"widx_worker_matches_total{tier="point",shard="0"} 700"#,
+        r#"widx_worker_batches_total{tier="point",shard="0"} 30"#,
+        r#"widx_worker_occupancy{tier="point",shard="0"} 0.75"#,
+        r#"widx_write_ops_total{tier="point",shard="0"} 40"#,
+        r#"widx_write_applied_total{tier="point",shard="0"} 35"#,
+        r#"widx_write_batches_total{tier="point",shard="0"} 8"#,
+        r#"widx_worker_keys_total{tier="point",shard="1"} 640"#,
+        r#"widx_worker_matches_total{tier="point",shard="1"} 512"#,
+        r#"widx_worker_batches_total{tier="point",shard="1"} 25"#,
+        r#"widx_worker_occupancy{tier="point",shard="1"} 0.25"#,
+        r#"widx_write_ops_total{tier="point",shard="1"} 24"#,
+        r#"widx_write_applied_total{tier="point",shard="1"} 24"#,
+        r#"widx_write_batches_total{tier="point",shard="1"} 6"#,
+        r#"widx_worker_keys_total{tier="range",shard="0"} 18"#,
+        r#"widx_worker_matches_total{tier="range",shard="0"} 2304"#,
+        r#"widx_worker_batches_total{tier="range",shard="0"} 6"#,
+        r#"widx_worker_occupancy{tier="range",shard="0"} 0.8999999999999999"#,
+        r#"widx_write_ops_total{tier="range",shard="0"} 64"#,
+        r#"widx_write_applied_total{tier="range",shard="0"} 59"#,
+        r#"widx_write_batches_total{tier="range",shard="0"} 14"#,
+        r#"widx_epoch_retired 31"#,
+        r#"widx_epoch_reclaimed 29"#,
+        r#"widx_request_latency_ns{quantile="0.5"} 8191"#,
+        r#"widx_request_latency_ns{quantile="0.95"} 65535"#,
+        r#"widx_request_latency_ns{quantile="0.99"} 131071"#,
+        r#"widx_request_latency_ns{quantile="0.999"} 262143"#,
+        r#"widx_request_latency_ns_sum 3248105"#,
+        r#"widx_request_latency_ns_count 212"#,
+        r#"widx_stage_ns{stage="queue_wait",quantile="0.5"} 255"#,
+        r#"widx_stage_ns{stage="queue_wait",quantile="0.99"} 400"#,
+        r#"widx_stage_ns_sum{stage="queue_wait"} 700"#,
+        r#"widx_stage_ns_count{stage="queue_wait"} 3"#,
+        r#"widx_stage_ns{stage="batch_wait",quantile="0.5"} 50"#,
+        r#"widx_stage_ns{stage="batch_wait",quantile="0.99"} 50"#,
+        r#"widx_stage_ns_sum{stage="batch_wait"} 50"#,
+        r#"widx_stage_ns_count{stage="batch_wait"} 1"#,
+        r#"widx_stage_ns{stage="walk",quantile="0.5"} 11000"#,
+        r#"widx_stage_ns{stage="walk",quantile="0.99"} 11000"#,
+        r#"widx_stage_ns_sum{stage="walk"} 20000"#,
+        r#"widx_stage_ns_count{stage="walk"} 2"#,
+        r#"widx_stage_ns{stage="write",quantile="0.5"} 700"#,
+        r#"widx_stage_ns{stage="write",quantile="0.99"} 700"#,
+        r#"widx_stage_ns_sum{stage="write"} 700"#,
+        r#"widx_stage_ns_count{stage="write"} 1"#,
+        r#"widx_stage_ns{stage="gather",quantile="0.5"} 1234"#,
+        r#"widx_stage_ns{stage="gather",quantile="0.99"} 1234"#,
+        r#"widx_stage_ns_sum{stage="gather"} 1234"#,
+        r#"widx_stage_ns_count{stage="gather"} 1"#,
+        r#"widx_stage_ns{stage="reply_write",quantile="0.5"} 14000"#,
+        r#"widx_stage_ns{stage="reply_write",quantile="0.99"} 14000"#,
+        r#"widx_stage_ns_sum{stage="reply_write"} 14000"#,
+        r#"widx_stage_ns_count{stage="reply_write"} 1"#,
+        r#"widx_net_connections_total 5"#,
+        r#"widx_net_frames_in_total 230"#,
+        r#"widx_net_frames_out_total 229"#,
+        r#"widx_net_busy_rejects_total 3"#,
+        r#"widx_net_decode_errors_total 1"#,
+        r#"widx_net_open_connections 3"#,
+        r#"widx_net_write_backlog_bytes 700"#,
+        r#"widx_trace_capacity 256"#,
+        r#"widx_trace_depth 1"#,
+        r#"widx_trace_recorded_total 17"#,
+        r#"widx_trace_dropped_total 2"#,
+        r#"widx_trace_slow_total 1"#,
+        r#"widx_prof_workers 3"#,
+        r#"widx_prof_hw 0"#,
+        r#"widx_prof_cycles_total{stage="queue_wait"} 0"#,
+        r#"widx_prof_instructions_total{stage="queue_wait"} 0"#,
+        r#"widx_prof_llc_misses_total{stage="queue_wait"} 0"#,
+        r#"widx_prof_dtlb_misses_total{stage="queue_wait"} 0"#,
+        r#"widx_prof_windows_total{stage="queue_wait"} 0"#,
+        r#"widx_prof_cycles_total{stage="batch_wait"} 0"#,
+        r#"widx_prof_instructions_total{stage="batch_wait"} 0"#,
+        r#"widx_prof_llc_misses_total{stage="batch_wait"} 0"#,
+        r#"widx_prof_dtlb_misses_total{stage="batch_wait"} 0"#,
+        r#"widx_prof_windows_total{stage="batch_wait"} 0"#,
+        r#"widx_prof_cycles_total{stage="walk"} 0"#,
+        r#"widx_prof_instructions_total{stage="walk"} 0"#,
+        r#"widx_prof_llc_misses_total{stage="walk"} 0"#,
+        r#"widx_prof_dtlb_misses_total{stage="walk"} 0"#,
+        r#"widx_prof_windows_total{stage="walk"} 61"#,
+        r#"widx_prof_cycles_total{stage="write"} 0"#,
+        r#"widx_prof_instructions_total{stage="write"} 0"#,
+        r#"widx_prof_llc_misses_total{stage="write"} 0"#,
+        r#"widx_prof_dtlb_misses_total{stage="write"} 0"#,
+        r#"widx_prof_windows_total{stage="write"} 28"#,
+        r#"widx_prof_cycles_total{stage="gather"} 0"#,
+        r#"widx_prof_instructions_total{stage="gather"} 0"#,
+        r#"widx_prof_llc_misses_total{stage="gather"} 0"#,
+        r#"widx_prof_dtlb_misses_total{stage="gather"} 0"#,
+        r#"widx_prof_windows_total{stage="gather"} 0"#,
+        r#"widx_prof_cycles_total{stage="reply_write"} 0"#,
+        r#"widx_prof_instructions_total{stage="reply_write"} 0"#,
+        r#"widx_prof_llc_misses_total{stage="reply_write"} 0"#,
+        r#"widx_prof_dtlb_misses_total{stage="reply_write"} 0"#,
+        r#"widx_prof_windows_total{stage="reply_write"} 0"#,
+        r#"widx_prof_walk_nodes_total 4000"#,
+        r#"widx_prof_walk_rounds_total 1000"#,
+        r#"widx_prof_walk_occupancy_total 3800"#,
+        r#"widx_prof_walk_prefetches_total 3900"#,
+        r#"widx_prof_soft_mlp 3.8"#,
+        r#"widx_net_reactor_open_connections{reactor="0"} 2"#,
+        r#"widx_net_reactor_write_backlog_bytes{reactor="0"} 512"#,
+        r#"widx_net_reactor_open_connections{reactor="1"} 1"#,
+        r#"widx_net_reactor_write_backlog_bytes{reactor="1"} 188"#,
+    ];
+
+    /// Drops whitespace outside string literals.
+    fn compact(doc: &str) -> String {
+        let (mut out, mut in_string, mut escaped) = (String::new(), false, false);
+        for c in doc.chars() {
+            if in_string || !c.is_whitespace() {
+                out.push(c);
+            }
+            match c {
+                _ if escaped => escaped = false,
+                '\\' if in_string => escaped = true,
+                '"' => in_string = !in_string,
+                _ => {}
+            }
+        }
+        out
+    }
+
+    /// Drops every flat `"net_read":{…},` member.
+    fn without_net_read(doc: &str) -> String {
+        let mut out = doc.to_string();
+        while let Some(at) = out.find("\"net_read\":{") {
+            let end = at + out[at..].find("},").expect("net_read is never last") + 2;
+            out.replace_range(at..end, "");
+        }
+        out
+    }
+
+    fn soft_prof() -> ProfSnapshot {
+        let mut prof = ProfSnapshot::default();
+        (prof.backend, prof.workers) = ("soft", 3);
+        prof.fallback = Some("perf_event_open: \"denied\" (EACCES)".to_string());
+        *prof.get_mut(Stage::Walk) = ProfStageSnapshot {
+            windows: 61,
+            time_ns: 5_400_000,
+            ..ProfStageSnapshot::default()
+        };
+        *prof.get_mut(Stage::Write) = ProfStageSnapshot {
+            windows: 28,
+            time_ns: 800_000,
+            ..ProfStageSnapshot::default()
+        };
+        prof.walk = WalkCounters {
+            nodes: 4000,
+            max_chain: 5,
+            rounds: 1000,
+            occupancy: 3800,
+            prefetches: 3900,
+        };
+        prof
+    }
+
+    fn hw_prof() -> ProfSnapshot {
+        let mut prof = ProfSnapshot::default();
+        (prof.backend, prof.hw, prof.workers) = ("linux", true, 2);
+        *prof.get_mut(Stage::Walk) = ProfStageSnapshot {
+            windows: 4,
+            cycles: 10_000,
+            instructions: 5_000,
+            llc_misses: 100,
+            dtlb_misses: 10,
+            time_ns: 7_000,
+        };
+        *prof.get_mut(Stage::BatchWait) = ProfStageSnapshot {
+            windows: 3,
+            cycles: 900,
+            instructions: 1_234,
+            llc_misses: 1,
+            dtlb_misses: 0,
+            time_ns: 450,
+        };
+        prof.walk = WalkCounters {
+            nodes: 400,
+            max_chain: 3,
+            rounds: 100,
+            occupancy: 380,
+            prefetches: 400,
+        };
+        prof
+    }
+
+    fn worker(shard: usize, c: [u64; 10], busy_ns: u64, idle_ns: u64) -> WorkerStats {
+        let [jobs, batches, keys, matches, size, dry, shutdown, ops, applied, barriers] = c;
+        WorkerStats {
+            shard,
+            jobs,
+            batches,
+            keys,
+            matches,
+            size_flushes: size,
+            deadline_flushes: dry,
+            shutdown_flushes: shutdown,
+            write_ops: ops,
+            write_applied: applied,
+            write_batches: barriers,
+            busy: Duration::from_nanos(busy_ns),
+            idle: Duration::from_nanos(idle_ns),
+        }
+    }
+
+    /// Two hash workers, one range worker, two reactors, a soft-backend
+    /// profile, every stage but `net_read` populated.
+    fn fixture() -> ServiceStats {
+        let times = widx_obs::StageTimes::new();
+        for (stage, samples) in [
+            (Stage::QueueWait, &[100u64, 200, 400][..]),
+            (Stage::BatchWait, &[50]),
+            (Stage::Walk, &[9_000, 11_000]),
+            (Stage::Write, &[700]),
+            (Stage::Gather, &[1_234]),
+            (Stage::ReplyWrite, &[14_000]),
+        ] {
+            for ns in samples {
+                times.record(stage, Duration::from_nanos(*ns));
+            }
+        }
+        ServiceStats {
+            workers: vec![
+                worker(
+                    0,
+                    [120, 30, 960, 700, 20, 9, 1, 40, 35, 8],
+                    3_000_000,
+                    1_000_000,
+                ),
+                worker(
+                    1,
+                    [80, 25, 640, 512, 15, 10, 0, 24, 24, 6],
+                    2_500_000,
+                    7_500_000,
+                ),
+            ],
+            range_workers: vec![worker(
+                0,
+                [12, 6, 18, 2304, 0, 6, 0, 64, 59, 14],
+                900_000,
+                100_000,
+            )],
+            latency: LatencySummary {
+                count: 212,
+                mean_ns: 15321.25,
+                p50_ns: 8191,
+                p95_ns: 65535,
+                p99_ns: 131_071,
+                p999_ns: 262_143,
+                min_ns: 950,
+                max_ns: 240_000,
+            },
+            stages: StageStats::from_snapshot(&times.snapshot()),
+            net: NetStats {
+                connections: 5,
+                frames_in: 230,
+                frames_out: 229,
+                busy_rejects: 3,
+                decode_errors: 1,
+                open_connections: 3,
+                write_backlog_bytes: 700,
+                reactors: vec![
+                    ReactorStats {
+                        open_connections: 2,
+                        write_backlog_bytes: 512,
+                    },
+                    ReactorStats {
+                        open_connections: 1,
+                        write_backlog_bytes: 188,
+                    },
+                ],
+            },
+            trace: RecorderStats {
+                capacity: 256,
+                depth: 1,
+                recorded: 17,
+                dropped: 2,
+                slow: 1,
+            },
+            prof: Some(soft_prof()),
+            epoch_retired: 31,
+            epoch_reclaimed: 29,
+            wall: Duration::from_millis(2500),
+        }
+    }
+
+    #[test]
+    fn stats_document_matches_the_parent_golden() {
+        let cpus = std::thread::available_parallelism().map_or(0, usize::from);
+        let golden = GOLDEN_STATS.replace("\"host_cpus\": 2", &format!("\"host_cpus\": {cpus}"));
+        let doc = fixture().to_json();
+        assert_eq!(doc, compact(&doc), "one compact style throughout");
+        assert!(doc.contains("\"stages\":{\"net_read\":{\"count\":0,"));
+        assert_eq!(without_net_read(&doc), compact(&golden));
+    }
+
+    #[test]
+    fn trace_document_matches_the_parent_golden() {
+        let recorder = widx_obs::FlightRecorder::new(4);
+        let mut trace = widx_obs::RequestTrace {
+            id: 7,
+            kind: "lookup",
+            total_ns: 9_500,
+            slow: false,
+            reactor: None,
+            shards: vec![],
+            spans: vec![],
+            walk: WalkCounters::default(),
+        };
+        recorder.record(trace.clone());
+        trace.id = 42;
+        trace.kind = "range_scan";
+        (trace.total_ns, trace.slow, trace.reactor) = (181_000, true, Some(1));
+        trace.shards = vec![0, 2];
+        trace.spans = [
+            (Stage::QueueWait, 1_000, 4_000),
+            (Stage::Walk, 5_000, 150_000),
+        ]
+        .map(|(stage, start_ns, dur_ns)| widx_obs::Span {
+            stage,
+            start_ns,
+            dur_ns,
+        })
+        .to_vec();
+        trace.walk = WalkCounters {
+            nodes: 37,
+            max_chain: 3,
+            rounds: 12,
+            occupancy: 40,
+            prefetches: 36,
+        };
+        recorder.record(trace);
+        assert_eq!(recorder.to_json(), GOLDEN_TRACE);
+    }
+
+    #[test]
+    fn profile_documents_match_the_parent_goldens() {
+        for (prof, golden) in [
+            (soft_prof(), GOLDEN_PROFILE_SOFT),
+            (hw_prof(), GOLDEN_PROFILE_HW),
+        ] {
+            let doc = profile_document(Some(&prof));
+            assert_eq!(doc, compact(&doc), "one compact style throughout");
+            assert_eq!(without_net_read(&doc), compact(golden));
+        }
+        assert_eq!(profile_document(None), "{\"enabled\":false}");
+    }
+
+    #[test]
+    fn prometheus_samples_are_the_parents_plus_the_six_worker_series() {
+        let prom = fixture().render_prometheus();
+        assert_eq!(widx_obs::lint_exposition(&prom), Vec::<String>::new());
+        // The parent wrote the per-worker and per-stage families
+        // interleaved; its own line order fails the contiguity rule.
+        let parent_errors = widx_obs::lint_exposition(&GOLDEN_PROM_SAMPLES.join("\n"));
+        for family in ["widx_worker_keys_total", "widx_prof_cycles_total"] {
+            assert!(parent_errors
+                .iter()
+                .any(|e| e.contains(family) && e.contains("not contiguous")));
+        }
+        let got: std::collections::BTreeSet<&str> = prom
+            .lines()
+            .filter(|l| !l.starts_with('#') && !l.contains("stage=\"net_read\""))
+            .collect();
+        let mut want: std::collections::BTreeSet<String> =
+            GOLDEN_PROM_SAMPLES.iter().map(|l| l.to_string()).collect();
+        // The six formerly JSON-only worker fields, one series per tier
+        // and shard each.
+        let stats = fixture();
+        for (tier, workers) in [("point", &stats.workers), ("range", &stats.range_workers)] {
+            for w in workers {
+                for (family, value) in [
+                    ("widx_worker_jobs_total", w.jobs),
+                    ("widx_worker_size_flushes_total", w.size_flushes),
+                    ("widx_worker_deadline_flushes_total", w.deadline_flushes),
+                    ("widx_worker_shutdown_flushes_total", w.shutdown_flushes),
+                    ("widx_worker_busy_ns_total", w.busy.as_nanos() as u64),
+                    ("widx_worker_idle_ns_total", w.idle.as_nanos() as u64),
+                ] {
+                    let shard = w.shard;
+                    want.insert(format!(
+                        "{family}{{tier=\"{tier}\",shard=\"{shard}\"}} {value}"
+                    ));
+                }
+            }
+        }
+        let want: std::collections::BTreeSet<&str> = want.iter().map(String::as_str).collect();
+        assert_eq!(got, want);
+    }
+
+    /// Adding a metric is one row: every row's key must reach the JSON
+    /// document and its family the Prometheus exposition.
+    #[test]
+    fn every_table_row_reaches_both_views() {
+        let mut stats = fixture();
+        stats.prof = Some(hw_prof());
+        let (json, prom) = (stats.to_json(), stats.render_prometheus());
+        fn rows<T>(table: &[Metric<T>]) -> Vec<(&'static str, &'static str)> {
+            table.iter().map(|m| (m.key, m.family)).collect()
+        }
+        let all = [
+            rows(ServiceStats::METRICS),
+            rows(WorkerStats::METRICS),
+            rows(NetStats::METRICS),
+            rows(ReactorStats::METRICS),
+            rows(RecorderStats::METRICS),
+            rows(ProfSnapshot::METRICS),
+            rows(ProfStageSnapshot::METRICS),
+            rows(WalkCounters::METRICS),
+        ]
+        .concat();
+        for (key, family) in all {
+            assert!(
+                key.is_empty() || json.contains(&format!("\"{key}\":")),
+                "row {key} missing from to_json()"
+            );
+            assert!(
+                family.is_empty() || prom.contains(&format!("# TYPE {family} ")),
+                "family {family} missing from render_prometheus()"
+            );
+        }
+        assert_eq!(widx_obs::lint_exposition(&prom), Vec::<String>::new());
     }
 }

@@ -40,9 +40,7 @@ use std::time::{Duration, Instant};
 
 use widx_db::epoch::EpochDomain;
 use widx_db::index::{BTreeIndex, HashIndex};
-use widx_obs::{
-    FlushKind, ProfCell, Stage, StageTimes, ThreadProfiler, TraceStage, WalkCounters, WorkerCell,
-};
+use widx_obs::{FlushKind, ProfCell, Stage, StageTimes, ThreadProfiler, WalkCounters, WorkerCell};
 use widx_soft::{AmacWalker, BTreeRangeWalker, ScanRange};
 
 use crate::batch::BatchPolicy;
@@ -280,8 +278,8 @@ fn apply_write_barrier<T: Tier>(
         if job.reply.is_traced() {
             job.reply.trace_annotate(|trace, submitted| {
                 trace.add_shard(ctx.shard as u32);
-                trace.span_between(TraceStage::QueueWait, submitted, opened);
-                trace.span_for(TraceStage::Write, opened, took);
+                trace.span_between(Stage::QueueWait, submitted, opened);
+                trace.span_for(Stage::Write, opened, took);
             });
         }
         job.reply.complete_part(&items, Some(cell));
@@ -523,9 +521,9 @@ fn run_batch<T: Tier>(
         if job.reply.is_traced() {
             job.reply.trace_annotate(|trace, submitted| {
                 trace.add_shard(ctx.shard as u32);
-                trace.span_between(TraceStage::QueueWait, submitted, job.admitted);
-                trace.span_between(TraceStage::BatchWait, job.admitted, closed);
-                trace.span_for(TraceStage::Walk, batch.opened, batch.busy);
+                trace.span_between(Stage::QueueWait, submitted, job.admitted);
+                trace.span_between(Stage::BatchWait, job.admitted, closed);
+                trace.span_for(Stage::Walk, batch.opened, batch.busy);
                 trace.add_walk(&walk_counters);
             });
         }

@@ -58,10 +58,10 @@ fn profiled_service_reports_per_stage_breakdown() {
     // The snapshot rides the stats JSON, the Profile opcode payload,
     // and the Prometheus exposition.
     let json = stats.to_json();
-    assert!(json.contains("\"prof\": {\"backend\":"));
+    assert!(json.contains("\"prof\":{\"backend\":"));
     let profile = service.profile_json();
-    assert!(profile.starts_with("{\"enabled\": true,"));
-    assert!(profile.contains("\"stages\":{\"queue_wait\":"));
+    assert!(profile.starts_with("{\"enabled\":true,"));
+    assert!(profile.contains("\"stages\":{\"net_read\":{\"windows\":0,"));
     let prom = stats.render_prometheus();
     assert!(prom.contains("widx_prof_workers 4"));
     assert!(prom.contains("widx_prof_windows_total{stage=\"walk\"}"));
@@ -82,7 +82,7 @@ fn unprofiled_service_carries_no_profile() {
     let _ = service.lookup(7).expect("lookup");
     let stats = service.live_stats();
     assert!(stats.prof.is_none());
-    assert_eq!(service.profile_json(), "{\"enabled\": false}");
+    assert_eq!(service.profile_json(), "{\"enabled\":false}");
     assert!(!stats.to_json().contains("\"prof\""));
     assert!(!stats.render_prometheus().contains("widx_prof_"));
 }

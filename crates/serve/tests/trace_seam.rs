@@ -7,7 +7,7 @@
 use std::time::Duration;
 
 use widx_db::hash::HashRecipe;
-use widx_serve::{ProbeService, RequestTrace, ServeConfig, TraceStage};
+use widx_serve::{ProbeService, RequestTrace, ServeConfig, Stage};
 
 const ENTRIES: u64 = 8192;
 
@@ -19,7 +19,7 @@ fn build(config: ServeConfig) -> ProbeService {
     )
 }
 
-fn span_dur(trace: &RequestTrace, stage: TraceStage) -> Option<u64> {
+fn span_dur(trace: &RequestTrace, stage: Stage) -> Option<u64> {
     trace
         .spans
         .iter()
@@ -58,11 +58,7 @@ fn head_sampled_requests_carry_the_full_span_seam() {
     // a non-trivial walker counter record, and its spans must fit
     // inside the end-to-end latency.
     for trace in &traces {
-        for stage in [
-            TraceStage::QueueWait,
-            TraceStage::BatchWait,
-            TraceStage::Walk,
-        ] {
+        for stage in [Stage::QueueWait, Stage::BatchWait, Stage::Walk] {
             assert!(
                 span_dur(trace, stage).is_some(),
                 "{} trace {} missing {} span",
@@ -86,13 +82,13 @@ fn head_sampled_requests_carry_the_full_span_seam() {
         let queue_start = trace
             .spans
             .iter()
-            .find(|s| s.stage == TraceStage::QueueWait)
+            .find(|s| s.stage == Stage::QueueWait)
             .map(|s| s.start_ns)
             .expect("queue span");
         let walk_start = trace
             .spans
             .iter()
-            .find(|s| s.stage == TraceStage::Walk)
+            .find(|s| s.stage == Stage::Walk)
             .map(|s| s.start_ns)
             .expect("walk span");
         assert!(walk_start >= queue_start, "walk began before queue-wait");
@@ -107,7 +103,7 @@ fn head_sampled_requests_carry_the_full_span_seam() {
 
     let gathered = traces
         .iter()
-        .filter(|t| span_dur(t, TraceStage::Gather).is_some())
+        .filter(|t| span_dur(t, Stage::Gather).is_some())
         .count();
     assert!(gathered >= 1, "no trace recorded a gather span");
 
@@ -119,7 +115,7 @@ fn head_sampled_requests_carry_the_full_span_seam() {
 }
 
 /// Where a stage's span ends on the trace timeline.
-fn span_end(trace: &RequestTrace, stage: TraceStage) -> u64 {
+fn span_end(trace: &RequestTrace, stage: Stage) -> u64 {
     trace
         .spans
         .iter()
@@ -151,8 +147,8 @@ fn batch_wait_span_ends_at_the_close_decision() {
         .find(|t| t.kind == "join_probe")
         .expect("join_probe trace");
     let (batch_wait, walk) = (
-        span_end(trace, TraceStage::BatchWait),
-        span_end(trace, TraceStage::Walk),
+        span_end(trace, Stage::BatchWait),
+        span_end(trace, Stage::Walk),
     );
     assert!(
         batch_wait <= walk,
@@ -240,6 +236,6 @@ fn streaming_scans_are_traced_too() {
         .find(|t| t.kind == "range_stream")
         .expect("range_stream trace");
     assert!(trace.walk.nodes > 0);
-    assert!(span_dur(trace, TraceStage::Walk).is_some());
+    assert!(span_dur(trace, Stage::Walk).is_some());
     let _ = service.shutdown();
 }

@@ -106,7 +106,7 @@ fn main() {
         // The Profile opcode returns the merged hardware-counter
         // snapshot: backend in use, per-stage windows, and the
         // walkers' software MLP cross-check. An unprofiled server
-        // would answer {"enabled": false} instead.
+        // would answer {"enabled":false} instead.
         let doc = scraper.profile_json().expect("profile scrape");
         println!(
             "profile: backend {:?} (hw counters: {}), {} windows, \
