@@ -1,6 +1,4 @@
-//! Shared profiling plumbing for the bench harnesses: host metadata
-//! every JSON emitter records (CPU count, counter-shim backend, poller
-//! backend), and the per-engine profiled sweep behind `--profile` —
+//! The per-engine profiled sweep behind `ablation_btree --profile` —
 //! the paper's Figure 2 measured live, with scalar / group-prefetch /
 //! AMAC walkers each run under a [`ThreadProfiler`] over the same
 //! probe stream so their cycle breakdowns (IPC, LLC MPKI, stall
@@ -10,7 +8,6 @@ use std::sync::Arc;
 
 use perf_event::CounterGroup;
 use widx_db::index::{BTreeIndex, HashIndex};
-use widx_obs::json::Writer;
 use widx_obs::{ProfCell, ProfSnapshot, Stage, ThreadProfiler, WalkCounters};
 use widx_soft::{
     probe_amac, probe_group_prefetch, probe_scalar, scan_btree_amac, scan_btree_group,
@@ -18,21 +15,6 @@ use widx_soft::{
 };
 
 use crate::table::{f2, Table};
-
-/// Logical CPUs visible to this process — recorded in every bench JSON
-/// so baselines from differently-sized hosts are never compared as
-/// like-for-like.
-#[must_use]
-pub fn host_cpus() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-}
-
-/// The readiness-poller backend the net tier would use right now
-/// (`WIDX_POLLER` override, or the platform default).
-#[must_use]
-pub fn poller_backend() -> String {
-    std::env::var("WIDX_POLLER").unwrap_or_else(|_| poller::DEFAULT_BACKEND.to_string())
-}
 
 /// Probes the counter shim once: `(backend, hw, fallback_reason)` as a
 /// fresh [`CounterGroup`] on this thread reports them.
@@ -46,29 +28,6 @@ pub fn prof_backend() -> (&'static str, bool, Option<String>) {
     )
 }
 
-/// Renders one bench document: `{"bench":…,"seed":…,"host":{…},…}` — the
-/// header every emitter shares (the host block records CPU count plus
-/// the shim backends in use) followed by the members `body` writes —
-/// with a trailing newline.
-#[must_use]
-pub fn bench_document(bench: &str, seed: u64, body: impl FnOnce(&mut Writer)) -> String {
-    let (backend, hw, _) = prof_backend();
-    let doc = Writer::document(|w| {
-        w.object(|w| {
-            w.key("bench").str(bench);
-            w.key("seed").u64(seed);
-            w.key("host").object(|w| {
-                w.key("cpus").u64(host_cpus() as u64);
-                w.key("prof_backend").str(backend);
-                w.key("prof_hw").bool(hw);
-                w.key("poller_backend").str(&poller_backend());
-            });
-            body(w);
-        });
-    });
-    doc + "\n"
-}
-
 /// One engine's profiled run: its walk window snapshot plus wall-clock
 /// throughput over the shared probe stream.
 pub struct EngineProfile {
@@ -76,8 +35,6 @@ pub struct EngineProfile {
     pub engine: &'static str,
     /// Counter snapshot; the walk window is the entire probe loop.
     pub snap: ProfSnapshot,
-    /// Matches produced (result-parity check across engines).
-    pub matches: usize,
     /// Probe throughput over the profiled loop.
     pub keys_per_sec: f64,
 }
@@ -87,16 +44,6 @@ impl EngineProfile {
     #[must_use]
     pub fn walk(&self) -> &widx_obs::ProfStageSnapshot {
         self.snap.get(Stage::Walk)
-    }
-
-    /// Writes one JSON object for the bench emitters.
-    pub fn write_json(&self, w: &mut Writer) {
-        w.object(|w| {
-            w.key("engine").str(self.engine);
-            w.key("matches").u64(self.matches as u64);
-            w.key("keys_per_sec").f64(self.keys_per_sec, 0);
-            self.snap.write_json(w.key("prof"));
-        });
     }
 }
 
@@ -145,7 +92,6 @@ pub fn profile_engines(
             EngineProfile {
                 engine,
                 snap: cell.snapshot(),
-                matches: out.len(),
                 keys_per_sec: probes.len() as f64 / wall.as_secs_f64(),
             }
         })
@@ -154,8 +100,7 @@ pub fn profile_engines(
 
 /// The ordered-index analogue of [`profile_engines`]: the three
 /// B+-tree scan engines over the same scan set, each under its own
-/// counter group. `matches` counts emitted entries; `keys_per_sec` is
-/// entries emitted per second.
+/// counter group; `keys_per_sec` is entries emitted per second.
 #[must_use]
 pub fn profile_btree_engines(
     tree: &BTreeIndex,
@@ -197,7 +142,6 @@ pub fn profile_btree_engines(
             EngineProfile {
                 engine,
                 snap: cell.snapshot(),
-                matches: emitted,
                 keys_per_sec: emitted as f64 / wall.as_secs_f64(),
             }
         })

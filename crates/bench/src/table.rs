@@ -68,12 +68,6 @@ pub fn f2(v: f64) -> String {
     format!("{v:.2}")
 }
 
-/// Formats a float with 1 decimal.
-#[must_use]
-pub fn f1(v: f64) -> String {
-    format!("{v:.1}")
-}
-
 /// Formats a percentage with no decimals.
 #[must_use]
 pub fn pct(v: f64) -> String {
@@ -106,7 +100,6 @@ mod tests {
     #[test]
     fn formatters() {
         assert_eq!(f2(1.234), "1.23");
-        assert_eq!(f1(1.26), "1.3");
         assert_eq!(pct(0.831), "83%");
     }
 }

@@ -32,9 +32,8 @@
 //!   split (plus synchronous conveniences, an optional corked batch
 //!   mode ([`set_corked`](WidxClient::set_corked)), and the
 //!   chunk-streaming [`range_stream`](WidxClient::range_stream)
-//!   iterator), used by the loopback parity tests, the
-//!   `net_server`/`stream_scan` examples, and the
-//!   `net_throughput`/`stream_throughput` sweeps.
+//!   iterator), used by the loopback parity tests and the
+//!   `net_server`/`stream_scan`/`stats_scrape` examples.
 //!
 //! Pipelining is what connects the network layer back to the paper:
 //! dozens of independent requests in flight on each connection are

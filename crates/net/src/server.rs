@@ -455,6 +455,9 @@ const MAX_WMARKS: usize = 1024;
 /// every decode).
 const RBUF_COMPACT: usize = 32 << 10;
 
+/// Bytes one `read` call may take off the socket.
+const READ_CHUNK: usize = 16 << 10;
+
 impl Connection {
     fn new(
         stream: TcpStream,
@@ -548,14 +551,19 @@ impl Connection {
         self.dead || (self.closed_for_reads && self.drained())
     }
 
-    /// Reads whatever the socket has ready. Returns true on progress.
+    /// Reads what the socket has ready, at most [`BUF_HIGH_WATER`] bytes
+    /// (plus one [`READ_CHUNK`]) per pass: a peer that writes as fast as this
+    /// loop copies must neither grow `rbuf` without bound nor starve the
+    /// reactor's other connections. Readiness is level-triggered, so
+    /// the next `wait` reports whatever is left. Returns true on
+    /// progress.
     fn fill(&mut self, config: &NetConfig) -> bool {
         if self.closed_for_reads || self.write_backlog() > config.max_write_backlog {
             return false;
         }
-        let mut progress = false;
-        let mut chunk = [0u8; 16 * 1024];
-        loop {
+        let mut read = 0usize;
+        let mut chunk = [0u8; READ_CHUNK];
+        while read < BUF_HIGH_WATER {
             match self.stream.read(&mut chunk) {
                 Ok(0) => {
                     // Peer half-closed: serve what we already have, then
@@ -565,16 +573,17 @@ impl Connection {
                 }
                 Ok(n) => {
                     self.rbuf.extend_from_slice(&chunk[..n]);
-                    progress = true;
+                    read += n;
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return progress,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(_) => {
                     self.dead = true;
-                    return progress;
+                    break;
                 }
             }
         }
+        read > 0
     }
 
     /// Decodes every complete frame buffered so far and submits it (or
@@ -1677,5 +1686,96 @@ mod tests {
         assert!(conn.wmarks.is_empty(), "reply-write mark completed");
         drop(conn);
         assert_eq!(reader.join().expect("reader"), 4 << 20);
+    }
+
+    #[test]
+    fn fill_is_bounded_per_pass_and_every_frame_is_answered_once() {
+        use widx_serve::{Request, ServeConfig};
+
+        // 1 MiB of valid pipelined Lookup frames from a peer that writes
+        // as fast as the loop copies: one `fill` must stop at the budget
+        // rather than read until the peer pauses.
+        let mut burst = Vec::new();
+        let mut frames = 0u64;
+        while burst.len() < 1 << 20 {
+            wire::encode_request(&mut burst, frames, &Request::Lookup { key: frames % 128 });
+            frames += 1;
+        }
+        let service = ProbeService::build(
+            widx_db::hash::HashRecipe::robust64(),
+            (0..64u64).map(|k| (k, k + 1)),
+            &ServeConfig::default().with_shards(2),
+        );
+        let config = NetConfig::default().with_max_inflight(usize::MAX);
+        let counters = NetCounters::new(1);
+        let (server, client) = sock_pair();
+        server.set_nonblocking(true).expect("nonblocking");
+        let poller = Arc::new(Poller::with_backend("timeout").expect("poller"));
+        let mut conn = Connection::new(server, poller, service.stage_times(), 0);
+
+        let mut sink = client.try_clone().expect("clone");
+        let (written_tx, written_rx) = std::sync::mpsc::channel();
+        let writer = std::thread::spawn(move || {
+            sink.write_all(&burst).expect("write burst");
+            let _ = written_tx.send(());
+        });
+        // Replies counted per request id; the only error a saturated
+        // server may send is `Busy`.
+        let reader = std::thread::spawn(move || {
+            let mut stream = client;
+            let mut replies: Vec<u32> = vec![0; frames as usize];
+            let (mut buf, mut chunk, mut seen) = (Vec::new(), [0u8; 64 << 10], 0u64);
+            while seen < frames {
+                let n = stream.read(&mut chunk).expect("read replies");
+                assert!(n > 0, "server closed after {seen} of {frames} replies");
+                buf.extend_from_slice(&chunk[..n]);
+                let mut at = 0;
+                while let Ok(Decoded::Frame {
+                    consumed,
+                    id,
+                    value,
+                }) = wire::decode_reply(&buf[at..])
+                {
+                    at += consumed;
+                    seen += 1;
+                    replies[id as usize] += 1;
+                    if let Err(e) = value {
+                        assert_eq!(e.code, ErrorCode::Busy, "unexpected error: {e}");
+                    }
+                }
+                buf.drain(..at);
+            }
+            replies
+        });
+
+        // Let the peer get ahead (it finishes, or blocks on full socket
+        // buffers) so the first pass has more than a budget within reach.
+        let _ = written_rx.recv_timeout(Duration::from_millis(200));
+        assert!(conn.fill(&config));
+        assert!(
+            conn.rbuf.len() <= BUF_HIGH_WATER + READ_CHUNK,
+            "one fill read {} bytes, over the {} budget plus one chunk",
+            conn.rbuf.len(),
+            BUF_HIGH_WATER
+        );
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while counters.frames_out.load(Ordering::Relaxed) < frames || conn.write_backlog() > 0 {
+            assert!(Instant::now() < deadline, "burst stalled");
+            assert!(!conn.dead);
+            conn.io_readable = true;
+            if !conn.pump(&service, &config, &counters) {
+                std::thread::yield_now();
+            }
+        }
+        writer.join().expect("writer");
+        let replies = reader.join().expect("reader");
+        assert!(
+            replies.iter().all(|&n| n == 1),
+            "a frame went unanswered or answered twice"
+        );
+        assert_eq!(counters.frames_in.load(Ordering::Relaxed), frames);
+        assert_eq!(counters.decode_errors.load(Ordering::Relaxed), 0);
+        drop(conn);
+        let _ = service.shutdown();
     }
 }

@@ -578,7 +578,9 @@ fn graceful_shutdown_answers_every_accepted_request() {
 }
 
 /// The per-connection in-flight cap turns into typed `Busy` frames, and
-/// the busy-reject counter sees them.
+/// the busy-reject counter sees them. `Busy` is the only error a
+/// saturated server sends: a request is answered in full or refused
+/// with that code — never dropped, never another error.
 #[test]
 fn inflight_cap_rejects_with_busy() {
     let pairs: Vec<(u64, u64)> = (0..100u64).map(|k| (k, k)).collect();
@@ -594,6 +596,29 @@ fn inflight_cap_rejects_with_busy() {
     }
     let net = server.shutdown();
     assert_eq!(net.busy_rejects, 1);
+    let _ = unwrap_service(service).shutdown();
+
+    // A window of two under a 100-deep pipeline: some requests fit,
+    // the rest are refused, and the counter matches what the client saw.
+    let (service, server, mut client) =
+        stack(&pairs, 2, 8, NetConfig::default().with_max_inflight(2));
+    let ids: Vec<u64> = (0..100u64)
+        .map(|key| client.send(&Request::Lookup { key }).unwrap())
+        .collect();
+    let mut busy = 0u64;
+    for (key, id) in (0u64..).zip(ids) {
+        match client.recv(id) {
+            Ok(Response::Lookup { payloads, .. }) => assert_eq!(payloads, vec![key]),
+            Err(ClientError::Remote(e)) => {
+                assert_eq!(e.code, ErrorCode::Busy, "unexpected server error: {e}");
+                busy += 1;
+            }
+            other => panic!("expected a Lookup reply or Busy, got {other:?}"),
+        }
+    }
+    let net = server.shutdown();
+    assert_eq!(net.busy_rejects, busy);
+    assert_eq!(net.decode_errors, 0);
     let _ = unwrap_service(service).shutdown();
 }
 

@@ -110,19 +110,27 @@ fn stats_scrape_mid_pipeline() {
     let (service, server) = start(stats_config());
     let mut client = WidxClient::connect(server.local_addr()).expect("connect");
 
-    // Pipeline a window of probes, scrape in the middle of it, then
-    // reap every pending reply: the scrape must neither block on the
-    // queued work nor disturb it.
+    // Pipeline a window of probes, then scrape while replies are still
+    // outstanding and again after every few are reaped: a scrape must
+    // neither block on the queued work nor disturb it, and consecutive
+    // scrapes under load never run backwards.
     let mut ids = Vec::new();
     for key in 0..64u64 {
         ids.push((key, client.send(&Request::Lookup { key }).expect("send")));
     }
-    let json = client.stats_json().expect("mid-pipeline scrape");
-    assert!(find_u64(&json, "total_keys").is_some(), "parseable: {json}");
-    for (key, id) in ids {
-        match client.recv(id).expect("recv") {
-            Response::Lookup { payloads, .. } => assert_eq!(payloads, vec![key + 1]),
-            other => panic!("unexpected reply {other:?}"),
+    let mut last = (0, 0, 0);
+    for reaped in ids.chunks(8) {
+        let (json, keys, lat, frames) = scrape(&mut client);
+        assert!(
+            keys >= last.0 && lat >= last.1 && frames > last.2,
+            "scraped counters ran backwards from {last:?}: {json}"
+        );
+        last = (keys, lat, frames);
+        for (key, id) in reaped {
+            match client.recv(*id).expect("recv") {
+                Response::Lookup { payloads, .. } => assert_eq!(payloads, vec![key + 1]),
+                other => panic!("unexpected reply {other:?}"),
+            }
         }
     }
 

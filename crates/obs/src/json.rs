@@ -1,11 +1,11 @@
 //! Minimal JSON helpers for the telemetry documents.
 //!
 //! The workspace carries no serde. [`Writer`] is the one place JSON text is
-//! assembled — every stats, trace, profile and bench document goes through
+//! assembled — every stats, trace and profile document goes through
 //! it, so they all share one compact style, one escaping rule and one
 //! `null` policy. The `find_*` helpers read numeric fields back with naive
 //! key scans; they are deliberately not a JSON parser — just enough for
-//! benches and tests to pull fields out of documents this workspace itself
+//! examples and tests to pull fields out of documents this workspace itself
 //! produced.
 
 /// Escape a string for embedding in a JSON document.
@@ -126,24 +126,18 @@ impl Writer {
     }
 }
 
-fn number_after(json: &str, key: &str, from: usize) -> Option<(f64, usize)> {
+/// Find the first numeric value of `"key"` in `json`.
+pub fn find_f64(json: &str, key: &str) -> Option<f64> {
     let needle = format!("\"{key}\"");
-    let at = json[from..].find(&needle)? + from;
-    let rest = &json[at + needle.len()..];
-    let rest = rest.trim_start();
+    let at = json.find(&needle)?;
+    let rest = json[at + needle.len()..].trim_start();
     let rest = rest.strip_prefix(':')?.trim_start();
     let end = rest
         .find(|c: char| {
             !(c.is_ascii_digit() || c == '-' || c == '+' || c == '.' || c == 'e' || c == 'E')
         })
         .unwrap_or(rest.len());
-    let parsed: f64 = rest[..end].parse().ok()?;
-    Some((parsed, at + needle.len()))
-}
-
-/// Find the first numeric value of `"key"` in `json`.
-pub fn find_f64(json: &str, key: &str) -> Option<f64> {
-    number_after(json, key, 0).map(|(v, _)| v)
+    rest[..end].parse().ok()
 }
 
 /// Find the first numeric value of `"key"` in `json`, as a `u64`.
@@ -175,17 +169,6 @@ pub fn find_str(json: &str, key: &str) -> Option<String> {
         end += if bytes[end] == b'\\' { 2 } else { 1 };
     }
     (end <= bytes.len()).then(|| rest[..end.min(bytes.len())].to_string())
-}
-
-/// Find every numeric value of `"key"` in `json`, in document order.
-pub fn find_all_f64(json: &str, key: &str) -> Vec<f64> {
-    let mut out = Vec::new();
-    let mut from = 0;
-    while let Some((v, next)) = number_after(json, key, from) {
-        out.push(v);
-        from = next;
-    }
-    out
 }
 
 #[cfg(test)]
@@ -261,7 +244,6 @@ mod tests {
         assert_eq!(find_u64(doc, "rate"), None);
         assert_eq!(find_u64(doc, "neg"), None);
         assert_eq!(find_f64(doc, "missing"), None);
-        assert_eq!(find_all_f64(doc, "keys"), vec![120.0, 7.0]);
     }
 
     #[test]

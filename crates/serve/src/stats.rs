@@ -207,7 +207,7 @@ impl LatencySummary {
     }
 
     /// Write the summary as members of the currently open JSON object —
-    /// the one rendering every stats and bench document shares.
+    /// the one rendering every latency block shares.
     pub fn write_fields(&self, w: &mut Writer) {
         w.key("count").u64(self.count as u64);
         w.key("mean_ns").f64(self.mean_ns, 1);
@@ -540,8 +540,7 @@ impl ServiceStats {
         }
     }
 
-    /// Writes the snapshot as one JSON object — the `Stats` document,
-    /// and the `stats` block of every bench run.
+    /// Writes the snapshot as one JSON object — the `Stats` document.
     pub fn write_json(&self, w: &mut Writer) {
         w.object(|w| {
             write_fields(w, ServiceStats::METRICS, self);

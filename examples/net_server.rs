@@ -5,6 +5,7 @@
 //!
 //! Run with: `cargo run --release --example net_server`
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use widx_repro::db::hash::HashRecipe;
@@ -23,9 +24,11 @@ fn main() {
         .collect();
     let service = Arc::new(ProbeService::build_with_range(
         HashRecipe::robust64(),
-        pairs,
+        pairs.iter().copied(),
         &ServeConfig::default().with_shards(4).with_inflight(8),
     ));
+    // The same build side, ordered: what every reply below must equal.
+    let oracle: BTreeMap<u64, u64> = pairs.into_iter().collect();
 
     // Bind an ephemeral loopback port; the event loop runs on its own
     // thread from here, blocking in the compat poller (epoll on Linux,
@@ -44,11 +47,13 @@ fn main() {
     let mut client = WidxClient::connect(server.local_addr()).expect("connect");
 
     // Synchronous conveniences mirror the in-process service API.
-    println!("lookup(12345) -> {:?}", client.lookup(12345).unwrap());
-    println!(
-        "range_scan(1000..1005) -> {:?}",
-        client.range_scan(1000, 1005, usize::MAX).unwrap()
-    );
+    let payloads = client.lookup(12345).unwrap();
+    println!("lookup(12345) -> {payloads:?}");
+    assert_eq!(payloads, [oracle[&12345]]);
+    let scanned = client.range_scan(1000, 1005, usize::MAX).unwrap();
+    println!("range_scan(1000..1005) -> {scanned:?}");
+    let expected: Vec<(u64, u64)> = oracle.range(1000..=1005).map(|(k, v)| (*k, *v)).collect();
+    assert_eq!(scanned, expected);
 
     // The send/recv split pipelines a skewed burst without waiting —
     // the per-shard batchers fill their walker rings from one socket.
@@ -65,6 +70,7 @@ fn main() {
         .filter(|id| client.recv(*id).expect("answered").match_count() > 0)
         .count();
     println!("burst: 10000 pipelined lookups, {hits} hits (reaped in reverse order)");
+    assert_eq!(hits, hot.iter().filter(|k| oracle.contains_key(k)).count());
 
     // Graceful shutdown, outside in: the server drains every accepted
     // frame, then the service drains its queues behind a poison pill.
@@ -82,6 +88,8 @@ fn main() {
         stats.net.busy_rejects,
         stats.net.decode_errors,
     );
+    // The window was raised past the burst, so nothing was refused.
+    assert_eq!((stats.net.busy_rejects, stats.net.decode_errors), (0, 0));
     println!(
         "service: {} keys probed, p50 {:.1} µs / p99 {:.1} µs over {} requests",
         stats.total_keys(),

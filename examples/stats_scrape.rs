@@ -18,6 +18,16 @@ use widx_repro::obs::json;
 use widx_repro::serve::{ProbeService, ServeConfig};
 use widx_repro::workloads::datagen;
 
+/// Stops the background load when dropped, so a failed assertion
+/// unwinds out of the thread scope instead of waiting on it forever.
+struct StopOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Relaxed);
+    }
+}
+
 fn main() {
     let entries = 1 << 16;
     let pairs: Vec<(u64, u64)> = datagen::unique_shuffled_keys(7, entries)
@@ -64,33 +74,47 @@ fn main() {
             }
         });
 
+        let _stop_load = StopOnDrop(stop);
+
         // …while a second connection scrapes the Stats opcode. The
         // reply is one JSON document; `widx_obs::json` pulls fields
         // out without a parser dependency.
         let mut scraper = WidxClient::connect(addr).expect("scraper connect");
+        let mut last = (0, 0, 0);
         for tick in 1..=5 {
             std::thread::sleep(Duration::from_millis(20));
             let doc = scraper.stats_json().expect("stats scrape");
+            let field = |key| json::find_u64(&doc, key).unwrap_or(0);
+            let counters = (field("total_keys"), field("count"), field("frames_in"));
             println!(
                 "scrape {tick}: {} keys probed, {} requests timed, p99 {} ns, \
                  {} frames in, {} open connection(s)",
-                json::find_u64(&doc, "total_keys").unwrap_or(0),
-                json::find_u64(&doc, "count").unwrap_or(0),
-                json::find_u64(&doc, "p99_ns").unwrap_or(0),
-                json::find_u64(&doc, "frames_in").unwrap_or(0),
-                json::find_u64(&doc, "open_connections").unwrap_or(0),
+                counters.0,
+                counters.1,
+                field("p99_ns"),
+                counters.2,
+                field("open_connections"),
             );
+            // Monotone counters never run backwards between scrapes,
+            // and every scrape is itself a frame.
+            assert!(
+                counters.0 >= last.0 && counters.1 >= last.1 && counters.2 > last.2,
+                "scrape {tick} ran backwards: {last:?} -> {counters:?}"
+            );
+            last = counters;
         }
+        assert!(last.0 > 0, "the load connection was never served");
         // The Trace opcode returns the flight recorder as one JSON
         // document: ring gauges plus the recorded traces, newest first,
         // each with its span timeline and walker counters.
         let doc = scraper.traces_json().expect("trace scrape");
+        let recorded = json::find_u64(&doc, "recorded").unwrap_or(0);
         println!(
-            "flight recorder: {} traces recorded ({} slow), depth {}",
-            json::find_u64(&doc, "recorded").unwrap_or(0),
+            "flight recorder: {recorded} traces recorded ({} slow), depth {}",
             json::find_u64(&doc, "slow").unwrap_or(0),
             json::find_u64(&doc, "depth").unwrap_or(0),
         );
+        assert!(recorded > 0, "1-in-64 sampling recorded nothing: {doc}");
         if let Some(at) = doc.find("\"traces\":[{") {
             let trace = &doc[at..];
             println!(
@@ -108,10 +132,14 @@ fn main() {
         // walkers' software MLP cross-check. An unprofiled server
         // would answer {"enabled":false} instead.
         let doc = scraper.profile_json().expect("profile scrape");
+        let backend = json::find_str(&doc, "backend").unwrap_or_default();
+        assert!(
+            doc.contains("\"enabled\":true") && !backend.is_empty(),
+            "profiled server answered {doc}"
+        );
         println!(
-            "profile: backend {:?} (hw counters: {}), {} windows, \
+            "profile: backend {backend:?} (hw counters: {}), {} windows, \
              {} nodes walked at soft MLP {:.2}",
-            json::find_str(&doc, "backend").unwrap_or_default(),
             doc.contains("\"hw\":true"),
             doc.find("\"total\":")
                 .and_then(|at| json::find_u64(&doc[at..], "windows"))
@@ -121,7 +149,6 @@ fn main() {
                 .unwrap_or(0),
             json::find_f64(&doc, "soft_mlp").unwrap_or(0.0),
         );
-        stop.store(true, Ordering::Relaxed);
     });
 
     // The same snapshot the wire serves, rendered for a Prometheus
