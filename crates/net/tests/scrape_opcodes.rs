@@ -248,6 +248,52 @@ fn slow_request_is_tail_recorded_with_the_full_span_seam() {
 }
 
 #[test]
+fn sub_ring_lookup_trace_is_bracketed_by_the_net_spans() {
+    // A depth-1 lookup is walked on the reactor thread, inside
+    // `try_submit`: its trace still opens with net-read and closes with
+    // reply-write, with the walk between them and no batch to wait in.
+    let (service, server) = start(ServeConfig::default().with_shards(2).with_trace_sample(1));
+    let mut client = WidxClient::connect(server.local_addr()).expect("connect");
+    for key in 0..8u64 {
+        assert_eq!(client.lookup(key).expect("lookup"), vec![key + 1]);
+    }
+    let recorder = service.flight_recorder();
+    recorder.flush();
+    assert_eq!(recorder.stats().recorded, 8, "one trace per request");
+    for trace in recorder.snapshot() {
+        assert_eq!(trace.kind, "lookup");
+        assert_eq!(trace.reactor, Some(0));
+        // The client numbers its requests from 0 in send order.
+        let owner = service.sharded().shard_of(trace.id) as u32;
+        assert_eq!(trace.shards, vec![owner], "trace {}", trace.id);
+        assert!(trace.walk.nodes > 0, "walk counters missing");
+        assert_eq!(trace.walk.prefetches, 0, "the serial engine walked it");
+        assert_eq!(span_of(&trace, Stage::BatchWait), None, "no batch was open");
+        let start = |stage: Stage| {
+            let span = span_of(&trace, stage);
+            let (start_ns, dur_ns) =
+                span.unwrap_or_else(|| panic!("trace missing {} span", stage.name()));
+            assert!(
+                start_ns + dur_ns <= trace.total_ns,
+                "{} overruns",
+                stage.name()
+            );
+            start_ns
+        };
+        let order = [
+            Stage::NetRead,
+            Stage::QueueWait,
+            Stage::Walk,
+            Stage::Gather,
+            Stage::ReplyWrite,
+        ]
+        .map(start);
+        assert!(order.is_sorted(), "stages out of causal order: {order:?}");
+    }
+    let _ = stop(client, server, service);
+}
+
+#[test]
 fn trace_opcode_round_trips_over_tcp() {
     let (service, server) = start(ServeConfig::default().with_shards(2).with_trace_sample(1));
     let mut client = WidxClient::connect(server.local_addr()).expect("connect");

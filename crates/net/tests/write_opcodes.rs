@@ -6,6 +6,7 @@
 //! poller backend `WIDX_POLLER` selects, so CI exercises it on both
 //! epoll and poll.
 
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
 use std::sync::Arc;
 
 use widx_db::hash::HashRecipe;
@@ -123,6 +124,86 @@ fn writes_pipeline_with_reads() {
     drop(client);
     let _ = server.shutdown();
     let _ = unwrap_service(service).shutdown();
+}
+
+/// Readers against a writer over loopback, each on its own connection:
+/// the depth-1 lookups are walked on the reactor thread, under the
+/// shard's read guard, while the updates go through the shard workers'
+/// write barriers. Every read returns a sequence number ≥ the last one
+/// acked (to the writer's client) before the read was sent and ≤ the
+/// last one sent when its reply arrived; the read-back holds the last
+/// write of every key in both tiers. `rw_hot`'s rule, as a test — the
+/// loopback twin of `widx-serve`'s `reader_vs_writer`.
+#[test]
+fn reads_racing_updates_see_acked_writes_and_nothing_unsent() {
+    const KEYS: u64 = 8;
+    const WRITES: u64 = 1500;
+    let (service, server) = start();
+    let addr = server.local_addr();
+    // The hot set is the seeded even keys below `2 * KEYS`, every one
+    // reset to sequence 0 before the race starts.
+    let hot = |i: u64| i * 2;
+    let mut writer = WidxClient::connect(addr).expect("connect");
+    let zeroed: Vec<(u64, u64)> = (0..KEYS).map(|i| (hot(i), 0)).collect();
+    assert_eq!(
+        writer.update(&zeroed).expect("update"),
+        vec![true; KEYS as usize]
+    );
+    let cells = || -> Vec<AtomicU64> { (0..KEYS).map(|_| AtomicU64::new(0)).collect() };
+    let (sent, acked) = (cells(), cells());
+    let done = AtomicBool::new(false);
+    let step = |state: &mut u64| {
+        *state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (*state >> 33) % KEYS
+    };
+
+    std::thread::scope(|scope| {
+        for reader in 0..2u64 {
+            let (sent, acked, done) = (&sent, &acked, &done);
+            scope.spawn(move || {
+                let mut client = WidxClient::connect(addr).expect("connect");
+                let mut rng = reader + 1;
+                while !done.load(SeqCst) {
+                    let i = step(&mut rng);
+                    let floor = acked[i as usize].load(SeqCst);
+                    let payloads = client.lookup(hot(i)).expect("lookup");
+                    let ceiling = sent[i as usize].load(SeqCst);
+                    assert_eq!(payloads.len(), 1, "key {}: {payloads:?}", hot(i));
+                    assert!(
+                        (floor..=ceiling).contains(&payloads[0]),
+                        "key {} read sequence {} outside [{floor} acked before send, \
+                         {ceiling} sent at reply]",
+                        hot(i),
+                        payloads[0]
+                    );
+                }
+            });
+        }
+        let mut rng = 0xD1CE;
+        for seq in 1..=WRITES {
+            let i = step(&mut rng);
+            sent[i as usize].store(seq, SeqCst);
+            assert_eq!(writer.update(&[(hot(i), seq)]).expect("update"), vec![true]);
+            acked[i as usize].store(seq, SeqCst);
+        }
+        done.store(true, SeqCst);
+    });
+
+    for i in 0..KEYS {
+        let last = sent[i as usize].load(SeqCst);
+        assert_eq!(writer.lookup(hot(i)).expect("lookup"), vec![last]);
+        assert_eq!(
+            writer.range_scan(hot(i), hot(i), usize::MAX).expect("scan"),
+            vec![(hot(i), last)],
+            "the ordered tier holds the same last write"
+        );
+    }
+    drop(writer);
+    let _ = server.shutdown();
+    let stats = unwrap_service(service).shutdown();
+    assert_eq!(stats.total_write_ops(), (KEYS + WRITES) * 2, "both tiers");
 }
 
 #[test]

@@ -1,9 +1,11 @@
 //! Padded per-worker counter cells.
 //!
-//! Each worker thread owns exactly one [`WorkerCell`] and is the only writer
-//! to it, so the relaxed read-modify-writes never contend; readers (the
-//! `live_stats()` scrape path) only load. The cell is over-aligned so two
-//! workers' cells never share a cache line even when stored contiguously.
+//! Each shard has exactly one [`WorkerCell`]. Its worker thread is the main
+//! writer; a thread that walks a sub-ring probe for the shard itself adds to
+//! the same cell, which the relaxed read-modify-writes make safe (and rarely
+//! contended). Readers (the `live_stats()` scrape path) only load. The cell
+//! is over-aligned so two shards' cells never share a cache line even when
+//! stored contiguously.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;

@@ -162,7 +162,7 @@ impl ShardQueue {
             if inner.serving == ticket {
                 if inner.poisoned {
                     inner.serving += 1;
-                    self.not_full.notify_all();
+                    self.wake_pushers(&inner);
                     return Err(PushError::Stopped);
                 }
                 let fits = inner.queued_keys + n <= self.capacity_keys;
@@ -175,7 +175,7 @@ impl ShardQueue {
                     inner.serving += 1;
                     self.not_empty.notify_one();
                     // Hand the turn to the next waiting ticket.
-                    self.not_full.notify_all();
+                    self.wake_pushers(&inner);
                     return Ok(());
                 }
             }
@@ -202,8 +202,18 @@ impl ShardQueue {
     fn take(&self, inner: &mut QueueInner) -> Option<Job> {
         let job = inner.jobs.pop_front()?;
         inner.queued_keys -= job.key_count();
-        self.not_full.notify_all();
+        self.wake_pushers(inner);
         Some(job)
+    }
+
+    /// Rings `not_full` only when a pusher is parked on it — a ticket
+    /// is outstanding — because std's `notify_all` is a futex syscall
+    /// even with nobody to wake, and a pusher parks only under
+    /// backpressure: an uncontended push/pop pair pays for none.
+    fn wake_pushers(&self, inner: &QueueInner) {
+        if inner.next_ticket != inner.serving {
+            self.not_full.notify_all();
+        }
     }
 
     /// Blocking pop: waits until a job is available.

@@ -22,7 +22,7 @@ use crate::request::{
 };
 use crate::shard::ShardedIndex;
 use crate::stats::{profile_document, LatencySummary, ServiceStats, StageStats, WorkerStats};
-use crate::worker::{run_worker, ShardIndex, Tier, WorkerContext};
+use crate::worker::{run_worker, walk_here, ShardIndex, Tier, WorkerContext};
 
 /// Tuning knobs for a [`ProbeService`].
 #[derive(Clone, Debug)]
@@ -31,7 +31,9 @@ pub struct ServeConfig {
     /// Applies to the hashed tier and, when built, the ordered tier.
     pub shards: usize,
     /// In-flight depth per worker: AMAC probes on hash shards, resumable
-    /// scan cursors on ordered shards (walkers per shard).
+    /// scan cursors on ordered shards (walkers per shard). A submitted
+    /// probe with fewer keys than this cannot fill the ring and is
+    /// walked serially on its submitting thread instead of queued.
     pub inflight: usize,
     /// Keys per batch before a size flush. A worker never waits to
     /// reach it: a batch also closes the moment the shard's queue is
@@ -328,6 +330,9 @@ enum Admission {
     Block,
     /// Refuse with [`SubmitError::Busy`], enqueuing nothing.
     Try,
+    /// [`Block`](Admission::Block), and always through the queues: the
+    /// blocking conveniences keep the worker path they always had.
+    Queued,
 }
 
 /// Scatters `items` over `shards` buckets by `shard_of`, tagging each
@@ -378,6 +383,8 @@ pub struct ProbeService {
     trace_seq: AtomicU64,
     trace_sample: u64,
     slow_threshold: Option<Duration>,
+    /// Walker ring slots per worker: the sub-ring rule's threshold.
+    inflight: usize,
     started: Instant,
     /// Stop gate: `admit` holds a read guard across all of a plan's
     /// queue pushes; `stop` flips the flag and poisons the queues under
@@ -493,6 +500,7 @@ impl ProbeService {
             trace_seq: AtomicU64::new(0),
             trace_sample: config.trace_sample,
             slow_threshold: config.slow_threshold,
+            inflight: config.inflight,
             started: Instant::now(),
             stopped: RwLock::new(false),
             joined: None,
@@ -809,14 +817,23 @@ impl ProbeService {
     /// acceptance is all-or-nothing with respect to [`stop`](Self::stop)
     /// for every request shape — and, under [`Admission::Try`], with
     /// respect to backpressure across every shard of *both* tiers. A
-    /// refused plan is simply dropped.
+    /// refused plan is simply dropped. What never reaches a queue is a
+    /// sub-ring probe whose shards all grant their read guards: it is
+    /// walked here ([`walk_here`]), under the same gate, and returned
+    /// already complete — never `Busy`, never blocked.
     fn admit(&self, plan: Plan<'_>, how: Admission) -> Result<Arc<ResponseState>, SubmitError> {
         let stopped = self.stopped.read().expect("stop gate");
         if *stopped {
             return Err(SubmitError::Stopped);
         }
+        let (tier, ring, stages) = (&self.hash, self.inflight, &*self.stages);
+        let Plan { state, parts } = &plan;
+        let here = || walk_here(&tier.index, &tier.cells, stages, ring, parts, state);
+        if !matches!(how, Admission::Queued) && here() {
+            return Ok(plan.state);
+        }
         match how {
-            Admission::Block => {
+            Admission::Block | Admission::Queued => {
                 for (queue, job) in plan.parts {
                     // Queues are poisoned only under the stop gate's
                     // write guard, which cannot be held while we hold
@@ -837,13 +854,15 @@ impl ProbeService {
     /// Admits `plan`, waiting out backpressure, then blocks for the
     /// assembled response — the body of every blocking convenience.
     fn wait(&self, plan: Plan<'_>) -> Result<Response, SubmitError> {
-        let state = self.admit(plan, Admission::Block)?;
+        let state = self.admit(plan, Admission::Queued)?;
         Ok(PendingResponse { state }.wait())
     }
 
     /// Submits a request, blocking only when a target shard queue is
     /// over capacity (backpressure). The returned handle resolves once
-    /// every involved shard has answered.
+    /// every involved shard has answered — for a probe of fewer than
+    /// [`inflight`](ServeConfig::inflight) keys that is normally before
+    /// this returns: it is walked here, not queued.
     ///
     /// # Errors
     ///
@@ -1278,11 +1297,32 @@ mod tests {
                 other => panic!("wrong variant: {other:?}"),
             }
         }
+        let walked = s.live_stats();
+        assert_eq!(walked.latency.count, 200);
+        // Requests that fill the ring are queued, and what queues while
+        // a worker walks shares its next batch: fewer batches than
+        // shard parts. (The sub-ring lookups above never queued — one
+        // walk each, on this thread.)
+        let inflight = ServeConfig::default().inflight as u64;
+        let pendings: Vec<PendingResponse> = (0..200)
+            .map(|i| {
+                let keys = (i * inflight..(i + 1) * inflight).collect();
+                s.submit(Request::MultiLookup { keys }).unwrap()
+            })
+            .collect();
+        for p in pendings {
+            assert_eq!(p.wait().match_count() as u64, inflight);
+        }
         let stats = s.shutdown();
-        assert_eq!(stats.latency.count, 200);
-        // Batching must have occurred: fewer batches than requests.
-        let batches: u64 = stats.workers.iter().map(|w| w.batches).sum();
-        assert!(batches < 200, "batches {batches}");
+        assert_eq!(stats.latency.count, 400);
+        let jobs = |stats: &ServiceStats| stats.workers.iter().map(|w| w.jobs).sum::<u64>();
+        let batches = |stats: &ServiceStats| stats.workers.iter().map(|w| w.batches).sum::<u64>();
+        assert_eq!((jobs(&walked), batches(&walked)), (200, 200));
+        let (parts, batched) = (jobs(&stats) - 200, batches(&stats) - 200);
+        assert!(
+            batched < parts,
+            "{batched} batches for {parts} queued parts"
+        );
     }
 
     #[test]

@@ -3,12 +3,14 @@
 //! `widx_db::index`.
 //!
 //! Since the serving tier accepts online writes, each shard sits behind
-//! its own `RwLock`. The lock is *structurally* uncontended: the shard
-//! worker is the sole writer for its shard and takes the write guard
-//! only at batch barriers, while readers (walker batches, stats
-//! scrapes, oracles) share the read guard. The lock's job is to make
-//! the `&mut` visible to the borrow checker and memory model, not to
-//! arbitrate between competing writers — there are none.
+//! its own `RwLock`. The shard worker is the sole *writer* for its
+//! shard and takes the write guard only at batch barriers, so writers
+//! never compete; readers share the read guard — the worker's walker
+//! batches, sub-ring probes walked on their submitting threads
+//! ([`try_read`](ShardedIndex::try_read)), stats scrapes, oracles. The
+//! lock arbitrates those readers against the barrier: std's lock
+//! prefers a waiting writer, so a barrier is never starved, and a
+//! submitter that is refused the guard queues its probe instead.
 
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
@@ -77,6 +79,14 @@ impl ShardedIndex {
     /// Panics if the lock is poisoned (a worker panicked mid-write).
     pub fn read(&self, shard: usize) -> RwLockReadGuard<'_, HashIndex> {
         self.shards[shard].read().expect("hash shard lock")
+    }
+
+    /// Read access to shard `shard` without waiting: `None` while the
+    /// shard's worker holds or awaits its write barrier (or the lock is
+    /// poisoned). Sub-ring probes walk under this guard on their
+    /// submitting thread, and queue instead when it is refused.
+    pub(crate) fn try_read(&self, shard: usize) -> Option<RwLockReadGuard<'_, HashIndex>> {
+        self.shards[shard].try_read().ok()
     }
 
     /// Write access to shard `shard` — reserved for the shard's owning

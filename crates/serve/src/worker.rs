@@ -27,13 +27,16 @@
 //! its shard. Walker batches run under the shard's read guard with an
 //! epoch pinned; [`Job::Write`] batches are applied under the write
 //! guard at batch barriers (never mid-batch), then the worker advances
-//! the epoch and reclaims nodes the mutations retired. The shard lock
-//! is structurally uncontended — its job is memory-model visibility,
-//! not writer arbitration. The walker is rebuilt per batch and borrows
-//! the read guard, so no cursor survives a barrier and the epoch pin
-//! spans exactly the guard's scope: it registers the batch as a reader
-//! with the service-wide reclamation domain, and protects nothing the
-//! guard does not already.
+//! the epoch and reclaims nodes the mutations retired. The worker is
+//! not a hash shard's only reader: a sub-ring probe is walked on its
+//! submitting thread ([`walk_here`]) under a `try_read` guard, so the
+//! lock arbitrates those readers against the barrier — a barrier waits
+//! out the walks in flight, and a probe that finds the barrier holding
+//! or awaiting the lock is queued instead. The walker is rebuilt per
+//! batch and borrows the read guard, so no cursor survives a barrier
+//! and the epoch pin spans exactly the guard's scope: it registers the
+//! batch as a reader with the service-wide reclamation domain, and
+//! protects nothing the guard does not already (a submitter pins none).
 
 use std::sync::{Arc, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
@@ -41,7 +44,7 @@ use std::time::{Duration, Instant};
 use widx_db::epoch::EpochDomain;
 use widx_db::index::{BTreeIndex, HashIndex};
 use widx_obs::{FlushKind, ProfCell, Stage, StageTimes, ThreadProfiler, WalkCounters, WorkerCell};
-use widx_soft::{AmacWalker, BTreeRangeWalker, ScanRange};
+use widx_soft::{probe_scalar, AmacWalker, BTreeRangeWalker, ScanRange};
 
 use crate::batch::BatchPolicy;
 use crate::ordered::OrderedShardedIndex;
@@ -324,9 +327,9 @@ pub(crate) fn run_worker<T: Tier>(ctx: &WorkerContext<T>) {
                 debug_assert_eq!(key, widx_core::POISON_KEY);
                 break; // Poison with an empty batch: halt immediately.
             }
-            // A write opening a batch is its own barrier: nothing is
-            // reading — this worker is the shard's only writer and its
-            // only walker driver.
+            // A write opening a batch is its own barrier: no batch is
+            // open, and the write guard waits out whatever walk a
+            // submitting thread has in flight.
             Job::Write { ops, ack, reply } => {
                 writes.push(WriteJob { ops, ack, reply });
                 false
@@ -461,6 +464,88 @@ impl Batch {
     }
 }
 
+/// Writes one shard's finished walk into `reply`'s trace, when it has
+/// one. A worker's batch and a sub-ring walk on a submitting thread
+/// ([`walk_here`]) record alike; the latter waited in no open batch
+/// (`closed` is `None`), so it has no batch-wait span.
+fn trace_walk(
+    reply: &ResponseState,
+    shard: usize,
+    (admitted, closed): (Instant, Option<Instant>),
+    (opened, busy, counters): (Instant, Duration, &WalkCounters),
+) {
+    if !reply.is_traced() {
+        return;
+    }
+    reply.trace_annotate(|trace, submitted| {
+        trace.add_shard(shard as u32);
+        trace.span_between(Stage::QueueWait, submitted, admitted);
+        if let Some(closed) = closed {
+            trace.span_between(Stage::BatchWait, admitted, closed);
+        }
+        trace.span_for(Stage::Walk, opened, busy);
+        trace.add_walk(counters);
+    });
+}
+
+/// The sub-ring rule: a probe request with fewer keys than the walker
+/// ring has slots gives the walkers nothing to interleave, so it is
+/// walked where it already is — on its submitting thread — instead of
+/// being queued. `try_read` on every owning shard (ascending, `parts`'
+/// order), then each part through the serial engine, the paper's
+/// Listing 1, completed and counted as a worker would: one job, one
+/// queue-dry batch of its keys. `try_read`, never `read`: a refused
+/// guard means the shard's worker holds or awaits its write barrier,
+/// so every guard is dropped and `false` leaves `parts` to the queues.
+pub(crate) fn walk_here(
+    index: &ShardedIndex,
+    cells: &[Arc<WorkerCell>],
+    stages: &StageTimes,
+    ring: usize,
+    parts: &[(&ShardQueue, Job)],
+    reply: &ResponseState,
+) -> bool {
+    // Only probe parts carry keys to walk; a write or a scan has none.
+    fn probe(job: &Job) -> Option<&[(u32, u64)]> {
+        match job {
+            Job::Probe { entries, .. } => Some(entries),
+            _ => None,
+        }
+    }
+    let probes = parts.iter().filter_map(|(_, job)| probe(job));
+    if !(1..ring).contains(&probes.map(<[_]>::len).sum()) {
+        return false;
+    }
+    let held = parts.iter().map(|(_, job)| {
+        let entries = probe(job)?;
+        let shard = index.shard_of(entries.first()?.1);
+        Some((shard, entries, index.try_read(shard)?))
+    });
+    let Some(held) = held.collect::<Option<Vec<_>>>() else {
+        return false;
+    };
+    let (mut items, mut found) = (Vec::<RoutedMatch>::new(), Vec::new());
+    for (shard, entries, guard) in &held {
+        let (cell, opened) = (&*cells[*shard], Instant::now());
+        cell.add_jobs(1);
+        stages.record(Stage::QueueWait, reply.since_submit());
+        let mut counters = WalkCounters::default();
+        items.clear();
+        for &(row, key) in entries.iter() {
+            counters.merge(&probe_scalar(guard, &[key], &mut found));
+            items.extend(found.drain(..).map(|(key, payload)| (row, key, payload)));
+        }
+        let busy = opened.elapsed();
+        cell.add_batch(entries.len() as u64, FlushKind::QueueDry);
+        cell.add_busy(busy);
+        stages.record(Stage::Walk, busy);
+        cell.add_matches(items.len() as u64);
+        trace_walk(reply, *shard, (opened, None), (opened, busy, &counters));
+        reply.complete_part(&items, Some(cell));
+    }
+    true
+}
+
 /// Assembles and drains one batch starting from `first`. Returns true
 /// when the poison pill arrived and the worker must halt after this
 /// batch.
@@ -515,18 +600,11 @@ fn run_batch<T: Tier>(
     stages.record(Stage::Walk, batch.busy);
     let walk_counters = walker.take_counters();
     prof.add_walk(&walk_counters);
+    let walked = (batch.opened, batch.busy, &walk_counters);
     let gather_mark = prof.mark();
     for job in &batch.open {
         cell.add_matches(job.emitted);
-        if job.reply.is_traced() {
-            job.reply.trace_annotate(|trace, submitted| {
-                trace.add_shard(ctx.shard as u32);
-                trace.span_between(Stage::QueueWait, submitted, job.admitted);
-                trace.span_between(Stage::BatchWait, job.admitted, closed);
-                trace.span_for(Stage::Walk, batch.opened, batch.busy);
-                trace.add_walk(&walk_counters);
-            });
-        }
+        trace_walk(&job.reply, ctx.shard, (job.admitted, Some(closed)), walked);
         if job.streaming {
             for rank in &job.ranks {
                 job.reply.complete_stream_part(*rank, Some(cell));

@@ -1,13 +1,19 @@
 //! The service has one way in — `plan` + `admit` — so every request
 //! shape must behave the same through both admission modes: answers
 //! equal to a serial oracle, `Stopped` after `stop()`, and a `Busy`
-//! refusal that is all-or-nothing across *both* tiers.
+//! refusal that is all-or-nothing across *both* tiers. The one rule
+//! applied there is pinned here too: a probe with fewer keys than the
+//! walker ring has slots is answered on the submitting thread —
+//! complete when `submit` returns, never `Busy` — unless a shard
+//! refuses its read guard, in which case it queues like everything
+//! else; a probe of exactly `inflight` keys always queues.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::{mpsc, Mutex};
 use std::time::{Duration, Instant};
 
 use widx_db::hash::HashRecipe;
-use widx_serve::{ProbeService, Request, Response, ServeConfig, SubmitError};
+use widx_serve::{PendingResponse, ProbeService, Request, Response, ServeConfig, SubmitError};
 
 const ENTRIES: u64 = 2000;
 const PATIENCE: Duration = Duration::from_secs(30);
@@ -27,14 +33,25 @@ enum Mode {
     Try,
 }
 
-fn send(service: &ProbeService, mode: Mode, request: Request) -> Result<Response, SubmitError> {
-    let pending = match mode {
+fn submit(
+    service: &ProbeService,
+    mode: Mode,
+    request: Request,
+) -> Result<PendingResponse, SubmitError> {
+    match mode {
         Mode::Block => service.submit(request),
         Mode::Try => service.try_submit(request, None),
-    }?;
-    Ok(pending
+    }
+}
+
+fn complete(mode: Mode, pending: PendingResponse) -> Response {
+    pending
         .wait_timeout(PATIENCE)
-        .unwrap_or_else(|_| panic!("{mode:?}: an accepted request never completed")))
+        .unwrap_or_else(|_| panic!("{mode:?}: an accepted request never completed"))
+}
+
+fn send(service: &ProbeService, mode: Mode, request: Request) -> Result<Response, SubmitError> {
+    Ok(complete(mode, submit(service, mode, request)?))
 }
 
 fn stream(
@@ -313,5 +330,157 @@ fn busy_refuses_a_dual_tier_write_on_both_tiers_or_neither() {
         service.range_scan(KEY, KEY, usize::MAX).expect("scan"),
         vec![(KEY, 777)]
     );
+    let _ = service.shutdown();
+}
+
+/// The sub-ring rows: every probe shape with fewer keys than the ring
+/// has slots (`inflight`, 8) — one key, `inflight - 1` keys spanning
+/// both shards, duplicates, misses — is complete the moment `submit` /
+/// `try_submit` returns, equals the serial oracle, and is refused after
+/// `stop()` like any other request.
+#[test]
+fn sub_ring_probes_are_complete_when_submit_returns() {
+    let config = ServeConfig::default().with_shards(2);
+    let spanning: Vec<u64> = (0..config.inflight as u64 - 1).map(|k| k * 2).collect();
+    let rows = [
+        Request::Lookup { key: 84 },
+        Request::Lookup { key: 85 },
+        Request::MultiLookup {
+            keys: spanning.clone(),
+        },
+        Request::JoinProbe { keys: spanning },
+        Request::MultiLookup {
+            keys: vec![10, 10, 10],
+        },
+        Request::JoinProbe {
+            keys: vec![10, 11, 10, 3998, 4000],
+        },
+        Request::MultiLookup {
+            keys: vec![1, 3, 5, 7001],
+        },
+        Request::JoinProbe { keys: vec![1, 3] },
+    ];
+    for mode in [Mode::Block, Mode::Try] {
+        let service = build(&config);
+        let owners: BTreeSet<usize> = rows[2]
+            .keys()
+            .iter()
+            .map(|key| service.sharded().shard_of(*key))
+            .collect();
+        assert_eq!(owners.len(), 2, "the spanning rows touch both shards");
+        let mut model = Model::new();
+        for request in &rows {
+            let pending = submit(&service, mode, request.clone()).expect("accepted");
+            assert!(
+                pending.is_ready(),
+                "{mode:?}: {request:?} was not complete when submit returned"
+            );
+            assert_eq!(
+                normalized(complete(mode, pending)),
+                normalized(model.answer(request)),
+                "{mode:?}: {request:?} diverged from the serial oracle"
+            );
+        }
+        assert_eq!(service.backlog(), vec![0, 0], "{mode:?}: nothing queued");
+        service.stop();
+        for request in &rows {
+            assert_eq!(
+                submit(&service, mode, request.clone()).err(),
+                Some(SubmitError::Stopped),
+                "{mode:?}: {request:?} admitted after stop()"
+            );
+        }
+        let _ = service.shutdown();
+    }
+}
+
+/// The rule's two edges, with the owning worker parked so nothing
+/// depends on timing. A probe of exactly `inflight` keys is *queued*:
+/// not ready at return, `Busy` once the queue is full, answered only
+/// when the worker runs its batch. The same probe minus one key is
+/// *walked*: answered at return whatever the queue holds. And when the
+/// shard refuses its read guard, the sub-ring probe takes the queue
+/// path too, completing once the guard drops.
+#[test]
+fn a_ring_filling_probe_queues_where_a_sub_ring_probe_is_answered() {
+    const CAPACITY: usize = 16;
+    let config = ServeConfig::default()
+        .with_shards(2)
+        .with_queue_capacity(CAPACITY);
+    let ring = config.inflight;
+    let service = build(&config);
+    let h = 1;
+    let owned: Vec<u64> = (0..)
+        .filter(|key| service.sharded().shard_of(*key) == h)
+        .take(ring)
+        .collect();
+    let ring_filling = || Request::MultiLookup {
+        keys: owned.clone(),
+    };
+    let sub_ring = || Request::MultiLookup {
+        keys: owned[1..].to_vec(),
+    };
+    let oracle = |request: &Request| normalized(Model::new().answer(request));
+
+    // Park shard `h`'s worker inside a completion waker: it then holds
+    // its read guard (readers welcome) and cannot pop. The write guard
+    // keeps the parker from completing before the waker is installed.
+    let (entered_tx, entered) = mpsc::channel();
+    let (release, released) = mpsc::channel::<()>();
+    let released = Mutex::new(released);
+    let guard = service.sharded().write(h);
+    let parker = service.submit(ring_filling()).expect("parker");
+    parker.set_waker(move || {
+        entered_tx.send(()).expect("test alive");
+        let _ = released.lock().expect("release lock").recv();
+    });
+    drop(guard);
+    entered
+        .recv_timeout(PATIENCE)
+        .expect("the worker never completed the parker");
+
+    // Ring-filling probes queue behind the parked worker until the
+    // queue is full, then are refused.
+    let queued: Vec<PendingResponse> = (0..CAPACITY / ring)
+        .map(|_| {
+            let pending = service.try_submit(ring_filling(), None).expect("fits");
+            assert!(!pending.is_ready(), "an inflight-key probe was not queued");
+            pending
+        })
+        .collect();
+    assert_eq!(service.backlog()[h], CAPACITY);
+    assert_eq!(
+        service.try_submit(ring_filling(), None).err(),
+        Some(SubmitError::Busy),
+        "the shard's queue is full"
+    );
+    // One key fewer needs no queue slot and no worker.
+    let pending = service
+        .try_submit(sub_ring(), None)
+        .expect("a sub-ring probe is never Busy");
+    assert!(pending.is_ready(), "a sub-ring probe waited for the worker");
+    assert_eq!(normalized(pending.wait()), oracle(&sub_ring()));
+    assert_eq!(service.backlog()[h], CAPACITY, "walked, not queued");
+
+    release.send(()).expect("worker parked");
+    for pending in queued.into_iter().chain([parker]) {
+        assert_eq!(
+            normalized(complete(Mode::Try, pending)),
+            oracle(&ring_filling())
+        );
+    }
+
+    // A refused guard (here: the test plays the write barrier) sends
+    // the same sub-ring probe down the unchanged queue path.
+    for mode in [Mode::Block, Mode::Try] {
+        let guard = service.sharded().write(h);
+        let pending = submit(&service, mode, sub_ring()).expect("accepted");
+        assert!(
+            !pending.is_ready(),
+            "{mode:?}: walked a shard whose write guard is held"
+        );
+        drop(guard);
+        assert_eq!(normalized(complete(mode, pending)), oracle(&sub_ring()));
+    }
     let _ = service.shutdown();
 }

@@ -9,7 +9,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use widx_db::hash::HashRecipe;
-use widx_serve::{ProbeService, ServeConfig, ServiceStats};
+use widx_serve::{ProbeService, Request, Response, ServeConfig, ServiceStats};
 
 const ENTRIES: u64 = 8192;
 
@@ -120,6 +120,55 @@ fn live_stats_equal_shutdown_stats_at_quiescence() {
     let live = service.live_stats();
     assert_eq!(live.total_keys(), 503);
     assert_eq!(live.latency.count, 502, "one latency per request");
+    let shutdown = service.shutdown();
+    assert_eq!(comparable(live), comparable(shutdown));
+}
+
+/// A sub-ring lookup is walked on the submitting thread, yet counts in
+/// its shard's worker cell exactly as a one-key worker batch would:
+/// the stats cannot tell which thread ran a walk.
+#[test]
+fn sub_ring_lookups_count_as_one_key_batches() {
+    const HITS: u64 = 300;
+    const MISSES: u64 = 20;
+    let service = build();
+    for key in (0..HITS).chain(ENTRIES..ENTRIES + MISSES) {
+        let pending = service.submit(Request::Lookup { key }).expect("submit");
+        assert!(
+            pending.is_ready(),
+            "lookup {key} left the submitting thread"
+        );
+        match pending.wait() {
+            Response::Lookup { payloads, .. } if key < ENTRIES => {
+                assert_eq!(payloads, vec![key + 1]);
+            }
+            Response::Lookup { payloads, .. } => assert!(payloads.is_empty()),
+            other => panic!("wrong variant {other:?}"),
+        }
+    }
+    let n = HITS + MISSES;
+    let live = service.live_stats();
+    assert_eq!(live.total_keys(), n);
+    assert_eq!(live.total_matches(), HITS);
+    assert_eq!(live.latency.count as u64, n, "one latency per request");
+    let sum = |field: fn(&widx_serve::WorkerStats) -> u64| -> u64 {
+        live.workers.iter().map(field).sum()
+    };
+    assert_eq!(sum(|w| w.jobs), n);
+    assert_eq!(sum(|w| w.batches), n);
+    assert_eq!(sum(|w| w.deadline_flushes), n, "each a queue-dry batch");
+    assert_eq!(sum(|w| w.size_flushes) + sum(|w| w.shutdown_flushes), 0);
+    assert!(
+        live.workers.iter().all(|w| w.keys > 0 && !w.busy.is_zero()),
+        "both shards' cells carry the walks run for them"
+    );
+    for (name, summary) in live.stages.named() {
+        let want = match name {
+            "queue_wait" | "walk" | "gather" => n,
+            _ => 0, // no batch was open to wait in; no wire, no writes
+        };
+        assert_eq!(summary.count as u64, want, "stage {name}");
+    }
     let shutdown = service.shutdown();
     assert_eq!(comparable(live), comparable(shutdown));
 }

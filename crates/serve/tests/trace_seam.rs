@@ -7,7 +7,7 @@
 use std::time::Duration;
 
 use widx_db::hash::HashRecipe;
-use widx_serve::{ProbeService, RequestTrace, ServeConfig, Stage};
+use widx_serve::{ProbeService, Request, RequestTrace, ServeConfig, Stage};
 
 const ENTRIES: u64 = 8192;
 
@@ -111,6 +111,72 @@ fn head_sampled_requests_carry_the_full_span_seam() {
     let json = service.traces_json();
     assert!(json.contains("\"traces\":["));
     assert!(json.contains("\"walk\":"));
+    let _ = service.shutdown();
+}
+
+#[test]
+fn sub_ring_requests_are_traced_where_they_are_walked() {
+    // A sampled sub-ring request takes the same path as an unsampled
+    // one — the submitting thread — and its trace says so: the owning
+    // shards, a queue-wait (≈ 0) and a walk span, the serial engine's
+    // counters, and no batch-wait span, because no batch was open.
+    let service = build(ServeConfig::default().with_shards(2).with_trace_sample(1));
+    let owner = |key: u64| service.sharded().shard_of(key) as u32;
+    for key in 0..16u64 {
+        let pending = service.submit(Request::Lookup { key }).expect("submit");
+        assert!(pending.is_ready(), "tracing moved lookup {key} to a worker");
+    }
+    let spanning: Vec<u64> = (100..107).collect();
+    let pending = service
+        .submit(Request::JoinProbe {
+            keys: spanning.clone(),
+        })
+        .expect("submit");
+    assert!(pending.is_ready());
+
+    let recorder = service.flight_recorder();
+    recorder.flush();
+    assert_eq!(recorder.stats().recorded, 17, "one trace per request");
+    let traces = recorder.snapshot();
+    assert_eq!(traces.len(), 17);
+    for trace in &traces {
+        // In-process trace ids are the submission sequence.
+        let mut owners: Vec<u32> = match trace.kind {
+            "lookup" => vec![owner(trace.id)],
+            "join_probe" => spanning.iter().map(|key| owner(*key)).collect(),
+            other => panic!("unexpected trace kind {other}"),
+        };
+        owners.sort_unstable();
+        owners.dedup();
+        let mut shards = trace.shards.clone();
+        shards.sort_unstable();
+        assert_eq!(shards, owners, "{} trace {}", trace.kind, trace.id);
+        for stage in [Stage::QueueWait, Stage::Walk, Stage::Gather] {
+            assert!(
+                span_dur(trace, stage).is_some(),
+                "{} trace {} missing {} span",
+                trace.kind,
+                trace.id,
+                stage.name()
+            );
+        }
+        assert_eq!(span_dur(trace, Stage::BatchWait), None, "no batch was open");
+        let walks = trace.spans.iter().filter(|s| s.stage == Stage::Walk);
+        assert_eq!(walks.count(), owners.len(), "one walk span per shard part");
+        assert!(trace.walk.nodes > 0, "walk counters missing");
+        assert_eq!(trace.walk.rounds, trace.walk.nodes, "the serial engine");
+        assert_eq!(trace.walk.prefetches, 0, "the serial engine");
+        for span in &trace.spans {
+            assert!(
+                span.start_ns <= trace.total_ns,
+                "span starts after the request completed"
+            );
+        }
+    }
+    assert!(
+        traces.iter().any(|t| t.shards.len() == 2),
+        "join spans shards"
+    );
     let _ = service.shutdown();
 }
 
