@@ -12,8 +12,12 @@
 //! Widx program generator, and (c) the µop trace generator for the
 //! baseline cores, a hash function is represented as a [`HashRecipe`]:
 //! a list of [`HashStep`]s, each trivially mappable to 1–2 Widx
-//! instructions. [`HashRecipe::eval`] interprets the steps in software;
-//! the other layers compile them.
+//! instructions. The steps are the contract; the other layers compile
+//! them, and so does the software engine for the lists it knows:
+//! [`HashRecipe::new`] recognises the step lists of `trivial`,
+//! `robust64` and `heavy128` and [`HashRecipe::eval`] runs them as
+//! straight-line code (the paper's decoupled hashing unit, in software),
+//! folding over the steps only for a list it has no kernel for.
 
 use std::fmt;
 
@@ -39,6 +43,7 @@ pub enum HashStep {
 impl HashStep {
     /// Applies the step to `x`.
     #[must_use]
+    #[inline]
     pub fn apply(self, x: u64) -> u64 {
         match self {
             HashStep::XorConst(c) => x ^ c,
@@ -73,18 +78,98 @@ impl fmt::Display for HashStep {
     }
 }
 
+/// Declares one step list twice from one spelling: as the `$steps`
+/// slice a recipe is built from (and recognised by), and as `$kernel`,
+/// the same steps applied to literals one after another — which the
+/// compiler folds to straight-line shifts and adds, with no `match`
+/// and no loop left.
+macro_rules! kernel {
+    ($steps:ident, $kernel:ident: $($step:expr),+ $(,)?) => {
+        const $steps: &[HashStep] = &[$($step),+];
+
+        #[inline(always)]
+        fn $kernel(x: u64) -> u64 {
+            $(let x = $step.apply(x);)+
+            x
+        }
+    };
+}
+
+kernel!(TRIVIAL, trivial_kernel:
+    HashStep::AndConst(0xFFFF_FFFF),
+    HashStep::XorConst(0xB1C9),
+);
+
+kernel!(ROBUST64, robust64_kernel:
+    HashStep::XorShr(33),
+    HashStep::AddConst(0xff51_afd7_ed55_8ccd),
+    HashStep::XorShl(21),
+    HashStep::AddShl(3),
+    HashStep::XorShr(29),
+    HashStep::AddConst(0xc4ce_b9fe_1a85_ec53),
+    HashStep::XorShl(17),
+    HashStep::AddShr(7),
+    HashStep::XorShr(32),
+);
+
+// `heavy128` is `robust64` followed by this second round.
+kernel!(HEAVY128_TAIL, heavy128_tail_kernel:
+    HashStep::AddConst(0x9e37_79b9_7f4a_7c15),
+    HashStep::XorShr(30),
+    HashStep::AddShl(13),
+    HashStep::XorShl(27),
+    HashStep::AddShr(11),
+    HashStep::XorShr(31),
+    HashStep::AddConst(0xbf58_476d_1ce4_e5b9),
+    HashStep::XorShl(19),
+    HashStep::AddShl(5),
+    HashStep::XorShr(28),
+);
+
+/// Which code [`HashRecipe::eval`] runs. A function of the steps alone
+/// (never of the name), so equal step lists hash alike whatever they
+/// are called.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Kernel {
+    /// No kernel for this list: fold over the steps.
+    Fold,
+    Trivial,
+    Robust64,
+    Heavy128,
+}
+
+impl Kernel {
+    fn of(steps: &[HashStep]) -> Kernel {
+        if steps == TRIVIAL {
+            Kernel::Trivial
+        } else if steps == ROBUST64 {
+            Kernel::Robust64
+        } else if steps.strip_prefix(ROBUST64) == Some(HEAVY128_TAIL) {
+            Kernel::Heavy128
+        } else {
+            Kernel::Fold
+        }
+    }
+}
+
 /// A named hash function expressed as a sequence of [`HashStep`]s.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HashRecipe {
     name: &'static str,
     steps: Vec<HashStep>,
+    kernel: Kernel,
 }
 
 impl HashRecipe {
     /// Builds a recipe from raw steps.
     #[must_use]
     pub fn new(name: &'static str, steps: Vec<HashStep>) -> HashRecipe {
-        HashRecipe { name, steps }
+        let kernel = Kernel::of(&steps);
+        HashRecipe {
+            name,
+            steps,
+            kernel,
+        }
     }
 
     /// The trivial masked-XOR hash of the paper's Listing 1:
@@ -93,10 +178,7 @@ impl HashRecipe {
     /// function".
     #[must_use]
     pub fn trivial() -> HashRecipe {
-        HashRecipe::new(
-            "trivial",
-            vec![HashStep::AndConst(0xFFFF_FFFF), HashStep::XorConst(0xB1C9)],
-        )
+        HashRecipe::new("trivial", TRIVIAL.to_vec())
     }
 
     /// A robust 64-bit finalizer-style mixer (xorshift chains in the
@@ -106,20 +188,7 @@ impl HashRecipe {
     /// to production DBMS indexes.
     #[must_use]
     pub fn robust64() -> HashRecipe {
-        HashRecipe::new(
-            "robust64",
-            vec![
-                HashStep::XorShr(33),
-                HashStep::AddConst(0xff51_afd7_ed55_8ccd),
-                HashStep::XorShl(21),
-                HashStep::AddShl(3),
-                HashStep::XorShr(29),
-                HashStep::AddConst(0xc4ce_b9fe_1a85_ec53),
-                HashStep::XorShl(17),
-                HashStep::AddShr(7),
-                HashStep::XorShr(32),
-            ],
-        )
+        HashRecipe::new("robust64", ROBUST64.to_vec())
     }
 
     /// A computation-heavy hash for wide/double-integer keys, modelled on
@@ -128,20 +197,7 @@ impl HashRecipe {
     /// chained robust rounds.
     #[must_use]
     pub fn heavy128() -> HashRecipe {
-        let mut steps = HashRecipe::robust64().steps;
-        steps.extend_from_slice(&[
-            HashStep::AddConst(0x9e37_79b9_7f4a_7c15),
-            HashStep::XorShr(30),
-            HashStep::AddShl(13),
-            HashStep::XorShl(27),
-            HashStep::AddShr(11),
-            HashStep::XorShr(31),
-            HashStep::AddConst(0xbf58_476d_1ce4_e5b9),
-            HashStep::XorShl(19),
-            HashStep::AddShl(5),
-            HashStep::XorShr(28),
-        ]);
-        HashRecipe::new("heavy128", steps)
+        HashRecipe::new("heavy128", [ROBUST64, HEAVY128_TAIL].concat())
     }
 
     /// The recipe's name (for reports).
@@ -162,10 +218,18 @@ impl HashRecipe {
         self.steps.iter().map(|s| s.widx_ops()).sum()
     }
 
-    /// Evaluates the hash of `key` in software.
+    /// Evaluates the hash of `key` in software: one dispatch to the
+    /// list's kernel, or the fold over [`steps`](HashRecipe::steps) for
+    /// a list without one. Both compute the same value.
     #[must_use]
+    #[inline]
     pub fn eval(&self, key: u64) -> u64 {
-        self.steps.iter().fold(key, |x, s| s.apply(x))
+        match self.kernel {
+            Kernel::Trivial => trivial_kernel(key),
+            Kernel::Robust64 => robust64_kernel(key),
+            Kernel::Heavy128 => heavy128_tail_kernel(robust64_kernel(key)),
+            Kernel::Fold => self.steps.iter().fold(key, |x, s| s.apply(x)),
+        }
     }
 
     /// Hashes `key` and reduces it to a bucket index below
@@ -175,6 +239,7 @@ impl HashRecipe {
     ///
     /// Panics if `bucket_count` is not a power of two.
     #[must_use]
+    #[inline]
     pub fn bucket_of(&self, key: u64, bucket_count: u64) -> u64 {
         assert!(
             bucket_count.is_power_of_two(),
@@ -201,10 +266,17 @@ impl HashRecipe {
     ///
     /// Panics if `shard_count` is zero.
     #[must_use]
+    #[inline]
     pub fn shard_of(&self, key: u64, shard_count: u64) -> u64 {
         assert!(shard_count > 0, "need at least one shard");
-        let mixed = self.eval(key).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        (mixed >> 32) % shard_count
+        let upper = self.eval(key).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
+        // Same value either way; the mask spares the router a divide
+        // per key at the usual power-of-two shard counts.
+        if shard_count.is_power_of_two() {
+            upper & (shard_count - 1)
+        } else {
+            upper % shard_count
+        }
     }
 }
 

@@ -54,6 +54,15 @@ pub struct Node {
     pub next: u32,
 }
 
+// The serving-tier layout, pinned: rustc reorders `Bucket`'s fields
+// (two `u64`s, then the two `u32`s) into 24 bytes, not the 32 the
+// declaration order would take — so three headers span 72 bytes and one
+// in four straddles two 64-byte cache lines. Anything that reasons about
+// misses per probe (a tag byte in the header, an aligned header) starts
+// from these numbers; a change here is a layout change and moves
+// `rss_bytes_per_entry`.
+const _: () = assert!(size_of::<Bucket>() == 24 && size_of::<Node>() == 24);
+
 /// Build- and shape-statistics of a [`HashIndex`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct IndexStats {

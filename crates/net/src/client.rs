@@ -26,6 +26,7 @@ use std::net::{TcpStream, ToSocketAddrs};
 
 use widx_serve::{Request, Response};
 
+use crate::server::{advance_cursor, READ_CHUNK};
 use crate::wire::{self, Decoded, ErrorReply, Reply, ScrapeKind};
 
 /// Why a client call failed.
@@ -120,8 +121,12 @@ const CORK_FLUSH_BYTES: usize = 64 << 10;
 /// A blocking connection to a [`WidxServer`](crate::WidxServer).
 pub struct WidxClient {
     stream: TcpStream,
-    /// Unconsumed reply bytes.
+    /// Unconsumed reply bytes; `rpos` is the decode cursor (moved by
+    /// `advance_cursor`, not one memmove per frame) and `chunk` where
+    /// `read` lands — all three as on the server's connections.
     rbuf: Vec<u8>,
+    rpos: usize,
+    chunk: Box<[u8]>,
     /// Buffered replies received while waiting for a different id, in
     /// arrival order.
     stash: VecDeque<(u64, Result<Response, ErrorReply>)>,
@@ -147,6 +152,8 @@ impl WidxClient {
         Ok(WidxClient {
             stream,
             rbuf: Vec::new(),
+            rpos: 0,
+            chunk: vec![0; READ_CHUNK].into(),
             stash: VecDeque::new(),
             streams: HashMap::new(),
             ebuf: Vec::new(),
@@ -711,13 +718,13 @@ impl WidxClient {
     /// Reads exactly one reply frame off the wire (blocking).
     fn read_frame(&mut self) -> Result<(u64, Result<Reply, ErrorReply>), ClientError> {
         loop {
-            match wire::decode_reply(&self.rbuf) {
+            match wire::decode_reply(&self.rbuf[self.rpos..]) {
                 Ok(Decoded::Frame {
                     consumed,
                     id,
                     value,
                 }) => {
-                    self.rbuf.drain(..consumed);
+                    advance_cursor(&mut self.rbuf, &mut self.rpos, consumed);
                     return Ok((id, value));
                 }
                 Ok(Decoded::Corrupt {
@@ -727,7 +734,7 @@ impl WidxClient {
                     // connection — the wire spec's resync contract. The
                     // caller loses this one reply (reported as an
                     // error); everything pipelined behind it survives.
-                    self.rbuf.drain(..consumed);
+                    advance_cursor(&mut self.rbuf, &mut self.rpos, consumed);
                     return Err(ClientError::Io(std::io::Error::new(
                         ErrorKind::InvalidData,
                         format!("undecodable reply frame (skipped): {error}"),
@@ -744,15 +751,14 @@ impl WidxClient {
                     // go out first, or a request could deadlock behind
                     // its own unsent bytes.
                     self.flush()?;
-                    let mut chunk = [0u8; 16 * 1024];
-                    match self.stream.read(&mut chunk) {
+                    match self.stream.read(&mut self.chunk) {
                         Ok(0) => {
                             return Err(ClientError::Io(std::io::Error::new(
                                 ErrorKind::UnexpectedEof,
                                 "server closed mid-frame",
                             )));
                         }
-                        Ok(n) => self.rbuf.extend_from_slice(&chunk[..n]),
+                        Ok(n) => self.rbuf.extend_from_slice(&self.chunk[..n]),
                         Err(e) if e.kind() == ErrorKind::Interrupted => {}
                         Err(e) => return Err(ClientError::Io(e)),
                     }

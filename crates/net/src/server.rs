@@ -388,6 +388,9 @@ struct Connection {
     /// periodically rather than draining per decode pass).
     rbuf: Vec<u8>,
     rpos: usize,
+    /// Where `read` lands before the bytes join `rbuf`: allocated once
+    /// per connection, so a `fill` pass zeroes nothing.
+    chunk: Box<[u8]>,
     /// Reply bytes not yet written, segmented for vectored flushes.
     wbuf: WriteBuf,
     /// Requests submitted to the service, awaiting completion. Scanned
@@ -455,8 +458,23 @@ const MAX_WMARKS: usize = 1024;
 /// every decode).
 const RBUF_COMPACT: usize = 32 << 10;
 
+/// Moves a read buffer's decode cursor past `consumed` bytes: the
+/// buffer resets when that empties it and compacts once
+/// [`RBUF_COMPACT`] dead bytes sit in front of the cursor — the server's
+/// connections and the client read through the same rule.
+pub(crate) fn advance_cursor(rbuf: &mut Vec<u8>, rpos: &mut usize, consumed: usize) {
+    *rpos += consumed;
+    if *rpos == rbuf.len() {
+        rbuf.clear();
+        *rpos = 0;
+    } else if *rpos >= RBUF_COMPACT {
+        rbuf.drain(..*rpos);
+        *rpos = 0;
+    }
+}
+
 /// Bytes one `read` call may take off the socket.
-const READ_CHUNK: usize = 16 << 10;
+pub(crate) const READ_CHUNK: usize = 16 << 10;
 
 impl Connection {
     fn new(
@@ -469,6 +487,7 @@ impl Connection {
             stream,
             rbuf: Vec::new(),
             rpos: 0,
+            chunk: vec![0; READ_CHUNK].into(),
             wbuf: WriteBuf::new(),
             pending: Vec::new(),
             streams: Vec::new(),
@@ -554,17 +573,18 @@ impl Connection {
     /// Reads what the socket has ready, at most [`BUF_HIGH_WATER`] bytes
     /// (plus one [`READ_CHUNK`]) per pass: a peer that writes as fast as this
     /// loop copies must neither grow `rbuf` without bound nor starve the
-    /// reactor's other connections. Readiness is level-triggered, so
-    /// the next `wait` reports whatever is left. Returns true on
-    /// progress.
+    /// reactor's other connections. A short read ends the pass too —
+    /// the socket had no more, and asking again only to be told
+    /// `WouldBlock` is a syscall per request. Readiness is
+    /// level-triggered on every backend, so the next `wait` reports
+    /// whatever is left or has arrived since. Returns true on progress.
     fn fill(&mut self, config: &NetConfig) -> bool {
         if self.closed_for_reads || self.write_backlog() > config.max_write_backlog {
             return false;
         }
         let mut read = 0usize;
-        let mut chunk = [0u8; READ_CHUNK];
         while read < BUF_HIGH_WATER {
-            match self.stream.read(&mut chunk) {
+            match self.stream.read(&mut self.chunk) {
                 Ok(0) => {
                     // Peer half-closed: serve what we already have, then
                     // let `finished` reap the connection once drained.
@@ -572,8 +592,11 @@ impl Connection {
                     return true;
                 }
                 Ok(n) => {
-                    self.rbuf.extend_from_slice(&chunk[..n]);
+                    self.rbuf.extend_from_slice(&self.chunk[..n]);
                     read += n;
+                    if n < self.chunk.len() {
+                        break;
+                    }
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
@@ -742,16 +765,8 @@ impl Connection {
                 }
             }
         }
-        let progress = consumed_total > 0;
-        self.rpos += consumed_total;
-        if self.rpos == self.rbuf.len() {
-            self.rbuf.clear();
-            self.rpos = 0;
-        } else if self.rpos >= RBUF_COMPACT {
-            self.rbuf.drain(..self.rpos);
-            self.rpos = 0;
-        }
-        progress
+        advance_cursor(&mut self.rbuf, &mut self.rpos, consumed_total);
+        consumed_total > 0
     }
 
     fn reply_error(&mut self, id: u64, error: &ErrorReply, counters: &NetCounters) {

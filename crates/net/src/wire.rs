@@ -410,10 +410,20 @@ fn frame(buf: &mut Vec<u8>, opcode: u8, id: u64, payload: impl FnOnce(&mut Vec<u
     buf[len_at..len_at + 4].copy_from_slice(&body_len.to_le_bytes());
 }
 
+/// Grows `buf` by `len` bytes once and hands back the new tail, for a
+/// list body to be written through `chunks_exact_mut` — no capacity
+/// check per element. These are the hot serialize loops: every probe
+/// request, and every probe, chunk and range reply.
+fn grow(buf: &mut Vec<u8>, len: usize) -> &mut [u8] {
+    let at = buf.len();
+    buf.resize(at + len, 0);
+    &mut buf[at..]
+}
+
 fn put_keys(buf: &mut Vec<u8>, keys: &[u64]) {
     put_u32(buf, u32::try_from(keys.len()).expect("key count fits u32"));
-    for key in keys {
-        put_u64(buf, *key);
+    for (le, key) in grow(buf, keys.len() * 8).chunks_exact_mut(8).zip(keys) {
+        le.copy_from_slice(&key.to_le_bytes());
     }
 }
 
@@ -422,15 +432,9 @@ fn put_pairs(buf: &mut Vec<u8>, pairs: &[(u64, u64)]) {
         buf,
         u32::try_from(pairs.len()).expect("pair count fits u32"),
     );
-    // One reservation and one 16-byte append per pair: `put_pairs` is
-    // the body of every chunk/range reply, so this is the hot serialize
-    // loop of the streaming path.
-    buf.reserve(pairs.len() * 16);
-    for (a, b) in pairs {
-        let mut entry = [0u8; 16];
-        entry[..8].copy_from_slice(&a.to_le_bytes());
-        entry[8..].copy_from_slice(&b.to_le_bytes());
-        buf.extend_from_slice(&entry);
+    for (le, (a, b)) in grow(buf, pairs.len() * 16).chunks_exact_mut(16).zip(pairs) {
+        le[..8].copy_from_slice(&a.to_le_bytes());
+        le[8..].copy_from_slice(&b.to_le_bytes());
     }
 }
 
@@ -627,6 +631,11 @@ pub fn encode_error(buf: &mut Vec<u8>, id: u64, error: &ErrorReply) {
 // Decoding
 // ---------------------------------------------------------------------
 
+/// One little-endian `u64` from exactly eight bytes.
+fn le64(raw: &[u8]) -> u64 {
+    u64::from_le_bytes(raw.try_into().expect("eight bytes"))
+}
+
 /// A little-endian cursor over one frame's payload.
 struct Cursor<'a> {
     bytes: &'a [u8],
@@ -658,10 +667,7 @@ impl<'a> Cursor<'a> {
     }
 
     fn u64(&mut self) -> Result<u64, DecodeError> {
-        let raw = self.take(8)?;
-        let mut le = [0u8; 8];
-        le.copy_from_slice(raw);
-        Ok(u64::from_le_bytes(le))
+        Ok(le64(self.take(8)?))
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
@@ -680,7 +686,9 @@ impl<'a> Cursor<'a> {
         if count.saturating_mul(8) > self.bytes.len() - self.at {
             return Err(DecodeError::Payload("key count exceeds payload"));
         }
-        (0..count).map(|_| self.u64()).collect()
+        // The guard above is the bounds check: one allocation, then a
+        // straight conversion of the 8-byte chunks.
+        Ok(self.take(count * 8)?.chunks_exact(8).map(le64).collect())
     }
 
     fn pairs(&mut self) -> Result<Vec<(u64, u64)>, DecodeError> {
@@ -688,7 +696,8 @@ impl<'a> Cursor<'a> {
         if count.saturating_mul(16) > self.bytes.len() - self.at {
             return Err(DecodeError::Payload("pair count exceeds payload"));
         }
-        (0..count).map(|_| Ok((self.u64()?, self.u64()?))).collect()
+        let entries = self.take(count * 16)?.chunks_exact(16);
+        Ok(entries.map(|le| (le64(&le[..8]), le64(&le[8..]))).collect())
     }
 
     fn acks(&mut self) -> Result<Vec<bool>, DecodeError> {
@@ -1496,6 +1505,80 @@ mod tests {
             }
             other => panic!("expected corrupt, got {other:?}"),
         }
+    }
+
+    /// The bulk `keys` / `pairs` decoders answer every truncation of a
+    /// 1 024-key `JoinProbe` frame and of its reply exactly as the
+    /// element-at-a-time decoders did. Two cuts per length: the byte
+    /// stream stopping short (nothing may be decoded yet), and a frame
+    /// whose envelope is whole but whose payload stops short (the count
+    /// word promises more than is there).
+    #[test]
+    fn bulk_list_decode_answers_every_truncation_as_before() {
+        fn outcome<T: std::fmt::Debug + PartialEq>(
+            decoded: Decoded<T>,
+            whole: &T,
+        ) -> Result<(), String> {
+            match decoded {
+                Decoded::Frame { id, value, .. } if id == 7 && value == *whole => Ok(()),
+                Decoded::Corrupt { id: 7, error, .. } => Err(error.to_string()),
+                other => panic!("unexpected decode: {other:?}"),
+            }
+        }
+        /// Re-frames the first `payload` payload bytes of `frame` under a
+        /// body length that matches, so the envelope holds.
+        fn cut_payload(frame: &[u8], payload: usize) -> Vec<u8> {
+            let mut cut = frame[..4 + HEADER_LEN + payload].to_vec();
+            cut[..4].copy_from_slice(&((HEADER_LEN + payload) as u32).to_le_bytes());
+            cut
+        }
+
+        let keys: Vec<u64> = (0..1024u64).map(|k| k.wrapping_mul(0x9E37_79B9)).collect();
+        let pairs: Vec<(u64, u64)> = keys.iter().map(|k| (k % 1024, !k)).collect();
+        let request = WireRequest::Plain(Request::JoinProbe { keys: keys.clone() });
+        let reply = Ok(Reply::Response(Response::JoinProbe {
+            pairs: pairs.clone(),
+        }));
+        let (mut request_frame, mut reply_frame) = (Vec::new(), Vec::new());
+        encode_request(&mut request_frame, 7, &Request::JoinProbe { keys });
+        encode_response(&mut reply_frame, 7, &Response::JoinProbe { pairs });
+        assert_eq!(request_frame.len(), 4 + HEADER_LEN + 4 + 1024 * 8);
+        assert_eq!(reply_frame.len(), 4 + HEADER_LEN + 4 + 1024 * 16);
+
+        for cut in 0..request_frame.len() {
+            let decoded = decode_request(&request_frame[..cut]).unwrap();
+            assert!(matches!(decoded, Decoded::Incomplete), "request cut {cut}");
+        }
+        for cut in 0..reply_frame.len() {
+            let decoded = decode_reply(&reply_frame[..cut]).unwrap();
+            assert!(matches!(decoded, Decoded::Incomplete), "reply cut {cut}");
+        }
+        let expect = |payload: usize, whole: usize, list: &str| match payload {
+            0..=3 => Err("malformed payload: truncated payload".to_string()),
+            n if n < whole => Err(format!("malformed payload: {list} count exceeds payload")),
+            _ => Ok(()),
+        };
+        for payload in 0..=4 + 1024 * 8 {
+            let decoded = decode_request(&cut_payload(&request_frame, payload)).unwrap();
+            let want = expect(payload, 4 + 1024 * 8, "key");
+            assert_eq!(
+                outcome(decoded, &request),
+                want,
+                "request payload {payload}"
+            );
+        }
+        for payload in 0..=4 + 1024 * 16 {
+            let decoded = decode_reply(&cut_payload(&reply_frame, payload)).unwrap();
+            let want = expect(payload, 4 + 1024 * 16, "pair");
+            assert_eq!(outcome(decoded, &reply), want, "reply payload {payload}");
+        }
+        // One byte too many is still refused, after the list decoded.
+        request_frame.push(0);
+        let long = cut_payload(&request_frame, 4 + 1024 * 8 + 1);
+        assert_eq!(
+            outcome(decode_request(&long).unwrap(), &request),
+            Err("malformed payload: trailing bytes in payload".to_string())
+        );
     }
 
     #[test]

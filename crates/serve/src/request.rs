@@ -578,11 +578,17 @@ impl ResponseState {
     /// [`finish_part`](Self::finish_part)).
     pub(crate) fn complete_part(
         &self,
-        items: &[RoutedMatch],
+        mut items: Vec<RoutedMatch>,
         cell: Option<&WorkerCell>,
     ) -> Option<Duration> {
         let mut inner = self.inner.lock().expect("pending lock");
-        inner.items.extend_from_slice(items);
+        if inner.items.is_empty() {
+            // The first part's buffer becomes the request's: a
+            // one-shard request never copies its rows.
+            inner.items = items;
+        } else {
+            inner.items.append(&mut items);
+        }
         self.finish_part(inner, cell, false)
     }
 
@@ -982,9 +988,9 @@ mod tests {
         let state = Arc::new(ResponseState::new(RequestKind::RangeScan { limit: 5 }, 3));
         // Parts complete out of shard order; each part is key-ordered
         // with a disjoint key range. Duplicates (key 20) sit in one part.
-        state.complete_part(&[(1, 20, 1), (1, 20, 2), (1, 25, 0)], None);
-        state.complete_part(&[(2, 30, 9), (2, 31, 9)], None);
-        state.complete_part(&[(0, 10, 7), (0, 11, 8)], None);
+        state.complete_part(vec![(1, 20, 1), (1, 20, 2), (1, 25, 0)], None);
+        state.complete_part(vec![(2, 30, 9), (2, 31, 9)], None);
+        state.complete_part(vec![(0, 10, 7), (0, 11, 8)], None);
         match (PendingResponse { state }).wait() {
             Response::RangeScan { entries } => {
                 assert_eq!(
@@ -1002,9 +1008,9 @@ mod tests {
         // 4 ops scattered over two hash parts plus one ordered-tier
         // part that completes empty; op 2 missed.
         let state = Arc::new(ResponseState::new(RequestKind::Write { ops: 4 }, 3));
-        state.complete_part(&[(0, 10, 1), (2, 30, 0)], None);
-        state.complete_part(&[], None); // ordered tier: no acks
-        state.complete_part(&[(1, 20, 1), (3, 40, 1)], None);
+        state.complete_part(vec![(0, 10, 1), (2, 30, 0)], None);
+        state.complete_part(vec![], None); // ordered tier: no acks
+        state.complete_part(vec![(1, 20, 1), (3, 40, 1)], None);
         match (PendingResponse { state }).wait() {
             Response::Write { acks } => assert_eq!(acks, vec![true, true, false, true]),
             other => panic!("wrong variant: {other:?}"),
@@ -1054,8 +1060,8 @@ mod tests {
     #[test]
     fn completion_assembles_lookup() {
         let state = Arc::new(ResponseState::new(RequestKind::Lookup { key: 5 }, 2));
-        assert!(state.complete_part(&[(0, 5, 50)], None).is_none());
-        let latency = state.complete_part(&[(0, 5, 51)], None);
+        assert!(state.complete_part(vec![(0, 5, 50)], None).is_none());
+        let latency = state.complete_part(vec![(0, 5, 51)], None);
         assert!(latency.is_some(), "last part yields the latency");
         let resp = PendingResponse { state }.wait();
         match resp {
@@ -1070,7 +1076,7 @@ mod tests {
     #[test]
     fn join_rows_survive_routing() {
         let state = Arc::new(ResponseState::new(RequestKind::JoinProbe, 1));
-        state.complete_part(&[(7, 100, 1), (2, 100, 1)], None);
+        state.complete_part(vec![(7, 100, 1), (2, 100, 1)], None);
         match (PendingResponse { state }).wait() {
             Response::JoinProbe { mut pairs } => {
                 pairs.sort_unstable();
@@ -1089,7 +1095,7 @@ mod tests {
         let pending = pending
             .wait_timeout(std::time::Duration::from_millis(10))
             .expect_err("not complete yet");
-        state.complete_part(&[(0, 1, 2)], None);
+        state.complete_part(vec![(0, 1, 2)], None);
         match pending.wait_timeout(std::time::Duration::from_secs(5)) {
             Ok(Response::MultiLookup { matches }) => assert_eq!(matches, vec![(1, 2)]),
             other => panic!("unexpected: {:?}", other.map_err(|_| "timeout")),
@@ -1209,9 +1215,9 @@ mod tests {
         pending.set_waker(move || {
             counter.fetch_add(1, Ordering::Relaxed);
         });
-        state.complete_part(&[(0, 1, 2)], None);
+        state.complete_part(vec![(0, 1, 2)], None);
         assert_eq!(wakes.load(Ordering::Relaxed), 0, "one part still out");
-        state.complete_part(&[], None);
+        state.complete_part(vec![], None);
         assert_eq!(wakes.load(Ordering::Relaxed), 1, "completion woke");
         assert!(pending.is_ready());
     }

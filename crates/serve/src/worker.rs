@@ -285,7 +285,7 @@ fn apply_write_barrier<T: Tier>(
                 trace.span_for(Stage::Write, opened, took);
             });
         }
-        job.reply.complete_part(&items, Some(cell));
+        job.reply.complete_part(items, Some(cell));
     }
     // The barrier's mutations retired nodes at the *current* epoch;
     // advance so they stamp strictly below every future pin, then
@@ -436,14 +436,16 @@ impl Batch {
             // Defensive: never strand a zero-key part. (The planner
             // never scatters an empty streaming part.)
             debug_assert!(!streaming, "empty streaming shard-part");
-            reply.complete_part(&[], Some(&ctx.cell));
+            reply.complete_part(Vec::new(), Some(&ctx.cell));
             return;
         }
         let open_idx = self.open.len();
         self.open.push(OpenJob {
             reply,
             streaming,
-            items: Vec::new(),
+            // A buffered part's rows are sized once (a probe emits about
+            // one row per key) and moved into the reply at batch close.
+            items: Vec::with_capacity(if streaming { 0 } else { work.len() }),
             admitted: Instant::now(),
             ranks: Vec::new(),
             emitted: 0,
@@ -524,13 +526,13 @@ pub(crate) fn walk_here(
     let Some(held) = held.collect::<Option<Vec<_>>>() else {
         return false;
     };
-    let (mut items, mut found) = (Vec::<RoutedMatch>::new(), Vec::new());
+    let mut found = Vec::new();
     for (shard, entries, guard) in &held {
         let (cell, opened) = (&*cells[*shard], Instant::now());
         cell.add_jobs(1);
         stages.record(Stage::QueueWait, reply.since_submit());
         let mut counters = WalkCounters::default();
-        items.clear();
+        let mut items = Vec::<RoutedMatch>::with_capacity(entries.len());
         for &(row, key) in entries.iter() {
             counters.merge(&probe_scalar(guard, &[key], &mut found));
             items.extend(found.drain(..).map(|(key, payload)| (row, key, payload)));
@@ -541,7 +543,7 @@ pub(crate) fn walk_here(
         stages.record(Stage::Walk, busy);
         cell.add_matches(items.len() as u64);
         trace_walk(reply, *shard, (opened, None), (opened, busy, &counters));
-        reply.complete_part(&items, Some(cell));
+        reply.complete_part(items, Some(cell));
     }
     true
 }
@@ -602,7 +604,7 @@ fn run_batch<T: Tier>(
     prof.add_walk(&walk_counters);
     let walked = (batch.opened, batch.busy, &walk_counters);
     let gather_mark = prof.mark();
-    for job in &batch.open {
+    for job in batch.open {
         cell.add_matches(job.emitted);
         trace_walk(&job.reply, ctx.shard, (job.admitted, Some(closed)), walked);
         if job.streaming {
@@ -610,7 +612,7 @@ fn run_batch<T: Tier>(
                 job.reply.complete_stream_part(*rank, Some(cell));
             }
         } else {
-            job.reply.complete_part(&job.items, Some(cell));
+            job.reply.complete_part(job.items, Some(cell));
         }
     }
     prof.record(Stage::Gather, gather_mark);

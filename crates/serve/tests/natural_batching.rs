@@ -80,6 +80,22 @@ fn lone_requests_complete_without_reaching_the_size_target() {
     assert_eq!(streamed, 600);
     assert_eq!(service.lookup(41).expect("lookup"), vec![7]);
 
+    // Flush barrier: the stream ended at its limit, which says nothing
+    // about the range workers — one may still be draining the batch
+    // that served it, another may not have popped its part yet (and
+    // would then find the shutdown pill queued behind it). A buffered
+    // scan over every range shard queues behind those parts and
+    // completes only after its batch has closed and been counted.
+    match wait(Request::RangeScan {
+        lo: 0,
+        hi: ENTRIES,
+        limit: usize::MAX,
+        desc: false,
+    }) {
+        Response::RangeScan { entries } => assert_eq!(entries.len(), ENTRIES as usize),
+        other => panic!("wrong variant {other:?}"),
+    }
+
     let stats = service.live_stats();
     for (tier, workers) in [("hash", &stats.workers), ("range", &stats.range_workers)] {
         let (batches, _, size, dry) = flushes(workers);
