@@ -1,8 +1,10 @@
 //! Multi-reactor front-end behaviour that the parity suites cannot see
 //! from the wire: round-robin connection pinning (via the per-reactor
 //! gauges), graceful shutdown draining a backlog parked on a
-//! *secondary* reactor, and the client's corked batch mode.
+//! *secondary* reactor, the client's corked batch mode, and two reactors
+//! going for one shard's write guard at once.
 
+use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -180,4 +182,83 @@ fn corked_batches_flush_as_one_and_answer_correctly() {
     let net = server.shutdown();
     assert_eq!(net.frames_in, n + 1);
     let _ = unwrap_service(service).shutdown();
+}
+
+/// Two reactors, one shard. Sub-ring writes are applied by the reactor
+/// that decoded them when the owning shards are idle and grant
+/// `try_write`; here two connections, pinned to different reactors,
+/// each pipeline `Update`s carrying rising sequence numbers onto their
+/// own keys — all of them owned by the *same* hash shard and the same
+/// ordered shard, so both reactors go for one shard's write guard at
+/// once. The loser must queue (it is refused the guard, or finds the
+/// shard no longer idle) and whatever it pipelined behind must queue
+/// behind that: every ack is `true` and every key ends at the last
+/// sequence its writer sent, in both tiers, with nothing refused.
+#[test]
+fn two_reactors_contending_for_one_shards_write_guard_keep_per_key_order() {
+    const KEYS_EACH: usize = 4;
+    const WRITES: u64 = 2000;
+    const DEPTH: usize = 32;
+    let pairs: Vec<(u64, u64)> = (0..4096u64).map(|k| (k, 0)).collect();
+    let (service, server) = stack(&pairs, NetConfig::default().with_reactors(2));
+    let ordered = service.ordered().expect("range tier");
+    let owned: Vec<u64> = (0..4096u64)
+        .filter(|key| service.sharded().shard_of(*key) == 0 && ordered.write_shard_of(*key) == 0)
+        .take(2 * KEYS_EACH)
+        .collect();
+    assert_eq!(owned.len(), 2 * KEYS_EACH, "one shard pair owns them all");
+    let addr = server.local_addr();
+
+    std::thread::scope(|scope| {
+        for keys in owned.chunks(KEYS_EACH) {
+            scope.spawn(move || {
+                let mut client = WidxClient::connect(addr).expect("connect");
+                let mut outstanding = VecDeque::with_capacity(DEPTH);
+                let reap = |client: &mut WidxClient, id| match client.recv(id) {
+                    Ok(Response::Write { acks }) => assert_eq!(acks, vec![true]),
+                    other => panic!("update answered with {other:?}"),
+                };
+                for seq in 1..=WRITES {
+                    let key = keys[seq as usize % KEYS_EACH];
+                    let update = Request::Update {
+                        pairs: vec![(key, seq)],
+                    };
+                    outstanding.push_back(client.send(&update).expect("send"));
+                    if outstanding.len() == DEPTH {
+                        reap(&mut client, outstanding.pop_front().expect("non-empty"));
+                    }
+                }
+                for id in outstanding {
+                    reap(&mut client, id);
+                }
+            });
+        }
+    });
+
+    let mut client = WidxClient::connect(addr).expect("connect");
+    for keys in owned.chunks(KEYS_EACH) {
+        for (slot, key) in keys.iter().enumerate() {
+            let last = (1..=WRITES)
+                .rev()
+                .find(|seq| *seq as usize % KEYS_EACH == slot);
+            let last = last.expect("every slot is written");
+            assert_eq!(
+                client.lookup(*key).expect("lookup"),
+                vec![last],
+                "key {key}"
+            );
+            assert_eq!(
+                client.range_scan(*key, *key, usize::MAX).expect("scan"),
+                vec![(*key, last)],
+                "key {key}: the ordered tier holds the same last write"
+            );
+        }
+    }
+    drop(client);
+    let net = server.shutdown();
+    assert_eq!((net.busy_rejects, net.decode_errors), (0, 0));
+    assert!(net.reactors.len() == 2 && net.connections == 3);
+    let stats = unwrap_service(service).shutdown();
+    assert_eq!(stats.total_write_ops(), 2 * WRITES * 2, "both tiers");
+    assert_eq!(stats.epoch_retired, 0);
 }

@@ -51,7 +51,9 @@ pub fn bucket_ceil(i: usize) -> u64 {
 /// single atomic) but are not a global atomic cut: a snapshot taken during
 /// concurrent recording may observe a record's bucket increment without its
 /// sum update or vice versa. Counts are derived from the buckets alone, so
-/// they are always internally consistent and monotone across snapshots.
+/// they are always internally consistent and monotone across snapshots —
+/// and a sample's extremes are published before its bucket, so a snapshot
+/// that counts a sample also sees a `min` / `max` that bound it.
 #[derive(Debug)]
 pub struct AtomicHistogram {
     buckets: [AtomicU64; HIST_BUCKETS],
@@ -80,10 +82,12 @@ impl AtomicHistogram {
     /// Record one sample, in nanoseconds.
     #[inline]
     pub fn record(&self, ns: u64) {
-        self.buckets[bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
-        self.sum_ns.fetch_add(ns, Ordering::Relaxed);
         self.min_ns.fetch_min(ns, Ordering::Relaxed);
         self.max_ns.fetch_max(ns, Ordering::Relaxed);
+        self.sum_ns.fetch_add(ns, Ordering::Relaxed);
+        // The bucket goes last and releases the extremes above to the
+        // snapshot that counts this sample.
+        self.buckets[bucket_of(ns)].fetch_add(1, Ordering::Release);
     }
 
     /// Record one sample given as a [`Duration`] (saturating at `u64` ns).
@@ -95,7 +99,9 @@ impl AtomicHistogram {
     /// Read the current state without resetting it.
     pub fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
-            buckets: std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed)),
+            // Buckets first (fields evaluate in this order): every sample
+            // counted here has its extremes visible to the loads below.
+            buckets: std::array::from_fn(|i| self.buckets[i].load(Ordering::Acquire)),
             sum_ns: self.sum_ns.load(Ordering::Relaxed),
             min_ns: self.min_ns.load(Ordering::Relaxed),
             max_ns: self.max_ns.load(Ordering::Relaxed),

@@ -25,8 +25,10 @@ pub enum Stage {
     BatchWait,
     /// Time spent actually walking the index, per batch.
     Walk,
-    /// Time spent applying a write batch to the index (the shard worker
-    /// is its shard's sole writer, so this is pure mutation time).
+    /// Time spent applying one write part to the index under the
+    /// shard's write guard — by the shard's worker at a batch barrier, or
+    /// by the submitter of a sub-ring write on an idle shard. Nobody
+    /// else holds the guard, so this is pure mutation time.
     Write,
     /// First part completed to last part completed (cross-shard gather).
     Gather,

@@ -106,6 +106,13 @@ impl OrderedShardedIndex {
         self.shards[shard].write().expect("ordered shard lock")
     }
 
+    /// Write access to shard `shard` without waiting: `None` while any
+    /// guard is out (or the lock is poisoned) — the ordered half of a
+    /// sub-ring write applied on its submitting thread.
+    pub(crate) fn try_write(&self, shard: usize) -> Option<RwLockWriteGuard<'_, BTreeIndex>> {
+        self.shards[shard].try_write().ok()
+    }
+
     /// The boundary keys between shards (`shard_count() - 1` of them,
     /// non-decreasing).
     #[must_use]

@@ -8,6 +8,10 @@
 //! queues stalling the dispatcher. One oversized job (more keys than the
 //! whole capacity) is admitted when the queue is empty, so a request can
 //! never deadlock against its own size.
+//!
+//! The queue also knows when its shard is [`idle`](ShardQueue::idle) —
+//! the one moment a submitter may apply a sub-ring write itself:
+//! nothing submitted earlier to the shard is still outstanding.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
@@ -121,6 +125,9 @@ struct QueueInner {
     /// FIFO push fairness: next ticket to hand out / ticket being served.
     next_ticket: u64,
     serving: u64,
+    /// The worker is waiting in `pop` holding nothing: set before the
+    /// condvar wait, cleared when a job is taken.
+    parked: bool,
 }
 
 /// A bounded MPSC job queue for one shard worker.
@@ -141,6 +148,7 @@ impl ShardQueue {
                 poisoned: false,
                 next_ticket: 0,
                 serving: 0,
+                parked: false,
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
@@ -201,6 +209,7 @@ impl ShardQueue {
     /// capacity back to blocked pushers.
     fn take(&self, inner: &mut QueueInner) -> Option<Job> {
         let job = inner.jobs.pop_front()?;
+        inner.parked = false;
         inner.queued_keys -= job.key_count();
         self.wake_pushers(inner);
         Some(job)
@@ -223,6 +232,7 @@ impl ShardQueue {
             if let Some(job) = self.take(&mut inner) {
                 return job;
             }
+            inner.parked = true;
             inner = self.not_empty.wait(inner).expect("queue wait");
         }
     }
@@ -232,6 +242,14 @@ impl ShardQueue {
     /// else is *already queued* — it never waits for company.
     pub(crate) fn try_pop(&self) -> Option<Job> {
         self.take(&mut self.inner.lock().expect("queue lock"))
+    }
+
+    /// Whether the shard is idle: nothing queued, no pusher waiting on a
+    /// ticket, and the worker parked in [`pop`](Self::pop) — so it holds
+    /// no job either (a halted worker never parks again).
+    pub(crate) fn idle(&self) -> bool {
+        let inner = self.inner.lock().expect("queue lock");
+        inner.parked && inner.jobs.is_empty() && inner.serving == inner.next_ticket
     }
 
     /// Keys currently waiting (for occupancy/backlog introspection).
@@ -424,6 +442,71 @@ mod tests {
         blocked.join().unwrap();
         assert_eq!(q.backlog_keys(), 3);
         assert_eq!(try_push_all(vec![(&*q, probe_job(&[8]))]), Ok(()));
+    }
+
+    /// Spins until the shard reports idle — the worker thread is on its
+    /// way into `pop`; this only bridges its scheduling delay.
+    fn await_idle(q: &ShardQueue) {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while !q.idle() {
+            assert!(Instant::now() < deadline, "the worker never parked");
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn idle_means_parked_on_an_empty_queue_holding_nothing() {
+        use std::sync::mpsc;
+        let q = Arc::new(ShardQueue::new(8));
+        assert!(!q.idle(), "no worker has parked yet");
+
+        // The worker: pops, reports what it holds, and keeps holding it
+        // until told to finish — then goes back to `pop`.
+        let (holding_tx, holding) = mpsc::channel();
+        let (finish, finished) = mpsc::channel::<()>();
+        let worker = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || loop {
+                let job = q.pop();
+                let poison = matches!(job, Job::Poison { .. });
+                holding_tx.send(poison).expect("test alive");
+                if poison {
+                    return;
+                }
+                finished.recv().expect("test alive");
+                drop(job);
+            })
+        };
+        await_idle(&q);
+
+        q.push(probe_job(&[1])).unwrap();
+        assert!(!q.idle(), "a queued job is outstanding work");
+        assert!(!holding.recv().unwrap());
+        assert_eq!(q.backlog_keys(), 0);
+        assert!(!q.idle(), "a held job counts: the worker is not parked");
+        finish.send(()).unwrap();
+        await_idle(&q);
+
+        q.push_poison();
+        assert!(!q.idle(), "the pill is queued");
+        assert!(holding.recv().unwrap());
+        worker.join().unwrap();
+        assert!(!q.idle(), "a halted worker never parks again");
+    }
+
+    #[test]
+    fn idle_is_false_while_a_pusher_waits_on_a_ticket() {
+        // An outstanding ticket is work submitted earlier, even in the
+        // instant the queue is empty and the worker already parked.
+        let q = ShardQueue::new(8);
+        {
+            let mut inner = q.inner.lock().unwrap();
+            inner.parked = true;
+            inner.next_ticket += 1;
+        }
+        assert!(!q.idle());
+        q.inner.lock().unwrap().serving += 1;
+        assert!(q.idle());
     }
 
     #[test]

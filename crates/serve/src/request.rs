@@ -11,8 +11,9 @@ use widx_obs::{ActiveTrace, FlightRecorder, PendingCommit, Stage, StageTimes, Wo
 
 /// One write operation, as routed to the shard that owns its key. The
 /// owning shard worker applies it under the shard's write guard at a
-/// batch barrier — the single-writer-per-shard model: no two writers
-/// ever compete for a shard lock.
+/// batch barrier — or, the shard idle and the write sub-ring, its
+/// submitter does under `try_write` — one writer at a time per shard:
+/// no two writers ever wait on each other for a shard lock.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WriteOp {
     /// Append `payload` under `key` (duplicates accumulate, after any

@@ -22,7 +22,7 @@ use crate::request::{
 };
 use crate::shard::ShardedIndex;
 use crate::stats::{profile_document, LatencySummary, ServiceStats, StageStats, WorkerStats};
-use crate::worker::{run_worker, walk_here, ShardIndex, Tier, WorkerContext};
+use crate::worker::{run_worker, walk_here, write_here, ShardIndex, Tier, WorkerContext};
 
 /// Tuning knobs for a [`ProbeService`].
 #[derive(Clone, Debug)]
@@ -818,9 +818,11 @@ impl ProbeService {
     /// for every request shape — and, under [`Admission::Try`], with
     /// respect to backpressure across every shard of *both* tiers. A
     /// refused plan is simply dropped. What never reaches a queue is a
-    /// sub-ring probe whose shards all grant their read guards: it is
-    /// walked here ([`walk_here`]), under the same gate, and returned
-    /// already complete — never `Busy`, never blocked.
+    /// sub-ring probe whose shards all grant their read guards, or a
+    /// sub-ring write whose shards — of both tiers — are all idle and
+    /// grant their write guards: it is walked ([`walk_here`]) or applied
+    /// ([`write_here`]) here, under the same gate, and returned already
+    /// complete — never `Busy`, never blocked.
     fn admit(&self, plan: Plan<'_>, how: Admission) -> Result<Arc<ResponseState>, SubmitError> {
         let stopped = self.stopped.read().expect("stop gate");
         if *stopped {
@@ -828,7 +830,12 @@ impl ProbeService {
         }
         let (tier, ring, stages) = (&self.hash, self.inflight, &*self.stages);
         let Plan { state, parts } = &plan;
-        let here = || walk_here(&tier.index, &tier.cells, stages, ring, parts, state);
+        let here = || {
+            let ordered = self.ordered.as_ref().map(|t| (&*t.index, &t.cells[..]));
+            let seams = (stages, &*self.domain);
+            walk_here(&tier.index, &tier.cells, stages, ring, parts, state)
+                || write_here((&tier.index, &tier.cells), ordered, seams, ring, parts)
+        };
         if !matches!(how, Admission::Queued) && here() {
             return Ok(plan.state);
         }

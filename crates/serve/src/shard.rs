@@ -3,14 +3,16 @@
 //! `widx_db::index`.
 //!
 //! Since the serving tier accepts online writes, each shard sits behind
-//! its own `RwLock`. The shard worker is the sole *writer* for its
-//! shard and takes the write guard only at batch barriers, so writers
-//! never compete; readers share the read guard — the worker's walker
+//! its own `RwLock`. The shard worker is the sole *writer* while it
+//! holds work, taking the write guard only at batch barriers; an idle
+//! shard's sub-ring write is applied by its submitter instead, under
+//! [`try_write`](ShardedIndex::try_write) — so writers never wait on
+//! each other. Readers share the read guard — the worker's walker
 //! batches, sub-ring probes walked on their submitting threads
 //! ([`try_read`](ShardedIndex::try_read)), stats scrapes, oracles. The
-//! lock arbitrates those readers against the barrier: std's lock
+//! lock arbitrates those readers against the writer: std's lock
 //! prefers a waiting writer, so a barrier is never starved, and a
-//! submitter that is refused the guard queues its probe instead.
+//! submitter that is refused a guard queues its request instead.
 
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
@@ -65,7 +67,7 @@ impl ShardedIndex {
     }
 
     /// The shard that owns `key` — reads and writes route identically,
-    /// so a shard worker is the sole writer for everything it serves.
+    /// so everything a shard worker serves is written through its shard.
     #[must_use]
     pub fn shard_of(&self, key: u64) -> usize {
         self.recipe.shard_of(key, self.shards.len() as u64) as usize
@@ -97,6 +99,14 @@ impl ShardedIndex {
     /// Panics if the lock is poisoned.
     pub fn write(&self, shard: usize) -> RwLockWriteGuard<'_, HashIndex> {
         self.shards[shard].write().expect("hash shard lock")
+    }
+
+    /// Write access to shard `shard` without waiting: `None` while any
+    /// guard is out (or the lock is poisoned). A submitter applies a
+    /// sub-ring write under this guard when the shard is idle, and
+    /// queues it instead when refused.
+    pub(crate) fn try_write(&self, shard: usize) -> Option<RwLockWriteGuard<'_, HashIndex>> {
+        self.shards[shard].try_write().ok()
     }
 
     /// The routing/bucketing recipe.

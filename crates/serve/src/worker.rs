@@ -24,11 +24,14 @@
 //! # Writes and epochs
 //!
 //! The serving tier is mutable: each worker is the *sole writer* for
-//! its shard. Walker batches run under the shard's read guard with an
-//! epoch pinned; [`Job::Write`] batches are applied under the write
-//! guard at batch barriers (never mid-batch), then the worker advances
-//! the epoch and reclaims nodes the mutations retired. The worker is
-//! not a hash shard's only reader: a sub-ring probe is walked on its
+//! its shard while it holds work. Walker batches run under the shard's
+//! read guard with an epoch pinned; [`Job::Write`] batches are applied
+//! under the write guard at batch barriers (never mid-batch), then the
+//! worker advances the epoch and reclaims nodes the mutations retired.
+//! While the worker is parked on an empty queue, a sub-ring write is
+//! applied by its submitting thread instead ([`write_here`]): same
+//! guard, same routine ([`apply_writes`]), no hand-off. The worker is
+//! not a hash shard's only reader either: a sub-ring probe is walked on its
 //! submitting thread ([`walk_here`]) under a `try_read` guard, so the
 //! lock arbitrates those readers against the barrier — a barrier waits
 //! out the walks in flight, and a probe that finds the barrier holding
@@ -144,6 +147,7 @@ pub(crate) trait Tier: Send + Sync + 'static {
     fn shard_count(&self) -> usize;
     fn read(&self, shard: usize) -> RwLockReadGuard<'_, Self::Index>;
     fn write(&self, shard: usize) -> RwLockWriteGuard<'_, Self::Index>;
+    fn try_write(&self, shard: usize) -> Option<RwLockWriteGuard<'_, Self::Index>>;
     fn walker(index: &Self::Index, inflight: usize) -> Self::Walker<'_>;
     /// Unpacks a walker job into `(row or scatter rank, work)` pairs
     /// plus the reply they answer to. Each tier's queues carry exactly
@@ -167,6 +171,10 @@ impl Tier for ShardedIndex {
 
     fn write(&self, shard: usize) -> RwLockWriteGuard<'_, HashIndex> {
         ShardedIndex::write(self, shard)
+    }
+
+    fn try_write(&self, shard: usize) -> Option<RwLockWriteGuard<'_, HashIndex>> {
+        ShardedIndex::try_write(self, shard)
     }
 
     fn walker(index: &HashIndex, inflight: usize) -> AmacWalker<'_> {
@@ -197,6 +205,10 @@ impl Tier for OrderedShardedIndex {
 
     fn write(&self, shard: usize) -> RwLockWriteGuard<'_, BTreeIndex> {
         OrderedShardedIndex::write(self, shard)
+    }
+
+    fn try_write(&self, shard: usize) -> Option<RwLockWriteGuard<'_, BTreeIndex>> {
+        OrderedShardedIndex::try_write(self, shard)
     }
 
     fn walker(index: &BTreeIndex, inflight: usize) -> BTreeRangeWalker<'_> {
@@ -240,61 +252,156 @@ pub(crate) struct WriteJob {
     pub(crate) reply: Arc<ResponseState>,
 }
 
-/// Applies stashed write parts under the worker's write guard — the
-/// batch barrier. Per part: apply every op, publish the write counters
-/// *before* completing the part (a caller whose `wait()` returned must
-/// find the write counted by a `live_stats()` scrape), ack `(op, key,
-/// applied)` rows when this tier is authoritative. Then advance the
-/// epoch and reclaim — the nodes these mutations retired become safe
-/// one advance later, so a quiescent service always drains its retired
-/// list on the final barrier.
-fn apply_write_barrier<T: Tier>(
-    ctx: &WorkerContext<T>,
-    jobs: Vec<WriteJob>,
-    prof: &mut ThreadProfiler,
+/// One write part, borrowed: its `(request op index, op)` pairs,
+/// whether this tier acks them, and the reply they complete.
+type WritePart<'a> = (&'a [(u32, WriteOp)], bool, &'a ResponseState);
+
+/// The one write-application routine: applies `parts` to `target`, shard
+/// `shard`'s index under its write guard — held by the worker at a batch
+/// barrier, or by a submitter on an idle shard ([`write_here`]). Per
+/// part: apply every op, publish the write counters *before* completing
+/// the part (a caller whose `wait()` returned must find the write
+/// counted by a `live_stats()` scrape), ack `(op, key, applied)` rows
+/// when this tier is authoritative. Then advance the epoch and reclaim —
+/// the nodes these mutations retired become safe one advance later, so
+/// a quiescent service always drains its retired list on the final
+/// barrier.
+fn apply_writes<'a, I: ShardIndex>(
+    target: &mut I,
+    shard: usize,
+    (cell, stages, domain): (&WorkerCell, &StageTimes, &EpochDomain),
+    parts: impl IntoIterator<Item = WritePart<'a>>,
 ) {
-    let (cell, stages) = (&*ctx.cell, &*ctx.stages);
-    let mut target = ctx.index.write(ctx.shard);
-    let mark = prof.mark();
     let barrier_from = Instant::now();
-    for job in jobs {
+    for (ops, ack, reply) in parts {
         cell.add_jobs(1);
-        stages.record(Stage::QueueWait, job.reply.since_submit());
+        stages.record(Stage::QueueWait, reply.since_submit());
         let opened = Instant::now();
         let mut items: Vec<RoutedMatch> = Vec::new();
-        let total = job.ops.len() as u64;
         let mut applied_total = 0u64;
-        for (op_idx, op) in job.ops {
-            let key = op.key();
+        for &(op_idx, op) in ops {
             let applied = target.apply(op);
             applied_total += u64::from(applied);
-            if job.ack {
-                items.push((op_idx, key, u64::from(applied)));
+            if ack {
+                items.push((op_idx, op.key(), u64::from(applied)));
             }
         }
         let took = opened.elapsed();
         stages.record(Stage::Write, took);
-        cell.add_write_batch(total, applied_total);
-        if job.ack {
+        cell.add_write_batch(ops.len() as u64, applied_total);
+        if ack {
             cell.add_matches(applied_total);
         }
-        if job.reply.is_traced() {
-            job.reply.trace_annotate(|trace, submitted| {
-                trace.add_shard(ctx.shard as u32);
+        if reply.is_traced() {
+            reply.trace_annotate(|trace, submitted| {
+                trace.add_shard(shard as u32);
                 trace.span_between(Stage::QueueWait, submitted, opened);
                 trace.span_for(Stage::Write, opened, took);
             });
         }
-        job.reply.complete_part(items, Some(cell));
+        reply.complete_part(items, Some(cell));
     }
-    // The barrier's mutations retired nodes at the *current* epoch;
-    // advance so they stamp strictly below every future pin, then
-    // reclaim whatever is already safe (pinned cursors elsewhere keep
-    // their epoch's garbage alive until they unpin).
-    ctx.domain.advance();
+    // The mutations retired nodes at the *current* epoch; advance so
+    // they stamp strictly below every future pin, then reclaim whatever
+    // is already safe (pinned cursors elsewhere keep their epoch's
+    // garbage alive until they unpin).
+    domain.advance();
     let _ = target.reclaim_retired();
     cell.add_busy(barrier_from.elapsed());
+}
+
+/// The batch barrier: the stashed write parts, under the write guard.
+fn apply_write_barrier<T: Tier>(
+    ctx: &WorkerContext<T>,
+    jobs: &[WriteJob],
+    prof: &mut ThreadProfiler,
+) {
+    let mut target = ctx.index.write(ctx.shard);
+    let mark = prof.mark();
+    let parts = jobs.iter().map(|job| (&job.ops[..], job.ack, &*job.reply));
+    let seams = (&*ctx.cell, &*ctx.stages, &*ctx.domain);
+    apply_writes(&mut *target, ctx.shard, seams, parts);
     prof.record(Stage::Write, mark);
+}
+
+/// The sub-ring rule for mutations: a write of fewer ops than the
+/// walker ring has slots is a serial chase a worker could only run
+/// serially too, so it is applied where it already is — on its
+/// submitting thread — when every owning shard of *both* tiers is idle.
+/// `try_write` on each (hash ascending, then ordered ascending:
+/// `parts`' order), and under each guard the shard's queue must be
+/// [`idle`](ShardQueue::idle): nothing submitted earlier is outstanding,
+/// so per-shard submission order holds, and the worker — parked, holding
+/// nothing — stays the sole writer whenever it is not. Only when every
+/// part has passed is anything applied, each through [`apply_writes`]
+/// against its own shard's cell. Any refusal drops every guard with
+/// nothing applied, and `false` leaves `parts` to the queues.
+pub(crate) fn write_here(
+    (hash, hash_cells): (&ShardedIndex, &[Arc<WorkerCell>]),
+    ordered: Option<(&OrderedShardedIndex, &[Arc<WorkerCell>])>,
+    seams: (&StageTimes, &EpochDomain),
+    ring: usize,
+    parts: &[(&ShardQueue, Job)],
+) -> bool {
+    type Held<'a, I> = Vec<(usize, WritePart<'a>, RwLockWriteGuard<'a, I>)>;
+
+    fn write_parts<'a>(
+        parts: &'a [(&'a ShardQueue, Job)],
+        acked: bool,
+    ) -> impl Iterator<Item = (&'a ShardQueue, WritePart<'a>)> {
+        parts.iter().filter_map(move |(queue, job)| match job {
+            Job::Write { ops, ack, reply } if *ack == acked => {
+                Some((*queue, (&ops[..], *ack, &**reply)))
+            }
+            _ => None,
+        })
+    }
+    fn claim<'a, T: Tier>(
+        index: &'a T,
+        shard_of: impl Fn(u64) -> usize,
+        parts: impl Iterator<Item = (&'a ShardQueue, WritePart<'a>)>,
+    ) -> Option<Held<'a, T::Index>> {
+        let held = parts.map(|(queue, part)| {
+            let shard = shard_of(part.0.first()?.1.key());
+            let guard = index.try_write(shard)?;
+            queue.idle().then_some((shard, part, guard))
+        });
+        held.collect()
+    }
+    fn apply<I: ShardIndex>(
+        held: Held<'_, I>,
+        cells: &[Arc<WorkerCell>],
+        (stages, domain): (&StageTimes, &EpochDomain),
+    ) {
+        for (shard, part, mut guard) in held {
+            apply_writes(&mut *guard, shard, (&cells[shard], stages, domain), [part]);
+        }
+    }
+
+    // The hash tier carries every op once; the ordered parts mirror it.
+    let ops = write_parts(parts, true).map(|(_, part)| part.0.len());
+    if !(1..ring).contains(&ops.sum::<usize>()) {
+        return false;
+    }
+    let claim_all = || {
+        let acked = claim(hash, |key| hash.shard_of(key), write_parts(parts, true))?;
+        let silent = match ordered {
+            Some((index, cells)) => {
+                let shard_of = |key| index.write_shard_of(key);
+                Some((claim(index, shard_of, write_parts(parts, false))?, cells))
+            }
+            None => None,
+        };
+        Some((acked, silent))
+    };
+    let Some((acked, silent)) = claim_all() else {
+        return false;
+    };
+    apply(acked, hash_cells, seams);
+    if let Some((held, cells)) = silent {
+        apply(held, cells, seams);
+    }
+    true
 }
 
 /// The worker thread body: loops batches until the poison pill,
@@ -349,7 +456,7 @@ pub(crate) fn run_worker<T: Tier>(ctx: &WorkerContext<T>) {
         // batch loop stashed (shutdown included — queued writes always
         // land before the final snapshot).
         if !writes.is_empty() {
-            apply_write_barrier(ctx, writes, &mut prof);
+            apply_write_barrier(ctx, &writes, &mut prof);
         }
         if shutdown {
             break;

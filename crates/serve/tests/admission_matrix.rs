@@ -6,7 +6,10 @@
 //! walker ring has slots is answered on the submitting thread —
 //! complete when `submit` returns, never `Busy` — unless a shard
 //! refuses its read guard, in which case it queues like everything
-//! else; a probe of exactly `inflight` keys always queues.
+//! else; a probe of exactly `inflight` keys always queues. Writes have
+//! the same three rows: a sub-ring write on idle shards is applied when
+//! `submit` returns, a refused write guard (either tier's) sends every
+//! part to the queues, and `Busy` stays all-or-nothing across tiers.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{mpsc, Mutex};
@@ -255,6 +258,8 @@ fn wait_until(what: &str, ready: impl Fn() -> bool) {
 
 /// `Busy` is all-or-nothing across tiers: a dual-tier write whose
 /// ordered-tier queue is full must not leave its hash-tier part behind.
+/// (The write is sub-ring, but both shards refuse their write guards, so
+/// it is a queue-path write like any other.)
 /// Both owning workers are parked on their shard locks (each holding
 /// one popped job), so whatever `admit` enqueues stays visible in the
 /// backlogs.
@@ -389,6 +394,89 @@ fn sub_ring_probes_are_complete_when_submit_returns() {
                 Some(SubmitError::Stopped),
                 "{mode:?}: {request:?} admitted after stop()"
             );
+        }
+        let _ = service.shutdown();
+    }
+}
+
+/// The sub-ring write rows. On idle shards every write shape with fewer
+/// ops than the ring has slots is complete — applied to both tiers —
+/// the moment `submit` / `try_submit` returns, and the reads behind it
+/// see it. When one tier's shard refuses its write guard (here the
+/// ordered tier's: the test holds a read guard), no part is applied in
+/// place: the write queues on both tiers and completes once the guard
+/// drops, equal to the oracle either way.
+#[test]
+fn sub_ring_writes_are_applied_when_submit_returns_unless_a_guard_is_refused() {
+    const KEY: u64 = 84;
+    let rows = [
+        Request::Insert {
+            pairs: vec![(85, 1), (5001, 2), (2001, 3)],
+        },
+        Request::Update {
+            pairs: vec![(KEY, 7), (87, 7), (5001, 9)],
+        },
+        Request::Delete {
+            keys: vec![10, 11, 3998],
+        },
+    ];
+    // Keys owned between them by every shard of both tiers.
+    let touch = || Request::Update {
+        pairs: [0, 2, 4, 3990, 3992, 3994, 3996]
+            .map(|k| (k, k / 2))
+            .to_vec(),
+    };
+    let reads = [
+        Request::MultiLookup {
+            keys: vec![KEY, 85, 87, 10, 5001, 2001],
+        },
+        Request::RangeScan {
+            lo: 0,
+            hi: u64::MAX,
+            limit: usize::MAX,
+            desc: false,
+        },
+    ];
+    for mode in [Mode::Block, Mode::Try] {
+        let service = build(&ServeConfig::default().with_shards(2));
+        let mut model = Model::new();
+        let ordered = service.ordered().expect("range tier");
+        let owners = |shard_of: &dyn Fn(u64) -> usize| -> BTreeSet<usize> {
+            let ops = touch().write_ops().expect("a write");
+            ops.iter().map(|op| shard_of(op.key())).collect()
+        };
+        assert_eq!(owners(&|key| service.sharded().shard_of(key)).len(), 2);
+        assert_eq!(owners(&|key| ordered.write_shard_of(key)).len(), 2);
+        // A worker that has answered is on its way back into `pop`;
+        // a write that changes nothing finds out when all have arrived.
+        wait_until("every shard is idle", || {
+            let pending = submit(&service, mode, touch()).expect("accepted");
+            let here = pending.is_ready();
+            let _ = complete(mode, pending);
+            here
+        });
+        for request in &rows {
+            let pending = submit(&service, mode, request.clone()).expect("accepted");
+            assert!(
+                pending.is_ready(),
+                "{mode:?}: {request:?} was not complete when submit returned"
+            );
+            assert_eq!(complete(mode, pending), model.answer(request));
+        }
+        let guard = ordered.read(ordered.write_shard_of(KEY));
+        let request = Request::Update {
+            pairs: vec![(KEY, 8)],
+        };
+        let pending = submit(&service, mode, request.clone()).expect("accepted");
+        assert!(
+            !pending.is_ready(),
+            "{mode:?}: applied a write whose ordered shard refused its guard"
+        );
+        drop(guard);
+        assert_eq!(complete(mode, pending), model.answer(&request));
+        for request in &reads {
+            let got = send(&service, mode, request.clone()).expect("accepted");
+            assert_eq!(normalized(got), normalized(model.answer(request)));
         }
         let _ = service.shutdown();
     }

@@ -1,0 +1,338 @@
+//! The sub-ring rule for mutations: a write with fewer ops than the
+//! walker ring has slots is applied on its submitting thread when every
+//! owning shard of both tiers is idle and grants its write guard —
+//! complete when `submit` / `try_submit` returns, the workers never
+//! woken — and takes the unchanged queue path otherwise: a refused
+//! guard, a shard with work outstanding, a write of `inflight` ops or
+//! more, and every blocking convenience.
+//!
+//! Which thread applied a write is invisible in the counters (the
+//! shard's own cell counts it either way), so "the worker never ran" is
+//! read off the one clock only the worker thread advances: a worker's
+//! `idle` time is published when its `pop` returns, so an idle clock
+//! that did not move is a worker that was never handed a job.
+
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
+use std::time::{Duration, Instant};
+
+use widx_db::hash::HashRecipe;
+use widx_serve::{PendingResponse, ProbeService, Request, Response, ServeConfig};
+
+const ENTRIES: u64 = 2000;
+const PATIENCE: Duration = Duration::from_secs(30);
+/// Keys (all present) owned between them by every shard of both tiers.
+const SPANNING: [u64; 7] = [0, 2, 4, 3990, 3992, 3994, 3996];
+
+fn build() -> ProbeService {
+    let service = ProbeService::build_with_range(
+        HashRecipe::robust64(),
+        (0..ENTRIES).map(|k| (k * 2, k)),
+        &ServeConfig::default().with_shards(2),
+    );
+    let ordered = service.ordered().expect("range tier");
+    let owners = |shard_of: &dyn Fn(u64) -> usize| {
+        let mut owners: Vec<usize> = SPANNING.iter().map(|key| shard_of(*key)).collect();
+        owners.sort_unstable();
+        owners.dedup();
+        owners
+    };
+    assert_eq!(owners(&|key| service.sharded().shard_of(key)), vec![0, 1]);
+    assert_eq!(owners(&|key| ordered.write_shard_of(key)), vec![0, 1]);
+    service
+}
+
+fn wait_until(what: &str, ready: impl Fn() -> bool) {
+    let deadline = Instant::now() + PATIENCE;
+    while !ready() {
+        assert!(Instant::now() < deadline, "timed out waiting until {what}");
+        std::thread::yield_now();
+    }
+}
+
+fn acks(pending: PendingResponse) -> Vec<bool> {
+    match pending.wait_timeout(PATIENCE) {
+        Ok(Response::Write { acks }) => acks,
+        Ok(other) => panic!("wrong variant {other:?}"),
+        Err(_) => panic!("an accepted write never completed"),
+    }
+}
+
+/// Brings every shard of both tiers to idle: repeats a write that
+/// changes nothing (each spanning key updated to the payload it holds)
+/// until one submission is applied in place. A worker that has answered
+/// its last job is on its way into `pop`; this only bridges that.
+fn settle(service: &ProbeService) {
+    let noop = || Request::Update {
+        pairs: SPANNING.iter().map(|key| (*key, key / 2)).collect(),
+    };
+    wait_until("every shard is idle", || {
+        let pending = service.submit(noop()).expect("submit");
+        let here = pending.is_ready();
+        assert_eq!(acks(pending), vec![true; SPANNING.len()]);
+        here
+    });
+}
+
+/// Every worker's idle clock, hash tier then ordered tier.
+fn idle_clocks(service: &ProbeService) -> Vec<Duration> {
+    let stats = service.live_stats();
+    let workers = stats.workers.iter().chain(&stats.range_workers);
+    workers.map(|w| w.idle).collect()
+}
+
+fn jobs(service: &ProbeService) -> u64 {
+    let stats = service.live_stats();
+    let workers = stats.workers.iter().chain(&stats.range_workers);
+    workers.map(|w| w.jobs).sum()
+}
+
+/// Both tiers' contents under `key`, read through the shard oracles.
+fn tiers(service: &ProbeService, key: u64) -> (Vec<u64>, Vec<u64>) {
+    let ordered = service.ordered().expect("range tier");
+    let scanned = ordered.scan(key, key, usize::MAX);
+    let mut hashed = service.sharded().lookup_all(key);
+    hashed.sort_unstable();
+    let mut ranged: Vec<u64> = scanned.into_iter().map(|(_, payload)| payload).collect();
+    ranged.sort_unstable();
+    (hashed, ranged)
+}
+
+/// The serial oracle for the three write verbs.
+fn apply(model: &mut BTreeMap<u64, Vec<u64>>, request: &Request) -> Vec<bool> {
+    match request {
+        Request::Insert { pairs } => {
+            let push = |(key, payload): &(u64, u64)| {
+                model.entry(*key).or_default().push(*payload);
+                true
+            };
+            pairs.iter().map(push).collect()
+        }
+        Request::Delete { keys } => keys.iter().map(|k| model.remove(k).is_some()).collect(),
+        Request::Update { pairs } => {
+            let set = |(key, payload): &(u64, u64)| {
+                model.get_mut(key).map(|ps| *ps = vec![*payload]).is_some()
+            };
+            pairs.iter().map(set).collect()
+        }
+        other => panic!("not a write: {other:?}"),
+    }
+}
+
+#[test]
+fn sub_ring_writes_are_applied_before_submit_returns_without_waking_a_worker() {
+    let inflight = ServeConfig::default().inflight as u64;
+    let rows = [
+        Request::Update {
+            pairs: vec![(84, 7)],
+        },
+        Request::Update {
+            pairs: vec![(85, 7)],
+        },
+        Request::Insert {
+            pairs: vec![(85, 1), (5001, 2), (2001, 3), (85, 4)],
+        },
+        Request::Delete {
+            keys: vec![10, 11, 3998],
+        },
+        Request::Update {
+            pairs: (0..inflight - 1).map(|i| (i * 570, 900 + i)).collect(),
+        },
+        Request::Delete { keys: vec![5001] },
+    ];
+    for nonblocking in [false, true] {
+        let service = build();
+        let mut model: BTreeMap<u64, Vec<u64>> = (0..ENTRIES).map(|k| (k * 2, vec![k])).collect();
+        settle(&service);
+        let (parked, mut counted) = (idle_clocks(&service), jobs(&service));
+        for request in &rows {
+            let ops = request.write_ops().expect("a write");
+            let pending = if nonblocking {
+                service.try_submit(request.clone(), None)
+            } else {
+                service.submit(request.clone())
+            }
+            .expect("accepted");
+            assert!(
+                pending.is_ready(),
+                "{request:?} was not complete when submit returned"
+            );
+            assert_eq!(acks(pending), apply(&mut model, request), "{request:?}");
+            for op in &ops {
+                let mut want = model.get(&op.key()).cloned().unwrap_or_default();
+                want.sort_unstable();
+                let got = tiers(&service, op.key());
+                assert_eq!(got, (want.clone(), want), "{request:?}: key {}", op.key());
+            }
+            // Counted as the parts a worker would have run ...
+            let after = jobs(&service);
+            assert!(after > counted, "{request:?} left no job in any cell");
+            counted = after;
+        }
+        // ... yet no worker was handed one: none ever left `pop`.
+        assert_eq!(idle_clocks(&service), parked, "a worker was woken");
+        assert_eq!(service.backlog(), vec![0, 0]);
+        assert_eq!(service.range_backlog(), vec![0, 0]);
+        let stats = service.shutdown();
+        assert_eq!(stats.epoch_retired, 0, "final sweep drains retirements");
+    }
+}
+
+/// A refused guard sends the whole write — both tiers' parts — down the
+/// queues, and a second write to the same key submitted while the first
+/// is outstanding follows it there (the shard is not idle), so the two
+/// apply in submission order: the last one wins, in both tiers.
+#[test]
+fn a_write_behind_an_outstanding_write_queues_behind_it() {
+    const KEY: u64 = 84;
+    let service = build();
+    let (sharded, ordered) = (service.sharded(), service.ordered().expect("range tier"));
+    let (h, s) = (sharded.shard_of(KEY), ordered.write_shard_of(KEY));
+    let update = |seq| Request::Update {
+        pairs: vec![(KEY, seq)],
+    };
+    settle(&service);
+    let parked = idle_clocks(&service);
+
+    let guard = sharded.read(h);
+    let first = service.submit(update(1)).expect("W1");
+    assert!(!first.is_ready(), "applied under a refused guard");
+    // All or nothing: the ordered shard was idle and free, yet its part
+    // went to its worker too.
+    wait_until("the ordered worker has run W1's part", || {
+        idle_clocks(&service)[2 + s] > parked[2 + s]
+    });
+    wait_until("the hash worker holds W1", || service.backlog()[h] == 0);
+    let second = service.try_submit(update(2), None).expect("W2");
+    assert!(!second.is_ready(), "W2 overtook W1");
+    assert_eq!(service.backlog()[h], 1, "W2 queued behind W1");
+    drop(guard);
+    assert_eq!((acks(first), acks(second)), (vec![true], vec![true]));
+    assert_eq!(tiers(&service, KEY), (vec![2], vec![2]));
+    let _ = service.shutdown();
+}
+
+/// The rule's other edge: a write of exactly `inflight` ops is a job
+/// for the workers however idle they are, and so is every blocking
+/// convenience.
+#[test]
+fn ring_filling_writes_and_blocking_conveniences_go_through_the_workers() {
+    let service = build();
+    let inflight = ServeConfig::default().inflight as u64;
+    let woke = |what: &str, run: &dyn Fn()| {
+        settle(&service);
+        let parked = idle_clocks(&service);
+        run();
+        let after = idle_clocks(&service);
+        let woken = after.iter().zip(&parked).filter(|(a, p)| a > p).count();
+        assert!(
+            woken >= 2,
+            "{what}: only {woken} workers ran (one per tier)"
+        );
+    };
+    woke("an inflight-op insert", &|| {
+        let pairs = (0..inflight).map(|i| (9000 + i, i)).collect();
+        let pending = service.submit(Request::Insert { pairs }).expect("submit");
+        assert_eq!(acks(pending), vec![true; inflight as usize]);
+    });
+    woke("an inflight-op try_submit", &|| {
+        let keys = (0..inflight).map(|i| 9000 + i).collect();
+        let pending = service.try_submit(Request::Delete { keys }, None);
+        assert_eq!(acks(pending.expect("fits")), vec![true; inflight as usize]);
+    });
+    woke("insert()", &|| {
+        assert!(service.insert(85, 1).expect("insert"))
+    });
+    woke("update()", &|| {
+        assert!(service.update(85, 2).expect("update"))
+    });
+    woke("delete()", &|| assert!(service.delete(85).expect("delete")));
+    assert_eq!(tiers(&service, 85), (vec![], vec![]));
+    assert_eq!(tiers(&service, 9000), (vec![], vec![]));
+    let _ = service.shutdown();
+}
+
+/// Submitters pipeline rising sequence numbers onto disjoint hot keys —
+/// never waiting for an ack before the next write — while ring-filling
+/// probes and scans keep every worker flipping between parked and busy,
+/// so writes land on both sides of the rule in every interleaving the
+/// scheduler offers. Per-shard submission order is what makes each key
+/// end at the last sequence its owner submitted.
+#[test]
+fn pipelined_writers_keep_per_key_order_across_both_paths() {
+    const WRITERS: u64 = 3;
+    const KEYS_EACH: u64 = 4;
+    const WRITES: u64 = 3000;
+    let service = build();
+    settle(&service);
+    let done = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        let flipper = scope.spawn(|| {
+            let keys: Vec<u64> = (0..32).map(|k| k * 2).collect();
+            while !done.load(SeqCst) {
+                let probe = service.submit(Request::JoinProbe { keys: keys.clone() });
+                let scan = service.submit(Request::RangeScan {
+                    lo: 0,
+                    hi: u64::MAX,
+                    limit: 64,
+                    desc: false,
+                });
+                assert_eq!(probe.expect("probe").wait().match_count(), keys.len());
+                assert_eq!(scan.expect("scan").wait().match_count(), 64);
+            }
+        });
+        let writers: Vec<_> = (0..WRITERS)
+            .map(|writer| {
+                let service = &service;
+                scope.spawn(move || {
+                    let mut pendings = Vec::new();
+                    for seq in 1..=WRITES {
+                        let key = 2 * (writer * KEYS_EACH + seq % KEYS_EACH);
+                        let request = Request::Update {
+                            pairs: vec![(key, seq)],
+                        };
+                        let pending = if seq % 2 == 0 {
+                            service.submit(request)
+                        } else {
+                            service.try_submit(request, None)
+                        }
+                        .expect("accepted");
+                        pendings.push(pending);
+                        if pendings.len() == 64 {
+                            for pending in pendings.drain(..) {
+                                assert_eq!(acks(pending), vec![true]);
+                            }
+                        }
+                    }
+                    for pending in pendings {
+                        assert_eq!(acks(pending), vec![true]);
+                    }
+                })
+            })
+            .collect();
+        for writer in writers {
+            writer.join().unwrap();
+        }
+        done.store(true, SeqCst);
+        flipper.join().unwrap();
+    });
+    for writer in 0..WRITERS {
+        for slot in 0..KEYS_EACH {
+            let key = 2 * (writer * KEYS_EACH + slot);
+            // The last sequence number congruent to `slot`.
+            let last = (1..=WRITES).rev().find(|seq| seq % KEYS_EACH == slot);
+            let last = vec![last.unwrap()];
+            assert_eq!(tiers(&service, key), (last.clone(), last), "key {key}");
+        }
+    }
+    let live = service.live_stats();
+    let total = WRITERS * WRITES;
+    assert!(
+        live.total_write_ops() >= 2 * total,
+        "each op, in both tiers"
+    );
+    let stats = service.shutdown();
+    assert_eq!(stats.total_write_ops(), live.total_write_ops());
+    assert!(stats.epoch_reclaimed > 0, "updates retired index nodes");
+    assert_eq!(stats.epoch_retired, 0, "quiescence drains the lists");
+}
