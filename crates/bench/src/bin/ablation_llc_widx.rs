@@ -2,7 +2,7 @@
 //!
 //! "The advantages of LLC-side placement include lower LLC access
 //! latencies and reduced MSHR pressure. The disadvantages include the
-//! need for a dedicated address translation logic [and] a dedicated
+//! need for a dedicated address translation logic \[and\] a dedicated
 //! low-latency storage next to Widx to exploit data locality." This
 //! sweep measures both placements across the kernel sizes.
 //!

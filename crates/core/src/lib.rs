@@ -15,7 +15,7 @@
 //! Modules:
 //!
 //! * [`queue`] — timed bounded pair-queues between units.
-//! * [`unit`] — the 2-stage pipeline interpreter with the paper's
+//! * [`mod@unit`] — the 2-stage pipeline interpreter with the paper's
 //!   blocking loads, `TOUCH` prefetch, queue-port register semantics,
 //!   and retry-on-TLB-miss (Section 4.3).
 //! * [`programs`] — canonical dispatcher / walker / producer programs

@@ -1,14 +1,13 @@
 //! Epoch-based reclamation for the mutable indexes.
 //!
 //! The serving tier's walkers hold *indices* into node arenas (bucket
-//! overflow nodes, B+-tree leaves) across yields — and, for resumable
-//! range cursors, across whole batches. A writer that freed a node's
-//! slot and reused it for unrelated data would hand such a cursor a
-//! torn view: the index it saved now names a different node. Classic
-//! epoch-based reclamation (Fraser; crossbeam-epoch is the Rust
+//! overflow nodes, B+-tree leaves) across yields. A writer that freed
+//! a node's slot and reused it for unrelated data would hand such a
+//! walker a torn view: the index it saved now names a different node.
+//! Classic epoch-based reclamation (Fraser; crossbeam-epoch is the Rust
 //! archetype) solves this without per-node locks:
 //!
-//! * every participant (one per shard worker) owns an [`EpochCell`];
+//! * every participant (one per shard worker) owns an `EpochCell`;
 //!   while it works on a batch it *pins* the cell to the global epoch,
 //!   and clears it to quiescent when the batch closes;
 //! * a writer never frees a replaced node — it *retires* the slot,

@@ -12,19 +12,18 @@
 //! splits), [`delete`](BTreeIndex::delete) merges underfull leaves into
 //! a same-parent sibling and unlinks emptied nodes, and freed slots are
 //! *retired* into an epoch list (see [`crate::epoch`]) instead of being
-//! reused immediately — a resumable range cursor holding a leaf index
-//! across batches can never find the slot silently repurposed.
+//! reused immediately — a slot returns to the free list only once no
+//! pinned reader can still hold its index.
 //!
 //! Concurrency-relevant structure for the walkers upstairs:
 //!
 //! * leaves form a doubly linked chain ([`leaf_next`](
 //!   BTreeIndex::leaf_next) / [`leaf_prev`](BTreeIndex::leaf_prev)) in
 //!   key order — range scans step links, never adjacent array slots;
-//! * every leaf slot carries a monotonically increasing
-//!   [`version`](BTreeIndex::leaf_version), bumped on any content or
-//!   link change, on retirement, and on reuse — a saved `(leaf, slot,
-//!   version)` cursor position is valid iff the version still matches
-//!   (Wormhole-style leaf validation);
+//! * a cursor position is a `(leaf, slot)` pair and is valid only while
+//!   the borrow it was taken under lives: nothing versions a leaf, so
+//!   no position survives a mutation (the serving tier rebuilds its
+//!   walkers per batch, under the shard's read guard);
 //! * the tree height never shrinks: emptied inner nodes are unlinked,
 //!   but surviving single-child ancestors simply pass descents through.
 //!   Separator keys may go stale (they remain correct lower bounds),
@@ -51,7 +50,7 @@ struct Inner {
     parent: u32,
 }
 
-/// A leaf node: sorted keys with payloads, chain links, and a version.
+/// A leaf node: sorted keys with payloads and chain links.
 #[derive(Clone, Debug)]
 struct Leaf {
     keys: Vec<u64>,
@@ -63,9 +62,6 @@ struct Leaf {
     /// Owning inner node at level 0, or [`NONE`] when the tree is a
     /// single leaf.
     parent: u32,
-    /// Bumped on every content/link change, retirement, and reuse.
-    /// Never reset — a slot's version is monotone over its lifetime.
-    version: u64,
 }
 
 /// A B+-tree over `u64` keys (duplicates allowed) supporting online
@@ -121,7 +117,6 @@ impl BTreeIndex {
                 next: NONE,
                 prev: NONE,
                 parent: NONE,
-                version: 1,
             });
         }
         if leaves.is_empty() {
@@ -131,7 +126,6 @@ impl BTreeIndex {
                 next: NONE,
                 prev: NONE,
                 parent: NONE,
-                version: 1,
             });
         }
         let leaf_count = leaves.len() as u32;
@@ -262,7 +256,6 @@ impl BTreeIndex {
         let slot = l.keys.partition_point(|k| *k <= key);
         l.keys.insert(slot, key);
         l.payloads.insert(slot, payload);
-        l.version += 1;
         self.len += 1;
         if self.leaves[leaf as usize].keys.len() > self.fanout {
             self.split_leaf(leaf);
@@ -297,7 +290,6 @@ impl BTreeIndex {
             let l = &mut self.leaves[leaf as usize];
             l.keys.drain(start..end);
             l.payloads.drain(start..end);
-            l.version += 1;
             self.len -= end - start;
             removed += end - start;
             self.rebalance_leaf(leaf);
@@ -330,13 +322,11 @@ impl BTreeIndex {
         let right = self.alloc_leaf(right_keys, right_payloads, old_next, leaf, parent);
         let l = &mut self.leaves[leaf as usize];
         l.next = right;
-        l.version += 1;
         if old_next == NONE {
             self.tail = right;
         } else {
             let n = &mut self.leaves[old_next as usize];
             n.prev = right;
-            n.version += 1;
         }
         self.live_leaves += 1;
         self.promote(0, parent, sep, leaf, right);
@@ -413,7 +403,6 @@ impl BTreeIndex {
                 l.next = next;
                 l.prev = prev;
                 l.parent = parent;
-                l.version += 1;
                 slot
             }
             None => {
@@ -423,7 +412,6 @@ impl BTreeIndex {
                     next,
                     prev,
                     parent,
-                    version: 1,
                 });
                 (self.leaves.len() - 1) as u32
             }
@@ -514,7 +502,6 @@ impl BTreeIndex {
         let l = &mut self.leaves[left as usize];
         l.keys.append(&mut keys);
         l.payloads.append(&mut payloads);
-        l.version += 1;
         self.unlink_and_retire_leaf(right);
     }
 
@@ -530,14 +517,12 @@ impl BTreeIndex {
         } else {
             let p = &mut self.leaves[prev as usize];
             p.next = next;
-            p.version += 1;
         }
         if next == NONE {
             self.tail = prev;
         } else {
             let n = &mut self.leaves[next as usize];
             n.prev = prev;
-            n.version += 1;
         }
         let l = &mut self.leaves[leaf as usize];
         l.keys = Vec::new();
@@ -545,7 +530,6 @@ impl BTreeIndex {
         l.next = NONE;
         l.prev = NONE;
         l.parent = NONE;
-        l.version += 1;
         self.live_leaves -= 1;
         let stamp = self.domain.current();
         self.leaf_retire.retire(leaf, stamp, &self.domain);
@@ -798,15 +782,6 @@ impl BTreeIndex {
     pub fn leaf_prev(&self, leaf: u32) -> Option<u32> {
         let prev = self.leaves[leaf as usize].prev;
         (prev != NONE).then_some(prev)
-    }
-
-    /// The version of `leaf`'s slot: monotone over the slot's lifetime,
-    /// bumped on every content or link change, retirement, and reuse. A
-    /// saved cursor position `(leaf, slot, version)` is still exact iff
-    /// the version matches.
-    #[must_use]
-    pub fn leaf_version(&self, leaf: u32) -> u64 {
-        self.leaves[leaf as usize].version
     }
 
     /// Keys and payloads of `leaf`, in key order. Follow
@@ -1213,18 +1188,6 @@ mod tests {
         }
         assert!(t.leaf_count() <= arena + 40, "free slots were reused");
         check_invariants(&t);
-    }
-
-    #[test]
-    fn versions_bump_on_every_touch() {
-        let mut t = BTreeIndex::build(4, (0..8u64).map(|k| (k, k)));
-        let leaf = t.descend_leaf(0, false);
-        let v0 = t.leaf_version(leaf);
-        t.insert(0, 99);
-        assert!(t.leaf_version(leaf) > v0, "insert bumps");
-        let v1 = t.leaf_version(leaf);
-        t.delete(0);
-        assert!(t.leaf_version(leaf) > v1, "delete bumps");
     }
 
     #[test]

@@ -73,14 +73,14 @@ const OP_TRACE: u8 = 0x08;
 const OP_PROFILE: u8 = 0x09;
 /// Insert `(key, payload)` pairs (payload: pair list). Rule-4 opcode
 /// extension like the scrape class: a read-only peer answers `Unsupported`
-/// and the connection survives. Answered with [`OP_R_INSERT`] carrying
+/// and the connection survives. Answered with `OP_R_INSERT` carrying
 /// one ack byte per pair, in request order.
 const OP_INSERT: u8 = 0x0A;
 /// Delete every entry under each key (payload: key list). Answered
-/// with [`OP_R_DELETE`]; an ack byte is 1 when the key existed.
+/// with `OP_R_DELETE`; an ack byte is 1 when the key existed.
 const OP_DELETE: u8 = 0x0B;
 /// Update the payload under each key without inserting on miss
-/// (payload: pair list). Answered with [`OP_R_UPDATE`]; an ack byte is
+/// (payload: pair list). Answered with `OP_R_UPDATE`; an ack byte is
 /// 1 when the key existed and was rewritten.
 const OP_UPDATE: u8 = 0x0C;
 
@@ -127,11 +127,11 @@ pub const MAX_CHUNK_ENTRIES: usize = (MAX_BODY_LEN - HEADER_LEN - 4) / 16;
 /// [`encode_write_reply`] to pick the mirrored reply opcode.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WriteKind {
-    /// [`OP_INSERT`] / [`OP_R_INSERT`].
+    /// `OP_INSERT` / `OP_R_INSERT`.
     Insert,
-    /// [`OP_DELETE`] / [`OP_R_DELETE`].
+    /// `OP_DELETE` / `OP_R_DELETE`.
     Delete,
-    /// [`OP_UPDATE`] / [`OP_R_UPDATE`].
+    /// `OP_UPDATE` / `OP_R_UPDATE`.
     Update,
 }
 
@@ -242,7 +242,7 @@ impl ErrorCode {
 pub enum WireRequest {
     /// One of the buffered request kinds.
     Plain(Request),
-    /// A chunked range scan ([`OP_RANGE_STREAM`]).
+    /// A chunked range scan (`OP_RANGE_STREAM`).
     Stream {
         /// Inclusive lower key bound.
         lo: u64,
@@ -497,7 +497,7 @@ pub fn encode_write_reply(buf: &mut Vec<u8>, id: u64, kind: WriteKind, acks: &[b
 }
 
 /// Encodes one chunked-scan request frame onto `buf` — the client side
-/// of [`OP_RANGE_STREAM`].
+/// of `OP_RANGE_STREAM`.
 pub fn encode_range_stream(buf: &mut Vec<u8>, id: u64, lo: u64, hi: u64, limit: usize, desc: bool) {
     frame(buf, OP_RANGE_STREAM, id, |b| {
         put_u64(b, lo);

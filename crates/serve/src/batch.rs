@@ -13,8 +13,7 @@
 
 use widx_obs::{FlushKind, Stage, ThreadProfiler};
 
-use crate::queue::{Job, ShardQueue};
-use crate::worker::WriteJob;
+use crate::queue::{Job, ShardQueue, WriteJob};
 
 /// The batch-closure policy for one worker: a size target.
 #[derive(Clone, Copy, Debug)]
@@ -60,7 +59,7 @@ impl BatchPolicy {
             match next {
                 None => return Err(FlushKind::QueueDry),
                 Some(Job::Poison { .. }) => return Err(FlushKind::Shutdown),
-                Some(Job::Write { ops, ack, reply }) => writes.push(WriteJob { ops, ack, reply }),
+                Some(Job::Write(write)) => writes.push(write),
                 Some(job) => return Ok(job),
             }
         }
@@ -82,11 +81,11 @@ mod tests {
     }
 
     fn write_job(key: u64) -> Job {
-        Job::Write {
+        Job::Write(WriteJob {
             ops: vec![(0, WriteOp::Delete { key })],
             ack: true,
             reply: Arc::new(ResponseState::new(RequestKind::Write { ops: 1 }, 1)),
-        }
+        })
     }
 
     fn next(

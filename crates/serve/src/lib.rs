@@ -92,7 +92,7 @@ pub use request::{
     PendingResponse, PendingStream, Request, Response, StreamConsumed, StreamPoll, TraceFinisher,
 };
 pub use service::{NetTraceCtx, ProbeService, ServeConfig, SubmitError};
-pub use shard::ShardedIndex;
+pub use shard::{ShardedIndex, Shards};
 pub use stats::{LatencySummary, NetStats, ReactorStats, ServiceStats, StageStats, WorkerStats};
 // Re-exported telemetry primitives, so front-ends (the `widx-net`
 // server records the reply-write stage) need no direct `widx-obs`

@@ -1,6 +1,7 @@
 //! The ordered sharded index: N contiguous key-space partitions, each
 //! served by its own [`BTreeIndex`] — the range-serving counterpart of
-//! the hash-routed [`ShardedIndex`](crate::ShardedIndex).
+//! the hash-routed [`ShardedIndex`](crate::ShardedIndex), over the same
+//! [`Shards`] container (locks and guard accessors live there).
 //!
 //! Where the hash index routes by `recipe.shard_of(key)`, the ordered
 //! index routes by *boundary keys*: shard `i` owns the contiguous span
@@ -19,10 +20,13 @@
 //! read-side [`shard_of`](OrderedShardedIndex::shard_of) may walk back
 //! over shards a delete storm emptied; the write side never does.
 
-use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::ops::Deref;
+use std::sync::Arc;
 
 use widx_db::epoch::EpochDomain;
 use widx_db::index::{build_range_sharded, BTreeIndex};
+
+use crate::shard::Shards;
 
 /// A B+-tree index range-partitioned into independent shards, one per
 /// serving worker. Scans route by boundary-key span; builds split the
@@ -30,7 +34,7 @@ use widx_db::index::{build_range_sharded, BTreeIndex};
 /// of one key never straddle a boundary). Every shard retires replaced
 /// nodes into the same [`EpochDomain`].
 pub struct OrderedShardedIndex {
-    shards: Vec<RwLock<BTreeIndex>>,
+    shards: Shards<BTreeIndex>,
     /// `shards - 1` non-decreasing boundary keys; shard `i` owns keys
     /// `k` with `boundaries[i-1] <= k < boundaries[i]` (unbounded at
     /// the ends).
@@ -41,10 +45,20 @@ pub struct OrderedShardedIndex {
     max_key_home: usize,
 }
 
+impl Deref for OrderedShardedIndex {
+    type Target = Shards<BTreeIndex>;
+
+    fn deref(&self) -> &Shards<BTreeIndex> {
+        &self.shards
+    }
+}
+
 impl OrderedShardedIndex {
     /// Partitions `pairs` into `shards` contiguous key ranges and
     /// builds one B+-tree of the given `fanout` per range, all retiring
-    /// into `domain`.
+    /// into `domain` — which matters only to an index used outside a
+    /// service: `ProbeService::start*` re-homes every shard onto the
+    /// service's own domain.
     ///
     /// # Panics
     ///
@@ -68,49 +82,10 @@ impl OrderedShardedIndex {
             max_key_home -= 1;
         }
         OrderedShardedIndex {
-            shards: built
-                .into_iter()
-                .map(|mut t| {
-                    t.set_domain(Arc::clone(domain));
-                    RwLock::new(t)
-                })
-                .collect(),
+            shards: Shards::new(built, domain),
             boundaries,
             max_key_home,
         }
-    }
-
-    /// Number of shards.
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Read access to shard `shard`. Walker batches hold this guard for
-    /// the duration of one batch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lock is poisoned (a worker panicked mid-write).
-    pub fn read(&self, shard: usize) -> RwLockReadGuard<'_, BTreeIndex> {
-        self.shards[shard].read().expect("ordered shard lock")
-    }
-
-    /// Write access to shard `shard` — reserved for the shard's owning
-    /// worker at batch barriers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lock is poisoned.
-    pub fn write(&self, shard: usize) -> RwLockWriteGuard<'_, BTreeIndex> {
-        self.shards[shard].write().expect("ordered shard lock")
-    }
-
-    /// Write access to shard `shard` without waiting: `None` while any
-    /// guard is out (or the lock is poisoned) — the ordered half of a
-    /// sub-ring write applied on its submitting thread.
-    pub(crate) fn try_write(&self, shard: usize) -> Option<RwLockWriteGuard<'_, BTreeIndex>> {
-        self.shards[shard].try_write().ok()
     }
 
     /// The boundary keys between shards (`shard_count() - 1` of them,
@@ -166,18 +141,6 @@ impl OrderedShardedIndex {
         let first = self.boundaries.partition_point(|b| *b < lo);
         let last = self.boundaries.partition_point(|b| *b <= hi);
         (first, last)
-    }
-
-    /// Total entries across all shards.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        (0..self.shards.len()).map(|s| self.read(s).len()).sum()
-    }
-
-    /// Whether the ordered index holds no entries.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Serial scatter/gather oracle: every `(key, payload)` with `lo <=

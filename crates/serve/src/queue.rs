@@ -35,23 +35,26 @@ pub(crate) enum Job {
         scans: Vec<(u32, ScanRange)>,
         reply: Arc<ResponseState>,
     },
-    /// Apply `ops` (`(request op index, op)` pairs, every key owned by
-    /// this shard) under the shard's write guard at the worker's next
-    /// batch barrier. `ack` marks the authoritative tier: hash-tier
-    /// parts report per-op `(op, key, applied)` rows back to the reply;
-    /// ordered-tier parts apply the same mutations but complete empty
-    /// (the hash tier owns the acks, so a dual-tier write never
-    /// double-reports).
-    Write {
-        ops: Vec<(u32, WriteOp)>,
-        ack: bool,
-        reply: Arc<ResponseState>,
-    },
+    /// Apply a write part under the shard's write guard at the worker's
+    /// next batch barrier (stashed, as is, while a batch is open).
+    Write(WriteJob),
     /// Poison pill: the worker finishes queued work, then halts. Carries
     /// [`widx_core::POISON_KEY`] to mirror the accelerator's termination
     /// protocol (being an enum variant, it cannot collide with a real
     /// probe of key `u64::MAX` the way a reserved key value would).
     Poison { key: u64 },
+}
+
+/// One shard's part of a write request.
+pub(crate) struct WriteJob {
+    /// `(request op index, op)` pairs, every key owned by this shard.
+    pub(crate) ops: Vec<(u32, WriteOp)>,
+    /// Marks the authoritative tier: hash-tier parts report per-op
+    /// `(op, key, applied)` rows back to the reply; ordered-tier parts
+    /// apply the same mutations but complete empty (the hash tier owns
+    /// the acks, so a dual-tier write never double-reports).
+    pub(crate) ack: bool,
+    pub(crate) reply: Arc<ResponseState>,
 }
 
 impl Job {
@@ -61,7 +64,7 @@ impl Job {
         match self {
             Job::Probe { entries, .. } => entries.len(),
             Job::Scan { scans, .. } => scans.len(),
-            Job::Write { ops, .. } => ops.len(),
+            Job::Write(write) => write.ops.len(),
             Job::Poison { .. } => 0,
         }
     }
@@ -309,7 +312,7 @@ mod tests {
     fn write_jobs_count_ops_toward_capacity() {
         let q = ShardQueue::new(4);
         let reply = Arc::new(ResponseState::new(RequestKind::Write { ops: 3 }, 1));
-        q.push(Job::Write {
+        q.push(Job::Write(WriteJob {
             ops: vec![
                 (0, WriteOp::Insert { key: 1, payload: 2 }),
                 (1, WriteOp::Delete { key: 9 }),
@@ -317,13 +320,13 @@ mod tests {
             ],
             ack: true,
             reply,
-        })
+        }))
         .unwrap();
         assert_eq!(q.backlog_keys(), 3, "one unit per write op");
         match q.pop() {
-            Job::Write { ops, ack, .. } => {
-                assert_eq!(ops.len(), 3);
-                assert!(ack);
+            Job::Write(write) => {
+                assert_eq!(write.ops.len(), 3);
+                assert!(write.ack);
             }
             _ => panic!("unexpected job kind"),
         }

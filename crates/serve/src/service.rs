@@ -15,14 +15,14 @@ use widx_soft::ScanRange;
 
 use crate::batch::BatchPolicy;
 use crate::ordered::OrderedShardedIndex;
-use crate::queue::{Job, ShardQueue};
+use crate::queue::{Job, ShardQueue, WriteJob};
 use crate::request::{
     PendingResponse, PendingStream, Request, RequestKind, Response, ResponseState, TraceState,
     WriteOp,
 };
-use crate::shard::ShardedIndex;
+use crate::shard::{ShardIndex, ShardedIndex};
 use crate::stats::{profile_document, LatencySummary, ServiceStats, StageStats, WorkerStats};
-use crate::worker::{run_worker, walk_here, write_here, ShardIndex, Tier, WorkerContext};
+use crate::worker::{run_worker, walk_here, write_here, Tier, WorkerContext};
 
 /// Tuning knobs for a [`ProbeService`].
 #[derive(Clone, Debug)]
@@ -330,9 +330,6 @@ enum Admission {
     Block,
     /// Refuse with [`SubmitError::Busy`], enqueuing nothing.
     Try,
-    /// [`Block`](Admission::Block), and always through the queues: the
-    /// blocking conveniences keep the worker path they always had.
-    Queued,
 }
 
 /// Scatters `items` over `shards` buckets by `shard_of`, tagging each
@@ -751,7 +748,7 @@ impl ProbeService {
             for (queue, ops) in queues.iter().zip(scattered) {
                 if !ops.is_empty() {
                     let reply = Arc::clone(&state);
-                    parts.push((&**queue, Job::Write { ops, ack, reply }));
+                    parts.push((&**queue, Job::Write(WriteJob { ops, ack, reply })));
                 }
             }
         }
@@ -830,17 +827,15 @@ impl ProbeService {
         }
         let (tier, ring, stages) = (&self.hash, self.inflight, &*self.stages);
         let Plan { state, parts } = &plan;
-        let here = || {
-            let ordered = self.ordered.as_ref().map(|t| (&*t.index, &t.cells[..]));
-            let seams = (stages, &*self.domain);
-            walk_here(&tier.index, &tier.cells, stages, ring, parts, state)
-                || write_here((&tier.index, &tier.cells), ordered, seams, ring, parts)
-        };
-        if !matches!(how, Admission::Queued) && here() {
+        let ordered = self.ordered.as_ref().map(|t| (&*t.index, &t.cells[..]));
+        let seams = (stages, &*self.domain);
+        if walk_here(&tier.index, &tier.cells, stages, ring, parts, state)
+            || write_here((&tier.index, &tier.cells), ordered, seams, ring, parts)
+        {
             return Ok(plan.state);
         }
         match how {
-            Admission::Block | Admission::Queued => {
+            Admission::Block => {
                 for (queue, job) in plan.parts {
                     // Queues are poisoned only under the stop gate's
                     // write guard, which cannot be held while we hold
@@ -858,10 +853,11 @@ impl ProbeService {
         Ok(plan.state)
     }
 
-    /// Admits `plan`, waiting out backpressure, then blocks for the
-    /// assembled response — the body of every blocking convenience.
+    /// Admits `plan` exactly as [`submit`](Self::submit) would (walked
+    /// or applied here when sub-ring), then blocks for the assembled
+    /// response — the body of every blocking convenience.
     fn wait(&self, plan: Plan<'_>) -> Result<Response, SubmitError> {
-        let state = self.admit(plan, Admission::Queued)?;
+        let state = self.admit(plan, Admission::Block)?;
         Ok(PendingResponse { state }.wait())
     }
 
@@ -956,7 +952,8 @@ impl ProbeService {
         Ok(PendingStream { state })
     }
 
-    /// Blocking convenience: all payloads under `key`.
+    /// Blocking convenience: all payloads under `key` — walked here, on
+    /// the caller's thread, unless the shard refuses its read guard.
     ///
     /// # Errors
     ///
@@ -968,7 +965,8 @@ impl ProbeService {
         }
     }
 
-    /// Blocking convenience: `(key, payload)` matches for `keys`.
+    /// Blocking convenience: `(key, payload)` matches for `keys` —
+    /// walked here when sub-ring, queued to the workers otherwise.
     ///
     /// # Errors
     ///
@@ -981,7 +979,8 @@ impl ProbeService {
     }
 
     /// Blocking convenience: `(probe row, payload)` join pairs for the
-    /// outer column `keys`.
+    /// outer column `keys` — walked here when sub-ring, as
+    /// [`multi_lookup`](Self::multi_lookup).
     ///
     /// # Errors
     ///
@@ -993,9 +992,10 @@ impl ProbeService {
         }
     }
 
-    /// Blocking convenience: insert `payload` under `key` through the
-    /// owning shard worker(s). Returns once the write has been applied
-    /// to every tier (always `true` — inserts cannot miss).
+    /// Blocking convenience: insert `payload` under `key` — applied
+    /// here when every owning shard is idle, queued otherwise. Returns
+    /// once the write has been applied to every tier (always `true` —
+    /// inserts cannot miss).
     ///
     /// # Errors
     ///

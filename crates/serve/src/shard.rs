@@ -1,24 +1,145 @@
-//! The sharded index: N independent [`HashIndex`] partitions routed by
-//! [`HashRecipe::shard_of`], built through the shard-aware build path in
-//! `widx_db::index`.
+//! The shard container, and the hash-routed index over it.
+//!
+//! [`Shards`] is N independent indexes, each behind its own `RwLock`,
+//! the guard accessors written once. [`ShardedIndex`] routes to N
+//! [`HashIndex`] partitions by [`HashRecipe::shard_of`] and derefs to
+//! it, as does [`OrderedShardedIndex`](crate::OrderedShardedIndex).
 //!
 //! Since the serving tier accepts online writes, each shard sits behind
 //! its own `RwLock`. The shard worker is the sole *writer* while it
 //! holds work, taking the write guard only at batch barriers; an idle
 //! shard's sub-ring write is applied by its submitter instead, under
-//! [`try_write`](ShardedIndex::try_write) — so writers never wait on
+//! [`try_write`](Shards::try_write) — so writers never wait on
 //! each other. Readers share the read guard — the worker's walker
 //! batches, sub-ring probes walked on their submitting threads
-//! ([`try_read`](ShardedIndex::try_read)), stats scrapes, oracles. The
+//! ([`try_read`](Shards::try_read)), stats scrapes, oracles. The
 //! lock arbitrates those readers against the writer: std's lock
 //! prefers a waiting writer, so a barrier is never starved, and a
 //! submitter that is refused a guard queues its request instead.
 
+use std::ops::Deref;
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use widx_db::epoch::EpochDomain;
 use widx_db::hash::HashRecipe;
-use widx_db::index::{build_sharded, HashIndex, IndexStats};
+use widx_db::index::{build_sharded, BTreeIndex, HashIndex, IndexStats};
+
+use crate::request::WriteOp;
+
+/// What a shard holds: the index a walker borrows and a write barrier
+/// mutates. Both index flavours expose the same inherent surface; one
+/// macro body stamps it onto both, so the tiers cannot drift apart at
+/// the barrier. (`pub` so [`Shards`]' bound can name it; not exported.)
+pub trait ShardIndex {
+    /// Applies one write; `true` when it took effect.
+    fn apply(&mut self, op: WriteOp) -> bool;
+    /// Frees every retired node no pinned epoch can still see.
+    fn reclaim_retired(&mut self) -> usize;
+    /// Retires into `domain` from now on.
+    fn rehome(&mut self, domain: Arc<EpochDomain>);
+    /// Entries held.
+    fn entries(&self) -> usize;
+}
+
+macro_rules! impl_shard_index {
+    ($($index:ty),*) => {$(
+        impl ShardIndex for $index {
+            fn apply(&mut self, op: WriteOp) -> bool {
+                match op {
+                    WriteOp::Insert { key, payload } => {
+                        self.insert(key, payload);
+                        true
+                    }
+                    WriteOp::Delete { key } => self.delete(key) > 0,
+                    WriteOp::Update { key, payload } => self.update(key, payload),
+                }
+            }
+
+            fn reclaim_retired(&mut self) -> usize {
+                self.reclaim()
+            }
+
+            fn rehome(&mut self, domain: Arc<EpochDomain>) {
+                self.set_domain(domain);
+            }
+
+            fn entries(&self) -> usize {
+                self.len()
+            }
+        }
+    )*};
+}
+
+impl_shard_index!(HashIndex, BTreeIndex);
+
+/// N independent shards of one index type, one per serving worker, each
+/// behind its own `RwLock`; the tiers add only their routers.
+pub struct Shards<I>(Vec<RwLock<I>>);
+
+impl<I: ShardIndex> Shards<I> {
+    /// Locks each freshly built shard away, retiring into `domain`.
+    pub(crate) fn new(built: Vec<I>, domain: &Arc<EpochDomain>) -> Shards<I> {
+        let lock = |mut index: I| {
+            index.rehome(Arc::clone(domain));
+            RwLock::new(index)
+        };
+        Shards(built.into_iter().map(lock).collect())
+    }
+
+    /// Number of shards.
+    #[must_use]
+    pub fn shard_count(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Read access to shard `shard`. Walker batches hold this guard for
+    /// the duration of one batch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lock is poisoned (a worker panicked mid-write).
+    pub fn read(&self, shard: usize) -> RwLockReadGuard<'_, I> {
+        self.0[shard].read().expect("shard lock")
+    }
+
+    /// Read access to shard `shard` without waiting: `None` while the
+    /// shard's worker holds or awaits its write barrier (or the lock is
+    /// poisoned). Sub-ring probes walk under this guard on their
+    /// submitting thread, and queue instead when it is refused.
+    pub(crate) fn try_read(&self, shard: usize) -> Option<RwLockReadGuard<'_, I>> {
+        self.0[shard].try_read().ok()
+    }
+
+    /// Write access to shard `shard` — reserved for the shard's owning
+    /// worker at batch barriers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lock is poisoned.
+    pub fn write(&self, shard: usize) -> RwLockWriteGuard<'_, I> {
+        self.0[shard].write().expect("shard lock")
+    }
+
+    /// Write access to shard `shard` without waiting: `None` while any
+    /// guard is out (or the lock is poisoned). A submitter applies a
+    /// sub-ring write under this guard when the shard is idle, and
+    /// queues it instead when refused.
+    pub(crate) fn try_write(&self, shard: usize) -> Option<RwLockWriteGuard<'_, I>> {
+        self.0[shard].try_write().ok()
+    }
+
+    /// Total entries across all shards.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        (0..self.0.len()).map(|s| self.read(s).entries()).sum()
+    }
+
+    /// Whether no shard holds an entry.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
 
 /// A hash index partitioned into independent shards, one per serving
 /// worker. Probes route by `recipe.shard_of(key, shards)`; builds size
@@ -26,13 +147,23 @@ use widx_db::index::{build_sharded, HashIndex, IndexStats};
 /// retires replaced nodes into the same [`EpochDomain`].
 pub struct ShardedIndex {
     recipe: HashRecipe,
-    shards: Vec<RwLock<HashIndex>>,
+    shards: Shards<HashIndex>,
+}
+
+impl Deref for ShardedIndex {
+    type Target = Shards<HashIndex>;
+
+    fn deref(&self) -> &Shards<HashIndex> {
+        &self.shards
+    }
 }
 
 impl ShardedIndex {
     /// Partitions `pairs` into `shards` indexes, each sized for ~`load`
     /// entries per bucket with at least `min_buckets` buckets, all
-    /// retiring into `domain`.
+    /// retiring into `domain` — which matters only to an index used
+    /// outside a service: `ProbeService::start*` re-homes every shard
+    /// onto the service's own domain.
     ///
     /// # Panics
     ///
@@ -50,81 +181,21 @@ impl ShardedIndex {
         let built = build_sharded(&recipe, shards, min_buckets, load, pairs);
         ShardedIndex {
             recipe,
-            shards: built
-                .into_iter()
-                .map(|mut s| {
-                    s.set_domain(Arc::clone(domain));
-                    RwLock::new(s)
-                })
-                .collect(),
+            shards: Shards::new(built, domain),
         }
-    }
-
-    /// Number of shards.
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// The shard that owns `key` — reads and writes route identically,
     /// so everything a shard worker serves is written through its shard.
     #[must_use]
     pub fn shard_of(&self, key: u64) -> usize {
-        self.recipe.shard_of(key, self.shards.len() as u64) as usize
-    }
-
-    /// Read access to shard `shard`. Walker batches hold this guard for
-    /// the duration of one batch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lock is poisoned (a worker panicked mid-write).
-    pub fn read(&self, shard: usize) -> RwLockReadGuard<'_, HashIndex> {
-        self.shards[shard].read().expect("hash shard lock")
-    }
-
-    /// Read access to shard `shard` without waiting: `None` while the
-    /// shard's worker holds or awaits its write barrier (or the lock is
-    /// poisoned). Sub-ring probes walk under this guard on their
-    /// submitting thread, and queue instead when it is refused.
-    pub(crate) fn try_read(&self, shard: usize) -> Option<RwLockReadGuard<'_, HashIndex>> {
-        self.shards[shard].try_read().ok()
-    }
-
-    /// Write access to shard `shard` — reserved for the shard's owning
-    /// worker at batch barriers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lock is poisoned.
-    pub fn write(&self, shard: usize) -> RwLockWriteGuard<'_, HashIndex> {
-        self.shards[shard].write().expect("hash shard lock")
-    }
-
-    /// Write access to shard `shard` without waiting: `None` while any
-    /// guard is out (or the lock is poisoned). A submitter applies a
-    /// sub-ring write under this guard when the shard is idle, and
-    /// queues it instead when refused.
-    pub(crate) fn try_write(&self, shard: usize) -> Option<RwLockWriteGuard<'_, HashIndex>> {
-        self.shards[shard].try_write().ok()
+        self.recipe.shard_of(key, self.shard_count() as u64) as usize
     }
 
     /// The routing/bucketing recipe.
     #[must_use]
     pub fn recipe(&self) -> &HashRecipe {
         &self.recipe
-    }
-
-    /// Total entries across all shards.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        (0..self.shards.len()).map(|s| self.read(s).len()).sum()
-    }
-
-    /// Whether the sharded index holds no entries.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Every payload stored under `key` — the single-threaded oracle for
@@ -137,7 +208,7 @@ impl ShardedIndex {
     /// Per-shard shape statistics, in shard order.
     #[must_use]
     pub fn shard_stats(&self) -> Vec<IndexStats> {
-        (0..self.shards.len())
+        (0..self.shard_count())
             .map(|s| self.read(s).stats())
             .collect()
     }

@@ -164,31 +164,6 @@ pub struct LatencySummary {
 }
 
 impl LatencySummary {
-    /// Summarizes a sample set (nanoseconds). Percentiles use the
-    /// nearest-rank method.
-    #[must_use]
-    pub fn from_samples(mut samples: Vec<u64>) -> LatencySummary {
-        if samples.is_empty() {
-            return LatencySummary::default();
-        }
-        samples.sort_unstable();
-        let count = samples.len();
-        let rank = |p: f64| -> u64 {
-            let idx = ((p * count as f64).ceil() as usize).clamp(1, count) - 1;
-            samples[idx]
-        };
-        LatencySummary {
-            count,
-            mean_ns: samples.iter().map(|s| *s as f64).sum::<f64>() / count as f64,
-            p50_ns: rank(0.50),
-            p95_ns: rank(0.95),
-            p99_ns: rank(0.99),
-            p999_ns: rank(0.999),
-            min_ns: samples[0],
-            max_ns: samples[count - 1],
-        }
-    }
-
     /// Summarizes a live histogram snapshot. Percentiles are quantized to
     /// the histogram's log2 bucket edges (clamped to the observed
     /// min/max); count, mean, min, and max are exact.
@@ -662,27 +637,6 @@ mod tests {
         assert_eq!(w.occupancy(), 0.0);
         assert_eq!(w.busy_throughput(), 0.0);
         assert_eq!(w.mean_batch(), 0.0);
-    }
-
-    #[test]
-    fn latency_percentiles_nearest_rank() {
-        let samples: Vec<u64> = (1..=100).collect();
-        let s = LatencySummary::from_samples(samples);
-        assert_eq!(s.count, 100);
-        assert_eq!(s.p50_ns, 50);
-        assert_eq!(s.p95_ns, 95);
-        assert_eq!(s.p99_ns, 99);
-        assert_eq!(s.p999_ns, 100, "nearest rank rounds 99.9 up");
-        assert_eq!(s.min_ns, 1);
-        assert_eq!(s.max_ns, 100);
-        assert!((s.mean_ns - 50.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn latency_of_empty_sample_set() {
-        let s = LatencySummary::from_samples(vec![]);
-        assert_eq!(s.count, 0);
-        assert_eq!(s.max_ns, 0);
     }
 
     #[test]

@@ -4,11 +4,12 @@
 //! shard router and the walker count is the in-flight depth.
 //!
 //! There is one worker loop, generic over the [`Tier`] it serves. A
-//! tier supplies only what differs: its shard set's guards, its walker
-//! ([`AmacWalker`] over a hash shard, [`BTreeRangeWalker`] — a ring of
-//! resumable scan cursors — over an ordered shard), and how a [`Job`]
-//! unpacks into walker input. Batching, emission routing, the write
-//! barrier, telemetry and shutdown are the same code for both.
+//! tier derefs to its [`Shards`] (the locks and guards, written once)
+//! and supplies only what differs: its walker ([`AmacWalker`] over a
+//! hash shard, [`BTreeRangeWalker`] — a ring of resumable scan cursors
+//! — over an ordered shard), and how a [`Job`] unpacks into walker
+//! input. Batching, emission routing, the write barrier, telemetry and
+//! shutdown are the same code for both.
 //!
 //! Workers are work-conserving: a worker blocks (`pop`) only while it
 //! holds nothing. Holding a job, it admits what is already queued and
@@ -41,7 +42,8 @@
 //! batch as a reader with the service-wide reclamation domain, and
 //! protects nothing the guard does not already (a submitter pins none).
 
-use std::sync::{Arc, RwLockReadGuard, RwLockWriteGuard};
+use std::ops::Deref;
+use std::sync::{Arc, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
 use widx_db::epoch::EpochDomain;
@@ -51,49 +53,9 @@ use widx_soft::{probe_scalar, AmacWalker, BTreeRangeWalker, ScanRange};
 
 use crate::batch::BatchPolicy;
 use crate::ordered::OrderedShardedIndex;
-use crate::queue::{Job, ShardQueue};
-use crate::request::{ResponseState, RoutedMatch, WriteOp};
-use crate::shard::ShardedIndex;
-
-/// What a shard holds: the index a walker borrows and a write barrier
-/// mutates. Both index flavours expose the same inherent mutation
-/// surface; one macro body stamps it onto both, so the tiers cannot
-/// drift apart at the barrier.
-pub(crate) trait ShardIndex {
-    /// Applies one write; `true` when it took effect.
-    fn apply(&mut self, op: WriteOp) -> bool;
-    /// Frees every retired node no pinned epoch can still see.
-    fn reclaim_retired(&mut self) -> usize;
-    /// Retires into `domain` from now on.
-    fn rehome(&mut self, domain: Arc<EpochDomain>);
-}
-
-macro_rules! impl_shard_index {
-    ($($index:ty),*) => {$(
-        impl ShardIndex for $index {
-            fn apply(&mut self, op: WriteOp) -> bool {
-                match op {
-                    WriteOp::Insert { key, payload } => {
-                        self.insert(key, payload);
-                        true
-                    }
-                    WriteOp::Delete { key } => self.delete(key) > 0,
-                    WriteOp::Update { key, payload } => self.update(key, payload),
-                }
-            }
-
-            fn reclaim_retired(&mut self) -> usize {
-                self.reclaim()
-            }
-
-            fn rehome(&mut self, domain: Arc<EpochDomain>) {
-                self.set_domain(domain);
-            }
-        }
-    )*};
-}
-
-impl_shard_index!(HashIndex, BTreeIndex);
+use crate::queue::{Job, ShardQueue, WriteJob};
+use crate::request::{ResponseState, RoutedMatch};
+use crate::shard::{ShardIndex, ShardedIndex, Shards};
 
 /// The resumable-walker surface the batch loop drives. Both soft-tier
 /// walkers already expose it inherently; `W` is one unit of walker
@@ -104,37 +66,31 @@ pub(crate) trait Walker<W> {
     fn take_counters(&mut self) -> WalkCounters;
 }
 
-impl Walker<u64> for AmacWalker<'_> {
-    fn feed<F: FnMut(u32, u64, u64)>(&mut self, tag: u32, key: u64, emit: &mut F) {
-        AmacWalker::feed(self, tag, key, emit);
-    }
+macro_rules! impl_walker {
+    ($($walker:ident: $work:ty),*) => {$(
+        impl Walker<$work> for $walker<'_> {
+            fn feed<F: FnMut(u32, u64, u64)>(&mut self, tag: u32, work: $work, emit: &mut F) {
+                $walker::feed(self, tag, work, emit);
+            }
 
-    fn drain<F: FnMut(u32, u64, u64)>(&mut self, emit: &mut F) {
-        AmacWalker::drain(self, emit);
-    }
+            fn drain<F: FnMut(u32, u64, u64)>(&mut self, emit: &mut F) {
+                $walker::drain(self, emit);
+            }
 
-    fn take_counters(&mut self) -> WalkCounters {
-        AmacWalker::take_counters(self)
-    }
+            fn take_counters(&mut self) -> WalkCounters {
+                $walker::take_counters(self)
+            }
+        }
+    )*};
 }
 
-impl Walker<ScanRange> for BTreeRangeWalker<'_> {
-    fn feed<F: FnMut(u32, u64, u64)>(&mut self, tag: u32, range: ScanRange, emit: &mut F) {
-        BTreeRangeWalker::feed(self, tag, range, emit);
-    }
+impl_walker!(AmacWalker: u64, BTreeRangeWalker: ScanRange);
 
-    fn drain<F: FnMut(u32, u64, u64)>(&mut self, emit: &mut F) {
-        BTreeRangeWalker::drain(self, emit);
-    }
-
-    fn take_counters(&mut self) -> WalkCounters {
-        BTreeRangeWalker::take_counters(self)
-    }
-}
-
-/// A serving tier, as its workers see it — exactly the points where
-/// the hash tier and the ordered tier differ.
-pub(crate) trait Tier: Send + Sync + 'static {
+/// A serving tier, as its workers see it: its [`Shards`], plus exactly
+/// the points where the hash tier and the ordered tier differ.
+pub(crate) trait Tier:
+    Deref<Target = Shards<<Self as Tier>::Index>> + Send + Sync + 'static
+{
     /// One shard's index.
     type Index: ShardIndex;
     /// One unit of walker input: a probe key or a scan range.
@@ -144,10 +100,6 @@ pub(crate) trait Tier: Send + Sync + 'static {
     /// Worker thread name prefix.
     const THREAD_NAME: &'static str;
 
-    fn shard_count(&self) -> usize;
-    fn read(&self, shard: usize) -> RwLockReadGuard<'_, Self::Index>;
-    fn write(&self, shard: usize) -> RwLockWriteGuard<'_, Self::Index>;
-    fn try_write(&self, shard: usize) -> Option<RwLockWriteGuard<'_, Self::Index>>;
     fn walker(index: &Self::Index, inflight: usize) -> Self::Walker<'_>;
     /// Unpacks a walker job into `(row or scatter rank, work)` pairs
     /// plus the reply they answer to. Each tier's queues carry exactly
@@ -160,22 +112,6 @@ impl Tier for ShardedIndex {
     type Work = u64;
     type Walker<'idx> = AmacWalker<'idx>;
     const THREAD_NAME: &'static str = "widx-serve";
-
-    fn shard_count(&self) -> usize {
-        ShardedIndex::shard_count(self)
-    }
-
-    fn read(&self, shard: usize) -> RwLockReadGuard<'_, HashIndex> {
-        ShardedIndex::read(self, shard)
-    }
-
-    fn write(&self, shard: usize) -> RwLockWriteGuard<'_, HashIndex> {
-        ShardedIndex::write(self, shard)
-    }
-
-    fn try_write(&self, shard: usize) -> Option<RwLockWriteGuard<'_, HashIndex>> {
-        ShardedIndex::try_write(self, shard)
-    }
 
     fn walker(index: &HashIndex, inflight: usize) -> AmacWalker<'_> {
         AmacWalker::new(index, inflight)
@@ -194,22 +130,6 @@ impl Tier for OrderedShardedIndex {
     type Work = ScanRange;
     type Walker<'idx> = BTreeRangeWalker<'idx>;
     const THREAD_NAME: &'static str = "widx-range";
-
-    fn shard_count(&self) -> usize {
-        OrderedShardedIndex::shard_count(self)
-    }
-
-    fn read(&self, shard: usize) -> RwLockReadGuard<'_, BTreeIndex> {
-        OrderedShardedIndex::read(self, shard)
-    }
-
-    fn write(&self, shard: usize) -> RwLockWriteGuard<'_, BTreeIndex> {
-        OrderedShardedIndex::write(self, shard)
-    }
-
-    fn try_write(&self, shard: usize) -> Option<RwLockWriteGuard<'_, BTreeIndex>> {
-        OrderedShardedIndex::try_write(self, shard)
-    }
 
     fn walker(index: &BTreeIndex, inflight: usize) -> BTreeRangeWalker<'_> {
         BTreeRangeWalker::new(index, inflight)
@@ -245,17 +165,6 @@ pub(crate) struct WorkerContext<T: Tier> {
     pub(crate) domain: Arc<EpochDomain>,
 }
 
-/// A write part stashed mid-batch, applied at the next batch barrier.
-pub(crate) struct WriteJob {
-    pub(crate) ops: Vec<(u32, WriteOp)>,
-    pub(crate) ack: bool,
-    pub(crate) reply: Arc<ResponseState>,
-}
-
-/// One write part, borrowed: its `(request op index, op)` pairs,
-/// whether this tier acks them, and the reply they complete.
-type WritePart<'a> = (&'a [(u32, WriteOp)], bool, &'a ResponseState);
-
 /// The one write-application routine: applies `parts` to `target`, shard
 /// `shard`'s index under its write guard — held by the worker at a batch
 /// barrier, or by a submitter on an idle shard ([`write_here`]). Per
@@ -270,10 +179,11 @@ fn apply_writes<'a, I: ShardIndex>(
     target: &mut I,
     shard: usize,
     (cell, stages, domain): (&WorkerCell, &StageTimes, &EpochDomain),
-    parts: impl IntoIterator<Item = WritePart<'a>>,
+    parts: impl IntoIterator<Item = &'a WriteJob>,
 ) {
     let barrier_from = Instant::now();
-    for (ops, ack, reply) in parts {
+    for WriteJob { ops, ack, reply } in parts {
+        let ack = *ack;
         cell.add_jobs(1);
         stages.record(Stage::QueueWait, reply.since_submit());
         let opened = Instant::now();
@@ -318,9 +228,8 @@ fn apply_write_barrier<T: Tier>(
 ) {
     let mut target = ctx.index.write(ctx.shard);
     let mark = prof.mark();
-    let parts = jobs.iter().map(|job| (&job.ops[..], job.ack, &*job.reply));
     let seams = (&*ctx.cell, &*ctx.stages, &*ctx.domain);
-    apply_writes(&mut *target, ctx.shard, seams, parts);
+    apply_writes(&mut *target, ctx.shard, seams, jobs);
     prof.record(Stage::Write, mark);
 }
 
@@ -343,26 +252,24 @@ pub(crate) fn write_here(
     ring: usize,
     parts: &[(&ShardQueue, Job)],
 ) -> bool {
-    type Held<'a, I> = Vec<(usize, WritePart<'a>, RwLockWriteGuard<'a, I>)>;
+    type Held<'a, I> = Vec<(usize, &'a WriteJob, RwLockWriteGuard<'a, I>)>;
 
     fn write_parts<'a>(
         parts: &'a [(&'a ShardQueue, Job)],
         acked: bool,
-    ) -> impl Iterator<Item = (&'a ShardQueue, WritePart<'a>)> {
+    ) -> impl Iterator<Item = (&'a ShardQueue, &'a WriteJob)> {
         parts.iter().filter_map(move |(queue, job)| match job {
-            Job::Write { ops, ack, reply } if *ack == acked => {
-                Some((*queue, (&ops[..], *ack, &**reply)))
-            }
+            Job::Write(write) if write.ack == acked => Some((*queue, write)),
             _ => None,
         })
     }
     fn claim<'a, T: Tier>(
         index: &'a T,
         shard_of: impl Fn(u64) -> usize,
-        parts: impl Iterator<Item = (&'a ShardQueue, WritePart<'a>)>,
+        parts: impl Iterator<Item = (&'a ShardQueue, &'a WriteJob)>,
     ) -> Option<Held<'a, T::Index>> {
         let held = parts.map(|(queue, part)| {
-            let shard = shard_of(part.0.first()?.1.key());
+            let shard = shard_of(part.ops.first()?.1.key());
             let guard = index.try_write(shard)?;
             queue.idle().then_some((shard, part, guard))
         });
@@ -379,7 +286,7 @@ pub(crate) fn write_here(
     }
 
     // The hash tier carries every op once; the ordered parts mirror it.
-    let ops = write_parts(parts, true).map(|(_, part)| part.0.len());
+    let ops = write_parts(parts, true).map(|(_, part)| part.ops.len());
     if !(1..ring).contains(&ops.sum::<usize>()) {
         return false;
     }
@@ -437,8 +344,8 @@ pub(crate) fn run_worker<T: Tier>(ctx: &WorkerContext<T>) {
             // A write opening a batch is its own barrier: no batch is
             // open, and the write guard waits out whatever walk a
             // submitting thread has in flight.
-            Job::Write { ops, ack, reply } => {
-                writes.push(WriteJob { ops, ack, reply });
+            Job::Write(write) => {
+                writes.push(write);
                 false
             }
             // Walker batch: pin an epoch and hold the shard's read

@@ -10,6 +10,10 @@
 //! the same three rows: a sub-ring write on idle shards is applied when
 //! `submit` returns, a refused write guard (either tier's) sends every
 //! part to the queues, and `Busy` stays all-or-nothing across tiers.
+//! The blocking conveniences (`lookup`, `insert`, ...) are `Block` plus a
+//! wait, so they ride every harness as a third mode: same oracle, same
+//! `Stopped`, walked or applied on the caller's thread when sub-ring,
+//! queued behind a refused guard.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{mpsc, Mutex};
@@ -29,12 +33,16 @@ fn build(config: &ServeConfig) -> ProbeService {
     )
 }
 
-/// The two admission modes of the public surface.
+/// The two admission modes of the public surface, and the blocking
+/// conveniences (which admit with `Block`, then wait).
 #[derive(Clone, Copy, Debug)]
 enum Mode {
     Block,
     Try,
+    Convenience,
 }
+
+const MODES: [Mode; 3] = [Mode::Block, Mode::Try, Mode::Convenience];
 
 fn submit(
     service: &ProbeService,
@@ -44,7 +52,89 @@ fn submit(
     match mode {
         Mode::Block => service.submit(request),
         Mode::Try => service.try_submit(request, None),
+        Mode::Convenience => unreachable!("conveniences hand out no pending handle"),
     }
+}
+
+/// `request` through the blocking conveniences: the probe and scan
+/// shapes have one each; a write is its ops, one call apiece, in order
+/// (so an empty write makes no call at all).
+fn convenience(service: &ProbeService, request: &Request) -> Result<Response, SubmitError> {
+    let acks = |acks: Result<Vec<bool>, SubmitError>| acks.map(|acks| Response::Write { acks });
+    match request {
+        Request::Lookup { key } => service.lookup(*key).map(|payloads| Response::Lookup {
+            key: *key,
+            payloads,
+        }),
+        Request::MultiLookup { keys } => service
+            .multi_lookup(keys)
+            .map(|matches| Response::MultiLookup { matches }),
+        Request::JoinProbe { keys } => service
+            .join_probe(keys)
+            .map(|pairs| Response::JoinProbe { pairs }),
+        &Request::RangeScan {
+            lo,
+            hi,
+            limit,
+            desc,
+        } => if desc {
+            service.range_scan_desc(lo, hi, limit)
+        } else {
+            service.range_scan(lo, hi, limit)
+        }
+        .map(|entries| Response::RangeScan { entries }),
+        Request::Insert { pairs } => {
+            acks(pairs.iter().map(|(k, p)| service.insert(*k, *p)).collect())
+        }
+        Request::Delete { keys } => acks(keys.iter().map(|k| service.delete(*k)).collect()),
+        Request::Update { pairs } => {
+            acks(pairs.iter().map(|(k, p)| service.update(*k, *p)).collect())
+        }
+    }
+}
+
+/// Every worker's idle clock, hash tier then ordered tier. A worker
+/// publishes its idle time when `pop` hands it a job, so a clock that
+/// did not move is a worker that was handed nothing.
+fn idle_clocks(service: &ProbeService) -> Vec<Duration> {
+    let stats = service.live_stats();
+    let workers = stats.workers.iter().chain(&stats.range_workers);
+    workers.map(|w| w.idle).collect()
+}
+
+/// Sends `request` and also reports whether it was answered *here*, on
+/// the sending thread: the handle ready when `submit` returned — or, for
+/// a convenience, which returns no handle, no worker handed a job.
+fn send_here(
+    service: &ProbeService,
+    mode: Mode,
+    request: &Request,
+) -> Result<(Response, bool), SubmitError> {
+    if let Mode::Convenience = mode {
+        let parked = idle_clocks(service);
+        let response = convenience(service, request)?;
+        return Ok((response, idle_clocks(service) == parked));
+    }
+    let pending = submit(service, mode, request.clone())?;
+    let here = pending.is_ready();
+    Ok((complete(mode, pending), here))
+}
+
+/// The refused-guard row for a call that blocks: runs `request`'s
+/// convenience on a second thread while this one holds `guard`, drops
+/// the guard once a worker has been handed a part, and returns what the
+/// caller got.
+fn convenience_behind<G>(service: &ProbeService, request: &Request, guard: G) -> (Response, bool) {
+    let parked = idle_clocks(service);
+    std::thread::scope(|scope| {
+        let sent = scope.spawn(|| send_here(service, Mode::Convenience, request));
+        wait_until("a worker holds the queued part", || {
+            idle_clocks(service) != parked
+        });
+        assert!(!sent.is_finished(), "answered under a refused guard");
+        drop(guard);
+        sent.join().expect("caller panicked").expect("accepted")
+    })
 }
 
 fn complete(mode: Mode, pending: PendingResponse) -> Response {
@@ -54,7 +144,7 @@ fn complete(mode: Mode, pending: PendingResponse) -> Response {
 }
 
 fn send(service: &ProbeService, mode: Mode, request: Request) -> Result<Response, SubmitError> {
-    Ok(complete(mode, submit(service, mode, request)?))
+    send_here(service, mode, &request).map(|(response, _)| response)
 }
 
 fn stream(
@@ -65,6 +155,7 @@ fn stream(
     let mut stream = match mode {
         Mode::Block => service.range_stream(lo, hi, limit, desc),
         Mode::Try => service.try_range_stream(lo, hi, limit, desc, None),
+        Mode::Convenience => unreachable!("no blocking convenience streams"),
     }?;
     Ok(stream.collect_remaining())
 }
@@ -196,6 +287,15 @@ fn shapes() -> Vec<Request> {
         scan(0, u64::MAX, usize::MAX, false),
         scan(1990, 5001, 5, true),
         Request::Delete { keys: vec![] },
+        Request::Insert {
+            pairs: vec![(91, 5)],
+        },
+        Request::Update {
+            pairs: vec![(91, 6)],
+        },
+        Request::Lookup { key: 91 },
+        Request::Delete { keys: vec![91] },
+        scan(90, 92, usize::MAX, false),
     ]
 }
 
@@ -208,7 +308,12 @@ const STREAMS: [(u64, u64, usize, bool); 4] = [
 
 #[test]
 fn every_shape_answers_the_oracle_through_both_admission_modes_and_refuses_after_stop() {
-    for mode in [Mode::Block, Mode::Try] {
+    for mode in MODES {
+        // Streams have no blocking convenience.
+        let streams = match mode {
+            Mode::Convenience => &[][..],
+            Mode::Block | Mode::Try => &STREAMS[..],
+        };
         let service = build(&ServeConfig::default().with_stream_chunk(64));
         let mut model = Model::new();
         for request in shapes() {
@@ -220,7 +325,7 @@ fn every_shape_answers_the_oracle_through_both_admission_modes_and_refuses_after
                 "{mode:?}: {request:?} diverged from the serial oracle"
             );
         }
-        for scan in STREAMS {
+        for &scan in streams {
             assert_eq!(
                 stream(&service, mode, scan).expect("accepted"),
                 model.scan(scan),
@@ -229,13 +334,16 @@ fn every_shape_answers_the_oracle_through_both_admission_modes_and_refuses_after
         }
         service.stop();
         for request in shapes() {
+            if let (Mode::Convenience, Some([])) = (mode, request.write_ops().as_deref()) {
+                continue; // No op, no call, nothing to refuse.
+            }
             assert_eq!(
                 send(&service, mode, request.clone()).err(),
                 Some(SubmitError::Stopped),
                 "{mode:?}: {request:?} admitted after stop()"
             );
         }
-        for scan in STREAMS {
+        for &scan in streams {
             assert_eq!(
                 stream(&service, mode, scan).err(),
                 Some(SubmitError::Stopped),
@@ -341,8 +449,9 @@ fn busy_refuses_a_dual_tier_write_on_both_tiers_or_neither() {
 /// The sub-ring rows: every probe shape with fewer keys than the ring
 /// has slots (`inflight`, 8) — one key, `inflight - 1` keys spanning
 /// both shards, duplicates, misses — is complete the moment `submit` /
-/// `try_submit` returns, equals the serial oracle, and is refused after
-/// `stop()` like any other request.
+/// `try_submit` returns (its convenience: no worker handed a job), equals
+/// the serial oracle, and is refused after `stop()` like any other
+/// request.
 #[test]
 fn sub_ring_probes_are_complete_when_submit_returns() {
     let config = ServeConfig::default().with_shards(2);
@@ -365,7 +474,7 @@ fn sub_ring_probes_are_complete_when_submit_returns() {
         },
         Request::JoinProbe { keys: vec![1, 3] },
     ];
-    for mode in [Mode::Block, Mode::Try] {
+    for mode in MODES {
         let service = build(&config);
         let owners: BTreeSet<usize> = rows[2]
             .keys()
@@ -375,13 +484,13 @@ fn sub_ring_probes_are_complete_when_submit_returns() {
         assert_eq!(owners.len(), 2, "the spanning rows touch both shards");
         let mut model = Model::new();
         for request in &rows {
-            let pending = submit(&service, mode, request.clone()).expect("accepted");
+            let (got, here) = send_here(&service, mode, request).expect("accepted");
             assert!(
-                pending.is_ready(),
+                here,
                 "{mode:?}: {request:?} was not complete when submit returned"
             );
             assert_eq!(
-                normalized(complete(mode, pending)),
+                normalized(got),
                 normalized(model.answer(request)),
                 "{mode:?}: {request:?} diverged from the serial oracle"
             );
@@ -390,7 +499,7 @@ fn sub_ring_probes_are_complete_when_submit_returns() {
         service.stop();
         for request in &rows {
             assert_eq!(
-                submit(&service, mode, request.clone()).err(),
+                send(&service, mode, request.clone()).err(),
                 Some(SubmitError::Stopped),
                 "{mode:?}: {request:?} admitted after stop()"
             );
@@ -405,7 +514,8 @@ fn sub_ring_probes_are_complete_when_submit_returns() {
 /// see it. When one tier's shard refuses its write guard (here the
 /// ordered tier's: the test holds a read guard), no part is applied in
 /// place: the write queues on both tiers and completes once the guard
-/// drops, equal to the oracle either way.
+/// drops, equal to the oracle either way. (A convenience is one op per
+/// call, each under the same rule.)
 #[test]
 fn sub_ring_writes_are_applied_when_submit_returns_unless_a_guard_is_refused() {
     const KEY: u64 = 84;
@@ -437,7 +547,7 @@ fn sub_ring_writes_are_applied_when_submit_returns_unless_a_guard_is_refused() {
             desc: false,
         },
     ];
-    for mode in [Mode::Block, Mode::Try] {
+    for mode in MODES {
         let service = build(&ServeConfig::default().with_shards(2));
         let mut model = Model::new();
         let ordered = service.ordered().expect("range tier");
@@ -450,30 +560,33 @@ fn sub_ring_writes_are_applied_when_submit_returns_unless_a_guard_is_refused() {
         // A worker that has answered is on its way back into `pop`;
         // a write that changes nothing finds out when all have arrived.
         wait_until("every shard is idle", || {
-            let pending = submit(&service, mode, touch()).expect("accepted");
-            let here = pending.is_ready();
-            let _ = complete(mode, pending);
-            here
+            send_here(&service, mode, &touch()).expect("accepted").1
         });
         for request in &rows {
-            let pending = submit(&service, mode, request.clone()).expect("accepted");
+            let (got, here) = send_here(&service, mode, request).expect("accepted");
             assert!(
-                pending.is_ready(),
+                here,
                 "{mode:?}: {request:?} was not complete when submit returned"
             );
-            assert_eq!(complete(mode, pending), model.answer(request));
+            assert_eq!(got, model.answer(request));
         }
         let guard = ordered.read(ordered.write_shard_of(KEY));
         let request = Request::Update {
             pairs: vec![(KEY, 8)],
         };
-        let pending = submit(&service, mode, request.clone()).expect("accepted");
+        let (got, here) = if let Mode::Convenience = mode {
+            convenience_behind(&service, &request, guard)
+        } else {
+            let pending = submit(&service, mode, request.clone()).expect("accepted");
+            let here = pending.is_ready();
+            drop(guard);
+            (complete(mode, pending), here)
+        };
         assert!(
-            !pending.is_ready(),
+            !here,
             "{mode:?}: applied a write whose ordered shard refused its guard"
         );
-        drop(guard);
-        assert_eq!(complete(mode, pending), model.answer(&request));
+        assert_eq!(got, model.answer(&request));
         for request in &reads {
             let got = send(&service, mode, request.clone()).expect("accepted");
             assert_eq!(normalized(got), normalized(model.answer(request)));
@@ -549,6 +662,11 @@ fn a_ring_filling_probe_queues_where_a_sub_ring_probe_is_answered() {
     assert!(pending.is_ready(), "a sub-ring probe waited for the worker");
     assert_eq!(normalized(pending.wait()), oracle(&sub_ring()));
     assert_eq!(service.backlog()[h], CAPACITY, "walked, not queued");
+    // Nor does its blocking convenience, which would otherwise wait out
+    // the full queue behind a worker that cannot pop.
+    let (got, here) = send_here(&service, Mode::Convenience, &sub_ring()).expect("accepted");
+    assert!(here, "multi_lookup() woke a worker");
+    assert_eq!(normalized(got), oracle(&sub_ring()));
 
     release.send(()).expect("worker parked");
     for pending in queued.into_iter().chain([parker]) {
@@ -560,15 +678,18 @@ fn a_ring_filling_probe_queues_where_a_sub_ring_probe_is_answered() {
 
     // A refused guard (here: the test plays the write barrier) sends
     // the same sub-ring probe down the unchanged queue path.
-    for mode in [Mode::Block, Mode::Try] {
+    for mode in MODES {
         let guard = service.sharded().write(h);
-        let pending = submit(&service, mode, sub_ring()).expect("accepted");
-        assert!(
-            !pending.is_ready(),
-            "{mode:?}: walked a shard whose write guard is held"
-        );
-        drop(guard);
-        assert_eq!(normalized(complete(mode, pending)), oracle(&sub_ring()));
+        let (got, here) = if let Mode::Convenience = mode {
+            convenience_behind(&service, &sub_ring(), guard)
+        } else {
+            let pending = submit(&service, mode, sub_ring()).expect("accepted");
+            let here = pending.is_ready();
+            drop(guard);
+            (complete(mode, pending), here)
+        };
+        assert!(!here, "{mode:?}: walked a shard whose write guard is held");
+        assert_eq!(normalized(got), oracle(&sub_ring()));
     }
     let _ = service.shutdown();
 }

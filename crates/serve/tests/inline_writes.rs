@@ -4,7 +4,8 @@
 //! complete when `submit` / `try_submit` returns, the workers never
 //! woken — and takes the unchanged queue path otherwise: a refused
 //! guard, a shard with work outstanding, a write of `inflight` ops or
-//! more, and every blocking convenience.
+//! more. The blocking conveniences are one-op writes under the same
+//! rule.
 //!
 //! Which thread applied a write is invisible in the counters (the
 //! shard's own cell counts it either way), so "the worker never ran" is
@@ -213,10 +214,11 @@ fn a_write_behind_an_outstanding_write_queues_behind_it() {
 }
 
 /// The rule's other edge: a write of exactly `inflight` ops is a job
-/// for the workers however idle they are, and so is every blocking
-/// convenience.
+/// for the workers however idle they are. The blocking conveniences are
+/// one-op writes under the same rule as `submit`: complete at return
+/// with no worker woken on idle shards, queued when a guard is refused.
 #[test]
-fn ring_filling_writes_and_blocking_conveniences_go_through_the_workers() {
+fn ring_filling_writes_queue_and_blocking_conveniences_follow_the_sub_ring_rule() {
     let service = build();
     let inflight = ServeConfig::default().inflight as u64;
     let woke = |what: &str, run: &dyn Fn()| {
@@ -240,15 +242,37 @@ fn ring_filling_writes_and_blocking_conveniences_go_through_the_workers() {
         let pending = service.try_submit(Request::Delete { keys }, None);
         assert_eq!(acks(pending.expect("fits")), vec![true; inflight as usize]);
     });
-    woke("insert()", &|| {
-        assert!(service.insert(85, 1).expect("insert"))
-    });
-    woke("update()", &|| {
-        assert!(service.update(85, 2).expect("update"))
-    });
-    woke("delete()", &|| assert!(service.delete(85).expect("delete")));
-    assert_eq!(tiers(&service, 85), (vec![], vec![]));
     assert_eq!(tiers(&service, 9000), (vec![], vec![]));
+
+    // Idle shards: each convenience has landed in both tiers when it
+    // returns, and no worker ever left `pop`.
+    settle(&service);
+    let parked = idle_clocks(&service);
+    assert!(service.insert(85, 1).expect("insert"));
+    assert_eq!(tiers(&service, 85), (vec![1], vec![1]));
+    assert!(service.update(85, 2).expect("update"));
+    assert_eq!(tiers(&service, 85), (vec![2], vec![2]));
+    assert!(!service.update(87, 2).expect("update of a missing key"));
+    assert!(service.delete(85).expect("delete"));
+    assert_eq!(tiers(&service, 85), (vec![], vec![]));
+    assert_eq!(idle_clocks(&service), parked, "a convenience woke a worker");
+
+    // A refused guard: the same call queues, and returns only once the
+    // worker has applied it behind the reader.
+    let sharded = service.sharded();
+    let h = sharded.shard_of(85);
+    let guard = sharded.read(h);
+    std::thread::scope(|scope| {
+        let blocked = scope.spawn(|| service.insert(85, 3).expect("insert"));
+        wait_until("the hash worker holds insert()'s part", || {
+            idle_clocks(&service)[h] > parked[h]
+        });
+        assert!(!blocked.is_finished(), "applied under a refused guard");
+        assert!(guard.lookup_all(85).is_empty());
+        drop(guard);
+        assert!(blocked.join().expect("insert() panicked"));
+    });
+    assert_eq!(tiers(&service, 85), (vec![3], vec![3]));
     let _ = service.shutdown();
 }
 

@@ -39,6 +39,11 @@ fn live_stats_are_nonzero_under_load() {
                             assert_eq!(hits, vec![key % ENTRIES + 1]);
                             served += 1;
                         }
+                        // Ring-filling, so the hash workers publish
+                        // batches of their own while being scraped.
+                        let keys: Vec<u64> = (0..32).map(|k| (k * 7 + t) % ENTRIES).collect();
+                        let rows = service.multi_lookup(&keys).expect("multi_lookup");
+                        assert_eq!(rows.len(), keys.len());
                         let _ = service.range_scan(0, 200, 50).expect("scan");
                     }
                     served
@@ -112,14 +117,18 @@ fn live_stats_equal_shutdown_stats_at_quiescence() {
     }
     let rows = service.join_probe(&[3, 5, ENTRIES + 1]).expect("join");
     assert_eq!(rows.len(), 2);
+    // Those were sub-ring, walked on this thread; this one fills the
+    // ring, so the workers' own batches are in the comparison too.
+    let keys: Vec<u64> = (0..64).collect();
+    assert_eq!(service.multi_lookup(&keys).expect("multi").len(), 64);
     let entries = service.range_scan(100, 300, 1000).expect("scan");
     assert_eq!(entries.len(), 201);
 
     // Every call above was synchronous, so the service is quiescent:
     // the live scrape and the shutdown snapshot fold the same cells.
     let live = service.live_stats();
-    assert_eq!(live.total_keys(), 503);
-    assert_eq!(live.latency.count, 502, "one latency per request");
+    assert_eq!(live.total_keys(), 567);
+    assert_eq!(live.latency.count, 503, "one latency per request");
     let shutdown = service.shutdown();
     assert_eq!(comparable(live), comparable(shutdown));
 }

@@ -30,16 +30,26 @@ fn span_dur(trace: &RequestTrace, stage: Stage) -> Option<u64> {
 
 #[test]
 fn head_sampled_requests_carry_the_full_span_seam() {
-    let service = build(ServeConfig::default().with_shards(2).with_trace_sample(1));
+    let config = ServeConfig::default().with_shards(2).with_trace_sample(1);
+    let ring = config.inflight as u64;
+    let service = build(config);
 
+    // Ring-filling requests (four rings' worth of keys over the two
+    // shards) are queued, batched and walked by the shard workers.
+    for base in 0..32u64 {
+        let keys: Vec<u64> = (base..base + 4 * ring).collect();
+        let rows = service.multi_lookup(&keys).expect("multi_lookup");
+        assert_eq!(rows.len(), keys.len());
+    }
+    let keys: Vec<u64> = (0..64).map(|i| i * 97 % ENTRIES).collect();
+    let pairs = service.join_probe(&keys).expect("join_probe");
+    assert_eq!(pairs.len(), keys.len());
+    let entries = service.range_scan(100, 4000, 500).expect("range_scan");
+    assert_eq!(entries.len(), 500);
+    // The sub-ring convenience is walked on this thread, like `submit`.
     for key in 0..32u64 {
         assert_eq!(service.lookup(key).expect("lookup"), vec![key + 1]);
     }
-    let keys: Vec<u64> = (0..64).map(|i| i * 97 % ENTRIES).collect();
-    let rows = service.multi_lookup(&keys).expect("multi_lookup");
-    assert_eq!(rows.len(), keys.len());
-    let entries = service.range_scan(100, 4000, 500).expect("range_scan");
-    assert_eq!(entries.len(), 500);
 
     // A trace commits just *after* the completion wakeup that releases
     // the blocked caller; `flush` waits out every armed trace's commit
@@ -48,17 +58,20 @@ fn head_sampled_requests_carry_the_full_span_seam() {
     recorder.flush();
     let stats = recorder.stats();
     assert_eq!(
-        stats.recorded, 34,
+        stats.recorded, 66,
         "every request is head-sampled and committed by flush time"
     );
     let traces = recorder.snapshot();
-    assert!(!traces.is_empty());
+    assert_eq!(traces.len(), 66);
 
     // Every completed trace must carry the serve-side seam stages and
     // a non-trivial walker counter record, and its spans must fit
-    // inside the end-to-end latency.
+    // inside the end-to-end latency. A worker's batch adds the
+    // batch-wait span and the AMAC ring's prefetches; a walk on the
+    // submitting thread waited in no batch and prefetched nothing.
     for trace in &traces {
-        for stage in [Stage::QueueWait, Stage::BatchWait, Stage::Walk] {
+        let queued = trace.kind != "lookup";
+        for stage in [Stage::QueueWait, Stage::Walk] {
             assert!(
                 span_dur(trace, stage).is_some(),
                 "{} trace {} missing {} span",
@@ -67,10 +80,23 @@ fn head_sampled_requests_carry_the_full_span_seam() {
                 stage.name()
             );
         }
+        assert_eq!(
+            span_dur(trace, Stage::BatchWait).is_some(),
+            queued,
+            "{} trace {}: batch-wait span iff a worker batched it",
+            trace.kind,
+            trace.id
+        );
         assert!(!trace.shards.is_empty(), "no shard recorded");
         assert!(trace.walk.nodes > 0, "walker visited no nodes");
         assert!(trace.walk.rounds > 0, "walker ran no rounds");
-        assert!(trace.walk.prefetches > 0, "walker issued no prefetches");
+        assert_eq!(
+            trace.walk.prefetches > 0,
+            queued,
+            "{} trace {}: prefetches iff the AMAC ring walked it",
+            trace.kind,
+            trace.id
+        );
         for span in &trace.spans {
             assert!(
                 span.start_ns <= trace.total_ns,
@@ -93,13 +119,14 @@ fn head_sampled_requests_carry_the_full_span_seam() {
             .expect("walk span");
         assert!(walk_start >= queue_start, "walk began before queue-wait");
     }
+    assert_eq!(traces.iter().filter(|t| t.kind == "lookup").count(), 32);
 
     // A multi-shard request fans its shard set out.
     let multi = traces
         .iter()
         .find(|t| t.kind == "multi_lookup")
         .expect("multi_lookup trace");
-    assert!(multi.shards.len() >= 2, "64-key lookup touched one shard");
+    assert!(multi.shards.len() >= 2, "32-key lookup touched one shard");
 
     let gathered = traces
         .iter()

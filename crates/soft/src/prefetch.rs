@@ -1,6 +1,6 @@
 //! Portable data-prefetch shim.
 //!
-//! The paper's `TOUCH` instruction "demand[s] data blocks in advance of
+//! The paper's `TOUCH` instruction "demand\[s\] data blocks in advance of
 //! their use"; on commodity x86-64 the equivalent is `prefetcht0`. On
 //! targets without a stable prefetch intrinsic this compiles to a no-op,
 //! which only costs performance, never correctness — prefetches are

@@ -1,12 +1,15 @@
 //! Epoch-reclamation stress: a writer churns B+-tree leaf splits and
-//! merges while resumable range cursors stream chunks on other threads.
+//! merges while range cursors scan on other threads, under the
+//! discipline the serving tier runs — a scan lives inside one read
+//! guard with an epoch pinned, the writer mutates under the write guard
+//! and advances + reclaims after every burst.
 //!
-//! The contract under test (ISSUE satellite: write-path stress):
+//! The contract under test:
 //!
-//! * **no torn reads** — every chunk a cursor emits contains exactly
-//!   the stable keys it should, in order, even though the leaf arena is
-//!   being split, merged, retired, and reused underneath the saved
-//!   cursor hints;
+//! * **no torn or lost reads** — every scan walks the whole leaf chain
+//!   in key order and emits exactly the stable keys it should, even
+//!   though between scans the leaf arena is being split, merged,
+//!   retired and reused;
 //! * **quiescent reclamation** — once writers and readers stop, one
 //!   epoch advance plus a reclaim drains the retired-node count to
 //!   zero (`widx_epoch_retired` would read 0, `widx_epoch_reclaimed`
@@ -18,9 +21,9 @@ use std::thread;
 
 use widx_db::epoch::EpochDomain;
 use widx_db::index::BTreeIndex;
-use widx_soft::{ResumableScan, ScanRange};
+use widx_soft::{scan_btree_scalar, BTreeRangeWalker, ScanRange};
 
-/// Keys the readers scan; the writer never touches this range.
+/// Keys the readers check; the writer never touches this range.
 const STABLE_LO: u64 = 1_000_000;
 const STABLE_HI: u64 = 1_000_499;
 
@@ -72,48 +75,51 @@ fn cursors_stream_unharmed_while_writer_churns_and_epochs_reclaim() {
         })
     };
 
-    // Readers: repeated full scans of the stable range, chunk by
-    // chunk, pinning an epoch and taking the read lock per chunk. The
-    // cursor's saved (leaf, slot, version) hints go stale whenever the
-    // writer splits or merges nearby leaves; resume must still produce
-    // the exact stable multiset every time.
+    // Readers, one per engine the service's range tier can run: each
+    // pass pins an epoch, takes the read guard, and scans the *whole*
+    // tree in both directions at once — through the churn range, whose
+    // leaves were split, merged, retired and reused since the last pass
+    // — then checks order and the stable keys outside the guard.
     let mut readers = Vec::new();
-    for desc in [false, true] {
+    for ring in [false, true] {
         let tree = Arc::clone(&tree);
         let domain = Arc::clone(&domain);
         readers.push(thread::spawn(move || {
             let handle = domain.register();
-            let mut want = stable_entries();
-            if desc {
-                want.reverse();
-            }
-            let mut redescents = 0u64;
+            let everything = ScanRange::new(0, u64::MAX);
+            let scans = [everything, everything.descending()];
+            let mut want = [stable_entries(), stable_entries()];
+            want[1].reverse();
             for _ in 0..60 {
-                let range = if desc {
-                    ScanRange::new(STABLE_LO, STABLE_HI).descending()
-                } else {
-                    ScanRange::new(STABLE_LO, STABLE_HI)
-                };
-                let mut cursor = ResumableScan::new(range);
-                let mut out = Vec::new();
-                while !cursor.is_done() {
-                    let pin = handle.pin();
+                let mut out = [Vec::new(), Vec::new()];
+                {
+                    let _pin = handle.pin();
                     let t = tree.read().unwrap();
-                    cursor.next_chunk(&t, 32, &mut out);
-                    drop(t);
-                    drop(pin);
-                    thread::yield_now();
+                    let mut emit = |tag: u32, key, payload| out[tag as usize].push((key, payload));
+                    if ring {
+                        BTreeRangeWalker::new(&t, 4).scan_chunk((0..).zip(scans), &mut emit);
+                    } else {
+                        scan_btree_scalar(&t, &scans, &mut emit);
+                    }
                 }
-                assert_eq!(out, want, "torn or lost read (desc={desc})");
-                redescents += cursor.redescents();
+                for (desc, (out, want)) in out.iter().zip(&want).enumerate() {
+                    let ordered =
+                        |w: &[(u64, u64)]| w[0].0 == w[1].0 || (w[0].0 > w[1].0) == (desc == 1);
+                    assert!(out.windows(2).all(ordered), "out of order (ring={ring})");
+                    let stable: Vec<(u64, u64)> = out
+                        .iter()
+                        .copied()
+                        .filter(|(k, _)| (STABLE_LO..=STABLE_HI).contains(k))
+                        .collect();
+                    assert_eq!(&stable, want, "torn or lost read (ring={ring})");
+                }
+                thread::yield_now();
             }
-            redescents
         }));
     }
 
-    let mut total_redescents = 0u64;
     for r in readers {
-        total_redescents += r.join().expect("reader panicked");
+        r.join().expect("reader panicked");
     }
     stop.store(true, Ordering::Relaxed);
     let rounds = writer.join().expect("writer panicked");
@@ -127,29 +133,22 @@ fn cursors_stream_unharmed_while_writer_churns_and_epochs_reclaim() {
     assert_eq!(domain.retired(), 0, "retired gauge drains at quiescence");
     assert!(domain.reclaimed() > 0, "churn actually retired nodes");
     assert_eq!(t.retired_nodes(), 0);
-    // The churn was real enough to invalidate at least one saved hint
-    // across 120 scans, or the tree barely moved — either way the
-    // stable range survived; record the count for flake forensics.
     eprintln!(
-        "epoch stress: {} writer rounds, {} reclaimed, {} re-descents",
+        "epoch stress: {} writer rounds, {} reclaimed",
         rounds,
-        domain.reclaimed(),
-        total_redescents
+        domain.reclaimed()
     );
 }
 
+/// What a walker batch holds for its cursors' lifetime is a pin; while
+/// one is out, nothing retired at or after its epoch may be reused.
 #[test]
 fn pinned_cursor_blocks_reclaim_until_released() {
     let domain = EpochDomain::new();
     let mut tree = BTreeIndex::build(4, (0..256u64).map(|k| (k, k)));
     tree.set_domain(Arc::clone(&domain));
     let handle = domain.register();
-
-    // A cursor parks mid-scan with an epoch pinned.
     let pin = handle.pin();
-    let mut cursor = ResumableScan::new(ScanRange::new(0, u64::MAX));
-    let mut out = Vec::new();
-    cursor.next_chunk(&tree, 10, &mut out);
 
     // The writer deletes enough to retire leaves and advances.
     for k in 64..192u64 {
@@ -159,28 +158,11 @@ fn pinned_cursor_blocks_reclaim_until_released() {
     assert!(domain.retired() > 0);
     assert_eq!(tree.reclaim(), 0, "pin holds every retirement");
 
-    // Release the pin: everything drains.
+    // Release the pin: everything drains, and the survivors are intact.
     drop(pin);
     let retired = domain.retired();
     assert_eq!(tree.reclaim() as u64, retired);
     assert_eq!(domain.retired(), 0);
-
-    // The parked cursor resumes (re-descending if its leaf changed)
-    // and still sees every surviving key exactly once.
-    while !cursor.is_done() {
-        let _pin = handle.pin();
-        cursor.next_chunk(&tree, 50, &mut out);
-    }
-    let survivors: Vec<(u64, u64)> = out
-        .iter()
-        .copied()
-        .filter(|(k, _)| !(64..192).contains(k))
-        .collect();
-    assert_eq!(
-        survivors,
-        (0..64u64)
-            .chain(192..256)
-            .map(|k| (k, k))
-            .collect::<Vec<_>>()
-    );
+    let survivors: Vec<(u64, u64)> = (0..64u64).chain(192..256).map(|k| (k, k)).collect();
+    assert_eq!(tree.range_scan(0, u64::MAX, usize::MAX), survivors);
 }
