@@ -89,7 +89,7 @@ mod worker;
 
 pub use ordered::OrderedShardedIndex;
 pub use request::{
-    PendingResponse, PendingStream, Request, Response, StreamConsumed, StreamPoll, TraceFinisher,
+    PendingResponse, PendingStream, Request, Response, StreamConsumed, TraceFinisher,
 };
 pub use service::{NetTraceCtx, ProbeService, ServeConfig, SubmitError};
 pub use shard::{ShardedIndex, Shards};

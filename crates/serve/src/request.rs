@@ -1,7 +1,8 @@
 //! The typed request/response surface of the probe service, plus the
-//! completion plumbing connecting shard workers back to waiting clients
-//! — buffered ([`PendingResponse`]) and chunk-streaming
-//! ([`PendingStream`]).
+//! completion plumbing connecting shard workers back to waiting clients.
+//! Every range scan gathers through one rank-ordered seam: a
+//! [`PendingStream`] reads its chunks as they release, and a buffered
+//! [`PendingResponse`] is the same chunks concatenated at `wait()`.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -240,13 +241,14 @@ struct RankBuf {
     done: bool,
 }
 
-/// The streaming gather seam of one chunked range scan. Ranks release
-/// strictly in order — rank `head` forwards chunks as they arrive, later
-/// ranks stash until every earlier rank's part has completed — so the
-/// released chunk sequence concatenates to exactly the buffered
-/// [`Response::RangeScan`], with the request's `limit` still applied
-/// here at the seam (`remaining` counts it down; once it hits zero the
-/// stream ends early and everything still in flight is discarded).
+/// The gather seam of one range scan, buffered or streamed. Ranks
+/// release strictly in order — rank `head` forwards chunks as they
+/// arrive, later ranks stash until every earlier rank's part has
+/// completed — so the released chunks are the reply in key order, with
+/// the request's `limit` applied here at the seam (`remaining` counts it
+/// down; once it hits zero the stream ends early and everything still in
+/// flight is discarded).
+#[derive(Default)]
 struct StreamState {
     /// Index of the rank currently allowed to release chunks.
     head: usize,
@@ -261,6 +263,10 @@ struct StreamState {
     /// worker by [`ResponseState::push_chunk`] so the steady state of a
     /// long scan allocates no fresh chunk `Vec`s at all.
     spare: Vec<Vec<(u64, u64)>>,
+    /// Whether a [`PendingStream`] reads this seam: only then does a
+    /// release before the final part wake anyone. A buffered reply is
+    /// woken once, at completion.
+    attached: bool,
 }
 
 /// Recycled chunk buffers retained per stream; beyond this they drop,
@@ -339,8 +345,8 @@ impl TraceFinisher {
 pub(crate) struct PendingInner {
     pub(crate) parts_left: usize,
     pub(crate) items: Vec<RoutedMatch>,
-    /// `Some` on chunk-streaming range scans; `None` on buffered
-    /// requests.
+    /// `Some` on every range scan, buffered or streamed; `None` on
+    /// point probes and writes, which complete with `items`.
     stream: Option<StreamState>,
     /// Completion hook: invoked (outside the lock) whenever a chunk
     /// becomes consumable or the request completes, so a polling event
@@ -357,9 +363,23 @@ pub(crate) struct PendingInner {
     pub(crate) done: bool,
 }
 
+impl PendingInner {
+    /// Whether the consumer has something to take: the completed reply
+    /// or — only on a seam a [`PendingStream`] reads — a released chunk
+    /// or the stream's early end.
+    fn consumable(&self) -> bool {
+        self.done
+            || self
+                .stream
+                .as_ref()
+                .is_some_and(|s| s.attached && (!s.ready.is_empty() || s.remaining == 0))
+    }
+}
+
 /// Shared completion state for one in-flight request: workers complete
-/// shard-parts (and, on streaming scans, push chunks); the client
-/// blocks in [`PendingResponse::wait`] or drains a [`PendingStream`].
+/// shard-parts (a range part through the seam, its chunks included);
+/// the client blocks in [`PendingResponse::wait`] or drains a
+/// [`PendingStream`].
 pub(crate) struct ResponseState {
     pub(crate) inner: Mutex<PendingInner>,
     pub(crate) ready: Condvar,
@@ -370,19 +390,25 @@ pub(crate) struct ResponseState {
     /// construction, so workers skip the annotation lock entirely on
     /// the (default) untraced path.
     traced: bool,
-    /// Whether workers stream chunks to this state instead of
-    /// accumulating a buffered reply — fixed by the constructor, so
-    /// workers read it on every admitted part without the lock.
-    streaming: bool,
 }
 
 impl ResponseState {
+    /// A state awaiting `parts` shard-parts. A range scan's carries its
+    /// seam: one rank per part, released in rank order, cut at `limit`.
     pub(crate) fn new(kind: RequestKind, parts: usize) -> ResponseState {
+        let stream = match kind {
+            RequestKind::RangeScan { limit } => Some(StreamState {
+                ranks: (0..parts).map(|_| RankBuf::default()).collect(),
+                remaining: limit,
+                ..StreamState::default()
+            }),
+            _ => None,
+        };
         ResponseState {
             inner: Mutex::new(PendingInner {
                 parts_left: parts,
                 items: Vec::new(),
-                stream: None,
+                stream,
                 waker: None,
                 kind,
                 first_done: None,
@@ -393,7 +419,6 @@ impl ResponseState {
             ready: Condvar::new(),
             submitted: Instant::now(),
             traced: false,
-            streaming: false,
         }
     }
 
@@ -453,27 +478,6 @@ impl ResponseState {
         self.submitted.elapsed()
     }
 
-    /// A streaming state: `parts` scatter ranks whose chunks the seam
-    /// releases in rank order, `limit` applied as they release.
-    pub(crate) fn new_stream(kind: RequestKind, parts: usize, limit: usize) -> ResponseState {
-        let mut state = ResponseState::new(kind, parts);
-        state.streaming = true;
-        state.inner.get_mut().expect("pending lock").stream = Some(StreamState {
-            head: 0,
-            ranks: (0..parts).map(|_| RankBuf::default()).collect(),
-            ready: VecDeque::new(),
-            remaining: limit,
-            spare: Vec::new(),
-        });
-        state
-    }
-
-    /// Whether workers should stream chunks to this state instead of
-    /// accumulating a buffered reply (lock-free).
-    pub(crate) fn is_streaming(&self) -> bool {
-        self.streaming
-    }
-
     /// Releases everything releasable: the head rank's stashed chunks,
     /// advancing `head` over completed ranks. Returns true when the
     /// consumer-visible state changed (a chunk released, or the limit
@@ -510,28 +514,24 @@ impl ResponseState {
         released
     }
 
-    /// Called by a range worker when a streaming scan's walker has
-    /// yielded a chunk for scatter rank `rank`. Chunks for the head
-    /// rank become consumable immediately; later ranks stash until the
-    /// seam reaches them.
+    /// Called by a range worker when a scan's walker has yielded a full
+    /// chunk for scatter rank `rank` mid-part. Chunks for the head rank
+    /// release immediately; later ranks stash until the seam reaches
+    /// them. A release wakes a [`PendingStream`] reader, never a
+    /// buffered one.
     ///
     /// Returns a recycled chunk buffer (cleared, capacity intact) when
     /// the seam has one — the worker's next chunk for this stream can
     /// reuse it instead of allocating. A chunk pushed after the limit
-    /// exhausted is handed straight back the same way.
+    /// exhausted (or after the reader dropped its handle) is handed
+    /// straight back the same way.
     pub(crate) fn push_chunk(
         &self,
         rank: u32,
         mut chunk: Vec<(u64, u64)>,
     ) -> Option<Vec<(u64, u64)>> {
-        if chunk.is_empty() {
-            return Some(chunk);
-        }
         let mut inner = self.inner.lock().expect("pending lock");
-        let stream = inner
-            .stream
-            .as_mut()
-            .expect("chunk pushed to a buffered request");
+        let stream = inner.stream.as_mut().expect("chunk pushed to a non-scan");
         if stream.remaining == 0 {
             // Limit already exhausted; the entries are discarded but the
             // buffer goes back to the worker for its next stream.
@@ -540,7 +540,7 @@ impl ResponseState {
         }
         stream.ranks[rank as usize].chunks.push_back(chunk);
         let spare = stream.spare.pop();
-        if Self::drain_released(stream) {
+        if Self::drain_released(stream) && stream.attached {
             self.ready.notify_all();
             let waker = inner.waker.clone();
             drop(inner);
@@ -551,30 +551,30 @@ impl ResponseState {
         spare
     }
 
-    /// Called by a range worker when a streaming scan's part for
-    /// scatter rank `rank` has fully drained (every chunk pushed).
-    /// Returns the completion latency when this was the final part (see
-    /// [`finish_part`](Self::finish_part)).
+    /// Called by a range worker when a scan's part for scatter rank
+    /// `rank` has fully drained: `tail` is its last (possibly empty,
+    /// possibly only) chunk. Returns the completion latency when this
+    /// was the final part (see [`finish_part`](Self::finish_part)).
     pub(crate) fn complete_stream_part(
         &self,
         rank: u32,
+        tail: Vec<(u64, u64)>,
         cell: Option<&WorkerCell>,
     ) -> Option<Duration> {
         let mut inner = self.inner.lock().expect("pending lock");
-        let stream = inner
-            .stream
-            .as_mut()
-            .expect("stream part completed on a buffered request");
-        stream.ranks[rank as usize].done = true;
-        Self::drain_released(stream);
-        // Head advancement may have released chunks even when parts
-        // remain — wake unconditionally; a spurious wake only costs the
-        // consumer one empty poll.
-        self.finish_part(inner, cell, true)
+        let stream = inner.stream.as_mut().expect("scan part of a non-scan");
+        let part = &mut stream.ranks[rank as usize];
+        if !tail.is_empty() && stream.remaining > 0 {
+            part.chunks.push_back(tail);
+        }
+        part.done = true;
+        let progress = Self::drain_released(stream) && stream.attached;
+        self.finish_part(inner, cell, progress)
     }
 
-    /// Called by a shard worker when this request's slice of a batch has
-    /// fully drained. Returns the request's completion latency when this
+    /// Called when a point-probe or write part has fully drained, with
+    /// its `(row, key, payload)` rows. Returns the request's completion
+    /// latency when this
     /// was the final outstanding part (see
     /// [`finish_part`](Self::finish_part)).
     pub(crate) fn complete_part(
@@ -671,13 +671,8 @@ impl ResponseState {
     fn install_waker(&self, waker: Arc<dyn Fn() + Send + Sync>) {
         let wake_now = {
             let mut inner = self.inner.lock().expect("pending lock");
-            let ready_now = inner.done
-                || inner
-                    .stream
-                    .as_ref()
-                    .is_some_and(|s| !s.ready.is_empty() || s.remaining == 0);
             inner.waker = Some(Arc::clone(&waker));
-            ready_now
+            inner.consumable()
         };
         if wake_now {
             waker();
@@ -750,25 +745,15 @@ impl PendingResponse {
                     .map(|(row, _, payload)| (u64::from(row), payload))
                     .collect(),
             },
-            RequestKind::RangeScan { limit } => {
-                // Shard parts arrive in completion order, but each part
-                // is already key-ordered and the parts' key ranges are
-                // disjoint and ascending in scatter-rank order (range
-                // partitioning), so bucketing by rank and concatenating
-                // restores the global scan order in O(n) — no sort on
-                // the gather path. The per-shard walkers each honoured
-                // `limit` locally; the global truncation happens here,
-                // at the seam.
-                let mut buckets: Vec<Vec<(u64, u64)>> = Vec::new();
-                for (rank, key, payload) in items {
-                    let rank = rank as usize;
-                    if rank >= buckets.len() {
-                        buckets.resize_with(rank + 1, Vec::new);
-                    }
-                    buckets[rank].push((key, payload));
+            RequestKind::RangeScan { .. } => {
+                // Every part has completed, so the seam has released the
+                // whole reply: key-ordered chunks, cut at `limit`. A
+                // one-chunk reply is the worker's own buffer, moved.
+                let ready = &mut inner.stream.as_mut().expect("scan seam").ready;
+                let mut entries = ready.pop_front().unwrap_or_default();
+                for mut chunk in ready.drain(..) {
+                    entries.append(&mut chunk);
                 }
-                let mut entries: Vec<(u64, u64)> = buckets.into_iter().flatten().collect();
-                entries.truncate(limit);
                 Response::RangeScan { entries }
             }
             RequestKind::Write { ops } => {
@@ -811,19 +796,7 @@ impl PendingResponse {
     }
 }
 
-/// What a non-blocking [`PendingStream::try_next`] observed.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum StreamPoll {
-    /// The next key-ordered chunk (non-empty, at most the service's
-    /// `stream_chunk` entries).
-    Chunk(Vec<(u64, u64)>),
-    /// The stream is complete: every chunk has been taken. Terminal.
-    End,
-    /// No chunk consumable yet — poll again later (or install a waker).
-    Pending,
-}
-
-/// What a zero-copy [`PendingStream::try_next_with`] poll observed.
+/// What a non-blocking [`PendingStream::try_next_with`] poll observed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StreamConsumed {
     /// The sink was handed one chunk of this many entries; its buffer
@@ -840,36 +813,32 @@ pub enum StreamConsumed {
 /// they yield, and the gather seam forwards them in merged key order
 /// (ascending or descending as requested) with the request's `limit`
 /// applied at the seam. The concatenation of every chunk equals the
-/// buffered [`Response::RangeScan`] for the same scan, exactly.
+/// buffered [`Response::RangeScan`] for the same scan, exactly: that
+/// reply is the same seam's chunks, concatenated at `wait()`.
+///
+/// Poll it without blocking through
+/// [`try_next_with`](Self::try_next_with), or block chunk by chunk
+/// through its [`Iterator`] impl. Dropping it mid-scan ends the
+/// stream: the seam discards what it holds and hands later chunks
+/// straight back to the workers instead of buffering them for nobody.
 pub struct PendingStream {
-    pub(crate) state: Arc<ResponseState>,
+    state: Arc<ResponseState>,
 }
 
 impl PendingStream {
-    /// Non-blocking poll for the next chunk.
-    #[must_use]
-    pub fn try_next(&mut self) -> StreamPoll {
-        let mut inner = self.state.inner.lock().expect("pending lock");
-        let done = inner.done;
-        let stream = inner
-            .stream
-            .as_mut()
-            .expect("stream handle over a buffered state");
-        if let Some(chunk) = stream.ready.pop_front() {
-            return StreamPoll::Chunk(chunk);
-        }
-        if stream.finished(done) {
-            StreamPoll::End
-        } else {
-            StreamPoll::Pending
-        }
+    /// Makes `state`'s seam a stream: from here on a released chunk
+    /// wakes this handle's reader, not only the final part.
+    pub(crate) fn attach(state: Arc<ResponseState>) -> PendingStream {
+        let mut inner = state.inner.lock().expect("pending lock");
+        inner.stream.as_mut().expect("scan seam").attached = true;
+        drop(inner);
+        PendingStream { state }
     }
 
     /// Non-blocking zero-copy poll: when a chunk is consumable, `sink`
     /// is handed a borrow of it and the buffer is recycled into the
     /// seam's spare pool — the path the net tier serializes chunks
-    /// straight out of, without the owned-`Vec` handoff of
-    /// [`try_next`](Self::try_next).
+    /// straight out of, with no owned-`Vec` handoff.
     ///
     /// `sink` runs under the seam lock: keep it short (serialize and
     /// return) and never call back into this stream or its service from
@@ -877,10 +846,7 @@ impl PendingStream {
     pub fn try_next_with<F: FnOnce(&[(u64, u64)])>(&mut self, sink: F) -> StreamConsumed {
         let mut inner = self.state.inner.lock().expect("pending lock");
         let done = inner.done;
-        let stream = inner
-            .stream
-            .as_mut()
-            .expect("stream handle over a buffered state");
+        let stream = inner.stream.as_mut().expect("scan seam");
         if let Some(chunk) = stream.ready.pop_front() {
             sink(&chunk);
             let n = chunk.len();
@@ -894,49 +860,12 @@ impl PendingStream {
         }
     }
 
-    /// Blocks for the next chunk; `None` means the stream has ended.
-    /// (Also available through the [`Iterator`] impl.)
-    #[must_use]
-    pub fn next_chunk(&mut self) -> Option<Vec<(u64, u64)>> {
-        let mut inner = self.state.inner.lock().expect("pending lock");
-        loop {
-            let done = inner.done;
-            let stream = inner
-                .stream
-                .as_mut()
-                .expect("stream handle over a buffered state");
-            if let Some(chunk) = stream.ready.pop_front() {
-                return Some(chunk);
-            }
-            if stream.finished(done) {
-                return None;
-            }
-            inner = self.state.ready.wait(inner).expect("pending wait");
-        }
-    }
-
-    /// Blocks until the stream ends, concatenating every remaining
-    /// chunk — the buffered reply, delivered late. Mostly a convenience
-    /// for tests and oracles.
-    #[must_use]
-    pub fn collect_remaining(&mut self) -> Vec<(u64, u64)> {
-        let mut out = Vec::new();
-        while let Some(chunk) = self.next_chunk() {
-            out.extend(chunk);
-        }
-        out
-    }
-
     /// Whether a chunk (or the end of the stream) is consumable right
-    /// now — [`try_next`](Self::try_next) would not return `Pending`.
+    /// now — [`try_next_with`](Self::try_next_with) would not return
+    /// `Pending`.
     #[must_use]
     pub fn is_ready(&self) -> bool {
-        let inner = self.state.inner.lock().expect("pending lock");
-        let stream = inner
-            .stream
-            .as_ref()
-            .expect("stream handle over a buffered state");
-        !stream.ready.is_empty() || stream.finished(inner.done)
+        self.state.inner.lock().expect("pending lock").consumable()
     }
 
     /// Installs a chunk-ready hook invoked whenever a chunk becomes
@@ -950,7 +879,7 @@ impl PendingStream {
 
     /// Detach this stream's trace for the net tier to close — see
     /// [`PendingResponse::take_trace`]. Take it only once the stream has
-    /// ended (`StreamPoll::End`), when every shard part has completed.
+    /// ended ([`StreamConsumed::End`]).
     #[must_use]
     pub fn take_trace(&self) -> Option<TraceFinisher> {
         self.state.take_trace()
@@ -960,14 +889,47 @@ impl PendingStream {
 impl Iterator for PendingStream {
     type Item = Vec<(u64, u64)>;
 
-    /// Blocking iteration over the stream's chunks, in key order.
+    /// Blocks for the next chunk, in key order; `None` means the stream
+    /// has ended.
     fn next(&mut self) -> Option<Vec<(u64, u64)>> {
-        self.next_chunk()
+        let mut inner = self.state.inner.lock().expect("pending lock");
+        loop {
+            let done = inner.done;
+            let stream = inner.stream.as_mut().expect("scan seam");
+            if let Some(chunk) = stream.ready.pop_front() {
+                return Some(chunk);
+            }
+            if stream.finished(done) {
+                return None;
+            }
+            inner = self.state.ready.wait(inner).expect("pending wait");
+        }
+    }
+}
+
+impl Drop for PendingStream {
+    /// Nobody reads the seam any more: end the stream, so its chunks
+    /// drop now and later pushes hand their buffers straight back (the
+    /// path a push after the limit already takes).
+    fn drop(&mut self) {
+        let Ok(mut inner) = self.state.inner.lock() else {
+            return;
+        };
+        if let Some(stream) = inner.stream.as_mut() {
+            stream.remaining = 0;
+            stream.ready.clear();
+            stream.spare.clear();
+            for rank in &mut stream.ranks {
+                rank.chunks.clear();
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicU64, Ordering};
+
     use super::*;
 
     #[test]
@@ -986,12 +948,15 @@ mod tests {
 
     #[test]
     fn range_scan_parts_merge_in_key_order_with_limit() {
-        let state = Arc::new(ResponseState::new(RequestKind::RangeScan { limit: 5 }, 3));
-        // Parts complete out of shard order; each part is key-ordered
-        // with a disjoint key range. Duplicates (key 20) sit in one part.
-        state.complete_part(vec![(1, 20, 1), (1, 20, 2), (1, 25, 0)], None);
-        state.complete_part(vec![(2, 30, 9), (2, 31, 9)], None);
-        state.complete_part(vec![(0, 10, 7), (0, 11, 8)], None);
+        let state = stream_state(3, 5);
+        // Parts complete out of rank order; each part is key-ordered
+        // with a disjoint key range. Duplicates (key 20) sit in one part,
+        // split across a mid-part chunk and its tail.
+        state.push_chunk(1, vec![(20, 1), (20, 2)]);
+        state.complete_stream_part(1, vec![(25, 0)], None);
+        state.push_chunk(2, vec![(30, 9)]);
+        state.complete_stream_part(2, vec![(31, 9)], None);
+        state.complete_stream_part(0, vec![(10, 7), (11, 8)], None);
         match (PendingResponse { state }).wait() {
             Response::RangeScan { entries } => {
                 assert_eq!(
@@ -1111,51 +1076,65 @@ mod tests {
         assert_eq!(pending.wait(), Response::MultiLookup { matches: vec![] });
     }
 
+    /// A range scan's state: `parts` ranks, cut at `limit`.
     fn stream_state(parts: usize, limit: usize) -> Arc<ResponseState> {
-        Arc::new(ResponseState::new_stream(
-            RequestKind::RangeScan { limit },
-            parts,
-            limit,
-        ))
+        Arc::new(ResponseState::new(RequestKind::RangeScan { limit }, parts))
+    }
+
+    /// One non-blocking poll, with the chunk it consumed copied out.
+    fn poll(stream: &mut PendingStream) -> (StreamConsumed, Vec<(u64, u64)>) {
+        let mut seen = Vec::new();
+        let polled = stream.try_next_with(|chunk| seen.extend_from_slice(chunk));
+        (polled, seen)
+    }
+
+    /// A wake counter and the waker that ticks it.
+    fn wake_counter() -> (Arc<AtomicU64>, impl Fn() + Send + Sync) {
+        let wakes = Arc::new(AtomicU64::new(0));
+        let counter = Arc::clone(&wakes);
+        (wakes, move || {
+            counter.fetch_add(1, Ordering::Relaxed);
+        })
+    }
+
+    fn wakes(counter: &AtomicU64) -> u64 {
+        counter.load(Ordering::Relaxed)
     }
 
     #[test]
     fn stream_releases_head_rank_immediately_and_stashes_later_ranks() {
+        use StreamConsumed::{Consumed, End, Pending};
         let state = stream_state(3, usize::MAX);
-        let mut stream = PendingStream {
-            state: Arc::clone(&state),
-        };
-        assert_eq!(stream.try_next(), StreamPoll::Pending);
+        let mut stream = PendingStream::attach(Arc::clone(&state));
+        assert_eq!(poll(&mut stream), (Pending, vec![]));
         // Rank 1 arrives first: stashed, not consumable.
         state.push_chunk(1, vec![(20, 0), (21, 0)]);
-        assert_eq!(stream.try_next(), StreamPoll::Pending);
+        assert_eq!(poll(&mut stream), (Pending, vec![]));
         // Rank 0 streams through live.
         state.push_chunk(0, vec![(1, 0)]);
-        assert_eq!(stream.try_next(), StreamPoll::Chunk(vec![(1, 0)]));
+        assert_eq!(poll(&mut stream), (Consumed(1), vec![(1, 0)]));
         state.push_chunk(0, vec![(2, 0)]);
-        assert_eq!(stream.try_next(), StreamPoll::Chunk(vec![(2, 0)]));
-        assert_eq!(stream.try_next(), StreamPoll::Pending);
+        assert_eq!(poll(&mut stream), (Consumed(1), vec![(2, 0)]));
+        assert_eq!(poll(&mut stream), (Pending, vec![]));
         // Rank 0 completes: rank 1's stash releases, in order.
-        assert!(state.complete_stream_part(0, None).is_none());
-        assert_eq!(stream.try_next(), StreamPoll::Chunk(vec![(20, 0), (21, 0)]));
-        assert_eq!(stream.try_next(), StreamPoll::Pending);
+        assert!(state.complete_stream_part(0, vec![], None).is_none());
+        assert_eq!(poll(&mut stream), (Consumed(2), vec![(20, 0), (21, 0)]));
+        assert_eq!(poll(&mut stream), (Pending, vec![]));
         // Ranks 1 and 2 complete (2 pushed nothing): stream ends, and
         // the final completion reports the latency.
-        assert!(state.complete_stream_part(1, None).is_none());
-        assert!(state.complete_stream_part(2, None).is_some());
-        assert_eq!(stream.try_next(), StreamPoll::End);
+        assert!(state.complete_stream_part(1, vec![], None).is_none());
+        assert!(state.complete_stream_part(2, vec![], None).is_some());
+        assert_eq!(poll(&mut stream), (End, vec![]));
     }
 
     #[test]
     fn stream_limit_cuts_at_the_seam_and_discards_the_rest() {
         let state = stream_state(2, 3);
-        let mut stream = PendingStream {
-            state: Arc::clone(&state),
-        };
+        let mut stream = PendingStream::attach(Arc::clone(&state));
         state.push_chunk(1, vec![(50, 0), (51, 0), (52, 0)]); // stashed
         state.push_chunk(0, vec![(1, 0), (2, 0)]);
         assert_eq!(stream.next(), Some(vec![(1, 0), (2, 0)]));
-        assert!(state.complete_stream_part(0, None).is_none());
+        assert!(state.complete_stream_part(0, vec![], None).is_none());
         // One entry of rank 1's stash survives the limit; the rest is
         // discarded and the stream ends even though rank 1's part is
         // still "running".
@@ -1164,71 +1143,93 @@ mod tests {
         assert!(stream.is_ready());
         // The straggler part still completes for latency accounting.
         state.push_chunk(1, vec![(53, 0)]); // dropped
-        assert!(state.complete_stream_part(1, None).is_some());
-        assert_eq!(stream.try_next(), StreamPoll::End);
+        assert!(state.complete_stream_part(1, vec![(54, 0)], None).is_some());
+        assert_eq!(poll(&mut stream), (StreamConsumed::End, vec![]));
     }
 
     #[test]
     fn zero_part_streams_are_born_ended() {
-        let mut stream = PendingStream {
-            state: stream_state(0, 10),
-        };
+        let mut stream = PendingStream::attach(stream_state(0, 10));
         assert!(stream.is_ready());
-        assert_eq!(stream.try_next(), StreamPoll::End);
+        assert_eq!(poll(&mut stream), (StreamConsumed::End, vec![]));
         assert_eq!(stream.next(), None);
     }
 
     #[test]
     fn stream_waker_fires_on_chunks_end_and_late_registration() {
-        use std::sync::atomic::{AtomicU64, Ordering};
         let state = stream_state(1, usize::MAX);
-        let stream = PendingStream {
-            state: Arc::clone(&state),
-        };
-        let wakes = Arc::new(AtomicU64::new(0));
-        let counter = Arc::clone(&wakes);
-        stream.set_waker(move || {
-            counter.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(wakes.load(Ordering::Relaxed), 0, "nothing ready yet");
+        let stream = PendingStream::attach(Arc::clone(&state));
+        let (count, wake) = wake_counter();
+        stream.set_waker(wake);
+        assert_eq!(wakes(&count), 0, "nothing ready yet");
         state.push_chunk(0, vec![(1, 1)]);
-        assert_eq!(wakes.load(Ordering::Relaxed), 1, "chunk ready");
-        state.complete_stream_part(0, None);
-        assert_eq!(wakes.load(Ordering::Relaxed), 2, "end of stream");
+        assert_eq!(wakes(&count), 1, "chunk ready");
+        state.complete_stream_part(0, vec![(2, 2)], None);
+        assert_eq!(wakes(&count), 2, "tail chunk and end of stream: one wake");
         // Late registration on an already-ready state fires immediately.
-        let late = Arc::new(AtomicU64::new(0));
-        let counter = Arc::clone(&late);
-        stream.set_waker(move || {
-            counter.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(late.load(Ordering::Relaxed), 1);
+        let (late, wake) = wake_counter();
+        stream.set_waker(wake);
+        assert_eq!(wakes(&late), 1);
     }
 
     #[test]
     fn buffered_waker_fires_on_final_part() {
-        use std::sync::atomic::{AtomicU64, Ordering};
         let state = Arc::new(ResponseState::new(RequestKind::MultiLookup, 2));
         let pending = PendingResponse {
             state: Arc::clone(&state),
         };
-        let wakes = Arc::new(AtomicU64::new(0));
-        let counter = Arc::clone(&wakes);
-        pending.set_waker(move || {
-            counter.fetch_add(1, Ordering::Relaxed);
-        });
+        let (count, wake) = wake_counter();
+        pending.set_waker(wake);
         state.complete_part(vec![(0, 1, 2)], None);
-        assert_eq!(wakes.load(Ordering::Relaxed), 0, "one part still out");
+        assert_eq!(wakes(&count), 0, "one part still out");
         state.complete_part(vec![], None);
-        assert_eq!(wakes.load(Ordering::Relaxed), 1, "completion woke");
+        assert_eq!(wakes(&count), 1, "completion woke");
         assert!(pending.is_ready());
+    }
+
+    #[test]
+    fn buffered_scan_wakes_its_consumer_once() {
+        // Two parts, several chunks each, released mid-part and out of
+        // rank order: a buffered reader has nothing to take until the
+        // last part completes, so that is its only wake.
+        let state = stream_state(2, usize::MAX);
+        let pending = PendingResponse {
+            state: Arc::clone(&state),
+        };
+        let (count, wake) = wake_counter();
+        pending.set_waker(wake);
+        state.push_chunk(1, vec![(5, 0)]);
+        state.push_chunk(0, vec![(1, 0), (2, 0)]);
+        state.push_chunk(0, vec![(3, 0)]);
+        state.complete_stream_part(0, vec![(4, 0)], None);
+        state.push_chunk(1, vec![(6, 0)]);
+        assert_eq!(wakes(&count), 0, "released chunks wake no buffered reader");
+        assert!(!pending.is_ready());
+        state.complete_stream_part(1, vec![(7, 0)], None);
+        assert_eq!(wakes(&count), 1, "completion woke, once");
+        let entries = (1..=7).map(|k| (k, 0)).collect();
+        assert_eq!(pending.wait(), Response::RangeScan { entries });
+    }
+
+    #[test]
+    fn one_chunk_scan_reply_is_the_workers_buffer() {
+        let state = stream_state(1, 2);
+        let tail = vec![(1, 0), (2, 0), (3, 0)];
+        let pushed = tail.as_ptr();
+        state.complete_stream_part(0, tail, None);
+        match (PendingResponse { state }).wait() {
+            Response::RangeScan { entries } => {
+                assert_eq!(entries, vec![(1, 0), (2, 0)], "cut at the limit");
+                assert_eq!(entries.as_ptr(), pushed, "moved, not copied");
+            }
+            other => panic!("wrong variant: {other:?}"),
+        }
     }
 
     #[test]
     fn in_place_poll_matches_owned_poll_and_recycles_buffers() {
         let state = stream_state(2, usize::MAX);
-        let mut stream = PendingStream {
-            state: Arc::clone(&state),
-        };
+        let mut stream = PendingStream::attach(Arc::clone(&state));
         assert_eq!(
             stream.try_next_with(|_| panic!("nothing ready")),
             StreamConsumed::Pending
@@ -1236,29 +1237,29 @@ mod tests {
         // Nothing consumed yet, so no spare to hand back.
         let first = vec![(1, 10), (2, 20)];
         assert!(state.push_chunk(0, first).is_none());
-        let mut seen = Vec::new();
         assert_eq!(
-            stream.try_next_with(|entries| seen.extend_from_slice(entries)),
-            StreamConsumed::Consumed(2)
+            poll(&mut stream),
+            (StreamConsumed::Consumed(2), vec![(1, 10), (2, 20)])
         );
-        assert_eq!(seen, vec![(1, 10), (2, 20)]);
         // The consumed buffer was recycled: the next push gets it back,
         // cleared but with its capacity intact.
         let spare = state.push_chunk(0, vec![(3, 30)]).expect("recycled buffer");
         assert!(spare.is_empty());
         assert!(spare.capacity() >= 2);
-        seen.clear();
+        // The owned poll yields the same chunk, but its buffer leaves
+        // with the caller: the next push finds no spare.
+        assert_eq!(stream.next(), Some(vec![(3, 30)]));
+        assert!(state.push_chunk(0, vec![(4, 40)]).is_none());
         assert_eq!(
-            stream.try_next_with(|entries| seen.extend_from_slice(entries)),
-            StreamConsumed::Consumed(1)
+            poll(&mut stream),
+            (StreamConsumed::Consumed(1), vec![(4, 40)])
         );
-        assert_eq!(seen, vec![(3, 30)]);
         assert_eq!(
             stream.try_next_with(|_| panic!("pending")),
             StreamConsumed::Pending
         );
-        assert!(state.complete_stream_part(0, None).is_none());
-        assert!(state.complete_stream_part(1, None).is_some());
+        assert!(state.complete_stream_part(0, vec![], None).is_none());
+        assert!(state.complete_stream_part(1, vec![], None).is_some());
         assert_eq!(
             stream.try_next_with(|_| panic!("ended")),
             StreamConsumed::End
@@ -1268,9 +1269,7 @@ mod tests {
     #[test]
     fn push_after_limit_hands_the_buffer_straight_back() {
         let state = stream_state(1, 1);
-        let mut stream = PendingStream {
-            state: Arc::clone(&state),
-        };
+        let mut stream = PendingStream::attach(Arc::clone(&state));
         assert!(state.push_chunk(0, vec![(1, 0), (2, 0)]).is_none());
         assert_eq!(
             stream.try_next_with(|e| assert_eq!(e, [(1, 0)])),
@@ -1287,15 +1286,40 @@ mod tests {
     }
 
     #[test]
+    fn dropped_stream_hands_later_chunks_straight_back() {
+        let state = stream_state(2, usize::MAX);
+        let stream = PendingStream::attach(Arc::clone(&state));
+        state.push_chunk(1, vec![(50, 0)]); // stashed
+        state.push_chunk(0, vec![(1, 0)]); // released, never read
+        drop(stream);
+        // Nobody reads the seam: a push gets its buffer back, cleared,
+        // and nothing already held stays buffered.
+        let back = state
+            .push_chunk(0, vec![(2, 0), (3, 0)])
+            .expect("buffer back");
+        assert!(back.is_empty() && back.capacity() >= 2);
+        {
+            let inner = state.inner.lock().unwrap();
+            let seam = inner.stream.as_ref().unwrap();
+            assert!(seam.ready.is_empty(), "released chunks dropped");
+            assert!(
+                seam.ranks.iter().all(|r| r.chunks.is_empty()),
+                "stash dropped"
+            );
+        }
+        // The parts still complete, for latency accounting.
+        assert!(state.complete_stream_part(1, vec![(51, 0)], None).is_none());
+        assert!(state.complete_stream_part(0, vec![(4, 0)], None).is_some());
+    }
+
+    #[test]
     fn blocking_next_wakes_on_cross_thread_pushes() {
         let state = stream_state(1, usize::MAX);
-        let mut stream = PendingStream {
-            state: Arc::clone(&state),
-        };
+        let mut stream = PendingStream::attach(Arc::clone(&state));
         let pusher = std::thread::spawn(move || {
             std::thread::sleep(std::time::Duration::from_millis(20));
             state.push_chunk(0, vec![(7, 7)]);
-            state.complete_stream_part(0, None);
+            state.complete_stream_part(0, vec![], None);
         });
         assert_eq!(stream.next(), Some(vec![(7, 7)]));
         assert_eq!(stream.next(), None);

@@ -629,22 +629,16 @@ impl ProbeService {
     }
 
     /// A request's shared completion state: `parts` shard-parts
-    /// outstanding (zero is born complete), a streaming seam when
-    /// `stream_limit` is set, wired to the stage seam and — when the
-    /// sampling knobs say so — carrying an armed trace.
+    /// outstanding (zero is born complete), wired to the stage seam and
+    /// — when the sampling knobs say so — carrying an armed trace.
     fn new_state(
         &self,
         kind: RequestKind,
         kind_name: &'static str,
         parts: usize,
-        stream_limit: Option<usize>,
         net: Option<&NetTraceCtx>,
     ) -> Arc<ResponseState> {
-        let state = match stream_limit {
-            Some(limit) => ResponseState::new_stream(kind, parts, limit),
-            None => ResponseState::new(kind, parts),
-        }
-        .with_stages(&self.stages);
+        let state = ResponseState::new(kind, parts).with_stages(&self.stages);
         Arc::new(match self.arm_trace(kind_name, net) {
             Some(trace) => state.with_trace(trace),
             None => state,
@@ -697,13 +691,13 @@ impl ProbeService {
         if let [key] = keys {
             // Fast path: a single-key request touches exactly one shard
             // — skip the per-shard partition scaffolding.
-            let state = self.new_state(kind, kind_name, 1, None, net);
+            let state = self.new_state(kind, kind_name, 1, net);
             let parts = vec![probe(&state, tier.index.shard_of(*key), vec![(0, *key)])];
             return Plan { state, parts };
         }
         let scattered = scatter(keys, tier.queues.len(), |key| tier.index.shard_of(*key));
         let live = scattered.iter().filter(|p| !p.is_empty()).count();
-        let state = self.new_state(kind, kind_name, live, None, net);
+        let state = self.new_state(kind, kind_name, live, net);
         let parts = scattered
             .into_iter()
             .enumerate()
@@ -738,7 +732,7 @@ impl ProbeService {
             .filter(|p| !p.is_empty())
             .count();
         let kind = RequestKind::Write { ops: ops.len() };
-        let state = self.new_state(kind, kind_name, live, None, net);
+        let state = self.new_state(kind, kind_name, live, net);
         let ordered_queues = self.ordered.as_ref().map_or(&[][..], |tier| &tier.queues);
         let mut parts = Vec::with_capacity(live);
         for (queues, scattered, ack) in [
@@ -758,12 +752,12 @@ impl ProbeService {
     /// Scatters a scan over every ordered shard its key interval
     /// overlaps (each part carrying the full interval and limit — shard
     /// trees only hold their own span, and the global `limit` is
-    /// re-applied at gather time); degenerate scans yield zero parts
-    /// and a state that is born complete. Scatter *ranks* are assigned
-    /// in output order — shard order ascending, or descending for a
-    /// `desc` scan — so the gather side (buffered bucket concatenation
-    /// and the streaming seam alike) never needs to know the direction:
-    /// rank order *is* reply order.
+    /// re-applied at the seam); degenerate scans yield zero parts and a
+    /// state that is born complete. Scatter *ranks* are assigned in
+    /// output order — shard order ascending, or descending for a `desc`
+    /// scan — so the one gather seam, which a buffered reply and a
+    /// stream read alike, never needs to know the direction: rank order
+    /// *is* reply order. `streaming` only picks the trace label.
     fn plan_scan(
         &self,
         lo: u64,
@@ -776,10 +770,10 @@ impl ProbeService {
         let Some(tier) = &self.ordered else {
             return Err(SubmitError::NoOrderedIndex);
         };
-        let (kind_name, stream_limit) = if streaming {
-            ("range_stream", Some(limit))
+        let kind_name = if streaming {
+            "range_stream"
         } else {
-            ("range_scan", None)
+            "range_scan"
         };
         let span = if lo > hi || limit == 0 {
             0..0 // Degenerate scans complete immediately: zero parts.
@@ -789,7 +783,7 @@ impl ProbeService {
         };
         let count = span.len();
         let kind = RequestKind::RangeScan { limit };
-        let state = self.new_state(kind, kind_name, count, stream_limit, net);
+        let state = self.new_state(kind, kind_name, count, net);
         let range = ScanRange {
             lo,
             hi,
@@ -924,7 +918,7 @@ impl ProbeService {
     ) -> Result<PendingStream, SubmitError> {
         let plan = self.plan_scan(lo, hi, limit, desc, true, None)?;
         let state = self.admit(plan, Admission::Block)?;
-        Ok(PendingStream { state })
+        Ok(PendingStream::attach(state))
     }
 
     /// Non-blocking [`range_stream`](Self::range_stream): refuses with
@@ -949,7 +943,7 @@ impl ProbeService {
     ) -> Result<PendingStream, SubmitError> {
         let plan = self.plan_scan(lo, hi, limit, desc, true, net.as_ref())?;
         let state = self.admit(plan, Admission::Try)?;
-        Ok(PendingStream { state })
+        Ok(PendingStream::attach(state))
     }
 
     /// Blocking convenience: all payloads under `key` — walked here, on
@@ -1515,10 +1509,10 @@ mod tests {
             } else {
                 s.range_scan(100, 4000, usize::MAX).unwrap()
             };
-            let mut stream = s.range_stream(100, 4000, usize::MAX, desc).unwrap();
+            let stream = s.range_stream(100, 4000, usize::MAX, desc).unwrap();
             let mut got = Vec::new();
             let mut chunks = 0usize;
-            while let Some(chunk) = stream.next_chunk() {
+            for chunk in stream {
                 assert!(!chunk.is_empty(), "no empty chunks");
                 assert!(chunk.len() <= 64, "chunk respects stream_chunk");
                 got.extend(chunk);
@@ -1534,13 +1528,16 @@ mod tests {
     fn range_stream_limit_cuts_at_the_seam() {
         let s = range_service(1000, &ServeConfig::default().with_stream_chunk(16));
         let want = s.range_scan(0, u64::MAX, 333).unwrap();
-        let mut stream = s.range_stream(0, u64::MAX, 333, false).unwrap();
-        assert_eq!(stream.collect_remaining(), want);
+        let stream = s.range_stream(0, u64::MAX, 333, false).unwrap();
+        assert_eq!(stream.flatten().collect::<Vec<_>>(), want);
         // Degenerate streams are born ended.
         let mut empty = s.range_stream(10, 3, usize::MAX, false).unwrap();
         assert_eq!(empty.next(), None);
         let mut zero = s.range_stream(0, 10, 0, true).unwrap();
-        assert_eq!(zero.try_next(), crate::request::StreamPoll::End);
+        assert_eq!(
+            zero.try_next_with(|_| panic!("ended")),
+            crate::request::StreamConsumed::End
+        );
     }
 
     #[test]
@@ -1551,7 +1548,7 @@ mod tests {
             Some(SubmitError::NoOrderedIndex)
         );
         let s = range_service(100, &ServeConfig::default());
-        let mut accepted = s.range_stream(0, u64::MAX, usize::MAX, false).unwrap();
+        let accepted = s.range_stream(0, u64::MAX, usize::MAX, false).unwrap();
         s.stop();
         assert_eq!(
             s.range_stream(0, 10, usize::MAX, false).err(),
@@ -1564,7 +1561,7 @@ mod tests {
         let _ = s.shutdown();
         // Accepted streams drain fully through shutdown.
         assert_eq!(
-            accepted.collect_remaining(),
+            accepted.flatten().collect::<Vec<_>>(),
             (0..100u64).map(|k| (k * 2, k)).collect::<Vec<_>>()
         );
     }
@@ -1572,9 +1569,9 @@ mod tests {
     #[test]
     fn try_range_stream_serves_chunks() {
         let s = range_service(500, &ServeConfig::default().with_stream_chunk(32));
-        let mut stream = s.try_range_stream(10, 600, usize::MAX, true, None).unwrap();
+        let stream = s.try_range_stream(10, 600, usize::MAX, true, None).unwrap();
         assert_eq!(
-            stream.collect_remaining(),
+            stream.flatten().collect::<Vec<_>>(),
             s.ordered().unwrap().scan_desc(10, 600, usize::MAX)
         );
     }

@@ -7,9 +7,9 @@
 //! tier derefs to its [`Shards`] (the locks and guards, written once)
 //! and supplies only what differs: its walker ([`AmacWalker`] over a
 //! hash shard, [`BTreeRangeWalker`] — a ring of resumable scan cursors
-//! — over an ordered shard), and how a [`Job`] unpacks into walker
-//! input. Batching, emission routing, the write barrier, telemetry and
-//! shutdown are the same code for both.
+//! — over an ordered shard), how a [`Job`] unpacks into walker input,
+//! and whether output leaves as rows or as gather-seam chunks. Batching,
+//! the write barrier, telemetry and shutdown are the same code for both.
 //!
 //! Workers are work-conserving: a worker blocks (`pop`) only while it
 //! holds nothing. Holding a job, it admits what is already queued and
@@ -42,7 +42,7 @@
 //! batch as a reader with the service-wide reclamation domain, and
 //! protects nothing the guard does not already (a submitter pins none).
 
-use std::ops::Deref;
+use std::ops::{Deref, Range};
 use std::sync::{Arc, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
@@ -99,6 +99,11 @@ pub(crate) trait Tier:
     type Walker<'idx>: Walker<Self::Work>;
     /// Worker thread name prefix.
     const THREAD_NAME: &'static str;
+    /// Whether a part's output reaches its reply as chunks through the
+    /// gather seam (the ordered tier: every scan, buffered or streamed)
+    /// instead of as `(row, key, payload)` rows moved in at batch close
+    /// (the hash tier).
+    const CHUNKED: bool;
 
     fn walker(index: &Self::Index, inflight: usize) -> Self::Walker<'_>;
     /// Unpacks a walker job into `(row or scatter rank, work)` pairs
@@ -112,6 +117,7 @@ impl Tier for ShardedIndex {
     type Work = u64;
     type Walker<'idx> = AmacWalker<'idx>;
     const THREAD_NAME: &'static str = "widx-serve";
+    const CHUNKED: bool = false;
 
     fn walker(index: &HashIndex, inflight: usize) -> AmacWalker<'_> {
         AmacWalker::new(index, inflight)
@@ -130,6 +136,7 @@ impl Tier for OrderedShardedIndex {
     type Work = ScanRange;
     type Walker<'idx> = BTreeRangeWalker<'idx>;
     const THREAD_NAME: &'static str = "widx-range";
+    const CHUNKED: bool = true;
 
     fn walker(index: &BTreeIndex, inflight: usize) -> BTreeRangeWalker<'_> {
         BTreeRangeWalker::new(index, inflight)
@@ -150,7 +157,7 @@ pub(crate) struct WorkerContext<T: Tier> {
     pub(crate) index: Arc<T>,
     pub(crate) policy: BatchPolicy,
     pub(crate) inflight: usize,
-    /// Entries per chunk pushed to the seam on streaming scans.
+    /// Entries per chunk a range part pushes to the gather seam.
     pub(crate) stream_chunk: usize,
     /// This worker's registry cell — the single home of its counters.
     pub(crate) cell: Arc<WorkerCell>,
@@ -371,20 +378,18 @@ pub(crate) fn run_worker<T: Tier>(ctx: &WorkerContext<T>) {
     }
 }
 
-/// A request shard-part participating in the worker's open batch.
-/// Streaming scan parts push chunks to the gather seam as their cursors
-/// yield; every other part — point probes and buffered scans alike —
-/// accumulates `items` until the batch closes.
+/// A request shard-part participating in the worker's open batch. A
+/// point-probe part accumulates `items` until the batch closes; a scan
+/// part — buffered or streamed alike — pushes chunks to the gather seam
+/// as its cursors yield ([`Tier::CHUNKED`]).
 struct OpenJob {
     reply: Arc<ResponseState>,
-    streaming: bool,
     items: Vec<RoutedMatch>,
     /// When this part was admitted into the batch (trace span seam).
     admitted: Instant,
-    /// Scatter ranks of a streaming part's cursors (streaming
-    /// completion is per rank); empty on buffered parts.
-    ranks: Vec<u32>,
-    /// Entries emitted for this part, streamed chunks included.
+    /// The part's tags; on a scan part, one per cursor (scatter rank).
+    tags: Range<usize>,
+    /// Entries emitted for this part, chunks included.
     emitted: u64,
 }
 
@@ -396,8 +401,7 @@ struct Batch {
     /// rank).
     meta: Vec<(u32, u32)>,
     open: Vec<OpenJob>,
-    /// tag → the streaming chunk being built. Grown only as far as the
-    /// newest streaming tag; buffered tags never index it.
+    /// tag → the chunk being built, on a scan batch (empty otherwise).
     chunks: Vec<Vec<(u64, u64)>>,
     chunk_size: usize,
     /// Time spent feeding and draining the walker.
@@ -406,18 +410,18 @@ struct Batch {
 
 impl Batch {
     /// Routes one walker emission to its request *as it happens* (not
-    /// at batch close): buffered parts accumulate, streaming parts
-    /// build a chunk and push it to the gather seam every `chunk_size`
-    /// entries — this mid-batch flush is what makes a long scan's first
-    /// entries reach the client while the walker ring is still running.
-    /// Emissions arrive in emit order, so each tag's slice (and chunk
-    /// sequence) stays key-ordered — the invariant the gather side's
+    /// at batch close): a point-probe part accumulates a row, a scan part
+    /// builds a chunk and pushes it to the gather seam every
+    /// `chunk_size` entries — this mid-batch flush is what makes a long
+    /// scan's first entries reach a streaming client while the walker
+    /// ring is still running. Emissions arrive in emit order, so each
+    /// tag's chunk sequence stays key-ordered — the invariant the seam's
     /// rank-ordered release relies on.
-    fn route(&mut self, tag: u32, key: u64, payload: u64) {
+    fn route<T: Tier>(&mut self, tag: u32, key: u64, payload: u64) {
         let (open_idx, row) = self.meta[tag as usize];
         let job = &mut self.open[open_idx as usize];
         job.emitted += 1;
-        if !job.streaming {
+        if !T::CHUNKED {
             job.items.push((row, key, payload));
             return;
         }
@@ -445,23 +449,25 @@ impl Batch {
         let (work, reply) = T::unpack(job);
         ctx.cell.add_jobs(1);
         ctx.stages.record(Stage::QueueWait, reply.since_submit());
-        let streaming = reply.is_streaming();
         if work.is_empty() {
             // Defensive: never strand a zero-key part. (The planner
-            // never scatters an empty streaming part.)
-            debug_assert!(!streaming, "empty streaming shard-part");
+            // never scatters one.)
+            debug_assert!(!T::CHUNKED, "empty scan shard-part");
             reply.complete_part(Vec::new(), Some(&ctx.cell));
             return;
         }
         let open_idx = self.open.len();
+        let tags = self.meta.len()..self.meta.len() + work.len();
+        if T::CHUNKED {
+            self.chunks.resize_with(tags.end, Vec::new);
+        }
         self.open.push(OpenJob {
             reply,
-            streaming,
-            // A buffered part's rows are sized once (a probe emits about
-            // one row per key) and moved into the reply at batch close.
-            items: Vec::with_capacity(if streaming { 0 } else { work.len() }),
+            // A point-probe part's rows are sized once (a probe emits
+            // about one row per key) and moved into the reply at close.
+            items: Vec::with_capacity(if T::CHUNKED { 0 } else { work.len() }),
             admitted: Instant::now(),
-            ranks: Vec::new(),
+            tags,
             emitted: 0,
         });
         let busy_from = Instant::now();
@@ -469,11 +475,7 @@ impl Batch {
         for (row, item) in work {
             let tag = u32::try_from(self.meta.len()).expect("batch exceeds u32 tags");
             self.meta.push((open_idx as u32, row));
-            if streaming {
-                self.chunks.resize_with(self.meta.len(), Vec::new);
-                self.open[open_idx].ranks.push(row);
-            }
-            walker.feed(tag, item, &mut |t, k, p| self.route(t, k, p));
+            walker.feed(tag, item, &mut |t, k, p| self.route::<T>(t, k, p));
         }
         prof.record(Stage::Walk, mark);
         self.busy += busy_from.elapsed();
@@ -599,18 +601,10 @@ fn run_batch<T: Tier>(
     // Drain every in-flight probe or cursor.
     let busy_from = Instant::now();
     let mark = prof.mark();
-    walker.drain(&mut |t, k, p| batch.route(t, k, p));
+    walker.drain(&mut |t, k, p| batch.route::<T>(t, k, p));
     prof.record(Stage::Walk, mark);
     batch.busy += busy_from.elapsed();
 
-    // Flush every streaming tag's tail chunk, then complete the parts.
-    for (tag, buf) in batch.chunks.iter_mut().enumerate() {
-        if !buf.is_empty() {
-            let (open_idx, rank) = batch.meta[tag];
-            let job = &batch.open[open_idx as usize];
-            let _ = job.reply.push_chunk(rank, std::mem::take(buf));
-        }
-    }
     cell.add_batch(batch.meta.len() as u64, reason);
     cell.add_busy(batch.busy);
     stages.record(Stage::Walk, batch.busy);
@@ -618,12 +612,16 @@ fn run_batch<T: Tier>(
     prof.add_walk(&walk_counters);
     let walked = (batch.opened, batch.busy, &walk_counters);
     let gather_mark = prof.mark();
+    // Complete the parts: a scan part per cursor, its tail chunk riding
+    // the completion.
     for job in batch.open {
         cell.add_matches(job.emitted);
         trace_walk(&job.reply, ctx.shard, (job.admitted, Some(closed)), walked);
-        if job.streaming {
-            for rank in &job.ranks {
-                job.reply.complete_stream_part(*rank, Some(cell));
+        if T::CHUNKED {
+            for tag in job.tags {
+                let tail = std::mem::take(&mut batch.chunks[tag]);
+                job.reply
+                    .complete_stream_part(batch.meta[tag].1, tail, Some(cell));
             }
         } else {
             job.reply.complete_part(job.items, Some(cell));

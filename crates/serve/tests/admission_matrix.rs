@@ -152,12 +152,12 @@ fn stream(
     mode: Mode,
     (lo, hi, limit, desc): (u64, u64, usize, bool),
 ) -> Result<Vec<(u64, u64)>, SubmitError> {
-    let mut stream = match mode {
+    let stream = match mode {
         Mode::Block => service.range_stream(lo, hi, limit, desc),
         Mode::Try => service.try_range_stream(lo, hi, limit, desc, None),
         Mode::Convenience => unreachable!("no blocking convenience streams"),
     }?;
-    Ok(stream.collect_remaining())
+    Ok(stream.flatten().collect())
 }
 
 /// The serial oracle: a key-ordered multimap answering every request

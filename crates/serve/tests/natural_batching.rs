@@ -70,14 +70,10 @@ fn lone_requests_complete_without_reaching_the_size_target() {
         Response::Write { acks } => assert_eq!(acks, vec![true]),
         other => panic!("wrong variant {other:?}"),
     }
-    let mut stream = service
+    let stream = service
         .range_stream(0, ENTRIES, 600, false)
         .expect("stream");
-    let mut streamed = 0;
-    while let Some(chunk) = stream.next_chunk() {
-        streamed += chunk.len();
-    }
-    assert_eq!(streamed, 600);
+    assert_eq!(stream.flatten().count(), 600);
     // A ring-filling read-back: unlike the sub-ring lookup above it is
     // queued, so the hash workers close real batches of their own.
     match wait(Request::MultiLookup {

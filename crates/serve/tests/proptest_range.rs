@@ -3,6 +3,8 @@
 //! same multiset, same order — like a serial scan of one `BTreeIndex`
 //! over all the data, for arbitrary shard counts (and therefore
 //! boundary placements), fanouts, batch sizes, in-flight depths,
+//! chunk sizes (a buffered reply is the gather seam's chunks
+//! concatenated, so chunk and limit cuts land anywhere in it),
 //! duplicate-heavy key streams, empty/inverted ranges, and `limit`
 //! truncation landing at shard seams — including shutdown arriving
 //! mid-stream.
@@ -19,12 +21,19 @@ fn oracle(pairs: &[(u64, u64)], lo: u64, hi: u64, limit: usize) -> Vec<(u64, u64
     BTreeIndex::build(7, pairs.iter().copied()).range_scan(lo, hi, limit)
 }
 
-fn config(shards: usize, fanout: usize, batch: usize, inflight: usize) -> ServeConfig {
+fn config(
+    shards: usize,
+    fanout: usize,
+    batch: usize,
+    inflight: usize,
+    chunk: usize,
+) -> ServeConfig {
     ServeConfig::default()
         .with_shards(shards)
         .with_fanout(fanout)
         .with_batch_size(batch)
         .with_inflight(inflight)
+        .with_stream_chunk(chunk)
 }
 
 /// `(lo, hi)` pairs biased toward interesting shapes: mostly ordered
@@ -61,11 +70,12 @@ proptest! {
         fanout in 2usize..10,
         batch in 1usize..32,
         inflight in 1usize..8,
+        chunk in 1usize..40,
     ) {
         let service = ProbeService::build_with_range(
             HashRecipe::robust64(),
             pairs.iter().copied(),
-            &config(shards, fanout, batch, inflight),
+            &config(shards, fanout, batch, inflight, chunk),
         );
         // Submit everything without waiting (cross-request batching),
         // then reap in order.
@@ -104,6 +114,7 @@ proptest! {
         dup_every in 1u64..8,
         shards in 1usize..6,
         fanout in 2usize..8,
+        chunk in 1usize..40,
     ) {
         let pairs: Vec<(u64, u64)> = (0..entries as u64)
             .map(|i| (i / dup_every, i))
@@ -111,7 +122,7 @@ proptest! {
         let service = ProbeService::build_with_range(
             HashRecipe::robust64(),
             pairs.iter().copied(),
-            &config(shards, fanout, 16, 4),
+            &config(shards, fanout, 16, 4, chunk),
         );
         let full = service.range_scan(0, u64::MAX, usize::MAX).unwrap();
         prop_assert_eq!(&full, &oracle(&pairs, 0, u64::MAX, usize::MAX));
@@ -143,12 +154,13 @@ proptest! {
         shards in 1usize..5,
         batch in 1usize..24,
         accepted in 1usize..60,
+        chunk in 1usize..40,
     ) {
         let accepted = accepted.min(scans.len());
         let service = ProbeService::build_with_range(
             HashRecipe::robust64(),
             pairs.iter().copied(),
-            &config(shards, 4, batch, 4),
+            &config(shards, 4, batch, 4, chunk),
         );
         let pendings: Vec<_> = scans[..accepted]
             .iter()
@@ -182,11 +194,12 @@ proptest! {
         probes in prop::collection::vec(0u64..120, 1..60),
         scans in prop::collection::vec(range_strategy(120), 1..20),
         shards in 1usize..5,
+        chunk in 1usize..40,
     ) {
         let service = ProbeService::build_with_range(
             HashRecipe::robust64(),
             pairs.iter().copied(),
-            &config(shards, 8, 8, 4),
+            &config(shards, 8, 8, 4, chunk),
         );
         let scan_pendings: Vec<_> = scans
             .iter()

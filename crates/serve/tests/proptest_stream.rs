@@ -12,7 +12,7 @@ use std::time::Duration;
 use proptest::prelude::*;
 use widx_db::hash::HashRecipe;
 use widx_db::index::BTreeIndex;
-use widx_serve::{ProbeService, ServeConfig, StreamPoll, SubmitError};
+use widx_serve::{ProbeService, ServeConfig, StreamConsumed, SubmitError};
 
 /// Serial oracle: one unsharded B+-tree over everything, scanned in the
 /// requested direction. Its fanout is fixed and deliberately different
@@ -80,9 +80,9 @@ proptest! {
                 service.range_stream(*lo, *hi, *limit, *desc).unwrap()
             })
             .collect();
-        for (((lo, hi), limit, desc), mut stream) in scans.iter().zip(streams) {
+        for (((lo, hi), limit, desc), stream) in scans.iter().zip(streams) {
             let mut got = Vec::new();
-            while let Some(piece) = stream.next_chunk() {
+            for piece in stream {
                 prop_assert!(!piece.is_empty(), "no empty chunks");
                 prop_assert!(piece.len() <= chunk, "chunk over stream_chunk");
                 got.extend(piece);
@@ -134,9 +134,9 @@ proptest! {
             Some(SubmitError::Stopped)
         );
         let _stats = service.shutdown();
-        for (((lo, hi), desc), mut stream) in scans.iter().zip(streams) {
+        for (((lo, hi), desc), stream) in scans.iter().zip(streams) {
             prop_assert_eq!(
-                stream.collect_remaining(),
+                stream.flatten().collect::<Vec<_>>(),
                 oracle(&pairs, *lo, *hi, usize::MAX, *desc),
                 "accepted stream lost chunks: [{}, {}] desc {}",
                 lo, hi, desc
@@ -193,10 +193,10 @@ proptest! {
                 std::thread::yield_now();
             }
             loop {
-                match stream.try_next() {
-                    StreamPoll::Chunk(piece) => got.extend(piece),
-                    StreamPoll::End => break 'drain,
-                    StreamPoll::Pending => break,
+                match stream.try_next_with(|piece| got.extend_from_slice(piece)) {
+                    StreamConsumed::Consumed(_) => {}
+                    StreamConsumed::End => break 'drain,
+                    StreamConsumed::Pending => break,
                 }
             }
         }
@@ -262,7 +262,7 @@ fn first_chunk_arrives_before_the_stream_ends() {
     assert_eq!(first[0], (0, 0));
     // The rest still arrives, complete and ordered.
     let mut got = first;
-    got.extend(stream.collect_remaining());
+    got.extend(stream.flatten());
     assert_eq!(got.len(), pairs.len());
     assert!(got.windows(2).all(|w| w[0].0 < w[1].0));
     let _ = service.shutdown();

@@ -313,14 +313,10 @@ fn streaming_scans_are_traced_too() {
             .with_stream_chunk(64)
             .with_trace_sample(1),
     );
-    let mut stream = service
+    let stream = service
         .range_stream(0, ENTRIES, usize::MAX, false)
         .expect("stream");
-    let mut total = 0usize;
-    while let Some(chunk) = stream.next_chunk() {
-        total += chunk.len();
-    }
-    assert_eq!(total, ENTRIES as usize);
+    assert_eq!(stream.flatten().count(), ENTRIES as usize);
     service.flight_recorder().flush();
     assert_eq!(service.flight_recorder().stats().recorded, 1);
     let traces = service.flight_recorder().snapshot();
