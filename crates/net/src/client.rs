@@ -13,12 +13,16 @@
 //! `Busy` beyond its window, and unread replies eventually exert TCP
 //! backpressure on `send`).
 //!
-//! Pipelined batches can additionally be **corked**
-//! ([`WidxClient::set_corked`]): sends buffer into the client's encode
-//! buffer instead of hitting the socket one frame at a time, and the
-//! whole batch goes out in one write on [`flush`](WidxClient::flush) —
-//! or automatically the moment a `recv` needs the wire (so corking can
-//! never deadlock a request behind its own reply).
+//! Sends **coalesce** when that costs no wait: a send made while a
+//! whole reply is already buffered (read, not yet returned) is held,
+//! since the next `recv` returns that reply without the socket — a
+//! closed loop that reads k replies at once sends its k follow-ups in
+//! one write. The explicit cork ([`WidxClient::set_corked`]) holds
+//! every send. Held frames leave together on
+//! [`flush`](WidxClient::flush), uncorking, a 64 KiB bound, drop, and
+//! before any `recv` blocks on the wire, so holding never deadlocks a
+//! request behind its own reply. Waiting for a send's effect by another
+//! route (a second connection, say) needs a `flush` first.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
@@ -181,8 +185,8 @@ impl WidxClient {
         }
     }
 
-    /// Writes every buffered frame to the socket now. A no-op when
-    /// nothing is buffered (in particular, always, when uncorked).
+    /// Writes every held frame to the socket now. A no-op when nothing
+    /// is held.
     ///
     /// # Errors
     ///
@@ -198,24 +202,32 @@ impl WidxClient {
         Ok(())
     }
 
-    /// Bytes currently corked (encoded but unsent) — diagnostics for
-    /// batching tests.
+    /// Bytes currently held (encoded but unsent, corked or coalescing)
+    /// — diagnostics for batching tests.
     #[must_use]
     pub fn corked_bytes(&self) -> usize {
         self.ebuf.len()
     }
 
-    /// Sends or (when corked) retains the frames just encoded into
-    /// `ebuf`, self-flushing an overgrown cork.
+    /// Sends the frames just encoded into `ebuf`, or holds them while
+    /// corked or while a whole reply is buffered (the next `recv` will
+    /// not block, and flushes before any read that would), self-flushing
+    /// past [`CORK_FLUSH_BYTES`].
     fn dispatch_encoded(&mut self) -> std::io::Result<()> {
-        if self.corked && self.ebuf.len() < CORK_FLUSH_BYTES {
+        let hold = self.corked || wire::holds_frame(&self.rbuf[self.rpos..]);
+        if hold && self.ebuf.len() < CORK_FLUSH_BYTES {
             return Ok(());
         }
         self.flush()
     }
 
     /// Pipelines one request without waiting; returns the id to pass to
-    /// [`recv`](WidxClient::recv).
+    /// [`recv`](WidxClient::recv). The frame is written now unless the
+    /// client is corked or already holds a whole unread reply (the next
+    /// `recv` needs no socket); a held frame leaves with the next write:
+    /// before a `recv` blocks, on [`flush`](WidxClient::flush), past
+    /// 64 KiB held, or on drop. Flush before waiting for its effect by
+    /// another route.
     ///
     /// # Errors
     ///
@@ -763,6 +775,26 @@ impl WidxClient {
                         Err(e) => return Err(ClientError::Io(e)),
                     }
                 }
+            }
+        }
+    }
+}
+
+impl Drop for WidxClient {
+    /// Frames a send accepted but still holds leave on a best-effort,
+    /// never-blocking write: whatever the socket will not take at once,
+    /// and any error, is dropped with the client.
+    fn drop(&mut self) {
+        if self.ebuf.is_empty() || self.stream.set_nonblocking(true).is_err() {
+            return;
+        }
+        let mut rest = &self.ebuf[..];
+        while !rest.is_empty() {
+            match self.stream.write(rest) {
+                Ok(0) => return,
+                Ok(n) => rest = &rest[n..],
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => return,
             }
         }
     }

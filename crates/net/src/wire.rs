@@ -778,6 +778,13 @@ fn envelope(buf: &[u8]) -> Result<Option<Envelope<'_>>, FrameError> {
     }))
 }
 
+/// Whether `buf` starts with a whole frame (its length prefix is
+/// satisfied): a decoder answers from `buf` alone — a frame, a corrupt
+/// frame or a framing error, never `Incomplete`.
+pub(crate) fn holds_frame(buf: &[u8]) -> bool {
+    !matches!(envelope(buf), Ok(None))
+}
+
 /// Decodes a scan-flags byte; undefined bits are `Malformed` (they are
 /// reserved for future meaning, like the header's reserved bits).
 fn scan_flags(c: &mut Cursor<'_>) -> Result<bool, DecodeError> {
@@ -1636,6 +1643,28 @@ mod tests {
             desc: true,
         }));
         assert_eq!(MAX_CHUNK_ENTRIES, (MAX_BODY_LEN - HEADER_LEN - 4) / 16);
+    }
+
+    #[test]
+    fn holds_frame_is_true_exactly_when_decode_reply_needs_no_more_bytes() {
+        let mut buf = Vec::new();
+        encode_response(
+            &mut buf,
+            3,
+            &Response::Lookup {
+                key: 1,
+                payloads: vec![2],
+            },
+        );
+        let frame_len = buf.len();
+        encode_response(&mut buf, 4, &Response::MultiLookup { matches: vec![] });
+        for cut in 0..=buf.len() {
+            let incomplete = matches!(decode_reply(&buf[..cut]), Ok(Decoded::Incomplete));
+            assert_eq!(holds_frame(&buf[..cut]), !incomplete, "cut at {cut}");
+            assert_eq!(incomplete, cut < frame_len, "cut at {cut}");
+        }
+        // A broken length prefix is whole too: decoding fails at once.
+        assert!(holds_frame(&2u32.to_le_bytes()));
     }
 
     #[test]

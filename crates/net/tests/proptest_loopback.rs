@@ -6,6 +6,7 @@
 //! malformed frames (the server answers an error frame and the
 //! connection survives).
 
+use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -270,12 +271,59 @@ proptest! {
             let response = clients[c].recv(id).expect("every request answered");
             op.check(&pairs, &response);
         }
+        // A client dealt no op never wrote a byte, so nothing above
+        // waited for its accept: wait for it here, or shutdown could
+        // stop the acceptor first.
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while server.stats().connections < clients.len() as u64 {
+            prop_assert!(Instant::now() < deadline, "a connection was never accepted");
+            std::thread::yield_now();
+        }
         let net = server.shutdown();
         prop_assert_eq!(net.connections, clients.len() as u64);
         prop_assert_eq!(net.frames_in, ops.len() as u64);
         prop_assert_eq!(net.frames_out, ops.len() as u64);
         prop_assert_eq!(net.decode_errors, 0);
         prop_assert_eq!(net.reactors.len(), reactors);
+        let _ = unwrap_service(service).shutdown();
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(20))]
+
+    /// The benchmark's shape: a closed loop keeps `depth` requests in
+    /// flight, uncorked, and sends the next one per `recv_any` — so a
+    /// send often lands while more replies sit buffered, and is held
+    /// until the loop next needs the wire. Every reply still matches
+    /// the oracles, and every request crossed the wire exactly once.
+    #[test]
+    fn closed_loop_replies_match_oracles(
+        pairs in prop::collection::vec((0u64..120, any::<u64>()), 0..300),
+        ops in prop::collection::vec(op_strategy(150), 1..80),
+        depth in 1usize..16,
+        shards in 1usize..5,
+    ) {
+        let (service, server, mut client) = stack(&pairs, shards, 8, NetConfig::default());
+        let mut unsent = ops.iter();
+        let mut in_flight: HashMap<u64, &Op> = HashMap::with_capacity(depth);
+        loop {
+            while in_flight.len() < depth {
+                let Some(op) = unsent.next() else { break };
+                in_flight.insert(client.send(&op.request()).expect("send"), op);
+            }
+            if in_flight.is_empty() {
+                break;
+            }
+            let (id, reply) = client.recv_any().expect("recv");
+            let op = in_flight.remove(&id).expect("a reply to a request in flight");
+            op.check(&pairs, &reply.expect("no error frame"));
+        }
+        prop_assert_eq!(client.corked_bytes(), 0);
+        let net = server.shutdown();
+        prop_assert_eq!(net.frames_in, ops.len() as u64);
+        prop_assert_eq!(net.frames_out, ops.len() as u64);
+        prop_assert_eq!((net.busy_rejects, net.decode_errors), (0, 0));
         let _ = unwrap_service(service).shutdown();
     }
 }

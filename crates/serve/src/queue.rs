@@ -116,7 +116,7 @@ pub(crate) fn try_push_all(parts: Vec<(&ShardQueue, Job)>) -> Result<(), TryPush
     for ((queue, job), mut inner) in parts.into_iter().zip(guards) {
         inner.queued_keys += job.key_count();
         inner.jobs.push_back(job);
-        queue.not_empty.notify_one();
+        queue.wake_worker(&inner);
     }
     Ok(())
 }
@@ -184,7 +184,7 @@ impl ShardQueue {
                     inner.jobs.push_back(job);
                     inner.queued_keys += n;
                     inner.serving += 1;
-                    self.not_empty.notify_one();
+                    self.wake_worker(&inner);
                     // Hand the turn to the next waiting ticket.
                     self.wake_pushers(&inner);
                     return Ok(());
@@ -225,6 +225,15 @@ impl ShardQueue {
     fn wake_pushers(&self, inner: &QueueInner) {
         if inner.next_ticket != inner.serving {
             self.not_full.notify_all();
+        }
+    }
+
+    /// Rings `not_empty` only when the worker is parked on it, for the
+    /// same reason: a worker that is not parked takes the job on its
+    /// next `pop` / `try_pop`, under the lock this push holds.
+    fn wake_worker(&self, inner: &QueueInner) {
+        if inner.parked {
+            self.not_empty.notify_one();
         }
     }
 
@@ -495,6 +504,39 @@ mod tests {
         assert!(holding.recv().unwrap());
         worker.join().unwrap();
         assert!(!q.idle(), "a halted worker never parks again");
+    }
+
+    #[test]
+    fn pushes_wake_a_parked_worker_every_round() {
+        // Each round waits for the worker to park, then pushes (blocking
+        // push and try-push alternating): a skipped wake would strand
+        // the job and miss the deadline.
+        use std::sync::mpsc;
+        let q = Arc::new(ShardQueue::new(8));
+        let (ack, acks) = mpsc::channel();
+        let worker = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || loop {
+                if matches!(q.pop(), Job::Poison { .. }) {
+                    return;
+                }
+                ack.send(()).expect("test alive");
+            })
+        };
+        let deadline = Instant::now() + Duration::from_secs(30);
+        for round in 0..1000 {
+            await_idle(&q);
+            if round % 2 == 0 {
+                q.push(probe_job(&[round])).unwrap();
+            } else {
+                try_push_all(vec![(&*q, probe_job(&[round]))]).unwrap();
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            acks.recv_timeout(left)
+                .unwrap_or_else(|_| panic!("round {round}: the parked worker never woke"));
+        }
+        q.push_poison();
+        worker.join().unwrap();
     }
 
     #[test]

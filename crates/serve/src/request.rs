@@ -361,6 +361,9 @@ pub(crate) struct PendingInner {
     /// Per-request trace under construction, when sampling armed one.
     trace: Option<Box<TraceState>>,
     pub(crate) done: bool,
+    /// Threads blocked on `ready` right now: completions ring the
+    /// condvar only when this is nonzero.
+    waiters: usize,
 }
 
 impl PendingInner {
@@ -415,6 +418,7 @@ impl ResponseState {
                 stages: None,
                 trace: None,
                 done: parts == 0,
+                waiters: 0,
             }),
             ready: Condvar::new(),
             submitted: Instant::now(),
@@ -541,7 +545,7 @@ impl ResponseState {
         stream.ranks[rank as usize].chunks.push_back(chunk);
         let spare = stream.spare.pop();
         if Self::drain_released(stream) && stream.attached {
-            self.ready.notify_all();
+            self.wake_waiters(&inner);
             let waker = inner.waker.clone();
             drop(inner);
             if let Some(wake) = waker {
@@ -628,7 +632,7 @@ impl ResponseState {
             }
             latency = Some(took);
         }
-        self.ready.notify_all();
+        self.wake_waiters(&inner);
         let waker = inner.waker.clone();
         drop(inner);
         if let Some((trace, latency)) = commit {
@@ -678,6 +682,36 @@ impl ResponseState {
             waker();
         }
     }
+
+    /// Rings `ready` only when a thread is blocked on it: std's
+    /// `notify_all` is a futex syscall even with nobody to wake, and a
+    /// reply the reactor reaps through its waker has no waiter at all.
+    fn wake_waiters(&self, inner: &PendingInner) {
+        if inner.waiters > 0 {
+            self.ready.notify_all();
+        }
+    }
+
+    /// Blocks on `ready` once (up to `timeout`, when given), counted in
+    /// `waiters` for [`wake_waiters`](Self::wake_waiters).
+    fn block<'a>(
+        &self,
+        mut inner: MutexGuard<'a, PendingInner>,
+        timeout: Option<Duration>,
+    ) -> MutexGuard<'a, PendingInner> {
+        inner.waiters += 1;
+        let mut inner = match timeout {
+            None => self.ready.wait(inner).expect("pending wait"),
+            Some(timeout) => {
+                self.ready
+                    .wait_timeout(inner, timeout)
+                    .expect("pending wait")
+                    .0
+            }
+        };
+        inner.waiters -= 1;
+        inner
+    }
 }
 
 /// A handle to a submitted request; [`wait`](PendingResponse::wait)
@@ -692,7 +726,7 @@ impl PendingResponse {
     pub fn wait(self) -> Response {
         let mut inner = self.state.inner.lock().expect("pending lock");
         while !inner.done {
-            inner = self.state.ready.wait(inner).expect("pending wait");
+            inner = self.state.block(inner, None);
         }
         Self::assemble(&mut inner)
     }
@@ -714,12 +748,7 @@ impl PendingResponse {
                 drop(inner);
                 return Err(self);
             }
-            let (guard, _) = self
-                .state
-                .ready
-                .wait_timeout(inner, deadline - now)
-                .expect("pending wait");
-            inner = guard;
+            inner = self.state.block(inner, Some(deadline - now));
         }
         let response = Self::assemble(&mut inner);
         drop(inner);
@@ -902,7 +931,7 @@ impl Iterator for PendingStream {
             if stream.finished(done) {
                 return None;
             }
-            inner = self.state.ready.wait(inner).expect("pending wait");
+            inner = self.state.block(inner, None);
         }
     }
 }
@@ -1310,6 +1339,58 @@ mod tests {
         // The parts still complete, for latency accounting.
         assert!(state.complete_stream_part(1, vec![(51, 0)], None).is_none());
         assert!(state.complete_stream_part(0, vec![(4, 0)], None).is_some());
+    }
+
+    /// Spins until a reader is blocked on `state`'s condvar — observed
+    /// under the lock, so whatever the test does next lands after the
+    /// reader began to wait.
+    fn await_waiter(state: &ResponseState) {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while state.inner.lock().unwrap().waiters == 0 {
+            assert!(Instant::now() < deadline, "the reader never blocked");
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn readers_blocked_before_the_final_part_are_woken() {
+        let expected = Response::MultiLookup {
+            matches: vec![(1, 2)],
+        };
+        let two_parts = || {
+            let state = Arc::new(ResponseState::new(RequestKind::MultiLookup, 2));
+            state.complete_part(vec![(0, 1, 2)], None);
+            let pending = PendingResponse {
+                state: Arc::clone(&state),
+            };
+            (state, pending)
+        };
+
+        let (state, pending) = two_parts();
+        let reader = std::thread::spawn(move || pending.wait());
+        await_waiter(&state);
+        state.complete_part(vec![], None);
+        assert_eq!(reader.join().unwrap(), expected);
+
+        let (state, pending) = two_parts();
+        let reader = std::thread::spawn(move || pending.wait_timeout(Duration::from_secs(60)).ok());
+        await_waiter(&state);
+        state.complete_part(vec![], None);
+        assert_eq!(reader.join().unwrap(), Some(expected));
+
+        // A stream reader: woken by a mid-part chunk, then by the end.
+        let state = stream_state(1, usize::MAX);
+        let mut stream = PendingStream::attach(Arc::clone(&state));
+        let reader = std::thread::spawn(move || (stream.next(), stream));
+        await_waiter(&state);
+        state.push_chunk(0, vec![(1, 0)]);
+        let (chunk, stream) = reader.join().unwrap();
+        assert_eq!(chunk, Some(vec![(1, 0)]));
+        let reader = std::thread::spawn(move || stream.collect::<Vec<_>>());
+        await_waiter(&state);
+        state.complete_stream_part(0, vec![(2, 0)], None);
+        assert_eq!(reader.join().unwrap(), vec![vec![(2, 0)]]);
+        assert_eq!(state.inner.lock().unwrap().waiters, 0);
     }
 
     #[test]

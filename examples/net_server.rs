@@ -1,16 +1,17 @@
 //! The network front-end end to end: build a two-tier service, put a
 //! `widx-net` server in front of it, and drive a pipelined mixed
 //! workload through `WidxClient` over loopback TCP — including an
-//! out-of-order reap and a graceful two-stage shutdown.
+//! out-of-order reap, a depth-8 closed loop and a graceful two-stage
+//! shutdown.
 //!
 //! Run with: `cargo run --release --example net_server`
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use widx_repro::db::hash::HashRecipe;
 use widx_repro::net::{NetConfig, WidxClient, WidxServer};
-use widx_repro::serve::{ProbeService, Request, ServeConfig};
+use widx_repro::serve::{ProbeService, Request, Response, ServeConfig};
 use widx_repro::workloads::datagen;
 
 fn main() {
@@ -71,6 +72,31 @@ fn main() {
         .count();
     println!("burst: 10000 pipelined lookups, {hits} hits (reaped in reverse order)");
     assert_eq!(hits, hot.iter().filter(|k| oracle.contains_key(k)).count());
+
+    // A closed loop, the shape of most real clients: keep 8 lookups in
+    // flight and send the next as each reply arrives. When one read
+    // brings several replies in, the sends made while the rest are
+    // still buffered are held and leave in one write before the next
+    // read.
+    let keys = datagen::zipf_keys(13, 10_000, entries as u64, 0.99);
+    let mut unsent = keys.iter();
+    let mut in_flight: HashMap<u64, u64> = HashMap::new();
+    loop {
+        while in_flight.len() < 8 {
+            let Some(&key) = unsent.next() else { break };
+            in_flight.insert(client.send(&Request::Lookup { key }).expect("send"), key);
+        }
+        if in_flight.is_empty() {
+            break;
+        }
+        let (id, reply) = client.recv_any().expect("recv");
+        let key = in_flight
+            .remove(&id)
+            .expect("a reply to a request in flight");
+        let payloads = oracle.get(&key).copied().into_iter().collect();
+        assert_eq!(reply.expect("answered"), Response::Lookup { key, payloads });
+    }
+    println!("closed loop: 10000 lookups at depth 8, every reply checked");
 
     // Graceful shutdown, outside in: the server drains every accepted
     // frame, then the service drains its queues behind a poison pill.
