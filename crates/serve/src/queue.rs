@@ -57,6 +57,9 @@ pub(crate) struct WriteJob {
     pub(crate) reply: Arc<ResponseState>,
 }
 
+/// A planned part: its shard (a scan's is not derivable), queue and job.
+pub(crate) type Part<'q> = (usize, &'q ShardQueue, Job);
+
 impl Job {
     /// Queue-occupancy weight: probe keys, scan cursors, or write ops —
     /// all are "walker slots' worth of work" for capacity accounting.

@@ -15,7 +15,7 @@ use widx_soft::ScanRange;
 
 use crate::batch::BatchPolicy;
 use crate::ordered::OrderedShardedIndex;
-use crate::queue::{Job, ShardQueue, WriteJob};
+use crate::queue::{Job, Part, ShardQueue, WriteJob};
 use crate::request::{
     PendingResponse, PendingStream, Request, RequestKind, Response, ResponseState, TraceState,
     WriteOp,
@@ -31,9 +31,9 @@ pub struct ServeConfig {
     /// Applies to the hashed tier and, when built, the ordered tier.
     pub shards: usize,
     /// In-flight depth per worker: AMAC probes on hash shards, resumable
-    /// scan cursors on ordered shards (walkers per shard). A submitted
-    /// probe with fewer keys than this cannot fill the ring and is
-    /// walked serially on its submitting thread instead of queued.
+    /// scan cursors on ordered shards (walkers per shard). A probe with
+    /// fewer keys, or a one-chunk scan over fewer shards, cannot fill
+    /// the ring and is walked serially on its submitting thread.
     pub inflight: usize,
     /// Keys per batch before a size flush. A worker never waits to
     /// reach it: a batch also closes the moment the shard's queue is
@@ -52,7 +52,8 @@ pub struct ServeConfig {
     /// pushes a chunk to the gather seam every `stream_chunk` entries
     /// its walker yields for one scan (the tail chunk may be smaller).
     /// Smaller chunks cut first-chunk latency; larger ones amortize
-    /// seam and framing overhead.
+    /// seam and framing overhead. A scan whose limit fits one chunk is
+    /// a *one-chunk* scan (see [`inflight`](Self::inflight)).
     pub stream_chunk: usize,
     /// Head sampling rate for per-request traces: record every `N`th
     /// request into the flight recorder. `0` (the default) disables
@@ -283,6 +284,12 @@ impl<T: Tier> TierRuntime<T> {
         tier
     }
 
+    /// [`walk_here`] over this tier's shards and telemetry cells.
+    fn walk_here(&self, stages: &StageTimes, limits: (usize, usize), parts: &[Part<'_>]) -> bool {
+        let cells = (&self.cells[..], &self.prof_cells[..]);
+        walk_here(&*self.index, cells, stages, limits, parts)
+    }
+
     /// Keys (or scan cursors) currently queued per shard.
     fn backlog(&self) -> Vec<usize> {
         self.queues.iter().map(|q| q.backlog_keys()).collect()
@@ -315,13 +322,13 @@ impl<T: Tier> TierRuntime<T> {
 }
 
 /// A planned request: the shared completion state, sized to the live
-/// parts, and one job per part already resolved to the queue it enters.
-/// Parts are in the one lock order every multi-queue push uses — hash
-/// shards ascending, then ordered shards ascending — so concurrent
-/// pushers cannot deadlock.
+/// parts, and one job per part already resolved to its shard and the
+/// queue it enters. Parts are in the one lock order every multi-queue
+/// push uses — hash shards ascending, then ordered shards ascending — so
+/// concurrent pushers cannot deadlock.
 struct Plan<'s> {
     state: Arc<ResponseState>,
-    parts: Vec<(&'s ShardQueue, Job)>,
+    parts: Vec<Part<'s>>,
 }
 
 /// What [`ProbeService::admit`] does about a full queue.
@@ -382,6 +389,8 @@ pub struct ProbeService {
     slow_threshold: Option<Duration>,
     /// Walker ring slots per worker: the sub-ring rule's threshold.
     inflight: usize,
+    /// A scan part walked under the sub-ring rule must fit one chunk.
+    stream_chunk: usize,
     started: Instant,
     /// Stop gate: `admit` holds a read guard across all of a plan's
     /// queue pushes; `stop` flips the flag and poisons the queues under
@@ -498,6 +507,7 @@ impl ProbeService {
             trace_sample: config.trace_sample,
             slow_threshold: config.slow_threshold,
             inflight: config.inflight,
+            stream_chunk: config.stream_chunk,
             started: Instant::now(),
             stopped: RwLock::new(false),
             joined: None,
@@ -686,7 +696,7 @@ impl ProbeService {
         let tier = &self.hash;
         let probe = |state: &Arc<ResponseState>, shard: usize, entries: Vec<(u32, u64)>| {
             let reply = Arc::clone(state);
-            (&*tier.queues[shard], Job::Probe { entries, reply })
+            (shard, &*tier.queues[shard], Job::Probe { entries, reply })
         };
         if let [key] = keys {
             // Fast path: a single-key request touches exactly one shard
@@ -739,10 +749,10 @@ impl ProbeService {
             (&self.hash.queues[..], acked, true),
             (ordered_queues, silent, false),
         ] {
-            for (queue, ops) in queues.iter().zip(scattered) {
+            for (shard, (queue, ops)) in queues.iter().zip(scattered).enumerate() {
                 if !ops.is_empty() {
                     let reply = Arc::clone(&state);
-                    parts.push((&**queue, Job::Write(WriteJob { ops, ack, reply })));
+                    parts.push((shard, &**queue, Job::Write(WriteJob { ops, ack, reply })));
                 }
             }
         }
@@ -796,7 +806,7 @@ impl ProbeService {
                 let rank = if desc { count - 1 - i } else { i } as u32;
                 let scans = vec![(rank, range)];
                 let reply = Arc::clone(&state);
-                (&*tier.queues[shard], Job::Scan { scans, reply })
+                (shard, &*tier.queues[shard], Job::Scan { scans, reply })
             })
             .collect();
         Ok(Plan { state, parts })
@@ -809,28 +819,30 @@ impl ProbeService {
     /// for every request shape — and, under [`Admission::Try`], with
     /// respect to backpressure across every shard of *both* tiers. A
     /// refused plan is simply dropped. What never reaches a queue is a
-    /// sub-ring probe whose shards all grant their read guards, or a
-    /// sub-ring write whose shards — of both tiers — are all idle and
-    /// grant their write guards: it is walked ([`walk_here`]) or applied
-    /// ([`write_here`]) here, under the same gate, and returned already
-    /// complete — never `Busy`, never blocked.
+    /// sub-ring probe or one-chunk scan whose shards all grant their
+    /// read guards, or a sub-ring write whose shards — of both tiers —
+    /// are all idle and grant their write guards: it is walked
+    /// ([`walk_here`]) or applied ([`write_here`]) here, under the same
+    /// gate, and returned already complete — never `Busy`, never blocked.
     fn admit(&self, plan: Plan<'_>, how: Admission) -> Result<Arc<ResponseState>, SubmitError> {
         let stopped = self.stopped.read().expect("stop gate");
         if *stopped {
             return Err(SubmitError::Stopped);
         }
         let (tier, ring, stages) = (&self.hash, self.inflight, &*self.stages);
-        let Plan { state, parts } = &plan;
-        let ordered = self.ordered.as_ref().map(|t| (&*t.index, &t.cells[..]));
+        let (parts, limits) = (&plan.parts, (ring, self.stream_chunk));
+        let ordered = self.ordered.as_ref();
+        let silent = ordered.map(|t| (&*t.index, &t.cells[..]));
         let seams = (stages, &*self.domain);
-        if walk_here(&tier.index, &tier.cells, stages, ring, parts, state)
-            || write_here((&tier.index, &tier.cells), ordered, seams, ring, parts)
+        if tier.walk_here(stages, limits, parts)
+            || ordered.is_some_and(|t| t.walk_here(stages, limits, parts))
+            || write_here((&tier.index, &tier.cells), silent, seams, ring, parts)
         {
             return Ok(plan.state);
         }
         match how {
             Admission::Block => {
-                for (queue, job) in plan.parts {
+                for (_, queue, job) in plan.parts {
                     // Queues are poisoned only under the stop gate's
                     // write guard, which cannot be held while we hold
                     // the read guard.
@@ -840,7 +852,8 @@ impl ProbeService {
                 }
             }
             Admission::Try => {
-                crate::queue::try_push_all(plan.parts).map_err(|_| SubmitError::Busy)?;
+                let parts = plan.parts.into_iter().map(|(_, queue, job)| (queue, job));
+                crate::queue::try_push_all(parts.collect()).map_err(|_| SubmitError::Busy)?;
             }
         }
         drop(stopped);
@@ -858,8 +871,8 @@ impl ProbeService {
     /// Submits a request, blocking only when a target shard queue is
     /// over capacity (backpressure). The returned handle resolves once
     /// every involved shard has answered — for a probe of fewer than
-    /// [`inflight`](ServeConfig::inflight) keys that is normally before
-    /// this returns: it is walked here, not queued.
+    /// [`inflight`](ServeConfig::inflight) keys, or a one-chunk scan,
+    /// that is normally before this returns: it is walked here.
     ///
     /// # Errors
     ///

@@ -11,7 +11,7 @@
 //! shard's sub-ring write is applied by its submitter instead, under
 //! [`try_write`](Shards::try_write) — so writers never wait on
 //! each other. Readers share the read guard — the worker's walker
-//! batches, sub-ring probes walked on their submitting threads
+//! batches, sub-ring probes and scans walked on their submitting threads
 //! ([`try_read`](Shards::try_read)), stats scrapes, oracles. The
 //! lock arbitrates those readers against the writer: std's lock
 //! prefers a waiting writer, so a barrier is never starved, and a
@@ -104,8 +104,8 @@ impl<I: ShardIndex> Shards<I> {
 
     /// Read access to shard `shard` without waiting: `None` while the
     /// shard's worker holds or awaits its write barrier (or the lock is
-    /// poisoned). Sub-ring probes walk under this guard on their
-    /// submitting thread, and queue instead when it is refused.
+    /// poisoned). Sub-ring probes and scans walk under this guard on
+    /// their submitting thread, and queue instead when it is refused.
     pub(crate) fn try_read(&self, shard: usize) -> Option<RwLockReadGuard<'_, I>> {
         self.0[shard].try_read().ok()
     }

@@ -32,15 +32,16 @@
 //! While the worker is parked on an empty queue, a sub-ring write is
 //! applied by its submitting thread instead ([`write_here`]): same
 //! guard, same routine ([`apply_writes`]), no hand-off. The worker is
-//! not a hash shard's only reader either: a sub-ring probe is walked on its
-//! submitting thread ([`walk_here`]) under a `try_read` guard, so the
-//! lock arbitrates those readers against the barrier — a barrier waits
-//! out the walks in flight, and a probe that finds the barrier holding
-//! or awaiting the lock is queued instead. The walker is rebuilt per
-//! batch and borrows the read guard, so no cursor survives a barrier
-//! and the epoch pin spans exactly the guard's scope: it registers the
-//! batch as a reader with the service-wide reclamation domain, and
-//! protects nothing the guard does not already (a submitter pins none).
+//! not either tier's only reader: a sub-ring probe or one-chunk scan is
+//! walked on its submitting thread ([`walk_here`]) under a `try_read`
+//! guard, so the lock arbitrates those readers against the barrier — a
+//! barrier waits out the walks in flight, and a walk that finds the
+//! barrier holding or awaiting the lock is queued instead. The walker
+//! is rebuilt per batch and borrows the read guard, so no cursor
+//! survives a barrier and the epoch pin spans exactly the guard's
+//! scope: it registers the batch as a reader with the service-wide
+//! reclamation domain, and protects nothing the guard does not already
+//! (a submitter pins none).
 
 use std::ops::{Deref, Range};
 use std::sync::{Arc, RwLockWriteGuard};
@@ -49,11 +50,11 @@ use std::time::{Duration, Instant};
 use widx_db::epoch::EpochDomain;
 use widx_db::index::{BTreeIndex, HashIndex};
 use widx_obs::{FlushKind, ProfCell, Stage, StageTimes, ThreadProfiler, WalkCounters, WorkerCell};
-use widx_soft::{probe_scalar, AmacWalker, BTreeRangeWalker, ScanRange};
+use widx_soft::{probe_scalar, scan_btree_scalar, AmacWalker, BTreeRangeWalker, ScanRange};
 
 use crate::batch::BatchPolicy;
 use crate::ordered::OrderedShardedIndex;
-use crate::queue::{Job, ShardQueue, WriteJob};
+use crate::queue::{Job, Part, ShardQueue, WriteJob};
 use crate::request::{ResponseState, RoutedMatch};
 use crate::shard::{ShardIndex, ShardedIndex, Shards};
 
@@ -94,7 +95,7 @@ pub(crate) trait Tier:
     /// One shard's index.
     type Index: ShardIndex;
     /// One unit of walker input: a probe key or a scan range.
-    type Work;
+    type Work: Copy;
     /// The walker a batch drives over one (read-guarded) shard.
     type Walker<'idx>: Walker<Self::Work>;
     /// Worker thread name prefix.
@@ -106,11 +107,20 @@ pub(crate) trait Tier:
     const CHUNKED: bool;
 
     fn walker(index: &Self::Index, inflight: usize) -> Self::Walker<'_>;
-    /// Unpacks a walker job into `(row or scatter rank, work)` pairs
-    /// plus the reply they answer to. Each tier's queues carry exactly
-    /// one walker variant; anything else is a routing bug.
-    fn unpack(job: Job) -> (Vec<(u32, Self::Work)>, Arc<ResponseState>);
+    /// The serial engine [`walk_here`] runs over one unit of work.
+    fn walk_one(index: &Self::Index, work: Self::Work, emit: impl FnMut(u64, u64)) -> WalkCounters;
+    /// The most entries `work` can push through the gather seam: a
+    /// scan's limit; none for a probe, whose rows never chunk.
+    fn chunk_entries(_work: &Self::Work) -> usize {
+        0
+    }
+    /// The `(row or scatter rank, work)` pairs a job carries for this
+    /// tier and the reply they answer to; `None` for any other variant.
+    fn unpack(job: &Job) -> Option<Unpacked<'_, Self::Work>>;
 }
+
+/// A walker job's input, borrowed: see [`Tier::unpack`].
+type Unpacked<'j, W> = (&'j [(u32, W)], &'j Arc<ResponseState>);
 
 impl Tier for ShardedIndex {
     type Index = HashIndex;
@@ -123,10 +133,17 @@ impl Tier for ShardedIndex {
         AmacWalker::new(index, inflight)
     }
 
-    fn unpack(job: Job) -> (Vec<(u32, u64)>, Arc<ResponseState>) {
+    fn walk_one(index: &HashIndex, key: u64, mut emit: impl FnMut(u64, u64)) -> WalkCounters {
+        let mut found = Vec::new();
+        let counters = probe_scalar(index, &[key], &mut found);
+        found.into_iter().for_each(|(k, p)| emit(k, p));
+        counters
+    }
+
+    fn unpack(job: &Job) -> Option<Unpacked<'_, u64>> {
         match job {
-            Job::Probe { entries, reply } => (entries, reply),
-            _ => unreachable!("only probe jobs reach a hash-tier walker batch"),
+            Job::Probe { entries, reply } => Some((entries, reply)),
+            _ => None,
         }
     }
 }
@@ -142,10 +159,18 @@ impl Tier for OrderedShardedIndex {
         BTreeRangeWalker::new(index, inflight)
     }
 
-    fn unpack(job: Job) -> (Vec<(u32, ScanRange)>, Arc<ResponseState>) {
+    fn walk_one(tree: &BTreeIndex, scan: ScanRange, mut f: impl FnMut(u64, u64)) -> WalkCounters {
+        scan_btree_scalar(tree, &[scan], &mut |_, key, payload| f(key, payload))
+    }
+
+    fn chunk_entries(range: &ScanRange) -> usize {
+        range.limit
+    }
+
+    fn unpack(job: &Job) -> Option<Unpacked<'_, ScanRange>> {
         match job {
-            Job::Scan { scans, reply } => (scans, reply),
-            _ => unreachable!("only scan jobs reach an ordered-tier walker batch"),
+            Job::Scan { scans, reply } => Some((scans, reply)),
+            _ => None,
         }
     }
 }
@@ -257,26 +282,26 @@ pub(crate) fn write_here(
     ordered: Option<(&OrderedShardedIndex, &[Arc<WorkerCell>])>,
     seams: (&StageTimes, &EpochDomain),
     ring: usize,
-    parts: &[(&ShardQueue, Job)],
+    parts: &[Part<'_>],
 ) -> bool {
     type Held<'a, I> = Vec<(usize, &'a WriteJob, RwLockWriteGuard<'a, I>)>;
 
     fn write_parts<'a>(
-        parts: &'a [(&'a ShardQueue, Job)],
+        parts: &'a [Part<'a>],
         acked: bool,
-    ) -> impl Iterator<Item = (&'a ShardQueue, &'a WriteJob)> {
-        parts.iter().filter_map(move |(queue, job)| match job {
-            Job::Write(write) if write.ack == acked => Some((*queue, write)),
-            _ => None,
-        })
+    ) -> impl Iterator<Item = (usize, &'a ShardQueue, &'a WriteJob)> {
+        parts
+            .iter()
+            .filter_map(move |(shard, queue, job)| match job {
+                Job::Write(write) if write.ack == acked => Some((*shard, *queue, write)),
+                _ => None,
+            })
     }
     fn claim<'a, T: Tier>(
         index: &'a T,
-        shard_of: impl Fn(u64) -> usize,
-        parts: impl Iterator<Item = (&'a ShardQueue, &'a WriteJob)>,
+        parts: impl Iterator<Item = (usize, &'a ShardQueue, &'a WriteJob)>,
     ) -> Option<Held<'a, T::Index>> {
-        let held = parts.map(|(queue, part)| {
-            let shard = shard_of(part.ops.first()?.1.key());
+        let held = parts.map(|(shard, queue, part)| {
             let guard = index.try_write(shard)?;
             queue.idle().then_some((shard, part, guard))
         });
@@ -293,17 +318,14 @@ pub(crate) fn write_here(
     }
 
     // The hash tier carries every op once; the ordered parts mirror it.
-    let ops = write_parts(parts, true).map(|(_, part)| part.ops.len());
+    let ops = write_parts(parts, true).map(|(_, _, part)| part.ops.len());
     if !(1..ring).contains(&ops.sum::<usize>()) {
         return false;
     }
     let claim_all = || {
-        let acked = claim(hash, |key| hash.shard_of(key), write_parts(parts, true))?;
+        let acked = claim(hash, write_parts(parts, true))?;
         let silent = match ordered {
-            Some((index, cells)) => {
-                let shard_of = |key| index.write_shard_of(key);
-                Some((claim(index, shard_of, write_parts(parts, false))?, cells))
-            }
+            Some((index, cells)) => Some((claim(index, write_parts(parts, false))?, cells)),
             None => None,
         };
         Some((acked, silent))
@@ -446,7 +468,7 @@ impl Batch {
         job: Job,
         prof: &mut ThreadProfiler,
     ) {
-        let (work, reply) = T::unpack(job);
+        let (work, reply) = T::unpack(&job).expect("a queue carries only its tier's walker jobs");
         ctx.cell.add_jobs(1);
         ctx.stages.record(Stage::QueueWait, reply.since_submit());
         if work.is_empty() {
@@ -462,7 +484,7 @@ impl Batch {
             self.chunks.resize_with(tags.end, Vec::new);
         }
         self.open.push(OpenJob {
-            reply,
+            reply: Arc::clone(reply),
             // A point-probe part's rows are sized once (a probe emits
             // about one row per key) and moved into the reply at close.
             items: Vec::with_capacity(if T::CHUNKED { 0 } else { work.len() }),
@@ -472,7 +494,7 @@ impl Batch {
         });
         let busy_from = Instant::now();
         let mark = prof.mark();
-        for (row, item) in work {
+        for &(row, item) in work {
             let tag = u32::try_from(self.meta.len()).expect("batch exceeds u32 tags");
             self.meta.push((open_idx as u32, row));
             walker.feed(tag, item, &mut |t, k, p| self.route::<T>(t, k, p));
@@ -506,60 +528,72 @@ fn trace_walk(
     });
 }
 
-/// The sub-ring rule: a probe request with fewer keys than the walker
-/// ring has slots gives the walkers nothing to interleave, so it is
-/// walked where it already is — on its submitting thread — instead of
-/// being queued. `try_read` on every owning shard (ascending, `parts`'
-/// order), then each part through the serial engine, the paper's
-/// Listing 1, completed and counted as a worker would: one job, one
-/// queue-dry batch of its keys. `try_read`, never `read`: a refused
-/// guard means the shard's worker holds or awaits its write barrier,
-/// so every guard is dropped and `false` leaves `parts` to the queues.
-pub(crate) fn walk_here(
-    index: &ShardedIndex,
-    cells: &[Arc<WorkerCell>],
+/// The sub-ring rule, either tier: a plan with fewer probe keys or scan
+/// cursors than the walker ring has slots, each part fitting one chunk,
+/// gives the walkers nothing to interleave, so it is walked where it
+/// already is — on its submitting thread — instead of being queued.
+/// `try_read` on every owning shard (ascending, `parts`' order), then
+/// each unit through [`Tier::walk_one`] (the paper's Listing 1, or one
+/// scan cursor), completed and counted as a worker would: one job, one
+/// queue-dry batch, its counters in the shard's profile. `try_read`,
+/// never `read`: a refused guard means the shard's worker holds or
+/// awaits its write barrier, so every guard is dropped and `false`
+/// leaves `parts` to the queues.
+pub(crate) fn walk_here<T: Tier>(
+    index: &T,
+    (cells, profs): (&[Arc<WorkerCell>], &[Arc<ProfCell>]),
     stages: &StageTimes,
-    ring: usize,
-    parts: &[(&ShardQueue, Job)],
-    reply: &ResponseState,
+    (ring, stream_chunk): (usize, usize),
+    parts: &[Part<'_>],
 ) -> bool {
-    // Only probe parts carry keys to walk; a write or a scan has none.
-    fn probe(job: &Job) -> Option<&[(u32, u64)]> {
-        match job {
-            Job::Probe { entries, .. } => Some(entries),
-            _ => None,
-        }
-    }
-    let probes = parts.iter().filter_map(|(_, job)| probe(job));
-    if !(1..ring).contains(&probes.map(<[_]>::len).sum()) {
+    // Only this tier's walker parts carry work; anything else has none.
+    let walks = || {
+        parts
+            .iter()
+            .filter_map(|(shard, _, job)| Some((*shard, T::unpack(job)?)))
+    };
+    let units = walks().map(|(_, (work, _))| work.len()).sum();
+    let fits = |(_, work): &(u32, T::Work)| T::chunk_entries(work) <= stream_chunk;
+    if !(1..ring).contains(&units) || !walks().all(|(_, (work, _))| work.iter().all(fits)) {
         return false;
     }
-    let held = parts.iter().map(|(_, job)| {
-        let entries = probe(job)?;
-        let shard = index.shard_of(entries.first()?.1);
-        Some((shard, entries, index.try_read(shard)?))
-    });
+    let held =
+        walks().map(|(shard, (work, reply))| Some((shard, work, reply, index.try_read(shard)?)));
     let Some(held) = held.collect::<Option<Vec<_>>>() else {
         return false;
     };
-    let mut found = Vec::new();
-    for (shard, entries, guard) in &held {
+    for (shard, work, reply, guard) in &held {
         let (cell, opened) = (&*cells[*shard], Instant::now());
         cell.add_jobs(1);
         stages.record(Stage::QueueWait, reply.since_submit());
         let mut counters = WalkCounters::default();
-        let mut items = Vec::<RoutedMatch>::with_capacity(entries.len());
-        for &(row, key) in entries.iter() {
-            counters.merge(&probe_scalar(guard, &[key], &mut found));
-            items.extend(found.drain(..).map(|(key, payload)| (row, key, payload)));
-        }
+        // A probe part's rows, or one chunk per scan cursor.
+        let mut rows = Vec::<RoutedMatch>::with_capacity(if T::CHUNKED { 0 } else { work.len() });
+        let walk = |&(tag, unit): &(u32, T::Work)| {
+            let mut chunk = Vec::with_capacity(T::chunk_entries(&unit));
+            counters.merge(&T::walk_one(guard, unit, |key, payload| match T::CHUNKED {
+                true => chunk.push((key, payload)),
+                false => rows.push((tag, key, payload)),
+            }));
+            chunk
+        };
+        let chunks: Vec<_> = work.iter().map(walk).collect();
         let busy = opened.elapsed();
-        cell.add_batch(entries.len() as u64, FlushKind::QueueDry);
+        cell.add_batch(work.len() as u64, FlushKind::QueueDry);
         cell.add_busy(busy);
         stages.record(Stage::Walk, busy);
-        cell.add_matches(items.len() as u64);
+        cell.add_matches((rows.len() + chunks.iter().map(Vec::len).sum::<usize>()) as u64);
+        if let Some(prof) = profs.get(*shard) {
+            prof.add_walk(&counters);
+        }
         trace_walk(reply, *shard, (opened, None), (opened, busy, &counters));
-        reply.complete_part(items, Some(cell));
+        if T::CHUNKED {
+            for (&(rank, _), tail) in work.iter().zip(chunks) {
+                reply.complete_stream_part(rank, tail, Some(cell));
+            }
+        } else {
+            reply.complete_part(rows, Some(cell));
+        }
     }
     true
 }

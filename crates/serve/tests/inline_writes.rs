@@ -1,23 +1,27 @@
-//! The sub-ring rule for mutations: a write with fewer ops than the
-//! walker ring has slots is applied on its submitting thread when every
-//! owning shard of both tiers is idle and grants its write guard —
-//! complete when `submit` / `try_submit` returns, the workers never
-//! woken — and takes the unchanged queue path otherwise: a refused
+//! The sub-ring rule, applied by the submitter: a write with fewer ops
+//! than the walker ring has slots is applied on its submitting thread
+//! when every owning shard of both tiers is idle and grants its write
+//! guard — complete when `submit` / `try_submit` returns, the workers
+//! never woken — and takes the unchanged queue path otherwise: a refused
 //! guard, a shard with work outstanding, a write of `inflight` ops or
 //! more. The blocking conveniences are one-op writes under the same
-//! rule.
+//! rule. A scan with fewer cursors (one per ordered shard it spans) than
+//! the ring has slots, whose limit fits one stream chunk, is walked on
+//! its submitting thread the same way — buffered or streamed — when
+//! every owning shard grants its read guard, and queued otherwise.
 //!
-//! Which thread applied a write is invisible in the counters (the
-//! shard's own cell counts it either way), so "the worker never ran" is
-//! read off the one clock only the worker thread advances: a worker's
-//! `idle` time is published when its `pop` returns, so an idle clock
-//! that did not move is a worker that was never handed a job.
+//! Which thread applied a write or walked a scan is invisible in the
+//! counters (the shard's own cell counts it either way), so "the worker
+//! never ran" is read off the one clock only the worker thread advances:
+//! a worker's `idle` time is published when its `pop` returns, so an
+//! idle clock that did not move is a worker that was never handed a job.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
 use std::time::{Duration, Instant};
 
 use widx_db::hash::HashRecipe;
+use widx_db::index::BTreeIndex;
 use widx_serve::{PendingResponse, ProbeService, Request, Response, ServeConfig};
 
 const ENTRIES: u64 = 2000;
@@ -25,12 +29,16 @@ const PATIENCE: Duration = Duration::from_secs(30);
 /// Keys (all present) owned between them by every shard of both tiers.
 const SPANNING: [u64; 7] = [0, 2, 4, 3990, 3992, 3994, 3996];
 
+fn pairs() -> impl Iterator<Item = (u64, u64)> {
+    (0..ENTRIES).map(|k| (k * 2, k))
+}
+
+fn build_with(config: &ServeConfig) -> ProbeService {
+    ProbeService::build_with_range(HashRecipe::robust64(), pairs(), config)
+}
+
 fn build() -> ProbeService {
-    let service = ProbeService::build_with_range(
-        HashRecipe::robust64(),
-        (0..ENTRIES).map(|k| (k * 2, k)),
-        &ServeConfig::default().with_shards(2),
-    );
+    let service = build_with(&ServeConfig::default().with_shards(2));
     let ordered = service.ordered().expect("range tier");
     let owners = |shard_of: &dyn Fn(u64) -> usize| {
         let mut owners: Vec<usize> = SPANNING.iter().map(|key| shard_of(*key)).collect();
@@ -293,16 +301,18 @@ fn pipelined_writers_keep_per_key_order_across_both_paths() {
     std::thread::scope(|scope| {
         let flipper = scope.spawn(|| {
             let keys: Vec<u64> = (0..32).map(|k| k * 2).collect();
+            // More than one chunk: the scan queues, like the probe.
+            let limit = ServeConfig::default().stream_chunk + 1;
             while !done.load(SeqCst) {
                 let probe = service.submit(Request::JoinProbe { keys: keys.clone() });
                 let scan = service.submit(Request::RangeScan {
                     lo: 0,
                     hi: u64::MAX,
-                    limit: 64,
+                    limit,
                     desc: false,
                 });
                 assert_eq!(probe.expect("probe").wait().match_count(), keys.len());
-                assert_eq!(scan.expect("scan").wait().match_count(), 64);
+                assert_eq!(scan.expect("scan").wait().match_count(), limit);
             }
         });
         let writers: Vec<_> = (0..WRITERS)
@@ -359,4 +369,154 @@ fn pipelined_writers_keep_per_key_order_across_both_paths() {
     assert_eq!(stats.total_write_ops(), live.total_write_ops());
     assert!(stats.epoch_reclaimed > 0, "updates retired index nodes");
     assert_eq!(stats.epoch_retired, 0, "quiescence drains the lists");
+}
+
+/// One unsharded tree over every entry: the scan oracle.
+fn oracle(tree: &BTreeIndex, (lo, hi, limit): (u64, u64, usize), desc: bool) -> Vec<(u64, u64)> {
+    if desc {
+        tree.range_scan_desc(lo, hi, limit)
+    } else {
+        tree.range_scan(lo, hi, limit)
+    }
+}
+
+fn entries(response: Response) -> Vec<(u64, u64)> {
+    match response {
+        Response::RangeScan { entries } => entries,
+        other => panic!("wrong variant {other:?}"),
+    }
+}
+
+fn scan((lo, hi, limit): (u64, u64, usize), desc: bool) -> Request {
+    Request::RangeScan {
+        lo,
+        hi,
+        limit,
+        desc,
+    }
+}
+
+/// A one-chunk scan on idle shards is complete when `submit`,
+/// `try_submit` or `range_stream` returns, and the blocking convenience
+/// answers the same way: on one shard or across the boundary, ascending
+/// or descending, the limit up to the chunk edge — and no range worker
+/// ever leaves `pop`.
+#[test]
+fn one_chunk_scans_are_walked_before_submit_returns_without_waking_a_worker() {
+    let service = build();
+    let tree = BTreeIndex::build(8, pairs());
+    let chunk = ServeConfig::default().stream_chunk;
+    let split = service.ordered().expect("range tier").boundaries()[0];
+    let shapes = [
+        (10, 300, 40),                // shard 0 only
+        (split + 2, 3990, 7),         // shard 1 only
+        (split - 40, split + 40, 30), // both, cut either side of the seam
+        (0, u64::MAX, chunk),         // both, exactly one chunk
+        (5001, 6001, 9),              // past the data: one part, no rows
+    ];
+    settle(&service);
+    let (parked, mut counted) = (idle_clocks(&service), jobs(&service));
+    for shape in shapes {
+        for desc in [false, true] {
+            let want = oracle(&tree, shape, desc);
+            let what = format!("{shape:?} desc={desc}");
+            for pending in [
+                service.submit(scan(shape, desc)),
+                service.try_submit(scan(shape, desc), None),
+            ] {
+                let pending = pending.expect("accepted");
+                assert!(pending.is_ready(), "{what} was queued");
+                assert_eq!(entries(pending.wait()), want, "{what}");
+            }
+            let stream = service.range_stream(shape.0, shape.1, shape.2, desc);
+            let stream = stream.expect("stream");
+            assert!(stream.is_ready(), "{what}: the stream was queued");
+            assert_eq!(stream.flatten().collect::<Vec<_>>(), want, "{what}");
+            let (lo, hi, limit) = shape;
+            let buffered = if desc {
+                service.range_scan_desc(lo, hi, limit)
+            } else {
+                service.range_scan(lo, hi, limit)
+            };
+            assert_eq!(buffered.expect("scan"), want, "{what}");
+            // Counted as the parts a worker would have run ...
+            let after = jobs(&service);
+            assert!(after > counted, "{what} left no job in any cell");
+            counted = after;
+        }
+    }
+    // ... yet no worker was handed one: none ever left `pop`.
+    assert_eq!(idle_clocks(&service), parked, "a worker was woken");
+    assert_eq!(service.range_backlog(), vec![0, 0]);
+    let _ = service.shutdown();
+}
+
+/// The rule's two edges: a limit one entry past the chunk, or as many
+/// cursors as the ring has slots, and the scan is the range workers'
+/// again — every spanned shard's worker runs its part, buffered or
+/// streamed, and the reply is still the oracle's.
+#[test]
+fn scans_past_one_chunk_or_filling_the_ring_are_queued() {
+    let tree = BTreeIndex::build(8, pairs());
+    let chunk = ServeConfig::default().stream_chunk;
+    let wide = ServeConfig::default().with_shards(2);
+    let narrow = wide.clone().with_inflight(2);
+    for (config, limit) in [(wide, chunk + 1), (narrow, chunk)] {
+        let service = build_with(&config);
+        let shape = (0, u64::MAX, limit);
+        for (desc, streamed) in [(false, false), (true, false), (false, true), (true, true)] {
+            let what = format!("limit {limit} inflight {} desc={desc}", config.inflight);
+            let parked = idle_clocks(&service);
+            let got = if streamed {
+                let stream = service.range_stream(0, u64::MAX, limit, desc);
+                stream.expect("stream").flatten().collect()
+            } else {
+                entries(service.submit(scan(shape, desc)).expect("submit").wait())
+            };
+            assert_eq!(got, oracle(&tree, shape, desc), "{what}");
+            // A stream ends at its limit, maybe before the far shard's
+            // worker has popped its part: wait for both, not just one.
+            let woken = || {
+                let after = idle_clocks(&service);
+                let woken = after.iter().zip(&parked).map(|(a, p)| a > p);
+                woken.collect::<Vec<_>>() == [false, false, true, true]
+            };
+            wait_until(&format!("{what}: the range workers ran it"), woken);
+        }
+        let _ = service.shutdown();
+    }
+}
+
+/// A refused read guard queues the whole scan — the free shard's part
+/// too — and it completes with the oracle's rows once the guard is
+/// released; a scan that does not touch the held shard is still walked
+/// here.
+#[test]
+fn a_scan_over_a_write_locked_shard_queues_until_release() {
+    let service = build();
+    let tree = BTreeIndex::build(8, pairs());
+    let ordered = service.ordered().expect("range tier");
+    let split = ordered.boundaries()[0];
+    let (elsewhere, covering) = ((0, 100, 10), (split - 40, split + 40, 30));
+    settle(&service);
+    let guard = ordered.write(1);
+    let pending = service.submit(scan(elsewhere, false)).expect("submit");
+    assert!(pending.is_ready(), "a scan of shard 0 waited on shard 1");
+    assert_eq!(entries(pending.wait()), oracle(&tree, elsewhere, false));
+
+    let buffered = service.submit(scan(covering, false)).expect("submit");
+    let polled = service.try_submit(scan(covering, true), None);
+    let polled = polled.expect("try_submit");
+    let (lo, hi, limit) = covering;
+    let stream = service.range_stream(lo, hi, limit, true).expect("stream");
+    assert!(!buffered.is_ready(), "walked under a refused guard");
+    assert!(!polled.is_ready(), "walked under a refused guard");
+    // Descending, the held shard is the stream's head: nothing releases.
+    assert!(!stream.is_ready(), "streamed under a refused guard");
+    drop(guard);
+    assert_eq!(entries(buffered.wait()), oracle(&tree, covering, false));
+    assert_eq!(entries(polled.wait()), oracle(&tree, covering, true));
+    let streamed: Vec<_> = stream.flatten().collect();
+    assert_eq!(streamed, oracle(&tree, covering, true));
+    let _ = service.shutdown();
 }

@@ -75,6 +75,41 @@ fn profiled_service_reports_per_stage_breakdown() {
     assert!(final_stats.prof.is_some());
 }
 
+/// Walks run on the submitting thread reach the profile too: a service
+/// that has only served sub-ring lookups and one-chunk scans — no worker
+/// ever handed a job, every idle clock still zero — reports the nodes
+/// and rounds those walks visited.
+#[test]
+fn submitter_walks_reach_the_profile() {
+    let service = build(ServeConfig::default().with_shards(2).with_profile(true));
+    let walked = || {
+        let stats = service.live_stats();
+        let mut workers = stats.workers.iter().chain(&stats.range_workers);
+        assert!(
+            workers.all(|w| w.idle.is_zero()),
+            "a worker was handed a job"
+        );
+        let prof = stats.prof.expect("profiled service carries prof");
+        assert!(prof.walk.rounds > 0, "submitter walks ran no rounds");
+        assert_eq!(prof.walk.prefetches, 0, "the serial engines prefetch none");
+        prof.walk.nodes
+    };
+    for key in 0..64 {
+        assert_eq!(service.lookup(key).expect("lookup"), vec![key + 1]);
+    }
+    let multi = service.multi_lookup(&[1, 2, 3]).expect("multi_lookup");
+    assert_eq!(multi.len(), 3);
+    let probed = walked();
+    assert!(probed > 0, "submitter probes visited no nodes");
+
+    let entries = service.range_scan(0, 3000, 128).expect("range_scan");
+    assert_eq!(entries.len(), 128);
+    let entries = service.range_scan_desc(0, 3000, 128).expect("range_scan");
+    assert_eq!(entries.len(), 128);
+    assert!(walked() > probed, "submitter scans visited no nodes");
+    let _ = service.shutdown();
+}
+
 #[test]
 fn unprofiled_service_carries_no_profile() {
     let service = build(ServeConfig::default().with_shards(2));

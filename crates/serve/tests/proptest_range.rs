@@ -8,6 +8,12 @@
 //! duplicate-heavy key streams, empty/inverted ranges, and `limit`
 //! truncation landing at shard seams — including shutdown arriving
 //! mid-stream.
+//!
+//! Both scan paths meet the oracle here: `limit` is drawn from 1 across
+//! `stream_chunk`, and the scatter width (one cursor per shard) across
+//! `inflight`, so a scan that fits one chunk with fewer cursors than the
+//! ring has slots is walked on its submitting thread and every other
+//! scan is batched by the range workers.
 
 use proptest::prelude::*;
 use widx_db::hash::HashRecipe;
@@ -272,18 +278,19 @@ fn scans_at_exact_shard_boundaries() {
 
 /// The acceptance scenario: cross-shard scans over a service with ≥ 2
 /// shards and batching enabled return key-ordered, limit-correct
-/// results identical to the serial oracle.
+/// results identical to the serial oracle. Each scan's limit exceeds
+/// one stream chunk, so none is walked on the submitting thread: the
+/// whole burst reaches the range workers.
 #[test]
 fn cross_shard_scans_match_oracle_end_to_end() {
     let pairs: Vec<(u64, u64)> = (0..20_000u64).map(|k| (k, k.wrapping_mul(17))).collect();
-    let service = ProbeService::build_with_range(
-        HashRecipe::robust64(),
-        pairs.iter().copied(),
-        &ServeConfig::default()
-            .with_shards(4)
-            .with_batch_size(32)
-            .with_inflight(8),
-    );
+    let config = ServeConfig::default()
+        .with_shards(4)
+        .with_batch_size(32)
+        .with_inflight(8);
+    let limit = config.stream_chunk + 1;
+    let service =
+        ProbeService::build_with_range(HashRecipe::robust64(), pairs.iter().copied(), &config);
     // A burst of scans, every one spanning several shard boundaries.
     let pendings: Vec<_> = (0..200u64)
         .map(|i| {
@@ -291,7 +298,7 @@ fn cross_shard_scans_match_oracle_end_to_end() {
                 .submit(Request::RangeScan {
                     lo: i * 37,
                     hi: i * 37 + 9_000,
-                    limit: 500,
+                    limit,
                     desc: false,
                 })
                 .unwrap()
@@ -303,7 +310,7 @@ fn cross_shard_scans_match_oracle_end_to_end() {
             Response::RangeScan { entries } => {
                 assert_eq!(
                     entries,
-                    oracle(&pairs, i * 37, i * 37 + 9_000, 500),
+                    oracle(&pairs, i * 37, i * 37 + 9_000, limit),
                     "scan {i}"
                 );
             }

@@ -44,8 +44,11 @@ fn head_sampled_requests_carry_the_full_span_seam() {
     let keys: Vec<u64> = (0..64).map(|i| i * 97 % ENTRIES).collect();
     let pairs = service.join_probe(&keys).expect("join_probe");
     assert_eq!(pairs.len(), keys.len());
-    let entries = service.range_scan(100, 4000, 500).expect("range_scan");
-    assert_eq!(entries.len(), 500);
+    // A two-cursor scan that fits one stream chunk is walked on this
+    // thread, like the sub-ring lookups below.
+    let limit = ServeConfig::default().stream_chunk;
+    let entries = service.range_scan(100, 4000, limit).expect("range_scan");
+    assert_eq!(entries.len(), limit);
     // The sub-ring convenience is walked on this thread, like `submit`.
     for key in 0..32u64 {
         assert_eq!(service.lookup(key).expect("lookup"), vec![key + 1]);
@@ -70,7 +73,7 @@ fn head_sampled_requests_carry_the_full_span_seam() {
     // batch-wait span and the AMAC ring's prefetches; a walk on the
     // submitting thread waited in no batch and prefetched nothing.
     for trace in &traces {
-        let queued = trace.kind != "lookup";
+        let queued = !matches!(trace.kind, "lookup" | "range_scan");
         for stage in [Stage::QueueWait, Stage::Walk] {
             assert!(
                 span_dur(trace, stage).is_some(),
@@ -93,7 +96,7 @@ fn head_sampled_requests_carry_the_full_span_seam() {
         assert_eq!(
             trace.walk.prefetches > 0,
             queued,
-            "{} trace {}: prefetches iff the AMAC ring walked it",
+            "{} trace {}: prefetches iff a worker's ring walked it",
             trace.kind,
             trace.id
         );
