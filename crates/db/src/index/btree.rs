@@ -10,10 +10,11 @@
 //! **mutable**: [`insert`](BTreeIndex::insert) splits full leaves (and
 //! full inner nodes, growing a new root level when the root itself
 //! splits), [`delete`](BTreeIndex::delete) merges underfull leaves into
-//! a same-parent sibling and unlinks emptied nodes, and freed slots are
-//! *retired* into an epoch list (see [`crate::epoch`]) instead of being
-//! reused immediately — a slot returns to the free list only once no
-//! pinned reader can still hold its index.
+//! a same-parent sibling and unlinks emptied nodes, and a freed slot goes
+//! straight onto its arena's free list for the next split to reuse. No
+//! reader can observe that reuse: scans borrow `&BTreeIndex`, mutations
+//! take `&mut`, so no cursor outlives the borrow it was taken under (the
+//! serving tier's shard `RwLock` turns that borrow into a read guard).
 //!
 //! Concurrency-relevant structure for the walkers upstairs:
 //!
@@ -28,10 +29,6 @@
 //!   but surviving single-child ancestors simply pass descents through.
 //!   Separator keys may go stale (they remain correct lower bounds),
 //!   which is why scans land by separator and then follow the chain.
-
-use std::sync::Arc;
-
-use crate::epoch::{EpochDomain, RetireList};
 
 /// Sentinel node index ("no node").
 const NONE: u32 = u32::MAX;
@@ -65,14 +62,14 @@ struct Leaf {
 }
 
 /// A B+-tree over `u64` keys (duplicates allowed) supporting online
-/// mutation with epoch-based node reclamation.
+/// mutation, with freed node slots reused through free lists.
 #[derive(Clone, Debug)]
 pub struct BTreeIndex {
     fanout: usize,
     /// Levels of inner nodes, root level last; the root is always node
     /// 0 of the top level. Empty when the tree is a single leaf.
     levels: Vec<Vec<Inner>>,
-    /// Leaf arena; may contain retired/free slots after mutation.
+    /// Leaf arena; may contain free slots after mutation.
     leaves: Vec<Leaf>,
     /// First live leaf in key order.
     head: u32,
@@ -82,13 +79,17 @@ pub struct BTreeIndex {
     live_leaves: usize,
     /// Total entries.
     len: usize,
-    /// Retired/free leaf slots awaiting epoch-safe reuse.
-    leaf_retire: RetireList,
-    /// Retired/free inner slots, one list per level (parallel to
-    /// `levels`).
-    inner_retire: Vec<RetireList>,
-    /// The reclamation domain mutations stamp retirements against.
-    domain: Arc<EpochDomain>,
+    /// Unlinked leaf slots, reused by the next leaf split. Reuse is safe
+    /// because no operation both frees and allocates within one call:
+    /// `delete` (merge, unlink) never allocates and `insert` (split)
+    /// never frees, so a slot is never refilled while the call that
+    /// freed it still holds its index.
+    free_leaves: Vec<u32>,
+    /// Unlinked inner slots, one list per level (parallel to `levels`),
+    /// under the same rule.
+    free_inners: Vec<Vec<u32>>,
+    /// Slots freed since the last [`reclaim`](BTreeIndex::reclaim).
+    freed: usize,
 }
 
 impl BTreeIndex {
@@ -174,32 +175,18 @@ impl BTreeIndex {
             level_first_keys = next_first_keys;
         }
 
-        let inner_retire = levels.iter().map(|_| RetireList::default()).collect();
         BTreeIndex {
             fanout,
             head: 0,
             tail: leaf_count - 1,
             live_leaves: leaves.len(),
             len,
+            free_inners: vec![Vec::new(); levels.len()],
             levels,
             leaves,
-            leaf_retire: RetireList::default(),
-            inner_retire,
-            domain: EpochDomain::new(),
+            free_leaves: Vec::new(),
+            freed: 0,
         }
-    }
-
-    /// Attaches the epoch domain mutations stamp retirements against —
-    /// call once, before serving, so all of a service's indexes share
-    /// one domain (and its `widx_epoch_*` gauges).
-    pub fn set_domain(&mut self, domain: Arc<EpochDomain>) {
-        self.domain = domain;
-    }
-
-    /// The epoch domain this index retires into.
-    #[must_use]
-    pub fn domain(&self) -> &Arc<EpochDomain> {
-        &self.domain
     }
 
     /// The tree's fanout.
@@ -263,7 +250,7 @@ impl BTreeIndex {
     }
 
     /// Removes **every** entry stored under `key`, returning how many
-    /// were removed. Emptied leaves are unlinked and retired; underfull
+    /// were removed. Emptied leaves are unlinked and freed; underfull
     /// leaves merge into a same-parent sibling when the result fits.
     pub fn delete(&mut self, key: u64) -> usize {
         let mut removed = 0usize;
@@ -344,7 +331,7 @@ impl BTreeIndex {
                 children: vec![left, right],
                 parent: NONE,
             }]);
-            self.inner_retire.push(RetireList::default());
+            self.free_inners.push(Vec::new());
             self.set_parent(li, left, 0);
             self.set_parent(li, right, 0);
             return;
@@ -385,7 +372,7 @@ impl BTreeIndex {
         }
     }
 
-    /// Allocates a leaf slot (reusing a reclaimed one when available).
+    /// Allocates a leaf slot (reusing a freed one when available).
     fn alloc_leaf(
         &mut self,
         keys: Vec<u64>,
@@ -394,8 +381,7 @@ impl BTreeIndex {
         prev: u32,
         parent: u32,
     ) -> u32 {
-        self.leaf_retire.reclaim(&self.domain);
-        match self.leaf_retire.alloc() {
+        match self.free_leaves.pop() {
             Some(slot) => {
                 let l = &mut self.leaves[slot as usize];
                 l.keys = keys;
@@ -420,8 +406,7 @@ impl BTreeIndex {
 
     /// Allocates an inner slot at level `li`.
     fn alloc_inner(&mut self, li: usize, keys: Vec<u64>, children: Vec<u32>, parent: u32) -> u32 {
-        self.inner_retire[li].reclaim(&self.domain);
-        match self.inner_retire[li].alloc() {
+        match self.free_inners[li].pop() {
             Some(slot) => {
                 self.levels[li][slot as usize] = Inner {
                     keys,
@@ -441,15 +426,15 @@ impl BTreeIndex {
         }
     }
 
-    /// After a removal from `leaf`: retire it if it emptied, or merge
-    /// it with a same-parent sibling if it underflowed and the merge
-    /// fits in one leaf.
+    /// After a removal from `leaf`: free it if it emptied, or merge it
+    /// with a same-parent sibling if it underflowed and the merge fits
+    /// in one leaf.
     fn rebalance_leaf(&mut self, leaf: u32) {
         if self.leaves[leaf as usize].keys.is_empty() {
             if self.live_leaves == 1 {
                 return; // the last leaf stays (an empty tree keeps one leaf)
             }
-            self.unlink_and_retire_leaf(leaf);
+            self.unlink_and_free_leaf(leaf);
             return;
         }
         if self.leaves[leaf as usize].keys.len() * 2 >= self.fanout {
@@ -494,7 +479,7 @@ impl BTreeIndex {
     }
 
     /// Moves every entry of `right` into `left` (its chain
-    /// predecessor under the same parent), then unlinks and retires
+    /// predecessor under the same parent), then unlinks and frees
     /// `right`.
     fn absorb_right_leaf(&mut self, left: u32, right: u32) {
         let mut keys = std::mem::take(&mut self.leaves[right as usize].keys);
@@ -502,12 +487,12 @@ impl BTreeIndex {
         let l = &mut self.leaves[left as usize];
         l.keys.append(&mut keys);
         l.payloads.append(&mut payloads);
-        self.unlink_and_retire_leaf(right);
+        self.unlink_and_free_leaf(right);
     }
 
     /// Unlinks `leaf` from the chain, removes it from its parent, and
-    /// retires its slot at the current epoch.
-    fn unlink_and_retire_leaf(&mut self, leaf: u32) {
+    /// frees its slot.
+    fn unlink_and_free_leaf(&mut self, leaf: u32) {
         let (next, prev, parent) = {
             let l = &self.leaves[leaf as usize];
             (l.next, l.prev, l.parent)
@@ -531,16 +516,16 @@ impl BTreeIndex {
         l.prev = NONE;
         l.parent = NONE;
         self.live_leaves -= 1;
-        let stamp = self.domain.current();
-        self.leaf_retire.retire(leaf, stamp, &self.domain);
+        self.free_leaves.push(leaf);
+        self.freed += 1;
         if parent != NONE {
             self.remove_child(0, parent, leaf);
         }
     }
 
     /// Removes `child` from the inner node `parent` at level `li`,
-    /// retiring emptied inner nodes up the tree. The root inner node is
-    /// never retired (the tree keeps its height).
+    /// freeing emptied inner nodes up the tree. The root inner node is
+    /// never freed (the tree keeps its height).
     fn remove_child(&mut self, li: usize, parent: u32, child: u32) {
         let p = &mut self.levels[li][parent as usize];
         let slot = p
@@ -560,45 +545,26 @@ impl BTreeIndex {
             let grand = p.parent;
             debug_assert!(grand != NONE, "the root cannot empty while a leaf lives");
             p.parent = NONE;
-            let stamp = self.domain.current();
-            self.inner_retire[li].retire(parent, stamp, &self.domain);
+            self.free_inners[li].push(parent);
+            self.freed += 1;
             if grand != NONE {
                 self.remove_child(li + 1, grand, parent);
             }
         }
     }
 
-    /// Moves every retired slot (leaves and inner nodes) whose epoch
-    /// stamp is older than all pinned epochs to the free lists; returns
-    /// how many moved.
+    /// Slots (leaves and inner nodes) freed since the last call,
+    /// resetting the count. The slots themselves are reusable the moment
+    /// they are freed; the name is kept only for `benchmark/` until
+    /// ROADMAP direction 1a renames it.
     pub fn reclaim(&mut self) -> usize {
-        let mut n = self.leaf_retire.reclaim(&self.domain);
-        for list in &mut self.inner_retire {
-            n += list.reclaim(&self.domain);
-        }
-        n
+        std::mem::take(&mut self.freed)
     }
 
-    /// Slots (leaves + inner nodes) retired and not yet reclaimed.
-    #[must_use]
-    pub fn retired_nodes(&self) -> usize {
-        self.leaf_retire.retired_len()
-            + self
-                .inner_retire
-                .iter()
-                .map(RetireList::retired_len)
-                .sum::<usize>()
-    }
-
-    /// Slots reclaimed and ready for reuse.
+    /// Slots (leaves and inner nodes) free for reuse.
     #[must_use]
     pub fn free_nodes(&self) -> usize {
-        self.leaf_retire.free_len()
-            + self
-                .inner_retire
-                .iter()
-                .map(RetireList::free_len)
-                .sum::<usize>()
+        self.free_leaves.len() + self.free_inners.iter().map(Vec::len).sum::<usize>()
     }
 
     /// Looks up the first payload under `key` (in the rightmost leaf
@@ -743,7 +709,7 @@ impl BTreeIndex {
     }
 
     /// Size of the leaf arena (equal to the live leaf count for a
-    /// freshly built tree; after mutation the arena may contain retired
+    /// freshly built tree; after mutation the arena may contain free
     /// slots — use [`live_leaf_count`](Self::live_leaf_count) and the
     /// chain accessors for traversal).
     #[must_use]
@@ -815,8 +781,8 @@ impl BTreeIndex {
     /// Exports the tree's structure as plain data, for materialization
     /// into simulated memory. The export is *compacted*: a mutated
     /// tree is re-packed into dense arrays (leaf `i + 1` is the
-    /// in-order successor of leaf `i`), so retired arena slots never
-    /// leak into simulated memory.
+    /// in-order successor of leaf `i`), so free arena slots never leak
+    /// into simulated memory.
     #[must_use]
     pub fn export(&self) -> BTreeExport {
         // Rebuilding from the (already sorted) entry stream reproduces
@@ -1130,7 +1096,7 @@ mod tests {
         assert!(t.is_empty());
         assert_eq!(t.live_leaf_count(), 1, "one (empty) leaf survives");
         assert_eq!(t.range_scan(0, u64::MAX, usize::MAX), vec![]);
-        assert!(t.retired_nodes() + t.free_nodes() > 0, "nodes were retired");
+        assert!(t.free_nodes() > 0, "nodes were freed");
         // The tree remains usable.
         t.insert(42, 1);
         assert_eq!(t.lookup(42), Some(1));
@@ -1167,26 +1133,22 @@ mod tests {
     }
 
     #[test]
-    fn retired_leaf_slots_reused_only_after_reclaim() {
-        let mut t = BTreeIndex::build(2, (0..16u64).map(|k| (k, k)));
-        let domain = t.domain().clone();
-        let worker = domain.register();
-        let pin = worker.pin();
-        for k in 0..8u64 {
-            t.delete(k);
-        }
-        let retired = t.retired_nodes();
-        assert!(retired > 0, "deletions retired nodes");
-        assert_eq!(t.reclaim(), 0, "pin blocks reclamation");
-        drop(pin);
-        domain.advance();
-        assert_eq!(t.reclaim(), retired);
-        assert_eq!(t.retired_nodes(), 0);
+    fn a_split_reuses_the_leaf_slot_a_merge_freed() {
+        // Four full leaves of fanout 4: [0..3] [4..7] [8..11] [12..15].
+        let mut t = BTreeIndex::build(4, (0..16u64).map(|k| (k, k)));
         let arena = t.leaf_count();
-        for k in 100..140u64 {
-            t.insert(k, k);
+        // Thin the second leaf to half, then the first below half: the
+        // first absorbs the second, whose slot is freed.
+        for k in [4, 5, 0, 1, 2] {
+            assert_eq!(t.delete(k), 1, "key {k}");
         }
-        assert!(t.leaf_count() <= arena + 40, "free slots were reused");
+        assert_eq!(t.live_leaf_count(), arena - 1, "a leaf merged away");
+        // Overfill the last leaf: it splits, and its new right half takes
+        // the freed slot, with no reclaim call in between.
+        t.insert(100, 100);
+        assert_eq!(t.live_leaf_count(), arena, "a leaf split");
+        assert_eq!(t.leaf_count(), arena, "the split reused the freed slot");
+        assert_eq!(t.reclaim(), 1, "one slot freed");
         check_invariants(&t);
     }
 
@@ -1223,10 +1185,6 @@ mod tests {
                     }
                 }
             }
-            if step % 700 == 0 {
-                t.domain().advance();
-                t.reclaim();
-            }
         }
         let want: Vec<(u64, u64)> = oracle
             .iter()
@@ -1237,10 +1195,6 @@ mod tests {
         rev.reverse();
         assert_eq!(t.range_scan_desc(0, u64::MAX, usize::MAX), rev);
         check_invariants(&t);
-        // Quiescence: advance + reclaim drains the retire lists.
-        t.domain().advance();
-        t.reclaim();
-        assert_eq!(t.retired_nodes(), 0);
     }
 
     #[test]

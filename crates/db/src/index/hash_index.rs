@@ -7,15 +7,13 @@
 //!
 //! The index is **mutable**: [`insert`](HashIndex::insert),
 //! [`delete`](HashIndex::delete), and [`update`](HashIndex::update)
-//! serve the online write path. Unlinked overflow nodes are never freed
-//! directly — their pool slots are *retired* into an epoch list (see
-//! [`crate::epoch`]) and reused only once no walker pinned at an older
-//! epoch remains in flight, so an in-flight probe holding a node index
-//! across a yield can never observe the slot repurposed.
+//! serve the online write path. An unlinked overflow node's pool slot
+//! goes straight onto a free list for the next insert to reuse. No
+//! walker can observe that reuse: probes borrow `&HashIndex`, mutations
+//! take `&mut`, so a probe holding a node index across a yield does so
+//! inside a borrow no mutation can overlap (the serving tier's shard
+//! `RwLock` turns that borrow into a read guard).
 
-use std::sync::Arc;
-
-use crate::epoch::{EpochDomain, RetireList};
 use crate::hash::HashRecipe;
 
 /// Sentinel for "no next node".
@@ -88,10 +86,14 @@ pub struct HashIndex {
     nodes: Vec<Node>,
     /// Entry count (buckets' `count` fields summed, maintained online).
     len: usize,
-    /// Retired/free overflow-pool slots awaiting epoch-safe reuse.
-    retire: RetireList,
-    /// The reclamation domain mutations stamp retirements against.
-    domain: Arc<EpochDomain>,
+    /// Unlinked overflow-pool slots, reused by the next insert. Reuse is
+    /// safe because no operation both frees and allocates within one
+    /// call: `delete` never allocates and `insert` never frees, so a
+    /// slot is never refilled while the call that freed it still walks
+    /// the chain.
+    free: Vec<u32>,
+    /// Slots freed since the last [`reclaim`](HashIndex::reclaim).
+    freed: usize,
 }
 
 impl HashIndex {
@@ -114,8 +116,8 @@ impl HashIndex {
             buckets: vec![Bucket::EMPTY; bucket_count],
             nodes: Vec::new(),
             len: 0,
-            retire: RetireList::default(),
-            domain: EpochDomain::new(),
+            free: Vec::new(),
+            freed: 0,
         };
         for (key, payload) in pairs {
             index.insert(key, payload);
@@ -123,23 +125,10 @@ impl HashIndex {
         index
     }
 
-    /// Attaches the epoch domain mutations stamp retirements against —
-    /// call once, before serving, so all of a service's indexes share
-    /// one domain (and its `widx_epoch_*` gauges).
-    pub fn set_domain(&mut self, domain: Arc<EpochDomain>) {
-        self.domain = domain;
-    }
-
-    /// The epoch domain this index retires into.
-    #[must_use]
-    pub fn domain(&self) -> &Arc<EpochDomain> {
-        &self.domain
-    }
-
     /// Inserts one `(key, payload)` entry (duplicates allowed).
     ///
-    /// Reuses a reclaimed pool slot when one is free; otherwise grows
-    /// the pool.
+    /// Reuses a freed pool slot when one is free; otherwise grows the
+    /// pool.
     pub fn insert(&mut self, key: u64, payload: u64) {
         let b = self.recipe.bucket_of(key, self.buckets.len() as u64) as usize;
         let bucket = &mut self.buckets[b];
@@ -154,7 +143,7 @@ impl HashIndex {
                 payload,
                 next: bucket.next,
             };
-            let slot = match self.retire.alloc() {
+            let slot = match self.free.pop() {
                 Some(slot) => {
                     self.nodes[slot as usize] = node;
                     slot
@@ -171,14 +160,12 @@ impl HashIndex {
     }
 
     /// Removes **every** entry stored under `key`, returning how many
-    /// were removed. Unlinked overflow nodes are retired at the current
-    /// epoch, not freed.
+    /// were removed. Unlinked overflow slots go onto the free list.
     pub fn delete(&mut self, key: u64) -> usize {
         let b = self.recipe.bucket_of(key, self.buckets.len() as u64) as usize;
         if self.buckets[b].count == 0 {
             return 0;
         }
-        let stamp = self.domain.current();
         let mut removed = 0usize;
         // Pass 1: unlink matching overflow nodes (the header is handled
         // after, so a promoted node is guaranteed not to match).
@@ -191,7 +178,7 @@ impl HashIndex {
                     Some(p) => self.nodes[p as usize].next = node.next,
                     None => self.buckets[b].next = node.next,
                 }
-                self.retire.retire(cur, stamp, &self.domain);
+                self.release(cur);
                 removed += 1;
             } else {
                 prev = Some(cur);
@@ -205,12 +192,12 @@ impl HashIndex {
                 // Bucket drains completely below.
             } else {
                 // Promote the first surviving overflow node into the
-                // header and retire its pool slot.
+                // header and free its pool slot.
                 let node = self.nodes[first as usize];
                 self.buckets[b].key = node.key;
                 self.buckets[b].payload = node.payload;
                 self.buckets[b].next = node.next;
-                self.retire.retire(first, stamp, &self.domain);
+                self.release(first);
             }
             removed += 1;
         }
@@ -234,22 +221,24 @@ impl HashIndex {
         true
     }
 
-    /// Moves every retired pool slot whose epoch stamp is older than
-    /// all pinned epochs to the free list; returns how many moved.
+    /// Puts an unlinked pool slot on the free list.
+    fn release(&mut self, slot: u32) {
+        self.free.push(slot);
+        self.freed += 1;
+    }
+
+    /// Pool slots freed since the last call, resetting the count. The
+    /// slots themselves are reusable the moment they are freed; the name
+    /// is kept only for `benchmark/` until ROADMAP direction 1a renames
+    /// it.
     pub fn reclaim(&mut self) -> usize {
-        self.retire.reclaim(&self.domain)
+        std::mem::take(&mut self.freed)
     }
 
-    /// Pool slots retired and not yet reclaimed.
-    #[must_use]
-    pub fn retired_nodes(&self) -> usize {
-        self.retire.retired_len()
-    }
-
-    /// Pool slots reclaimed and ready for reuse.
+    /// Pool slots free for reuse.
     #[must_use]
     pub fn free_nodes(&self) -> usize {
-        self.retire.free_len()
+        self.free.len()
     }
 
     /// The hash recipe used for key placement.
@@ -492,7 +481,7 @@ mod tests {
         assert_eq!(idx.lookup(9), Some(4));
         assert_eq!(idx.len(), 1);
         assert_eq!(idx.delete(7), 0, "second delete is a miss");
-        assert!(idx.retired_nodes() + idx.free_nodes() > 0);
+        assert!(idx.free_nodes() > 0);
     }
 
     #[test]
@@ -522,38 +511,22 @@ mod tests {
     }
 
     #[test]
-    fn retired_slots_reused_only_after_reclaim() {
+    fn updates_in_an_overflow_chain_reuse_their_slot() {
+        // One bucket: key 0 sits in the header, key 3 in the overflow
+        // chain. Each update frees 3's slot and the re-insert takes it
+        // back, with no reclaim call in between.
         let mut idx = HashIndex::build(HashRecipe::robust64(), 1, (0..8u64).map(|k| (k, k)));
         let pool = idx.nodes().len();
-        assert_eq!(idx.delete(3), 1);
-        // No reclaim yet: the retired slot must not be reused.
-        idx.insert(100, 100);
-        assert_eq!(idx.nodes().len(), pool + 1, "grew instead of reusing");
-        // The stamp was taken at the current epoch, which is never safe;
-        // one advance makes a quiescent domain reclaim it.
-        idx.domain().advance();
-        assert_eq!(idx.reclaim(), 1, "quiescent domain reclaims after advance");
-        idx.insert(101, 101);
-        assert_eq!(idx.nodes().len(), pool + 1, "reused the reclaimed slot");
-        for k in (0..8u64).filter(|k| *k != 3).chain([100, 101]) {
+        for round in 0..1000u64 {
+            assert!(idx.update(3, round));
+        }
+        assert_eq!(idx.nodes().len(), pool, "the pool never grew");
+        assert_eq!(idx.reclaim(), 1000, "one freed slot per update");
+        assert_eq!(idx.reclaim(), 0, "reclaim resets the count");
+        assert_eq!(idx.lookup_all(3), vec![999]);
+        for k in (0..8u64).filter(|k| *k != 3) {
             assert_eq!(idx.lookup(k), Some(k), "key {k}");
         }
-    }
-
-    #[test]
-    fn pinned_epoch_blocks_reuse() {
-        let mut idx = HashIndex::build(HashRecipe::robust64(), 1, (0..4u64).map(|k| (k, k)));
-        let domain = idx.domain().clone();
-        let worker = domain.register();
-        let pin = worker.pin();
-        idx.delete(2);
-        assert_eq!(idx.reclaim(), 0, "pin predates the retirement");
-        assert_eq!(idx.retired_nodes(), 1);
-        drop(pin);
-        domain.advance();
-        assert_eq!(idx.reclaim(), 1);
-        assert_eq!(idx.retired_nodes(), 0);
-        assert_eq!(domain.reclaimed(), 1);
     }
 
     #[test]
@@ -591,9 +564,6 @@ mod tests {
                         _ => assert!(!applied),
                     }
                 }
-            }
-            if step % 512 == 0 {
-                idx.reclaim();
             }
         }
         for key in 0..64u64 {

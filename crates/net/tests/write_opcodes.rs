@@ -77,7 +77,6 @@ fn writes_round_trip_over_tcp() {
     let stats = unwrap_service(service).shutdown();
     // 16 inserts + 2 updates + 3 deletes, each applied in both tiers.
     assert_eq!(stats.total_write_ops(), 21 * 2);
-    assert_eq!(stats.epoch_retired, 0, "shutdown drained retirements");
 }
 
 #[test]

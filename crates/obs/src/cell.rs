@@ -41,6 +41,7 @@ pub struct WorkerCell {
     write_ops: AtomicU64,
     write_applied: AtomicU64,
     write_batches: AtomicU64,
+    write_freed: AtomicU64,
     latency: AtomicHistogram,
 }
 
@@ -94,12 +95,14 @@ impl WorkerCell {
 
     /// Count one applied write batch: `ops` individual write operations
     /// of which `applied` took effect (an insert always applies; a
-    /// delete/update of an absent key is a miss).
+    /// delete/update of an absent key is a miss), freeing `freed` index
+    /// node slots.
     #[inline]
-    pub fn add_write_batch(&self, ops: u64, applied: u64) {
+    pub fn add_write_batch(&self, ops: u64, applied: u64, freed: u64) {
         self.write_batches.fetch_add(1, Ordering::Relaxed);
         self.write_ops.fetch_add(ops, Ordering::Relaxed);
         self.write_applied.fetch_add(applied, Ordering::Relaxed);
+        self.write_freed.fetch_add(freed, Ordering::Relaxed);
     }
 
     /// Record one end-to-end request latency observed at this worker.
@@ -128,6 +131,7 @@ impl WorkerCell {
             write_ops: self.write_ops.load(Ordering::Relaxed),
             write_applied: self.write_applied.load(Ordering::Relaxed),
             write_batches: self.write_batches.load(Ordering::Relaxed),
+            write_freed: self.write_freed.load(Ordering::Relaxed),
             latency: self.latency.snapshot(),
         }
     }
@@ -163,6 +167,8 @@ pub struct WorkerCellSnapshot {
     pub write_applied: u64,
     /// Write batches applied at batch barriers.
     pub write_batches: u64,
+    /// Index node slots the applied writes freed.
+    pub write_freed: u64,
     /// End-to-end request latencies observed at this worker.
     pub latency: HistogramSnapshot,
 }
@@ -181,8 +187,8 @@ mod tests {
         cell.add_matches(17);
         cell.add_busy(Duration::from_micros(10));
         cell.add_idle(Duration::from_micros(4));
-        cell.add_write_batch(8, 6);
-        cell.add_write_batch(2, 2);
+        cell.add_write_batch(8, 6, 3);
+        cell.add_write_batch(2, 2, 0);
         cell.record_latency(Duration::from_micros(1));
         let s = cell.snapshot();
         assert_eq!(s.jobs, 3);
@@ -197,6 +203,7 @@ mod tests {
         assert_eq!(s.write_ops, 10);
         assert_eq!(s.write_applied, 8);
         assert_eq!(s.write_batches, 2);
+        assert_eq!(s.write_freed, 3);
         assert_eq!(s.latency.count(), 1);
     }
 

@@ -31,8 +31,7 @@ use crate::shard::Shards;
 /// A B+-tree index range-partitioned into independent shards, one per
 /// serving worker. Scans route by boundary-key span; builds split the
 /// sorted entry stream into roughly equal contiguous chunks (duplicates
-/// of one key never straddle a boundary). Every shard retires replaced
-/// nodes into the same [`EpochDomain`].
+/// of one key never straddle a boundary).
 pub struct OrderedShardedIndex {
     shards: Shards<BTreeIndex>,
     /// `shards - 1` non-decreasing boundary keys; shard `i` owns keys
@@ -55,10 +54,9 @@ impl Deref for OrderedShardedIndex {
 
 impl OrderedShardedIndex {
     /// Partitions `pairs` into `shards` contiguous key ranges and
-    /// builds one B+-tree of the given `fanout` per range, all retiring
-    /// into `domain` — which matters only to an index used outside a
-    /// service: `ProbeService::start*` re-homes every shard onto the
-    /// service's own domain.
+    /// builds one B+-tree of the given `fanout` per range. The `_domain`
+    /// argument is ignored, kept only for `benchmark/` until ROADMAP
+    /// direction 1a deletes it.
     ///
     /// # Panics
     ///
@@ -67,7 +65,7 @@ impl OrderedShardedIndex {
     pub fn build(
         fanout: usize,
         shards: usize,
-        domain: &Arc<EpochDomain>,
+        _domain: &Arc<EpochDomain>,
         pairs: impl IntoIterator<Item = (u64, u64)>,
     ) -> OrderedShardedIndex {
         let (built, boundaries) = build_range_sharded(fanout, shards, pairs);
@@ -82,7 +80,7 @@ impl OrderedShardedIndex {
             max_key_home -= 1;
         }
         OrderedShardedIndex {
-            shards: Shards::new(built, domain),
+            shards: Shards::new(built),
             boundaries,
             max_key_home,
         }

