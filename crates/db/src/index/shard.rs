@@ -7,6 +7,8 @@
 //! each walking only index state it owns — no cross-shard pointers, no
 //! synchronization on the probe path.
 
+use std::panic::resume_unwind;
+
 use crate::hash::HashRecipe;
 use crate::index::{BTreeIndex, HashIndex};
 
@@ -31,10 +33,20 @@ pub fn partition_pairs(
     parts
 }
 
+/// Entries some shard must hold before [`build_sharded`] gives each
+/// shard a thread. Measured: with threads at every size, the benchmark's
+/// 2¹⁶-entry `point_cached` index grew from 62 to 78 resident B/entry
+/// and the 2²⁰-entry `rw_hot` set-up got no faster.
+const PARALLEL_BUILD_FLOOR: usize = 1 << 20;
+
 /// Builds one [`HashIndex`] per shard from `pairs`, sizing each shard's
 /// bucket array for its own entry count at the given target `load`
 /// (entries per bucket, e.g. 1.0 for ~1 entry/bucket), with a floor of
 /// `min_buckets` buckets per shard.
+///
+/// Each shard is a [`HashIndex::build`] of its part. Once some part
+/// holds 2²⁰ entries they run on scoped threads, the caller building the
+/// first; smaller shards build serially, as threads there only cost RSS.
 ///
 /// # Panics
 ///
@@ -50,13 +62,23 @@ pub fn build_sharded(
 ) -> Vec<HashIndex> {
     assert!(min_buckets > 0, "need at least one bucket per shard");
     assert!(load > 0.0, "target load must be positive");
-    partition_pairs(recipe, shards, pairs)
-        .into_iter()
-        .map(|part| {
-            let want = (part.len() as f64 / load).ceil() as usize;
-            HashIndex::build(recipe.clone(), want.max(min_buckets), part)
-        })
-        .collect()
+    let build = |part: Vec<(u64, u64)>| {
+        let want = (part.len() as f64 / load).ceil() as usize;
+        HashIndex::build(recipe.clone(), want.max(min_buckets), part)
+    };
+    let parts = partition_pairs(recipe, shards, pairs);
+    if parts.iter().all(|part| part.len() < PARALLEL_BUILD_FLOOR) {
+        return parts.into_iter().map(build).collect();
+    }
+    std::thread::scope(|scope| {
+        let mut parts = parts.into_iter();
+        let first = parts.next().expect("at least one shard");
+        let rest: Vec<_> = parts.map(|part| scope.spawn(|| build(part))).collect();
+        let joined = rest
+            .into_iter()
+            .map(|t| t.join().unwrap_or_else(|e| resume_unwind(e)));
+        std::iter::once(build(first)).chain(joined).collect()
+    })
 }
 
 /// Splits `pairs` into `shards` contiguous key ranges of roughly equal
@@ -187,6 +209,33 @@ mod tests {
         for (t, r) in tight.iter().zip(&roomy) {
             assert!(r.bucket_count() > t.bucket_count());
         }
+    }
+
+    /// Each shard of `build_sharded` is the plain build of its part.
+    fn assert_shards_are_plain_builds(entries: u64) -> Vec<usize> {
+        let recipe = HashRecipe::robust64();
+        // A multiplicative scramble: unique keys in no particular order.
+        let pairs = (0..entries).map(|k| (k.wrapping_mul(0x9E37_79B9_7F4A_7C15), k));
+        let built = build_sharded(&recipe, 2, 16, 1.0, pairs.clone());
+        let parts = partition_pairs(&recipe, 2, pairs);
+        for (s, (index, part)) in built.iter().zip(&parts).enumerate() {
+            let plain = HashIndex::build(recipe.clone(), part.len().max(16), part.clone());
+            assert!(index.buckets() == plain.buckets(), "shard {s} buckets");
+            assert!(index.nodes() == plain.nodes(), "shard {s} nodes");
+        }
+        parts.iter().map(Vec::len).collect()
+    }
+
+    #[test]
+    fn serial_shards_below_the_floor_are_plain_builds() {
+        let sizes = assert_shards_are_plain_builds(4096);
+        assert!(sizes.iter().all(|n| *n < PARALLEL_BUILD_FLOOR));
+    }
+
+    #[test]
+    fn threaded_shards_above_the_floor_are_plain_builds() {
+        let sizes = assert_shards_are_plain_builds(2 * PARALLEL_BUILD_FLOOR as u64 + 1024);
+        assert!(sizes.iter().any(|n| *n >= PARALLEL_BUILD_FLOOR));
     }
 
     #[test]

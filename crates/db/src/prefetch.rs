@@ -4,7 +4,8 @@
 //! their use"; on commodity x86-64 the equivalent is `prefetcht0`. On
 //! targets without a stable prefetch intrinsic this compiles to a no-op,
 //! which only costs performance, never correctness — prefetches are
-//! non-binding by definition.
+//! non-binding by definition. The index builds use it, and
+//! `widx_soft::prefetch` re-exports it for the walkers.
 
 /// Issues a non-binding prefetch for the cache line containing `value`.
 #[inline(always)]

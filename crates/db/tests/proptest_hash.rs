@@ -5,9 +5,14 @@
 //! are the contract (the ISA, sim and trace generators compile them), so
 //! whichever path `eval` takes must compute the fold — written out here
 //! a second time, sharing no code with `widx_db::hash`.
+//!
+//! And a prefetched build *is* the insert loop: `HashIndex::build` and
+//! `insert_batch` must leave the index byte-for-byte as one `insert` per
+//! pair in input order would — same chains, same free-list pops.
 
 use proptest::prelude::*;
 use widx_db::hash::{HashRecipe, HashStep};
+use widx_db::index::HashIndex;
 
 /// The reference semantics of a step list.
 fn reference(steps: &[HashStep], key: u64) -> u64 {
@@ -156,5 +161,65 @@ fn prefixes_and_extensions_of_known_lists_are_their_own_recipes() {
         for key in [0, 1, 42, u64::MAX, 0x1234_5678_9abc_def0] {
             assert_is_the_fold(&recipe, key, 1 << 20, 7);
         }
+    }
+}
+
+/// Keys drawn from `0..KEYS`, so streams repeat keys and chains grow.
+const KEYS: u64 = 24;
+
+/// Pair streams from empty to a few 16-pair prefetch windows plus an
+/// odd tail.
+fn pair_stream() -> impl Strategy<Value = Vec<(u64, u64)>> {
+    prop::collection::vec((0..KEYS, any::<u64>()), 0..75)
+}
+
+fn insert_loop(mut index: HashIndex, pairs: &[(u64, u64)]) -> HashIndex {
+    for &(key, payload) in pairs {
+        index.insert(key, payload);
+    }
+    index
+}
+
+fn assert_same_index(got: &HashIndex, want: &HashIndex) {
+    assert!(got.buckets() == want.buckets(), "bucket arrays differ");
+    assert!(got.nodes() == want.nodes(), "node pools differ");
+    assert_eq!(got.len(), want.len());
+    assert_eq!(got.free_nodes(), want.free_nodes());
+    for key in 0..KEYS {
+        assert_eq!(got.lookup_all(key), want.lookup_all(key), "key {key}");
+    }
+}
+
+proptest! {
+    #[test]
+    fn build_is_the_insert_loop(pairs in pair_stream(), min_buckets in 1usize..=64) {
+        let recipe = HashRecipe::robust64();
+        let built = HashIndex::build(recipe.clone(), min_buckets, pairs.iter().copied());
+        let empty = HashIndex::build(recipe, min_buckets, std::iter::empty());
+        assert_same_index(&built, &insert_loop(empty, &pairs));
+    }
+
+    /// Into an index whose free list is not empty, `insert_batch` pops
+    /// the freed slots in the order the insert loop does.
+    #[test]
+    fn insert_batch_reuses_freed_slots_like_the_insert_loop(
+        base in pair_stream(),
+        doomed in prop::collection::vec(0..KEYS, 0..6),
+        pairs in pair_stream(),
+        min_buckets in 1usize..=64,
+    ) {
+        // Two entries under one key share a bucket, so deleting that key
+        // frees at least one overflow slot.
+        let twice = doomed.first().copied().unwrap_or(0);
+        let mut index = HashIndex::build(HashRecipe::robust64(), min_buckets, base);
+        index.insert(twice, 0);
+        index.insert(twice, 1);
+        for key in doomed.iter().copied().chain([twice]) {
+            index.delete(key);
+        }
+        prop_assert!(index.free_nodes() > 0);
+        let mut batched = index.clone();
+        batched.insert_batch(pairs.iter().copied());
+        assert_same_index(&batched, &insert_loop(index, &pairs));
     }
 }

@@ -149,9 +149,12 @@ impl Deref for ShardedIndex {
 
 impl ShardedIndex {
     /// Partitions `pairs` into `shards` indexes, each sized for ~`load`
-    /// entries per bucket with at least `min_buckets` buckets. The
-    /// `_domain` argument is ignored, kept only for `benchmark/` until
-    /// ROADMAP direction 1a deletes it.
+    /// entries per bucket with at least `min_buckets` buckets. Each
+    /// shard builds in input order with its bucket headers prefetched a
+    /// window ahead; once some shard holds 2²⁰ entries, the shards build
+    /// on scoped threads (see [`build_sharded`] for why smaller ones do
+    /// not). The `_domain` argument is ignored, kept only for
+    /// `benchmark/` until ROADMAP direction 1a deletes it.
     ///
     /// # Panics
     ///

@@ -53,14 +53,15 @@
 //! ```
 
 #![warn(missing_docs)]
-// `unsafe` is confined to the prefetch shim (raw-pointer prefetch
-// intrinsics); everything else is safe Rust.
+#![forbid(unsafe_code)]
 
 mod amac;
 mod btree_walker;
 mod group;
-pub mod prefetch;
 mod scalar;
+
+// The prefetch shim lives in `widx-db`, whose builds prefetch too.
+pub use widx_db::prefetch;
 
 pub use amac::{probe_amac, AmacWalker};
 pub use btree_walker::{

@@ -5,8 +5,8 @@
 //! paper's dbgen/dsdgen-generated datasets.
 
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
+use widx_db::prefetch::prefetch_read;
 
 /// Creates the workspace's deterministic RNG from a seed.
 #[must_use]
@@ -23,12 +23,32 @@ pub fn uniform_keys(seed: u64, n: usize, bound: u64) -> Vec<u64> {
     (0..n).map(|_| r.gen_range(0..bound)).collect()
 }
 
+/// Fisher–Yates swaps whose target is drawn and prefetched ahead.
+const SHUFFLE_AHEAD: usize = 16;
+
 /// The keys `0..n` in shuffled order — a dense unique key column, the
 /// shape of a primary-key build side.
+///
+/// Exactly `SliceRandom::shuffle` with [`rng`]`(seed)`, but a swap's
+/// target depends only on the RNG, so it is drawn 16 swaps early and its
+/// slot prefetched; the draws and swaps keep their order.
 #[must_use]
 pub fn unique_shuffled_keys(seed: u64, n: usize) -> Vec<u64> {
     let mut keys: Vec<u64> = (0..n as u64).collect();
-    keys.shuffle(&mut rng(seed));
+    let mut r = rng(seed);
+    let mut ahead = [0usize; SHUFFLE_AHEAD];
+    // Step `s` swaps slot `n - 1 - s` with a target in `0..n - s`.
+    let steps = n.saturating_sub(1);
+    for s in 0..steps + SHUFFLE_AHEAD {
+        let ring = s % SHUFFLE_AHEAD;
+        if s >= SHUFFLE_AHEAD {
+            keys.swap(n - 1 - (s - SHUFFLE_AHEAD), ahead[ring]);
+        }
+        if s < steps {
+            ahead[ring] = (r.next_u64() % (n - s) as u64) as usize;
+            prefetch_read(&keys[ahead[ring]]);
+        }
+    }
     keys
 }
 
@@ -129,6 +149,20 @@ mod tests {
         assert_eq!(uniform_keys(7, 100, 1000), uniform_keys(7, 100, 1000));
         assert_ne!(uniform_keys(7, 100, 1000), uniform_keys(8, 100, 1000));
         assert_eq!(unique_shuffled_keys(3, 50), unique_shuffled_keys(3, 50));
+    }
+
+    #[test]
+    fn unique_keys_are_the_plain_shuffle() {
+        use rand::seq::SliceRandom;
+        // Sizes below, at and past the draw-ahead ring, and one large
+        // enough that the ring wraps many times.
+        for n in [0usize, 1, 2, 3, 16, 17, 1000, 65_537] {
+            for seed in [0u64, 7, 0xBEEF] {
+                let mut want: Vec<u64> = (0..n as u64).collect();
+                want.shuffle(&mut rng(seed));
+                assert_eq!(unique_shuffled_keys(seed, n), want, "n {n} seed {seed}");
+            }
+        }
     }
 
     #[test]
