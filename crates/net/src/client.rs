@@ -17,11 +17,10 @@
 //! whole reply is already buffered (read, not yet returned) is held,
 //! since the next `recv` returns that reply without the socket — a
 //! closed loop that reads k replies at once sends its k follow-ups in
-//! one write. The explicit cork ([`WidxClient::set_corked`]) holds
-//! every send. Held frames leave together on
-//! [`flush`](WidxClient::flush), uncorking, a 64 KiB bound, drop, and
-//! before any `recv` blocks on the wire, so holding never deadlocks a
-//! request behind its own reply. Waiting for a send's effect by another
+//! one write. Held frames leave together on
+//! [`flush`](WidxClient::flush), a 64 KiB bound, drop, and before any
+//! `recv` blocks on the wire, so holding never deadlocks a request
+//! behind its own reply. Waiting for a send's effect by another
 //! route (a second connection, say) needs a `flush` first.
 
 use std::collections::{HashMap, VecDeque};
@@ -118,9 +117,9 @@ impl StreamSlot {
 /// dropped.
 const STREAM_STASH_CAP: usize = 4096;
 
-/// Corked sends self-flush past this many buffered bytes — a cork is a
-/// batching hint, not permission to buffer a whole workload.
-const CORK_FLUSH_BYTES: usize = 64 << 10;
+/// Held sends self-flush past this many buffered bytes — holding is a
+/// batching opportunity, not permission to buffer a whole workload.
+const HOLD_FLUSH_BYTES: usize = 64 << 10;
 
 /// A blocking connection to a [`WidxServer`](crate::WidxServer).
 pub struct WidxClient {
@@ -136,10 +135,9 @@ pub struct WidxClient {
     stash: VecDeque<(u64, Result<Response, ErrorReply>)>,
     /// Per-stream chunk stashes, keyed by request id.
     streams: HashMap<u64, StreamSlot>,
-    /// Scratch encode buffer, reused across sends; while corked it
-    /// accumulates whole frames awaiting one batched write.
+    /// Scratch encode buffer, reused across sends; while sends are held
+    /// it accumulates whole frames awaiting one batched write.
     ebuf: Vec<u8>,
-    corked: bool,
     next_id: u64,
 }
 
@@ -161,28 +159,8 @@ impl WidxClient {
             stash: VecDeque::new(),
             streams: HashMap::new(),
             ebuf: Vec::new(),
-            corked: false,
             next_id: 0,
         })
-    }
-
-    /// Toggles cork (batch) mode. While corked, `send`-family calls
-    /// buffer their frames instead of writing them, so a pipelined
-    /// burst leaves in one syscall; the batch flushes on
-    /// [`flush`](WidxClient::flush), when it outgrows an internal
-    /// threshold, when the cork is removed, or automatically before any
-    /// blocking read. Removing the cork flushes whatever is buffered.
-    ///
-    /// # Errors
-    ///
-    /// Socket-level write failure flushing the buffered batch.
-    pub fn set_corked(&mut self, corked: bool) -> std::io::Result<()> {
-        self.corked = corked;
-        if corked {
-            Ok(())
-        } else {
-            self.flush()
-        }
     }
 
     /// Writes every held frame to the socket now. A no-op when nothing
@@ -195,27 +173,26 @@ impl WidxClient {
         if !self.ebuf.is_empty() {
             self.stream.write_all(&self.ebuf)?;
             self.ebuf.clear();
-            if self.ebuf.capacity() > 4 * CORK_FLUSH_BYTES {
-                self.ebuf.shrink_to(CORK_FLUSH_BYTES);
+            if self.ebuf.capacity() > 4 * HOLD_FLUSH_BYTES {
+                self.ebuf.shrink_to(HOLD_FLUSH_BYTES);
             }
         }
         Ok(())
     }
 
-    /// Bytes currently held (encoded but unsent, corked or coalescing)
-    /// — diagnostics for batching tests.
+    /// Bytes currently held (encoded but unsent) — diagnostics for
+    /// batching tests.
     #[must_use]
-    pub fn corked_bytes(&self) -> usize {
+    pub fn held_bytes(&self) -> usize {
         self.ebuf.len()
     }
 
-    /// Sends the frames just encoded into `ebuf`, or holds them while
-    /// corked or while a whole reply is buffered (the next `recv` will
-    /// not block, and flushes before any read that would), self-flushing
-    /// past [`CORK_FLUSH_BYTES`].
+    /// Sends the frames just encoded into `ebuf`, or holds them while a
+    /// whole reply is buffered (the next `recv` will not block, and
+    /// flushes before any read that would), self-flushing past
+    /// [`HOLD_FLUSH_BYTES`].
     fn dispatch_encoded(&mut self) -> std::io::Result<()> {
-        let hold = self.corked || wire::holds_frame(&self.rbuf[self.rpos..]);
-        if hold && self.ebuf.len() < CORK_FLUSH_BYTES {
+        if wire::holds_frame(&self.rbuf[self.rpos..]) && self.ebuf.len() < HOLD_FLUSH_BYTES {
             return Ok(());
         }
         self.flush()
@@ -223,8 +200,8 @@ impl WidxClient {
 
     /// Pipelines one request without waiting; returns the id to pass to
     /// [`recv`](WidxClient::recv). The frame is written now unless the
-    /// client is corked or already holds a whole unread reply (the next
-    /// `recv` needs no socket); a held frame leaves with the next write:
+    /// client already holds a whole unread reply (the next `recv` needs
+    /// no socket); a held frame leaves with the next write:
     /// before a `recv` blocks, on [`flush`](WidxClient::flush), past
     /// 64 KiB held, or on drop. Flush before waiting for its effect by
     /// another route.
@@ -759,7 +736,7 @@ impl WidxClient {
                     )));
                 }
                 Ok(Decoded::Incomplete) => {
-                    // About to block on the socket: corked frames must
+                    // About to block on the socket: held frames must
                     // go out first, or a request could deadlock behind
                     // its own unsent bytes.
                     self.flush()?;

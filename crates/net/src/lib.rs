@@ -29,9 +29,9 @@
 //!   backpressure comes back as a typed `Busy` error frame instead of
 //!   unbounded buffering;
 //! * [`WidxClient`] — a blocking client with a pipelining `send`/`recv`
-//!   split (plus synchronous conveniences, an optional corked batch
-//!   mode ([`set_corked`](WidxClient::set_corked)), and the
-//!   chunk-streaming [`range_stream`](WidxClient::range_stream)
+//!   split (plus synchronous conveniences, sends held while a whole
+//!   reply is already buffered so a reply burst's follow-ups leave in one
+//!   write, and the chunk-streaming [`range_stream`](WidxClient::range_stream)
 //!   iterator), used by the loopback parity tests and the
 //!   `net_server`/`stream_scan`/`stats_scrape` examples.
 //!

@@ -1,7 +1,7 @@
-//! When `WidxClient` writes: a send leaves at once unless the client is
-//! corked or already holds a whole unread reply, in which case it is
-//! held until the next read that needs the wire (or `flush`, uncorking,
-//! the 64 KiB bound, or drop). Every wait here is bounded; none relies
+//! When `WidxClient` writes: a send leaves at once unless the client
+//! already holds a whole unread reply, in which case it is held until
+//! the next read that needs the wire (or `flush`, the 64 KiB bound, or
+//! drop). Every wait here is bounded; none relies
 //! on a sleep to order events. The suite runs under whatever poller
 //! backend `WIDX_POLLER` selects.
 
@@ -84,7 +84,7 @@ fn a_send_with_no_reply_buffered_reaches_the_server_before_any_recv() {
     let mut client = connect(&server);
     let mut observer = connect(&server);
     let id = client.send(&lookup(3)).expect("send");
-    assert_eq!(client.corked_bytes(), 0, "written, not held");
+    assert_eq!(client.held_bytes(), 0, "written, not held");
     // The observer's scrapes are frames too: the lookup has arrived
     // once `frames_in` counts more than them.
     let deadline = Instant::now() + Duration::from_secs(30);
@@ -125,19 +125,19 @@ fn a_send_behind_a_buffered_reply_is_held_until_the_next_read() {
 
     let c = client.send(&lookup(3)).expect("send C");
     assert!(
-        client.corked_bytes() > 0,
+        client.held_bytes() > 0,
         "a whole reply is buffered: C is held"
     );
     let (got, reply) = client.recv_any().expect("recv");
     assert_eq!((got, reply.expect("reply")), (other, answer(other_key)));
     assert!(
-        client.corked_bytes() > 0,
+        client.held_bytes() > 0,
         "that reply came from the buffer: C is still held"
     );
     let (got, reply) = client.recv_any().expect("recv");
     assert_eq!((got, reply.expect("reply")), (c, answer(3)));
     assert_eq!(
-        client.corked_bytes(),
+        client.held_bytes(),
         0,
         "the read that needed the wire sent C"
     );
@@ -173,20 +173,23 @@ fn call_and_recv_with_replies_stashed_never_deadlock() {
     stop(server, service);
 }
 
-/// Sets a fresh client up so that its next send is held (`hold`), sends
-/// an `Insert` of a new key, drops the client, and reads the key back
-/// over a second connection.
-fn held_insert_survives_drop(hold: impl FnOnce(&mut WidxClient, &ProbeService)) {
+/// A send held behind a buffered reply is not lost with its client:
+/// drop flushes it. The held `Insert` is read back over a second
+/// connection.
+#[test]
+fn dropping_a_client_holding_a_send_behind_a_reply_flushes_it() {
     let (service, server) = start();
     let mut writer = connect(&server);
-    hold(&mut writer, &service);
+    let ids = [1, 2].map(|key| writer.send(&lookup(key)).expect("send"));
+    await_replies_written(&service, 2);
+    assert!(ids.contains(&writer.recv_any().expect("recv").0));
     let key = ENTRIES + 1;
     writer
         .send(&Request::Insert {
             pairs: vec![(key, 77)],
         })
         .expect("send insert");
-    assert!(writer.corked_bytes() > 0, "the insert is held");
+    assert!(writer.held_bytes() > 0, "the insert is held");
     drop(writer);
     // Nothing acked the insert, so no read is owed it: poll.
     let mut reader = connect(&server);
@@ -201,18 +204,4 @@ fn held_insert_survives_drop(hold: impl FnOnce(&mut WidxClient, &ProbeService)) 
     assert_eq!(reader.lookup(key).expect("lookup"), vec![77]);
     drop(reader);
     stop(server, service);
-}
-
-#[test]
-fn dropping_a_corked_client_flushes_what_it_holds() {
-    held_insert_survives_drop(|client, _| client.set_corked(true).expect("cork"));
-}
-
-#[test]
-fn dropping_a_client_holding_a_send_behind_a_reply_flushes_it() {
-    held_insert_survives_drop(|client, service| {
-        let ids = [1, 2].map(|key| client.send(&lookup(key)).expect("send"));
-        await_replies_written(service, 2);
-        assert!(ids.contains(&client.recv_any().expect("recv").0));
-    });
 }

@@ -234,9 +234,10 @@ proptest! {
     /// Reactor-count parity: the same mixed workload, spread over
     /// enough connections that every reactor owns several, answers
     /// oracle-equal at `reactors` ∈ {1, 2, 4} — sharding the front-end
-    /// must be invisible on the wire. Sends are corked per burst, so
-    /// the batched write path is exercised under every reactor count
-    /// (and under both real poller backends via `WIDX_POLLER` in CI).
+    /// must be invisible on the wire. Every request is sent before any
+    /// reply is read, so the reactors decode pipelined frames and answer
+    /// in batched writes under every reactor count (and under both real
+    /// poller backends via `WIDX_POLLER` in CI).
     #[test]
     fn reactor_counts_are_wire_invisible(
         pairs in prop::collection::vec((0u64..100, any::<u64>()), 0..250),
@@ -252,9 +253,6 @@ proptest! {
         let mut clients = vec![first];
         while clients.len() < reactors * 2 {
             clients.push(WidxClient::connect(server.local_addr()).expect("connect"));
-        }
-        for client in &mut clients {
-            client.set_corked(true).expect("cork");
         }
         // Round-robin the workload over the connections (which the
         // acceptor round-robins over the reactors), pipelining
@@ -293,7 +291,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
     /// The benchmark's shape: a closed loop keeps `depth` requests in
-    /// flight, uncorked, and sends the next one per `recv_any` — so a
+    /// flight and sends the next one per `recv_any` — so a
     /// send often lands while more replies sit buffered, and is held
     /// until the loop next needs the wire. Every reply still matches
     /// the oracles, and every request crossed the wire exactly once.
@@ -319,7 +317,7 @@ proptest! {
             let op = in_flight.remove(&id).expect("a reply to a request in flight");
             op.check(&pairs, &reply.expect("no error frame"));
         }
-        prop_assert_eq!(client.corked_bytes(), 0);
+        prop_assert_eq!(client.held_bytes(), 0);
         let net = server.shutdown();
         prop_assert_eq!(net.frames_in, ops.len() as u64);
         prop_assert_eq!(net.frames_out, ops.len() as u64);

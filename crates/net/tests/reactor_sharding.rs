@@ -1,8 +1,9 @@
 //! Multi-reactor front-end behaviour that the parity suites cannot see
 //! from the wire: round-robin connection pinning (via the per-reactor
 //! gauges), graceful shutdown draining a backlog parked on a
-//! *secondary* reactor, the client's corked batch mode, and two reactors
-//! going for one shard's write guard at once.
+//! *secondary* reactor, the client holding a burst of sends behind a
+//! buffered reply, and two reactors going for one shard's write guard at
+//! once.
 
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -13,7 +14,7 @@ use std::time::{Duration, Instant};
 use widx_db::hash::HashRecipe;
 use widx_net::wire::{self, Decoded};
 use widx_net::{NetConfig, Reply, WidxClient, WidxServer};
-use widx_serve::{ProbeService, Request, Response, ServeConfig};
+use widx_serve::{ProbeService, Request, Response, ServeConfig, Stage};
 
 fn stack(pairs: &[(u64, u64)], net: NetConfig) -> (Arc<ProbeService>, WidxServer) {
     let config = ServeConfig::default().with_shards(2).with_batch_size(16);
@@ -143,23 +144,51 @@ fn shutdown_drains_backlog_on_a_secondary_reactor() {
     let _ = unwrap_service(service).shutdown();
 }
 
-/// Corked sends leave in one batch: nothing reaches the server until a
-/// flush (explicit or read-driven), and every pipelined reply still
-/// matches its id.
+/// Makes `client`'s next sends held: pipelines two lookups, waits until
+/// the server has written `written` replies in all, and reads one, so
+/// the other sits whole in the client's buffer. Returns the other's id.
+fn hold_behind_a_buffered_reply(
+    client: &mut WidxClient,
+    service: &ProbeService,
+    written: u64,
+) -> u64 {
+    let ids = [0, 1].map(|key| client.send(&Request::Lookup { key }).expect("send"));
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while service
+        .stage_times()
+        .snapshot()
+        .get(Stage::ReplyWrite)
+        .count()
+        < written
+    {
+        assert!(Instant::now() < deadline, "the server never answered");
+        std::thread::yield_now();
+    }
+    let (first, _) = client.recv_any().expect("recv");
+    ids.into_iter().find(|&id| id != first).expect("two ids")
+}
+
+/// Sends held behind a buffered reply leave in one batch: nothing
+/// reaches the server until the read that needs the wire (or an
+/// explicit `flush`), and every pipelined reply still matches its id.
 #[test]
-fn corked_batches_flush_as_one_and_answer_correctly() {
+fn held_sends_flush_as_one_and_answer_correctly() {
     let pairs: Vec<(u64, u64)> = (0..5000u64).map(|k| (k, k * 3)).collect();
     let (service, server) = stack(&pairs, NetConfig::default().with_reactors(2));
     let mut client = WidxClient::connect(server.local_addr()).expect("connect");
-    client.set_corked(true).expect("cork");
+    let buffered = hold_behind_a_buffered_reply(&mut client, &service, 2);
     let n = 100u64;
     let ids: Vec<u64> = (0..n)
         .map(|i| client.send(&Request::Lookup { key: i }).expect("send"))
         .collect();
-    assert!(client.corked_bytes() > 0, "frames buffered, not written");
-    // Nothing has hit the wire yet: the server has seen no frames.
-    assert_eq!(server.stats().frames_in, 0, "cork held the batch back");
-    // recv flushes the cork automatically before blocking.
+    assert!(client.held_bytes() > 0, "frames held, not written");
+    assert_eq!(server.stats().frames_in, 2, "the hold kept the batch back");
+    // The buffered reply needs no read; the next recv flushes the batch
+    // before it blocks.
+    assert!(matches!(
+        client.recv(buffered).expect("buffered"),
+        Response::Lookup { .. }
+    ));
     for (i, id) in ids.into_iter().enumerate() {
         match client.recv(id).expect("answered") {
             Response::Lookup { key, payloads } => {
@@ -169,18 +198,21 @@ fn corked_batches_flush_as_one_and_answer_correctly() {
             other => panic!("wrong variant: {other:?}"),
         }
     }
-    assert_eq!(client.corked_bytes(), 0, "flush emptied the cork");
-    // Uncorking flushes whatever is pending.
+    assert_eq!(client.held_bytes(), 0, "the read sent the whole batch");
+    // `flush` sends whatever is held, no read needed.
+    let buffered = hold_behind_a_buffered_reply(&mut client, &service, n + 4);
     let id = client.send(&Request::Lookup { key: 1 }).expect("send");
-    assert!(client.corked_bytes() > 0);
-    client.set_corked(false).expect("uncork");
-    assert_eq!(client.corked_bytes(), 0);
-    assert!(matches!(
-        client.recv(id).expect("answered"),
-        Response::Lookup { .. }
-    ));
+    assert!(client.held_bytes() > 0);
+    client.flush().expect("flush");
+    assert_eq!(client.held_bytes(), 0);
+    for id in [buffered, id] {
+        assert!(matches!(
+            client.recv(id).expect("answered"),
+            Response::Lookup { .. }
+        ));
+    }
     let net = server.shutdown();
-    assert_eq!(net.frames_in, n + 1);
+    assert_eq!(net.frames_in, n + 5);
     let _ = unwrap_service(service).shutdown();
 }
 

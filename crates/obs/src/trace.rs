@@ -39,16 +39,17 @@ pub struct Span {
 
 /// Walker-level memory-parallelism evidence for one request.
 ///
-/// Both the hash [`AmacWalker`](../widx_soft) and the B+-tree range walker
-/// publish into this shape; a request batched across several shards merges
-/// one record per shard visit.
+/// Every `widx-soft` schedule (scalar, group prefetch and the AMAC ring),
+/// over the hash index and the B+-tree alike, fills this shape; a request
+/// batched across several shards merges one record per shard visit.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WalkCounters {
     /// Index nodes touched (hash buckets + overflow nodes, or B+-tree nodes).
     pub nodes: u64,
     /// Longest hash chain followed, or B+-tree depth (root to leaf).
     pub max_chain: u64,
-    /// AMAC step rounds the carrying batch executed.
+    /// Schedule rounds the carrying walk executed: one per node visit
+    /// (scalar), per lock-step pass over a group, or per ring step (AMAC).
     pub rounds: u64,
     /// Sum of live slots across those rounds (occupancy / rounds = mean MLP).
     pub occupancy: u64,

@@ -12,8 +12,8 @@
 //!   independent per-worker [`HashIndex`](widx_db::index::HashIndex)es
 //!   (the shard-aware build path of `widx_db::index`);
 //! * [`ProbeService`] — one worker thread per shard (the dispatcher
-//!   role), each driving a resumable
-//!   [`AmacWalker`](widx_soft::AmacWalker) ring (the walkers) over
+//!   role), each driving a resumable [`Ring`](widx_soft::Ring) of
+//!   hash-probe cursors (the walkers) over
 //!   *batches* assembled from a bounded queue: a worker admits what is
 //!   already queued and closes the batch at
 //!   [`batch_size`](ServeConfig::batch_size) keys or the moment the
@@ -23,8 +23,8 @@
 //! * [`OrderedShardedIndex`] — the *range-partitioned* counterpart:
 //!   contiguous key spans split by boundary keys, one
 //!   [`BTreeIndex`](widx_db::index::BTreeIndex) per shard, serving
-//!   [`Request::RangeScan`] through per-shard
-//!   [`BTreeRangeWalker`](widx_soft::BTreeRangeWalker) rings — scans
+//!   [`Request::RangeScan`] through per-shard rings of B+-tree scan
+//!   cursors (the same [`Ring`](widx_soft::Ring)) — scans
 //!   scatter to the adjacent shards their interval overlaps and gather
 //!   back into one key-ordered, limit-truncated reply;
 //! * typed requests — [`Request::Lookup`], [`Request::MultiLookup`],

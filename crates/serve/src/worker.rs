@@ -1,15 +1,16 @@
 //! The shard workers: one thread per shard, draining a bounded queue
-//! into batches and driving a resumable walker over them — software
-//! "four walkers behind one dispatcher", where the dispatcher is the
-//! shard router and the walker count is the in-flight depth.
+//! into batches and driving a resumable [`Ring`] of walker cursors over
+//! them — software "four walkers behind one dispatcher", where the
+//! dispatcher is the shard router and the walker count is the in-flight
+//! depth.
 //!
 //! There is one worker loop, generic over the [`Tier`] it serves. A
 //! tier derefs to its [`Shards`] (the locks and guards, written once)
-//! and supplies only what differs: its walker ([`AmacWalker`] over a
-//! hash shard, [`BTreeRangeWalker`] — a ring of resumable scan cursors
-//! — over an ordered shard), how a [`Job`] unpacks into walker input,
-//! and whether output leaves as rows or as gather-seam chunks. Batching,
-//! the write barrier, telemetry and shutdown are the same code for both.
+//! and supplies only what differs: its index, whose [`Step`] the ring
+//! schedules (a hash probe, or a B+-tree scan cursor), how a [`Job`]
+//! unpacks into walker input, and whether output leaves as rows or as
+//! gather-seam chunks. Batching, the write barrier, telemetry and
+//! shutdown are the same code for both.
 //!
 //! Workers are work-conserving: a worker blocks (`pop`) only while it
 //! holds nothing. Holding a job, it admits what is already queued and
@@ -50,7 +51,7 @@ use std::time::{Duration, Instant};
 
 use widx_db::index::{BTreeIndex, HashIndex};
 use widx_obs::{FlushKind, ProfCell, Stage, StageTimes, ThreadProfiler, WalkCounters, WorkerCell};
-use widx_soft::{probe_scalar, scan_btree_scalar, AmacWalker, BTreeRangeWalker, ScanRange};
+use widx_soft::{walk_scalar, Ring, ScanRange, Step};
 
 use crate::batch::BatchPolicy;
 use crate::ordered::OrderedShardedIndex;
@@ -58,46 +59,16 @@ use crate::queue::{Job, Part, ShardQueue, WriteJob};
 use crate::request::{ResponseState, RoutedMatch};
 use crate::shard::{ShardIndex, ShardedIndex, Shards};
 
-/// The resumable-walker surface the batch loop drives. Both soft-tier
-/// walkers already expose it inherently; `W` is one unit of walker
-/// input (a probe key, a scan range).
-pub(crate) trait Walker<W> {
-    fn feed<F: FnMut(u32, u64, u64)>(&mut self, tag: u32, work: W, emit: &mut F);
-    fn drain<F: FnMut(u32, u64, u64)>(&mut self, emit: &mut F);
-    fn take_counters(&mut self) -> WalkCounters;
-}
-
-macro_rules! impl_walker {
-    ($($walker:ident: $work:ty),*) => {$(
-        impl Walker<$work> for $walker<'_> {
-            fn feed<F: FnMut(u32, u64, u64)>(&mut self, tag: u32, work: $work, emit: &mut F) {
-                $walker::feed(self, tag, work, emit);
-            }
-
-            fn drain<F: FnMut(u32, u64, u64)>(&mut self, emit: &mut F) {
-                $walker::drain(self, emit);
-            }
-
-            fn take_counters(&mut self) -> WalkCounters {
-                $walker::take_counters(self)
-            }
-        }
-    )*};
-}
-
-impl_walker!(AmacWalker: u64, BTreeRangeWalker: ScanRange);
-
 /// A serving tier, as its workers see it: its [`Shards`], plus exactly
 /// the points where the hash tier and the ordered tier differ.
 pub(crate) trait Tier:
     Deref<Target = Shards<<Self as Tier>::Index>> + Send + Sync + 'static
 {
-    /// One shard's index.
-    type Index: ShardIndex;
+    /// One shard's index, and its traversal: the [`Step`] a batch's
+    /// [`Ring`] and a submitting thread's [`walk_scalar`] schedule.
+    type Index: ShardIndex + Step<Unit = Self::Work>;
     /// One unit of walker input: a probe key or a scan range.
     type Work: Copy;
-    /// The walker a batch drives over one (read-guarded) shard.
-    type Walker<'idx>: Walker<Self::Work>;
     /// Worker thread name prefix.
     const THREAD_NAME: &'static str;
     /// Whether a part's output reaches its reply as chunks through the
@@ -106,9 +77,6 @@ pub(crate) trait Tier:
     /// (the hash tier).
     const CHUNKED: bool;
 
-    fn walker(index: &Self::Index, inflight: usize) -> Self::Walker<'_>;
-    /// The serial engine [`walk_here`] runs over one unit of work.
-    fn walk_one(index: &Self::Index, work: Self::Work, emit: impl FnMut(u64, u64)) -> WalkCounters;
     /// The most entries `work` can push through the gather seam: a
     /// scan's limit; none for a probe, whose rows never chunk.
     fn chunk_entries(_work: &Self::Work) -> usize {
@@ -125,20 +93,8 @@ type Unpacked<'j, W> = (&'j [(u32, W)], &'j Arc<ResponseState>);
 impl Tier for ShardedIndex {
     type Index = HashIndex;
     type Work = u64;
-    type Walker<'idx> = AmacWalker<'idx>;
     const THREAD_NAME: &'static str = "widx-serve";
     const CHUNKED: bool = false;
-
-    fn walker(index: &HashIndex, inflight: usize) -> AmacWalker<'_> {
-        AmacWalker::new(index, inflight)
-    }
-
-    fn walk_one(index: &HashIndex, key: u64, mut emit: impl FnMut(u64, u64)) -> WalkCounters {
-        let mut found = Vec::new();
-        let counters = probe_scalar(index, &[key], &mut found);
-        found.into_iter().for_each(|(k, p)| emit(k, p));
-        counters
-    }
 
     fn unpack(job: &Job) -> Option<Unpacked<'_, u64>> {
         match job {
@@ -151,17 +107,8 @@ impl Tier for ShardedIndex {
 impl Tier for OrderedShardedIndex {
     type Index = BTreeIndex;
     type Work = ScanRange;
-    type Walker<'idx> = BTreeRangeWalker<'idx>;
     const THREAD_NAME: &'static str = "widx-range";
     const CHUNKED: bool = true;
-
-    fn walker(index: &BTreeIndex, inflight: usize) -> BTreeRangeWalker<'_> {
-        BTreeRangeWalker::new(index, inflight)
-    }
-
-    fn walk_one(tree: &BTreeIndex, scan: ScanRange, mut f: impl FnMut(u64, u64)) -> WalkCounters {
-        scan_btree_scalar(tree, &[scan], &mut |_, key, payload| f(key, payload))
-    }
 
     fn chunk_entries(range: &ScanRange) -> usize {
         range.limit
@@ -362,12 +309,12 @@ pub(crate) fn run_worker<T: Tier>(ctx: &WorkerContext<T>) {
             }
             // Walker batch: hold the shard's read guard for the batch's
             // whole lifetime, so nothing mutates (or frees a node) under
-            // the in-flight ring. The walker is rebuilt per batch — it
+            // the in-flight ring. The ring is rebuilt per batch — it
             // borrows the guard.
             job => {
                 let guard = ctx.index.read(ctx.shard);
-                let mut walker = T::walker(&guard, ctx.inflight);
-                run_batch(ctx, &mut walker, job, &mut writes, &mut prof)
+                let mut ring = Ring::new(&*guard, ctx.inflight);
+                run_batch(ctx, &mut ring, job, &mut writes, &mut prof)
             }
         };
         // Batch barrier: the read guard is gone; apply every write the
@@ -446,7 +393,7 @@ impl Batch {
     fn admit<T: Tier>(
         &mut self,
         ctx: &WorkerContext<T>,
-        walker: &mut T::Walker<'_>,
+        ring: &mut Ring<'_, T::Index>,
         job: Job,
         prof: &mut ThreadProfiler,
     ) {
@@ -479,7 +426,7 @@ impl Batch {
         for &(row, item) in work {
             let tag = u32::try_from(self.meta.len()).expect("batch exceeds u32 tags");
             self.meta.push((open_idx as u32, row));
-            walker.feed(tag, item, &mut |t, k, p| self.route::<T>(t, k, p));
+            ring.feed(tag, item, &mut |t, k, p| self.route::<T>(t, k, p));
         }
         prof.record(Stage::Walk, mark);
         self.busy += busy_from.elapsed();
@@ -515,7 +462,7 @@ fn trace_walk(
 /// gives the walkers nothing to interleave, so it is walked where it
 /// already is — on its submitting thread — instead of being queued.
 /// `try_read` on every owning shard (ascending, `parts`' order), then
-/// each unit through [`Tier::walk_one`] (the paper's Listing 1, or one
+/// each unit through [`walk_scalar`] (the paper's Listing 1, or one
 /// scan cursor), completed and counted as a worker would: one job, one
 /// queue-dry batch, its counters in the shard's profile. `try_read`,
 /// never `read`: a refused guard means the shard's worker holds or
@@ -553,10 +500,11 @@ pub(crate) fn walk_here<T: Tier>(
         let mut rows = Vec::<RoutedMatch>::with_capacity(if T::CHUNKED { 0 } else { work.len() });
         let walk = |&(tag, unit): &(u32, T::Work)| {
             let mut chunk = Vec::with_capacity(T::chunk_entries(&unit));
-            counters.merge(&T::walk_one(guard, unit, |key, payload| match T::CHUNKED {
+            let emit = &mut |_, key, payload| match T::CHUNKED {
                 true => chunk.push((key, payload)),
                 false => rows.push((tag, key, payload)),
-            }));
+            };
+            counters.merge(&walk_scalar(&**guard, &[unit], emit));
             chunk
         };
         let chunks: Vec<_> = work.iter().map(walk).collect();
@@ -585,7 +533,7 @@ pub(crate) fn walk_here<T: Tier>(
 /// batch.
 fn run_batch<T: Tier>(
     ctx: &WorkerContext<T>,
-    walker: &mut T::Walker<'_>,
+    ring: &mut Ring<'_, T::Index>,
     first: Job,
     writes: &mut Vec<WriteJob>,
     prof: &mut ThreadProfiler,
@@ -599,7 +547,7 @@ fn run_batch<T: Tier>(
         chunk_size: ctx.stream_chunk,
         busy: Duration::ZERO,
     };
-    batch.admit(ctx, walker, first, prof);
+    batch.admit(ctx, ring, first, prof);
 
     // Admit what is already queued until the close rule says stop.
     let reason = loop {
@@ -607,7 +555,7 @@ fn run_batch<T: Tier>(
             .policy
             .next_job(batch.meta.len(), &ctx.queue, writes, prof)
         {
-            Ok(job) => batch.admit(ctx, walker, job, prof),
+            Ok(job) => batch.admit(ctx, ring, job, prof),
             Err(reason) => break reason,
         }
     };
@@ -617,14 +565,14 @@ fn run_batch<T: Tier>(
     // Drain every in-flight probe or cursor.
     let busy_from = Instant::now();
     let mark = prof.mark();
-    walker.drain(&mut |t, k, p| batch.route::<T>(t, k, p));
+    ring.drain(&mut |t, k, p| batch.route::<T>(t, k, p));
     prof.record(Stage::Walk, mark);
     batch.busy += busy_from.elapsed();
 
     cell.add_batch(batch.meta.len() as u64, reason);
     cell.add_busy(batch.busy);
     stages.record(Stage::Walk, batch.busy);
-    let walk_counters = walker.take_counters();
+    let walk_counters = ring.take_counters();
     prof.add_walk(&walk_counters);
     let walked = (batch.opened, batch.busy, &walk_counters);
     let gather_mark = prof.mark();

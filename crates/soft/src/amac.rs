@@ -1,8 +1,8 @@
-//! AMAC-style interleaved probing: hand-rolled coroutine state machines.
+//! The AMAC schedule: a resumable ring of cursors.
 //!
 //! Asynchronous memory-access chaining (Kocberber et al.'s own software
-//! follow-up to Widx) keeps `inflight` probes in distinct states of
-//! their traversal. When a probe is about to dereference a node that is
+//! follow-up to Widx) keeps `inflight` walks in distinct states of
+//! their traversal. When a walk is about to dereference a node that is
 //! probably not cached, it issues a prefetch and *yields*; by the time
 //! the round-robin scheduler returns to it, the line has (hopefully)
 //! arrived. This is exactly the inter-key parallelism the paper's
@@ -10,215 +10,129 @@
 //! count, bounded in practice by the same MSHR limits the paper's
 //! Section 3.2 model identifies.
 //!
-//! Two entry points:
-//!
-//! * [`probe_amac`] — the classic one-shot loop over a key slice;
-//! * [`AmacWalker`] — a *resumable* ring of probe state machines that a
-//!   serving layer can [`feed`](AmacWalker::feed) keys into one at a
-//!   time (keeping earlier probes in flight while later requests are
-//!   still being dequeued) and [`drain`](AmacWalker::drain) at batch
-//!   boundaries. Each key carries a caller-chosen `tag`, so matches can
-//!   be attributed back to the originating request even when the same
-//!   key value appears in several concurrently batched requests.
+//! The [`Ring`] is resumable: a serving layer [`feed`](Ring::feed)s
+//! units in one at a time (keeping earlier walks in flight while later
+//! requests are still being dequeued) and [`drain`](Ring::drain)s at
+//! batch boundaries. Each unit carries a caller-chosen `tag`, so matches
+//! can be attributed back to the originating request even when the same
+//! key value appears in several concurrently batched requests.
 
-use widx_db::index::{Bucket, HashIndex, Node, NONE};
+use widx_db::index::{BTreeIndex, HashIndex};
 use widx_obs::WalkCounters;
 
-use crate::prefetch::prefetch_read;
-use crate::Match;
+use crate::{Match, Step};
 
-/// Per-probe coroutine state. `Empty` slots are free for the next key.
-#[derive(Clone, Copy)]
-enum Slot {
-    /// No probe in this slot.
-    Empty,
-    /// About to read the bucket header (prefetch issued).
-    Header { tag: u32, key: u64, bucket: usize },
-    /// About to read overflow node `node` (prefetch issued). `depth` is
-    /// the chain position this node occupies (header = 1).
-    Node {
-        tag: u32,
-        key: u64,
-        node: u32,
-        depth: u32,
-    },
-}
-
-/// A resumable ring of AMAC probe state machines over one
-/// [`HashIndex`].
+/// A resumable ring of `inflight` cursors over one index.
 ///
-/// The walker owns `inflight` slots. [`feed`](AmacWalker::feed) starts a
-/// new probe, advancing the whole ring round-robin when every slot is
-/// busy; [`drain`](AmacWalker::drain) runs the ring until no probe
-/// remains in flight. Matches are reported through an `emit(tag, key,
-/// payload)` callback as soon as they are found — which may be during a
-/// later `feed` of unrelated keys, so callers that need batch isolation
-/// must drain before reusing tags.
-pub struct AmacWalker<'idx> {
-    buckets: &'idx [Bucket],
-    nodes: &'idx [Node],
-    index: &'idx HashIndex,
-    bucket_count: u64,
-    slots: Vec<Slot>,
-    live: usize,
+/// [`feed`](Ring::feed) starts a new unit, advancing the whole ring
+/// round-robin while every slot is busy; [`drain`](Ring::drain) runs the
+/// ring until no cursor remains. A slot refills as soon as its cursor
+/// retires. Matches are reported through an `emit(tag, key, payload)`
+/// callback as soon as they are found — which may be during a later
+/// `feed` of unrelated units, so callers that need batch isolation must
+/// drain before reusing tags.
+pub struct Ring<'idx, S: Step> {
+    index: &'idx S,
+    /// The cursors in flight, oldest first; never more than `inflight`.
+    live: Vec<S::Cursor>,
+    inflight: usize,
     counters: WalkCounters,
 }
 
-impl<'idx> AmacWalker<'idx> {
-    /// Creates a walker with `inflight` probe slots.
+/// The ring over a hash index: interleaved probes.
+pub type AmacWalker<'idx> = Ring<'idx, HashIndex>;
+
+/// The ring over a B+-tree: interleaved range-scan cursors.
+pub type BTreeRangeWalker<'idx> = Ring<'idx, BTreeIndex>;
+
+impl<'idx, S: Step> Ring<'idx, S> {
+    /// Creates a ring of `inflight` slots over `index`.
     ///
     /// # Panics
     ///
     /// Panics if `inflight` is zero.
     #[must_use]
-    pub fn new(index: &'idx HashIndex, inflight: usize) -> AmacWalker<'idx> {
-        assert!(inflight > 0, "need at least one in-flight probe");
-        AmacWalker {
-            buckets: index.buckets(),
-            nodes: index.nodes(),
+    pub fn new(index: &'idx S, inflight: usize) -> Ring<'idx, S> {
+        assert!(inflight > 0, "need at least one in-flight slot");
+        Ring {
             index,
-            bucket_count: index.buckets().len() as u64,
-            slots: vec![Slot::Empty; inflight],
-            live: 0,
+            live: Vec::with_capacity(inflight),
+            inflight,
             counters: WalkCounters::default(),
         }
     }
 
-    /// Walker-level MLP evidence accumulated since the last
-    /// [`take_counters`](AmacWalker::take_counters).
-    #[must_use]
-    pub fn counters(&self) -> WalkCounters {
-        self.counters
-    }
-
-    /// Returns the accumulated [`WalkCounters`] and resets them, so a
-    /// serving layer can attribute one batch's work to its requests.
+    /// Returns the [`WalkCounters`] accumulated since the last call and
+    /// resets them, so a serving layer can attribute one batch's work to
+    /// its requests.
     pub fn take_counters(&mut self) -> WalkCounters {
         std::mem::take(&mut self.counters)
     }
 
-    /// Number of probes currently in flight.
+    /// Number of cursors currently in flight.
     #[must_use]
     pub fn in_flight(&self) -> usize {
-        self.live
+        self.live.len()
     }
 
-    /// The walker's slot count (the `inflight` it was built with).
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Starts probing `key`, reporting matches as `(tag, key, payload)`
-    /// through `emit`. If every slot is busy, the ring is advanced until
-    /// one frees — matches for *earlier* keys may be emitted during this
-    /// call.
-    pub fn feed<F: FnMut(u32, u64, u64)>(&mut self, tag: u32, key: u64, emit: &mut F) {
-        while self.live == self.slots.len() {
+    /// Starts `unit` under `tag`, prefetching its first node. If every
+    /// slot is busy, the ring is advanced until one frees — matches for
+    /// *earlier* units may be emitted during this call. A unit that
+    /// visits nothing (an empty scan range) takes no slot.
+    pub fn feed<F: FnMut(u32, u64, u64)>(&mut self, tag: u32, unit: S::Unit, emit: &mut F) {
+        let Some(cursor) = self.index.start(tag, unit) else {
+            return;
+        };
+        while self.live.len() == self.inflight {
             self.step_all(emit);
         }
-        let slot = self
-            .slots
-            .iter()
-            .position(|s| matches!(s, Slot::Empty))
-            .expect("live < capacity implies an empty slot");
-        let bucket = self.index.recipe().bucket_of(key, self.bucket_count) as usize;
-        prefetch_read(&self.buckets[bucket]);
-        self.counters.prefetches += 1;
-        self.slots[slot] = Slot::Header { tag, key, bucket };
-        self.live += 1;
+        self.counters.prefetches += u64::from(self.index.prefetch(&cursor));
+        self.live.push(cursor);
     }
 
-    /// Runs the ring until every in-flight probe has completed.
+    /// Runs the ring until every in-flight cursor has completed.
     pub fn drain<F: FnMut(u32, u64, u64)>(&mut self, emit: &mut F) {
-        while self.live > 0 {
+        while !self.live.is_empty() {
             self.step_all(emit);
         }
     }
 
-    /// Feeds every `(tag, key)` of `keys` and drains — one batch, start
-    /// to finish.
-    pub fn probe_chunk<I, F>(&mut self, keys: I, emit: &mut F)
+    /// Feeds every `(tag, unit)` of `units` and drains — one batch,
+    /// start to finish.
+    pub fn walk<I, F>(&mut self, units: I, emit: &mut F)
     where
-        I: IntoIterator<Item = (u32, u64)>,
+        I: IntoIterator<Item = (u32, S::Unit)>,
         F: FnMut(u32, u64, u64),
     {
-        for (tag, key) in keys {
-            self.feed(tag, key, emit);
+        for (tag, unit) in units {
+            self.feed(tag, unit, emit);
         }
         self.drain(emit);
     }
 
-    /// Advances every live probe by one state transition (one node
-    /// visit), issuing the next prefetch before yielding.
+    /// One round: every live cursor visits one node and prefetches its
+    /// next before yielding; a finished cursor frees its slot.
     fn step_all<F: FnMut(u32, u64, u64)>(&mut self, emit: &mut F) {
-        self.counters.rounds += 1;
-        self.counters.occupancy += self.live as u64;
-        for i in 0..self.slots.len() {
-            match self.slots[i] {
-                Slot::Empty => {}
-                Slot::Header { tag, key, bucket } => {
-                    self.counters.nodes += 1;
-                    self.counters.max_chain = self.counters.max_chain.max(1);
-                    let b = &self.buckets[bucket];
-                    if b.count == 0 {
-                        self.retire(i);
-                        continue;
-                    }
-                    if b.key == key {
-                        emit(tag, key, b.payload);
-                    }
-                    if b.next == NONE {
-                        self.retire(i);
-                    } else {
-                        prefetch_read(&self.nodes[b.next as usize]);
-                        self.counters.prefetches += 1;
-                        self.slots[i] = Slot::Node {
-                            tag,
-                            key,
-                            node: b.next,
-                            depth: 2,
-                        };
-                    }
+        // A local copy of the counters stays in registers for the pass.
+        let (index, mut counters) = (self.index, self.counters);
+        counters.rounds += 1;
+        counters.occupancy += self.live.len() as u64;
+        self.live
+            .retain_mut(|cursor| match index.visit(*cursor, &mut counters, emit) {
+                Some(next) => {
+                    counters.prefetches += u64::from(index.prefetch(&next));
+                    *cursor = next;
+                    true
                 }
-                Slot::Node {
-                    tag,
-                    key,
-                    node,
-                    depth,
-                } => {
-                    self.counters.nodes += 1;
-                    self.counters.max_chain = self.counters.max_chain.max(u64::from(depth));
-                    let n = &self.nodes[node as usize];
-                    if n.key == key {
-                        emit(tag, key, n.payload);
-                    }
-                    if n.next == NONE {
-                        self.retire(i);
-                    } else {
-                        prefetch_read(&self.nodes[n.next as usize]);
-                        self.counters.prefetches += 1;
-                        self.slots[i] = Slot::Node {
-                            tag,
-                            key,
-                            node: n.next,
-                            depth: depth.saturating_add(1),
-                        };
-                    }
-                }
-            }
-        }
-    }
-
-    fn retire(&mut self, slot: usize) {
-        self.slots[slot] = Slot::Empty;
-        self.live -= 1;
+                None => false,
+            });
+        self.counters = counters;
     }
 }
 
-/// Probes `keys` with `inflight` interleaved state machines, appending
-/// every `(key, payload)` match to `out`. Returns the walk's
-/// [`WalkCounters`].
+/// Probes `keys` with `inflight` interleaved cursors, appending every
+/// `(key, payload)` match to `out`: one [`Ring`] batch over the hash
+/// index.
 ///
 /// # Panics
 ///
@@ -229,14 +143,11 @@ pub fn probe_amac(
     inflight: usize,
     out: &mut Vec<Match>,
 ) -> WalkCounters {
-    let mut walker = AmacWalker::new(index, inflight);
-    walker.probe_chunk(
-        keys.iter().map(|&k| (0u32, k)),
-        &mut |_tag, key, payload| {
-            out.push((key, payload));
-        },
-    );
-    walker.take_counters()
+    let mut ring = Ring::new(index, inflight);
+    ring.walk((0..).zip(keys.iter().copied()), &mut |_, key, payload| {
+        out.push((key, payload))
+    });
+    ring.take_counters()
 }
 
 #[cfg(test)]
@@ -295,13 +206,13 @@ mod tests {
         probe_scalar(&index, &probes, &mut scalar);
         scalar.sort_unstable();
 
-        let mut walker = AmacWalker::new(&index, 8);
+        let mut ring = Ring::new(&index, 8);
         let mut got: Vec<Match> = Vec::new();
         for chunk in probes.chunks(37) {
-            walker.probe_chunk(chunk.iter().map(|&k| (0u32, k)), &mut |_t, k, p| {
+            ring.walk(chunk.iter().map(|&k| (0u32, k)), &mut |_t, k, p| {
                 got.push((k, p));
             });
-            assert_eq!(walker.in_flight(), 0, "drained between chunks");
+            assert_eq!(ring.in_flight(), 0, "drained between chunks");
         }
         got.sort_unstable();
         assert_eq!(scalar, got);
@@ -312,14 +223,14 @@ mod tests {
         // A chain long enough that probes cannot finish in one step.
         let pairs: Vec<(u64, u64)> = (0..64).map(|v| (7u64, v)).collect();
         let index = HashIndex::build(HashRecipe::robust64(), 8, pairs);
-        let mut walker = AmacWalker::new(&index, 4);
+        let mut ring = Ring::new(&index, 4);
         let mut out = Vec::new();
         for _ in 0..4 {
-            walker.feed(0, 7, &mut |_t, k, p| out.push((k, p)));
+            ring.feed(0, 7, &mut |_t, k, p| out.push((k, p)));
         }
-        assert_eq!(walker.in_flight(), 4);
-        walker.drain(&mut |_t, k, p| out.push((k, p)));
-        assert_eq!(walker.in_flight(), 0);
+        assert_eq!(ring.in_flight(), 4);
+        ring.drain(&mut |_t, k, p| out.push((k, p)));
+        assert_eq!(ring.in_flight(), 0);
         assert_eq!(out.len(), 4 * 64);
     }
 
@@ -328,31 +239,31 @@ mod tests {
         // One bucket with a 5-long chain (header + 4 overflow nodes).
         let pairs: Vec<(u64, u64)> = (0..5).map(|v| (3u64, v)).collect();
         let index = HashIndex::build(HashRecipe::robust64(), 1, pairs);
-        let mut walker = AmacWalker::new(&index, 2);
-        assert!(walker.counters().is_zero());
+        let mut ring = Ring::new(&index, 2);
+        assert!(ring.take_counters().is_zero());
         let mut out = Vec::new();
-        walker.probe_chunk([(0u32, 3u64)], &mut |_t, k, p| out.push((k, p)));
+        ring.walk([(0u32, 3u64)], &mut |_t, k, p| out.push((k, p)));
         assert_eq!(out.len(), 5);
-        let c = walker.take_counters();
+        let c = ring.take_counters();
         assert_eq!(c.nodes, 5, "header + 4 overflow nodes visited");
         assert_eq!(c.max_chain, 5);
         assert_eq!(c.rounds, 5, "one live probe advances once per round");
         assert_eq!(c.occupancy, 5);
         assert_eq!(c.prefetches, 5, "bucket prefetch + 4 node prefetches");
         // take_counters resets.
-        assert!(walker.counters().is_zero());
+        assert!(ring.take_counters().is_zero());
         // A missing key still visits its (empty or mismatched) bucket.
-        walker.probe_chunk([(0u32, 999u64)], &mut |_t, _k, _p| {});
-        assert!(walker.take_counters().nodes >= 1);
+        ring.walk([(0u32, 999u64)], &mut |_t, _k, _p| {});
+        assert!(ring.take_counters().nodes >= 1);
     }
 
     #[test]
     fn tags_attribute_matches_to_requests() {
         // Same key fed under different tags: each tag sees its own copy.
         let index = HashIndex::build(HashRecipe::robust64(), 8, [(5u64, 50u64), (5, 51)]);
-        let mut walker = AmacWalker::new(&index, 2);
+        let mut ring = Ring::new(&index, 2);
         let mut per_tag = [Vec::new(), Vec::new(), Vec::new()];
-        walker.probe_chunk([(0u32, 5u64), (1, 5), (2, 9)], &mut |tag, key, payload| {
+        ring.walk([(0u32, 5u64), (1, 5), (2, 9)], &mut |tag, key, payload| {
             per_tag[tag as usize].push((key, payload))
         });
         for (tag, matches) in per_tag.iter_mut().take(2).enumerate() {

@@ -1,38 +1,25 @@
-//! AMAC-style B+-tree range walkers — the ordered-index counterpart of
-//! [`AmacWalker`](crate::AmacWalker).
+//! The B+-tree range-scan [`Step`], and the three range engines over it.
 //!
 //! A range scan has two phases with different memory behaviour: a
 //! pointer-chasing *descent* (one dependent load per level, exactly the
 //! traversal the paper's walkers accelerate) and a sequential
-//! *leaf-chain scan* (streaming through sibling leaves). Keeping several
-//! scans in flight overlaps the descents' cache misses just like hash
-//! probing; during the leaf phase each cursor prefetches its next
-//! sibling leaf before scanning the current one.
-//!
-//! Three engines over the same [`BTreeIndex`]:
-//!
-//! * [`scan_btree_scalar`] — one scan at a time, the serial baseline;
-//! * [`scan_btree_group`] — stage-synchronized group prefetching
-//!   (descend a level across the whole group, then scan leaves in
-//!   lock-step);
-//! * [`scan_btree_amac`] / [`BTreeRangeWalker`] — independent cursor
-//!   state machines advanced round-robin. The walker form is resumable:
-//!   a serving layer [`feed`](BTreeRangeWalker::feed)s tagged scans in
-//!   as requests arrive and [`drain`](BTreeRangeWalker::drain)s at
-//!   batch boundaries.
+//! *leaf-chain scan* (streaming through sibling leaves). One visit reads
+//! one node of either — an inner node on the way down, or one leaf of
+//! the chain — and hands back a cursor naming the next, which the group
+//! and ring schedules prefetch before any cursor visits it.
 //!
 //! Every engine emits `(tag, key, payload)` with the guarantee that the
 //! emissions *for one tag* are in key order — ascending (duplicates in
 //! build order), or descending (duplicates in reverse build order) for
 //! a [`ScanRange`] with `desc` set, which descends toward `hi` and
-//! walks the leaf chain *backwards*, prefetching the previous sibling —
-//! and truncated to the scan's `limit`. Emissions of different tags
-//! interleave arbitrarily.
+//! walks the leaf chain *backwards* — and truncated to the scan's
+//! `limit`. Emissions of different tags interleave arbitrarily.
 
 use widx_db::index::BTreeIndex;
 use widx_obs::WalkCounters;
 
 use crate::prefetch::prefetch_read;
+use crate::{walk_group, walk_scalar, Ring, Step};
 
 /// One range-scan query: all entries with keys in `[lo, hi]`, truncated
 /// to the first `limit` in key order — ascending by default, descending
@@ -86,428 +73,155 @@ impl ScanRange {
     }
 }
 
-/// Per-cursor coroutine state. `Empty` slots are free for the next scan.
-#[derive(Clone, Copy)]
-enum Cursor {
-    /// No scan in this slot.
-    Empty,
-    /// About to read inner node `node` at `depth` below the root
-    /// (prefetch issued). Ascending scans descend toward `lo`,
-    /// descending ones toward `hi`.
-    Inner {
-        tag: u32,
-        lo: u64,
-        hi: u64,
-        remaining: usize,
-        desc: bool,
-        depth: usize,
-        node: u32,
-    },
-    /// About to scan `leaf` (prefetch issued); `seek` means the cursor
-    /// must still locate its boundary key within it (first leaf only —
-    /// sibling leaves continue from the edge: slot 0 ascending, the
-    /// last slot descending).
-    Leaf {
-        tag: u32,
-        lo: u64,
-        hi: u64,
-        remaining: usize,
-        desc: bool,
-        leaf: u32,
-        seek: bool,
-    },
+/// A range scan in flight: its range (`limit` counting down what it may
+/// still emit), its tag, and the node it visits next.
+#[derive(Clone, Copy, Debug)]
+pub struct Scan {
+    range: ScanRange,
+    tag: u32,
+    at: At,
 }
 
-/// A resumable ring of B+-tree range-scan state machines over one
-/// [`BTreeIndex`] — the ordered-index sibling of
-/// [`AmacWalker`](crate::AmacWalker).
-///
-/// The walker owns `inflight` cursor slots. [`feed`](Self::feed) starts
-/// a new scan, advancing the whole ring round-robin when every slot is
-/// busy; [`drain`](Self::drain) runs the ring until no cursor remains.
-/// Matches are reported through an `emit(tag, key, payload)` callback —
-/// possibly during a later `feed` of unrelated scans, so callers
-/// needing batch isolation must drain before reusing tags.
-pub struct BTreeRangeWalker<'idx> {
-    tree: &'idx BTreeIndex,
-    slots: Vec<Cursor>,
-    live: usize,
-    counters: WalkCounters,
+#[derive(Clone, Copy, Debug)]
+enum At {
+    /// Inner node `node`, `depth` levels below the root.
+    Inner { depth: usize, node: u32 },
+    /// Leaf `leaf`; `seek` on the first leaf only, which must still
+    /// locate the boundary key (a sibling leaf continues from its edge:
+    /// slot 0 ascending, the last slot descending).
+    Leaf { leaf: u32, seek: bool },
 }
 
-impl<'idx> BTreeRangeWalker<'idx> {
-    /// Creates a walker with `inflight` cursor slots.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inflight` is zero.
-    #[must_use]
-    pub fn new(tree: &'idx BTreeIndex, inflight: usize) -> BTreeRangeWalker<'idx> {
-        assert!(inflight > 0, "need at least one in-flight scan");
-        BTreeRangeWalker {
-            tree,
-            slots: vec![Cursor::Empty; inflight],
-            live: 0,
-            counters: WalkCounters::default(),
-        }
-    }
-
-    /// Walker-level MLP evidence accumulated since the last
-    /// [`take_counters`](BTreeRangeWalker::take_counters). `max_chain`
-    /// reports the tree depth (inner levels + leaf level) of the deepest
-    /// descent fed so far.
-    #[must_use]
-    pub fn counters(&self) -> WalkCounters {
-        self.counters
-    }
-
-    /// Returns the accumulated [`WalkCounters`] and resets them, so a
-    /// serving layer can attribute one batch's work to its requests.
-    pub fn take_counters(&mut self) -> WalkCounters {
-        std::mem::take(&mut self.counters)
-    }
-
-    /// Number of scans currently in flight.
-    #[must_use]
-    pub fn in_flight(&self) -> usize {
-        self.live
-    }
-
-    /// The walker's slot count (the `inflight` it was built with).
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Starts the scan `range`, reporting matches as `(tag, key,
-    /// payload)` through `emit`. If every slot is busy, the ring is
-    /// advanced until one frees — matches for *earlier* scans may be
-    /// emitted during this call. Degenerate ranges complete immediately
-    /// without occupying a slot.
-    pub fn feed<F: FnMut(u32, u64, u64)>(&mut self, tag: u32, range: ScanRange, emit: &mut F) {
-        if range.is_empty() {
-            return;
-        }
-        self.counters.max_chain = self
-            .counters
-            .max_chain
-            .max(self.tree.inner_level_count() as u64 + 1);
-        while self.live == self.slots.len() {
-            self.step_all(emit);
-        }
-        let slot = self
-            .slots
-            .iter()
-            .position(|s| matches!(s, Cursor::Empty))
-            .expect("live < capacity implies an empty slot");
-        self.slots[slot] = if self.tree.inner_level_count() == 0 {
-            // No inner levels means a single live leaf (splits grow a
-            // level immediately, and levels never shrink).
-            let leaf = self.tree.first_leaf();
-            self.prefetch_leaf(leaf);
-            Cursor::Leaf {
-                tag,
-                lo: range.lo,
-                hi: range.hi,
-                remaining: range.limit,
-                desc: range.desc,
-                leaf,
-                seek: true,
-            }
+impl Scan {
+    /// Where the scan enters `keys`, an inner node's separators or a
+    /// leaf's keys. Ascending, at the first key `>= lo`: the strict
+    /// comparison descends toward the *leftmost* subtree that can hold
+    /// one (duplicates of one key may span several leaves). Descending,
+    /// just past the last key `<= hi`: toward the *rightmost*.
+    fn seek(&self, keys: &[u64]) -> usize {
+        let ScanRange { lo, hi, desc, .. } = self.range;
+        if desc {
+            keys.partition_point(|k| *k <= hi)
         } else {
-            self.prefetch_inner(0, 0);
-            Cursor::Inner {
-                tag,
-                lo: range.lo,
-                hi: range.hi,
-                remaining: range.limit,
-                desc: range.desc,
-                depth: 0,
-                node: 0,
+            keys.partition_point(|k| *k < lo)
+        }
+    }
+
+    /// Emits `run` in scan order until a key passes the far bound or the
+    /// limit runs out; whether the scan goes on past the run (all of it
+    /// emitted, limit left).
+    fn emit_run<'a, F: FnMut(u32, u64, u64)>(
+        &mut self,
+        run: impl ExactSizeIterator<Item = (&'a u64, &'a u64)>,
+        emit: &mut F,
+    ) -> bool {
+        let ScanRange { lo, hi, desc, .. } = self.range;
+        let past = |key| if desc { key < lo } else { key > hi };
+        let len = run.len();
+        let mut emitted = 0;
+        for (&key, &payload) in run.take(self.range.limit) {
+            if past(key) {
+                break;
             }
-        };
-        self.live += 1;
-    }
-
-    /// Runs the ring until every in-flight scan has completed.
-    pub fn drain<F: FnMut(u32, u64, u64)>(&mut self, emit: &mut F) {
-        while self.live > 0 {
-            self.step_all(emit);
+            emit(self.tag, key, payload);
+            emitted += 1;
         }
-    }
-
-    /// Feeds every `(tag, range)` of `scans` and drains — one batch,
-    /// start to finish.
-    pub fn scan_chunk<I, F>(&mut self, scans: I, emit: &mut F)
-    where
-        I: IntoIterator<Item = (u32, ScanRange)>,
-        F: FnMut(u32, u64, u64),
-    {
-        for (tag, range) in scans {
-            self.feed(tag, range, emit);
-        }
-        self.drain(emit);
-    }
-
-    fn prefetch_inner(&mut self, depth: usize, node: u32) {
-        if let [first, ..] = self.tree.inner_keys(depth, node) {
-            prefetch_read(first);
-            self.counters.prefetches += 1;
-        }
-    }
-
-    fn prefetch_leaf(&mut self, leaf: u32) {
-        if let ([first, ..], _) = self.tree.leaf_entries(leaf) {
-            prefetch_read(first);
-            self.counters.prefetches += 1;
-        }
-    }
-
-    /// Advances every live cursor by one state transition (one node
-    /// visit), issuing the next prefetch before yielding.
-    fn step_all<F: FnMut(u32, u64, u64)>(&mut self, emit: &mut F) {
-        self.counters.rounds += 1;
-        self.counters.occupancy += self.live as u64;
-        for i in 0..self.slots.len() {
-            if !matches!(self.slots[i], Cursor::Empty) {
-                self.counters.nodes += 1;
-            }
-            match self.slots[i] {
-                Cursor::Empty => {}
-                Cursor::Inner {
-                    tag,
-                    lo,
-                    hi,
-                    remaining,
-                    desc,
-                    depth,
-                    node,
-                } => {
-                    // Ascending: strict comparison descends toward the
-                    // *leftmost* subtree that can hold a key >= lo
-                    // (duplicates of one key may span several leaves).
-                    // Descending: `<=` descends toward the *rightmost*
-                    // subtree that can hold a key <= hi.
-                    let keys = self.tree.inner_keys(depth, node);
-                    let slot = if desc {
-                        keys.partition_point(|k| *k <= hi)
-                    } else {
-                        keys.partition_point(|k| *k < lo)
-                    };
-                    let child = self.tree.inner_child(depth, node, slot);
-                    self.slots[i] = if depth + 1 == self.tree.inner_level_count() {
-                        self.prefetch_leaf(child);
-                        Cursor::Leaf {
-                            tag,
-                            lo,
-                            hi,
-                            remaining,
-                            desc,
-                            leaf: child,
-                            seek: true,
-                        }
-                    } else {
-                        self.prefetch_inner(depth + 1, child);
-                        Cursor::Inner {
-                            tag,
-                            lo,
-                            hi,
-                            remaining,
-                            desc,
-                            depth: depth + 1,
-                            node: child,
-                        }
-                    };
-                }
-                Cursor::Leaf {
-                    tag,
-                    lo,
-                    hi,
-                    mut remaining,
-                    desc,
-                    leaf,
-                    seek,
-                } => {
-                    let (keys, payloads) = self.tree.leaf_entries(leaf);
-                    if desc {
-                        // Walk this leaf downward from the last key
-                        // <= hi, then step to the *previous* sibling.
-                        let mut slot = if seek {
-                            keys.partition_point(|k| *k <= hi)
-                        } else {
-                            keys.len()
-                        };
-                        let mut past_lo = false;
-                        while slot > 0 && remaining > 0 {
-                            let key = keys[slot - 1];
-                            if key < lo {
-                                past_lo = true;
-                                break;
-                            }
-                            emit(tag, key, payloads[slot - 1]);
-                            remaining -= 1;
-                            slot -= 1;
-                        }
-                        let prev = self.tree.leaf_prev(leaf);
-                        match prev {
-                            Some(prev) if !past_lo && remaining > 0 => {
-                                self.prefetch_leaf(prev);
-                                self.slots[i] = Cursor::Leaf {
-                                    tag,
-                                    lo,
-                                    hi,
-                                    remaining,
-                                    desc,
-                                    leaf: prev,
-                                    seek: false,
-                                };
-                            }
-                            _ => self.retire(i),
-                        }
-                        continue;
-                    }
-                    let mut slot = if seek {
-                        keys.partition_point(|k| *k < lo)
-                    } else {
-                        0
-                    };
-                    let mut past_hi = false;
-                    while slot < keys.len() && remaining > 0 {
-                        let key = keys[slot];
-                        if key > hi {
-                            past_hi = true;
-                            break;
-                        }
-                        emit(tag, key, payloads[slot]);
-                        remaining -= 1;
-                        slot += 1;
-                    }
-                    match self.tree.leaf_next(leaf) {
-                        Some(next) if !past_hi && remaining > 0 => {
-                            self.prefetch_leaf(next);
-                            self.slots[i] = Cursor::Leaf {
-                                tag,
-                                lo,
-                                hi,
-                                remaining,
-                                leaf: next,
-                                desc,
-                                seek: false,
-                            };
-                        }
-                        _ => self.retire(i),
-                    }
-                }
-            }
-        }
-    }
-
-    fn retire(&mut self, slot: usize) {
-        self.slots[slot] = Cursor::Empty;
-        self.live -= 1;
+        self.range.limit -= emitted;
+        emitted == len && self.range.limit > 0
     }
 }
 
-/// Scans `scans` one at a time — the serial baseline, implemented over
-/// the same public accessors the walkers use (and therefore an
-/// implementation independent of [`BTreeIndex::range_scan`]). Emits
-/// `(scan index, key, payload)`. Returns the walk's [`WalkCounters`]:
-/// node visits (inner descent + leaves consumed) match the interleaved
-/// engines exactly; one scan is in flight at a time, so
-/// `rounds == occupancy == nodes` and nothing is prefetched.
+// `inline(always)` for the same reason as the hash step's.
+impl Step for BTreeIndex {
+    type Unit = ScanRange;
+    type Cursor = Scan;
+
+    #[inline(always)]
+    fn start(&self, tag: u32, range: ScanRange) -> Option<Scan> {
+        // No inner levels means a single live leaf (splits grow a level
+        // immediately, and levels never shrink).
+        let at = match self.inner_level_count() {
+            0 => At::Leaf {
+                leaf: self.first_leaf(),
+                seek: true,
+            },
+            _ => At::Inner { depth: 0, node: 0 },
+        };
+        (!range.is_empty()).then_some(Scan { range, tag, at })
+    }
+
+    #[inline(always)]
+    fn visit<F: FnMut(u32, u64, u64)>(
+        &self,
+        mut scan: Scan,
+        counters: &mut WalkCounters,
+        emit: &mut F,
+    ) -> Option<Scan> {
+        counters.nodes += 1;
+        let levels = self.inner_level_count();
+        match scan.at {
+            At::Inner { depth, node } => {
+                let child = self.inner_child(depth, node, scan.seek(self.inner_keys(depth, node)));
+                scan.at = if depth + 1 == levels {
+                    At::Leaf {
+                        leaf: child,
+                        seek: true,
+                    }
+                } else {
+                    At::Inner {
+                        depth: depth + 1,
+                        node: child,
+                    }
+                };
+                Some(scan)
+            }
+            At::Leaf { leaf, seek } => {
+                counters.max_chain = counters.max_chain.max(levels as u64 + 1);
+                let (keys, payloads) = self.leaf_entries(leaf);
+                let (more, sibling) = if scan.range.desc {
+                    let end = if seek { scan.seek(keys) } else { keys.len() };
+                    let run = keys[..end].iter().zip(&payloads[..end]).rev();
+                    (scan.emit_run(run, emit), self.leaf_prev(leaf))
+                } else {
+                    let from = if seek { scan.seek(keys) } else { 0 };
+                    let run = keys[from..].iter().zip(&payloads[from..]);
+                    (scan.emit_run(run, emit), self.leaf_next(leaf))
+                };
+                scan.at = At::Leaf {
+                    leaf: sibling?,
+                    seek: false,
+                };
+                more.then_some(scan)
+            }
+        }
+    }
+
+    #[inline(always)]
+    fn prefetch(&self, scan: &Scan) -> bool {
+        let first = match scan.at {
+            At::Inner { depth, node } => self.inner_keys(depth, node).first(),
+            At::Leaf { leaf, .. } => self.leaf_entries(leaf).0.first(),
+        };
+        first.map(prefetch_read).is_some()
+    }
+}
+
+/// Scans `scans` one at a time — the serial baseline, [`walk_scalar`]
+/// over the tree's public accessors (and therefore an implementation
+/// independent of [`BTreeIndex::range_scan`]). Emits `(scan index, key,
+/// payload)`.
 pub fn scan_btree_scalar<F: FnMut(u32, u64, u64)>(
     tree: &BTreeIndex,
     scans: &[ScanRange],
     emit: &mut F,
 ) -> WalkCounters {
-    let mut counters = WalkCounters::default();
-    for (i, range) in scans.iter().enumerate() {
-        if range.is_empty() {
-            continue;
-        }
-        counters.max_chain = counters.max_chain.max(tree.inner_level_count() as u64 + 1);
-        let tag = i as u32;
-        let mut node = 0u32;
-        for depth in 0..tree.inner_level_count() {
-            counters.nodes += 1;
-            let keys = tree.inner_keys(depth, node);
-            let slot = if range.desc {
-                keys.partition_point(|k| *k <= range.hi)
-            } else {
-                keys.partition_point(|k| *k < range.lo)
-            };
-            node = tree.inner_child(depth, node, slot);
-        }
-        let mut leaf = if tree.inner_level_count() == 0 {
-            tree.first_leaf()
-        } else {
-            node
-        };
-        let mut remaining = range.limit;
-        let mut seek = true;
-        if range.desc {
-            'rchain: while remaining > 0 {
-                counters.nodes += 1;
-                let (keys, payloads) = tree.leaf_entries(leaf);
-                let mut slot = if seek {
-                    keys.partition_point(|k| *k <= range.hi)
-                } else {
-                    keys.len()
-                };
-                while slot > 0 && remaining > 0 {
-                    let key = keys[slot - 1];
-                    if key < range.lo {
-                        break 'rchain;
-                    }
-                    emit(tag, key, payloads[slot - 1]);
-                    remaining -= 1;
-                    slot -= 1;
-                }
-                match tree.leaf_prev(leaf) {
-                    Some(prev) => leaf = prev,
-                    None => break,
-                }
-                seek = false;
-            }
-            continue;
-        }
-        'chain: while remaining > 0 {
-            counters.nodes += 1;
-            let (keys, payloads) = tree.leaf_entries(leaf);
-            let mut slot = if seek {
-                keys.partition_point(|k| *k < range.lo)
-            } else {
-                0
-            };
-            while slot < keys.len() && remaining > 0 {
-                let key = keys[slot];
-                if key > range.hi {
-                    break 'chain;
-                }
-                emit(tag, key, payloads[slot]);
-                remaining -= 1;
-                slot += 1;
-            }
-            match tree.leaf_next(leaf) {
-                Some(next) => leaf = next,
-                None => break,
-            }
-            seek = false;
-        }
-    }
-    counters.rounds = counters.nodes;
-    counters.occupancy = counters.nodes;
-    counters
+    walk_scalar(tree, scans, emit)
 }
 
-/// Scans `scans` in stage-synchronized groups of `group` cursors
-/// (Chen et al.-style group prefetching): the whole group descends one
-/// level together, then scans leaves in lock-step, each stage issuing
-/// the next stage's prefetches. Emits `(scan index, key, payload)`.
-/// Returns the walk's [`WalkCounters`]: node visits and prefetches
-/// match the AMAC walker exactly (same traversal, different schedule);
-/// each lock-step pass counts as one round with its live cursor count
-/// as occupancy.
+/// Scans `scans` in stage-synchronized groups of `group` cursors: the
+/// whole group descends one level per pass, then scans one leaf per
+/// pass in lock-step. Emits `(scan index, key,
+/// payload)`.
 ///
 /// # Panics
 ///
@@ -518,166 +232,11 @@ pub fn scan_btree_group<F: FnMut(u32, u64, u64)>(
     group: usize,
     emit: &mut F,
 ) -> WalkCounters {
-    assert!(group > 0, "group size must be positive");
-    let mut counters = WalkCounters::default();
-    /// One group member's leaf-phase state; `done` doubles as the
-    /// degenerate-scan marker.
-    struct Member {
-        leaf: u32,
-        seek: bool,
-        remaining: usize,
-        done: bool,
-    }
-    for (chunk_idx, chunk) in scans.chunks(group).enumerate() {
-        let base = (chunk_idx * group) as u32;
-        let mut nodes = vec![0u32; chunk.len()];
-        // Stage 0: prefetch the root for every live member — the same
-        // first touch the AMAC walker issues at feed time.
-        let mut live = 0u64;
-        for range in chunk {
-            if range.is_empty() {
-                continue;
-            }
-            live += 1;
-            counters.max_chain = counters.max_chain.max(tree.inner_level_count() as u64 + 1);
-            if tree.inner_level_count() > 0 {
-                if let [first, ..] = tree.inner_keys(0, 0) {
-                    prefetch_read(first);
-                    counters.prefetches += 1;
-                }
-            } else if let ([first, ..], _) = tree.leaf_entries(tree.first_leaf()) {
-                prefetch_read(first);
-                counters.prefetches += 1;
-            }
-        }
-        // Stage 1..h: descend the whole group one level per stage
-        // (toward `lo` ascending, toward `hi` descending).
-        for depth in 0..tree.inner_level_count() {
-            if live > 0 {
-                counters.rounds += 1;
-                counters.occupancy += live;
-            }
-            for (i, range) in chunk.iter().enumerate() {
-                if range.is_empty() {
-                    continue;
-                }
-                counters.nodes += 1;
-                let keys = tree.inner_keys(depth, nodes[i]);
-                let slot = if range.desc {
-                    keys.partition_point(|k| *k <= range.hi)
-                } else {
-                    keys.partition_point(|k| *k < range.lo)
-                };
-                nodes[i] = tree.inner_child(depth, nodes[i], slot);
-                if depth + 1 < tree.inner_level_count() {
-                    if let [first, ..] = tree.inner_keys(depth + 1, nodes[i]) {
-                        prefetch_read(first);
-                        counters.prefetches += 1;
-                    }
-                } else if let ([first, ..], _) = tree.leaf_entries(nodes[i]) {
-                    prefetch_read(first);
-                    counters.prefetches += 1;
-                }
-            }
-        }
-        // Leaf stages: each member consumes one leaf per stage.
-        let mut members: Vec<Member> = chunk
-            .iter()
-            .zip(&nodes)
-            .map(|(range, node)| Member {
-                leaf: if tree.inner_level_count() == 0 {
-                    tree.first_leaf()
-                } else {
-                    *node
-                },
-                seek: true,
-                remaining: range.limit,
-                done: range.is_empty(),
-            })
-            .collect();
-        loop {
-            let mut any = false;
-            let mut pass_live = 0u64;
-            for (i, m) in members.iter_mut().enumerate() {
-                if m.done {
-                    continue;
-                }
-                any = true;
-                pass_live += 1;
-                counters.nodes += 1;
-                let range = &chunk[i];
-                let (keys, payloads) = tree.leaf_entries(m.leaf);
-                if range.desc {
-                    let mut slot = if m.seek {
-                        keys.partition_point(|k| *k <= range.hi)
-                    } else {
-                        keys.len()
-                    };
-                    let mut past_lo = false;
-                    while slot > 0 && m.remaining > 0 {
-                        let key = keys[slot - 1];
-                        if key < range.lo {
-                            past_lo = true;
-                            break;
-                        }
-                        emit(base + i as u32, key, payloads[slot - 1]);
-                        m.remaining -= 1;
-                        slot -= 1;
-                    }
-                    match tree.leaf_prev(m.leaf) {
-                        Some(prev) if !past_lo && m.remaining > 0 => {
-                            if let ([first, ..], _) = tree.leaf_entries(prev) {
-                                prefetch_read(first);
-                                counters.prefetches += 1;
-                            }
-                            m.leaf = prev;
-                            m.seek = false;
-                        }
-                        _ => m.done = true,
-                    }
-                    continue;
-                }
-                let mut slot = if m.seek {
-                    keys.partition_point(|k| *k < range.lo)
-                } else {
-                    0
-                };
-                let mut past_hi = false;
-                while slot < keys.len() && m.remaining > 0 {
-                    let key = keys[slot];
-                    if key > range.hi {
-                        past_hi = true;
-                        break;
-                    }
-                    emit(base + i as u32, key, payloads[slot]);
-                    m.remaining -= 1;
-                    slot += 1;
-                }
-                match tree.leaf_next(m.leaf) {
-                    Some(next) if !past_hi && m.remaining > 0 => {
-                        if let ([first, ..], _) = tree.leaf_entries(next) {
-                            prefetch_read(first);
-                            counters.prefetches += 1;
-                        }
-                        m.leaf = next;
-                        m.seek = false;
-                    }
-                    _ => m.done = true,
-                }
-            }
-            if !any {
-                break;
-            }
-            counters.rounds += 1;
-            counters.occupancy += pass_live;
-        }
-    }
-    counters
+    walk_group(tree, scans, group, emit)
 }
 
-/// Scans `scans` with `inflight` interleaved cursor state machines —
-/// the one-shot form of [`BTreeRangeWalker`]. Emits `(scan index, key,
-/// payload)`. Returns the walk's [`WalkCounters`].
+/// Scans `scans` with `inflight` interleaved cursors — one [`Ring`]
+/// batch. Emits `(scan index, key, payload)`.
 ///
 /// # Panics
 ///
@@ -688,15 +247,9 @@ pub fn scan_btree_amac<F: FnMut(u32, u64, u64)>(
     inflight: usize,
     emit: &mut F,
 ) -> WalkCounters {
-    let mut walker = BTreeRangeWalker::new(tree, inflight);
-    walker.scan_chunk(
-        scans
-            .iter()
-            .enumerate()
-            .map(|(i, range)| (i as u32, *range)),
-        emit,
-    );
-    walker.take_counters()
+    let mut ring = Ring::new(tree, inflight);
+    ring.walk((0..).zip(scans.iter().copied()), emit);
+    ring.take_counters()
 }
 
 #[cfg(test)]
@@ -854,18 +407,18 @@ mod tests {
     #[test]
     fn walker_is_resumable_across_batches() {
         let t = tree(3000, 8);
-        let mut walker = BTreeRangeWalker::new(&t, 4);
+        let mut ring = Ring::new(&t, 4);
         let mut got: Vec<Vec<(u64, u64)>> = vec![Vec::new(); 30];
         for batch in 0..3 {
             for j in 0..10u32 {
                 let tag = batch * 10 + j;
                 let lo = u64::from(tag) * 100;
-                walker.feed(tag, ScanRange::new(lo, lo + 250), &mut |t2, k, p| {
+                ring.feed(tag, ScanRange::new(lo, lo + 250), &mut |t2, k, p| {
                     got[t2 as usize].push((k, p))
                 });
             }
-            walker.drain(&mut |t2, k, p| got[t2 as usize].push((k, p)));
-            assert_eq!(walker.in_flight(), 0, "drained between batches");
+            ring.drain(&mut |t2, k, p| got[t2 as usize].push((k, p)));
+            assert_eq!(ring.in_flight(), 0, "drained between batches");
         }
         for (tag, results) in got.iter().enumerate() {
             let lo = tag as u64 * 100;
@@ -880,57 +433,57 @@ mod tests {
     #[test]
     fn feed_keeps_scans_in_flight_until_drain() {
         let t = tree(50_000, 8);
-        let mut walker = BTreeRangeWalker::new(&t, 4);
+        let mut ring = Ring::new(&t, 4);
         let mut count = 0usize;
         for i in 0..4u32 {
-            walker.feed(
+            ring.feed(
                 i,
                 ScanRange::new(u64::from(i) * 1000, u64::from(i) * 1000 + 10),
                 &mut |_, _, _| count += 1,
             );
         }
-        assert_eq!(walker.in_flight(), 4, "descents still in flight");
-        walker.drain(&mut |_, _, _| count += 1);
-        assert_eq!(walker.in_flight(), 0);
+        assert_eq!(ring.in_flight(), 4, "descents still in flight");
+        ring.drain(&mut |_, _, _| count += 1);
+        assert_eq!(ring.in_flight(), 0);
         assert!(count > 0);
     }
 
     #[test]
     fn counters_track_depth_rounds_and_prefetches() {
         let t = tree(2000, 8);
-        let mut walker = BTreeRangeWalker::new(&t, 4);
-        assert!(walker.counters().is_zero());
+        let mut ring = Ring::new(&t, 4);
+        assert!(ring.take_counters().is_zero());
         let mut n = 0usize;
-        walker.scan_chunk([(0u32, ScanRange::new(0, 300))], &mut |_, _, _| n += 1);
+        ring.walk([(0u32, ScanRange::new(0, 300))], &mut |_, _, _| n += 1);
         assert_eq!(n, 101); // keys 0,3,...,300
-        let c = walker.take_counters();
+        let c = ring.take_counters();
         assert_eq!(c.max_chain, t.inner_level_count() as u64 + 1);
         assert!(c.nodes >= c.max_chain, "visited at least one full descent");
         assert!(c.rounds >= c.nodes, "single cursor: one node per round");
         assert_eq!(c.occupancy, c.nodes, "single live cursor each round");
         assert!(c.prefetches > 0);
-        assert!(walker.counters().is_zero(), "take_counters resets");
+        assert!(ring.take_counters().is_zero(), "take_counters resets");
         // Degenerate scans touch nothing.
-        walker.feed(0, ScanRange::new(9, 3), &mut |_, _, _| {});
-        assert!(walker.counters().is_zero());
+        ring.feed(0, ScanRange::new(9, 3), &mut |_, _, _| {});
+        assert!(ring.take_counters().is_zero());
     }
 
     #[test]
     fn degenerate_feed_does_not_occupy_a_slot() {
         let t = tree(100, 4);
-        let mut walker = BTreeRangeWalker::new(&t, 2);
-        walker.feed(0, ScanRange::new(9, 3), &mut |_, _, _| panic!("no matches"));
-        walker.feed(1, ScanRange::new(0, 9).with_limit(0), &mut |_, _, _| {
+        let mut ring = Ring::new(&t, 2);
+        ring.feed(0, ScanRange::new(9, 3), &mut |_, _, _| panic!("no matches"));
+        ring.feed(1, ScanRange::new(0, 9).with_limit(0), &mut |_, _, _| {
             panic!("no matches")
         });
-        assert_eq!(walker.in_flight(), 0);
+        assert_eq!(ring.in_flight(), 0);
     }
 
     #[test]
     #[should_panic(expected = "at least one")]
     fn zero_inflight_rejected() {
         let t = tree(10, 4);
-        let _ = BTreeRangeWalker::new(&t, 0);
+        let _ = Ring::new(&t, 0);
     }
 
     #[test]

@@ -1,24 +1,45 @@
-//! Group prefetching: stage-synchronized batches.
+//! The group-prefetch schedule: stage-synchronized batches.
 //!
 //! Chen et al.'s group prefetching (the paper's reference \[5\]) splits
-//! the probe loop into stages and runs each stage across a whole group
-//! of keys before advancing, issuing the next stage's prefetches at the
+//! the walk into stages and runs each stage across a whole group of
+//! units before advancing, issuing the next stage's prefetches at the
 //! end of the current one. Simpler control flow than AMAC, but stalls
-//! when chain lengths diverge within a group — the "lock-step" weakness
+//! when walk lengths diverge within a group — the "lock-step" weakness
 //! the paper attributes to vector-style approaches.
 
-use widx_db::index::{HashIndex, NONE};
+use widx_db::index::HashIndex;
 use widx_obs::WalkCounters;
 
-use crate::prefetch::prefetch_read;
-use crate::Match;
+use crate::{Match, Ring, Step};
 
-/// Probes `keys` in groups of `group` keys, appending matches to `out`.
-/// Returns the walk's [`WalkCounters`]: node visits and prefetches match
-/// the AMAC walker exactly (same traversal, different schedule); each
-/// lock-step pass over the group counts as one round with its live key
-/// count as occupancy, so `occupancy ÷ rounds` reads the group's mean
-/// in-flight width.
+/// Walks `units` in groups of `group`; unit `i` emits under tag `i`.
+/// Each group starts together, prefetching every first node, then
+/// advances in lock-step passes — every live cursor visits one node and
+/// prefetches its next — and the next group starts only once the whole
+/// group is done: a [`Ring`] of `group` slots, drained at every group
+/// boundary. Each pass counts one round with its live cursor count as
+/// occupancy, so `occupancy ÷ rounds` reads the group's mean in-flight
+/// width.
+///
+/// # Panics
+///
+/// Panics if `group` is zero.
+pub(crate) fn walk_group<S: Step, F: FnMut(u32, u64, u64)>(
+    index: &S,
+    units: &[S::Unit],
+    group: usize,
+    emit: &mut F,
+) -> WalkCounters {
+    assert!(group > 0, "group size must be positive");
+    let mut ring = Ring::new(index, group);
+    for (base, chunk) in (0..).step_by(group).zip(units.chunks(group)) {
+        ring.walk((base..).zip(chunk.iter().copied()), emit);
+    }
+    ring.take_counters()
+}
+
+/// Probes `keys` in groups of `group` keys, appending matches to `out`:
+/// the group schedule over the hash index.
 ///
 /// # Panics
 ///
@@ -29,76 +50,9 @@ pub fn probe_group_prefetch(
     group: usize,
     out: &mut Vec<Match>,
 ) -> WalkCounters {
-    assert!(group > 0, "group size must be positive");
-    let mut counters = WalkCounters::default();
-    let buckets = index.buckets();
-    let nodes = index.nodes();
-    let recipe = index.recipe();
-    let bucket_count = buckets.len() as u64;
-
-    let mut bucket_ids = vec![0usize; group];
-    let mut cursors = vec![NONE; group];
-
-    for chunk in keys.chunks(group) {
-        // Stage 1: hash the whole group, prefetch every header.
-        for (i, &key) in chunk.iter().enumerate() {
-            let b = recipe.bucket_of(key, bucket_count) as usize;
-            bucket_ids[i] = b;
-            prefetch_read(&buckets[b]);
-            counters.prefetches += 1;
-        }
-        // Stage 2: visit headers, prefetch first overflow nodes — one
-        // lock-step round with the whole chunk in flight.
-        counters.rounds += 1;
-        counters.occupancy += chunk.len() as u64;
-        for (i, &key) in chunk.iter().enumerate() {
-            counters.nodes += 1;
-            counters.max_chain = counters.max_chain.max(1);
-            let b = &buckets[bucket_ids[i]];
-            if b.count == 0 {
-                cursors[i] = NONE;
-                continue;
-            }
-            if b.key == key {
-                out.push((key, b.payload));
-            }
-            cursors[i] = b.next;
-            if b.next != NONE {
-                prefetch_read(&nodes[b.next as usize]);
-                counters.prefetches += 1;
-            }
-        }
-        // Stage 3+: walk chains in lock-step until the group drains.
-        let mut depth = 1u64;
-        loop {
-            let mut live = 0u64;
-            depth += 1;
-            for (i, &key) in chunk.iter().enumerate() {
-                let cur = cursors[i];
-                if cur == NONE {
-                    continue;
-                }
-                live += 1;
-                counters.nodes += 1;
-                counters.max_chain = counters.max_chain.max(depth);
-                let n = &nodes[cur as usize];
-                if n.key == key {
-                    out.push((key, n.payload));
-                }
-                cursors[i] = n.next;
-                if n.next != NONE {
-                    prefetch_read(&nodes[n.next as usize]);
-                    counters.prefetches += 1;
-                }
-            }
-            if live == 0 {
-                break;
-            }
-            counters.rounds += 1;
-            counters.occupancy += live;
-        }
-    }
-    counters
+    walk_group(index, keys, group, &mut |_, key, payload| {
+        out.push((key, payload))
+    })
 }
 
 #[cfg(test)]

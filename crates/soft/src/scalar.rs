@@ -1,50 +1,38 @@
-//! The baseline serial probe loop (paper Listing 1): hash one key, walk
-//! its bucket to the end, then move to the next key — every node miss
+//! The scalar schedule (paper Listing 1): start one unit, visit its
+//! nodes to the end, then move to the next unit — every node miss
 //! stalls the core.
 
-use widx_db::index::{HashIndex, NONE};
+use widx_db::index::HashIndex;
 use widx_obs::WalkCounters;
 
-use crate::Match;
+use crate::{Match, Step};
 
-/// Probes `keys` one at a time, appending every `(key, payload)` match
-/// to `out`. Returns the walk's [`WalkCounters`]: the serial loop keeps
-/// exactly one probe in flight, so `rounds == occupancy == nodes`
-/// (soft MLP 1.0) and no prefetches are issued — the node-visit count
-/// is the cross-engine parity invariant the interleaved walkers are
-/// tested against.
-pub fn probe_scalar(index: &HashIndex, keys: &[u64], out: &mut Vec<Match>) -> WalkCounters {
+/// Walks `units` one at a time, each to the end, never prefetching;
+/// unit `i` emits under tag `i`. One unit is in flight at a time, so
+/// `rounds == occupancy == nodes` (soft MLP 1.0) and `prefetches == 0`
+/// — the node-visit count is the cross-engine parity invariant the
+/// interleaved schedules are tested against.
+pub fn walk_scalar<S: Step, F: FnMut(u32, u64, u64)>(
+    index: &S,
+    units: &[S::Unit],
+    emit: &mut F,
+) -> WalkCounters {
     let mut counters = WalkCounters::default();
-    let buckets = index.buckets();
-    let nodes = index.nodes();
-    let recipe = index.recipe();
-    let bucket_count = buckets.len() as u64;
-    for &key in keys {
-        let b = &buckets[recipe.bucket_of(key, bucket_count) as usize];
-        counters.nodes += 1;
-        counters.max_chain = counters.max_chain.max(1);
-        if b.count == 0 {
-            continue;
-        }
-        if b.key == key {
-            out.push((key, b.payload));
-        }
-        let mut cur = b.next;
-        let mut depth = 1u64;
-        while cur != NONE {
-            let n = &nodes[cur as usize];
-            depth += 1;
-            counters.nodes += 1;
-            counters.max_chain = counters.max_chain.max(depth);
-            if n.key == key {
-                out.push((key, n.payload));
-            }
-            cur = n.next;
+    for (tag, &unit) in (0..).zip(units) {
+        let mut cursor = index.start(tag, unit);
+        while let Some(at) = cursor {
+            cursor = index.visit(at, &mut counters, emit);
         }
     }
     counters.rounds = counters.nodes;
     counters.occupancy = counters.nodes;
     counters
+}
+
+/// Probes `keys` one at a time, appending every `(key, payload)` match
+/// to `out`: [`walk_scalar`] over the hash index.
+pub fn probe_scalar(index: &HashIndex, keys: &[u64], out: &mut Vec<Match>) -> WalkCounters {
+    walk_scalar(index, keys, &mut |_, key, payload| out.push((key, payload)))
 }
 
 #[cfg(test)]

@@ -18,7 +18,7 @@ use std::thread;
 
 use widx_db::hash::HashRecipe;
 use widx_db::index::{BTreeIndex, HashIndex};
-use widx_soft::{probe_amac, probe_scalar, scan_btree_scalar, BTreeRangeWalker, ScanRange};
+use widx_soft::{probe_amac, probe_scalar, scan_btree_scalar, Ring, ScanRange};
 
 /// Keys the readers check; the writer never touches this range.
 const STABLE_LO: u64 = 1_000_000;
@@ -107,7 +107,7 @@ fn scans_under_the_read_guard_see_every_stable_key_while_leaves_churn() {
             let mut out = [Vec::new(), Vec::new()];
             let mut emit = |tag: u32, key, payload| out[tag as usize].push((key, payload));
             if ring {
-                BTreeRangeWalker::new(t, 4).scan_chunk((0..).zip(scans), &mut emit);
+                Ring::new(t, 4).walk((0..).zip(scans), &mut emit);
             } else {
                 scan_btree_scalar(t, &scans, &mut emit);
             }

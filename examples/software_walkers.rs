@@ -1,6 +1,7 @@
 //! Software walkers on your actual CPU: measure scalar vs group-prefetch
 //! vs AMAC probing of a DRAM-resident hash index — the paper's inter-key
-//! parallelism insight applied in software.
+//! parallelism insight applied in software. The three engines must find
+//! the same matches; a mismatch panics (exit 101).
 //!
 //! ```text
 //! cargo run --release --example software_walkers
@@ -26,6 +27,7 @@ fn main() {
     let probes = datagen::uniform_keys(2, probe_count, entries as u64);
 
     type ProbeFn<'a> = &'a dyn Fn(&mut Vec<(u64, u64)>);
+    // Times `f` and returns its rate and its sorted matches.
     let time = |name: &str, f: ProbeFn<'_>| {
         // Warm once, then measure the best of 3.
         let mut out = Vec::with_capacity(probe_count * 2);
@@ -39,18 +41,21 @@ fn main() {
         }
         let mps = probe_count as f64 / best / 1e6;
         println!("{name:<22} {mps:>7.1} M probes/s  ({} matches)", out.len());
-        mps
+        out.sort_unstable();
+        (mps, out)
     };
 
-    let scalar = time("scalar (Listing 1)", &|out| {
+    let (scalar, want) = time("scalar (Listing 1)", &|out| {
         probe_scalar(&index, &probes, out);
     });
-    let gp = time("group prefetch (G=8)", &|out| {
+    let (gp, got) = time("group prefetch (G=8)", &|out| {
         probe_group_prefetch(&index, &probes, 8, out);
     });
-    let amac = time("AMAC (8 in flight)", &|out| {
+    assert!(got == want, "group prefetch disagrees with the scalar loop");
+    let (amac, got) = time("AMAC (8 in flight)", &|out| {
         probe_amac(&index, &probes, 8, out);
     });
+    assert!(got == want, "AMAC disagrees with the scalar loop");
 
     println!(
         "\ninter-key parallelism speedup on this host: GP {:.2}x, AMAC {:.2}x \
