@@ -267,7 +267,7 @@ fn sub_ring_lookup_trace_is_bracketed_by_the_net_spans() {
         let owner = service.sharded().shard_of(trace.id) as u32;
         assert_eq!(trace.shards, vec![owner], "trace {}", trace.id);
         assert!(trace.walk.nodes > 0, "walk counters missing");
-        assert_eq!(trace.walk.prefetches, 0, "the serial engine walked it");
+        assert!(trace.walk.prefetches > 0, "the reactor's ring walked it");
         assert_eq!(span_of(&trace, Stage::BatchWait), None, "no batch was open");
         let start = |stage: Stage| {
             let span = span_of(&trace, stage);

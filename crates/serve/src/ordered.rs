@@ -16,9 +16,7 @@
 //! the saturated-`u64::MAX` corner). Purity is the single-home
 //! invariant: every copy of a key ever inserted lands in the one shard
 //! the function names, so deletes and updates are single-shard
-//! operations no matter what sequence of writes preceded them. The
-//! read-side [`shard_of`](OrderedShardedIndex::shard_of) may walk back
-//! over shards a delete storm emptied; the write side never does.
+//! operations no matter what sequence of writes preceded them.
 
 use std::ops::Deref;
 use std::sync::Arc;
@@ -91,22 +89,6 @@ impl OrderedShardedIndex {
     #[must_use]
     pub fn boundaries(&self) -> &[u64] {
         &self.boundaries
-    }
-
-    /// The shard a *read* for `key` lands on: boundary routing, walking
-    /// back over shards that have been emptied (a probe there would
-    /// just miss; the walk-back finds data the build placed lower).
-    #[must_use]
-    pub fn shard_of(&self, key: u64) -> usize {
-        let mut shard = self.boundaries.partition_point(|b| *b <= key);
-        // Trailing empty shards carry a saturated boundary of
-        // `last_key + 1`; when the data itself ends at `u64::MAX` that
-        // boundary collides with the key, over-routing it into the
-        // empty tail — walk back to the shard that actually holds data.
-        while shard > 0 && self.read(shard).is_empty() {
-            shard -= 1;
-        }
-        shard
     }
 
     /// The shard a *write* for `key` belongs to. Pure in the (frozen)
@@ -201,18 +183,14 @@ mod tests {
         assert_eq!(idx.shard_count(), 4);
         assert_eq!(idx.len(), 1000);
         for k in (0..2000u64).step_by(2) {
-            let owner = idx.shard_of(k);
+            let owner = idx.write_shard_of(k);
+            assert_eq!(idx.read(owner).lookup(k), Some(k / 2), "owner holds {k}");
             let hit: Vec<usize> = (0..idx.shard_count())
                 .filter(|s| idx.read(*s).lookup(k).is_some())
                 .collect();
-            assert_eq!(hit, vec![owner], "key {k}");
+            assert_eq!(hit, vec![owner], "key {k} lives only in its owner");
             let (first, last) = idx.shard_span(k, k);
             assert!((first..=last).contains(&owner), "span covers owner for {k}");
-            assert_eq!(
-                idx.write_shard_of(k),
-                owner,
-                "write route agrees while data is in place for {k}"
-            );
         }
     }
 
@@ -306,19 +284,18 @@ mod tests {
     fn max_key_routes_to_its_data_despite_saturated_boundary() {
         // Data ending at u64::MAX with empty trailing shards: the
         // saturated boundary equals the key, which must still route to
-        // the shard holding it — for reads, writes, and scans.
+        // the shard holding it — for writes, the owner's reads, and scans.
         let idx = OrderedShardedIndex::build(
             4,
             3,
             &EpochDomain::new(),
             [(u64::MAX, 7u64), (u64::MAX, 8)],
         );
-        let owner = idx.shard_of(u64::MAX);
+        let owner = idx.write_shard_of(u64::MAX);
         assert!(
             idx.read(owner).lookup(u64::MAX).is_some(),
             "owner shard holds the key"
         );
-        assert_eq!(idx.write_shard_of(u64::MAX), owner);
         assert_eq!(
             idx.scan(u64::MAX, u64::MAX, usize::MAX),
             vec![(u64::MAX, 7), (u64::MAX, 8)]

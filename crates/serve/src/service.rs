@@ -33,7 +33,8 @@ pub struct ServeConfig {
     /// In-flight depth per worker: AMAC probes on hash shards, resumable
     /// scan cursors on ordered shards (walkers per shard). A probe with
     /// fewer keys, or a one-chunk scan over fewer shards, cannot fill
-    /// the ring and is walked serially on its submitting thread.
+    /// the ring and is walked on its submitting thread, by the worker's
+    /// own batch routine over a ring of its own.
     pub inflight: usize,
     /// Keys per batch before a size flush. A worker never waits to
     /// reach it: a batch also closes the moment the shard's queue is
@@ -268,12 +269,6 @@ impl<T: Tier> TierRuntime<T> {
             tier.workers.push(worker);
         }
         tier
-    }
-
-    /// [`walk_here`] over this tier's shards and telemetry cells.
-    fn walk_here(&self, stages: &StageTimes, limits: (usize, usize), parts: &[Part<'_>]) -> bool {
-        let cells = (&self.cells[..], &self.prof_cells[..]);
-        walk_here(&*self.index, cells, stages, limits, parts)
     }
 
     /// Keys (or scan cursors) currently queued per shard.
@@ -808,8 +803,12 @@ impl ProbeService {
         let (parts, limits) = (&plan.parts, (ring, self.stream_chunk));
         let ordered = self.ordered.as_ref();
         let silent = ordered.map(|t| (&*t.index, &t.cells[..]));
-        if tier.walk_here(stages, limits, parts)
-            || ordered.is_some_and(|t| t.walk_here(stages, limits, parts))
+        let hash_cells = (&tier.cells[..], &tier.prof_cells[..]);
+        if walk_here(&*tier.index, hash_cells, stages, limits, parts)
+            || ordered.is_some_and(|t| {
+                let cells = (&t.cells[..], &t.prof_cells[..]);
+                walk_here(&*t.index, cells, stages, limits, parts)
+            })
             || write_here((&tier.index, &tier.cells), silent, stages, ring, parts)
         {
             return Ok(plan.state);

@@ -22,7 +22,7 @@ use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use widx_db::epoch::EpochDomain;
 use widx_db::hash::HashRecipe;
-use widx_db::index::{build_sharded, BTreeIndex, HashIndex, IndexStats};
+use widx_db::index::{build_sharded, BTreeIndex, HashIndex};
 
 use crate::request::WriteOp;
 
@@ -194,14 +194,6 @@ impl ShardedIndex {
     #[must_use]
     pub fn lookup_all(&self, key: u64) -> Vec<u64> {
         self.read(self.shard_of(key)).lookup_all(key)
-    }
-
-    /// Per-shard shape statistics, in shard order.
-    #[must_use]
-    pub fn shard_stats(&self) -> Vec<IndexStats> {
-        (0..self.shard_count())
-            .map(|s| self.read(s).stats())
-            .collect()
     }
 }
 

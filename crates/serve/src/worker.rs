@@ -31,12 +31,12 @@
 //! at batch barriers (never mid-batch). While the worker is parked on an
 //! empty queue, a sub-ring write is applied by its submitting thread
 //! instead ([`write_here`]): same guard, same routine
-//! ([`apply_writes`]), no hand-off. The worker is not either tier's only
-//! reader: a sub-ring probe or one-chunk scan is walked on its
-//! submitting thread ([`walk_here`]) under a `try_read` guard, so the
-//! lock arbitrates those readers against the barrier — a barrier waits
-//! out the walks in flight, and a walk that finds the barrier holding or
-//! awaiting the lock is queued instead.
+//! ([`apply_writes`]), no hand-off. Likewise a sub-ring probe or
+//! one-chunk scan is walked by its submitting thread ([`walk_here`]):
+//! the worker's own batch routine over a ring of its own, under a
+//! `try_read` guard, so the lock arbitrates those readers against the
+//! barrier — a barrier waits out the walks in flight, and a walk that
+//! finds the barrier holding or awaiting the lock is queued instead.
 //!
 //! That guard is the whole reclamation story. A walker borrows
 //! `&HashIndex` / `&BTreeIndex` through the read guard and is rebuilt
@@ -51,7 +51,7 @@ use std::time::{Duration, Instant};
 
 use widx_db::index::{BTreeIndex, HashIndex};
 use widx_obs::{FlushKind, ProfCell, Stage, StageTimes, ThreadProfiler, WalkCounters, WorkerCell};
-use widx_soft::{walk_scalar, Ring, ScanRange, Step};
+use widx_soft::{Ring, ScanRange, Step};
 
 use crate::batch::BatchPolicy;
 use crate::ordered::OrderedShardedIndex;
@@ -65,7 +65,7 @@ pub(crate) trait Tier:
     Deref<Target = Shards<<Self as Tier>::Index>> + Send + Sync + 'static
 {
     /// One shard's index, and its traversal: the [`Step`] a batch's
-    /// [`Ring`] and a submitting thread's [`walk_scalar`] schedule.
+    /// [`Ring`] schedules.
     type Index: ShardIndex + Step<Unit = Self::Work>;
     /// One unit of walker input: a probe key or a scan range.
     type Work: Copy;
@@ -188,18 +188,6 @@ fn apply_writes<'a, I: ShardIndex>(
     cell.add_busy(barrier_from.elapsed());
 }
 
-/// The batch barrier: the stashed write parts, under the write guard.
-fn apply_write_barrier<T: Tier>(
-    ctx: &WorkerContext<T>,
-    jobs: &[WriteJob],
-    prof: &mut ThreadProfiler,
-) {
-    let mut target = ctx.index.write(ctx.shard);
-    let mark = prof.mark();
-    apply_writes(&mut *target, ctx.shard, (&*ctx.cell, &*ctx.stages), jobs);
-    prof.record(Stage::Write, mark);
-}
-
 /// The sub-ring rule for mutations: a write of fewer ops than the
 /// walker ring has slots is a serial chase a worker could only run
 /// serially too, so it is applied where it already is — on its
@@ -307,21 +295,16 @@ pub(crate) fn run_worker<T: Tier>(ctx: &WorkerContext<T>) {
                 writes.push(write);
                 false
             }
-            // Walker batch: hold the shard's read guard for the batch's
-            // whole lifetime, so nothing mutates (or frees a node) under
-            // the in-flight ring. The ring is rebuilt per batch — it
-            // borrows the guard.
-            job => {
-                let guard = ctx.index.read(ctx.shard);
-                let mut ring = Ring::new(&*guard, ctx.inflight);
-                run_batch(ctx, &mut ring, job, &mut writes, &mut prof)
-            }
+            job => run_batch(ctx, job, &mut writes, &mut prof),
         };
         // Batch barrier: the read guard is gone; apply every write the
         // batch loop stashed (shutdown included — queued writes always
         // land before the final snapshot).
         if !writes.is_empty() {
-            apply_write_barrier(ctx, &writes, &mut prof);
+            let mut target = ctx.index.write(ctx.shard);
+            let (mark, telemetry) = (prof.mark(), (&*ctx.cell, &*ctx.stages));
+            apply_writes(&mut *target, ctx.shard, telemetry, &writes);
+            prof.record(Stage::Write, mark);
         }
         if shutdown {
             break;
@@ -329,10 +312,9 @@ pub(crate) fn run_worker<T: Tier>(ctx: &WorkerContext<T>) {
     }
 }
 
-/// A request shard-part participating in the worker's open batch. A
-/// point-probe part accumulates `items` until the batch closes; a scan
-/// part — buffered or streamed alike — pushes chunks to the gather seam
-/// as its cursors yield ([`Tier::CHUNKED`]).
+/// A request shard-part in an open batch: a point-probe part gathers
+/// `items` until the batch closes; a scan part, buffered or streamed,
+/// pushes chunks to the gather seam as its cursors yield.
 struct OpenJob {
     reply: Arc<ResponseState>,
     items: Vec<RoutedMatch>,
@@ -340,12 +322,11 @@ struct OpenJob {
     admitted: Instant,
     /// The part's tags; on a scan part, one per cursor (scatter rank).
     tags: Range<usize>,
-    /// Entries emitted for this part, chunks included.
-    emitted: u64,
 }
 
-/// The worker's open batch: the parts admitted so far and the routing
-/// that attributes each walker emission to its request.
+/// An open batch — a worker's, or a sub-ring walk's ([`walk_here`]):
+/// the parts admitted so far and the routing that attributes each
+/// walker emission to its request.
 struct Batch {
     opened: Instant,
     /// tag (index into `meta`) → (open-job index, probe row or scatter
@@ -355,73 +336,95 @@ struct Batch {
     /// tag → the chunk being built, on a scan batch (empty otherwise).
     chunks: Vec<Vec<(u64, u64)>>,
     chunk_size: usize,
-    /// Time spent feeding and draining the walker.
-    busy: Duration,
+    /// Entries flushed to the gather seam mid-batch.
+    flushed: u64,
+    /// Time spent asking the queue for parts: not busy.
+    asked: Duration,
 }
 
 impl Batch {
-    /// Routes one walker emission to its request *as it happens* (not
-    /// at batch close): a point-probe part accumulates a row, a scan part
-    /// builds a chunk and pushes it to the gather seam every
-    /// `chunk_size` entries — this mid-batch flush is what makes a long
-    /// scan's first entries reach a streaming client while the walker
-    /// ring is still running. Emissions arrive in emit order, so each
-    /// tag's chunk sequence stays key-ordered — the invariant the seam's
-    /// rank-ordered release relies on.
-    fn route<T: Tier>(&mut self, tag: u32, key: u64, payload: u64) {
-        let (open_idx, row) = self.meta[tag as usize];
-        let job = &mut self.open[open_idx as usize];
-        job.emitted += 1;
-        if !T::CHUNKED {
-            job.items.push((row, key, payload));
-            return;
-        }
-        let buf = &mut self.chunks[tag as usize];
-        buf.push((key, payload));
-        if buf.len() >= self.chunk_size {
-            // The seam hands back a consumed chunk's buffer when it has
-            // one: a long scan settles into a closed loop of recycled
-            // allocations instead of one fresh `Vec` per chunk.
-            if let Some(spare) = job.reply.push_chunk(row, std::mem::take(buf)) {
-                *buf = spare;
-            }
+    fn new(chunk_size: usize) -> Batch {
+        Batch {
+            opened: Instant::now(),
+            meta: Vec::new(),
+            open: Vec::new(),
+            chunks: Vec::new(),
+            chunk_size,
+            flushed: 0,
+            asked: Duration::ZERO,
         }
     }
 
-    /// Admits one walker job into the batch and feeds its work to the
-    /// ring (which may emit for earlier tags while it does).
+    /// Routes one walker emission to its request as it happens: a probe
+    /// part gains a row, a scan part's chunk is [`flush`](Self::flush)ed
+    /// every `chunk_size` entries, so a long scan streams while the ring
+    /// runs. Emit order keeps each tag's chunks key-ordered, as the
+    /// seam's rank-ordered release needs.
+    fn route<T: Tier>(&mut self, tag: u32, key: u64, payload: u64) {
+        let tag = tag as usize;
+        if !T::CHUNKED {
+            let (open_idx, row) = self.meta[tag];
+            self.open[open_idx as usize].items.push((row, key, payload));
+            return;
+        }
+        let buf = &mut self.chunks[tag];
+        buf.push((key, payload));
+        if buf.len() >= self.chunk_size {
+            self.flush(tag);
+        }
+    }
+
+    /// Pushes `tag`'s full chunk to the gather seam. Cold and out of line:
+    /// inlined into `route`, it cost a 128-entry scan ~8 % (2-vCPU x86 VM).
+    #[cold]
+    #[inline(never)]
+    fn flush(&mut self, tag: usize) {
+        let ((open_idx, row), buf) = (self.meta[tag], &mut self.chunks[tag]);
+        self.flushed += buf.len() as u64;
+        // The seam hands back a consumed chunk's buffer when it has
+        // one: a long scan settles into a closed loop of recycled
+        // allocations instead of one fresh `Vec` per chunk.
+        let reply = &self.open[open_idx as usize].reply;
+        if let Some(spare) = reply.push_chunk(row, std::mem::take(buf)) {
+            *buf = spare;
+        }
+    }
+
+    /// Admits a walker part taken off its queue at `admitted` and feeds
+    /// its work to the ring, which may emit for earlier tags meanwhile.
     fn admit<T: Tier>(
         &mut self,
-        ctx: &WorkerContext<T>,
+        (cell, stages): (&WorkerCell, &StageTimes),
         ring: &mut Ring<'_, T::Index>,
-        job: Job,
+        (work, reply): Unpacked<'_, T::Work>,
+        admitted: Instant,
         prof: &mut ThreadProfiler,
     ) {
-        let (work, reply) = T::unpack(&job).expect("a queue carries only its tier's walker jobs");
-        ctx.cell.add_jobs(1);
-        ctx.stages.record(Stage::QueueWait, reply.since_submit());
+        cell.add_jobs(1);
+        stages.record(Stage::QueueWait, reply.since_submit());
         if work.is_empty() {
             // Defensive: never strand a zero-key part. (The planner
             // never scatters one.)
             debug_assert!(!T::CHUNKED, "empty scan shard-part");
-            reply.complete_part(Vec::new(), Some(&ctx.cell));
+            reply.complete_part(Vec::new(), Some(cell));
             return;
         }
         let open_idx = self.open.len();
         let tags = self.meta.len()..self.meta.len() + work.len();
         if T::CHUNKED {
-            self.chunks.resize_with(tags.end, Vec::new);
+            // Each cursor's first chunk is sized once, as its rows are.
+            let first = |(_, unit): &(u32, T::Work)| T::chunk_entries(unit).min(self.chunk_size);
+            self.chunks
+                .extend(work.iter().map(first).map(Vec::with_capacity));
         }
         self.open.push(OpenJob {
             reply: Arc::clone(reply),
             // A point-probe part's rows are sized once (a probe emits
             // about one row per key) and moved into the reply at close.
             items: Vec::with_capacity(if T::CHUNKED { 0 } else { work.len() }),
-            admitted: Instant::now(),
+            admitted,
             tags,
-            emitted: 0,
         });
-        let busy_from = Instant::now();
         let mark = prof.mark();
         for &(row, item) in work {
             let tag = u32::try_from(self.meta.len()).expect("batch exceeds u32 tags");
@@ -429,50 +432,77 @@ impl Batch {
             ring.feed(tag, item, &mut |t, k, p| self.route::<T>(t, k, p));
         }
         prof.record(Stage::Walk, mark);
-        self.busy += busy_from.elapsed();
     }
-}
 
-/// Writes one shard's finished walk into `reply`'s trace, when it has
-/// one. A worker's batch and a sub-ring walk on a submitting thread
-/// ([`walk_here`]) record alike; the latter waited in no open batch
-/// (`closed` is `None`), so it has no batch-wait span.
-fn trace_walk(
-    reply: &ResponseState,
-    shard: usize,
-    (admitted, closed): (Instant, Option<Instant>),
-    (opened, busy, counters): (Instant, Duration, &WalkCounters),
-) {
-    if !reply.is_traced() {
-        return;
-    }
-    reply.trace_annotate(|trace, submitted| {
-        trace.add_shard(shard as u32);
-        trace.span_between(Stage::QueueWait, submitted, admitted);
-        if let Some(closed) = closed {
-            trace.span_between(Stage::BatchWait, admitted, closed);
+    /// Closes the batch, for either caller: drains the ring, publishes
+    /// the batch's counters, then traces and completes each part — a scan
+    /// part per cursor, its tail chunk riding the completion. A part that
+    /// waited in no open batch (`closed` is `None`: a walk on a
+    /// submitting thread) has no batch-wait span. Returns the batch's
+    /// walk counters.
+    fn close<T: Tier>(
+        mut self,
+        ring: &mut Ring<'_, T::Index>,
+        (shard, cell, stages): (usize, &WorkerCell, &StageTimes),
+        (reason, closed): (FlushKind, Option<Instant>),
+        prof: &mut ThreadProfiler,
+    ) -> WalkCounters {
+        let mark = prof.mark();
+        ring.drain(&mut |t, k, p| self.route::<T>(t, k, p));
+        prof.record(Stage::Walk, mark);
+        let busy = self.opened.elapsed().saturating_sub(self.asked);
+
+        cell.add_batch(self.meta.len() as u64, reason);
+        cell.add_busy(busy);
+        stages.record(Stage::Walk, busy);
+        let unflushed = match T::CHUNKED {
+            true => self.chunks.iter().map(Vec::len).sum::<usize>(),
+            false => self.open.iter().map(|job| job.items.len()).sum(),
+        };
+        cell.add_matches(self.flushed + unflushed as u64);
+        let counters = ring.take_counters();
+        prof.add_walk(&counters);
+        let gather_mark = prof.mark();
+        for job in self.open {
+            if job.reply.is_traced() {
+                job.reply.trace_annotate(|trace, submitted| {
+                    trace.add_shard(shard as u32);
+                    trace.span_between(Stage::QueueWait, submitted, job.admitted);
+                    if let Some(closed) = closed {
+                        trace.span_between(Stage::BatchWait, job.admitted, closed);
+                    }
+                    trace.span_for(Stage::Walk, self.opened, busy);
+                    trace.add_walk(&counters);
+                });
+            }
+            if T::CHUNKED {
+                for tag in job.tags {
+                    let tail = std::mem::take(&mut self.chunks[tag]);
+                    let rank = self.meta[tag].1;
+                    job.reply.complete_stream_part(rank, tail, Some(cell));
+                }
+            } else {
+                job.reply.complete_part(job.items, Some(cell));
+            }
         }
-        trace.span_for(Stage::Walk, opened, busy);
-        trace.add_walk(counters);
-    });
+        prof.record(Stage::Gather, gather_mark);
+        counters
+    }
 }
 
 /// The sub-ring rule, either tier: a plan with fewer probe keys or scan
 /// cursors than the walker ring has slots, each part fitting one chunk,
-/// gives the walkers nothing to interleave, so it is walked where it
-/// already is — on its submitting thread — instead of being queued.
+/// is walked on its submitting thread instead of being queued:
 /// `try_read` on every owning shard (ascending, `parts`' order), then
-/// each unit through [`walk_scalar`] (the paper's Listing 1, or one
-/// scan cursor), completed and counted as a worker would: one job, one
-/// queue-dry batch, its counters in the shard's profile. `try_read`,
-/// never `read`: a refused guard means the shard's worker holds or
-/// awaits its write barrier, so every guard is dropped and `false`
-/// leaves `parts` to the queues.
+/// per shard the worker's own routine — one [`Batch`] over one [`Ring`],
+/// closed queue-dry, its walk counters added to the shard's profile. A
+/// refused guard means the shard's worker holds or awaits its write
+/// barrier, so every guard is dropped and `false` leaves `parts` to the queues.
 pub(crate) fn walk_here<T: Tier>(
     index: &T,
     (cells, profs): (&[Arc<WorkerCell>], &[Arc<ProfCell>]),
     stages: &StageTimes,
-    (ring, stream_chunk): (usize, usize),
+    (inflight, stream_chunk): (usize, usize),
     parts: &[Part<'_>],
 ) -> bool {
     // Only this tier's walker parts carry work; anything else has none.
@@ -483,114 +513,58 @@ pub(crate) fn walk_here<T: Tier>(
     };
     let units = walks().map(|(_, (work, _))| work.len()).sum();
     let fits = |(_, work): &(u32, T::Work)| T::chunk_entries(work) <= stream_chunk;
-    if !(1..ring).contains(&units) || !walks().all(|(_, (work, _))| work.iter().all(fits)) {
+    if !(1..inflight).contains(&units) || !walks().all(|(_, (work, _))| work.iter().all(fits)) {
         return false;
     }
-    let held =
-        walks().map(|(shard, (work, reply))| Some((shard, work, reply, index.try_read(shard)?)));
+    let held = walks().map(|(shard, part)| Some((shard, part, index.try_read(shard)?)));
     let Some(held) = held.collect::<Option<Vec<_>>>() else {
         return false;
     };
-    for (shard, work, reply, guard) in &held {
-        let (cell, opened) = (&*cells[*shard], Instant::now());
-        cell.add_jobs(1);
-        stages.record(Stage::QueueWait, reply.since_submit());
-        let mut counters = WalkCounters::default();
-        // A probe part's rows, or one chunk per scan cursor.
-        let mut rows = Vec::<RoutedMatch>::with_capacity(if T::CHUNKED { 0 } else { work.len() });
-        let walk = |&(tag, unit): &(u32, T::Work)| {
-            let mut chunk = Vec::with_capacity(T::chunk_entries(&unit));
-            let emit = &mut |_, key, payload| match T::CHUNKED {
-                true => chunk.push((key, payload)),
-                false => rows.push((tag, key, payload)),
-            };
-            counters.merge(&walk_scalar(&**guard, &[unit], emit));
-            chunk
-        };
-        let chunks: Vec<_> = work.iter().map(walk).collect();
-        let busy = opened.elapsed();
-        cell.add_batch(work.len() as u64, FlushKind::QueueDry);
-        cell.add_busy(busy);
-        stages.record(Stage::Walk, busy);
-        cell.add_matches((rows.len() + chunks.iter().map(Vec::len).sum::<usize>()) as u64);
-        if let Some(prof) = profs.get(*shard) {
+    let mut prof = ThreadProfiler::disabled();
+    for (shard, part, guard) in held {
+        let (cell, mut ring) = (&*cells[shard], Ring::new(&*guard, inflight));
+        let mut batch = Batch::new(stream_chunk);
+        batch.admit::<T>((cell, stages), &mut ring, part, batch.opened, &mut prof);
+        let done = (FlushKind::QueueDry, None);
+        let counters = batch.close::<T>(&mut ring, (shard, cell, stages), done, &mut prof);
+        if let Some(prof) = profs.get(shard) {
             prof.add_walk(&counters);
-        }
-        trace_walk(reply, *shard, (opened, None), (opened, busy, &counters));
-        if T::CHUNKED {
-            for (&(rank, _), tail) in work.iter().zip(chunks) {
-                reply.complete_stream_part(rank, tail, Some(cell));
-            }
-        } else {
-            reply.complete_part(rows, Some(cell));
         }
     }
     true
 }
 
-/// Assembles and drains one batch starting from `first`. Returns true
-/// when the poison pill arrived and the worker must halt after this
-/// batch.
+/// Assembles and drains one batch starting from `job` under the shard's
+/// read guard, held for the batch's life so nothing mutates (or frees a
+/// node) under the ring it borrows. Returns true when the poison pill
+/// arrived and the worker must halt after this batch.
 fn run_batch<T: Tier>(
     ctx: &WorkerContext<T>,
-    ring: &mut Ring<'_, T::Index>,
-    first: Job,
+    mut job: Job,
     writes: &mut Vec<WriteJob>,
     prof: &mut ThreadProfiler,
 ) -> bool {
-    let (cell, stages) = (&*ctx.cell, &*ctx.stages);
-    let mut batch = Batch {
-        opened: Instant::now(),
-        meta: Vec::new(),
-        open: Vec::new(),
-        chunks: Vec::new(),
-        chunk_size: ctx.stream_chunk,
-        busy: Duration::ZERO,
-    };
-    batch.admit(ctx, ring, first, prof);
-
-    // Admit what is already queued until the close rule says stop.
-    let reason = loop {
-        match ctx
+    let guard = ctx.index.read(ctx.shard);
+    let mut ring = Ring::new(&*guard, ctx.inflight);
+    let mut batch = Batch::new(ctx.stream_chunk);
+    // Admit `job`, then what is queued until the close rule says stop.
+    let mut admitted = batch.opened;
+    let (reason, closed) = loop {
+        let part = T::unpack(&job).expect("a queue carries only its tier's walker jobs");
+        batch.admit::<T>((&*ctx.cell, &*ctx.stages), &mut ring, part, admitted, prof);
+        let asking = Instant::now();
+        let next = ctx
             .policy
-            .next_job(batch.meta.len(), &ctx.queue, writes, prof)
-        {
-            Ok(job) => batch.admit(ctx, ring, job, prof),
-            Err(reason) => break reason,
+            .next_job(batch.meta.len(), &ctx.queue, writes, prof);
+        admitted = Instant::now();
+        batch.asked += admitted - asking;
+        match next {
+            Ok(next) => job = next,
+            Err(reason) => break (reason, admitted),
         }
     };
-    let closed = Instant::now();
-    stages.record(Stage::BatchWait, closed - batch.opened);
-
-    // Drain every in-flight probe or cursor.
-    let busy_from = Instant::now();
-    let mark = prof.mark();
-    ring.drain(&mut |t, k, p| batch.route::<T>(t, k, p));
-    prof.record(Stage::Walk, mark);
-    batch.busy += busy_from.elapsed();
-
-    cell.add_batch(batch.meta.len() as u64, reason);
-    cell.add_busy(batch.busy);
-    stages.record(Stage::Walk, batch.busy);
-    let walk_counters = ring.take_counters();
-    prof.add_walk(&walk_counters);
-    let walked = (batch.opened, batch.busy, &walk_counters);
-    let gather_mark = prof.mark();
-    // Complete the parts: a scan part per cursor, its tail chunk riding
-    // the completion.
-    for job in batch.open {
-        cell.add_matches(job.emitted);
-        trace_walk(&job.reply, ctx.shard, (job.admitted, Some(closed)), walked);
-        if T::CHUNKED {
-            for tag in job.tags {
-                let tail = std::mem::take(&mut batch.chunks[tag]);
-                job.reply
-                    .complete_stream_part(batch.meta[tag].1, tail, Some(cell));
-            }
-        } else {
-            job.reply.complete_part(job.items, Some(cell));
-        }
-    }
-    prof.record(Stage::Gather, gather_mark);
+    ctx.stages.record(Stage::BatchWait, closed - batch.opened);
+    let telemetry = (ctx.shard, &*ctx.cell, &*ctx.stages);
+    batch.close::<T>(&mut ring, telemetry, (reason, Some(closed)), prof);
     reason == FlushKind::Shutdown
 }

@@ -77,8 +77,8 @@ fn profiled_service_reports_per_stage_breakdown() {
 
 /// Walks run on the submitting thread reach the profile too: a service
 /// that has only served sub-ring lookups and one-chunk scans — no worker
-/// ever handed a job, every idle clock still zero — reports the nodes
-/// and rounds those walks visited.
+/// ever handed a job, every idle clock still zero — reports the nodes,
+/// rounds and prefetches of those walks.
 #[test]
 fn submitter_walks_reach_the_profile() {
     let service = build(ServeConfig::default().with_shards(2).with_profile(true));
@@ -91,7 +91,7 @@ fn submitter_walks_reach_the_profile() {
         );
         let prof = stats.prof.expect("profiled service carries prof");
         assert!(prof.walk.rounds > 0, "submitter walks ran no rounds");
-        assert_eq!(prof.walk.prefetches, 0, "the serial engines prefetch none");
+        assert!(prof.walk.prefetches > 0, "submitter walks run the ring");
         prof.walk.nodes
     };
     for key in 0..64 {

@@ -92,8 +92,24 @@ impl<'idx, S: Step> Ring<'idx, S> {
 
     /// Runs the ring until every in-flight cursor has completed.
     pub fn drain<F: FnMut(u32, u64, u64)>(&mut self, emit: &mut F) {
-        while !self.live.is_empty() {
+        while self.live.len() > 1 {
             self.step_all(emit);
+        }
+        // The last cursor has nothing to interleave with: it runs to its
+        // end, one node a round and prefetching as in the ring, but held
+        // in registers instead of the ring's slot.
+        if let Some(mut cursor) = self.live.pop() {
+            let (index, mut counters) = (self.index, self.counters);
+            loop {
+                counters.rounds += 1;
+                counters.occupancy += 1;
+                let Some(next) = index.visit(cursor, &mut counters, emit) else {
+                    break;
+                };
+                counters.prefetches += u64::from(index.prefetch(&next));
+                cursor = next;
+            }
+            self.counters = counters;
         }
     }
 
