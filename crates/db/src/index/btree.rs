@@ -30,6 +30,8 @@
 //!   Separator keys may go stale (they remain correct lower bounds),
 //!   which is why scans land by separator and then follow the chain.
 
+use super::sort::sort_pairs;
+
 /// Sentinel node index ("no node").
 const NONE: u32 = u32::MAX;
 
@@ -93,94 +95,77 @@ pub struct BTreeIndex {
 }
 
 impl BTreeIndex {
-    /// Builds a tree with the given `fanout` from `pairs` (sorted
-    /// internally).
+    /// Builds a tree with the given `fanout` from `pairs`, in any order:
+    /// they are collected and stably radix-sorted by key on the calling
+    /// thread, so duplicate keys keep their input payload order. A
+    /// range-sharded build (one sort, each shard a slice of it) therefore
+    /// scans in exactly the order of one tree over everything — the
+    /// property the ordered-serving oracle tests rely on.
     ///
     /// # Panics
     ///
     /// Panics if `fanout < 2`.
     #[must_use]
     pub fn build(fanout: usize, pairs: impl IntoIterator<Item = (u64, u64)>) -> BTreeIndex {
-        assert!(fanout >= 2, "fanout must be at least 2");
         let mut entries: Vec<(u64, u64)> = pairs.into_iter().collect();
-        // Stable sort: duplicate keys keep their input payload order, so
-        // a range-partitioned build (each shard sorting its own slice)
-        // scans in exactly the same order as one tree over everything —
-        // the property the ordered-serving oracle tests rely on.
-        entries.sort_by_key(|(k, _)| *k);
-        let len = entries.len();
+        sort_pairs(&mut entries, 1);
+        BTreeIndex::from_sorted(fanout, &entries)
+    }
 
-        let mut leaves = Vec::new();
-        for chunk in entries.chunks(fanout.max(1)) {
+    /// Packs key-sorted `entries` bottom-up: full leaves of `fanout`
+    /// entries (the last may be short), then inner levels grouping
+    /// `fanout` consecutive nodes of the level below until one root
+    /// remains — so node `i`'s parent is node `i / fanout` one level up.
+    /// Panics if `fanout < 2`.
+    pub(super) fn from_sorted(fanout: usize, entries: &[(u64, u64)]) -> BTreeIndex {
+        assert!(fanout >= 2, "fanout must be at least 2");
+        debug_assert!(entries.windows(2).all(|w| w[0].0 <= w[1].0));
+        let parent = |i: usize, width: usize| if width > 1 { (i / fanout) as u32 } else { NONE };
+        let width = entries.len().div_ceil(fanout).max(1);
+        let mut leaves = Vec::with_capacity(width);
+        let mut first_keys = Vec::with_capacity(width);
+        // An empty tree is one empty leaf.
+        let chunks = entries
+            .chunks(fanout)
+            .chain(entries.is_empty().then_some(entries));
+        for (i, chunk) in chunks.enumerate() {
+            first_keys.push(chunk.first().map_or(0, |(k, _)| *k));
             leaves.push(Leaf {
                 keys: chunk.iter().map(|(k, _)| *k).collect(),
                 payloads: chunk.iter().map(|(_, p)| *p).collect(),
-                next: NONE,
-                prev: NONE,
-                parent: NONE,
+                next: if i + 1 < width { i as u32 + 1 } else { NONE },
+                prev: if i > 0 { i as u32 - 1 } else { NONE },
+                parent: parent(i, width),
             });
-        }
-        if leaves.is_empty() {
-            leaves.push(Leaf {
-                keys: Vec::new(),
-                payloads: Vec::new(),
-                next: NONE,
-                prev: NONE,
-                parent: NONE,
-            });
-        }
-        let leaf_count = leaves.len() as u32;
-        for (i, leaf) in leaves.iter_mut().enumerate() {
-            let i = i as u32;
-            leaf.prev = if i == 0 { NONE } else { i - 1 };
-            leaf.next = if i + 1 == leaf_count { NONE } else { i + 1 };
         }
 
         // Build inner levels bottom-up until one root remains.
         let mut levels: Vec<Vec<Inner>> = Vec::new();
-        let mut level_first_keys: Vec<u64> = leaves
-            .iter()
-            .map(|l| l.keys.first().copied().unwrap_or(0))
-            .collect();
-        let mut width = leaves.len();
-        while width > 1 {
-            let mut inners = Vec::new();
-            let mut next_first_keys = Vec::new();
-            let mut child = 0u32;
-            while (child as usize) < width {
-                let end = (child as usize + fanout).min(width);
-                let children: Vec<u32> = (child..end as u32).collect();
-                let keys = children[1..]
-                    .iter()
-                    .map(|c| level_first_keys[*c as usize])
-                    .collect();
-                next_first_keys.push(level_first_keys[child as usize]);
-                let me = inners.len() as u32;
-                for c in &children {
-                    if let Some(level_below) = levels.last_mut() {
-                        level_below[*c as usize].parent = me;
-                    } else {
-                        leaves[*c as usize].parent = me;
-                    }
-                }
+        let mut below = width;
+        while below > 1 {
+            let above = below.div_ceil(fanout);
+            let mut inners = Vec::with_capacity(above);
+            let mut next_first_keys = Vec::with_capacity(above);
+            for (n, group) in first_keys.chunks(fanout).enumerate() {
+                let child = (n * fanout) as u32;
+                next_first_keys.push(group[0]);
                 inners.push(Inner {
-                    keys,
-                    children,
-                    parent: NONE,
+                    keys: group[1..].to_vec(),
+                    children: (child..child + group.len() as u32).collect(),
+                    parent: parent(n, above),
                 });
-                child = end as u32;
             }
-            width = inners.len();
             levels.push(inners);
-            level_first_keys = next_first_keys;
+            first_keys = next_first_keys;
+            below = above;
         }
 
         BTreeIndex {
             fanout,
             head: 0,
-            tail: leaf_count - 1,
-            live_leaves: leaves.len(),
-            len,
+            tail: width as u32 - 1,
+            live_leaves: width,
+            len: entries.len(),
             free_inners: vec![Vec::new(); levels.len()],
             levels,
             leaves,
@@ -785,26 +770,20 @@ impl BTreeIndex {
     /// into simulated memory.
     #[must_use]
     pub fn export(&self) -> BTreeExport {
-        // Rebuilding from the (already sorted) entry stream reproduces
-        // the canonical bottom-up packing; the stable sort inside
-        // `build` keeps duplicate order intact.
-        let packed = BTreeIndex::build(self.fanout, self.entries());
+        // Repacking the chain-ordered entry stream reproduces the
+        // canonical bottom-up packing, duplicate order intact.
+        let packed = BTreeIndex::from_sorted(self.fanout, &self.entries());
+        let node = |n: Inner| (n.keys, n.children);
+        let levels = packed.levels.into_iter();
         BTreeExport {
-            fanout: packed.fanout,
-            levels: packed
-                .levels
-                .iter()
-                .map(|level| {
-                    level
-                        .iter()
-                        .map(|n| (n.keys.clone(), n.children.clone()))
-                        .collect()
-                })
+            fanout: self.fanout,
+            levels: levels
+                .map(|level| level.into_iter().map(node).collect())
                 .collect(),
             leaves: packed
                 .leaves
-                .iter()
-                .map(|l| (l.keys.clone(), l.payloads.clone()))
+                .into_iter()
+                .map(|l| (l.keys, l.payloads))
                 .collect(),
         }
     }

@@ -6,8 +6,9 @@ mod btree;
 mod hash_index;
 mod layout;
 mod shard;
+mod sort;
 
 pub use btree::{BTreeExport, BTreeIndex};
 pub use hash_index::{Bucket, HashIndex, IndexStats, Node, NONE};
 pub use layout::{KeyKind, NodeLayout};
-pub use shard::{build_range_sharded, build_sharded, partition_pairs, partition_range};
+pub use shard::{build_range_sharded, build_sharded, partition_pairs};

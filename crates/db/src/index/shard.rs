@@ -1,6 +1,8 @@
-//! Shard-aware build path: partition `(key, payload)` streams by
-//! [`HashRecipe::shard_of`] so each shard can build (and later serve)
-//! its own independent [`HashIndex`](crate::index::HashIndex).
+//! Shard-aware build paths. The hash tier partitions `(key, payload)`
+//! streams by [`HashRecipe::shard_of`] so each shard builds (and later
+//! serves) its own independent [`HashIndex`]; the ordered tier sorts the
+//! stream once and cuts it into contiguous key ranges, one [`BTreeIndex`]
+//! per range. Shards past `PARALLEL_BUILD_FLOOR` build on threads.
 //!
 //! This is the data-placement half of scaling the paper's design point
 //! out to a socket: one Widx front-end (dispatcher + walkers) per shard,
@@ -9,6 +11,7 @@
 
 use std::panic::resume_unwind;
 
+use super::sort::sort_pairs;
 use crate::hash::HashRecipe;
 use crate::index::{BTreeIndex, HashIndex};
 
@@ -33,10 +36,12 @@ pub fn partition_pairs(
     parts
 }
 
-/// Entries some shard must hold before [`build_sharded`] gives each
-/// shard a thread. Measured: with threads at every size, the benchmark's
-/// 2¹⁶-entry `point_cached` index grew from 62 to 78 resident B/entry
-/// and the 2²⁰-entry `rw_hot` set-up got no faster.
+/// Entries some shard must hold before [`build_sharded`] or
+/// [`build_range_sharded`] gives each shard a thread (and, for the range
+/// tier, splits the sort). Measured: with threads at every size, the
+/// benchmark's 2¹⁶-entry `point_cached` index grew from 62 to 78 resident
+/// B/entry and the 2²⁰-entry `rw_hot` set-up got no faster; both of
+/// `rw_hot`'s 2²⁰-entry tiers (2¹⁹ per shard) stay serial.
 const PARALLEL_BUILD_FLOOR: usize = 1 << 20;
 
 /// Builds one [`HashIndex`] per shard from `pairs`, sizing each shard's
@@ -67,73 +72,25 @@ pub fn build_sharded(
         HashIndex::build(recipe.clone(), want.max(min_buckets), part)
     };
     let parts = partition_pairs(recipe, shards, pairs);
-    if parts.iter().all(|part| part.len() < PARALLEL_BUILD_FLOOR) {
-        return parts.into_iter().map(build).collect();
-    }
-    std::thread::scope(|scope| {
-        let mut parts = parts.into_iter();
-        let first = parts.next().expect("at least one shard");
-        let rest: Vec<_> = parts.map(|part| scope.spawn(|| build(part))).collect();
-        let joined = rest
-            .into_iter()
-            .map(|t| t.join().unwrap_or_else(|e| resume_unwind(e)));
-        std::iter::once(build(first)).chain(joined).collect()
-    })
+    let threaded = parts.iter().any(|part| part.len() >= PARALLEL_BUILD_FLOOR);
+    run_jobs(threaded, parts.into_iter().map(|part| move || build(part)))
 }
 
-/// Splits `pairs` into `shards` contiguous key ranges of roughly equal
-/// entry count — the *ordered* counterpart of [`partition_pairs`]:
-/// boundary keys instead of hashing, so each shard owns one span of the
-/// key space and cross-shard scans touch only adjacent shards.
+/// Builds one [`BTreeIndex`] per range shard from `pairs`: `shards`
+/// contiguous key ranges of roughly equal entry count, so each shard owns
+/// one span of the key space and cross-shard scans touch only neighbours.
 ///
-/// Returns the per-shard entry streams (each key-sorted, stable — equal
-/// keys keep their input order) and the `shards - 1` boundary keys:
-/// shard `i` owns keys `k` with `boundaries[i - 1] <= k <
-/// boundaries[i]` (unbounded at the ends). Duplicates of one key are
-/// never split across shards, so a boundary is always a real key-change
-/// point; trailing shards may be empty when the data has fewer distinct
-/// keys than shards.
+/// Returns the trees and the `shards - 1` boundary keys: shard `i` owns
+/// keys `k` with `boundaries[i - 1] <= k < boundaries[i]` (unbounded at
+/// the ends). Duplicates of one key are never split across shards;
+/// trailing shards may be empty when the data has fewer distinct keys
+/// than shards. Each tree equals the [`BTreeIndex::build`] of its span.
 ///
-/// # Panics
-///
-/// Panics if `shards` is zero.
-#[must_use]
-pub fn partition_range(
-    shards: usize,
-    pairs: impl IntoIterator<Item = (u64, u64)>,
-) -> (Vec<Vec<(u64, u64)>>, Vec<u64>) {
-    assert!(shards > 0, "need at least one shard");
-    let mut entries: Vec<(u64, u64)> = pairs.into_iter().collect();
-    entries.sort_by_key(|(k, _)| *k);
-    let len = entries.len();
-    let mut parts = Vec::with_capacity(shards);
-    let mut boundaries = Vec::with_capacity(shards.saturating_sub(1));
-    let mut start = 0usize;
-    for s in 1..=shards {
-        let mut end = if s == shards { len } else { (len * s) / shards };
-        end = end.max(start);
-        // Push the split point past any duplicate run so equal keys
-        // stay colocated.
-        while end > start && end < len && entries[end].0 == entries[end - 1].0 {
-            end += 1;
-        }
-        if s < shards {
-            boundaries.push(if end < len {
-                entries[end].0
-            } else {
-                // Everything is already placed; later shards are empty.
-                entries.last().map_or(0, |(k, _)| k.saturating_add(1))
-            });
-        }
-        parts.push(entries[start..end].to_vec());
-        start = end;
-    }
-    (parts, boundaries)
-}
-
-/// Builds one [`BTreeIndex`] per range shard from `pairs` (see
-/// [`partition_range`]), returning the trees and the boundary keys that
-/// route to them.
+/// The input is collected (in place from a `Vec`) and radix-sorted once,
+/// and each tree is packed from its own slice of it — nothing is copied.
+/// Once a shard's share reaches 2²⁰ entries the sort's passes split over
+/// `shards` threads, and once some slice does the trees build on scoped
+/// threads, the caller building the first.
 ///
 /// # Panics
 ///
@@ -144,12 +101,53 @@ pub fn build_range_sharded(
     shards: usize,
     pairs: impl IntoIterator<Item = (u64, u64)>,
 ) -> (Vec<BTreeIndex>, Vec<u64>) {
-    let (parts, boundaries) = partition_range(shards, pairs);
-    let trees = parts
+    assert!(shards > 0, "need at least one shard");
+    let mut entries: Vec<(u64, u64)> = pairs.into_iter().collect();
+    let len = entries.len();
+    let split = len / shards >= PARALLEL_BUILD_FLOOR;
+    sort_pairs(&mut entries, if split { shards } else { 1 });
+    let mut parts = Vec::with_capacity(shards);
+    let mut boundaries = Vec::with_capacity(shards - 1);
+    let past_last = entries.last().map_or(0, |(k, _)| k.saturating_add(1));
+    let mut start = 0usize;
+    for s in 1..=shards {
+        let mut end = (len * s / shards).max(start);
+        // Push the cut past any duplicate run: equal keys stay together.
+        while end > start && end < len && entries[end].0 == entries[end - 1].0 {
+            end += 1;
+        }
+        if s < shards {
+            // Past the data, everything is placed; later shards are empty.
+            boundaries.push(entries.get(end).map_or(past_last, |(k, _)| *k));
+        }
+        parts.push(&entries[start..end]);
+        start = end;
+    }
+    let threaded = parts.iter().any(|part| part.len() >= PARALLEL_BUILD_FLOOR);
+    let jobs = parts
         .into_iter()
-        .map(|part| BTreeIndex::build(fanout, part))
-        .collect();
-    (trees, boundaries)
+        .map(|part| move || BTreeIndex::from_sorted(fanout, part));
+    (run_jobs(threaded, jobs), boundaries)
+}
+
+/// Runs every job and returns their results in order: on the calling
+/// thread unless `threaded`, else the first there and the rest on scoped
+/// threads, a job's panic raised again here.
+pub(super) fn run_jobs<T: Send>(
+    threaded: bool,
+    jobs: impl IntoIterator<Item = impl FnOnce() -> T + Send>,
+) -> Vec<T> {
+    let mut jobs = jobs.into_iter();
+    match jobs.next() {
+        Some(first) if threaded => std::thread::scope(|scope| {
+            let rest: Vec<_> = jobs.map(|job| scope.spawn(job)).collect();
+            let joined = rest
+                .into_iter()
+                .map(|t| t.join().unwrap_or_else(|e| resume_unwind(e)));
+            std::iter::once(first()).chain(joined).collect()
+        }),
+        first => first.into_iter().chain(jobs).map(|job| job()).collect(),
+    }
 }
 
 #[cfg(test)]
@@ -254,9 +252,10 @@ mod tests {
     #[test]
     fn range_partition_is_ordered_and_balanced() {
         let pairs: Vec<(u64, u64)> = (0..1000u64).rev().map(|k| (k, k * 3)).collect();
-        let (parts, bounds) = partition_range(4, pairs);
-        assert_eq!(parts.len(), 4);
+        let (trees, bounds) = build_range_sharded(8, 4, pairs);
+        assert_eq!(trees.len(), 4);
         assert_eq!(bounds, vec![250, 500, 750]);
+        let parts: Vec<Vec<(u64, u64)>> = trees.iter().map(BTreeIndex::entries).collect();
         for (s, part) in parts.iter().enumerate() {
             assert_eq!(part.len(), 250, "shard {s} balanced");
             assert!(
@@ -274,7 +273,8 @@ mod tests {
         // One heavy key right at a would-be boundary.
         let mut pairs: Vec<(u64, u64)> = (0..10u64).map(|k| (k, 0)).collect();
         pairs.extend((0..30u64).map(|p| (10, p)));
-        let (parts, bounds) = partition_range(4, pairs);
+        let (trees, bounds) = build_range_sharded(4, 4, pairs);
+        let parts: Vec<Vec<(u64, u64)>> = trees.iter().map(BTreeIndex::entries).collect();
         let dup_shard: Vec<usize> = parts
             .iter()
             .enumerate()
@@ -293,13 +293,61 @@ mod tests {
 
     #[test]
     fn range_partition_with_fewer_keys_than_shards() {
-        let (parts, bounds) = partition_range(5, [(3u64, 0u64), (3, 1)]);
-        assert_eq!(parts.iter().filter(|p| !p.is_empty()).count(), 1);
+        let (trees, bounds) = build_range_sharded(8, 5, [(3u64, 0u64), (3, 1)]);
+        assert_eq!(trees.iter().filter(|t| !t.is_empty()).count(), 1);
         assert_eq!(bounds.len(), 4);
         assert!(bounds.windows(2).all(|w| w[0] <= w[1]));
-        let (parts, bounds) = partition_range(3, std::iter::empty());
-        assert!(parts.iter().all(Vec::is_empty));
+        let (trees, bounds) = build_range_sharded(8, 3, std::iter::empty());
+        assert_eq!(trees.len(), 3);
+        assert!(trees.iter().all(BTreeIndex::is_empty));
         assert_eq!(bounds, vec![0, 0]);
+    }
+
+    /// Each of two range shards is the plain build of its slice of one
+    /// reference sort, over `entries` shuffled keys of which those within
+    /// 100 of the middle collapse into one duplicate run across the cut.
+    fn assert_range_shards_are_plain_builds(entries: u64) -> Vec<usize> {
+        let middle = entries / 2;
+        // A permutation of `0..entries` (the multiplier is coprime to
+        // every size used here), then the duplicate run.
+        let pairs: Vec<(u64, u64)> = (0..entries)
+            .map(|i| {
+                let key = (i * 1_000_003) % entries;
+                let key = if key.abs_diff(middle) < 100 {
+                    middle
+                } else {
+                    key
+                };
+                (key, i)
+            })
+            .collect();
+        let (trees, bounds) = build_range_sharded(8, 2, pairs.iter().copied());
+        let mut reference = pairs;
+        reference.sort_by_key(|(k, _)| *k);
+        // The cut at `middle` is pushed past the run, to the next key.
+        let cut = (middle + 100) as usize;
+        assert_eq!(bounds, vec![cut as u64]);
+        let slices = [&reference[..cut], &reference[cut..]];
+        for (s, (tree, slice)) in trees.iter().zip(slices).enumerate() {
+            let plain = BTreeIndex::build(8, slice.iter().copied());
+            assert!(tree.entries() == slice, "shard {s} entries");
+            let (got, want) = (tree.export(), plain.export());
+            assert!(got.levels == want.levels, "shard {s} inner levels");
+            assert!(got.leaves == want.leaves, "shard {s} leaves");
+        }
+        trees.iter().map(BTreeIndex::len).collect()
+    }
+
+    #[test]
+    fn serial_range_shards_below_the_floor_are_plain_builds() {
+        let sizes = assert_range_shards_are_plain_builds(4096);
+        assert!(sizes.iter().all(|n| *n < PARALLEL_BUILD_FLOOR));
+    }
+
+    #[test]
+    fn threaded_range_shards_above_the_floor_are_plain_builds() {
+        let sizes = assert_range_shards_are_plain_builds(2 * PARALLEL_BUILD_FLOOR as u64 + 1024);
+        assert!(sizes.iter().any(|n| *n >= PARALLEL_BUILD_FLOOR));
     }
 
     #[test]

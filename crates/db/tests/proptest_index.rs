@@ -6,7 +6,7 @@ use std::collections::HashMap;
 use proptest::prelude::*;
 use widx_db::column::{Column, ColumnType};
 use widx_db::hash::HashRecipe;
-use widx_db::index::{BTreeIndex, HashIndex};
+use widx_db::index::{build_range_sharded, BTreeIndex, HashIndex};
 use widx_db::ops::{hash_join, sort_merge_join};
 
 fn oracle(pairs: &[(u64, u64)]) -> HashMap<u64, Vec<u64>> {
@@ -17,7 +17,82 @@ fn oracle(pairs: &[(u64, u64)]) -> HashMap<u64, Vec<u64>> {
     m
 }
 
+/// Key streams that stress a radix sort: heavy duplicates, the full `u64`
+/// range (top bit, `u64::MAX`), keys one bit apart, all-equal keys.
+fn sort_keys() -> impl Strategy<Value = Vec<u64>> {
+    let wide = prop_oneof![
+        any::<u64>(),
+        Just(u64::MAX),
+        Just(0),
+        (1u64 << 63)..=u64::MAX
+    ];
+    let one_bit = any::<u64>().prop_flat_map(|base| {
+        prop::collection::vec(
+            (0u32..65).prop_map(move |b| base ^ 1u64.checked_shl(b).unwrap_or(0)),
+            0..300,
+        )
+    });
+    prop_oneof![
+        prop::collection::vec(0u64..8, 0..300),
+        prop::collection::vec(wide, 0..300),
+        one_bit,
+        any::<u64>().prop_flat_map(|key| prop::collection::vec(Just(key), 0..300)),
+    ]
+}
+
+/// The shard sizes and boundaries `build_range_sharded` must return for
+/// a key-sorted stream: cut at `len * s / shards`, pushed past any
+/// duplicate run, and one past the last key (saturating) once the data
+/// has run out.
+fn reference_cuts(sorted: &[(u64, u64)], shards: usize) -> (Vec<usize>, Vec<u64>) {
+    let len = sorted.len();
+    let past_last = sorted.last().map_or(0, |(k, _)| k.saturating_add(1));
+    let (mut sizes, mut bounds, mut start) = (Vec::new(), Vec::new(), 0);
+    for s in 1..=shards {
+        let mut end = (len * s / shards).max(start);
+        while end > start && end < len && sorted[end].0 == sorted[end - 1].0 {
+            end += 1;
+        }
+        sizes.push(end - start);
+        if s < shards {
+            bounds.push(sorted.get(end).map_or(past_last, |(k, _)| *k));
+        }
+        start = end;
+    }
+    (sizes, bounds)
+}
+
 proptest! {
+    /// The build sorts like a stable comparison sort: payloads are input
+    /// positions, so a reordered duplicate shows.
+    #[test]
+    fn build_sorts_like_a_stable_comparison_sort(
+        keys in sort_keys(),
+        order in 0u8..3,
+        fanout in 2usize..10,
+    ) {
+        let mut keys = keys;
+        if order > 0 {
+            keys.sort_unstable();
+        }
+        if order > 1 {
+            keys.reverse();
+        }
+        let pairs: Vec<(u64, u64)> = keys.iter().enumerate().map(|(i, k)| (*k, i as u64)).collect();
+        let mut reference = pairs.clone();
+        reference.sort_by_key(|(k, _)| *k);
+        prop_assert_eq!(BTreeIndex::build(fanout, pairs.iter().copied()).entries(), reference.clone());
+        for shards in 1..=4 {
+            let (trees, bounds) = build_range_sharded(fanout, shards, pairs.iter().copied());
+            prop_assert_eq!(trees.len(), shards);
+            let merged: Vec<(u64, u64)> = trees.iter().flat_map(BTreeIndex::entries).collect();
+            prop_assert_eq!(&merged, &reference);
+            let (sizes, want_bounds) = reference_cuts(&reference, shards);
+            prop_assert_eq!(bounds, want_bounds);
+            prop_assert_eq!(trees.iter().map(BTreeIndex::len).collect::<Vec<_>>(), sizes);
+        }
+    }
+
     #[test]
     fn hash_index_agrees_with_map(
         pairs in prop::collection::vec((any::<u64>(), any::<u64>()), 0..300),
