@@ -4,16 +4,33 @@
 //! extension targets.
 //!
 //! The tree is built bottom-up over sorted entries into flat node
-//! *arenas* (one per level, plus the leaf arena), which keeps lookups
-//! allocation-free and makes the structure directly materializable into
-//! simulated memory. Unlike the original frozen build, the arenas are
-//! **mutable**: [`insert`](BTreeIndex::insert) splits full leaves (and
-//! full inner nodes, growing a new root level when the root itself
-//! splits), [`delete`](BTreeIndex::delete) merges underfull leaves into
-//! a same-parent sibling and unlinks emptied nodes, and a freed slot goes
-//! straight onto its arena's free list for the next split to reuse. No
-//! reader can observe that reuse: scans borrow `&BTreeIndex`, mutations
-//! take `&mut`, so no cursor outlives the borrow it was taken under (the
+//! *arenas* (one per inner level, plus the leaf arena), which keeps
+//! lookups allocation-free and makes the structure directly
+//! materializable into simulated memory. An arena is one `Vec<u64>` of
+//! fixed-stride slots, one per node, so a node is one contiguous run of
+//! cache lines, addressable from its index without a load:
+//!
+//! ```text
+//! [ len | parent ] [ next | prev ] [ fanout + 1 keys ] [ fanout + 1 payloads or children ]
+//! ```
+//!
+//! Two header words of `u32` pairs (`next` / `prev` link leaves only),
+//! the keys, then a leaf's payloads or an inner node's children. `len`
+//! counts a leaf's entries or an inner node's children (it holds one
+//! separator fewer). The spare entry lets an insert land before the
+//! split it triggers. At the serving default fanout of 64 a slot is
+//! 1 056 bytes and a full node spans 17 or 18 cache lines, which the
+//! scan step in `widx-soft` prefetches by this layout, in one step.
+//!
+//! Unlike the original frozen build, the arenas are **mutable**:
+//! [`insert`](BTreeIndex::insert) splits full leaves (and full inner
+//! nodes, growing a new root level when the root itself splits),
+//! [`delete`](BTreeIndex::delete) merges underfull leaves into a
+//! same-parent sibling and unlinks emptied nodes, and a freed slot goes
+//! straight onto its arena's free list for the next split to reuse;
+//! entries move inside and between slots by `copy_within`. No reader
+//! can observe that reuse: scans borrow `&BTreeIndex`, mutations take
+//! `&mut`, so no cursor outlives the borrow it was taken under (the
 //! serving tier's shard `RwLock` turns that borrow into a read guard).
 //!
 //! Concurrency-relevant structure for the walkers upstairs:
@@ -30,37 +47,135 @@
 //!   Separator keys may go stale (they remain correct lower bounds),
 //!   which is why scans land by separator and then follow the chain.
 
+use std::ops::Range;
+
 use super::sort::sort_pairs;
 
 /// Sentinel node index ("no node").
 const NONE: u32 = u32::MAX;
 
-/// An inner node: separator keys and child indices.
+/// Header words at the front of every slot.
+const HEAD: usize = 2;
+
+/// A header field: its word in the slot and its shift within the word.
+/// `LEN` counts entries (leaf) or children (inner node); `PARENT` is the
+/// owning inner node one level up, `NEXT` / `PREV` the chain's in-order
+/// neighbours, each [`NONE`] where there is none.
+type Field = (usize, u32);
+const LEN: Field = (0, 0);
+const PARENT: Field = (0, 32);
+const NEXT: Field = (1, 0);
+const PREV: Field = (1, 32);
+
+/// One node arena — the leaves, or one inner level — in fixed-stride
+/// slots of one `Vec<u64>` (layout in the module docs).
 #[derive(Clone, Debug)]
-struct Inner {
-    /// `keys[i]` is the smallest key reachable through `children[i+1]`
-    /// at the time the separator was created (a lower bound; deletions
-    /// may leave it stale, insertions keep it exact).
-    keys: Vec<u64>,
-    /// Child node indices (into the next level down, or the leaf arena
-    /// for level 0).
-    children: Vec<u32>,
-    /// Owning inner node one level up, or [`NONE`] for the root.
-    parent: u32,
+struct Slots {
+    /// Keys, and payloads or children, per slot: `fanout + 1`.
+    cap: usize,
+    words: Vec<u64>,
 }
 
-/// A leaf node: sorted keys with payloads and chain links.
-#[derive(Clone, Debug)]
-struct Leaf {
-    keys: Vec<u64>,
-    payloads: Vec<u64>,
-    /// In-order successor leaf, or [`NONE`].
-    next: u32,
-    /// In-order predecessor leaf, or [`NONE`].
-    prev: u32,
-    /// Owning inner node at level 0, or [`NONE`] when the tree is a
-    /// single leaf.
-    parent: u32,
+impl Slots {
+    /// `count` zeroed slots for a tree of `fanout`.
+    fn new(fanout: usize, count: usize) -> Slots {
+        let cap = fanout + 1;
+        Slots {
+            cap,
+            words: vec![0; count * (HEAD + 2 * cap)],
+        }
+    }
+
+    fn stride(&self) -> usize {
+        HEAD + 2 * self.cap
+    }
+
+    /// Slots in the arena, free ones included.
+    fn count(&self) -> usize {
+        self.words.len() / self.stride()
+    }
+
+    /// Word offset of slot `i`'s first key.
+    fn keys_at(&self, i: u32) -> usize {
+        i as usize * self.stride() + HEAD
+    }
+
+    fn get(&self, i: u32, (word, shift): Field) -> u32 {
+        (self.words[i as usize * self.stride() + word] >> shift) as u32
+    }
+
+    fn set(&mut self, i: u32, (word, shift): Field, value: u32) {
+        let at = i as usize * self.stride() + word;
+        let w = &mut self.words[at];
+        *w = (*w & !(u64::from(u32::MAX) << shift)) | (u64::from(value) << shift);
+    }
+
+    fn len(&self, i: u32) -> usize {
+        self.get(i, LEN) as usize
+    }
+
+    fn set_len(&mut self, i: u32, len: usize) {
+        self.set(i, LEN, len as u32);
+    }
+
+    /// Writes slot `i`'s whole header.
+    fn set_head(&mut self, i: u32, len: usize, parent: u32, next: u32, prev: u32) {
+        let at = i as usize * self.stride();
+        self.words[at] = len as u64 | (u64::from(parent) << 32);
+        self.words[at + 1] = u64::from(next) | (u64::from(prev) << 32);
+    }
+
+    /// Slot `i`'s first `keys` keys and first `vals` values.
+    fn node(&self, i: u32, keys: usize, vals: usize) -> (&[u64], &[u64]) {
+        let k = self.keys_at(i);
+        let v = k + self.cap;
+        (&self.words[k..k + keys], &self.words[v..v + vals])
+    }
+
+    /// Slot `i`'s whole key and value regions, for edits in place.
+    fn node_mut(&mut self, i: u32) -> (&mut [u64], &mut [u64]) {
+        let k = self.keys_at(i);
+        let cap = self.cap;
+        self.words[k..k + 2 * cap].split_at_mut(cap)
+    }
+
+    /// Copies `n` keys and `n` values of slot `from`, from entry `at`
+    /// on, into slot `to` from entry `to_at` on.
+    fn copy(&mut self, (from, at): (u32, usize), (to, to_at): (u32, usize), n: usize) {
+        let (src, dst) = (self.keys_at(from) + at, self.keys_at(to) + to_at);
+        for region in [0, self.cap] {
+            self.words
+                .copy_within(src + region..src + region + n, dst + region);
+        }
+    }
+
+    /// An empty slot under `parent`, linked to `next` / `prev`: the last
+    /// one `free` holds, or a new one at the end of the arena.
+    fn alloc(&mut self, free: &mut Vec<u32>, parent: u32, next: u32, prev: u32) -> u32 {
+        let i = free.pop().unwrap_or_else(|| {
+            self.words.resize(self.words.len() + self.stride(), 0);
+            (self.count() - 1) as u32
+        });
+        self.set_head(i, 0, parent, next, prev);
+        i
+    }
+}
+
+/// Inserts `word` at `at` among the first `live` words of `region`.
+fn shift_in(region: &mut [u64], live: usize, at: usize, word: u64) {
+    region.copy_within(at..live, at + 1);
+    region[at] = word;
+}
+
+/// Removes `gone` from the first `live` words of `region`.
+fn shift_out(region: &mut [u64], live: usize, gone: Range<usize>) {
+    region.copy_within(gone.end..live, gone.start);
+}
+
+/// Where `child` sits among an inner node's `children`.
+fn slot_of(children: &[u64], child: u32) -> usize {
+    let slot = children.iter().position(|c| *c == u64::from(child));
+    slot.expect("a child under its parent")
 }
 
 /// A B+-tree over `u64` keys (duplicates allowed) supporting online
@@ -70,9 +185,12 @@ pub struct BTreeIndex {
     fanout: usize,
     /// Levels of inner nodes, root level last; the root is always node
     /// 0 of the top level. Empty when the tree is a single leaf.
-    levels: Vec<Vec<Inner>>,
+    /// Separator `i` of a node is the smallest key reachable through
+    /// child `i + 1` at the time it was created (a lower bound;
+    /// deletions may leave it stale, insertions keep it exact).
+    levels: Vec<Slots>,
     /// Leaf arena; may contain free slots after mutation.
-    leaves: Vec<Leaf>,
+    leaves: Slots,
     /// First live leaf in key order.
     head: u32,
     /// Last live leaf in key order.
@@ -112,17 +230,17 @@ impl BTreeIndex {
         BTreeIndex::from_sorted(fanout, &entries)
     }
 
-    /// Packs key-sorted `entries` bottom-up: full leaves of `fanout`
-    /// entries (the last may be short), then inner levels grouping
-    /// `fanout` consecutive nodes of the level below until one root
-    /// remains — so node `i`'s parent is node `i / fanout` one level up.
-    /// Panics if `fanout < 2`.
+    /// Packs key-sorted `entries` bottom-up into exactly sized arenas:
+    /// full leaves of `fanout` entries (the last may be short), then
+    /// inner levels grouping `fanout` consecutive nodes of the level
+    /// below until one root remains — so node `i`'s parent is node
+    /// `i / fanout` one level up. Panics if `fanout < 2`.
     pub(super) fn from_sorted(fanout: usize, entries: &[(u64, u64)]) -> BTreeIndex {
         assert!(fanout >= 2, "fanout must be at least 2");
         debug_assert!(entries.windows(2).all(|w| w[0].0 <= w[1].0));
         let parent = |i: usize, width: usize| if width > 1 { (i / fanout) as u32 } else { NONE };
         let width = entries.len().div_ceil(fanout).max(1);
-        let mut leaves = Vec::with_capacity(width);
+        let mut leaves = Slots::new(fanout, width);
         let mut first_keys = Vec::with_capacity(width);
         // An empty tree is one empty leaf.
         let chunks = entries
@@ -130,30 +248,30 @@ impl BTreeIndex {
             .chain(entries.is_empty().then_some(entries));
         for (i, chunk) in chunks.enumerate() {
             first_keys.push(chunk.first().map_or(0, |(k, _)| *k));
-            leaves.push(Leaf {
-                keys: chunk.iter().map(|(k, _)| *k).collect(),
-                payloads: chunk.iter().map(|(_, p)| *p).collect(),
-                next: if i + 1 < width { i as u32 + 1 } else { NONE },
-                prev: if i > 0 { i as u32 - 1 } else { NONE },
-                parent: parent(i, width),
-            });
+            let next = if i + 1 < width { i as u32 + 1 } else { NONE };
+            let prev = if i > 0 { i as u32 - 1 } else { NONE };
+            leaves.set_head(i as u32, chunk.len(), parent(i, width), next, prev);
+            let (keys, payloads) = leaves.node_mut(i as u32);
+            for (j, &(k, p)) in chunk.iter().enumerate() {
+                (keys[j], payloads[j]) = (k, p);
+            }
         }
 
         // Build inner levels bottom-up until one root remains.
-        let mut levels: Vec<Vec<Inner>> = Vec::new();
+        let mut levels = Vec::new();
         let mut below = width;
         while below > 1 {
             let above = below.div_ceil(fanout);
-            let mut inners = Vec::with_capacity(above);
+            let mut inners = Slots::new(fanout, above);
             let mut next_first_keys = Vec::with_capacity(above);
             for (n, group) in first_keys.chunks(fanout).enumerate() {
-                let child = (n * fanout) as u32;
                 next_first_keys.push(group[0]);
-                inners.push(Inner {
-                    keys: group[1..].to_vec(),
-                    children: (child..child + group.len() as u32).collect(),
-                    parent: parent(n, above),
-                });
+                inners.set_head(n as u32, group.len(), parent(n, above), NONE, NONE);
+                let (keys, children) = inners.node_mut(n as u32);
+                keys[..group.len() - 1].copy_from_slice(&group[1..]);
+                for (c, child) in children[..group.len()].iter_mut().enumerate() {
+                    *child = (n * fanout + c) as u64;
+                }
             }
             levels.push(inners);
             first_keys = next_first_keys;
@@ -172,6 +290,18 @@ impl BTreeIndex {
             free_leaves: Vec::new(),
             freed: 0,
         }
+    }
+
+    /// Keys and payloads of leaf slot `leaf`.
+    fn leaf(&self, leaf: u32) -> (&[u64], &[u64]) {
+        let n = self.leaves.len(leaf);
+        self.leaves.node(leaf, n, n)
+    }
+
+    /// Separators and children of inner slot `node` at level `li`.
+    fn inner(&self, li: usize, node: u32) -> (&[u64], &[u64]) {
+        let n = self.levels[li].len(node);
+        self.levels[li].node(node, n.saturating_sub(1), n)
     }
 
     /// The tree's fanout.
@@ -207,16 +337,34 @@ impl BTreeIndex {
             return self.head;
         }
         let mut node = 0u32;
-        for level in self.levels.iter().rev() {
-            let n = &level[node as usize];
-            let slot = if upper {
-                n.keys.partition_point(|k| *k <= key)
-            } else {
-                n.keys.partition_point(|k| *k < key)
-            };
-            node = n.children[slot];
+        for li in (0..self.levels.len()).rev() {
+            let (keys, children) = self.inner(li, node);
+            let slot = keys.partition_point(|k| *k < key || (upper && *k == key));
+            node = children[slot] as u32;
         }
         node
+    }
+
+    /// The leaf holding the first entries under `key`, and their slots
+    /// `start..end` in it; `None` when `key` is absent.
+    fn land(&self, key: u64) -> Option<(u32, usize, usize)> {
+        // Land on the leftmost leaf whose range covers `key`, then
+        // follow the chain — separators may be stale lower bounds,
+        // so the landing leaf can sit one or more links early.
+        let mut leaf = self.descend_leaf(key, false);
+        loop {
+            let (keys, _) = self.leaf(leaf);
+            let start = keys.partition_point(|k| *k < key);
+            let end = keys.partition_point(|k| *k <= key);
+            if start < end {
+                return Some((leaf, start, end));
+            }
+            let next = self.leaves.get(leaf, NEXT);
+            if keys.last().is_some_and(|k| *k > key) || next == NONE {
+                return None;
+            }
+            leaf = next;
+        }
     }
 
     /// Inserts one `(key, payload)` entry. Duplicates are allowed and
@@ -224,12 +372,14 @@ impl BTreeIndex {
     /// entry of the same key, matching the stable build order).
     pub fn insert(&mut self, key: u64, payload: u64) {
         let leaf = self.descend_leaf(key, true);
-        let l = &mut self.leaves[leaf as usize];
-        let slot = l.keys.partition_point(|k| *k <= key);
-        l.keys.insert(slot, key);
-        l.payloads.insert(slot, payload);
+        let n = self.leaves.len(leaf);
+        let (keys, payloads) = self.leaves.node_mut(leaf);
+        let slot = keys[..n].partition_point(|k| *k <= key);
+        shift_in(keys, n, slot, key);
+        shift_in(payloads, n, slot, payload);
+        self.leaves.set_len(leaf, n + 1);
         self.len += 1;
-        if self.leaves[leaf as usize].keys.len() > self.fanout {
+        if n + 1 > self.fanout {
             self.split_leaf(leaf);
         }
     }
@@ -239,45 +389,37 @@ impl BTreeIndex {
     /// leaves merge into a same-parent sibling when the result fits.
     pub fn delete(&mut self, key: u64) -> usize {
         let mut removed = 0usize;
-        loop {
-            // Land on the leftmost leaf whose range covers `key`, then
-            // follow the chain — separators may be stale lower bounds,
-            // so the landing leaf can sit one or more links early.
-            let mut leaf = self.descend_leaf(key, false);
-            let target = loop {
-                let l = &self.leaves[leaf as usize];
-                let start = l.keys.partition_point(|k| *k < key);
-                let end = l.keys.partition_point(|k| *k <= key);
-                if start < end {
-                    break Some((leaf, start, end));
-                }
-                if l.keys.last().is_some_and(|k| *k > key) || l.next == NONE {
-                    break None;
-                }
-                leaf = l.next;
-            };
-            let Some((leaf, start, end)) = target else {
-                return removed;
-            };
-            let l = &mut self.leaves[leaf as usize];
-            l.keys.drain(start..end);
-            l.payloads.drain(start..end);
+        while let Some((leaf, start, end)) = self.land(key) {
+            let n = self.leaves.len(leaf);
+            let (keys, payloads) = self.leaves.node_mut(leaf);
+            shift_out(keys, n, start..end);
+            shift_out(payloads, n, start..end);
+            self.leaves.set_len(leaf, n - (end - start));
             self.len -= end - start;
             removed += end - start;
             self.rebalance_leaf(leaf);
             // Duplicates may span further leaves; re-descend (the
             // rebalance may have restructured links and parents).
         }
+        removed
     }
 
     /// Replaces every entry under `key` with the single entry `(key,
     /// payload)`. Returns `true` if at least one entry existed (the
     /// update applied); `false` leaves the tree unchanged — an update
-    /// never inserts a missing key.
+    /// never inserts a missing key. A lone entry whose leaf holds a
+    /// larger key after it (so no duplicate can follow in the next
+    /// leaf) is overwritten in place; anything else is a delete and an
+    /// insert.
     pub fn update(&mut self, key: u64, payload: u64) -> bool {
-        if self.delete(key) == 0 {
+        let Some((leaf, start, end)) = self.land(key) else {
             return false;
+        };
+        if end - start == 1 && end < self.leaves.len(leaf) {
+            self.leaves.node_mut(leaf).1[start] = payload;
+            return true;
         }
+        self.delete(key);
         self.insert(key, payload);
         true
     }
@@ -285,20 +427,20 @@ impl BTreeIndex {
     /// Splits `leaf` (over fanout) into itself (lower half) and a new
     /// right sibling, promoting the sibling's first key to the parent.
     fn split_leaf(&mut self, leaf: u32) {
-        let mid = self.leaves[leaf as usize].keys.len() / 2;
-        let right_keys = self.leaves[leaf as usize].keys.split_off(mid);
-        let right_payloads = self.leaves[leaf as usize].payloads.split_off(mid);
-        let sep = right_keys[0];
-        let old_next = self.leaves[leaf as usize].next;
-        let parent = self.leaves[leaf as usize].parent;
-        let right = self.alloc_leaf(right_keys, right_payloads, old_next, leaf, parent);
-        let l = &mut self.leaves[leaf as usize];
-        l.next = right;
-        if old_next == NONE {
+        let n = self.leaves.len(leaf);
+        let mid = n / 2;
+        let next = self.leaves.get(leaf, NEXT);
+        let parent = self.leaves.get(leaf, PARENT);
+        let right = self.leaves.alloc(&mut self.free_leaves, parent, next, leaf);
+        self.leaves.copy((leaf, mid), (right, 0), n - mid);
+        self.leaves.set_len(leaf, mid);
+        self.leaves.set_len(right, n - mid);
+        let sep = self.leaf(right).0[0];
+        self.leaves.set(leaf, NEXT, right);
+        if next == NONE {
             self.tail = right;
         } else {
-            let n = &mut self.leaves[old_next as usize];
-            n.prev = right;
+            self.leaves.set(next, PREV, right);
         }
         self.live_leaves += 1;
         self.promote(0, parent, sep, leaf, right);
@@ -311,38 +453,42 @@ impl BTreeIndex {
     fn promote(&mut self, li: usize, parent: u32, sep: u64, left: u32, right: u32) {
         if parent == NONE {
             debug_assert_eq!(li, self.levels.len(), "only the root has no parent");
-            self.levels.push(vec![Inner {
-                keys: vec![sep],
-                children: vec![left, right],
-                parent: NONE,
-            }]);
+            let mut root = Slots::new(self.fanout, 1);
+            root.set_head(0, 2, NONE, NONE, NONE);
+            let (keys, children) = root.node_mut(0);
+            keys[0] = sep;
+            children[..2].copy_from_slice(&[left.into(), right.into()]);
+            self.levels.push(root);
             self.free_inners.push(Vec::new());
             self.set_parent(li, left, 0);
             self.set_parent(li, right, 0);
             return;
         }
-        let p = &mut self.levels[li][parent as usize];
-        let slot = p
-            .children
-            .iter()
-            .position(|c| *c == left)
-            .expect("split child under its parent");
-        p.keys.insert(slot, sep);
-        p.children.insert(slot + 1, right);
+        let n = self.levels[li].len(parent);
+        let (keys, children) = self.levels[li].node_mut(parent);
+        let slot = slot_of(&children[..n], left);
+        shift_in(keys, n - 1, slot, sep);
+        shift_in(children, n, slot + 1, right.into());
+        self.levels[li].set_len(parent, n + 1);
         self.set_parent(li, right, parent);
-        if self.levels[li][parent as usize].children.len() <= self.fanout {
+        if n < self.fanout {
             return;
         }
         // Split the parent: left half stays in place, the right half
         // moves to a fresh node, and the middle separator is promoted.
-        let mid = self.levels[li][parent as usize].children.len() / 2;
-        let right_children = self.levels[li][parent as usize].children.split_off(mid);
-        let mut right_keys = self.levels[li][parent as usize].keys.split_off(mid - 1);
-        let promoted = right_keys.remove(0);
-        let grand = self.levels[li][parent as usize].parent;
-        let rnode = self.alloc_inner(li, right_keys, right_children.clone(), grand);
-        for c in right_children {
-            self.set_parent(li, c, rnode);
+        let n = n + 1;
+        let mid = n / 2;
+        let promoted = self.inner(li, parent).0[mid - 1];
+        let grand = self.levels[li].get(parent, PARENT);
+        let rnode = self.levels[li].alloc(&mut self.free_inners[li], grand, NONE, NONE);
+        // The key after the last separator moves too; it is dead.
+        let level = &mut self.levels[li];
+        level.copy((parent, mid), (rnode, 0), n - mid);
+        level.set_len(parent, mid);
+        level.set_len(rnode, n - mid);
+        for slot in 0..n - mid {
+            let child = self.inner(li, rnode).1[slot] as u32;
+            self.set_parent(li, child, rnode);
         }
         self.promote(li + 1, grand, promoted, parent, rnode);
     }
@@ -350,116 +496,44 @@ impl BTreeIndex {
     /// Sets the parent pointer of a child of an inner node at level
     /// `li` (the child is a leaf when `li == 0`).
     fn set_parent(&mut self, li: usize, child: u32, parent: u32) {
-        if li == 0 {
-            self.leaves[child as usize].parent = parent;
-        } else {
-            self.levels[li - 1][child as usize].parent = parent;
-        }
-    }
-
-    /// Allocates a leaf slot (reusing a freed one when available).
-    fn alloc_leaf(
-        &mut self,
-        keys: Vec<u64>,
-        payloads: Vec<u64>,
-        next: u32,
-        prev: u32,
-        parent: u32,
-    ) -> u32 {
-        match self.free_leaves.pop() {
-            Some(slot) => {
-                let l = &mut self.leaves[slot as usize];
-                l.keys = keys;
-                l.payloads = payloads;
-                l.next = next;
-                l.prev = prev;
-                l.parent = parent;
-                slot
-            }
-            None => {
-                self.leaves.push(Leaf {
-                    keys,
-                    payloads,
-                    next,
-                    prev,
-                    parent,
-                });
-                (self.leaves.len() - 1) as u32
-            }
-        }
-    }
-
-    /// Allocates an inner slot at level `li`.
-    fn alloc_inner(&mut self, li: usize, keys: Vec<u64>, children: Vec<u32>, parent: u32) -> u32 {
-        match self.free_inners[li].pop() {
-            Some(slot) => {
-                self.levels[li][slot as usize] = Inner {
-                    keys,
-                    children,
-                    parent,
-                };
-                slot
-            }
-            None => {
-                self.levels[li].push(Inner {
-                    keys,
-                    children,
-                    parent,
-                });
-                (self.levels[li].len() - 1) as u32
-            }
-        }
+        let arena = match li {
+            0 => &mut self.leaves,
+            _ => &mut self.levels[li - 1],
+        };
+        arena.set(child, PARENT, parent);
     }
 
     /// After a removal from `leaf`: free it if it emptied, or merge it
     /// with a same-parent sibling if it underflowed and the merge fits
     /// in one leaf.
     fn rebalance_leaf(&mut self, leaf: u32) {
-        if self.leaves[leaf as usize].keys.is_empty() {
+        let n = self.leaves.len(leaf);
+        if n == 0 {
             if self.live_leaves == 1 {
                 return; // the last leaf stays (an empty tree keeps one leaf)
             }
             self.unlink_and_free_leaf(leaf);
             return;
         }
-        if self.leaves[leaf as usize].keys.len() * 2 >= self.fanout {
+        if n * 2 >= self.fanout {
             return; // no underflow
         }
-        let parent = self.leaves[leaf as usize].parent;
+        let parent = self.leaves.get(leaf, PARENT);
         if parent == NONE {
             return; // root leaf: nothing to merge with
         }
-        let slot = self.levels[0][parent as usize]
-            .children
-            .iter()
-            .position(|c| *c == leaf)
-            .expect("leaf under its parent");
-        let siblings = &self.levels[0][parent as usize].children;
+        let siblings = self.inner(0, parent).1;
+        let slot = slot_of(siblings, leaf);
         // Prefer absorbing the right sibling; fall back to merging into
         // the left one. Only same-parent merges, so the parent loses
         // exactly one child and one separator.
-        let right = siblings.get(slot + 1).copied();
-        let left = if slot > 0 {
-            Some(siblings[slot - 1])
-        } else {
-            None
-        };
-        if let Some(right) = right {
-            let fits = self.leaves[leaf as usize].keys.len()
-                + self.leaves[right as usize].keys.len()
-                <= self.fanout;
-            if fits {
-                self.absorb_right_leaf(leaf, right);
-                return;
-            }
-        }
-        if let Some(left) = left {
-            let fits = self.leaves[left as usize].keys.len()
-                + self.leaves[leaf as usize].keys.len()
-                <= self.fanout;
-            if fits {
-                self.absorb_right_leaf(left, leaf);
-            }
+        let right = siblings.get(slot + 1).map(|c| *c as u32);
+        let left = slot.checked_sub(1).map(|s| siblings[s] as u32);
+        let fits = |sibling: u32| n + self.leaves.len(sibling) <= self.fanout;
+        if let Some(right) = right.filter(|&right| fits(right)) {
+            self.absorb_right_leaf(leaf, right);
+        } else if let Some(left) = left.filter(|&left| fits(left)) {
+            self.absorb_right_leaf(left, leaf);
         }
     }
 
@@ -467,39 +541,29 @@ impl BTreeIndex {
     /// predecessor under the same parent), then unlinks and frees
     /// `right`.
     fn absorb_right_leaf(&mut self, left: u32, right: u32) {
-        let mut keys = std::mem::take(&mut self.leaves[right as usize].keys);
-        let mut payloads = std::mem::take(&mut self.leaves[right as usize].payloads);
-        let l = &mut self.leaves[left as usize];
-        l.keys.append(&mut keys);
-        l.payloads.append(&mut payloads);
+        let (ln, rn) = (self.leaves.len(left), self.leaves.len(right));
+        self.leaves.copy((right, 0), (left, ln), rn);
+        self.leaves.set_len(left, ln + rn);
         self.unlink_and_free_leaf(right);
     }
 
     /// Unlinks `leaf` from the chain, removes it from its parent, and
     /// frees its slot.
     fn unlink_and_free_leaf(&mut self, leaf: u32) {
-        let (next, prev, parent) = {
-            let l = &self.leaves[leaf as usize];
-            (l.next, l.prev, l.parent)
-        };
+        let next = self.leaves.get(leaf, NEXT);
+        let prev = self.leaves.get(leaf, PREV);
+        let parent = self.leaves.get(leaf, PARENT);
         if prev == NONE {
             self.head = next;
         } else {
-            let p = &mut self.leaves[prev as usize];
-            p.next = next;
+            self.leaves.set(prev, NEXT, next);
         }
         if next == NONE {
             self.tail = prev;
         } else {
-            let n = &mut self.leaves[next as usize];
-            n.prev = prev;
+            self.leaves.set(next, PREV, prev);
         }
-        let l = &mut self.leaves[leaf as usize];
-        l.keys = Vec::new();
-        l.payloads = Vec::new();
-        l.next = NONE;
-        l.prev = NONE;
-        l.parent = NONE;
+        self.leaves.set_head(leaf, 0, NONE, NONE, NONE);
         self.live_leaves -= 1;
         self.free_leaves.push(leaf);
         self.freed += 1;
@@ -512,24 +576,20 @@ impl BTreeIndex {
     /// freeing emptied inner nodes up the tree. The root inner node is
     /// never freed (the tree keeps its height).
     fn remove_child(&mut self, li: usize, parent: u32, child: u32) {
-        let p = &mut self.levels[li][parent as usize];
-        let slot = p
-            .children
-            .iter()
-            .position(|c| *c == child)
-            .expect("child under its parent");
-        p.children.remove(slot);
-        if slot == 0 {
-            if !p.keys.is_empty() {
-                p.keys.remove(0);
-            }
-        } else {
-            p.keys.remove(slot - 1);
+        let n = self.levels[li].len(parent);
+        let (keys, children) = self.levels[li].node_mut(parent);
+        let slot = slot_of(&children[..n], child);
+        shift_out(children, n, slot..slot + 1);
+        // Its separator goes too: the one left of it, or right of slot 0.
+        if n > 1 {
+            let sep = slot.saturating_sub(1);
+            shift_out(keys, n - 1, sep..sep + 1);
         }
-        if p.children.is_empty() {
-            let grand = p.parent;
+        self.levels[li].set_len(parent, n - 1);
+        if n == 1 {
+            let grand = self.levels[li].get(parent, PARENT);
             debug_assert!(grand != NONE, "the root cannot empty while a leaf lives");
-            p.parent = NONE;
+            self.levels[li].set(parent, PARENT, NONE);
             self.free_inners[li].push(parent);
             self.freed += 1;
             if grand != NONE {
@@ -558,26 +618,17 @@ impl BTreeIndex {
     #[must_use]
     pub fn lookup_counted(&self, key: u64) -> (Option<u64>, usize) {
         let mut visits = 0usize;
-        let mut idx = 0u32;
+        let mut idx = if self.levels.is_empty() { self.head } else { 0 };
         // Descend inner levels from the root (last level) downwards.
-        for level in self.levels.iter().rev() {
+        for li in (0..self.levels.len()).rev() {
             visits += 1;
-            let node = &level[idx as usize];
-            let slot = node.keys.partition_point(|k| *k <= key);
-            idx = node.children[slot];
-            debug_assert_ne!(idx, NONE);
-        }
-        if self.levels.is_empty() {
-            idx = self.head;
+            let (keys, children) = self.inner(li, idx);
+            idx = children[keys.partition_point(|k| *k <= key)] as u32;
         }
         visits += 1;
-        let leaf = &self.leaves[idx as usize];
-        let slot = leaf.keys.partition_point(|k| *k < key);
-        let hit = leaf
-            .keys
-            .get(slot)
-            .filter(|k| **k == key)
-            .map(|_| leaf.payloads[slot]);
+        let (keys, payloads) = self.leaf(idx);
+        let slot = keys.partition_point(|k| *k < key);
+        let hit = (keys.get(slot) == Some(&key)).then(|| payloads[slot]);
         (hit, visits)
     }
 
@@ -600,24 +651,24 @@ impl BTreeIndex {
         // Land on the leftmost leaf whose range can reach `lo`, then
         // walk the chain.
         let mut leaf = self.descend_leaf(lo, false);
-        let mut slot = self.leaves[leaf as usize].keys.partition_point(|k| *k < lo);
+        let mut slot = self.leaf(leaf).0.partition_point(|k| *k < lo);
         loop {
-            let l = &self.leaves[leaf as usize];
-            while slot < l.keys.len() {
-                let key = l.keys[slot];
+            let (keys, payloads) = self.leaf(leaf);
+            while slot < keys.len() {
+                let key = keys[slot];
                 if key > hi {
                     return out;
                 }
-                out.push((key, l.payloads[slot]));
+                out.push((key, payloads[slot]));
                 if out.len() == limit {
                     return out;
                 }
                 slot += 1;
             }
-            if l.next == NONE {
+            leaf = self.leaves.get(leaf, NEXT);
+            if leaf == NONE {
                 return out;
             }
-            leaf = l.next;
             slot = 0;
         }
     }
@@ -637,27 +688,25 @@ impl BTreeIndex {
         // walk the chain backwards.
         let mut leaf = self.descend_leaf(hi, true);
         // Everything below this slot is <= hi; walk it downward.
-        let mut slot = self.leaves[leaf as usize]
-            .keys
-            .partition_point(|k| *k <= hi);
+        let mut slot = self.leaf(leaf).0.partition_point(|k| *k <= hi);
         loop {
-            let l = &self.leaves[leaf as usize];
+            let (keys, payloads) = self.leaf(leaf);
             while slot > 0 {
                 slot -= 1;
-                let key = l.keys[slot];
+                let key = keys[slot];
                 if key < lo {
                     return out;
                 }
-                out.push((key, l.payloads[slot]));
+                out.push((key, payloads[slot]));
                 if out.len() == limit {
                     return out;
                 }
             }
-            if l.prev == NONE {
+            leaf = self.leaves.get(leaf, PREV);
+            if leaf == NONE {
                 return out;
             }
-            leaf = l.prev;
-            slot = self.leaves[leaf as usize].keys.len();
+            slot = self.leaves.len(leaf);
         }
     }
 
@@ -676,8 +725,7 @@ impl BTreeIndex {
     /// Panics if `depth` or `node` is out of range.
     #[must_use]
     pub fn inner_keys(&self, depth: usize, node: u32) -> &[u64] {
-        let level = &self.levels[self.levels.len() - 1 - depth];
-        &level[node as usize].keys
+        self.inner(self.levels.len() - 1 - depth, node).0
     }
 
     /// Child index `slot` of inner node `node` at `depth` below the
@@ -689,8 +737,7 @@ impl BTreeIndex {
     /// Panics if `depth`, `node`, or `slot` is out of range.
     #[must_use]
     pub fn inner_child(&self, depth: usize, node: u32, slot: usize) -> u32 {
-        let level = &self.levels[self.levels.len() - 1 - depth];
-        level[node as usize].children[slot]
+        self.inner(self.levels.len() - 1 - depth, node).1[slot] as u32
     }
 
     /// Size of the leaf arena (equal to the live leaf count for a
@@ -699,7 +746,7 @@ impl BTreeIndex {
     /// chain accessors for traversal).
     #[must_use]
     pub fn leaf_count(&self) -> usize {
-        self.leaves.len()
+        self.leaves.count()
     }
 
     /// Leaves currently linked into the chain (always at least 1; an
@@ -724,14 +771,14 @@ impl BTreeIndex {
     /// The in-order successor of `leaf`, if any.
     #[must_use]
     pub fn leaf_next(&self, leaf: u32) -> Option<u32> {
-        let next = self.leaves[leaf as usize].next;
+        let next = self.leaves.get(leaf, NEXT);
         (next != NONE).then_some(next)
     }
 
     /// The in-order predecessor of `leaf`, if any.
     #[must_use]
     pub fn leaf_prev(&self, leaf: u32) -> Option<u32> {
-        let prev = self.leaves[leaf as usize].prev;
+        let prev = self.leaves.get(leaf, PREV);
         (prev != NONE).then_some(prev)
     }
 
@@ -743,8 +790,7 @@ impl BTreeIndex {
     /// Panics if `leaf` is out of range.
     #[must_use]
     pub fn leaf_entries(&self, leaf: u32) -> (&[u64], &[u64]) {
-        let l = &self.leaves[leaf as usize];
-        (&l.keys, &l.payloads)
+        self.leaf(leaf)
     }
 
     /// Every entry in key order (duplicates in insertion order) — a
@@ -753,14 +799,12 @@ impl BTreeIndex {
     pub fn entries(&self) -> Vec<(u64, u64)> {
         let mut out = Vec::with_capacity(self.len);
         let mut leaf = self.head;
-        loop {
-            let l = &self.leaves[leaf as usize];
-            out.extend(l.keys.iter().copied().zip(l.payloads.iter().copied()));
-            if l.next == NONE {
-                return out;
-            }
-            leaf = l.next;
+        while leaf != NONE {
+            let (keys, payloads) = self.leaf(leaf);
+            out.extend(keys.iter().copied().zip(payloads.iter().copied()));
+            leaf = self.leaves.get(leaf, NEXT);
         }
+        out
     }
 
     /// Exports the tree's structure as plain data, for materialization
@@ -773,17 +817,22 @@ impl BTreeIndex {
         // Repacking the chain-ordered entry stream reproduces the
         // canonical bottom-up packing, duplicate order intact.
         let packed = BTreeIndex::from_sorted(self.fanout, &self.entries());
-        let node = |n: Inner| (n.keys, n.children);
-        let levels = packed.levels.into_iter();
+        let nodes = |arena: &Slots| 0..arena.count() as u32;
         BTreeExport {
             fanout: self.fanout,
-            levels: levels
-                .map(|level| level.into_iter().map(node).collect())
+            levels: (0..packed.levels.len())
+                .map(|li| {
+                    nodes(&packed.levels[li])
+                        .map(|i| packed.inner(li, i))
+                        .map(|(keys, children)| {
+                            (keys.to_vec(), children.iter().map(|c| *c as u32).collect())
+                        })
+                        .collect()
+                })
                 .collect(),
-            leaves: packed
-                .leaves
-                .into_iter()
-                .map(|l| (l.keys, l.payloads))
+            leaves: nodes(&packed.leaves)
+                .map(|i| packed.leaf(i))
+                .map(|(keys, payloads)| (keys.to_vec(), payloads.to_vec()))
                 .collect(),
         }
     }
@@ -965,8 +1014,9 @@ mod tests {
     // ---- mutation ----
 
     /// Checks the full structural invariant set after a mutation storm:
-    /// chain order, link symmetry, live-leaf count, length, and scan
-    /// agreement with a fresh build over the same entries.
+    /// chain order, link symmetry, live-leaf count, length, the tree's
+    /// shape (see [`check_subtree`]), and scan agreement with a fresh
+    /// build over the same entries.
     fn check_invariants(t: &BTreeIndex) {
         let entries = t.entries();
         assert_eq!(entries.len(), t.len(), "len matches chain walk");
@@ -974,13 +1024,16 @@ mod tests {
             entries.windows(2).all(|w| w[0].0 <= w[1].0),
             "chain is key-ordered"
         );
-        // Chain link symmetry + live count.
-        let mut live = 0usize;
+        // Chain link symmetry + live count; no chained leaf is free or
+        // wider than the fanout.
+        let mut chain = Vec::new();
         let mut leaf = t.first_leaf();
         let mut prev = None;
         loop {
-            live += 1;
+            chain.push(leaf);
             assert_eq!(t.leaf_prev(leaf), prev, "prev link of {leaf}");
+            assert!(!t.free_leaves.contains(&leaf), "free leaf {leaf} chained");
+            assert!(t.leaves.len(leaf) <= t.fanout(), "leaf {leaf} too wide");
             prev = Some(leaf);
             match t.leaf_next(leaf) {
                 Some(next) => leaf = next,
@@ -988,7 +1041,27 @@ mod tests {
             }
         }
         assert_eq!(leaf, t.last_leaf());
-        assert_eq!(live, t.live_leaf_count());
+        assert_eq!(chain.len(), t.live_leaf_count());
+        // The leaves under the root are exactly the chained ones.
+        let mut reached = Vec::new();
+        match t.levels.len() {
+            0 => assert_eq!(
+                t.leaves.get(leaf, PARENT),
+                NONE,
+                "a lone leaf has no parent"
+            ),
+            top => {
+                assert_eq!(
+                    t.levels[top - 1].get(0, PARENT),
+                    NONE,
+                    "the root has no parent"
+                );
+                check_subtree(t, top - 1, 0, &mut reached);
+                chain.sort_unstable();
+                reached.sort_unstable();
+                assert_eq!(reached, chain, "the root reaches every chained leaf");
+            }
+        }
         // Every entry findable by descent; scans agree with a rebuild.
         let fresh = BTreeIndex::build(t.fanout(), entries.clone());
         assert_eq!(
@@ -999,6 +1072,59 @@ mod tests {
             t.range_scan_desc(0, u64::MAX, usize::MAX),
             fresh.range_scan_desc(0, u64::MAX, usize::MAX)
         );
+    }
+
+    /// Checks the subtree under inner node `node` at level `li`: it is
+    /// not free and holds 1 to `fanout` children, every child's parent
+    /// is `node`, and every separator is `>=` each key of its left
+    /// subtree and `<=` each key of its right one. Pushes the leaves it
+    /// reaches onto `leaves`; returns its smallest and largest key.
+    fn check_subtree(
+        t: &BTreeIndex,
+        li: usize,
+        node: u32,
+        leaves: &mut Vec<u32>,
+    ) -> Option<(u64, u64)> {
+        assert!(
+            !t.free_inners[li].contains(&node),
+            "free inner {li}/{node} reached"
+        );
+        let (seps, children) = t.inner(li, node);
+        assert!(
+            (1..=t.fanout()).contains(&children.len()),
+            "inner {li}/{node} width"
+        );
+        let mut span: Option<(u64, u64)> = None;
+        for (i, &child) in children.iter().enumerate() {
+            let child = child as u32;
+            let (parent, keys) = if li == 0 {
+                assert!(!t.free_leaves.contains(&child), "free leaf {child} reached");
+                leaves.push(child);
+                let keys = t.leaf(child).0;
+                let bounds = keys.first().zip(keys.last());
+                (
+                    t.leaves.get(child, PARENT),
+                    bounds.map(|(lo, hi)| (*lo, *hi)),
+                )
+            } else {
+                let keys = check_subtree(t, li - 1, child, leaves);
+                (t.levels[li - 1].get(child, PARENT), keys)
+            };
+            assert_eq!(parent, node, "child {child} of {li}/{node} points back");
+            let Some((lo, hi)) = keys else { continue };
+            if i > 0 {
+                assert!(
+                    seps[i - 1] <= lo,
+                    "separator {} of {li}/{node} above its right",
+                    i - 1
+                );
+            }
+            if i < seps.len() {
+                assert!(seps[i] >= hi, "separator {i} of {li}/{node} below its left");
+            }
+            span = Some((span.map_or(lo, |(first, _)| first), hi));
+        }
+        span
     }
 
     #[test]
@@ -1131,26 +1257,42 @@ mod tests {
         check_invariants(&t);
     }
 
-    #[test]
-    fn mutation_oracle_against_std_btreemap() {
+    /// The serving tier's default fanout (`ServeConfig::default()`).
+    const SERVING_FANOUT: usize = 64;
+
+    /// Runs a seeded mix of inserts, deletes and updates over `32 *
+    /// fanout` keys against a `BTreeMap` oracle, asserting that leaves
+    /// both split and merged along the way.
+    fn mutation_oracle(fanout: usize) {
         use std::collections::BTreeMap;
-        let mut t = BTreeIndex::build(4, std::iter::empty());
+        let mut t = BTreeIndex::build(fanout, std::iter::empty());
         let mut oracle: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
+        let (mut splits, mut merges) = (0usize, 0usize);
         let mut state = 0x2545F4914F6CDD1Du64;
-        for step in 0..6000u64 {
+        for step in 0..1500 * fanout as u64 {
             state = state
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            let key = (state >> 33) % 128;
+            let key = (state >> 33) % (32 * fanout as u64);
+            let live = t.live_leaf_count();
             match state % 5 {
                 0..=2 => {
                     t.insert(key, step);
                     oracle.entry(key).or_default().push(step);
+                    splits += usize::from(t.live_leaf_count() > live);
                 }
                 3 => {
+                    // Leaves holding `key` alone empty and unlink; any
+                    // further leaf the chain loses was merged away.
+                    let emptied = (0..t.leaf_count() as u32)
+                        .filter(|&l| !t.free_leaves.contains(&l))
+                        .filter(|&l| t.leaf(l).0.iter().all(|k| *k == key))
+                        .filter(|&l| t.leaves.len(l) > 0)
+                        .count();
                     let removed = t.delete(key);
                     let want = oracle.remove(&key).map_or(0, |v| v.len());
                     assert_eq!(removed, want, "delete {key} at step {step}");
+                    merges += usize::from(live > t.live_leaf_count() + emptied);
                 }
                 _ => {
                     let applied = t.update(key, step);
@@ -1165,6 +1307,10 @@ mod tests {
                 }
             }
         }
+        assert!(
+            splits > 0 && merges > 0,
+            "fanout {fanout}: {splits} splits, {merges} merges"
+        );
         let want: Vec<(u64, u64)> = oracle
             .iter()
             .flat_map(|(k, vs)| vs.iter().map(move |v| (*k, *v)))
@@ -1173,6 +1319,62 @@ mod tests {
         let mut rev = want.clone();
         rev.reverse();
         assert_eq!(t.range_scan_desc(0, u64::MAX, usize::MAX), rev);
+        check_invariants(&t);
+    }
+
+    #[test]
+    fn mutation_oracle_against_std_btreemap() {
+        for fanout in [4, SERVING_FANOUT] {
+            mutation_oracle(fanout);
+        }
+    }
+
+    #[test]
+    fn update_matches_delete_then_insert() {
+        // Lone entries, a run of duplicates spanning leaves, and misses.
+        let mut pairs: Vec<(u64, u64)> = (0..200u64).map(|k| (k * 2, k)).collect();
+        pairs.extend((0..40u64).map(|i| (101, 1000 + i)));
+        for fanout in [4, 8, SERVING_FANOUT] {
+            let tree = BTreeIndex::build(fanout, pairs.clone());
+            for key in [0, 1, 2, 6, 7, 100, 101, 102, 396, 398, 399, 1000] {
+                let (mut updated, mut oracle) = (tree.clone(), tree.clone());
+                let applied = updated.update(key, 7);
+                let removed = oracle.delete(key);
+                if removed > 0 {
+                    oracle.insert(key, 7);
+                }
+                assert_eq!(applied, removed > 0, "key {key}");
+                assert_eq!(updated.entries(), oracle.entries(), "key {key}");
+                for (lo, hi) in [(0, u64::MAX), (key.saturating_sub(9), key + 9)] {
+                    for scan in [BTreeIndex::range_scan, BTreeIndex::range_scan_desc] {
+                        let want = scan(&oracle, lo, hi, usize::MAX);
+                        assert_eq!(scan(&updated, lo, hi, usize::MAX), want, "key {key}");
+                    }
+                }
+                check_invariants(&updated);
+            }
+        }
+    }
+
+    #[test]
+    fn a_lone_entry_is_updated_in_place() {
+        // Leaves [0, 1] and [4, 5] of fanout 4: taking 0 out of the
+        // first would merge the second into it.
+        let mut t = BTreeIndex::build(4, (0..16u64).map(|k| (k, k)));
+        for k in [2, 3, 6, 7] {
+            assert_eq!(t.delete(k), 1);
+        }
+        t.reclaim();
+        let mut oracle = t.clone();
+        oracle.delete(0);
+        oracle.insert(0, 99);
+        assert_eq!(oracle.reclaim(), 1, "a delete and an insert merge");
+        let (arena, live) = (t.leaf_count(), t.live_leaf_count());
+        assert!(t.update(0, 99));
+        assert_eq!(t.leaf_count(), arena, "no slot allocated");
+        assert_eq!(t.live_leaf_count(), live, "no leaf merged");
+        assert_eq!(t.reclaim(), 0, "no slot freed");
+        assert_eq!(t.entries(), oracle.entries());
         check_invariants(&t);
     }
 

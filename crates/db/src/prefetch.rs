@@ -7,25 +7,27 @@
 //! non-binding by definition. The index builds use it, and
 //! `widx_soft::prefetch` re-exports it for the walkers.
 
-/// Issues a non-binding prefetch for the cache line containing `value`.
+/// Issues a non-binding prefetch for the cache line containing `ptr`.
+/// A reference coerces to the pointer; the pointer need not be valid,
+/// which lets a walker prefetch a node's header from its keys.
 #[inline(always)]
-pub fn prefetch_read<T>(value: &T) {
+pub fn prefetch_read<T>(ptr: *const T) {
     #[cfg(target_arch = "x86_64")]
     {
-        // SAFETY: `value` is a valid reference, so its address is a
-        // valid (dereferenceable) pointer for the duration of the call;
-        // `_mm_prefetch` never dereferences architecturally and has no
-        // memory side effects beyond cache-state hints.
+        // SAFETY: `_mm_prefetch` never dereferences architecturally: a
+        // prefetch of any address, mapped or not, cannot fault and has
+        // no memory side effects beyond cache-state hints (the same
+        // contract as `core::hint::prefetch_read`, a safe function).
         unsafe {
             core::arch::x86_64::_mm_prefetch::<{ core::arch::x86_64::_MM_HINT_T0 }>(
-                std::ptr::from_ref(value).cast::<i8>(),
+                ptr.cast::<i8>(),
             );
         }
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
         // No stable prefetch intrinsic: make the hint a no-op.
-        let _ = value;
+        let _ = ptr;
     }
 }
 

@@ -16,8 +16,13 @@ use widx_serve::{ProbeService, Request, Response, ServeConfig};
 
 const ENTRIES: u64 = 2048;
 
+/// Fanout 8, below the serving default, so that this small range tier
+/// splits leaves under the writes here.
 fn serve_config() -> ServeConfig {
-    ServeConfig::default().with_shards(2).with_batch_size(16)
+    ServeConfig::default()
+        .with_fanout(8)
+        .with_shards(2)
+        .with_batch_size(16)
 }
 
 /// Recovers sole ownership once the server (the only other holder) has

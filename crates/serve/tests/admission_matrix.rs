@@ -25,6 +25,8 @@ use widx_serve::{PendingResponse, ProbeService, Request, Response, ServeConfig, 
 const ENTRIES: u64 = 2000;
 const PATIENCE: Duration = Duration::from_secs(30);
 
+/// Every caller pins fanout 8, below the serving default, so that this
+/// small range tier splits and merges leaves under the writes here.
 fn build(config: &ServeConfig) -> ProbeService {
     ProbeService::build_with_range(
         HashRecipe::robust64(),
@@ -314,7 +316,7 @@ fn every_shape_answers_the_oracle_through_both_admission_modes_and_refuses_after
             Mode::Convenience => &[][..],
             Mode::Block | Mode::Try => &STREAMS[..],
         };
-        let service = build(&ServeConfig::default().with_stream_chunk(64));
+        let service = build(&ServeConfig::default().with_fanout(8).with_stream_chunk(64));
         let mut model = Model::new();
         for request in shapes() {
             let want = model.answer(&request);
@@ -377,6 +379,7 @@ fn busy_refuses_a_dual_tier_write_on_both_tiers_or_neither() {
     const CAPACITY: usize = 4;
     let service = build(
         &ServeConfig::default()
+            .with_fanout(8)
             .with_shards(2)
             .with_queue_capacity(CAPACITY),
     );
@@ -454,7 +457,7 @@ fn busy_refuses_a_dual_tier_write_on_both_tiers_or_neither() {
 /// request.
 #[test]
 fn sub_ring_probes_are_complete_when_submit_returns() {
-    let config = ServeConfig::default().with_shards(2);
+    let config = ServeConfig::default().with_fanout(8).with_shards(2);
     let spanning: Vec<u64> = (0..config.inflight as u64 - 1).map(|k| k * 2).collect();
     let rows = [
         Request::Lookup { key: 84 },
@@ -548,7 +551,7 @@ fn sub_ring_writes_are_applied_when_submit_returns_unless_a_guard_is_refused() {
         },
     ];
     for mode in MODES {
-        let service = build(&ServeConfig::default().with_shards(2));
+        let service = build(&ServeConfig::default().with_fanout(8).with_shards(2));
         let mut model = Model::new();
         let ordered = service.ordered().expect("range tier");
         let owners = |shard_of: &dyn Fn(u64) -> usize| -> BTreeSet<usize> {
@@ -606,6 +609,7 @@ fn sub_ring_writes_are_applied_when_submit_returns_unless_a_guard_is_refused() {
 fn a_ring_filling_probe_queues_where_a_sub_ring_probe_is_answered() {
     const CAPACITY: usize = 16;
     let config = ServeConfig::default()
+        .with_fanout(8)
         .with_shards(2)
         .with_queue_capacity(CAPACITY);
     let ring = config.inflight;

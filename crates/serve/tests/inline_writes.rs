@@ -33,12 +33,14 @@ fn pairs() -> impl Iterator<Item = (u64, u64)> {
     (0..ENTRIES).map(|k| (k * 2, k))
 }
 
+/// Every caller pins fanout 8, below the serving default, so that this
+/// small range tier splits and merges leaves under the writes here.
 fn build_with(config: &ServeConfig) -> ProbeService {
     ProbeService::build_with_range(HashRecipe::robust64(), pairs(), config)
 }
 
 fn build() -> ProbeService {
-    let service = build_with(&ServeConfig::default().with_shards(2));
+    let service = build_with(&ServeConfig::default().with_fanout(8).with_shards(2));
     let ordered = service.ordered().expect("range tier");
     let owners = |shard_of: &dyn Fn(u64) -> usize| {
         let mut owners: Vec<usize> = SPANNING.iter().map(|key| shard_of(*key)).collect();
@@ -457,7 +459,7 @@ fn one_chunk_scans_are_walked_before_submit_returns_without_waking_a_worker() {
 fn scans_past_one_chunk_or_filling_the_ring_are_queued() {
     let tree = BTreeIndex::build(8, pairs());
     let chunk = ServeConfig::default().stream_chunk;
-    let wide = ServeConfig::default().with_shards(2);
+    let wide = ServeConfig::default().with_fanout(8).with_shards(2);
     let narrow = wide.clone().with_inflight(2);
     for (config, limit) in [(wide, chunk + 1), (narrow, chunk)] {
         let service = build_with(&config);

@@ -198,11 +198,35 @@ impl Step for BTreeIndex {
 
     #[inline(always)]
     fn prefetch(&self, scan: &Scan) -> bool {
-        let first = match scan.at {
-            At::Inner { depth, node } => self.inner_keys(depth, node).first(),
-            At::Leaf { leaf, .. } => self.leaf_entries(leaf).0.first(),
+        // A node is one slot of its level's arena: two header words,
+        // `fanout + 1` keys, then as many payloads or children (the
+        // layout `BTreeIndex` documents). Fetch every line the visit
+        // reads: the header (a leaf's chain links) and the live keys,
+        // then the live payloads or children.
+        let (keys, values, live) = match scan.at {
+            At::Inner { depth, node } => {
+                let keys = self.inner_keys(depth, node);
+                let children = keys.as_ptr().wrapping_add(self.fanout() + 1);
+                (keys, children, keys.len() + 1)
+            }
+            At::Leaf { leaf, .. } => {
+                let (keys, payloads) = self.leaf_entries(leaf);
+                (keys, payloads.as_ptr(), keys.len())
+            }
         };
-        first.map(prefetch_read).is_some()
+        prefetch_words(keys.as_ptr().wrapping_sub(2), 2 + keys.len());
+        prefetch_words(values, live);
+        true
+    }
+}
+
+/// Prefetches every cache line of `words` words from `from`: one per
+/// 64 bytes, and the last word's line, which an unaligned start can
+/// leave out.
+#[inline(always)]
+fn prefetch_words(from: *const u64, words: usize) {
+    for word in (0..words).step_by(8).chain(words.checked_sub(1)) {
+        prefetch_read(from.wrapping_add(word));
     }
 }
 

@@ -331,69 +331,69 @@ const BTREE_EXPECTED: &str = "
     asc ring=16/0: 78 5 16 78 78 | 202 0x3b07d10a469ff55e
     asc ring=16/1: 75 5 15 75 75 | 404 0x25c08d2342ca14b5
     desc scalar: 150 5 150 150 0 | 404 0xd0c77b1d813b17bd
-    desc group=1: 150 5 150 150 148 | 404 0xd0c77b1d813b17bd
-    desc group=3: 150 5 60 150 148 | 404 0xd0c77b1d813b17bd
-    desc group=8: 150 5 30 150 148 | 404 0xd0c77b1d813b17bd
-    desc amac=1: 150 5 150 150 148 | 404 0xd0c77b1d813b17bd
-    desc amac=2: 150 5 75 150 148 | 404 0xd0c77b1d813b17bd
-    desc amac=5: 150 5 30 150 148 | 404 0xd0c77b1d813b17bd
-    desc amac=16: 150 5 15 150 148 | 404 0xd0c77b1d813b17bd
+    desc group=1: 150 5 150 150 150 | 404 0xd0c77b1d813b17bd
+    desc group=3: 150 5 60 150 150 | 404 0xd0c77b1d813b17bd
+    desc group=8: 150 5 30 150 150 | 404 0xd0c77b1d813b17bd
+    desc amac=1: 150 5 150 150 150 | 404 0xd0c77b1d813b17bd
+    desc amac=2: 150 5 75 150 150 | 404 0xd0c77b1d813b17bd
+    desc amac=5: 150 5 30 150 150 | 404 0xd0c77b1d813b17bd
+    desc amac=16: 150 5 15 150 150 | 404 0xd0c77b1d813b17bd
     desc ring=1/0: 75 5 75 75 75 | 202 0xea61e9ab9ab9da2e
-    desc ring=1/1: 75 5 75 75 73 | 404 0xd0c77b1d813b17bd
+    desc ring=1/1: 75 5 75 75 75 | 404 0xd0c77b1d813b17bd
     desc ring=2/0: 75 5 45 75 75 | 202 0xea61e9ab9ab9da2e
-    desc ring=2/1: 75 5 45 75 73 | 404 0xd0c77b1d813b17bd
+    desc ring=2/1: 75 5 45 75 75 | 404 0xd0c77b1d813b17bd
     desc ring=5/0: 75 5 15 75 75 | 202 0xea61e9ab9ab9da2e
-    desc ring=5/1: 75 5 15 75 73 | 404 0xd0c77b1d813b17bd
+    desc ring=5/1: 75 5 15 75 75 | 404 0xd0c77b1d813b17bd
     desc ring=16/0: 75 5 15 75 75 | 202 0xea61e9ab9ab9da2e
-    desc ring=16/1: 75 5 15 75 73 | 404 0xd0c77b1d813b17bd
+    desc ring=16/1: 75 5 15 75 75 | 404 0xd0c77b1d813b17bd
     limits scalar: 61 5 61 61 0 | 80 0x190eb384fa8465aa
-    limits group=1: 61 5 61 61 58 | 80 0x190eb384fa8465aa
-    limits group=3: 61 5 34 61 58 | 80 0x190eb384fa8465aa
-    limits group=8: 61 5 21 61 58 | 80 0x190eb384fa8465aa
-    limits amac=1: 61 5 61 61 58 | 80 0x190eb384fa8465aa
-    limits amac=2: 61 5 32 61 58 | 80 0x190eb384fa8465aa
-    limits amac=5: 61 5 17 61 58 | 80 0x190eb384fa8465aa
-    limits amac=16: 61 5 12 61 58 | 80 0x190eb384fa8465aa
+    limits group=1: 61 5 61 61 61 | 80 0x190eb384fa8465aa
+    limits group=3: 61 5 34 61 61 | 80 0x190eb384fa8465aa
+    limits group=8: 61 5 21 61 61 | 80 0x190eb384fa8465aa
+    limits amac=1: 61 5 61 61 61 | 80 0x190eb384fa8465aa
+    limits amac=2: 61 5 32 61 61 | 80 0x190eb384fa8465aa
+    limits amac=5: 61 5 17 61 61 | 80 0x190eb384fa8465aa
+    limits amac=16: 61 5 12 61 61 | 80 0x190eb384fa8465aa
     limits ring=1/0: 30 5 30 30 30 | 33 0xa1bd9b27176d1423
-    limits ring=1/1: 31 5 31 31 28 | 80 0x190eb384fa8465aa
+    limits ring=1/1: 31 5 31 31 31 | 80 0x190eb384fa8465aa
     limits ring=2/0: 30 5 17 30 30 | 33 0xa1bd9b27176d1423
-    limits ring=2/1: 31 5 17 31 28 | 80 0x190eb384fa8465aa
+    limits ring=2/1: 31 5 17 31 31 | 80 0x190eb384fa8465aa
     limits ring=5/0: 30 5 11 30 30 | 33 0xa1bd9b27176d1423
-    limits ring=5/1: 31 5 12 31 28 | 80 0x190eb384fa8465aa
+    limits ring=5/1: 31 5 12 31 31 | 80 0x190eb384fa8465aa
     limits ring=16/0: 30 5 11 30 30 | 33 0xa1bd9b27176d1423
-    limits ring=16/1: 31 5 12 31 28 | 80 0x190eb384fa8465aa
+    limits ring=16/1: 31 5 12 31 31 | 80 0x190eb384fa8465aa
     dups scalar: 118 4 118 118 0 | 382 0x8b82d0e7cd56cec1
-    dups group=1: 118 4 118 118 117 | 382 0x8b82d0e7cd56cec1
-    dups group=3: 118 4 52 118 117 | 382 0x8b82d0e7cd56cec1
-    dups group=8: 118 4 38 118 117 | 382 0x8b82d0e7cd56cec1
-    dups amac=1: 118 4 118 118 117 | 382 0x8b82d0e7cd56cec1
-    dups amac=2: 118 4 59 118 117 | 382 0x8b82d0e7cd56cec1
-    dups amac=5: 118 4 45 118 117 | 382 0x8b82d0e7cd56cec1
-    dups amac=16: 118 4 38 118 117 | 382 0x8b82d0e7cd56cec1
+    dups group=1: 118 4 118 118 118 | 382 0x8b82d0e7cd56cec1
+    dups group=3: 118 4 52 118 118 | 382 0x8b82d0e7cd56cec1
+    dups group=8: 118 4 38 118 118 | 382 0x8b82d0e7cd56cec1
+    dups amac=1: 118 4 118 118 118 | 382 0x8b82d0e7cd56cec1
+    dups amac=2: 118 4 59 118 118 | 382 0x8b82d0e7cd56cec1
+    dups amac=5: 118 4 45 118 118 | 382 0x8b82d0e7cd56cec1
+    dups amac=16: 118 4 38 118 118 | 382 0x8b82d0e7cd56cec1
     dups ring=1/0: 35 4 35 35 35 | 91 0x06620e3778ca48a9
-    dups ring=1/1: 83 4 83 83 82 | 382 0x8b82d0e7cd56cec1
+    dups ring=1/1: 83 4 83 83 83 | 382 0x8b82d0e7cd56cec1
     dups ring=2/0: 35 4 21 35 35 | 91 0x06620e3778ca48a9
-    dups ring=2/1: 83 4 45 83 82 | 382 0x8b82d0e7cd56cec1
+    dups ring=2/1: 83 4 45 83 83 | 382 0x8b82d0e7cd56cec1
     dups ring=5/0: 35 4 14 35 35 | 91 0x06620e3778ca48a9
-    dups ring=5/1: 83 4 38 83 82 | 382 0x8b82d0e7cd56cec1
+    dups ring=5/1: 83 4 38 83 83 | 382 0x8b82d0e7cd56cec1
     dups ring=16/0: 35 4 14 35 35 | 91 0x06620e3778ca48a9
-    dups ring=16/1: 83 4 38 83 82 | 382 0x8b82d0e7cd56cec1
+    dups ring=16/1: 83 4 38 83 83 | 382 0x8b82d0e7cd56cec1
     empty scalar: 2 1 2 2 0 | 0 0xbd83fab03a75dd64
-    empty group=1: 2 1 2 2 0 | 0 0xbd83fab03a75dd64
-    empty group=3: 2 1 1 2 0 | 0 0xbd83fab03a75dd64
-    empty group=8: 2 1 1 2 0 | 0 0xbd83fab03a75dd64
-    empty amac=1: 2 1 2 2 0 | 0 0xbd83fab03a75dd64
-    empty amac=2: 2 1 1 2 0 | 0 0xbd83fab03a75dd64
-    empty amac=5: 2 1 1 2 0 | 0 0xbd83fab03a75dd64
-    empty amac=16: 2 1 1 2 0 | 0 0xbd83fab03a75dd64
-    empty ring=1/0: 1 1 1 1 0 | 0 0xbd83fab03a75dd64
-    empty ring=1/1: 1 1 1 1 0 | 0 0xbd83fab03a75dd64
-    empty ring=2/0: 1 1 1 1 0 | 0 0xbd83fab03a75dd64
-    empty ring=2/1: 1 1 1 1 0 | 0 0xbd83fab03a75dd64
-    empty ring=5/0: 1 1 1 1 0 | 0 0xbd83fab03a75dd64
-    empty ring=5/1: 1 1 1 1 0 | 0 0xbd83fab03a75dd64
-    empty ring=16/0: 1 1 1 1 0 | 0 0xbd83fab03a75dd64
-    empty ring=16/1: 1 1 1 1 0 | 0 0xbd83fab03a75dd64
+    empty group=1: 2 1 2 2 2 | 0 0xbd83fab03a75dd64
+    empty group=3: 2 1 1 2 2 | 0 0xbd83fab03a75dd64
+    empty group=8: 2 1 1 2 2 | 0 0xbd83fab03a75dd64
+    empty amac=1: 2 1 2 2 2 | 0 0xbd83fab03a75dd64
+    empty amac=2: 2 1 1 2 2 | 0 0xbd83fab03a75dd64
+    empty amac=5: 2 1 1 2 2 | 0 0xbd83fab03a75dd64
+    empty amac=16: 2 1 1 2 2 | 0 0xbd83fab03a75dd64
+    empty ring=1/0: 1 1 1 1 1 | 0 0xbd83fab03a75dd64
+    empty ring=1/1: 1 1 1 1 1 | 0 0xbd83fab03a75dd64
+    empty ring=2/0: 1 1 1 1 1 | 0 0xbd83fab03a75dd64
+    empty ring=2/1: 1 1 1 1 1 | 0 0xbd83fab03a75dd64
+    empty ring=5/0: 1 1 1 1 1 | 0 0xbd83fab03a75dd64
+    empty ring=5/1: 1 1 1 1 1 | 0 0xbd83fab03a75dd64
+    empty ring=16/0: 1 1 1 1 1 | 0 0xbd83fab03a75dd64
+    empty ring=16/1: 1 1 1 1 1 | 0 0xbd83fab03a75dd64
     single scalar: 4 1 4 4 0 | 13 0xe869b4e58103e8ca
     single group=1: 4 1 4 4 4 | 13 0xe869b4e58103e8ca
     single group=3: 4 1 2 4 4 | 13 0xe869b4e58103e8ca

@@ -126,7 +126,9 @@ proptest! {
             ),
             1..5,
         ),
-        fanout in 4usize..12,
+        // Small fanouts split and merge often; the serving default
+        // (`ServeConfig::default().fanout`) is the width that ships.
+        fanout in prop_oneof![4usize..12, Just(64usize)],
         inflight in 1usize..8,
         group in 1usize..8,
     ) {
