@@ -50,6 +50,7 @@
 use std::ops::Range;
 
 use super::sort::sort_pairs;
+use crate::prefetch::huge_vec;
 
 /// Sentinel node index ("no node").
 const NONE: u32 = u32::MAX;
@@ -77,13 +78,13 @@ struct Slots {
 }
 
 impl Slots {
-    /// `count` zeroed slots for a tree of `fanout`.
+    /// `count` zeroed slots for a tree of `fanout`, from [`huge_vec`].
     fn new(fanout: usize, count: usize) -> Slots {
         let cap = fanout + 1;
-        Slots {
-            cap,
-            words: vec![0; count * (HEAD + 2 * cap)],
-        }
+        let len = count * (HEAD + 2 * cap);
+        let mut words = huge_vec(len);
+        words.resize(len, 0);
+        Slots { cap, words }
     }
 
     fn stride(&self) -> usize {

@@ -17,10 +17,12 @@
 //! The build overlaps its misses the way the walkers do:
 //! [`insert_batch`](HashIndex::insert_batch) prefetches bucket headers
 //! a window of pairs ahead, then inserts in input order, so every chain
-//! is exactly what an `insert` loop builds.
+//! is exactly what an `insert` loop builds. [`build`](HashIndex::build)
+//! reserves the bucket array, and the node pool at the pair count, with
+//! [`huge_vec`]: on 2 MiB pages, a random write there pays no 4 KiB walk.
 
 use crate::hash::HashRecipe;
-use crate::prefetch::prefetch_read;
+use crate::prefetch::{huge_vec, prefetch_read};
 
 /// Pairs whose headers are prefetched ahead of the insert. Depths 8, 16,
 /// 32 and 64 built a DRAM-resident index equally fast.
@@ -122,10 +124,13 @@ impl HashIndex {
     ) -> HashIndex {
         assert!(min_buckets > 0, "need at least one bucket");
         let bucket_count = min_buckets.next_power_of_two();
+        let pairs = pairs.into_iter();
+        let mut buckets = huge_vec(bucket_count);
+        buckets.resize(bucket_count, Bucket::EMPTY);
         let mut index = HashIndex {
             recipe,
-            buckets: vec![Bucket::EMPTY; bucket_count],
-            nodes: Vec::new(),
+            buckets,
+            nodes: huge_vec(pairs.size_hint().0),
             len: 0,
             free: Vec::new(),
             freed: 0,
@@ -623,5 +628,56 @@ mod tests {
         let s = idx.stats();
         assert_eq!(s.entries, 1024);
         assert!(s.mean_chain < 3.0, "mean chain {}", s.mean_chain);
+    }
+
+    /// The build advises its bucket array before the first write, so a
+    /// 48 MiB one faults in on 2 MiB pages. Advice given after the
+    /// `vec![Bucket::EMPTY; n]` fill would find every 4 KiB page mapped.
+    #[test]
+    fn a_large_bucket_array_lands_on_huge_pages() {
+        let thp = std::fs::read_to_string("/sys/kernel/mm/transparent_hugepage/enabled");
+        match thp {
+            Ok(mode) if !mode.contains("[never]") => {}
+            other => {
+                eprintln!("skipped: transparent huge pages unavailable ({other:?})");
+                return;
+            }
+        }
+        let idx = HashIndex::build(
+            HashRecipe::robust64(),
+            1 << 21,
+            (0..1 << 16).map(|k| (k, k)),
+        );
+        let array = idx.buckets().as_ptr_range();
+        let (lo, hi) = (array.start as usize, array.end as usize);
+        // The advice splits the allocation's mapping in three: the 4 KiB
+        // head holding `as_ptr`, the advised interior, the tail. Sum the
+        // `AnonHugePages` of every mapping that overlaps the array.
+        let smaps = std::fs::read_to_string("/proc/self/smaps").expect("read smaps");
+        let (mut overlaps, mut huge_kb) = (false, 0u64);
+        for line in smaps.lines() {
+            let range = line
+                .split_whitespace()
+                .next()
+                .and_then(|r| r.split_once('-'));
+            let bounds = range.and_then(|(a, b)| {
+                Some((
+                    usize::from_str_radix(a, 16).ok()?,
+                    usize::from_str_radix(b, 16).ok()?,
+                ))
+            });
+            if let Some((start, end)) = bounds {
+                overlaps = start < hi && lo < end;
+            } else if let Some(kb) = line.strip_prefix("AnonHugePages:") {
+                if overlaps {
+                    huge_kb += kb.trim().trim_end_matches(" kB").parse::<u64>().unwrap();
+                }
+            }
+        }
+        assert!(
+            huge_kb > 0,
+            "no huge page under the {} MiB bucket array",
+            (hi - lo) >> 20
+        );
     }
 }

@@ -14,6 +14,7 @@ use std::panic::resume_unwind;
 use super::sort::sort_pairs;
 use crate::hash::HashRecipe;
 use crate::index::{BTreeIndex, HashIndex};
+use crate::prefetch::huge_vec;
 
 /// Splits `pairs` into `shards` disjoint build streams using
 /// `recipe.shard_of` on the key. The concatenation of the returned
@@ -29,7 +30,10 @@ pub fn partition_pairs(
     pairs: impl IntoIterator<Item = (u64, u64)>,
 ) -> Vec<Vec<(u64, u64)>> {
     assert!(shards > 0, "need at least one shard");
-    let mut parts: Vec<Vec<(u64, u64)>> = (0..shards).map(|_| Vec::new()).collect();
+    let pairs = pairs.into_iter();
+    // The expected share plus 1/16 for the hash's spread; past it, a part grows.
+    let share = pairs.size_hint().0 / shards;
+    let mut parts: Vec<Vec<_>> = (0..shards).map(|_| huge_vec(share + share / 16)).collect();
     for (key, payload) in pairs {
         parts[recipe.shard_of(key, shards as u64) as usize].push((key, payload));
     }

@@ -26,7 +26,7 @@
 //! ```
 
 #![warn(missing_docs)]
-#![deny(unsafe_code)] // allowed in the prefetch shim alone
+#![deny(unsafe_code)] // allowed in `prefetch` alone: cache-line prefetch and 2 MiB page advice
 
 pub mod column;
 pub mod epoch;

@@ -6,7 +6,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use widx_db::prefetch::prefetch_read;
+use widx_db::prefetch::{huge_vec, prefetch_read};
 
 /// Creates the workspace's deterministic RNG from a seed.
 #[must_use]
@@ -31,10 +31,12 @@ const SHUFFLE_AHEAD: usize = 16;
 ///
 /// Exactly `SliceRandom::shuffle` with [`rng`]`(seed)`, but a swap's
 /// target depends only on the RNG, so it is drawn 16 swaps early and its
-/// slot prefetched; the draws and swaps keep their order.
+/// slot prefetched; the draws and swaps keep their order. The column is
+/// reserved through [`huge_vec`], so a large one shuffles on 2 MiB pages.
 #[must_use]
 pub fn unique_shuffled_keys(seed: u64, n: usize) -> Vec<u64> {
-    let mut keys: Vec<u64> = (0..n as u64).collect();
+    let mut keys: Vec<u64> = huge_vec(n);
+    keys.extend(0..n as u64);
     let mut r = rng(seed);
     let mut ahead = [0usize; SHUFFLE_AHEAD];
     // Step `s` swaps slot `n - 1 - s` with a target in `0..n - s`.
