@@ -8,19 +8,14 @@
 //! ready, and ring a user-space wake handle ([`Poller::notify`]) from
 //! any thread to cut a wait short.
 //!
-//! Three backends, selected automatically (or forced through the
-//! `WIDX_POLLER` environment variable / [`Poller::with_backend`]):
+//! The crate is unix-only. Two backends, selected automatically (or
+//! forced through the `WIDX_POLLER` environment variable /
+//! [`Poller::with_backend`]):
 //!
 //! * **`epoll`** (Linux, the default there) — kernel interest list,
 //!   level-triggered, an `eventfd` as the wake handle;
 //! * **`poll`** (any unix) — a user-space interest list swept by
-//!   `poll(2)`, a non-blocking self-pipe as the wake handle;
-//! * **`timeout`** (everywhere, the non-unix default) — no readiness
-//!   source at all: `wait` sleeps on a condvar until notified or timed
-//!   out, then reports every registered source as ready. Consumers
-//!   degrade to readiness *polling*, but the wake handle still works —
-//!   which is the property the `widx-net` event loop's correctness
-//!   argument actually rests on (see `docs/poller.md`).
+//!   `poll(2)`, a non-blocking self-pipe as the wake handle.
 //!
 //! # Semantics
 //!
@@ -37,45 +32,29 @@
 
 #![warn(missing_docs)]
 
-#[cfg(unix)]
 mod sys;
 
 #[cfg(target_os = "linux")]
 mod epoll;
-#[cfg(unix)]
 mod poll;
-mod timeout;
 
 use std::io;
 use std::time::Duration;
 
-/// The raw OS handle a [`Source`] exposes: a file descriptor on unix,
-/// an opaque integer elsewhere (the `timeout` backend never reads it).
-#[cfg(unix)]
+/// The raw OS handle a [`Source`] exposes: a file descriptor.
 pub type RawSource = std::os::unix::io::RawFd;
-/// The raw OS handle a [`Source`] exposes.
-#[cfg(not(unix))]
-pub type RawSource = u64;
 
 /// Anything registrable with a [`Poller`]. Blanket-implemented for all
-/// `AsRawFd` types on unix (sockets, listeners, pipes), so `TcpStream`
-/// and `TcpListener` register directly.
+/// `AsRawFd` types (sockets, listeners, pipes), so `TcpStream` and
+/// `TcpListener` register directly.
 pub trait Source {
     /// The raw OS handle to register.
     fn raw(&self) -> RawSource;
 }
 
-#[cfg(unix)]
 impl<T: std::os::unix::io::AsRawFd> Source for T {
     fn raw(&self) -> RawSource {
         self.as_raw_fd()
-    }
-}
-
-#[cfg(windows)]
-impl<T: std::os::windows::io::AsRawSocket> Source for T {
-    fn raw(&self) -> RawSource {
-        self.as_raw_socket()
     }
 }
 
@@ -141,9 +120,7 @@ impl Event {
 enum Backend {
     #[cfg(target_os = "linux")]
     Epoll(epoll::EpollPoller),
-    #[cfg(unix)]
     Poll(poll::PollPoller),
-    Timeout(timeout::TimeoutPoller),
 }
 
 /// Converts an optional wait bound into poll/epoll's millisecond
@@ -172,17 +149,14 @@ pub(crate) fn timeout_ms(timeout: Option<Duration>) -> i32 {
 /// ring, silently swallowing the wake; always ringing makes "no lost
 /// wake" true by construction, and bursts still coalesce *at the wake
 /// source* (an eventfd accumulates a counter, a pipe accumulates
-/// bytes, the condvar backend a flag under its lock — each drained by
-/// one wait).
+/// bytes — each drained by one wait).
 pub struct Poller {
     backend: Backend,
-    name: &'static str,
 }
 
 impl Poller {
     /// Creates a poller on the platform's best backend, honouring a
-    /// `WIDX_POLLER` environment override (`epoll` / `poll` /
-    /// `timeout`).
+    /// `WIDX_POLLER` environment override (`epoll` / `poll`).
     ///
     /// # Errors
     ///
@@ -195,8 +169,7 @@ impl Poller {
         }
     }
 
-    /// Creates a poller on a named backend: `"epoll"`, `"poll"`, or
-    /// `"timeout"`.
+    /// Creates a poller on a named backend: `"epoll"` or `"poll"`.
     ///
     /// # Errors
     ///
@@ -206,9 +179,7 @@ impl Poller {
         let backend = match name {
             #[cfg(target_os = "linux")]
             "epoll" => Backend::Epoll(epoll::EpollPoller::new()?),
-            #[cfg(unix)]
             "poll" => Backend::Poll(poll::PollPoller::new()?),
-            "timeout" => Backend::Timeout(timeout::TimeoutPoller::new()),
             other => {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidInput,
@@ -216,24 +187,17 @@ impl Poller {
                 ))
             }
         };
-        let name = backend_name(&backend);
-        Ok(Poller { backend, name })
+        Ok(Poller { backend })
     }
 
-    /// The active backend's name (`"epoll"`, `"poll"`, or `"timeout"`).
+    /// The active backend's name (`"epoll"` or `"poll"`).
     #[must_use]
     pub fn backend(&self) -> &'static str {
-        self.name
-    }
-
-    /// Whether `wait` observes *actual* socket readiness (`epoll`,
-    /// `poll`) rather than assuming it on every return (`timeout`).
-    /// Consumers on an assume-ready backend should keep their wait
-    /// timeouts at polling cadence — the timeout is their only way to
-    /// notice socket activity.
-    #[must_use]
-    pub fn has_readiness_source(&self) -> bool {
-        !matches!(self.backend, Backend::Timeout(_))
+        match self.backend {
+            #[cfg(target_os = "linux")]
+            Backend::Epoll(_) => "epoll",
+            Backend::Poll(_) => "poll",
+        }
     }
 
     /// Registers `source` with an initial `interest`. The interest's
@@ -247,9 +211,7 @@ impl Poller {
         match &self.backend {
             #[cfg(target_os = "linux")]
             Backend::Epoll(b) => b.add(source.raw(), interest),
-            #[cfg(unix)]
             Backend::Poll(b) => b.add(source.raw(), interest),
-            Backend::Timeout(b) => b.add(source.raw(), interest),
         }
     }
 
@@ -263,9 +225,7 @@ impl Poller {
         match &self.backend {
             #[cfg(target_os = "linux")]
             Backend::Epoll(b) => b.modify(source.raw(), interest),
-            #[cfg(unix)]
             Backend::Poll(b) => b.modify(source.raw(), interest),
-            Backend::Timeout(b) => b.modify(source.raw(), interest),
         }
     }
 
@@ -278,9 +238,7 @@ impl Poller {
         match &self.backend {
             #[cfg(target_os = "linux")]
             Backend::Epoll(b) => b.delete(source.raw()),
-            #[cfg(unix)]
             Backend::Poll(b) => b.delete(source.raw()),
-            Backend::Timeout(b) => b.delete(source.raw()),
         }
     }
 
@@ -297,9 +255,7 @@ impl Poller {
         let _woke = match &self.backend {
             #[cfg(target_os = "linux")]
             Backend::Epoll(b) => b.wait(events, timeout)?,
-            #[cfg(unix)]
             Backend::Poll(b) => b.wait(events, timeout)?,
-            Backend::Timeout(b) => b.wait(events, timeout)?,
         };
         Ok(events.len())
     }
@@ -312,25 +268,13 @@ impl Poller {
     ///
     /// # Errors
     ///
-    /// OS-level failure writing the wake fd (never errors on `timeout`).
+    /// OS-level failure writing the wake fd.
     pub fn notify(&self) -> io::Result<()> {
         match &self.backend {
             #[cfg(target_os = "linux")]
             Backend::Epoll(b) => b.notify(),
-            #[cfg(unix)]
             Backend::Poll(b) => b.notify(),
-            Backend::Timeout(b) => b.notify(),
         }
-    }
-}
-
-fn backend_name(backend: &Backend) -> &'static str {
-    match backend {
-        #[cfg(target_os = "linux")]
-        Backend::Epoll(_) => "epoll",
-        #[cfg(unix)]
-        Backend::Poll(_) => "poll",
-        Backend::Timeout(_) => "timeout",
     }
 }
 
@@ -338,11 +282,8 @@ fn backend_name(backend: &Backend) -> &'static str {
 #[cfg(target_os = "linux")]
 pub const DEFAULT_BACKEND: &str = "epoll";
 /// The platform's preferred backend.
-#[cfg(all(unix, not(target_os = "linux")))]
+#[cfg(not(target_os = "linux"))]
 pub const DEFAULT_BACKEND: &str = "poll";
-/// The platform's preferred backend.
-#[cfg(not(unix))]
-pub const DEFAULT_BACKEND: &str = "timeout";
 
 #[cfg(test)]
 mod tests {
@@ -352,7 +293,7 @@ mod tests {
     /// Every backend constructible on this platform.
     fn all_backends() -> Vec<Poller> {
         let mut pollers = Vec::new();
-        for name in ["epoll", "poll", "timeout"] {
+        for name in ["epoll", "poll"] {
             if let Ok(p) = Poller::with_backend(name) {
                 assert_eq!(p.backend(), name);
                 pollers.push(p);
@@ -362,23 +303,14 @@ mod tests {
         pollers
     }
 
-    /// Backends with a real readiness source (accurate, not
-    /// assume-ready) — the ones socket-accuracy assertions hold for.
-    fn real_backends() -> Vec<Poller> {
-        all_backends()
-            .into_iter()
-            .filter(|p| p.backend() != "timeout")
-            .collect()
-    }
-
     #[test]
     fn default_backend_constructs() {
         let poller = Poller::new().expect("default backend");
-        assert!(["epoll", "poll", "timeout"].contains(&poller.backend()));
+        assert!(["epoll", "poll"].contains(&poller.backend()));
         assert!(Poller::with_backend("no-such-backend").is_err());
+        assert!(Poller::with_backend("timeout").is_err());
     }
 
-    #[cfg(unix)]
     #[test]
     fn registration_lifecycle_add_modify_delete() {
         for poller in all_backends() {
@@ -407,10 +339,9 @@ mod tests {
         }
     }
 
-    #[cfg(unix)]
     #[test]
     fn listener_readability_tracks_pending_connections() {
-        for poller in real_backends() {
+        for poller in all_backends() {
             let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
             listener.set_nonblocking(true).unwrap();
             poller.add(&listener, Event::readable(7)).unwrap();
@@ -432,10 +363,9 @@ mod tests {
         }
     }
 
-    #[cfg(unix)]
     #[test]
     fn interest_toggle_parks_and_revives_a_source() {
-        for poller in real_backends() {
+        for poller in all_backends() {
             let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
             let stream = std::net::TcpStream::connect(listener.local_addr().unwrap()).unwrap();
             stream.set_nonblocking(true).unwrap();
@@ -467,14 +397,13 @@ mod tests {
         }
     }
 
-    #[cfg(unix)]
     #[test]
     fn parked_source_with_hung_up_peer_stays_silent() {
         use std::io::Write as _;
         // Regression: epoll always reports ERR/HUP, even for an empty
         // interest mask — a parked fd with a dead peer must not storm
         // `wait` (the backend keeps parked fds out of the kernel set).
-        for poller in real_backends() {
+        for poller in all_backends() {
             let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
             let mut client = std::net::TcpStream::connect(listener.local_addr().unwrap()).unwrap();
             let (served, _) = listener.accept().unwrap();

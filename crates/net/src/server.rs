@@ -107,7 +107,7 @@ pub struct NetConfig {
     /// replies can never drain; without this bound,
     /// [`WidxServer::shutdown`] (and `Drop`) would hang on it forever.
     pub drain_timeout: Duration,
-    /// Poller backend override (`"epoll"` / `"poll"` / `"timeout"`).
+    /// Poller backend override (`"epoll"` / `"poll"`).
     /// `None` picks the platform default, which the `WIDX_POLLER`
     /// environment variable can override — the switch the CI tiers use
     /// to run the loopback suites against every backend.
@@ -167,7 +167,7 @@ impl NetConfig {
         self
     }
 
-    /// Forces a poller backend (`"epoll"` / `"poll"` / `"timeout"`)
+    /// Forces a poller backend (`"epoll"` / `"poll"`)
     /// instead of the platform default / `WIDX_POLLER` selection.
     #[must_use]
     pub fn with_poller_backend(mut self, backend: impl Into<String>) -> NetConfig {
@@ -1280,14 +1280,7 @@ fn run_acceptor(
     let mut next = 0usize;
     let mut last_log: Option<Instant> = None;
     loop {
-        // An assume-ready backend has no readiness source: hold it at
-        // polling cadence so accepts are still noticed promptly.
-        let cap = if poller.has_readiness_source() {
-            QUIET_WAIT_CAP
-        } else {
-            config.idle_backoff
-        };
-        if poller.wait(&mut events, Some(cap)).is_err() {
+        if poller.wait(&mut events, Some(QUIET_WAIT_CAP)).is_err() {
             events.clear();
             std::thread::sleep(config.idle_backoff);
         }
@@ -1358,10 +1351,7 @@ fn run_reactor(
             Duration::ZERO
         } else {
             let quiet = !slots.iter().flatten().any(Connection::has_pending_work);
-            // An assume-ready backend (no real readiness source) only
-            // notices socket activity when the wait expires: hold it at
-            // polling cadence even when quiet.
-            let mut cap = if quiet && poller.has_readiness_source() {
+            let mut cap = if quiet {
                 QUIET_WAIT_CAP
             } else {
                 config.idle_backoff
@@ -1493,8 +1483,8 @@ mod tests {
 
     #[test]
     fn poller_backend_override_is_carried() {
-        let config = NetConfig::default().with_poller_backend("timeout");
-        assert_eq!(config.poller_backend.as_deref(), Some("timeout"));
+        let config = NetConfig::default().with_poller_backend("poll");
+        assert_eq!(config.poller_backend.as_deref(), Some("poll"));
         assert!(NetConfig::default().poller_backend.is_none());
     }
 
@@ -1660,7 +1650,7 @@ mod tests {
         // retained capacity came back under the high-water cap.
         let (server, client) = sock_pair();
         server.set_nonblocking(true).expect("nonblocking");
-        let poller = Arc::new(Poller::with_backend("timeout").expect("poller"));
+        let poller = Arc::new(Poller::with_backend("poll").expect("poller"));
         let mut conn = Connection::new(server, poller, Arc::new(StageTimes::new()), 0);
         // Simulate a large decoded request having passed through rbuf.
         conn.rbuf = vec![0u8; 3 << 20];
@@ -1725,7 +1715,7 @@ mod tests {
         let counters = NetCounters::new(1);
         let (server, client) = sock_pair();
         server.set_nonblocking(true).expect("nonblocking");
-        let poller = Arc::new(Poller::with_backend("timeout").expect("poller"));
+        let poller = Arc::new(Poller::with_backend("poll").expect("poller"));
         let mut conn = Connection::new(server, poller, service.stage_times(), 0);
 
         let mut sink = client.try_clone().expect("clone");

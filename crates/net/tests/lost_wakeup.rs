@@ -43,12 +43,9 @@ fn walk_gated_service() -> Arc<ProbeService> {
     ))
 }
 
-/// The real-readiness backends available on this platform. The
-/// `timeout` backend is deliberately absent: it notices request
-/// *arrival* only at its polling cadence (that is its documented
-/// degradation), so pinning a huge `idle_backoff` would measure that,
-/// not the completion wake — whose delivery the poller's own unit
-/// tests already pin for every backend.
+/// The poller backends available on this platform. Every backend
+/// observes real socket readiness, so a pinned huge `idle_backoff`
+/// measures the completion wake on each of them.
 fn readiness_backends() -> Vec<&'static str> {
     if cfg!(target_os = "linux") {
         vec!["epoll", "poll"]
@@ -194,12 +191,16 @@ fn shutdown_interrupts_a_blocked_idle_wait() {
 #[test]
 fn bind_rejects_an_unknown_poller_backend() {
     let service = small_service();
-    match WidxServer::bind(
-        "127.0.0.1:0",
-        Arc::clone(&service),
-        NetConfig::default().with_poller_backend("no-such-backend"),
-    ) {
-        Err(err) => assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput),
-        Ok(_) => panic!("unknown backend must fail bind, not the event loop"),
+    // There is no assume-ready backend: `timeout` is refused like any
+    // unknown name.
+    for backend in ["no-such-backend", "timeout"] {
+        match WidxServer::bind(
+            "127.0.0.1:0",
+            Arc::clone(&service),
+            NetConfig::default().with_poller_backend(backend),
+        ) {
+            Err(err) => assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{backend}"),
+            Ok(_) => panic!("backend {backend:?} must fail bind, not the event loop"),
+        }
     }
 }
