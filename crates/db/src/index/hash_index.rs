@@ -16,13 +16,14 @@
 //!
 //! The build overlaps its misses the way the walkers do:
 //! [`insert_batch`](HashIndex::insert_batch) prefetches bucket headers
-//! a window of pairs ahead, then inserts in input order, so every chain
-//! is exactly what an `insert` loop builds. [`build`](HashIndex::build)
-//! reserves the bucket array, and the node pool at the pair count, with
-//! [`huge_vec`]: on 2 MiB pages, a random write there pays no 4 KiB walk.
+//! (every line of each) a window of pairs ahead, then inserts in input
+//! order, so every chain is exactly what an `insert` loop builds.
+//! [`build`](HashIndex::build) reserves the bucket array, and the node
+//! pool at the pair count, with [`huge_vec`]: on 2 MiB pages, a random
+//! write there pays no 4 KiB walk.
 
 use crate::hash::HashRecipe;
-use crate::prefetch::{huge_vec, prefetch_read};
+use crate::prefetch::{huge_vec, prefetch_lines};
 
 /// Pairs whose headers are prefetched ahead of the insert. Depths 8, 16,
 /// 32 and 64 built a DRAM-resident index equally fast.
@@ -67,7 +68,8 @@ pub struct Node {
 // The serving-tier layout, pinned: rustc reorders `Bucket`'s fields
 // (two `u64`s, then the two `u32`s) into 24 bytes, not the 32 the
 // declaration order would take — so three headers span 72 bytes and one
-// in four straddles two 64-byte cache lines. Anything that reasons about
+// in four straddles two 64-byte cache lines, both of which the walkers
+// and the build prefetch (`prefetch_lines`). Anything that reasons about
 // misses per probe (a tag byte in the header, an aligned header) starts
 // from these numbers; a change here is a layout change and moves
 // `rss_bytes_per_entry`.
@@ -155,7 +157,7 @@ impl HashIndex {
         let mut seen = 0usize;
         for (key, payload) in pairs {
             let b = self.bucket_index(key);
-            prefetch_read(&self.buckets[b]);
+            prefetch_lines(&self.buckets[b], 1);
             let (b, key, payload) =
                 std::mem::replace(&mut window[seen % BUILD_WINDOW], (b, key, payload));
             if seen >= BUILD_WINDOW {

@@ -5,13 +5,16 @@
 //! targets without a stable prefetch intrinsic this compiles to a no-op,
 //! which only costs performance, never correctness — prefetches are
 //! non-binding by definition. The index builds use it, and
-//! `widx_soft::prefetch` re-exports it for the walkers.
+//! `widx_soft::prefetch` re-exports it for the walkers. A record may
+//! straddle two lines (a 24-byte hash record does one time in four), so
+//! [`prefetch_lines`] fetches every line a visit will read.
 //!
 //! At DRAM-resident sizes a miss also pays a page walk: [`huge_vec`]
 //! advises a build buffer onto 2 MiB pages before its first write (after
 //! it, 4 KiB pages are mapped). A hint too, Linux only.
 
 const HUGE_PAGE: usize = 2 << 20; // one x86-64 PMD-mapped page
+const LINE: usize = 64; // x86-64 cache line
 
 /// Issues a non-binding prefetch for the cache line containing `ptr`.
 /// A reference coerces to the pointer; the pointer need not be valid,
@@ -35,6 +38,23 @@ pub fn prefetch_read<T>(ptr: *const T) {
         // No stable prefetch intrinsic: make the hint a no-op.
         let _ = ptr;
     }
+}
+
+/// Prefetches every cache line of the `len` values of `T` from `from`
+/// (`len` 1 for one record). The pointer need not be valid.
+#[inline(always)]
+pub fn prefetch_lines<T>(from: *const T, len: usize) {
+    for offset in line_offsets(len * size_of::<T>()) {
+        prefetch_read(from.cast::<u8>().wrapping_add(offset));
+    }
+}
+
+/// Byte offsets that touch every line of a `bytes`-byte span wherever it
+/// starts: the first byte, every 64 bytes after it, and the last byte,
+/// whose line an unaligned start would leave out.
+#[inline(always)]
+fn line_offsets(bytes: usize) -> impl Iterator<Item = usize> {
+    (0..bytes).step_by(LINE).chain(bytes.checked_sub(1))
 }
 
 /// An empty `Vec` with room for `capacity` elements, its whole 2 MiB
@@ -81,7 +101,36 @@ mod tests {
         let data = vec![1u64, 2, 3];
         prefetch_read(&data[0]);
         prefetch_read(&data[2]);
+        prefetch_lines(data.as_ptr(), data.len());
         assert_eq!(data, vec![1, 2, 3]);
+    }
+
+    /// The distinct lines a `bytes`-byte span at address `at` touches.
+    fn lines(at: usize, bytes: usize) -> Vec<usize> {
+        let mut lines: Vec<usize> = line_offsets(bytes).map(|o| (at + o) / LINE).collect();
+        lines.dedup();
+        lines
+    }
+
+    #[test]
+    fn a_straddling_record_is_fetched_on_both_lines() {
+        for offset in (0..LINE).step_by(8) {
+            let want: Vec<usize> = if offset < 48 { vec![3] } else { vec![3, 4] };
+            assert_eq!(lines(3 * LINE + offset, 24), want, "offset {offset}");
+        }
+        assert_eq!(lines(LINE, 0), Vec::<usize>::new());
+    }
+
+    #[test]
+    fn an_unaligned_multi_line_slot_is_fully_covered() {
+        // A fanout-64 B+-tree slot, two header words and 65 keys, at every
+        // word offset; and its 65 payloads alone.
+        for bytes in [(2 + 65) * 8, 65 * 8] {
+            for at in (LINE..2 * LINE).step_by(8) {
+                let want: Vec<usize> = (at / LINE..=(at + bytes - 1) / LINE).collect();
+                assert_eq!(lines(at, bytes), want, "{bytes} B at {at}");
+            }
+        }
     }
 
     #[test]

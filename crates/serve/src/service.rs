@@ -34,7 +34,11 @@ pub struct ServeConfig {
     /// scan cursors on ordered shards (walkers per shard). A probe with
     /// fewer keys, or a one-chunk scan over fewer shards, cannot fill
     /// the ring and is walked on its submitting thread, by the worker's
-    /// own batch routine over a ring of its own.
+    /// own batch routine over a ring of its own. The default, 16, is the
+    /// knee of `examples/software_walkers` at 2²⁴ entries on a 2-vCPU
+    /// VM, three runs: AMAC 8 → 16 took 142–157 to 133–151 ns/key, and
+    /// 16 → 32 at most 3 % more. End to end, `join_dram` at 16 beat 8
+    /// in 5 of 6 alternating runs (`cpu_ns_per_key` 206 → 189, 6 of 6).
     pub inflight: usize,
     /// Keys per batch before a size flush. A worker never waits to
     /// reach it: a batch also closes the moment the shard's queue is
@@ -90,7 +94,7 @@ impl Default for ServeConfig {
     fn default() -> ServeConfig {
         ServeConfig {
             shards: 4,
-            inflight: 8,
+            inflight: 16,
             batch_size: 64,
             queue_capacity: 4096,
             min_buckets: 64,
@@ -1267,7 +1271,9 @@ mod tests {
 
     #[test]
     fn pipelined_submissions_all_resolve() {
-        let s = service(2000, &ServeConfig::default().with_batch_size(32));
+        // Every key of the ring-filling probes below exists.
+        let inflight = ServeConfig::default().inflight as u64;
+        let s = service(200 * inflight, &ServeConfig::default().with_batch_size(32));
         let pendings: Vec<PendingResponse> = (0..200)
             .map(|i| s.submit(Request::Lookup { key: i }).unwrap())
             .collect();
@@ -1286,7 +1292,6 @@ mod tests {
         // a worker walks shares its next batch: fewer batches than
         // shard parts. (The sub-ring lookups above never queued — one
         // walk each, on this thread.)
-        let inflight = ServeConfig::default().inflight as u64;
         let pendings: Vec<PendingResponse> = (0..200)
             .map(|i| {
                 let keys = (i * inflight..(i + 1) * inflight).collect();

@@ -450,7 +450,7 @@ fn busy_refuses_a_dual_tier_write_on_both_tiers_or_neither() {
 }
 
 /// The sub-ring rows: every probe shape with fewer keys than the ring
-/// has slots (`inflight`, 8) — one key, `inflight - 1` keys spanning
+/// has slots (`inflight`, 16) — one key, `inflight - 1` keys spanning
 /// both shards, duplicates, misses — is complete the moment `submit` /
 /// `try_submit` returns (its convenience: no worker handed a job), equals
 /// the serial oracle, and is refused after `stop()` like any other

@@ -18,7 +18,7 @@
 use widx_db::index::BTreeIndex;
 use widx_obs::WalkCounters;
 
-use crate::prefetch::prefetch_read;
+use crate::prefetch::prefetch_lines;
 use crate::{walk_group, walk_scalar, Ring, Step};
 
 /// One range-scan query: all entries with keys in `[lo, hi]`, truncated
@@ -214,19 +214,9 @@ impl Step for BTreeIndex {
                 (keys, payloads.as_ptr(), keys.len())
             }
         };
-        prefetch_words(keys.as_ptr().wrapping_sub(2), 2 + keys.len());
-        prefetch_words(values, live);
+        prefetch_lines(keys.as_ptr().wrapping_sub(2), 2 + keys.len());
+        prefetch_lines(values, live);
         true
-    }
-}
-
-/// Prefetches every cache line of `words` words from `from`: one per
-/// 64 bytes, and the last word's line, which an unaligned start can
-/// leave out.
-#[inline(always)]
-fn prefetch_words(from: *const u64, words: usize) {
-    for word in (0..words).step_by(8).chain(words.checked_sub(1)) {
-        prefetch_read(from.wrapping_add(word));
     }
 }
 

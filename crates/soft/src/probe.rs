@@ -4,7 +4,7 @@
 use widx_db::index::{HashIndex, NONE};
 use widx_obs::WalkCounters;
 
-use crate::prefetch::prefetch_read;
+use crate::prefetch::prefetch_lines;
 use crate::Step;
 
 /// A hash probe in flight: its key and tag, and the chain node it
@@ -67,10 +67,12 @@ impl Step for HashIndex {
 
     #[inline(always)]
     fn prefetch(&self, probe: &Probe) -> bool {
+        // Both lines of a record that straddles two: a demand miss on
+        // the second would stall every probe in the ring.
         if probe.depth == 1 {
-            prefetch_read(&self.buckets()[probe.at]);
+            prefetch_lines(&self.buckets()[probe.at], 1);
         } else {
-            prefetch_read(&self.nodes()[probe.at]);
+            prefetch_lines(&self.nodes()[probe.at], 1);
         }
         true
     }
