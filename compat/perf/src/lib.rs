@@ -63,7 +63,7 @@ impl CounterKind {
         CounterKind::DtlbMisses,
     ];
 
-    /// Stable lower-snake name used in JSON and Prometheus output.
+    /// Stable lower-snake name used in JSON output.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {

@@ -13,8 +13,7 @@
 //!   tracing unarmed must record nothing.
 //! * `Profile` — `{"enabled":false}` from a server built without
 //!   profiling, and a full backend/stage/walk breakdown (matching the
-//!   in-process rendering) from one built with it; the live server's
-//!   Prometheus exposition passes the lint, contiguity rule included.
+//!   in-process rendering) from one built with it.
 //!
 //! The suite runs under whatever poller backend `WIDX_POLLER` selects,
 //! so CI exercises it on both epoll and poll.
@@ -389,14 +388,9 @@ fn profile_opcode_round_trips_over_tcp() {
     let stats = client.stats_json().expect("stats scrape");
     assert!(stats.contains("\"prof\":{\"backend\":"), "{stats}");
 
-    // Two shards, two tiers, every stage, every prof family: the live
-    // server's exposition keeps each family's samples in one group.
-    let prom = service
-        .live_stats()
-        .with_net(server.stats())
-        .render_prometheus();
-    assert!(prom.contains("widx_worker_jobs_total{tier=\"range\",shard=\"1\"}"));
-    assert_eq!(widx_obs::lint_exposition(&prom), Vec::<String>::new());
+    // Two shards in both tiers: the range tier reports its second one.
+    let live = service.live_stats();
+    assert!(live.range_workers.iter().any(|w| w.shard == 1));
 
     let _ = stop(client, server, service);
 }

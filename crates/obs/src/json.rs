@@ -168,7 +168,7 @@ pub fn find_str(json: &str, key: &str) -> Option<String> {
     while end < bytes.len() && bytes[end] != b'"' {
         end += if bytes[end] == b'\\' { 2 } else { 1 };
     }
-    (end <= bytes.len()).then(|| rest[..end.min(bytes.len())].to_string())
+    (end < bytes.len()).then(|| rest[..end].to_string())
 }
 
 #[cfg(test)]
@@ -253,6 +253,10 @@ mod tests {
         assert_eq!(find_str(doc, "label"), Some("a\\\"b".to_string()));
         assert_eq!(find_str(doc, "n"), None);
         assert_eq!(find_str(doc, "missing"), None);
+        // An unterminated string has no value, with or without a
+        // trailing escape.
+        assert_eq!(find_str(r#"{"k": "abc"#, "k"), None);
+        assert_eq!(find_str(r#"{"k": "ab\"#, "k"), None);
     }
 
     #[test]

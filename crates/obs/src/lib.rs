@@ -15,9 +15,6 @@
 //! - [`ReactorGauges`]: a padded pair of gauges one net-tier reactor
 //!   re-publishes every event-loop pass (connections owned, unflushed
 //!   reply bytes), stored contiguously without false sharing.
-//! - [`metric`]: the metric tables — each scalar declared once (JSON key,
-//!   Prometheus family, kind, help, getter) with one driver per view.
-//! - [`PromText`]: Prometheus text-exposition builder.
 //! - [`FlightRecorder`] / [`RequestTrace`]: the per-request trace seam — a
 //!   bounded ring of completed traces (spans per stage plus walker-level
 //!   [`WalkCounters`]) filled by head sampling and a tail slow-threshold.
@@ -39,9 +36,7 @@ mod cell;
 mod gauge;
 mod hist;
 pub mod json;
-pub mod metric;
 mod prof;
-mod prom;
 mod stage;
 mod trace;
 
@@ -53,7 +48,6 @@ pub use hist::{
 pub use prof::{
     ProfCell, ProfMark, ProfSnapshot, ProfStageSnapshot, ThreadProfiler, MISS_LATENCY_CYCLES,
 };
-pub use prom::{lint_exposition, PromText};
 pub use stage::{Stage, StageSnapshot, StageTimes};
 pub use trace::{
     ActiveTrace, FlightRecorder, PendingCommit, RecorderStats, RequestTrace, Span, WalkCounters,

@@ -31,7 +31,6 @@ use std::sync::{Arc, OnceLock};
 use perf_event::{CounterGroup, CounterSnapshot};
 
 use crate::json::Writer;
-use crate::metric::{write_fields, Kind::*, Metric, Value::*};
 use crate::stage::Stage;
 use crate::trace::WalkCounters;
 
@@ -263,33 +262,22 @@ pub struct ProfStageSnapshot {
 }
 
 impl ProfStageSnapshot {
-    /// One stage's counters and derived ratios, declared once for the
-    /// JSON and Prometheus views (`time_ns` and `dtlb_mpki` are
-    /// JSON-only). The derived gauges have no reading on the `soft`
-    /// backend, so their families drop out of that exposition.
-    #[rustfmt::skip] // a table: one metric per row
-    pub const METRICS: &'static [Metric<ProfStageSnapshot>] = &[
-        Metric::new(Counter, "windows", "widx_prof_windows_total", |s| U64(s.windows),
-            "Counter windows recorded per stage."),
-        Metric::new(Counter, "cycles", "widx_prof_cycles_total", |s| U64(s.cycles),
-            "Core cycles attributed per stage."),
-        Metric::new(Counter, "instructions", "widx_prof_instructions_total", |s| U64(s.instructions),
-            "Instructions retired per stage."),
-        Metric::new(Counter, "llc_misses", "widx_prof_llc_misses_total", |s| U64(s.llc_misses),
-            "LLC misses per stage."),
-        Metric::new(Counter, "dtlb_misses", "widx_prof_dtlb_misses_total", |s| U64(s.dtlb_misses),
-            "dTLB misses per stage."),
-        Metric::json_only("time_ns", |s| U64(s.time_ns)),
-        Metric::new(Gauge, "ipc", "widx_prof_ipc", |s| F64(s.ipc(), 4),
-            "Instructions per cycle per stage."),
-        Metric::new(Gauge, "llc_mpki", "widx_prof_llc_mpki", |s| F64(s.llc_mpki(), 4),
-            "LLC misses per thousand instructions per stage."),
-        Metric::json_only("dtlb_mpki", |s| F64(s.dtlb_mpki(), 4)),
-        Metric::new(Gauge, "stall_fraction", "widx_prof_stall_fraction", |s| F64(s.stall_fraction(), 4),
-            "First-order fraction of stage cycles under an LLC miss."),
-        Metric::new(Gauge, "effective_mlp", "widx_prof_effective_mlp", |s| F64(s.effective_mlp(), 4),
-            "Miss-latency-weighted cycles over actual cycles per stage."),
-    ];
+    /// Write the counters and derived ratios as members of the
+    /// currently open JSON object. A ratio whose denominator never
+    /// ticked (every ratio on the `soft` backend) is `null`.
+    pub fn write_fields(&self, w: &mut Writer) {
+        w.key("windows").u64(self.windows);
+        w.key("cycles").u64(self.cycles);
+        w.key("instructions").u64(self.instructions);
+        w.key("llc_misses").u64(self.llc_misses);
+        w.key("dtlb_misses").u64(self.dtlb_misses);
+        w.key("time_ns").u64(self.time_ns);
+        w.key("ipc").f64(self.ipc(), 4);
+        w.key("llc_mpki").f64(self.llc_mpki(), 4);
+        w.key("dtlb_mpki").f64(self.dtlb_mpki(), 4);
+        w.key("stall_fraction").f64(self.stall_fraction(), 4);
+        w.key("effective_mlp").f64(self.effective_mlp(), 4);
+    }
 
     /// Sum `other` into this snapshot.
     pub fn merge(&mut self, other: &ProfStageSnapshot) {
@@ -376,24 +364,6 @@ impl Default for ProfSnapshot {
 }
 
 impl ProfSnapshot {
-    /// The snapshot's own scalars, declared once for the JSON and
-    /// Prometheus views; the document places them by name
-    /// ([`WORKERS`](Self::WORKERS), [`HW`](Self::HW),
-    /// [`SOFT_MLP`](Self::SOFT_MLP)), the exposition walks the table.
-    pub const METRICS: &'static [Metric<ProfSnapshot>] = &[Self::WORKERS, Self::HW, Self::SOFT_MLP];
-    /// Worker cells merged into the snapshot.
-    #[rustfmt::skip]
-    pub const WORKERS: Metric<ProfSnapshot> = Metric::new(Gauge, "workers", "widx_prof_workers",
-        |p| U64(p.workers), "Worker counter groups merged into the profile.");
-    /// Whether the counts are real hardware counts.
-    #[rustfmt::skip]
-    pub const HW: Metric<ProfSnapshot> = Metric::new(Gauge, "hw", "widx_prof_hw",
-        |p| Bool(p.hw), "1 when the profile carries real hardware counts.");
-    /// The software MLP cross-check.
-    #[rustfmt::skip]
-    pub const SOFT_MLP: Metric<ProfSnapshot> = Metric::new(Gauge, "soft_mlp", "widx_prof_soft_mlp",
-        |p| F64(p.soft_mlp(), 4), "Software MLP cross-check: walker occupancy per round.");
-
     /// The accumulation for one stage.
     #[must_use]
     pub fn get(&self, stage: Stage) -> &ProfStageSnapshot {
@@ -443,24 +413,23 @@ impl ProfSnapshot {
     pub fn write_json(&self, w: &mut Writer) {
         w.object(|w| {
             w.key("backend").str(self.backend);
-            ProfSnapshot::HW.write(w, self);
+            w.key("hw").bool(self.hw);
             match &self.fallback {
                 Some(reason) => w.key("fallback").str(reason),
                 None => w.key("fallback").null(),
             };
-            ProfSnapshot::WORKERS.write(w, self);
+            w.key("workers").u64(self.workers);
             w.key("miss_latency_cycles").u64(MISS_LATENCY_CYCLES);
             w.key("stages").object(|w| {
                 for stage in Stage::ALL {
                     w.key(stage.name())
-                        .object(|w| write_fields(w, ProfStageSnapshot::METRICS, self.get(stage)));
+                        .object(|w| self.get(stage).write_fields(w));
                 }
             });
-            w.key("total")
-                .object(|w| write_fields(w, ProfStageSnapshot::METRICS, &self.total()));
+            w.key("total").object(|w| self.total().write_fields(w));
             w.key("walk").object(|w| {
-                write_fields(w, WalkCounters::METRICS, &self.walk);
-                ProfSnapshot::SOFT_MLP.write(w, self);
+                self.walk.write_fields(w);
+                w.key("soft_mlp").f64(self.soft_mlp(), 4);
             });
         });
     }

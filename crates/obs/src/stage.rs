@@ -51,7 +51,7 @@ impl Stage {
         Stage::ReplyWrite,
     ];
 
-    /// Stable snake_case name, used in JSON and Prometheus exposition.
+    /// Stable snake_case name, used as a key in the JSON documents.
     pub fn name(self) -> &'static str {
         match self {
             Stage::NetRead => "net_read",

@@ -17,7 +17,6 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::json::Writer;
-use crate::metric::{write_fields, Kind::*, Metric, Value::*};
 use crate::stage::Stage;
 
 /// Minimum gap between two slow-request log lines.
@@ -58,20 +57,14 @@ pub struct WalkCounters {
 }
 
 impl WalkCounters {
-    /// The walker counters, declared once for the JSON and Prometheus
-    /// views (`max_chain` is a maximum, not a total, and stays JSON-only).
-    #[rustfmt::skip] // a table: one metric per row
-    pub const METRICS: &'static [Metric<WalkCounters>] = &[
-        Metric::new(Counter, "nodes", "widx_prof_walk_nodes_total", |c| U64(c.nodes),
-            "Index nodes visited by profiled walkers."),
-        Metric::json_only("max_chain", |c| U64(c.max_chain)),
-        Metric::new(Counter, "rounds", "widx_prof_walk_rounds_total", |c| U64(c.rounds),
-            "Walker ring rounds across profiled batches."),
-        Metric::new(Counter, "occupancy", "widx_prof_walk_occupancy_total", |c| U64(c.occupancy),
-            "Live walker slots summed over rounds."),
-        Metric::new(Counter, "prefetches", "widx_prof_walk_prefetches_total", |c| U64(c.prefetches),
-            "Prefetches issued by profiled walkers."),
-    ];
+    /// Write the counters as members of the currently open JSON object.
+    pub fn write_fields(&self, w: &mut Writer) {
+        w.key("nodes").u64(self.nodes);
+        w.key("max_chain").u64(self.max_chain);
+        w.key("rounds").u64(self.rounds);
+        w.key("occupancy").u64(self.occupancy);
+        w.key("prefetches").u64(self.prefetches);
+    }
 
     /// Merge another record into this one (sums; `max_chain` takes the max).
     pub fn merge(&mut self, other: &WalkCounters) {
@@ -137,8 +130,7 @@ impl RequestTrace {
                     });
                 }
             });
-            w.key("walk")
-                .object(|w| write_fields(w, WalkCounters::METRICS, &self.walk));
+            w.key("walk").object(|w| self.walk.write_fields(w));
         });
     }
 }
@@ -259,21 +251,14 @@ pub struct RecorderStats {
 }
 
 impl RecorderStats {
-    /// The recorder gauges, declared once for the JSON and Prometheus
-    /// views.
-    #[rustfmt::skip] // a table: one metric per row
-    pub const METRICS: &'static [Metric<RecorderStats>] = &[
-        Metric::new(Gauge, "capacity", "widx_trace_capacity", |s| U64(s.capacity),
-            "Flight-recorder ring capacity in traces."),
-        Metric::new(Gauge, "depth", "widx_trace_depth", |s| U64(s.depth),
-            "Traces currently held by the flight recorder."),
-        Metric::new(Counter, "recorded", "widx_trace_recorded_total", |s| U64(s.recorded),
-            "Request traces recorded (head-sampled or slow)."),
-        Metric::new(Counter, "dropped", "widx_trace_dropped_total", |s| U64(s.dropped),
-            "Traces evicted from a full flight-recorder ring."),
-        Metric::new(Counter, "slow", "widx_trace_slow_total", |s| U64(s.slow),
-            "Recorded traces that exceeded the slow threshold."),
-    ];
+    /// Write the gauges as members of the currently open JSON object.
+    pub fn write_fields(&self, w: &mut Writer) {
+        w.key("capacity").u64(self.capacity);
+        w.key("depth").u64(self.depth);
+        w.key("recorded").u64(self.recorded);
+        w.key("dropped").u64(self.dropped);
+        w.key("slow").u64(self.slow);
+    }
 }
 
 /// Bounded ring of completed request traces plus drop/depth gauges.
@@ -379,7 +364,7 @@ impl FlightRecorder {
     pub fn to_json(&self) -> String {
         Writer::document(|w| {
             w.object(|w| {
-                write_fields(w, RecorderStats::METRICS, &self.stats());
+                self.stats().write_fields(w);
                 w.key("traces").array(|w| {
                     for trace in self.snapshot().iter().rev() {
                         trace.write_json(w);

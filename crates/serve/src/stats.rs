@@ -10,10 +10,8 @@
 use std::time::Duration;
 
 use widx_obs::json::Writer;
-use widx_obs::metric::{expose, write_fields, Kind::*, Labels, Metric, Value::*};
 use widx_obs::{
-    HistogramSnapshot, ProfSnapshot, ProfStageSnapshot, PromText, RecorderStats, Stage,
-    StageSnapshot, WalkCounters, WorkerCellSnapshot,
+    HistogramSnapshot, ProfSnapshot, RecorderStats, Stage, StageSnapshot, WorkerCellSnapshot,
 };
 
 /// Counters one shard worker accumulates over its lifetime.
@@ -53,39 +51,23 @@ pub struct WorkerStats {
 }
 
 impl WorkerStats {
-    /// One worker's counters, declared once for the JSON and Prometheus
-    /// views (series are labelled `tier` / `shard`; `shard` itself is
-    /// only a JSON member).
-    #[rustfmt::skip] // a table: one metric per row
-    pub const METRICS: &'static [Metric<WorkerStats>] = &[
-        Metric::json_only("shard", |w| U64(w.shard as u64)),
-        Metric::new(Counter, "jobs", "widx_worker_jobs_total", |w| U64(w.jobs),
-            "Probe jobs (request shard-parts) processed per worker."),
-        Metric::new(Counter, "batches", "widx_worker_batches_total", |w| U64(w.batches),
-            "Batches flushed per worker."),
-        Metric::new(Counter, "keys", "widx_worker_keys_total", |w| U64(w.keys),
-            "Keys probed / scan cursors fed per worker."),
-        Metric::new(Counter, "matches", "widx_worker_matches_total", |w| U64(w.matches),
-            "Matches / scan entries emitted per worker."),
-        Metric::new(Counter, "size_flushes", "widx_worker_size_flushes_total", |w| U64(w.size_flushes),
-            "Batches closed at the size target per worker."),
-        Metric::new(Counter, "deadline_flushes", "widx_worker_deadline_flushes_total", |w| U64(w.deadline_flushes),
-            "Batches closed short of the size target on a dry queue per worker."),
-        Metric::new(Counter, "shutdown_flushes", "widx_worker_shutdown_flushes_total", |w| U64(w.shutdown_flushes),
-            "Final partial batches flushed at shutdown per worker."),
-        Metric::new(Counter, "write_ops", "widx_write_ops_total", |w| U64(w.write_ops),
-            "Mutation operations applied per worker."),
-        Metric::new(Counter, "write_applied", "widx_write_applied_total", |w| U64(w.write_applied),
-            "Mutation operations that took effect per worker."),
-        Metric::new(Counter, "write_batches", "widx_write_batches_total", |w| U64(w.write_batches),
-            "Write barriers executed per worker."),
-        Metric::new(Counter, "busy_ns", "widx_worker_busy_ns_total", |w| U64(w.busy.as_nanos() as u64),
-            "Nanoseconds spent walking per worker."),
-        Metric::new(Counter, "idle_ns", "widx_worker_idle_ns_total", |w| U64(w.idle.as_nanos() as u64),
-            "Nanoseconds spent waiting for work per worker."),
-        Metric::new(Gauge, "occupancy", "widx_worker_occupancy", |w| F64(Some(w.occupancy()), 4),
-            "Fraction of worker lifetime spent walking."),
-    ];
+    /// Write the counters as members of the currently open JSON object.
+    pub fn write_fields(&self, w: &mut Writer) {
+        w.key("shard").u64(self.shard as u64);
+        w.key("jobs").u64(self.jobs);
+        w.key("batches").u64(self.batches);
+        w.key("keys").u64(self.keys);
+        w.key("matches").u64(self.matches);
+        w.key("size_flushes").u64(self.size_flushes);
+        w.key("deadline_flushes").u64(self.deadline_flushes);
+        w.key("shutdown_flushes").u64(self.shutdown_flushes);
+        w.key("write_ops").u64(self.write_ops);
+        w.key("write_applied").u64(self.write_applied);
+        w.key("write_batches").u64(self.write_batches);
+        w.key("busy_ns").u64(self.busy.as_nanos() as u64);
+        w.key("idle_ns").u64(self.idle.as_nanos() as u64);
+        w.key("occupancy").f64(self.occupancy(), 4);
+    }
 
     /// Materializes worker stats from a live registry cell snapshot.
     pub(crate) fn from_cell(shard: usize, cell: &WorkerCellSnapshot) -> WorkerStats {
@@ -197,24 +179,6 @@ impl LatencySummary {
             w.key(key).u64(ns);
         }
     }
-
-    /// The samples of one Prometheus `summary` series: the chosen
-    /// quantiles, then `_sum` and `_count`.
-    fn expose(&self, p: &mut PromText, family: &str, labels: &[(&str, &str)], tail: bool) {
-        let quantiles = [
-            ("0.5", self.p50_ns, true),
-            ("0.95", self.p95_ns, tail),
-            ("0.99", self.p99_ns, true),
-            ("0.999", self.p999_ns, tail),
-        ];
-        for (q, ns, _) in quantiles.into_iter().filter(|(_, _, on)| *on) {
-            let labels = [labels, &[("quantile", q)]].concat();
-            p.sample_u64(family, &labels, ns);
-        }
-        let sum = self.mean_ns * self.count as f64;
-        p.sample(&format!("{family}_sum"), labels, sum);
-        p.sample_u64(&format!("{family}_count"), labels, self.count as u64);
-    }
 }
 
 /// Per-stage latency summaries: where a request's life goes between
@@ -294,48 +258,23 @@ pub struct NetStats {
     pub reactors: Vec<ReactorStats>,
 }
 
-impl ReactorStats {
-    /// One reactor's gauges, declared once for the JSON and Prometheus
-    /// views (series are labelled `reactor`).
-    #[rustfmt::skip] // a table: one metric per row
-    pub const METRICS: &'static [Metric<ReactorStats>] = &[
-        Metric::new(Gauge, "open", "widx_net_reactor_open_connections", |r| U64(r.open_connections),
-            "Connections pinned to each reactor."),
-        Metric::new(Gauge, "backlog_bytes", "widx_net_reactor_write_backlog_bytes", |r| U64(r.write_backlog_bytes),
-            "Bytes buffered for write per reactor."),
-    ];
-}
-
 impl NetStats {
-    /// The network tier's totals, declared once for the JSON and
-    /// Prometheus views.
-    #[rustfmt::skip] // a table: one metric per row
-    pub const METRICS: &'static [Metric<NetStats>] = &[
-        Metric::new(Counter, "connections", "widx_net_connections_total", |n| U64(n.connections),
-            "Connections accepted."),
-        Metric::new(Counter, "frames_in", "widx_net_frames_in_total", |n| U64(n.frames_in),
-            "Request frames decoded."),
-        Metric::new(Counter, "frames_out", "widx_net_frames_out_total", |n| U64(n.frames_out),
-            "Reply frames written."),
-        Metric::new(Counter, "busy_rejects", "widx_net_busy_rejects_total", |n| U64(n.busy_rejects),
-            "Requests refused Busy."),
-        Metric::new(Counter, "decode_errors", "widx_net_decode_errors_total", |n| U64(n.decode_errors),
-            "Frames that failed to decode."),
-        Metric::new(Gauge, "open_connections", "widx_net_open_connections", |n| U64(n.open_connections),
-            "Connections currently open."),
-        Metric::new(Gauge, "write_backlog_bytes", "widx_net_write_backlog_bytes", |n| U64(n.write_backlog_bytes),
-            "Bytes buffered for write across open connections."),
-    ];
-
     /// Write the totals and the per-reactor breakdown as members of the
     /// currently open JSON object.
     pub fn write_fields(&self, w: &mut Writer) {
-        write_fields(w, NetStats::METRICS, self);
+        w.key("connections").u64(self.connections);
+        w.key("frames_in").u64(self.frames_in);
+        w.key("frames_out").u64(self.frames_out);
+        w.key("busy_rejects").u64(self.busy_rejects);
+        w.key("decode_errors").u64(self.decode_errors);
+        w.key("open_connections").u64(self.open_connections);
+        w.key("write_backlog_bytes").u64(self.write_backlog_bytes);
         w.key("reactors").array(|w| {
             for (i, reactor) in self.reactors.iter().enumerate() {
                 w.object(|w| {
                     w.key("reactor").u64(i as u64);
-                    write_fields(w, ReactorStats::METRICS, reactor);
+                    w.key("open").u64(reactor.open_connections);
+                    w.key("backlog_bytes").u64(reactor.write_backlog_bytes);
                 });
             }
         });
@@ -395,34 +334,7 @@ pub struct ServiceStats {
     pub wall: Duration,
 }
 
-/// A series that carries no labels.
-fn unlabelled<T>(snapshot: &T) -> [(Labels, &T); 1] {
-    [(Vec::new(), snapshot)]
-}
-
 impl ServiceStats {
-    /// The service-level scalars, declared once for the JSON and
-    /// Prometheus views. Uptime is milliseconds in the document and
-    /// seconds in the exposition, hence two rows.
-    #[rustfmt::skip] // a table: one metric per row
-    pub const METRICS: &'static [Metric<ServiceStats>] = &[
-        Metric::json_only("wall_ms", |s| F64(Some(s.wall.as_secs_f64() * 1e3), 3)),
-        Metric::json_only("uptime_ms", |s| F64(Some(s.wall.as_secs_f64() * 1e3), 3)),
-        Metric::new(Gauge, "", "widx_wall_seconds", |s| F64(Some(s.wall.as_secs_f64()), 3),
-            "Service uptime at snapshot time."),
-        Metric::json_only("host_cpus", |_| U64(std::thread::available_parallelism().map_or(0, usize::from) as u64)),
-        Metric::json_only("version", |_| Str(env!("CARGO_PKG_VERSION"))),
-        Metric::json_only("total_keys", |s| U64(s.total_keys())),
-        Metric::json_only("total_matches", |s| U64(s.total_matches())),
-        Metric::json_only("total_scan_cursors", |s| U64(s.total_scan_cursors())),
-        Metric::json_only("total_scan_entries", |s| U64(s.total_scan_entries())),
-        Metric::json_only("total_write_ops", |s| U64(s.total_write_ops())),
-        Metric::json_only("total_write_applied", |s| U64(s.total_write_applied())),
-        Metric::json_only("total_write_batches", |s| U64(s.total_write_batches())),
-        Metric::new(Gauge, "epoch_reclaimed", "widx_epoch_reclaimed", |s| U64(s.epoch_reclaimed),
-            "Index node slots freed by mutations."),
-    ];
-
     /// Attaches a network-tier snapshot (from `widx_net::WidxServer`) to
     /// the service's own counters, completing the full serving picture:
     /// sockets → frames → queues → walkers.
@@ -512,11 +424,24 @@ impl ServiceStats {
     }
 
     /// Writes the snapshot as one JSON object — the `Stats` document.
+    /// `wall_ms` and `uptime_ms` carry the same reading.
     pub fn write_json(&self, w: &mut Writer) {
         w.object(|w| {
-            write_fields(w, ServiceStats::METRICS, self);
-            w.key("trace")
-                .object(|w| write_fields(w, RecorderStats::METRICS, &self.trace));
+            let wall_ms = self.wall.as_secs_f64() * 1e3;
+            w.key("wall_ms").f64(wall_ms, 3);
+            w.key("uptime_ms").f64(wall_ms, 3);
+            let cpus = std::thread::available_parallelism().map_or(0, usize::from);
+            w.key("host_cpus").u64(cpus as u64);
+            w.key("version").str(env!("CARGO_PKG_VERSION"));
+            w.key("total_keys").u64(self.total_keys());
+            w.key("total_matches").u64(self.total_matches());
+            w.key("total_scan_cursors").u64(self.total_scan_cursors());
+            w.key("total_scan_entries").u64(self.total_scan_entries());
+            w.key("total_write_ops").u64(self.total_write_ops());
+            w.key("total_write_applied").u64(self.total_write_applied());
+            w.key("total_write_batches").u64(self.total_write_batches());
+            w.key("epoch_reclaimed").u64(self.epoch_reclaimed);
+            w.key("trace").object(|w| self.trace.write_fields(w));
             if let Some(prof) = &self.prof {
                 prof.write_json(w.key("prof"));
             }
@@ -532,7 +457,7 @@ impl ServiceStats {
             ] {
                 w.key(field).array(|w| {
                     for worker in tier {
-                        w.object(|w| write_fields(w, WorkerStats::METRICS, worker));
+                        w.object(|w| worker.write_fields(w));
                     }
                 });
             }
@@ -546,49 +471,6 @@ impl ServiceStats {
     #[must_use]
     pub fn to_json(&self) -> String {
         Writer::document(|w| self.write_json(w))
-    }
-
-    /// Renders the snapshot in Prometheus text-exposition format (0.0.4),
-    /// suitable for a scrape endpoint or `curl`-style inspection. Every
-    /// counter and gauge comes from the same metric tables `to_json`
-    /// walks; only the two latency summaries are laid out here.
-    #[must_use]
-    pub fn render_prometheus(&self) -> String {
-        let mut p = PromText::new();
-        expose(&mut p, ServiceStats::METRICS, &unlabelled(self));
-        let workers: Vec<(Labels, &WorkerStats)> =
-            [("point", &self.workers), ("range", &self.range_workers)]
-                .into_iter()
-                .flat_map(|(tier, workers)| {
-                    workers.iter().map(move |w| {
-                        let labels =
-                            vec![("tier", tier.to_string()), ("shard", w.shard.to_string())];
-                        (labels, w)
-                    })
-                })
-                .collect();
-        expose(&mut p, WorkerStats::METRICS, &workers);
-        let help = "End-to-end request completion latency.";
-        p.family("widx_request_latency_ns", "summary", help);
-        self.latency
-            .expose(&mut p, "widx_request_latency_ns", &[], true);
-        p.family("widx_stage_ns", "summary", "Per-stage latency breakdown.");
-        for (name, summary) in self.stages.named() {
-            summary.expose(&mut p, "widx_stage_ns", &[("stage", name)], false);
-        }
-        expose(&mut p, NetStats::METRICS, &unlabelled(&self.net));
-        let reactors: Vec<(Labels, &ReactorStats)> = (self.net.reactors.iter().enumerate())
-            .map(|(i, r)| (vec![("reactor", i.to_string())], r))
-            .collect();
-        expose(&mut p, ReactorStats::METRICS, &reactors);
-        expose(&mut p, RecorderStats::METRICS, &unlabelled(&self.trace));
-        if let Some(prof) = &self.prof {
-            expose(&mut p, ProfSnapshot::METRICS, &unlabelled(prof));
-            let stages = Stage::ALL.map(|s| (vec![("stage", s.name().to_string())], prof.get(s)));
-            expose(&mut p, ProfStageSnapshot::METRICS, &stages);
-            expose(&mut p, WalkCounters::METRICS, &unlabelled(&prof.walk));
-        }
-        p.finish()
     }
 }
 
@@ -609,6 +491,7 @@ pub(crate) fn profile_document(prof: Option<&ProfSnapshot>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use widx_obs::{ProfStageSnapshot, WalkCounters};
 
     #[test]
     fn occupancy_and_rates() {
@@ -717,45 +600,36 @@ mod tests {
             "host_cpus should report at least one CPU"
         );
         assert!(json.contains(&format!("\"version\":\"{}\"", env!("CARGO_PKG_VERSION"))));
-        assert!(json.contains("\"trace\":{\"capacity\":0,\"depth\":0,"));
-
+        assert!(json.contains(
+            "\"workers\":[{\"shard\":0,\"jobs\":0,\"batches\":0,\"keys\":60,\"matches\":50,\
+             \"size_flushes\":0,\"deadline_flushes\":0,\"shutdown_flushes\":0,\
+             \"write_ops\":12,\"write_applied\":9,\"write_batches\":3,"
+        ));
+        assert!(json.contains(
+            "\"range_workers\":[{\"shard\":0,\"jobs\":0,\"batches\":0,\"keys\":6,\"matches\":90,\
+             \"size_flushes\":0,\"deadline_flushes\":0,\"shutdown_flushes\":0,\
+             \"write_ops\":0,\"write_applied\":0,\"write_batches\":0,"
+        ));
+        assert!(json.contains("\"latency\":{\"count\":0,"));
+        assert!(json.contains("\"walk\":{\"count\":0,"));
+        assert!(json.contains("\"write\":{\"count\":0,"));
+        assert!(json.contains("\"trace\":{\"capacity\":0,\"depth\":0,\"recorded\":0,"));
+        assert_eq!(widx_obs::json::find_u64(&json, "open_connections"), Some(0));
+        assert!(
+            json.contains("\"reactors\":[]"),
+            "no per-reactor entries without an attached server"
+        );
         assert!(
             !json.contains("\"prof\""),
             "no prof block without profiling"
         );
-
-        let prom = stats.render_prometheus();
-        assert!(prom.contains("widx_worker_keys_total{tier=\"point\",shard=\"0\"} 60"));
-        assert!(prom.contains("widx_worker_matches_total{tier=\"range\",shard=\"0\"} 90"));
-        assert!(prom.contains("widx_write_ops_total{tier=\"point\",shard=\"0\"} 12"));
-        assert!(prom.contains("widx_write_applied_total{tier=\"point\",shard=\"0\"} 9"));
-        assert!(prom.contains("widx_write_batches_total{tier=\"range\",shard=\"0\"} 0"));
-        assert!(prom.contains("widx_epoch_reclaimed 7"));
-        assert!(prom.contains("widx_stage_ns_count{stage=\"write\"} 0"));
-        assert!(prom.contains("# TYPE widx_request_latency_ns summary"));
-        assert!(prom.contains("widx_stage_ns_count{stage=\"walk\"} 0"));
-        assert!(prom.contains("widx_net_open_connections 0"));
-        assert!(prom.contains("# TYPE widx_trace_depth gauge"));
-        assert!(prom.contains("widx_trace_recorded_total 0"));
-        assert!(
-            widx_obs::lint_exposition(&prom).is_empty(),
-            "exposition must pass the Prometheus lint"
-        );
-        assert!(
-            !prom.contains("widx_net_reactor_open_connections"),
-            "no per-reactor series without an attached server"
-        );
-        assert!(
-            !prom.contains("widx_prof_"),
-            "no prof series without profiling"
-        );
     }
 
     #[test]
-    fn prof_snapshot_renders_in_json_and_prometheus() {
+    fn prof_snapshot_renders_in_json() {
         let mut prof = ProfSnapshot::default();
         (prof.backend, prof.hw, prof.workers) = ("linux", true, 2);
-        *prof.get_mut(Stage::Walk) = widx_obs::ProfStageSnapshot {
+        *prof.get_mut(Stage::Walk) = ProfStageSnapshot {
             windows: 4,
             cycles: 10_000,
             instructions: 5_000,
@@ -763,7 +637,7 @@ mod tests {
             dtlb_misses: 10,
             time_ns: 7_000,
         };
-        prof.walk = widx_obs::WalkCounters {
+        prof.walk = WalkCounters {
             nodes: 400,
             max_chain: 3,
             rounds: 100,
@@ -784,44 +658,40 @@ mod tests {
 
         let json = stats.to_json();
         assert!(json.contains("\"prof\":{\"backend\":\"linux\",\"hw\":true,"));
-        assert!(json.contains("\"soft_mlp\":3.8000"));
+        assert!(json.contains("\"workers\":2,"));
+        assert!(json.contains(
+            "\"walk\":{\"windows\":4,\"cycles\":10000,\"instructions\":5000,\
+             \"llc_misses\":100,\"dtlb_misses\":10,\"time_ns\":7000,\"ipc\":0.5000,\
+             \"llc_mpki\":20.0000,\"dtlb_mpki\":2.0000,\"stall_fraction\":1.0000,\
+             \"effective_mlp\":2.0000}"
+        ));
+        assert!(json.contains("\"prefetches\":400,\"soft_mlp\":3.8000}"));
 
-        let prom = stats.render_prometheus();
-        assert!(prom.contains("widx_prof_workers 2"));
-        assert!(prom.contains("widx_prof_hw 1"));
-        assert!(prom.contains("widx_prof_cycles_total{stage=\"walk\"} 10000"));
-        assert!(prom.contains("widx_prof_ipc{stage=\"walk\"} 0.5"));
-        assert!(prom.contains("widx_prof_effective_mlp{stage=\"walk\"} 2"));
-        assert!(prom.contains("widx_prof_stall_fraction{stage=\"walk\"} 1"));
-        assert!(prom.contains("widx_prof_walk_prefetches_total 400"));
-        assert!(prom.contains("widx_prof_soft_mlp 3.8"));
-        assert!(
-            widx_obs::lint_exposition(&prom).is_empty(),
-            "prof series must pass the Prometheus lint"
-        );
-
-        // A soft-backend profile emits the counter series (all zero)
-        // but none of the derived gauges — their denominators never
-        // ticked — and still lints clean.
+        // A soft-backend profile carries the counters (all zero) and
+        // nulls every derived ratio: their denominators never ticked.
         let mut soft_prof = ProfSnapshot::default();
         (soft_prof.backend, soft_prof.workers) = ("soft", 1);
         let soft = ServiceStats {
             prof: Some(soft_prof),
             ..stats
         };
-        let prom = soft.render_prometheus();
-        assert!(prom.contains("widx_prof_hw 0"));
-        assert!(prom.contains("widx_prof_cycles_total{stage=\"walk\"} 0"));
-        assert!(!prom.contains("widx_prof_ipc"), "no IPC without cycles");
-        assert!(
-            !prom.contains("widx_prof_soft_mlp"),
-            "no MLP without rounds"
+        let json = soft.to_json();
+        assert!(json.contains("\"prof\":{\"backend\":\"soft\",\"hw\":false,"));
+        assert!(json.contains(
+            "\"walk\":{\"windows\":0,\"cycles\":0,\"instructions\":0,\"llc_misses\":0,\
+             \"dtlb_misses\":0,\"time_ns\":0,\"ipc\":null,\"llc_mpki\":null,\
+             \"dtlb_mpki\":null,\"stall_fraction\":null,\"effective_mlp\":null}"
+        ));
+        assert_eq!(
+            json.matches("\"ipc\":").count(),
+            json.matches("\"ipc\":null").count(),
+            "no IPC without cycles"
         );
-        assert!(widx_obs::lint_exposition(&prom).is_empty());
+        assert!(json.contains("\"soft_mlp\":null"), "no MLP without rounds");
     }
 
     #[test]
-    fn per_reactor_gauges_render_in_json_and_prometheus() {
+    fn per_reactor_gauges_render_in_json() {
         let stats = ServiceStats {
             workers: vec![],
             range_workers: vec![],
@@ -855,11 +725,6 @@ mod tests {
         assert!(json.contains("\"reactors\":[{\"reactor\":0,\"open\":2,\"backlog_bytes\":512}"));
         assert!(json.contains("{\"reactor\":1,\"open\":1,\"backlog_bytes\":188}"));
 
-        let prom = stats.render_prometheus();
-        assert!(prom.contains("widx_net_open_connections 3"));
-        assert!(prom.contains("widx_net_reactor_open_connections{reactor=\"0\"} 2"));
-        assert!(prom.contains("widx_net_reactor_write_backlog_bytes{reactor=\"1\"} 188"));
-
         assert!(!stats.net.is_empty());
         let idle = NetStats {
             reactors: vec![ReactorStats::default(); 4],
@@ -879,116 +744,6 @@ mod tests {
     const GOLDEN_TRACE: &str = r#"{"capacity":4,"depth":2,"recorded":2,"dropped":0,"slow":1,"traces":[{"id":42,"kind":"range_scan","total_ns":181000,"slow":true,"reactor":1,"shards":[0,2],"spans":[{"stage":"queue_wait","start_ns":1000,"dur_ns":4000},{"stage":"walk","start_ns":5000,"dur_ns":150000}],"walk":{"nodes":37,"max_chain":3,"rounds":12,"occupancy":40,"prefetches":36}},{"id":7,"kind":"lookup","total_ns":9500,"slow":false,"reactor":null,"shards":[],"spans":[],"walk":{"nodes":0,"max_chain":0,"rounds":0,"occupancy":0,"prefetches":0}}]}"#;
     const GOLDEN_PROFILE_SOFT: &str = r#"{"enabled": true, "prof": {"backend":"soft","hw":false,"fallback":"perf_event_open: \"denied\" (EACCES)","workers":3,"miss_latency_cycles":200,"stages":{"queue_wait":{"windows":0,"cycles":0,"instructions":0,"llc_misses":0,"dtlb_misses":0,"time_ns":0,"ipc":null,"llc_mpki":null,"dtlb_mpki":null,"stall_fraction":null,"effective_mlp":null},"batch_wait":{"windows":0,"cycles":0,"instructions":0,"llc_misses":0,"dtlb_misses":0,"time_ns":0,"ipc":null,"llc_mpki":null,"dtlb_mpki":null,"stall_fraction":null,"effective_mlp":null},"walk":{"windows":61,"cycles":0,"instructions":0,"llc_misses":0,"dtlb_misses":0,"time_ns":5400000,"ipc":null,"llc_mpki":null,"dtlb_mpki":null,"stall_fraction":null,"effective_mlp":null},"write":{"windows":28,"cycles":0,"instructions":0,"llc_misses":0,"dtlb_misses":0,"time_ns":800000,"ipc":null,"llc_mpki":null,"dtlb_mpki":null,"stall_fraction":null,"effective_mlp":null},"gather":{"windows":0,"cycles":0,"instructions":0,"llc_misses":0,"dtlb_misses":0,"time_ns":0,"ipc":null,"llc_mpki":null,"dtlb_mpki":null,"stall_fraction":null,"effective_mlp":null},"reply_write":{"windows":0,"cycles":0,"instructions":0,"llc_misses":0,"dtlb_misses":0,"time_ns":0,"ipc":null,"llc_mpki":null,"dtlb_mpki":null,"stall_fraction":null,"effective_mlp":null}},"total":{"windows":89,"cycles":0,"instructions":0,"llc_misses":0,"dtlb_misses":0,"time_ns":6200000,"ipc":null,"llc_mpki":null,"dtlb_mpki":null,"stall_fraction":null,"effective_mlp":null},"walk":{"nodes":4000,"max_chain":5,"rounds":1000,"occupancy":3800,"prefetches":3900,"soft_mlp":3.8000}}}"#;
     const GOLDEN_PROFILE_HW: &str = r#"{"enabled": true, "prof": {"backend":"linux","hw":true,"fallback":null,"workers":2,"miss_latency_cycles":200,"stages":{"queue_wait":{"windows":0,"cycles":0,"instructions":0,"llc_misses":0,"dtlb_misses":0,"time_ns":0,"ipc":null,"llc_mpki":null,"dtlb_mpki":null,"stall_fraction":null,"effective_mlp":null},"batch_wait":{"windows":3,"cycles":900,"instructions":1234,"llc_misses":1,"dtlb_misses":0,"time_ns":450,"ipc":1.3711,"llc_mpki":0.8104,"dtlb_mpki":0.0000,"stall_fraction":0.2222,"effective_mlp":0.2222},"walk":{"windows":4,"cycles":10000,"instructions":5000,"llc_misses":100,"dtlb_misses":10,"time_ns":7000,"ipc":0.5000,"llc_mpki":20.0000,"dtlb_mpki":2.0000,"stall_fraction":1.0000,"effective_mlp":2.0000},"write":{"windows":0,"cycles":0,"instructions":0,"llc_misses":0,"dtlb_misses":0,"time_ns":0,"ipc":null,"llc_mpki":null,"dtlb_mpki":null,"stall_fraction":null,"effective_mlp":null},"gather":{"windows":0,"cycles":0,"instructions":0,"llc_misses":0,"dtlb_misses":0,"time_ns":0,"ipc":null,"llc_mpki":null,"dtlb_mpki":null,"stall_fraction":null,"effective_mlp":null},"reply_write":{"windows":0,"cycles":0,"instructions":0,"llc_misses":0,"dtlb_misses":0,"time_ns":0,"ipc":null,"llc_mpki":null,"dtlb_mpki":null,"stall_fraction":null,"effective_mlp":null}},"total":{"windows":7,"cycles":10900,"instructions":6234,"llc_misses":101,"dtlb_misses":10,"time_ns":7450,"ipc":0.5719,"llc_mpki":16.2015,"dtlb_mpki":1.6041,"stall_fraction":1.0000,"effective_mlp":1.8532},"walk":{"nodes":400,"max_chain":3,"rounds":100,"occupancy":380,"prefetches":400,"soft_mlp":3.8000}}}"#;
-    /// The parent's Prometheus samples (comment lines dropped).
-    const GOLDEN_PROM_SAMPLES: &[&str] = &[
-        r#"widx_wall_seconds 2.5"#,
-        r#"widx_worker_keys_total{tier="point",shard="0"} 960"#,
-        r#"widx_worker_matches_total{tier="point",shard="0"} 700"#,
-        r#"widx_worker_batches_total{tier="point",shard="0"} 30"#,
-        r#"widx_worker_occupancy{tier="point",shard="0"} 0.75"#,
-        r#"widx_write_ops_total{tier="point",shard="0"} 40"#,
-        r#"widx_write_applied_total{tier="point",shard="0"} 35"#,
-        r#"widx_write_batches_total{tier="point",shard="0"} 8"#,
-        r#"widx_worker_keys_total{tier="point",shard="1"} 640"#,
-        r#"widx_worker_matches_total{tier="point",shard="1"} 512"#,
-        r#"widx_worker_batches_total{tier="point",shard="1"} 25"#,
-        r#"widx_worker_occupancy{tier="point",shard="1"} 0.25"#,
-        r#"widx_write_ops_total{tier="point",shard="1"} 24"#,
-        r#"widx_write_applied_total{tier="point",shard="1"} 24"#,
-        r#"widx_write_batches_total{tier="point",shard="1"} 6"#,
-        r#"widx_worker_keys_total{tier="range",shard="0"} 18"#,
-        r#"widx_worker_matches_total{tier="range",shard="0"} 2304"#,
-        r#"widx_worker_batches_total{tier="range",shard="0"} 6"#,
-        r#"widx_worker_occupancy{tier="range",shard="0"} 0.8999999999999999"#,
-        r#"widx_write_ops_total{tier="range",shard="0"} 64"#,
-        r#"widx_write_applied_total{tier="range",shard="0"} 59"#,
-        r#"widx_write_batches_total{tier="range",shard="0"} 14"#,
-        r#"widx_epoch_reclaimed 29"#,
-        r#"widx_request_latency_ns{quantile="0.5"} 8191"#,
-        r#"widx_request_latency_ns{quantile="0.95"} 65535"#,
-        r#"widx_request_latency_ns{quantile="0.99"} 131071"#,
-        r#"widx_request_latency_ns{quantile="0.999"} 262143"#,
-        r#"widx_request_latency_ns_sum 3248105"#,
-        r#"widx_request_latency_ns_count 212"#,
-        r#"widx_stage_ns{stage="queue_wait",quantile="0.5"} 255"#,
-        r#"widx_stage_ns{stage="queue_wait",quantile="0.99"} 400"#,
-        r#"widx_stage_ns_sum{stage="queue_wait"} 700"#,
-        r#"widx_stage_ns_count{stage="queue_wait"} 3"#,
-        r#"widx_stage_ns{stage="batch_wait",quantile="0.5"} 50"#,
-        r#"widx_stage_ns{stage="batch_wait",quantile="0.99"} 50"#,
-        r#"widx_stage_ns_sum{stage="batch_wait"} 50"#,
-        r#"widx_stage_ns_count{stage="batch_wait"} 1"#,
-        r#"widx_stage_ns{stage="walk",quantile="0.5"} 11000"#,
-        r#"widx_stage_ns{stage="walk",quantile="0.99"} 11000"#,
-        r#"widx_stage_ns_sum{stage="walk"} 20000"#,
-        r#"widx_stage_ns_count{stage="walk"} 2"#,
-        r#"widx_stage_ns{stage="write",quantile="0.5"} 700"#,
-        r#"widx_stage_ns{stage="write",quantile="0.99"} 700"#,
-        r#"widx_stage_ns_sum{stage="write"} 700"#,
-        r#"widx_stage_ns_count{stage="write"} 1"#,
-        r#"widx_stage_ns{stage="gather",quantile="0.5"} 1234"#,
-        r#"widx_stage_ns{stage="gather",quantile="0.99"} 1234"#,
-        r#"widx_stage_ns_sum{stage="gather"} 1234"#,
-        r#"widx_stage_ns_count{stage="gather"} 1"#,
-        r#"widx_stage_ns{stage="reply_write",quantile="0.5"} 14000"#,
-        r#"widx_stage_ns{stage="reply_write",quantile="0.99"} 14000"#,
-        r#"widx_stage_ns_sum{stage="reply_write"} 14000"#,
-        r#"widx_stage_ns_count{stage="reply_write"} 1"#,
-        r#"widx_net_connections_total 5"#,
-        r#"widx_net_frames_in_total 230"#,
-        r#"widx_net_frames_out_total 229"#,
-        r#"widx_net_busy_rejects_total 3"#,
-        r#"widx_net_decode_errors_total 1"#,
-        r#"widx_net_open_connections 3"#,
-        r#"widx_net_write_backlog_bytes 700"#,
-        r#"widx_trace_capacity 256"#,
-        r#"widx_trace_depth 1"#,
-        r#"widx_trace_recorded_total 17"#,
-        r#"widx_trace_dropped_total 2"#,
-        r#"widx_trace_slow_total 1"#,
-        r#"widx_prof_workers 3"#,
-        r#"widx_prof_hw 0"#,
-        r#"widx_prof_cycles_total{stage="queue_wait"} 0"#,
-        r#"widx_prof_instructions_total{stage="queue_wait"} 0"#,
-        r#"widx_prof_llc_misses_total{stage="queue_wait"} 0"#,
-        r#"widx_prof_dtlb_misses_total{stage="queue_wait"} 0"#,
-        r#"widx_prof_windows_total{stage="queue_wait"} 0"#,
-        r#"widx_prof_cycles_total{stage="batch_wait"} 0"#,
-        r#"widx_prof_instructions_total{stage="batch_wait"} 0"#,
-        r#"widx_prof_llc_misses_total{stage="batch_wait"} 0"#,
-        r#"widx_prof_dtlb_misses_total{stage="batch_wait"} 0"#,
-        r#"widx_prof_windows_total{stage="batch_wait"} 0"#,
-        r#"widx_prof_cycles_total{stage="walk"} 0"#,
-        r#"widx_prof_instructions_total{stage="walk"} 0"#,
-        r#"widx_prof_llc_misses_total{stage="walk"} 0"#,
-        r#"widx_prof_dtlb_misses_total{stage="walk"} 0"#,
-        r#"widx_prof_windows_total{stage="walk"} 61"#,
-        r#"widx_prof_cycles_total{stage="write"} 0"#,
-        r#"widx_prof_instructions_total{stage="write"} 0"#,
-        r#"widx_prof_llc_misses_total{stage="write"} 0"#,
-        r#"widx_prof_dtlb_misses_total{stage="write"} 0"#,
-        r#"widx_prof_windows_total{stage="write"} 28"#,
-        r#"widx_prof_cycles_total{stage="gather"} 0"#,
-        r#"widx_prof_instructions_total{stage="gather"} 0"#,
-        r#"widx_prof_llc_misses_total{stage="gather"} 0"#,
-        r#"widx_prof_dtlb_misses_total{stage="gather"} 0"#,
-        r#"widx_prof_windows_total{stage="gather"} 0"#,
-        r#"widx_prof_cycles_total{stage="reply_write"} 0"#,
-        r#"widx_prof_instructions_total{stage="reply_write"} 0"#,
-        r#"widx_prof_llc_misses_total{stage="reply_write"} 0"#,
-        r#"widx_prof_dtlb_misses_total{stage="reply_write"} 0"#,
-        r#"widx_prof_windows_total{stage="reply_write"} 0"#,
-        r#"widx_prof_walk_nodes_total 4000"#,
-        r#"widx_prof_walk_rounds_total 1000"#,
-        r#"widx_prof_walk_occupancy_total 3800"#,
-        r#"widx_prof_walk_prefetches_total 3900"#,
-        r#"widx_prof_soft_mlp 3.8"#,
-        r#"widx_net_reactor_open_connections{reactor="0"} 2"#,
-        r#"widx_net_reactor_write_backlog_bytes{reactor="0"} 512"#,
-        r#"widx_net_reactor_open_connections{reactor="1"} 1"#,
-        r#"widx_net_reactor_write_backlog_bytes{reactor="1"} 188"#,
-    ];
-
     /// Drops whitespace outside string literals.
     fn compact(doc: &str) -> String {
         let (mut out, mut in_string, mut escaped) = (String::new(), false, false);
@@ -1228,81 +983,5 @@ mod tests {
             assert_eq!(without_net_read(&doc), compact(golden));
         }
         assert_eq!(profile_document(None), "{\"enabled\":false}");
-    }
-
-    #[test]
-    fn prometheus_samples_are_the_parents_plus_the_six_worker_series() {
-        let prom = fixture().render_prometheus();
-        assert_eq!(widx_obs::lint_exposition(&prom), Vec::<String>::new());
-        // The parent wrote the per-worker and per-stage families
-        // interleaved; its own line order fails the contiguity rule.
-        let parent_errors = widx_obs::lint_exposition(&GOLDEN_PROM_SAMPLES.join("\n"));
-        for family in ["widx_worker_keys_total", "widx_prof_cycles_total"] {
-            assert!(parent_errors
-                .iter()
-                .any(|e| e.contains(family) && e.contains("not contiguous")));
-        }
-        let got: std::collections::BTreeSet<&str> = prom
-            .lines()
-            .filter(|l| !l.starts_with('#') && !l.contains("stage=\"net_read\""))
-            .collect();
-        let mut want: std::collections::BTreeSet<String> =
-            GOLDEN_PROM_SAMPLES.iter().map(|l| l.to_string()).collect();
-        // The six formerly JSON-only worker fields, one series per tier
-        // and shard each.
-        let stats = fixture();
-        for (tier, workers) in [("point", &stats.workers), ("range", &stats.range_workers)] {
-            for w in workers {
-                for (family, value) in [
-                    ("widx_worker_jobs_total", w.jobs),
-                    ("widx_worker_size_flushes_total", w.size_flushes),
-                    ("widx_worker_deadline_flushes_total", w.deadline_flushes),
-                    ("widx_worker_shutdown_flushes_total", w.shutdown_flushes),
-                    ("widx_worker_busy_ns_total", w.busy.as_nanos() as u64),
-                    ("widx_worker_idle_ns_total", w.idle.as_nanos() as u64),
-                ] {
-                    let shard = w.shard;
-                    want.insert(format!(
-                        "{family}{{tier=\"{tier}\",shard=\"{shard}\"}} {value}"
-                    ));
-                }
-            }
-        }
-        let want: std::collections::BTreeSet<&str> = want.iter().map(String::as_str).collect();
-        assert_eq!(got, want);
-    }
-
-    /// Adding a metric is one row: every row's key must reach the JSON
-    /// document and its family the Prometheus exposition.
-    #[test]
-    fn every_table_row_reaches_both_views() {
-        let mut stats = fixture();
-        stats.prof = Some(hw_prof());
-        let (json, prom) = (stats.to_json(), stats.render_prometheus());
-        fn rows<T>(table: &[Metric<T>]) -> Vec<(&'static str, &'static str)> {
-            table.iter().map(|m| (m.key, m.family)).collect()
-        }
-        let all = [
-            rows(ServiceStats::METRICS),
-            rows(WorkerStats::METRICS),
-            rows(NetStats::METRICS),
-            rows(ReactorStats::METRICS),
-            rows(RecorderStats::METRICS),
-            rows(ProfSnapshot::METRICS),
-            rows(ProfStageSnapshot::METRICS),
-            rows(WalkCounters::METRICS),
-        ]
-        .concat();
-        for (key, family) in all {
-            assert!(
-                key.is_empty() || json.contains(&format!("\"{key}\":")),
-                "row {key} missing from to_json()"
-            );
-            assert!(
-                family.is_empty() || prom.contains(&format!("# TYPE {family} ")),
-                "family {family} missing from render_prometheus()"
-            );
-        }
-        assert_eq!(widx_obs::lint_exposition(&prom), Vec::<String>::new());
     }
 }

@@ -9,7 +9,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use widx_db::hash::HashRecipe;
-use widx_serve::{ProbeService, Request, Response, ServeConfig, ServiceStats};
+use widx_serve::{ProbeService, Request, Response, ServeConfig, ServiceStats, Stage};
 
 const ENTRIES: u64 = 8192;
 
@@ -191,8 +191,11 @@ fn stats_render_without_panicking() {
     let live = service.live_stats();
     let json = live.to_json();
     assert_eq!(widx_obs::json::find_u64(&json, "total_keys"), Some(100));
-    let prom = live.render_prometheus();
-    assert!(prom.contains("widx_request_latency_ns_count 100"));
-    assert!(prom.contains("widx_stage_ns_count{stage=\"walk\"}"));
+    assert_eq!(live.latency.count, 100);
+    assert!(json.contains("\"latency\":{\"count\":100,"));
+    assert!(
+        live.stages.get(Stage::Walk).count > 0,
+        "walk stage recorded"
+    );
     let _ = service.shutdown();
 }

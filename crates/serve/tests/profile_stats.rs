@@ -1,11 +1,11 @@
 //! Hardware-profiling plumbing at the serve tier: a service built with
 //! `with_profile(true)` carries a per-stage counter breakdown in its
-//! stats (JSON and Prometheus included), the walker cross-check
+//! stats and its `Profile` document, the walker cross-check
 //! counters accumulate real work, and an unprofiled service pays — and
 //! reports — nothing.
 
 use widx_db::hash::HashRecipe;
-use widx_serve::{ProbeService, ServeConfig};
+use widx_serve::{ProbeService, ServeConfig, Stage};
 
 const ENTRIES: u64 = 4096;
 
@@ -55,19 +55,16 @@ fn profiled_service_reports_per_stage_breakdown() {
         );
     }
 
-    // The snapshot rides the stats JSON, the Profile opcode payload,
-    // and the Prometheus exposition.
+    // The snapshot rides the stats JSON and the Profile opcode payload.
     let json = stats.to_json();
     assert!(json.contains("\"prof\":{\"backend\":"));
     let profile = service.profile_json();
     assert!(profile.starts_with("{\"enabled\":true,"));
     assert!(profile.contains("\"stages\":{\"net_read\":{\"windows\":0,"));
-    let prom = stats.render_prometheus();
-    assert!(prom.contains("widx_prof_workers 4"));
-    assert!(prom.contains("widx_prof_windows_total{stage=\"walk\"}"));
+    assert!(json.contains("\"workers\":4,"));
     assert!(
-        widx_obs::lint_exposition(&prom).is_empty(),
-        "profiled exposition passes the Prometheus lint"
+        prof.get(Stage::Walk).windows > 0,
+        "no counter windows in the walk stage"
     );
 
     // The shutdown snapshot keeps the profile.
@@ -119,5 +116,4 @@ fn unprofiled_service_carries_no_profile() {
     assert!(stats.prof.is_none());
     assert_eq!(service.profile_json(), "{\"enabled\":false}");
     assert!(!stats.to_json().contains("\"prof\""));
-    assert!(!stats.render_prometheus().contains("widx_prof_"));
 }

@@ -2,9 +2,10 @@
 //! armed and hardware profiling on, put the `widx-net` server in
 //! front, drive background load, and scrape the `Stats` wire opcode
 //! mid-run from a second connection — then pull a sampled trace off
-//! the `Trace` opcode's flight-recorder document, scrape the `Profile`
-//! opcode's per-stage counter breakdown, and render the final snapshot
-//! as Prometheus text exposition.
+//! the `Trace` opcode's flight-recorder document, and scrape the
+//! `Profile` opcode's per-stage counter breakdown. Those three JSON
+//! documents are the server's one exposition; the closing stage and
+//! net lines read the same snapshot in process.
 //!
 //! Run with: `cargo run --release --example stats_scrape`
 
@@ -151,16 +152,19 @@ fn main() {
         );
     });
 
-    // The same snapshot the wire serves, rendered for a Prometheus
-    // scrape endpoint. Stage quantiles show where request time went.
+    // The same snapshot the wire serves, read in process. Stage
+    // quantiles show where request time went.
     let live = service.live_stats().with_net(server.stats());
-    let prom = live.render_prometheus();
-    for line in prom
-        .lines()
-        .filter(|l| l.contains("widx_stage_ns{") || l.starts_with("widx_net_frames"))
-    {
-        println!("{line}");
+    for (name, stage) in live.stages.named() {
+        println!(
+            "stage {name}: {} timed, p50 {} ns / p99 {} ns",
+            stage.count, stage.p50_ns, stage.p99_ns
+        );
     }
+    println!(
+        "net: {} frames in, {} frames out",
+        live.net.frames_in, live.net.frames_out
+    );
 
     let _ = server.shutdown();
     let stats = Arc::try_unwrap(service)
