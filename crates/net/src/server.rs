@@ -403,13 +403,28 @@ struct Connection {
     /// the gather seam releases them, interleaved with other replies.
     streams: Vec<OpenStream>,
     /// Completion-wakeup counter: every pending request and stream on
-    /// this connection carries a waker that bumps it (and rings the
+    /// this connection carries `waker`, which bumps it (and rings the
     /// owning reactor's poller), so the reap pass can skip connections
     /// (and avoid scanning their whole pending lists) when nothing
     /// completed since the last look.
     wakes: Arc<AtomicU64>,
     /// The counter value the last reap pass observed.
     wakes_seen: u64,
+    /// Set by the waker that rings the poller, cleared by the reap pass:
+    /// later wakers only bump `wakes` — one ring per reap cycle.
+    rung: Arc<AtomicBool>,
+    /// The completion wakeup, built once and cloned onto every submitted
+    /// request and stream: bumps `wakes` (so the reap pass knows *which*
+    /// connection to scan) and rings the owning reactor's wake handle (so
+    /// a blocked `wait` learns *that* there is something to scan —
+    /// immediately, even if the completion lands in the instant before
+    /// the loop blocks, and on the right reactor, because the closure
+    /// captures this connection's own poller) — unless `rung` says a
+    /// ring is already on its way. That loses no wake: a skipping
+    /// waker's `swap` joins the RMW chain on `rung` that the reap pass's
+    /// clearing `swap` acquires, so that pass loads `wakes` after every
+    /// skipper's bump; a wake after the clear finds the flag down.
+    waker: Arc<dyn Fn() + Send + Sync>,
     /// The owning reactor's poller — the edge source the wakers ring,
     /// which is what routes a completion wakeup to the right reactor:
     /// the waker closure captures this exact poller.
@@ -483,6 +498,18 @@ impl Connection {
         stages: Arc<StageTimes>,
         rix: u32,
     ) -> Connection {
+        let wakes = Arc::new(AtomicU64::new(0));
+        let rung = Arc::new(AtomicBool::new(false));
+        let waker: Arc<dyn Fn() + Send + Sync> = {
+            let (wakes, rung, poller) =
+                (Arc::clone(&wakes), Arc::clone(&rung), Arc::clone(&poller));
+            Arc::new(move || {
+                wakes.fetch_add(1, Ordering::Release);
+                if !rung.swap(true, Ordering::AcqRel) {
+                    let _ = poller.notify();
+                }
+            })
+        };
         Connection {
             stream,
             rbuf: Vec::new(),
@@ -491,8 +518,10 @@ impl Connection {
             wbuf: WriteBuf::new(),
             pending: Vec::new(),
             streams: Vec::new(),
-            wakes: Arc::new(AtomicU64::new(0)),
+            wakes,
             wakes_seen: 0,
+            rung,
+            waker,
             poller,
             io_readable: false,
             io_writable: false,
@@ -542,22 +571,6 @@ impl Connection {
             || !self.streams.is_empty()
             || self.reap_stalled
             || self.write_backlog() > 0
-    }
-
-    /// The completion wakeup installed on every submitted request and
-    /// stream: bumps this connection's counter (so the reap pass knows
-    /// *which* connection to scan) and rings the owning reactor's wake
-    /// handle (so a blocked `wait` learns *that* there is something to
-    /// scan — immediately, even if the completion lands in the instant
-    /// before the loop blocks, and on the right reactor, because the
-    /// closure captures this connection's own poller).
-    fn waker(&self) -> impl Fn() + Send + Sync + 'static {
-        let wakes = Arc::clone(&self.wakes);
-        let poller = Arc::clone(&self.poller);
-        move || {
-            wakes.fetch_add(1, Ordering::Release);
-            let _ = poller.notify();
-        }
     }
 
     /// All accepted work answered and flushed — nothing left to drain.
@@ -665,7 +678,7 @@ impl Connection {
                         );
                         continue;
                     }
-                    let waker = self.waker();
+                    let waker = Arc::clone(&self.waker);
                     // When tracing is armed, anchor the trace timeline
                     // at frame-decode time and tag the owning reactor;
                     // the service decides (head sample or tail slow
@@ -780,9 +793,10 @@ impl Connection {
     /// The scan is gated on the connection's wakeup counter: workers
     /// bump it (through the `ResponseState` waker hook) whenever a
     /// request completes or a chunk becomes consumable, so a pass over
-    /// a quiet connection is one atomic load instead of a walk of its
-    /// whole pending list.
+    /// a quiet connection is two atomic ops (re-arm the ring, load the
+    /// counter) instead of a walk of its whole pending list.
     fn reap_completions(&mut self, config: &NetConfig, counters: &NetCounters) -> bool {
+        self.rung.swap(false, Ordering::AcqRel);
         let wakes = self.wakes.load(Ordering::Acquire);
         if wakes == self.wakes_seen && !self.reap_stalled {
             return false;

@@ -107,13 +107,43 @@ fn completion_landing_mid_wait_is_flushed_at_completion_speed() {
     }
 }
 
+/// Index size, request count and keys per request of the pipelined
+/// fixture: each request fills the walker ring many times over on both
+/// of its two shards, so it queues to the shard workers, and each part
+/// is a batch of its own whose walk outlasts a reactor pass — the
+/// requests complete one after another, each landing while the loop
+/// blocks in its wait. The queues hold the whole burst.
+const PIPELINED_ENTRIES: u64 = 1 << 16;
+const PIPELINED_REQUESTS: u64 = 8;
+const PIPELINED_KEYS: u64 = 1 << 13;
+
 #[test]
 fn pipelined_completions_mid_wait_all_flush_at_completion_speed() {
-    // Same race, wider window: several requests in flight, each
-    // completing on a worker thread while the loop blocks.
+    // Same race, wider window: ring-filling requests complete on the
+    // shard workers' threads while the loop blocks, one ring cycle
+    // after another — a waker that finds the ring already on its way
+    // only bumps the connection's counter, and the next cycle must
+    // ring again.
     let idle_backoff = Duration::from_millis(1500);
+    let config = ServeConfig::default()
+        .with_shards(2)
+        .with_queue_capacity((PIPELINED_REQUESTS * PIPELINED_KEYS) as usize);
+    assert!(
+        PIPELINED_KEYS / 2 > config.batch_size as u64,
+        "each part a batch of its own"
+    );
+    // Request `r`'s keys: scattered, so the walk misses cache, and every
+    // key hits (payload `key + 1`).
+    let keys = |r: u64| {
+        (r * PIPELINED_KEYS..(r + 1) * PIPELINED_KEYS)
+            .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) % PIPELINED_ENTRIES)
+    };
     for backend in readiness_backends() {
-        let service = small_service();
+        let service = Arc::new(ProbeService::build(
+            HashRecipe::robust64(),
+            (0..PIPELINED_ENTRIES).map(|k| (k, k + 1)),
+            &config,
+        ));
         let server = WidxServer::bind(
             "127.0.0.1:0",
             Arc::clone(&service),
@@ -125,17 +155,21 @@ fn pipelined_completions_mid_wait_all_flush_at_completion_speed() {
         let mut client = WidxClient::connect(server.local_addr()).expect("connect");
 
         let started = Instant::now();
-        let ids: Vec<u64> = (0..8)
-            .map(|k| {
+        let ids: Vec<u64> = (0..PIPELINED_REQUESTS)
+            .map(|r| {
+                let keys = keys(r).collect();
                 client
-                    .send(&widx_net::Request::Lookup { key: k })
+                    .send(&widx_net::Request::MultiLookup { keys })
                     .expect("send")
             })
             .collect();
-        for (k, id) in ids.into_iter().enumerate() {
+        for (r, id) in (0..PIPELINED_REQUESTS).zip(ids) {
             match client.recv(id).expect("recv") {
-                widx_net::Response::Lookup { payloads, .. } => {
-                    assert_eq!(payloads, vec![k as u64 + 1], "{backend}");
+                widx_net::Response::MultiLookup { mut matches } => {
+                    let mut want: Vec<(u64, u64)> = keys(r).map(|k| (k, k + 1)).collect();
+                    matches.sort_unstable();
+                    want.sort_unstable();
+                    assert_eq!(matches, want, "{backend}");
                 }
                 other => panic!("{backend}: wrong variant {other:?}"),
             }

@@ -1,10 +1,10 @@
 //! Fixed log2-bucketed latency histograms with lock-free recording.
 //!
 //! An [`AtomicHistogram`] is a set of 64 power-of-two buckets plus running
-//! sum / min / max registers, all plain `AtomicU64`s. Recording is a handful
-//! of relaxed read-modify-writes; snapshotting reads the registers without
-//! resetting them, so any number of observers can scrape a live histogram
-//! while writers keep recording.
+//! sum / min / max registers, all plain `AtomicU64`s. Recording is two
+//! read-modify-writes (plus one per extreme the sample moves); snapshotting
+//! reads the registers without resetting them, so any number of observers
+//! can scrape a live histogram while writers keep recording.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -82,8 +82,16 @@ impl AtomicHistogram {
     /// Record one sample, in nanoseconds.
     #[inline]
     pub fn record(&self, ns: u64) {
-        self.min_ns.fetch_min(ns, Ordering::Relaxed);
-        self.max_ns.fetch_max(ns, Ordering::Relaxed);
+        // Warm extremes rarely move: skip the locked op unless this sample
+        // moves one. The bound below still holds: the skipping load precedes
+        // the bucket's `Release`, so by read-read coherence a snapshot that
+        // acquires the bucket reads that extreme or a later, wider one.
+        if ns < self.min_ns.load(Ordering::Relaxed) {
+            self.min_ns.fetch_min(ns, Ordering::Relaxed);
+        }
+        if ns > self.max_ns.load(Ordering::Relaxed) {
+            self.max_ns.fetch_max(ns, Ordering::Relaxed);
+        }
         self.sum_ns.fetch_add(ns, Ordering::Relaxed);
         // The bucket goes last and releases the extremes above to the
         // snapshot that counts this sample.

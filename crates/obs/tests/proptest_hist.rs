@@ -121,3 +121,58 @@ fn snapshot_under_concurrent_record_is_coherent() {
     assert_eq!(settled.count(), (WRITERS as u64) * PER_WRITER);
     assert_eq!(settled.min(), 0, "writer 0 records sample 0");
 }
+
+/// The extremes under contention: writers interleave samples whose
+/// extremes keep moving outward for the whole run, so the relaxed-load
+/// skip in `record` races real `fetch_min` / `fetch_max` updates. Every
+/// sample is a power of two, one value per bucket, so a mid-run snapshot
+/// can check exactly that each sample it counts lies inside its own
+/// `[min, max]`; once the writers join, min, max, sum and count equal
+/// the sequential fold of the same samples.
+#[test]
+fn extremes_under_concurrent_record_bound_every_counted_sample() {
+    const WRITERS: u64 = 4;
+    const STEPS: u64 = 20_000;
+    // Writer `w`'s sample at `step`: alternately below and above 2^24,
+    // drifting outward to 2^4 and 2^44 (sums stay far below u64::MAX).
+    let sample = |w: u64, step: u64| {
+        let drift = step * 21 / STEPS;
+        if (w + step).is_multiple_of(2) {
+            1u64 << (24 - drift)
+        } else {
+            1u64 << (24 + drift)
+        }
+    };
+    let hist = AtomicHistogram::new();
+    std::thread::scope(|scope| {
+        let hist = &hist;
+        let writers: Vec<_> = (0..WRITERS)
+            .map(|w| scope.spawn(move || (0..STEPS).for_each(|s| hist.record(sample(w, s)))))
+            .collect();
+        while !writers.iter().all(|w| w.is_finished()) {
+            let snap = hist.snapshot();
+            for (i, &n) in snap.buckets.iter().enumerate() {
+                let value = 1u64 << i;
+                assert!(
+                    n == 0 || (snap.min_ns <= value && value <= snap.max_ns),
+                    "counted sample {value} outside [{}, {}]",
+                    snap.min_ns,
+                    snap.max_ns
+                );
+            }
+        }
+    });
+    let all: Vec<u64> = (0..WRITERS)
+        .flat_map(|w| (0..STEPS).map(move |s| sample(w, s)))
+        .collect();
+    let settled = hist.snapshot();
+    assert_eq!(settled.count(), all.len() as u64);
+    assert_eq!(settled.sum_ns, all.iter().sum::<u64>());
+    assert_eq!(settled.min(), *all.iter().min().expect("samples"));
+    assert_eq!(settled.max(), *all.iter().max().expect("samples"));
+    assert_eq!(
+        settled,
+        filled(&all),
+        "buckets match the sequential fold too"
+    );
+}

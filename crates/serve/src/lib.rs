@@ -39,7 +39,8 @@
 //!   push a chunk every [`stream_chunk`](ServeConfig::stream_chunk)
 //!   entries; the request's limit still applies at the seam), with a
 //!   completion-wakeup hook ([`PendingStream::set_waker`] /
-//!   [`PendingResponse::set_waker`]) so a polling front-end learns
+//!   [`PendingResponse::set_waker`], a shared `Arc` a front-end builds
+//!   once and clones onto each request) so a polling front-end learns
 //!   "chunk ready" without scanning its pending lists.
 //!
 //! Batching across *concurrent requests* is what makes the pool a

@@ -477,9 +477,9 @@ impl ResponseState {
         inner.trace.take().map(|state| TraceFinisher { state })
     }
 
-    /// Time since the request was submitted (lock-free).
-    pub(crate) fn since_submit(&self) -> Duration {
-        self.submitted.elapsed()
+    /// The queue-wait of a part admitted at `admitted` (lock-free).
+    pub(crate) fn queue_wait(&self, admitted: Instant) -> Duration {
+        admitted.saturating_duration_since(self.submitted)
     }
 
     /// Releases everything releasable: the head rank's stashed chunks,
@@ -556,14 +556,15 @@ impl ResponseState {
     }
 
     /// Called by a range worker when a scan's part for scatter rank
-    /// `rank` has fully drained: `tail` is its last (possibly empty,
-    /// possibly only) chunk. Returns the completion latency when this
-    /// was the final part (see [`finish_part`](Self::finish_part)).
+    /// `rank` has fully drained at `now`: `tail` is its last (possibly
+    /// empty, possibly only) chunk. Returns the completion latency when
+    /// this was the final part (see [`finish_part`](Self::finish_part)).
     pub(crate) fn complete_stream_part(
         &self,
         rank: u32,
         tail: Vec<(u64, u64)>,
         cell: Option<&WorkerCell>,
+        now: Instant,
     ) -> Option<Duration> {
         let mut inner = self.inner.lock().expect("pending lock");
         let stream = inner.stream.as_mut().expect("scan part of a non-scan");
@@ -573,18 +574,18 @@ impl ResponseState {
         }
         part.done = true;
         let progress = Self::drain_released(stream) && stream.attached;
-        self.finish_part(inner, cell, progress)
+        self.finish_part(inner, cell, progress, now)
     }
 
-    /// Called when a point-probe or write part has fully drained, with
-    /// its `(row, key, payload)` rows. Returns the request's completion
-    /// latency when this
-    /// was the final outstanding part (see
+    /// Called when a point-probe or write part has fully drained at
+    /// `now`, with its `(row, key, payload)` rows. Returns the request's
+    /// completion latency when this was the final outstanding part (see
     /// [`finish_part`](Self::finish_part)).
     pub(crate) fn complete_part(
         &self,
         mut items: Vec<RoutedMatch>,
         cell: Option<&WorkerCell>,
+        now: Instant,
     ) -> Option<Duration> {
         let mut inner = self.inner.lock().expect("pending lock");
         if inner.items.is_empty() {
@@ -594,7 +595,7 @@ impl ResponseState {
         } else {
             inner.items.append(&mut items);
         }
-        self.finish_part(inner, cell, false)
+        self.finish_part(inner, cell, false, now)
     }
 
     /// The tail both completion flavours share: counts the part down
@@ -602,18 +603,19 @@ impl ResponseState {
     /// gather window, seals the trace and returns the completion
     /// latency — already recorded into `cell` **before** any completion
     /// signal, so a caller whose `wait()` has returned finds the request
-    /// counted by a `live_stats()` scrape. Waiters and the waker are
-    /// signalled on the final part, and on every part when `progress`
-    /// says the consumer-visible state may have changed regardless.
+    /// counted by a `live_stats()` scrape. Every span is cut at `now`,
+    /// the instant the caller closed the part, so a one-part request's
+    /// gather is 0. Waiters and the waker are signalled on the final
+    /// part, and on every part when `progress` says the consumer-visible
+    /// state may have changed regardless.
     fn finish_part(
         &self,
         mut inner: MutexGuard<'_, PendingInner>,
         cell: Option<&WorkerCell>,
         progress: bool,
+        now: Instant,
     ) -> Option<Duration> {
-        if inner.first_done.is_none() {
-            inner.first_done = Some(Instant::now());
-        }
+        let first = *inner.first_done.get_or_insert(now);
         inner.parts_left -= 1;
         let last = inner.parts_left == 0;
         if !last && !progress {
@@ -622,11 +624,11 @@ impl ResponseState {
         let (mut latency, mut commit) = (None, None);
         if last {
             inner.done = true;
-            if let (Some(stages), Some(first)) = (inner.stages.as_ref(), inner.first_done) {
-                stages.record(Stage::Gather, first.elapsed());
+            if let Some(stages) = inner.stages.as_ref() {
+                stages.record(Stage::Gather, now.saturating_duration_since(first));
             }
-            let took = self.submitted.elapsed();
-            commit = self.close_trace(&mut inner, took);
+            let took = now.saturating_duration_since(self.submitted);
+            commit = self.close_trace(&mut inner, took, (first, now));
             if let Some(cell) = cell {
                 cell.record_latency(took);
             }
@@ -646,22 +648,19 @@ impl ResponseState {
         latency
     }
 
-    /// On final-part completion: append the gather span to the trace
-    /// and, for a non-deferred (in-process) trace, detach it for commit
-    /// once the lock drops. Deferred traces stay attached — the net
-    /// tier takes them at encode time and closes them at flush.
+    /// On final-part completion: append the `(first done, last done)`
+    /// gather span to the trace and, for a non-deferred (in-process)
+    /// trace, detach it for commit once the lock drops. Deferred traces
+    /// stay attached — the net tier takes them at encode time and closes
+    /// them at flush.
     fn close_trace(
         &self,
         inner: &mut PendingInner,
         latency: Duration,
+        (first, last): (Instant, Instant),
     ) -> Option<(Box<TraceState>, Duration)> {
-        let first = inner.first_done;
         let trace = inner.trace.as_deref_mut()?;
-        if let Some(first) = first {
-            trace
-                .active
-                .span_between(Stage::Gather, first, Instant::now());
-        }
+        trace.active.span_between(Stage::Gather, first, last);
         if trace.deferred {
             None
         } else {
@@ -671,16 +670,19 @@ impl ResponseState {
 
     /// Installs the completion hook, invoking it immediately (once)
     /// when the state already has consumable progress — so a caller
-    /// registering after completion still learns about it.
+    /// registering after completion still learns about it (a completed
+    /// request never wakes again, so it keeps no hook).
     fn install_waker(&self, waker: Arc<dyn Fn() + Send + Sync>) {
-        let wake_now = {
-            let mut inner = self.inner.lock().expect("pending lock");
-            inner.waker = Some(Arc::clone(&waker));
-            inner.consumable()
-        };
-        if wake_now {
-            waker();
+        let mut inner = self.inner.lock().expect("pending lock");
+        if !inner.consumable() {
+            inner.waker = Some(waker);
+            return;
         }
+        if !inner.done {
+            inner.waker = Some(Arc::clone(&waker));
+        }
+        drop(inner);
+        waker();
     }
 
     /// Rings `ready` only when a thread is blocked on it: std's
@@ -811,8 +813,9 @@ impl PendingResponse {
     /// loop skip scanning its pending list until something actually
     /// completed, instead of calling [`is_ready`](Self::is_ready) on
     /// every entry every tick. Replaces any previously installed hook.
-    pub fn set_waker(&self, waker: impl Fn() + Send + Sync + 'static) {
-        self.state.install_waker(Arc::new(waker));
+    /// Shared: a front-end builds one hook and hands each request a clone.
+    pub fn set_waker(&self, waker: Arc<dyn Fn() + Send + Sync>) {
+        self.state.install_waker(waker);
     }
 
     /// Detach this request's trace for the net tier to close (reply-write
@@ -902,8 +905,8 @@ impl PendingStream {
     /// already holds) — the completion-wakeup contract that lets the
     /// net event loop skip streams that made no progress. Replaces any
     /// previously installed hook.
-    pub fn set_waker(&self, waker: impl Fn() + Send + Sync + 'static) {
-        self.state.install_waker(Arc::new(waker));
+    pub fn set_waker(&self, waker: Arc<dyn Fn() + Send + Sync>) {
+        self.state.install_waker(waker);
     }
 
     /// Detach this stream's trace for the net tier to close — see
@@ -982,10 +985,10 @@ mod tests {
         // with a disjoint key range. Duplicates (key 20) sit in one part,
         // split across a mid-part chunk and its tail.
         state.push_chunk(1, vec![(20, 1), (20, 2)]);
-        state.complete_stream_part(1, vec![(25, 0)], None);
+        state.complete_stream_part(1, vec![(25, 0)], None, Instant::now());
         state.push_chunk(2, vec![(30, 9)]);
-        state.complete_stream_part(2, vec![(31, 9)], None);
-        state.complete_stream_part(0, vec![(10, 7), (11, 8)], None);
+        state.complete_stream_part(2, vec![(31, 9)], None, Instant::now());
+        state.complete_stream_part(0, vec![(10, 7), (11, 8)], None, Instant::now());
         match (PendingResponse { state }).wait() {
             Response::RangeScan { entries } => {
                 assert_eq!(
@@ -1003,9 +1006,9 @@ mod tests {
         // 4 ops scattered over two hash parts plus one ordered-tier
         // part that completes empty; op 2 missed.
         let state = Arc::new(ResponseState::new(RequestKind::Write { ops: 4 }, 3));
-        state.complete_part(vec![(0, 10, 1), (2, 30, 0)], None);
-        state.complete_part(vec![], None); // ordered tier: no acks
-        state.complete_part(vec![(1, 20, 1), (3, 40, 1)], None);
+        state.complete_part(vec![(0, 10, 1), (2, 30, 0)], None, Instant::now());
+        state.complete_part(vec![], None, Instant::now()); // ordered tier: no acks
+        state.complete_part(vec![(1, 20, 1), (3, 40, 1)], None, Instant::now());
         match (PendingResponse { state }).wait() {
             Response::Write { acks } => assert_eq!(acks, vec![true, true, false, true]),
             other => panic!("wrong variant: {other:?}"),
@@ -1055,8 +1058,10 @@ mod tests {
     #[test]
     fn completion_assembles_lookup() {
         let state = Arc::new(ResponseState::new(RequestKind::Lookup { key: 5 }, 2));
-        assert!(state.complete_part(vec![(0, 5, 50)], None).is_none());
-        let latency = state.complete_part(vec![(0, 5, 51)], None);
+        assert!(state
+            .complete_part(vec![(0, 5, 50)], None, Instant::now())
+            .is_none());
+        let latency = state.complete_part(vec![(0, 5, 51)], None, Instant::now());
         assert!(latency.is_some(), "last part yields the latency");
         let resp = PendingResponse { state }.wait();
         match resp {
@@ -1071,7 +1076,7 @@ mod tests {
     #[test]
     fn join_rows_survive_routing() {
         let state = Arc::new(ResponseState::new(RequestKind::JoinProbe, 1));
-        state.complete_part(vec![(7, 100, 1), (2, 100, 1)], None);
+        state.complete_part(vec![(7, 100, 1), (2, 100, 1)], None, Instant::now());
         match (PendingResponse { state }).wait() {
             Response::JoinProbe { mut pairs } => {
                 pairs.sort_unstable();
@@ -1090,7 +1095,7 @@ mod tests {
         let pending = pending
             .wait_timeout(std::time::Duration::from_millis(10))
             .expect_err("not complete yet");
-        state.complete_part(vec![(0, 1, 2)], None);
+        state.complete_part(vec![(0, 1, 2)], None, Instant::now());
         match pending.wait_timeout(std::time::Duration::from_secs(5)) {
             Ok(Response::MultiLookup { matches }) => assert_eq!(matches, vec![(1, 2)]),
             other => panic!("unexpected: {:?}", other.map_err(|_| "timeout")),
@@ -1118,12 +1123,15 @@ mod tests {
     }
 
     /// A wake counter and the waker that ticks it.
-    fn wake_counter() -> (Arc<AtomicU64>, impl Fn() + Send + Sync) {
+    fn wake_counter() -> (Arc<AtomicU64>, Arc<dyn Fn() + Send + Sync>) {
         let wakes = Arc::new(AtomicU64::new(0));
         let counter = Arc::clone(&wakes);
-        (wakes, move || {
-            counter.fetch_add(1, Ordering::Relaxed);
-        })
+        (
+            wakes,
+            Arc::new(move || {
+                counter.fetch_add(1, Ordering::Relaxed);
+            }),
+        )
     }
 
     fn wakes(counter: &AtomicU64) -> u64 {
@@ -1146,13 +1154,19 @@ mod tests {
         assert_eq!(poll(&mut stream), (Consumed(1), vec![(2, 0)]));
         assert_eq!(poll(&mut stream), (Pending, vec![]));
         // Rank 0 completes: rank 1's stash releases, in order.
-        assert!(state.complete_stream_part(0, vec![], None).is_none());
+        assert!(state
+            .complete_stream_part(0, vec![], None, Instant::now())
+            .is_none());
         assert_eq!(poll(&mut stream), (Consumed(2), vec![(20, 0), (21, 0)]));
         assert_eq!(poll(&mut stream), (Pending, vec![]));
         // Ranks 1 and 2 complete (2 pushed nothing): stream ends, and
         // the final completion reports the latency.
-        assert!(state.complete_stream_part(1, vec![], None).is_none());
-        assert!(state.complete_stream_part(2, vec![], None).is_some());
+        assert!(state
+            .complete_stream_part(1, vec![], None, Instant::now())
+            .is_none());
+        assert!(state
+            .complete_stream_part(2, vec![], None, Instant::now())
+            .is_some());
         assert_eq!(poll(&mut stream), (End, vec![]));
     }
 
@@ -1163,7 +1177,9 @@ mod tests {
         state.push_chunk(1, vec![(50, 0), (51, 0), (52, 0)]); // stashed
         state.push_chunk(0, vec![(1, 0), (2, 0)]);
         assert_eq!(stream.next(), Some(vec![(1, 0), (2, 0)]));
-        assert!(state.complete_stream_part(0, vec![], None).is_none());
+        assert!(state
+            .complete_stream_part(0, vec![], None, Instant::now())
+            .is_none());
         // One entry of rank 1's stash survives the limit; the rest is
         // discarded and the stream ends even though rank 1's part is
         // still "running".
@@ -1172,7 +1188,9 @@ mod tests {
         assert!(stream.is_ready());
         // The straggler part still completes for latency accounting.
         state.push_chunk(1, vec![(53, 0)]); // dropped
-        assert!(state.complete_stream_part(1, vec![(54, 0)], None).is_some());
+        assert!(state
+            .complete_stream_part(1, vec![(54, 0)], None, Instant::now())
+            .is_some());
         assert_eq!(poll(&mut stream), (StreamConsumed::End, vec![]));
     }
 
@@ -1193,7 +1211,7 @@ mod tests {
         assert_eq!(wakes(&count), 0, "nothing ready yet");
         state.push_chunk(0, vec![(1, 1)]);
         assert_eq!(wakes(&count), 1, "chunk ready");
-        state.complete_stream_part(0, vec![(2, 2)], None);
+        state.complete_stream_part(0, vec![(2, 2)], None, Instant::now());
         assert_eq!(wakes(&count), 2, "tail chunk and end of stream: one wake");
         // Late registration on an already-ready state fires immediately.
         let (late, wake) = wake_counter();
@@ -1209,9 +1227,9 @@ mod tests {
         };
         let (count, wake) = wake_counter();
         pending.set_waker(wake);
-        state.complete_part(vec![(0, 1, 2)], None);
+        state.complete_part(vec![(0, 1, 2)], None, Instant::now());
         assert_eq!(wakes(&count), 0, "one part still out");
-        state.complete_part(vec![], None);
+        state.complete_part(vec![], None, Instant::now());
         assert_eq!(wakes(&count), 1, "completion woke");
         assert!(pending.is_ready());
     }
@@ -1230,11 +1248,11 @@ mod tests {
         state.push_chunk(1, vec![(5, 0)]);
         state.push_chunk(0, vec![(1, 0), (2, 0)]);
         state.push_chunk(0, vec![(3, 0)]);
-        state.complete_stream_part(0, vec![(4, 0)], None);
+        state.complete_stream_part(0, vec![(4, 0)], None, Instant::now());
         state.push_chunk(1, vec![(6, 0)]);
         assert_eq!(wakes(&count), 0, "released chunks wake no buffered reader");
         assert!(!pending.is_ready());
-        state.complete_stream_part(1, vec![(7, 0)], None);
+        state.complete_stream_part(1, vec![(7, 0)], None, Instant::now());
         assert_eq!(wakes(&count), 1, "completion woke, once");
         let entries = (1..=7).map(|k| (k, 0)).collect();
         assert_eq!(pending.wait(), Response::RangeScan { entries });
@@ -1245,7 +1263,7 @@ mod tests {
         let state = stream_state(1, 2);
         let tail = vec![(1, 0), (2, 0), (3, 0)];
         let pushed = tail.as_ptr();
-        state.complete_stream_part(0, tail, None);
+        state.complete_stream_part(0, tail, None, Instant::now());
         match (PendingResponse { state }).wait() {
             Response::RangeScan { entries } => {
                 assert_eq!(entries, vec![(1, 0), (2, 0)], "cut at the limit");
@@ -1287,8 +1305,12 @@ mod tests {
             stream.try_next_with(|_| panic!("pending")),
             StreamConsumed::Pending
         );
-        assert!(state.complete_stream_part(0, vec![], None).is_none());
-        assert!(state.complete_stream_part(1, vec![], None).is_some());
+        assert!(state
+            .complete_stream_part(0, vec![], None, Instant::now())
+            .is_none());
+        assert!(state
+            .complete_stream_part(1, vec![], None, Instant::now())
+            .is_some());
         assert_eq!(
             stream.try_next_with(|_| panic!("ended")),
             StreamConsumed::End
@@ -1337,8 +1359,12 @@ mod tests {
             );
         }
         // The parts still complete, for latency accounting.
-        assert!(state.complete_stream_part(1, vec![(51, 0)], None).is_none());
-        assert!(state.complete_stream_part(0, vec![(4, 0)], None).is_some());
+        assert!(state
+            .complete_stream_part(1, vec![(51, 0)], None, Instant::now())
+            .is_none());
+        assert!(state
+            .complete_stream_part(0, vec![(4, 0)], None, Instant::now())
+            .is_some());
     }
 
     /// Spins until a reader is blocked on `state`'s condvar — observed
@@ -1359,7 +1385,7 @@ mod tests {
         };
         let two_parts = || {
             let state = Arc::new(ResponseState::new(RequestKind::MultiLookup, 2));
-            state.complete_part(vec![(0, 1, 2)], None);
+            state.complete_part(vec![(0, 1, 2)], None, Instant::now());
             let pending = PendingResponse {
                 state: Arc::clone(&state),
             };
@@ -1369,13 +1395,13 @@ mod tests {
         let (state, pending) = two_parts();
         let reader = std::thread::spawn(move || pending.wait());
         await_waiter(&state);
-        state.complete_part(vec![], None);
+        state.complete_part(vec![], None, Instant::now());
         assert_eq!(reader.join().unwrap(), expected);
 
         let (state, pending) = two_parts();
         let reader = std::thread::spawn(move || pending.wait_timeout(Duration::from_secs(60)).ok());
         await_waiter(&state);
-        state.complete_part(vec![], None);
+        state.complete_part(vec![], None, Instant::now());
         assert_eq!(reader.join().unwrap(), Some(expected));
 
         // A stream reader: woken by a mid-part chunk, then by the end.
@@ -1388,7 +1414,7 @@ mod tests {
         assert_eq!(chunk, Some(vec![(1, 0)]));
         let reader = std::thread::spawn(move || stream.collect::<Vec<_>>());
         await_waiter(&state);
-        state.complete_stream_part(0, vec![(2, 0)], None);
+        state.complete_stream_part(0, vec![(2, 0)], None, Instant::now());
         assert_eq!(reader.join().unwrap(), vec![vec![(2, 0)]]);
         assert_eq!(state.inner.lock().unwrap().waiters, 0);
     }
@@ -1400,7 +1426,7 @@ mod tests {
         let pusher = std::thread::spawn(move || {
             std::thread::sleep(std::time::Duration::from_millis(20));
             state.push_chunk(0, vec![(7, 7)]);
-            state.complete_stream_part(0, vec![], None);
+            state.complete_stream_part(0, vec![], None, Instant::now());
         });
         assert_eq!(stream.next(), Some(vec![(7, 7)]));
         assert_eq!(stream.next(), None);

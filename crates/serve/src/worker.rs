@@ -148,6 +148,7 @@ pub(crate) struct WorkerContext<T: Tier> {
 /// included — *before* completing the part (a caller whose `wait()`
 /// returned must find the write counted by a `live_stats()` scrape), ack
 /// `(op, key, applied)` rows when this tier is authoritative.
+/// One clock read per part edge: a part's end is the next one's start.
 fn apply_writes<'a, I: ShardIndex>(
     target: &mut I,
     shard: usize,
@@ -155,11 +156,11 @@ fn apply_writes<'a, I: ShardIndex>(
     parts: impl IntoIterator<Item = &'a WriteJob>,
 ) {
     let barrier_from = Instant::now();
+    let mut opened = barrier_from;
     for WriteJob { ops, ack, reply } in parts {
         let ack = *ack;
         cell.add_jobs(1);
-        stages.record(Stage::QueueWait, reply.since_submit());
-        let opened = Instant::now();
+        stages.record(Stage::QueueWait, reply.queue_wait(opened));
         let mut items: Vec<RoutedMatch> = Vec::new();
         let mut applied_total = 0u64;
         for &(op_idx, op) in ops {
@@ -169,7 +170,8 @@ fn apply_writes<'a, I: ShardIndex>(
                 items.push((op_idx, op.key(), u64::from(applied)));
             }
         }
-        let took = opened.elapsed();
+        let closed = Instant::now();
+        let took = closed - opened;
         stages.record(Stage::Write, took);
         let freed = target.take_freed() as u64;
         cell.add_write_batch(ops.len() as u64, applied_total, freed);
@@ -183,9 +185,10 @@ fn apply_writes<'a, I: ShardIndex>(
                 trace.span_for(Stage::Write, opened, took);
             });
         }
-        reply.complete_part(items, Some(cell));
+        reply.complete_part(items, Some(cell), closed);
+        opened = closed;
     }
-    cell.add_busy(barrier_from.elapsed());
+    cell.add_busy(opened - barrier_from);
 }
 
 /// The sub-ring rule for mutations: a write of fewer ops than the
@@ -401,12 +404,12 @@ impl Batch {
         prof: &mut ThreadProfiler,
     ) {
         cell.add_jobs(1);
-        stages.record(Stage::QueueWait, reply.since_submit());
+        stages.record(Stage::QueueWait, reply.queue_wait(admitted));
         if work.is_empty() {
             // Defensive: never strand a zero-key part. (The planner
             // never scatters one.)
             debug_assert!(!T::CHUNKED, "empty scan shard-part");
-            reply.complete_part(Vec::new(), Some(cell));
+            reply.complete_part(Vec::new(), Some(cell), admitted);
             return;
         }
         let open_idx = self.open.len();
@@ -438,8 +441,8 @@ impl Batch {
     /// the batch's counters, then traces and completes each part — a scan
     /// part per cursor, its tail chunk riding the completion. A part that
     /// waited in no open batch (`closed` is `None`: a walk on a
-    /// submitting thread) has no batch-wait span. Returns the batch's
-    /// walk counters.
+    /// submitting thread) has no batch-wait span. Every part completes at
+    /// the instant the ring drained. Returns the batch's walk counters.
     fn close<T: Tier>(
         mut self,
         ring: &mut Ring<'_, T::Index>,
@@ -450,7 +453,8 @@ impl Batch {
         let mark = prof.mark();
         ring.drain(&mut |t, k, p| self.route::<T>(t, k, p));
         prof.record(Stage::Walk, mark);
-        let busy = self.opened.elapsed().saturating_sub(self.asked);
+        let now = Instant::now();
+        let busy = (now - self.opened).saturating_sub(self.asked);
 
         cell.add_batch(self.meta.len() as u64, reason);
         cell.add_busy(busy);
@@ -479,10 +483,10 @@ impl Batch {
                 for tag in job.tags {
                     let tail = std::mem::take(&mut self.chunks[tag]);
                     let rank = self.meta[tag].1;
-                    job.reply.complete_stream_part(rank, tail, Some(cell));
+                    job.reply.complete_stream_part(rank, tail, Some(cell), now);
                 }
             } else {
-                job.reply.complete_part(job.items, Some(cell));
+                job.reply.complete_part(job.items, Some(cell), now);
             }
         }
         prof.record(Stage::Gather, gather_mark);

@@ -16,7 +16,7 @@
 //! queued behind a refused guard.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{mpsc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use widx_db::hash::HashRecipe;
@@ -635,10 +635,10 @@ fn a_ring_filling_probe_queues_where_a_sub_ring_probe_is_answered() {
     let released = Mutex::new(released);
     let guard = service.sharded().write(h);
     let parker = service.submit(ring_filling()).expect("parker");
-    parker.set_waker(move || {
+    parker.set_waker(Arc::new(move || {
         entered_tx.send(()).expect("test alive");
         let _ = released.lock().expect("release lock").recv();
-    });
+    }));
     drop(guard);
     entered
         .recv_timeout(PATIENCE)

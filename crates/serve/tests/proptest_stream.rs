@@ -170,9 +170,9 @@ proptest! {
             .unwrap();
         let wakes = Arc::new(AtomicU64::new(0));
         let counter = Arc::clone(&wakes);
-        stream.set_waker(move || {
+        stream.set_waker(Arc::new(move || {
             counter.fetch_add(1, Ordering::Release);
-        });
+        }));
         let mut got = Vec::new();
         let mut seen = 0u64;
         'drain: loop {
