@@ -7,8 +7,10 @@
 //! walkers also lose the dispatcher-only fused `XOR-SHF`/`AND-SHF`
 //! instructions (Table 1), paying the unfused expansion.
 //!
-//! Usage: `ablation_dispatcher [probes]`.
+//! Usage: `ablation_dispatcher [probes]`. It ends with a host-CPU table
+//! of each recipe's ns/key through its `eval` kernel and its step fold.
 
+use std::hint::black_box;
 use widx_bench::runner::ProbeSetup;
 use widx_bench::table::{f2, pct, Table};
 use widx_core::config::WidxConfig;
@@ -65,4 +67,40 @@ fn main() {
          \"very shallow buckets with low LLC miss ratios\" exception the \
          paper's Equation 6 analysis calls out.)"
     );
+    println!("\n== Host CPU hash cost ==\n\n{}", host_hash_cost());
+}
+
+/// Median ns/key of 15 interleaved rounds of each recipe's kernel and
+/// step fold; the two XOR accumulators must match.
+fn host_hash_cost() -> String {
+    let keys: Vec<u64> = (0..4096u64).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
+    let mut t = Table::new(&["hash", "kernel ns/key", "fold ns/key"]);
+    for r in [
+        HashRecipe::trivial(),
+        HashRecipe::robust64(),
+        HashRecipe::heavy128(),
+    ] {
+        let mut ns = [vec![], vec![]];
+        for _ in 0..15 {
+            let kernel = time_xor(&keys, &mut ns[0], |k| r.eval(k));
+            let fold = time_xor(&keys, &mut ns[1], |k| {
+                r.steps().iter().fold(k, |x, s| s.apply(x))
+            });
+            assert_eq!(kernel, fold, "{}: kernel and fold disagree", r.name());
+        }
+        let [kernel, fold] = ns.map(|mut v| {
+            v.sort_by(f64::total_cmp);
+            f2(v[v.len() / 2])
+        });
+        t.row(&[r.name().into(), kernel, fold]);
+    }
+    t.render()
+}
+
+/// XORs `hash` over `keys` and returns the accumulator; pushes ns/key.
+fn time_xor(keys: &[u64], ns: &mut Vec<f64>, hash: impl Fn(u64) -> u64) -> u64 {
+    let started = std::time::Instant::now();
+    let acc = black_box(black_box(keys).iter().fold(0, |acc, &k| acc ^ hash(k)));
+    ns.push(started.elapsed().as_nanos() as f64 / keys.len() as f64);
+    acc
 }

@@ -1,5 +1,5 @@
 //! Runs every experiment harness in sequence — the paper's tables,
-//! figures and ablations, one after the other.
+//! figures and ablations — each followed by its wall time, `# <name>: <s> s`.
 //!
 //! Usage: `all_experiments [quick]` — `quick` shrinks workload sizes
 //! for a fast smoke run.
@@ -23,11 +23,13 @@ fn main() {
             args.join(" "),
             "#".repeat(72)
         );
+        let started = std::time::Instant::now();
         let status = Command::new(bin_dir.join(name))
             .args(args)
             .status()
             .unwrap_or_else(|e| panic!("failed to launch {name}: {e}"));
         assert!(status.success(), "{name} failed with {status}");
+        println!("# {name}: {:.2} s", started.elapsed().as_secs_f64());
     };
 
     run("table1_isa", &[]);

@@ -31,7 +31,8 @@
 //!   [`Request::JoinProbe`], [`Request::RangeScan`] (ascending or
 //!   `ORDER BY key DESC` via its `desc` flag) — with per-request
 //!   completion latency and per-worker throughput/occupancy telemetry
-//!   ([`ServiceStats`]) feeding the `widx-bench` reporting machinery;
+//!   ([`ServiceStats`]) feeding the `Stats` JSON document and the
+//!   `benchmark/` package;
 //! * **streaming range replies** —
 //!   [`range_stream`](ProbeService::range_stream) returns a
 //!   [`PendingStream`] whose chunks the gather seam releases in merged

@@ -34,10 +34,11 @@ pub struct ServeConfig {
     /// scan cursors on ordered shards (walkers per shard). A probe with
     /// fewer keys, or a one-chunk scan over fewer shards, cannot fill
     /// the ring and is walked on its submitting thread, by the worker's
-    /// own batch routine over a ring of its own. The default, 16, is the
-    /// knee of `examples/software_walkers` at 2²⁴ entries on a 2-vCPU
-    /// VM, three runs: AMAC 8 → 16 took 142–157 to 133–151 ns/key, and
-    /// 16 → 32 at most 3 % more. End to end, `join_dram` at 16 beat 8
+    /// own batch routine over a ring of its own. The default is 16. The
+    /// 5 % knee of `examples/software_walkers` at 2²⁴ entries on a
+    /// 2-vCPU VM sits on the threshold between 16 and 32: three runs put
+    /// it at 32, 16 and 16, the first reading AMAC 87.6 ns/key at 16
+    /// against 83.4 at 32 (4.8 %). End to end, `join_dram` at 16 beat 8
     /// in 5 of 6 alternating runs (`cpu_ns_per_key` 206 → 189, 6 of 6).
     pub inflight: usize,
     /// Keys per batch before a size flush. A worker never waits to
