@@ -32,14 +32,14 @@ fn main() {
     for recipe in [HashRecipe::robust64(), HashRecipe::heavy128()] {
         // LLC-resident index so hashing is a meaningful share of time.
         let entries = 32 * 1024;
-        let build = datagen::unique_shuffled_keys(7, entries);
-        let index = widx_db::index::HashIndex::build(
-            recipe.clone(),
-            entries,
-            build.iter().enumerate().map(|(r, k)| (*k, r as u64)),
-        );
+        let pairs: Vec<(u64, u64)> = datagen::unique_shuffled_keys(7, entries)
+            .into_iter()
+            .zip(0..)
+            .collect();
+        let index =
+            widx_db::index::HashIndex::build(recipe.clone(), entries, pairs.iter().copied());
         let probes = datagen::uniform_keys(11, probes_n, entries as u64);
-        let setup = ProbeSetup::new(index, probes, NodeLayout::direct8());
+        let setup = ProbeSetup::new(index, &pairs, probes, NodeLayout::direct8());
         for walkers in [1usize, 2, 4] {
             let cfg = WidxConfig::with_walkers(walkers);
             let (dec, _) = setup.run_widx(&cfg);

@@ -21,7 +21,7 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(8192);
     let cfg = KernelConfig::new(KernelSize::Large);
-    let (index, _) = cfg.build();
+    let (index, pairs, _) = cfg.build();
     let tuples = KernelSize::Large.tuples();
 
     println!("== Ablation: probe-key skew on the Large kernel (4 walkers) ==\n");
@@ -46,7 +46,7 @@ fn main() {
                 z.sample_n(&mut rng, probes_n)
             }
         };
-        let setup = ProbeSetup::new(index.clone(), probes, NodeLayout::kernel4());
+        let setup = ProbeSetup::new(index.clone(), &pairs, probes, NodeLayout::kernel4());
         let ooo = setup.run_ooo();
         let (r, _) = setup.run_widx(&WidxConfig::with_walkers(4));
         let per = r.stats.walker_cycles_per_tuple();

@@ -41,21 +41,27 @@ pub struct Measured {
 }
 
 impl ProbeSetup {
-    /// Materializes `index` + `probes` into a cold memory system.
+    /// Materializes the build side `pairs` (the pairs `index` was built
+    /// from, in input order) and `probes` into a cold memory system.
     #[must_use]
     pub fn new(
         index: HashIndex,
+        pairs: &[(u64, u64)],
         probes: Vec<u64>,
         layout: widx_db::index::NodeLayout,
     ) -> ProbeSetup {
         let sys = SystemConfig::default();
         let mut mem = MemorySystem::new(sys.clone());
         let mut alloc = RegionAllocator::new();
-        let expected: u64 = probes
-            .iter()
-            .map(|p| index.lookup_all(*p).len() as u64)
-            .sum();
-        let image = memimg::materialize(&mut mem, &mut alloc, &index, &probes, layout, expected);
+        let image = memimg::materialize(
+            &mut mem,
+            &mut alloc,
+            index.recipe(),
+            index.bucket_count() as u64,
+            pairs,
+            &probes,
+            layout,
+        );
         ProbeSetup {
             sys,
             mem,
@@ -68,15 +74,15 @@ impl ProbeSetup {
     /// Builds the setup for a hash-join kernel configuration.
     #[must_use]
     pub fn kernel(cfg: &KernelConfig) -> ProbeSetup {
-        let (index, probes) = cfg.build();
-        ProbeSetup::new(index, probes, cfg.layout())
+        let (index, pairs, probes) = cfg.build();
+        ProbeSetup::new(index, &pairs, probes, cfg.layout())
     }
 
     /// Builds the setup for a DSS query profile.
     #[must_use]
     pub fn profile(q: &QueryProfile) -> ProbeSetup {
-        let (index, probes) = q.build();
-        ProbeSetup::new(index, probes, q.layout)
+        let (index, pairs, probes) = q.build();
+        ProbeSetup::new(index, &pairs, probes, q.layout)
     }
 
     fn warmed_mem(&self) -> MemorySystem {
@@ -99,7 +105,7 @@ impl ProbeSetup {
     /// Runs the OoO baseline core over the software probe trace.
     #[must_use]
     pub fn run_ooo(&self) -> Measured {
-        let trace = probe_trace(&self.index, &self.image, &self.probes);
+        let trace = probe_trace(&self.mem, &self.image, &self.probes);
         let mut mem = self.warmed_mem();
         let r = run_ooo(&self.sys.ooo, &trace, &mut mem, 0);
         measured(r, mem.stats())
@@ -108,7 +114,7 @@ impl ProbeSetup {
     /// Runs the in-order comparison core over the software probe trace.
     #[must_use]
     pub fn run_inorder(&self) -> Measured {
-        let trace = probe_trace(&self.index, &self.image, &self.probes);
+        let trace = probe_trace(&self.mem, &self.image, &self.probes);
         let mut mem = self.warmed_mem();
         let r = run_inorder(&self.sys.inorder, &trace, &mut mem, 0);
         measured(r, mem.stats())

@@ -179,21 +179,22 @@ mod tests {
     use super::*;
     use crate::programs;
     use widx_db::hash::HashRecipe;
-    use widx_db::index::{HashIndex, NodeLayout};
+    use widx_db::index::NodeLayout;
     use widx_sim::config::SystemConfig;
     use widx_workloads::memimg;
 
     fn setup() -> (MemorySystem, RegionAllocator, crate::programs::ProgramSet) {
         let mut mem = MemorySystem::new(SystemConfig::default());
         let mut alloc = RegionAllocator::new();
-        let index = HashIndex::build(HashRecipe::robust64(), 16, (0..10u64).map(|k| (k, k)));
+        let pairs: Vec<(u64, u64)> = (0..10u64).map(|k| (k, k)).collect();
         let image = memimg::materialize(
             &mut mem,
             &mut alloc,
-            &index,
+            &HashRecipe::robust64(),
+            16,
+            &pairs,
             &[1, 2],
             NodeLayout::direct8(),
-            2,
         );
         let set = programs::program_set(&HashRecipe::robust64(), &image, 4, false);
         (mem, alloc, set)

@@ -47,10 +47,11 @@
 //!
 //! let mut mem = MemorySystem::new(SystemConfig::default());
 //! let mut alloc = RegionAllocator::new();
-//! let index = HashIndex::build(HashRecipe::robust64(), 64, (0..100u64).map(|k| (k, k)));
+//! let pairs: Vec<(u64, u64)> = (0..100u64).map(|k| (k, k)).collect();
+//! let index = HashIndex::build(HashRecipe::robust64(), 64, pairs.iter().copied());
 //! let probes: Vec<u64> = (0..20u64).collect();
-//! let image = memimg::materialize(&mut mem, &mut alloc, &index, &probes,
-//!                                 NodeLayout::direct8(), 20);
+//! let image = memimg::materialize(&mut mem, &mut alloc, index.recipe(), 64, &pairs,
+//!                                 &probes, NodeLayout::direct8());
 //!
 //! let result = offload::offload_probe(&mut mem, &index, &image, &probes,
 //!                                     &WidxConfig::with_walkers(4));

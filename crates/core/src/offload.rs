@@ -149,12 +149,17 @@ mod tests {
         let mut mem = MemorySystem::new(SystemConfig::default());
         let mut alloc = RegionAllocator::new();
         // Payloads are the build-row ids, as indirect layouts require.
-        let index = HashIndex::build(recipe, entries as usize, (0..entries).map(|k| (k, k)));
-        let expected: u64 = probes
-            .iter()
-            .map(|p| index.lookup_all(*p).len() as u64)
-            .sum();
-        let image = memimg::materialize(&mut mem, &mut alloc, &index, &probes, layout, expected);
+        let pairs: Vec<(u64, u64)> = (0..entries).map(|k| (k, k)).collect();
+        let index = HashIndex::build(recipe, entries as usize, pairs.iter().copied());
+        let image = memimg::materialize(
+            &mut mem,
+            &mut alloc,
+            index.recipe(),
+            index.bucket_count() as u64,
+            &pairs,
+            &probes,
+            layout,
+        );
         Fixture {
             mem,
             index,
@@ -235,15 +240,16 @@ mod tests {
         let mut mem = MemorySystem::new(SystemConfig::default());
         let mut alloc = RegionAllocator::new();
         let pairs = vec![(5u64, 1u64), (5, 2), (5, 3), (7, 9)];
-        let index = HashIndex::build(HashRecipe::robust64(), 8, pairs);
+        let index = HashIndex::build(HashRecipe::robust64(), 8, pairs.iter().copied());
         let probes = vec![5u64, 7, 11];
         let image = memimg::materialize(
             &mut mem,
             &mut alloc,
-            &index,
+            index.recipe(),
+            index.bucket_count() as u64,
+            &pairs,
             &probes,
             NodeLayout::direct8(),
-            4,
         );
         let r = offload_probe(
             &mut mem,

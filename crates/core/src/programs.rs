@@ -470,7 +470,6 @@ pub fn program_set(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use widx_db::index::HashIndex;
     use widx_sim::config::SystemConfig;
     use widx_sim::mem::{MemorySystem, RegionAllocator};
     use widx_workloads::memimg;
@@ -478,8 +477,16 @@ mod tests {
     fn image(layout: NodeLayout) -> IndexImage {
         let mut mem = MemorySystem::new(SystemConfig::default());
         let mut alloc = RegionAllocator::new();
-        let index = HashIndex::build(HashRecipe::robust64(), 64, (0..10u64).map(|k| (k, k)));
-        memimg::materialize(&mut mem, &mut alloc, &index, &[1, 2, 3], layout, 3)
+        let pairs: Vec<(u64, u64)> = (0..10u64).map(|k| (k, k)).collect();
+        memimg::materialize(
+            &mut mem,
+            &mut alloc,
+            &HashRecipe::robust64(),
+            64,
+            &pairs,
+            &[1, 2, 3],
+            layout,
+        )
     }
 
     #[test]

@@ -424,7 +424,7 @@ mod tests {
     use super::*;
     use crate::programs::program_set;
     use widx_db::hash::HashRecipe;
-    use widx_db::index::{HashIndex, NodeLayout};
+    use widx_db::index::NodeLayout;
     use widx_sim::config::SystemConfig;
     use widx_sim::mem::RegionAllocator;
     use widx_workloads::memimg;
@@ -432,17 +432,19 @@ mod tests {
     fn run(walkers: usize, probes: usize) -> WidxRunStats {
         let mut mem = MemorySystem::new(SystemConfig::default());
         let mut alloc = RegionAllocator::new();
-        let index = HashIndex::build(HashRecipe::robust64(), 64, (0..64u64).map(|k| (k, k)));
+        let pairs: Vec<(u64, u64)> = (0..64u64).map(|k| (k, k)).collect();
         let probe_keys: Vec<u64> = (0..probes as u64).map(|i| i % 64).collect();
+        let recipe = HashRecipe::robust64();
         let image = memimg::materialize(
             &mut mem,
             &mut alloc,
-            &index,
+            &recipe,
+            64,
+            &pairs,
             &probe_keys,
             NodeLayout::direct8(),
-            probes as u64,
         );
-        let set = program_set(index.recipe(), &image, walkers, false);
+        let set = program_set(&recipe, &image, walkers, false);
         Widx::new(&set, &WidxConfig::with_walkers(walkers), 0).run(&mut mem)
     }
 

@@ -55,8 +55,9 @@ proptest! {
         let index = HashIndex::build(recipe, buckets, pairs.iter().copied());
         let mut mem = MemorySystem::new(SystemConfig::default());
         let mut alloc = RegionAllocator::new();
-        let expected: u64 = probes.iter().map(|p| index.lookup_all(*p).len() as u64).sum();
-        let image = memimg::materialize(&mut mem, &mut alloc, &index, &probes, layout, expected);
+        let image = memimg::materialize(
+            &mut mem, &mut alloc, index.recipe(), index.bucket_count() as u64, &pairs, &probes, layout,
+        );
         let result = offload_probe(&mut mem, &index, &image, &probes, &WidxConfig::with_walkers(walkers));
 
         let mut got = result.matches().to_vec();

@@ -294,7 +294,7 @@ impl HashIndex {
         &self.recipe
     }
 
-    /// Bucket array (for materialization into simulated memory).
+    /// Bucket array (for chain-stepping walkers and size probes).
     #[must_use]
     pub fn buckets(&self) -> &[Bucket] {
         &self.buckets

@@ -9,10 +9,10 @@
 //! cycles in Figure 9a.
 //!
 //! A [`NodeLayout`] describes where each field lives inside the
-//! materialized bucket headers and overflow nodes. The same descriptor
-//! drives (a) serialization into simulated memory, (b) generation of the
-//! Widx walker program, and (c) the baseline core's µop trace, so all
-//! three agree byte-for-byte.
+//! materialized bucket headers and overflow nodes. It drives (a)
+//! serialization into simulated memory, which picks each overflow entry's
+//! pool slot, and (b) the Widx walker program; (c) the baseline core's µop
+//! trace walks the bytes (a) wrote, so all three agree byte-for-byte.
 //!
 //! Physical layout (all offsets in bytes):
 //!

@@ -353,9 +353,10 @@ pub(crate) struct PendingInner {
     /// loop can skip scanning pending lists that saw no progress.
     waker: Option<Arc<dyn Fn() + Send + Sync>>,
     pub(crate) kind: RequestKind,
-    /// When the first shard-part finished — the start of the gather
+    /// The earliest and the latest instants a shard-part closed at so
+    /// far, whichever order the parts took the lock in: the gather
     /// window ([`Stage::Gather`] spans first-done to last-done).
-    first_done: Option<Instant>,
+    done_span: Option<(Instant, Instant)>,
     /// Stage-timing sink, when the owning service attached one.
     stages: Option<Arc<StageTimes>>,
     /// Per-request trace under construction, when sampling armed one.
@@ -414,7 +415,7 @@ impl ResponseState {
                 stream,
                 waker: None,
                 kind,
-                first_done: None,
+                done_span: None,
                 stages: None,
                 trace: None,
                 done: parts == 0,
@@ -603,9 +604,10 @@ impl ResponseState {
     /// gather window, seals the trace and returns the completion
     /// latency — already recorded into `cell` **before** any completion
     /// signal, so a caller whose `wait()` has returned finds the request
-    /// counted by a `live_stats()` scrape. Every span is cut at `now`,
-    /// the instant the caller closed the part, so a one-part request's
-    /// gather is 0. Waiters and the waker are signalled on the final
+    /// counted by a `live_stats()` scrape. The gather window and the
+    /// latency end at the latest instant any part closed at, not at the
+    /// `now` of the part that took the lock last, so a one-part
+    /// request's gather is 0. Waiters and the waker are signalled on the final
     /// part, and on every part when `progress` says the consumer-visible
     /// state may have changed regardless.
     fn finish_part(
@@ -615,7 +617,10 @@ impl ResponseState {
         progress: bool,
         now: Instant,
     ) -> Option<Duration> {
-        let first = *inner.first_done.get_or_insert(now);
+        let (first, latest) = inner.done_span.map_or((now, now), |(first, latest)| {
+            (first.min(now), latest.max(now))
+        });
+        inner.done_span = Some((first, latest));
         inner.parts_left -= 1;
         let last = inner.parts_left == 0;
         if !last && !progress {
@@ -625,10 +630,10 @@ impl ResponseState {
         if last {
             inner.done = true;
             if let Some(stages) = inner.stages.as_ref() {
-                stages.record(Stage::Gather, now.saturating_duration_since(first));
+                stages.record(Stage::Gather, latest.saturating_duration_since(first));
             }
-            let took = now.saturating_duration_since(self.submitted);
-            commit = self.close_trace(&mut inner, took, (first, now));
+            let took = latest.saturating_duration_since(self.submitted);
+            commit = self.close_trace(&mut inner, took, (first, latest));
             if let Some(cell) = cell {
                 cell.record_latency(took);
             }
@@ -1100,6 +1105,23 @@ mod tests {
             Ok(Response::MultiLookup { matches }) => assert_eq!(matches, vec![(1, 2)]),
             other => panic!("unexpected: {:?}", other.map_err(|_| "timeout")),
         }
+    }
+
+    #[test]
+    fn completion_ends_at_the_latest_part_not_the_last_locker() {
+        let stages = Arc::new(StageTimes::new());
+        let state = ResponseState::new(RequestKind::MultiLookup, 2).with_stages(&stages);
+        let early = Instant::now();
+        let late = early + Duration::from_millis(10);
+        // The part that closed later takes the lock first.
+        assert_eq!(state.complete_part(vec![], None, late), None);
+        let took = state
+            .complete_part(vec![], None, early)
+            .expect("final part");
+        assert_eq!(took, late.saturating_duration_since(state.submitted));
+        let gather = stages.hist(Stage::Gather).snapshot();
+        assert_eq!(gather.count(), 1);
+        assert!(gather.max() >= 10_000_000, "gather {} ns", gather.max());
     }
 
     #[test]

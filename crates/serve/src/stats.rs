@@ -1,5 +1,6 @@
 //! Serving telemetry: per-worker throughput/occupancy and service-wide
-//! request latency, shaped for the `widx-bench` table machinery.
+//! request latency. It feeds the `Stats` JSON document a scrape returns,
+//! and `benchmark/` reads its per-layer metrics from the same views.
 //!
 //! Since the live-telemetry refactor the numbers here are *views*: workers
 //! publish into lock-free `widx_obs` registry cells as they run, and both

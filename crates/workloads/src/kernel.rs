@@ -107,7 +107,8 @@ impl KernelConfig {
         HashRecipe::trivial()
     }
 
-    /// Builds the index and the sampled probe stream.
+    /// Builds the `(key, row)` pairs in input order, the index over them,
+    /// and the sampled probe stream.
     ///
     /// Build keys are the dense set `0..tuples` (every probe can match);
     /// probes are uniform over the key space, like the paper's uniform
@@ -115,19 +116,15 @@ impl KernelConfig {
     /// exactly the paper's "up to two nodes per bucket" occupancy (a
     /// header node plus one chained node).
     #[must_use]
-    pub fn build(&self) -> (HashIndex, Vec<u64>) {
+    pub fn build(&self) -> (HashIndex, Vec<(u64, u64)>, Vec<u64>) {
         let tuples = self.size.tuples();
-        let build_keys = datagen::unique_shuffled_keys(self.seed, tuples);
-        let index = HashIndex::build(
-            self.recipe(),
-            (tuples / 2).max(1),
-            build_keys
-                .iter()
-                .enumerate()
-                .map(|(row, k)| (*k, row as u64)),
-        );
+        let pairs: Vec<(u64, u64)> = datagen::unique_shuffled_keys(self.seed, tuples)
+            .into_iter()
+            .zip(0..)
+            .collect();
+        let index = HashIndex::build(self.recipe(), (tuples / 2).max(1), pairs.iter().copied());
         let probes = datagen::uniform_keys(self.seed ^ 0xABCD, self.probes, tuples as u64);
-        (index, probes)
+        (index, pairs, probes)
     }
 }
 
@@ -148,7 +145,7 @@ mod tests {
     #[test]
     fn build_produces_probeable_index() {
         let cfg = KernelConfig::new(KernelSize::Small).with_probes(100);
-        let (index, probes) = cfg.build();
+        let (index, _, probes) = cfg.build();
         assert_eq!(index.len(), KernelSize::Small.tuples());
         assert_eq!(probes.len(), 100);
         // All probes fall in the key space and hence match exactly once.
@@ -160,7 +157,7 @@ mod tests {
     #[test]
     fn bucket_occupancy_matches_paper() {
         let cfg = KernelConfig::new(KernelSize::Small);
-        let (index, _) = cfg.build();
+        let (index, _, _) = cfg.build();
         let stats = index.stats();
         // Dense keys over half as many buckets: exactly two nodes per
         // bucket, the paper's kernel occupancy.
@@ -177,11 +174,11 @@ mod tests {
         let a = KernelConfig::new(KernelSize::Small)
             .with_probes(64)
             .build()
-            .1;
+            .2;
         let b = KernelConfig::new(KernelSize::Small)
             .with_probes(64)
             .build()
-            .1;
+            .2;
         assert_eq!(a, b);
     }
 }

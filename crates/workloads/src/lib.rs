@@ -18,12 +18,14 @@
 //! * [`dss`] — synthetic-but-executed DSS query plans whose operator
 //!   mixes regenerate the Figure 2a execution-time breakdown on the real
 //!   software engine of `widx-db`.
-//! * [`memimg`] — materializes a logical [`widx_db::index::HashIndex`]
-//!   (plus probe input and output buffers) into simulated memory
+//! * [`memimg`] — lays the paper's hash index out in simulated memory
+//!   from its build pairs (plus probe input and output buffers)
 //!   according to a [`widx_db::index::NodeLayout`], for consumption by
-//!   the Widx accelerator model.
+//!   the Widx accelerator model. It decides which pool slot each
+//!   overflow entry takes; the serving [`widx_db::index::HashIndex`] is
+//!   only the walk oracle its tests check against.
 //! * [`trace`] — generates the baseline cores' µop traces for the same
-//!   probe stream over the same materialized image, so OoO/in-order and
+//!   probe stream by walking the same image's bytes, so OoO/in-order and
 //!   Widx timing are compared on byte-identical data structures.
 //! * [`btree_img`] — B+-tree materialization for the Section 7
 //!   "other index structures" extension.

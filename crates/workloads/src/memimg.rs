@@ -1,4 +1,5 @@
-//! Materialization of a logical hash index into simulated memory.
+//! Lays the paper's hash index out in simulated memory from its build
+//! side.
 //!
 //! The Widx accelerator operates on real bytes: bucket headers, overflow
 //! nodes, the probe-key column, and the output region are serialized into
@@ -7,13 +8,23 @@
 //! (0 = NULL), and indirect layouts additionally materialize the build
 //! side's key column so that key reads really do take the extra
 //! dereference.
+//!
+//! Which pool slot an overflow entry takes is decided here, from the
+//! build pairs in input order, not read off a serving index: the first
+//! entry of a bucket lives in its header, and each later one takes the
+//! next pool slot and is linked right after the header. Every reader —
+//! the Widx programs, the baseline trace, the tests — walks the bytes
+//! this module wrote.
 
-use widx_db::index::{HashIndex, NodeLayout, NONE};
+use widx_db::hash::HashRecipe;
+use widx_db::index::{KeyKind, NodeLayout};
 use widx_sim::mem::{MemorySystem, RegionAllocator, VAddr};
 
 /// Addresses and geometry of a materialized index image.
 #[derive(Clone, Debug)]
 pub struct IndexImage {
+    /// Hash recipe that placed every entry in its bucket.
+    pub recipe: HashRecipe,
     /// Physical layout of headers and nodes.
     pub layout: NodeLayout,
     /// Base of the bucket-header array.
@@ -89,28 +100,91 @@ impl IndexImage {
             + self.node_count * NodeLayout::NODE_STRIDE as u64
             + keys
     }
+
+    /// The key the slot word at `slot` stands for: the word itself for
+    /// direct layouts, the key-column entry it points at for indirect
+    /// ones.
+    #[must_use]
+    pub fn key_at(&self, mem: &MemorySystem, slot: VAddr) -> u64 {
+        let key_addr = match self.layout.key_kind {
+            KeyKind::Direct => slot,
+            KeyKind::Indirect => VAddr::new(mem.read_u64(slot)),
+        };
+        mem.read_uint(key_addr, self.layout.key_width)
+    }
+
+    /// Every payload stored under `key`, in chain order, read from the
+    /// image's bytes in `mem`.
+    #[must_use]
+    pub fn lookup_all(&self, mem: &MemorySystem, key: u64) -> Vec<u64> {
+        let header = self.header_addr(self.recipe.bucket_of(key, self.bucket_count));
+        let mut out = Vec::new();
+        if mem.read_u32(field(header, NodeLayout::HEADER_COUNT_OFFSET)) == 0 {
+            return out;
+        }
+        let mut entry = (
+            field(header, NodeLayout::HEADER_SLOT_OFFSET),
+            field(header, NodeLayout::HEADER_PAYLOAD_OFFSET),
+            field(header, NodeLayout::HEADER_NEXT_OFFSET),
+        );
+        loop {
+            let (slot, payload, next) = entry;
+            if self.key_at(mem, slot) == key {
+                out.push(mem.read_u64(payload));
+            }
+            let node = VAddr::new(mem.read_u64(next));
+            if node.is_null() {
+                return out;
+            }
+            entry = (
+                field(node, NodeLayout::NODE_SLOT_OFFSET),
+                field(node, NodeLayout::NODE_PAYLOAD_OFFSET),
+                field(node, NodeLayout::NODE_NEXT_OFFSET),
+            );
+        }
+    }
 }
 
-/// Serializes `index` and `probes` into `mem`, carving regions from
-/// `alloc`. `expected_matches` sizes the output region (use the oracle
-/// match count; the region is padded generously).
+/// The address of the field `offset` bytes into the header or node at
+/// `base`.
+fn field(base: VAddr, offset: usize) -> VAddr {
+    base.offset(offset as i64)
+}
+
+/// Lays out the index over `pairs`, placed by `recipe` into
+/// `bucket_count` buckets (a power of two) in input order, and the probe
+/// column `probes`, in `mem`, carving regions from `alloc` (fresh regions
+/// read as zero). The first entry of a bucket goes in its header; each
+/// later entry takes the next pool slot and is linked right after the
+/// header. The output region holds every match the image yields for
+/// `probes`, plus one slot per probe.
 ///
 /// # Panics
 ///
-/// For indirect layouts, panics if any entry's payload is not a valid
-/// build-side row id (`payload < index.len()`): the payload indexes the
-/// materialized key column, exactly as MonetDB's index nodes point at
-/// their base column.
+/// Panics if `bucket_count` is not a power of two. For indirect layouts,
+/// panics if any payload is not a valid build-side row id
+/// (`payload < pairs.len()`): the payload indexes the materialized key
+/// column, exactly as MonetDB's index nodes point at their base column.
 pub fn materialize(
     mem: &mut MemorySystem,
     alloc: &mut RegionAllocator,
-    index: &HashIndex,
+    recipe: &HashRecipe,
+    bucket_count: u64,
+    pairs: &[(u64, u64)],
     probes: &[u64],
     layout: NodeLayout,
-    expected_matches: u64,
 ) -> IndexImage {
-    let bucket_count = index.bucket_count() as u64;
-    let node_count = index.nodes().len() as u64;
+    let homes: Vec<u64> = pairs
+        .iter()
+        .map(|&(key, _)| recipe.bucket_of(key, bucket_count))
+        .collect();
+    let mut occupied = vec![false; bucket_count as usize];
+    let heads = homes
+        .iter()
+        .filter(|&&b| !std::mem::replace(&mut occupied[b as usize], true))
+        .count();
+    let entries = pairs.len() as u64;
+    let node_count = entries - heads as u64;
     let kw = layout.key_width as u64;
 
     let bucket_region = alloc.alloc_pages(
@@ -122,27 +196,18 @@ pub fn materialize(
         (node_count.max(1)) * NodeLayout::NODE_STRIDE as u64,
     );
     let build_keys_base = match layout.key_kind {
-        widx_db::index::KeyKind::Direct => None,
-        widx_db::index::KeyKind::Indirect => {
-            let entries = index.len() as u64;
-            let valid = index
-                .buckets()
-                .iter()
-                .filter(|b| b.count > 0)
-                .all(|b| b.payload < entries)
-                && index.nodes().iter().all(|n| n.payload < entries);
+        KeyKind::Direct => None,
+        KeyKind::Indirect => {
             assert!(
-                valid,
+                pairs.iter().all(|&(_, row)| row < entries),
                 "indirect layouts require payloads to be build-side row ids (< {entries})"
             );
             Some(alloc.alloc_pages("build.keys", entries.max(1) * kw).base())
         }
     };
     let input_region = alloc.alloc_pages("probe.input", (probes.len() as u64).max(1) * kw);
-    let output_capacity = (expected_matches + probes.len() as u64).max(16);
-    let output_region = alloc.alloc_pages("probe.output", output_capacity * 16);
-
-    let image = IndexImage {
+    let mut image = IndexImage {
+        recipe: recipe.clone(),
         layout,
         bucket_base: bucket_region.base(),
         bucket_count,
@@ -151,81 +216,44 @@ pub fn materialize(
         build_keys_base,
         input_base: input_region.base(),
         input_count: probes.len() as u64,
-        entry_count: index.len() as u64,
-        output_base: output_region.base(),
-        output_capacity,
+        entry_count: entries,
+        output_base: VAddr::NULL,
+        output_capacity: 0,
     };
 
-    // For indirect layouts the "payload" doubles as the build row id;
-    // the key column is indexed by that row id.
-    let slot_value = |key: u64, payload: u64| -> u64 {
-        match layout.key_kind {
-            widx_db::index::KeyKind::Direct => key,
-            widx_db::index::KeyKind::Indirect => {
-                let addr = image.build_key_addr(payload);
-                addr.get()
-            }
-        }
-    };
-
-    // Bucket headers.
-    for (b, bucket) in index.buckets().iter().enumerate() {
-        let base = image.header_addr(b as u64);
-        mem.write_u32(
-            base.offset(NodeLayout::HEADER_COUNT_OFFSET as i64),
-            bucket.count,
-        );
-        if bucket.count > 0 {
-            mem.write_uint(
-                base.offset(NodeLayout::HEADER_SLOT_OFFSET as i64),
-                layout.slot_width(),
-                slot_value(bucket.key, bucket.payload),
-            );
-            mem.write_u64(
-                base.offset(NodeLayout::HEADER_PAYLOAD_OFFSET as i64),
-                bucket.payload,
-            );
-            let next = if bucket.next == NONE {
-                0
-            } else {
-                image.node_addr(u64::from(bucket.next)).get()
-            };
-            mem.write_u64(base.offset(NodeLayout::HEADER_NEXT_OFFSET as i64), next);
-            if let widx_db::index::KeyKind::Indirect = layout.key_kind {
-                mem.write_uint(
-                    image.build_key_addr(bucket.payload),
-                    layout.key_width,
-                    bucket.key,
-                );
-            }
-        }
-    }
-
-    // Overflow nodes.
-    for (i, node) in index.nodes().iter().enumerate() {
-        let base = image.node_addr(i as u64);
-        mem.write_uint(
-            base.offset(NodeLayout::NODE_SLOT_OFFSET as i64),
-            layout.slot_width(),
-            slot_value(node.key, node.payload),
-        );
-        mem.write_u64(
-            base.offset(NodeLayout::NODE_PAYLOAD_OFFSET as i64),
-            node.payload,
-        );
-        let next = if node.next == NONE {
-            0
+    let mut pool = 0..node_count;
+    for (&(key, payload), &b) in pairs.iter().zip(&homes) {
+        let header = image.header_addr(b);
+        let count_at = field(header, NodeLayout::HEADER_COUNT_OFFSET);
+        let count = mem.read_u32(count_at);
+        mem.write_u32(count_at, count + 1);
+        let (slot_at, payload_at) = if count == 0 {
+            (
+                field(header, NodeLayout::HEADER_SLOT_OFFSET),
+                field(header, NodeLayout::HEADER_PAYLOAD_OFFSET),
+            )
         } else {
-            image.node_addr(u64::from(node.next)).get()
+            let node = image.node_addr(pool.next().expect("a pool slot per chained entry"));
+            let head_at = field(header, NodeLayout::HEADER_NEXT_OFFSET);
+            let head = mem.read_u64(head_at);
+            mem.write_u64(field(node, NodeLayout::NODE_NEXT_OFFSET), head);
+            mem.write_u64(head_at, node.get());
+            (
+                field(node, NodeLayout::NODE_SLOT_OFFSET),
+                field(node, NodeLayout::NODE_PAYLOAD_OFFSET),
+            )
         };
-        mem.write_u64(base.offset(NodeLayout::NODE_NEXT_OFFSET as i64), next);
-        if let widx_db::index::KeyKind::Indirect = layout.key_kind {
-            mem.write_uint(
-                image.build_key_addr(node.payload),
-                layout.key_width,
-                node.key,
-            );
-        }
+        // Indirect slots point at the key's row in the key column.
+        let slot = match layout.key_kind {
+            KeyKind::Direct => key,
+            KeyKind::Indirect => {
+                let key_addr = image.build_key_addr(payload);
+                mem.write_uint(key_addr, layout.key_width, key);
+                key_addr.get()
+            }
+        };
+        mem.write_uint(slot_at, layout.slot_width(), slot);
+        mem.write_u64(payload_at, payload);
     }
 
     // Probe input column.
@@ -233,6 +261,14 @@ pub fn materialize(
         mem.write_uint(image.input_addr(i as u64), layout.key_width, *key);
     }
 
+    let matches: u64 = probes
+        .iter()
+        .map(|&key| image.lookup_all(mem, key).len() as u64)
+        .sum();
+    image.output_capacity = (matches + probes.len() as u64).max(16);
+    image.output_base = alloc
+        .alloc_pages("probe.output", image.output_capacity * 16)
+        .base();
     image
 }
 
@@ -274,115 +310,135 @@ pub fn warm(mem: &mut MemorySystem, image: &IndexImage) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use widx_db::hash::HashRecipe;
+    use crate::datagen;
+    use widx_db::index::HashIndex;
     use widx_sim::config::SystemConfig;
 
-    fn setup(layout: NodeLayout) -> (MemorySystem, IndexImage, HashIndex, Vec<u64>) {
-        let mut mem = MemorySystem::new(SystemConfig::default());
-        let mut alloc = RegionAllocator::new();
-        let pairs: Vec<(u64, u64)> = (0..200u64).map(|k| (k * 3, k)).collect();
-        let index = HashIndex::build(HashRecipe::robust64(), 64, pairs.iter().copied());
-        let probes: Vec<u64> = (0..50u64).map(|i| i * 3).collect();
-        let image = materialize(&mut mem, &mut alloc, &index, &probes, layout, 50);
-        (mem, image, index, probes)
+    /// An image, the logical index over the same pairs (the walk oracle)
+    /// and the probes laid out with it.
+    pub(crate) struct Built {
+        pub(crate) mem: MemorySystem,
+        pub(crate) image: IndexImage,
+        pub(crate) index: HashIndex,
+        pub(crate) probes: Vec<u64>,
     }
 
-    /// Software walk over the *materialized image* — reads simulated
-    /// memory only, no logical-index shortcuts.
-    fn image_lookup_all(
-        mem: &MemorySystem,
-        image: &IndexImage,
-        key: u64,
-        index: &HashIndex,
-    ) -> Vec<u64> {
-        let b = index.recipe().bucket_of(key, image.bucket_count);
-        let header = image.header_addr(b);
-        let mut out = Vec::new();
-        let count = mem.read_u32(header.offset(NodeLayout::HEADER_COUNT_OFFSET as i64));
-        if count == 0 {
-            return out;
+    fn build(
+        recipe: HashRecipe,
+        min_buckets: usize,
+        pairs: &[(u64, u64)],
+        probes: Vec<u64>,
+        layout: NodeLayout,
+    ) -> Built {
+        let mut mem = MemorySystem::new(SystemConfig::default());
+        let mut alloc = RegionAllocator::new();
+        let index = HashIndex::build(recipe, min_buckets, pairs.iter().copied());
+        let buckets = index.bucket_count() as u64;
+        let image = materialize(
+            &mut mem,
+            &mut alloc,
+            index.recipe(),
+            buckets,
+            pairs,
+            &probes,
+            layout,
+        );
+        Built {
+            mem,
+            image,
+            index,
+            probes,
         }
-        let read_key = |mem: &MemorySystem, slot_addr: VAddr| -> u64 {
-            match image.layout.key_kind {
-                widx_db::index::KeyKind::Direct => mem.read_uint(slot_addr, image.layout.key_width),
-                widx_db::index::KeyKind::Indirect => {
-                    let ptr = VAddr::new(mem.read_u64(slot_addr));
-                    mem.read_uint(ptr, image.layout.key_width)
-                }
+    }
+
+    fn setup(layout: NodeLayout) -> Built {
+        let pairs: Vec<(u64, u64)> = (0..200u64).map(|k| (k * 3, k)).collect();
+        let probes = (0..50u64).map(|i| i * 3).chain([1, 5, 1000]).collect();
+        build(HashRecipe::robust64(), 64, &pairs, probes, layout)
+    }
+
+    /// Random build sides, the empty one first. Keys come from a space an
+    /// eighth the size of the build, so each repeats about eight times,
+    /// and twice as many buckets as keys leave many buckets empty.
+    /// Payloads are row ids, as indirect layouts require; the probes are
+    /// every key of the space and a few misses.
+    pub(crate) fn random_builds(layout: NodeLayout) -> impl Iterator<Item = Built> {
+        (0..6u64).map(move |seed| {
+            let n = (seed as usize * 97) % 400;
+            let space = (n as u64 / 8).max(1);
+            let pairs: Vec<(u64, u64)> = datagen::uniform_keys(seed, n, space)
+                .into_iter()
+                .zip(0..)
+                .collect();
+            let recipe = if seed % 2 == 0 {
+                HashRecipe::trivial()
+            } else {
+                HashRecipe::robust64()
+            };
+            build(
+                recipe,
+                2 * space as usize,
+                &pairs,
+                (0..space + 4).collect(),
+                layout,
+            )
+        })
+    }
+
+    /// Every image walk equals `HashIndex::lookup_all`, in chain order.
+    fn assert_walks_match(layout: NodeLayout) {
+        for b in random_builds(layout).chain([setup(layout)]) {
+            assert_eq!(
+                b.image.build_keys_base.is_some(),
+                layout.key_kind == KeyKind::Indirect
+            );
+            for &key in &b.probes {
+                assert_eq!(
+                    b.image.lookup_all(&b.mem, key),
+                    b.index.lookup_all(key),
+                    "{layout:?}, {} entries, key {key}",
+                    b.index.len()
+                );
             }
-        };
-        let k0 = read_key(mem, header.offset(NodeLayout::HEADER_SLOT_OFFSET as i64));
-        if k0 == key {
-            out.push(mem.read_u64(header.offset(NodeLayout::HEADER_PAYLOAD_OFFSET as i64)));
         }
-        let mut next = mem.read_u64(header.offset(NodeLayout::HEADER_NEXT_OFFSET as i64));
-        while next != 0 {
-            let node = VAddr::new(next);
-            let k = read_key(mem, node.offset(NodeLayout::NODE_SLOT_OFFSET as i64));
-            if k == key {
-                out.push(mem.read_u64(node.offset(NodeLayout::NODE_PAYLOAD_OFFSET as i64)));
-            }
-            next = mem.read_u64(node.offset(NodeLayout::NODE_NEXT_OFFSET as i64));
-        }
-        out
     }
 
     #[test]
     fn direct_image_walks_match_logical_index() {
-        let (mem, image, index, probes) = setup(NodeLayout::direct8());
-        for key in probes.iter().chain([1u64, 5, 1000].iter()) {
-            let mut got = image_lookup_all(&mem, &image, *key, &index);
-            let mut want = index.lookup_all(*key);
-            got.sort_unstable();
-            want.sort_unstable();
-            assert_eq!(got, want, "key {key}");
-        }
+        assert_walks_match(NodeLayout::kernel4());
+        assert_walks_match(NodeLayout::direct8());
     }
 
     #[test]
     fn indirect_image_walks_match_logical_index() {
-        let (mem, image, index, probes) = setup(NodeLayout::indirect8());
-        assert!(image.build_keys_base.is_some());
-        for key in probes {
-            let mut got = image_lookup_all(&mem, &image, key, &index);
-            let mut want = index.lookup_all(key);
-            got.sort_unstable();
-            want.sort_unstable();
-            assert_eq!(got, want, "key {key}");
-        }
+        assert_walks_match(NodeLayout::indirect8());
     }
 
     #[test]
     fn kernel4_width_truncates_keys_correctly() {
-        let mut mem = MemorySystem::new(SystemConfig::default());
-        let mut alloc = RegionAllocator::new();
-        let pairs = vec![(7u64, 0u64), (9, 1)];
-        let index = HashIndex::build(HashRecipe::trivial(), 8, pairs);
-        let probes = vec![7u64];
-        let image = materialize(
-            &mut mem,
-            &mut alloc,
-            &index,
-            &probes,
+        let b = build(
+            HashRecipe::trivial(),
+            8,
+            &[(7, 0), (9, 1)],
+            vec![7],
             NodeLayout::kernel4(),
-            1,
         );
-        assert_eq!(mem.read_uint(image.input_addr(0), 4), 7);
+        assert_eq!(b.mem.read_uint(b.image.input_addr(0), 4), 7);
     }
 
     #[test]
     fn input_column_round_trips() {
-        let (mem, image, _, probes) = setup(NodeLayout::direct8());
-        for (i, k) in probes.iter().enumerate() {
-            assert_eq!(mem.read_u64(image.input_addr(i as u64)), *k);
+        let b = setup(NodeLayout::direct8());
+        for (i, k) in b.probes.iter().enumerate() {
+            assert_eq!(b.mem.read_u64(b.image.input_addr(i as u64)), *k);
         }
     }
 
     #[test]
     fn regions_do_not_alias() {
-        let (_, image, _, _) = setup(NodeLayout::direct8());
+        let image = setup(NodeLayout::direct8()).image;
         let bucket_end = image.bucket_base + image.bucket_count * 32;
         assert!(bucket_end <= image.node_base);
         let node_end = image.node_base + image.node_count.max(1) * 24;
@@ -391,7 +447,7 @@ mod tests {
 
     #[test]
     fn warm_improves_first_access() {
-        let (mut mem, image, _, _) = setup(NodeLayout::direct8());
+        let Built { mut mem, image, .. } = setup(NodeLayout::direct8());
         warm(&mut mem, &image);
         let (_, r) = mem.load(image.header_addr(0), 8, 0);
         assert!(

@@ -92,20 +92,21 @@ impl QueryProfile {
     /// Default sampled probes per query.
     pub const DEFAULT_PROBES: usize = 12 * 1024;
 
-    /// Builds the query's index and probe stream.
+    /// Builds the query's `(key, row)` pairs in input order, the index
+    /// over them, and the probe stream.
     ///
     /// Build keys are unique and shuffled; the probe stream mixes hits
     /// and misses per [`match_fraction`](QueryProfile::match_fraction).
     #[must_use]
-    pub fn build(&self) -> (HashIndex, Vec<u64>) {
-        let build_keys = datagen::unique_shuffled_keys(self.seed, self.entries);
+    pub fn build(&self) -> (HashIndex, Vec<(u64, u64)>, Vec<u64>) {
+        let pairs: Vec<(u64, u64)> = datagen::unique_shuffled_keys(self.seed, self.entries)
+            .into_iter()
+            .zip(0..)
+            .collect();
         let index = HashIndex::build(
             self.recipe.recipe(),
             self.entries.max(1),
-            build_keys
-                .iter()
-                .enumerate()
-                .map(|(row, k)| (*k, row as u64)),
+            pairs.iter().copied(),
         );
         // Probes: hits are uniform over the key space [0, entries);
         // misses use keys >= entries which can never match.
@@ -123,7 +124,7 @@ impl QueryProfile {
                 }
             })
             .collect();
-        (index, probes)
+        (index, pairs, probes)
     }
 
     /// Approximate bytes of the materialized index (headers + overflow
@@ -254,7 +255,7 @@ mod tests {
     #[test]
     fn match_fraction_is_respected() {
         let q = QueryProfile::tpcds().remove(0).with_probes(4000);
-        let (index, probes) = q.build();
+        let (index, _, probes) = q.build();
         let hits = probes
             .iter()
             .filter(|p| index.lookup(**p).is_some())

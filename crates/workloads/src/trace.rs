@@ -2,8 +2,10 @@
 //!
 //! Produces the dynamic instruction stream an optimized software probe
 //! loop (the paper's Listing 1, compiled) executes over a materialized
-//! index image. The trace-driven core models of `widx-sim` replay it
-//! against the same simulated memory the Widx model walks, so the OoO
+//! index image. The walk follows the header and `next` words
+//! [`materialize`](crate::memimg::materialize) wrote, so its order comes
+//! from the one image. The trace-driven core models of `widx-sim` replay
+//! it against the same simulated memory the Widx model walks, so the OoO
 //! baseline and the accelerator are measured on byte-identical
 //! structures.
 //!
@@ -35,7 +37,8 @@
 //! the paper's OoO baseline beats one Widx walker only marginally
 //! (Section 6.1) precisely because of this effect.
 
-use widx_db::index::{HashIndex, KeyKind, NodeLayout, NONE};
+use widx_db::index::{KeyKind, NodeLayout};
+use widx_sim::mem::{MemorySystem, VAddr};
 use widx_sim::trace::{Trace, UopIdx};
 
 use crate::memimg::IndexImage;
@@ -54,18 +57,23 @@ fn compare_mispredicts(key: u64, node_addr: u64) -> bool {
     mix(key ^ node_addr.rotate_left(17)) & 1 == 0
 }
 
-/// Generates the software probe trace for `probes[range]` over `image`.
-///
-/// The logical `index` supplies the walk order (which is exactly what
-/// the materialized image encodes; see `memimg` tests for the
-/// equivalence proof).
+/// Generates the software probe trace for `probes` over `image`,
+/// following the header and `next` words `image` wrote into `mem`.
 #[must_use]
-pub fn probe_trace(index: &HashIndex, image: &IndexImage, probes: &[u64]) -> Trace {
+pub fn probe_trace(mem: &MemorySystem, image: &IndexImage, probes: &[u64]) -> Trace {
     let mut t = Trace::new();
-    let recipe = index.recipe();
+    let recipe = &image.recipe;
     let layout = image.layout;
     let kw = layout.key_width as u8;
     let mut out_cursor = 0u64;
+    // The slot's load (and the pointed-to key's, when indirect).
+    let key_load = |t: &mut Trace, slot_addr: VAddr, dep: UopIdx| match layout.key_kind {
+        KeyKind::Direct => t.load(slot_addr, kw, [Some(dep), None]),
+        KeyKind::Indirect => {
+            let ptr = t.load(slot_addr, 8, [Some(dep), None]);
+            t.load(VAddr::new(mem.read_u64(slot_addr)), kw, [Some(ptr), None])
+        }
+    };
 
     for (i, key) in probes.iter().enumerate() {
         t.mark_tuple();
@@ -76,9 +84,9 @@ pub fn probe_trace(index: &HashIndex, image: &IndexImage, probes: &[u64]) -> Tra
         let bound = t.comp(1, [Some(inc), None]);
         t.branch(false, [Some(bound), None]);
         // 1. Key fetch.
-        let key_load = t.load(image.input_addr(i as u64), kw, [None, None]);
+        let key_in = t.load(image.input_addr(i as u64), kw, [None, None]);
         // 2. Hash chain.
-        let mut h: UopIdx = key_load;
+        let mut h: UopIdx = key_in;
         for _ in 0..recipe.op_count() {
             h = t.comp(1, [Some(h), None]);
         }
@@ -87,75 +95,54 @@ pub fn probe_trace(index: &HashIndex, image: &IndexImage, probes: &[u64]) -> Tra
         let addr = t.comp(1, [Some(mask), None]);
 
         // 4. Header status load.
-        let b = recipe.bucket_of(*key, image.bucket_count);
-        let header = image.header_addr(b);
+        let header = image.header_addr(recipe.bucket_of(*key, image.bucket_count));
         let count_load = t.load(header, 4, [Some(addr), None]);
         let check = t.comp(1, [Some(count_load), None]);
         // Empty-bucket test: strongly biased, predicted correctly.
         t.branch(false, [Some(check), None]);
-        let bucket = &index.buckets()[b as usize];
-        if bucket.count == 0 {
+        if mem.read_u32(header.offset(NodeLayout::HEADER_COUNT_OFFSET as i64)) == 0 {
             continue;
         }
 
-        // 5. Walk: header node first, then the overflow chain.
-        let emit = |t: &mut Trace, cursor: &mut u64, cmp: UopIdx, payload: u64| {
-            let addr = image.output_addr(*cursor % image.output_capacity);
-            t.store(addr, 8, payload, [Some(cmp), None]);
-            *cursor += 1;
-        };
-
-        // Header node's key (one extra dereference when indirect).
-        let slot_addr = header.offset(NodeLayout::HEADER_SLOT_OFFSET as i64);
-        let hdr_key = match layout.key_kind {
-            KeyKind::Direct => t.load(slot_addr, kw, [Some(check), None]),
-            KeyKind::Indirect => {
-                let ptr = t.load(slot_addr, 8, [Some(check), None]);
-                t.load(image.build_key_addr(bucket.payload), kw, [Some(ptr), None])
+        // 5. Walk: header node first, then the overflow chain. A match
+        //    stores the entry's payload.
+        let mut visit = |t: &mut Trace, slot_addr: VAddr, payload_addr: VAddr, cmp: UopIdx| {
+            if image.key_at(mem, slot_addr) == *key {
+                let out = image.output_addr(out_cursor % image.output_capacity);
+                t.store(out, 8, mem.read_u64(payload_addr), [Some(cmp), None]);
+                out_cursor += 1;
             }
         };
-        let hdr_cmp = t.comp(1, [Some(hdr_key), Some(key_load)]);
+
+        let slot_addr = header.offset(NodeLayout::HEADER_SLOT_OFFSET as i64);
+        let hdr_key = key_load(&mut t, slot_addr, check);
+        let hdr_cmp = t.comp(1, [Some(hdr_key), Some(key_in)]);
         t.branch(
             compare_mispredicts(*key, header.get()),
             [Some(hdr_cmp), None],
         );
-        if bucket.key == *key {
-            emit(&mut t, &mut out_cursor, hdr_cmp, bucket.payload);
-        }
-        let mut next_load = t.load(
-            header.offset(NodeLayout::HEADER_NEXT_OFFSET as i64),
-            8,
-            [Some(check), None],
-        );
+        let payload_addr = header.offset(NodeLayout::HEADER_PAYLOAD_OFFSET as i64);
+        visit(&mut t, slot_addr, payload_addr, hdr_cmp);
+        let next_addr = header.offset(NodeLayout::HEADER_NEXT_OFFSET as i64);
+        let mut next_load = t.load(next_addr, 8, [Some(check), None]);
 
-        let mut next = bucket.next;
-        while next != NONE {
-            let node = &index.nodes()[next as usize];
-            let node_addr = image.node_addr(u64::from(next));
+        let mut next = VAddr::new(mem.read_u64(next_addr));
+        while !next.is_null() {
+            let node_addr = next;
             let slot_addr = node_addr.offset(NodeLayout::NODE_SLOT_OFFSET as i64);
-            let node_key = match layout.key_kind {
-                KeyKind::Direct => t.load(slot_addr, kw, [Some(next_load), None]),
-                KeyKind::Indirect => {
-                    let ptr = t.load(slot_addr, 8, [Some(next_load), None]);
-                    t.load(image.build_key_addr(node.payload), kw, [Some(ptr), None])
-                }
-            };
-            let cmp = t.comp(1, [Some(node_key), Some(key_load)]);
+            let node_key = key_load(&mut t, slot_addr, next_load);
+            let cmp = t.comp(1, [Some(node_key), Some(key_in)]);
             t.branch(
                 compare_mispredicts(*key, node_addr.get()),
                 [Some(cmp), None],
             );
-            if node.key == *key {
-                emit(&mut t, &mut out_cursor, cmp, node.payload);
-            }
-            next_load = t.load(
-                node_addr.offset(NodeLayout::NODE_NEXT_OFFSET as i64),
-                8,
-                [Some(next_load), None],
-            );
+            let payload_addr = node_addr.offset(NodeLayout::NODE_PAYLOAD_OFFSET as i64);
+            visit(&mut t, slot_addr, payload_addr, cmp);
+            let next_addr = node_addr.offset(NodeLayout::NODE_NEXT_OFFSET as i64);
+            next_load = t.load(next_addr, 8, [Some(next_load), None]);
             // Chain-exit test: fixed-length chains predict well.
             t.branch(false, [Some(next_load), None]);
-            next = node.next;
+            next = VAddr::new(mem.read_u64(next_addr));
         }
     }
     t
@@ -242,25 +229,38 @@ pub fn btree_probe_trace(
 mod tests {
     use super::*;
     use crate::memimg::materialize;
+    use crate::memimg::tests::random_builds;
     use widx_db::hash::HashRecipe;
     use widx_sim::config::SystemConfig;
     use widx_sim::core::{run_inorder, run_ooo};
-    use widx_sim::mem::{MemorySystem, RegionAllocator};
+    use widx_sim::mem::RegionAllocator;
+    use widx_sim::trace::UopKind;
 
-    fn setup(layout: NodeLayout) -> (MemorySystem, HashIndex, IndexImage, Vec<u64>) {
+    fn image(recipe: HashRecipe, probes: &[u64], layout: NodeLayout) -> (MemorySystem, IndexImage) {
         let mut mem = MemorySystem::new(SystemConfig::default());
-        let mut alloc = RegionAllocator::new();
         let pairs: Vec<(u64, u64)> = (0..500u64).map(|k| (k, k)).collect();
-        let index = HashIndex::build(HashRecipe::robust64(), 512, pairs.iter().copied());
+        let image = materialize(
+            &mut mem,
+            &mut RegionAllocator::new(),
+            &recipe,
+            512,
+            &pairs,
+            probes,
+            layout,
+        );
+        (mem, image)
+    }
+
+    fn setup(layout: NodeLayout) -> (MemorySystem, IndexImage, Vec<u64>) {
         let probes: Vec<u64> = (0..100u64).map(|i| i * 5).collect();
-        let image = materialize(&mut mem, &mut alloc, &index, &probes, layout, 200);
-        (mem, index, image, probes)
+        let (mem, image) = image(HashRecipe::robust64(), &probes, layout);
+        (mem, image, probes)
     }
 
     #[test]
     fn trace_has_one_tuple_per_probe() {
-        let (_, index, image, probes) = setup(NodeLayout::direct8());
-        let t = probe_trace(&index, &image, &probes);
+        let (mem, image, probes) = setup(NodeLayout::direct8());
+        let t = probe_trace(&mem, &image, &probes);
         assert_eq!(t.tuples(), probes.len());
         // At least key + header loads per probe.
         assert!(t.load_count() >= probes.len() * 2);
@@ -268,10 +268,10 @@ mod tests {
 
     #[test]
     fn indirect_layout_adds_loads() {
-        let (_, index, image_d, probes) = setup(NodeLayout::direct8());
-        let (_, index_i, image_i, _) = setup(NodeLayout::indirect8());
-        let direct = probe_trace(&index, &image_d, &probes);
-        let indirect = probe_trace(&index_i, &image_i, &probes);
+        let (mem_d, image_d, probes) = setup(NodeLayout::direct8());
+        let (mem_i, image_i, _) = setup(NodeLayout::indirect8());
+        let direct = probe_trace(&mem_d, &image_d, &probes);
+        let indirect = probe_trace(&mem_i, &image_i, &probes);
         assert!(
             indirect.load_count() > direct.load_count(),
             "indirect {} vs direct {}",
@@ -282,50 +282,22 @@ mod tests {
 
     #[test]
     fn heavier_hash_adds_comp_uops() {
-        let (mut mem, _, _, _) = setup(NodeLayout::direct8());
-        let mut alloc = RegionAllocator::new();
-        let pairs: Vec<(u64, u64)> = (0..100u64).map(|k| (k, k)).collect();
         let probes: Vec<u64> = (0..50u64).collect();
-        let light = HashIndex::build(HashRecipe::trivial(), 128, pairs.iter().copied());
-        let heavy = HashIndex::build(HashRecipe::heavy128(), 128, pairs.iter().copied());
-        let img_l = materialize(
-            &mut mem,
-            &mut alloc,
-            &light,
-            &probes,
-            NodeLayout::direct8(),
-            100,
-        );
-        let img_h = materialize(
-            &mut mem,
-            &mut alloc,
-            &heavy,
-            &probes,
-            NodeLayout::direct8(),
-            100,
-        );
-        let tl = probe_trace(&light, &img_l, &probes);
-        let th = probe_trace(&heavy, &img_h, &probes);
+        let (mem_l, img_l) = image(HashRecipe::trivial(), &probes, NodeLayout::direct8());
+        let (mem_h, img_h) = image(HashRecipe::heavy128(), &probes, NodeLayout::direct8());
+        let tl = probe_trace(&mem_l, &img_l, &probes);
+        let th = probe_trace(&mem_h, &img_h, &probes);
         assert!(th.len() > tl.len());
     }
 
     #[test]
     fn trace_replays_on_both_cores() {
-        let (mut mem, index, image, probes) = setup(NodeLayout::direct8());
-        let t = probe_trace(&index, &image, &probes);
+        let (mut mem, image, probes) = setup(NodeLayout::direct8());
+        let t = probe_trace(&mem, &image, &probes);
         let sys = SystemConfig::default();
         let ooo = run_ooo(&sys.ooo, &t, &mut mem, 0);
-        let mut mem2 = MemorySystem::new(sys.clone());
-        // Rebuild functional state for the second run.
-        let mut alloc = RegionAllocator::new();
-        let _ = materialize(
-            alloc_helper(&mut mem2),
-            &mut alloc,
-            &index,
-            &probes,
-            image.layout,
-            200,
-        );
+        // A fresh image for the second run.
+        let (mut mem2, _, _) = setup(NodeLayout::direct8());
         let ino = run_inorder(&sys.inorder, &t, &mut mem2, 0);
         assert!(ooo.cycles > 0 && ino.cycles > 0);
         assert!(
@@ -337,22 +309,38 @@ mod tests {
         assert_eq!(ooo.tuples, probes.len() as u64);
     }
 
-    // Helper: identity — keeps the test body symmetrical.
-    fn alloc_helper(mem: &mut MemorySystem) -> &mut MemorySystem {
-        mem
-    }
-
     #[test]
     fn stores_emitted_per_match() {
-        let (_, index, image, _) = setup(NodeLayout::direct8());
-        // Probe only hit keys: every probe ends in exactly one store.
+        let stored = |mem: &MemorySystem, image: &IndexImage, probes: &[u64]| -> Vec<u64> {
+            let t = probe_trace(mem, image, probes);
+            t.uops()
+                .iter()
+                .filter_map(|u| match u.kind {
+                    UopKind::Store { value, .. } => Some(value),
+                    _ => None,
+                })
+                .collect()
+        };
+        // Probe only hit keys of unique ones: every probe ends in exactly
+        // one store.
+        let (mem, image, _) = setup(NodeLayout::direct8());
         let hits: Vec<u64> = (0..50u64).collect();
-        let t = probe_trace(&index, &image, &hits);
-        let stores = t
-            .uops()
-            .iter()
-            .filter(|u| matches!(u.kind, widx_sim::trace::UopKind::Store { .. }))
-            .count();
-        assert_eq!(stores, 50);
+        assert_eq!(stored(&mem, &image, &hits), hits);
+        // Heavy duplicates and empty buckets: one store per match, in
+        // the logical index's chain order.
+        for layout in [
+            NodeLayout::kernel4(),
+            NodeLayout::direct8(),
+            NodeLayout::indirect8(),
+        ] {
+            for b in random_builds(layout) {
+                let want: Vec<u64> = b
+                    .probes
+                    .iter()
+                    .flat_map(|&k| b.index.lookup_all(k))
+                    .collect();
+                assert_eq!(stored(&b.mem, &b.image, &b.probes), want, "{layout:?}");
+            }
+        }
     }
 }

@@ -71,21 +71,19 @@ cnext:
     );
 
     // Build + materialize a small workload.
-    let index = HashIndex::build(recipe.clone(), 4096, (0..4000u64).map(|k| (k * 7, k)));
+    let pairs: Vec<(u64, u64)> = (0..4000u64).map(|k| (k * 7, k)).collect();
+    let index = HashIndex::build(recipe.clone(), 4096, pairs.iter().copied());
     let probes: Vec<u64> = (0..1000u64).map(|i| i * 7 * 4).collect();
     let mut mem = MemorySystem::new(SystemConfig::default());
     let mut alloc = RegionAllocator::new();
-    let expected: u64 = probes
-        .iter()
-        .map(|p| index.lookup_all(*p).len() as u64)
-        .sum();
     let image = memimg::materialize(
         &mut mem,
         &mut alloc,
-        &index,
+        &recipe,
+        4096,
+        &pairs,
         &probes,
         NodeLayout::direct8(),
-        expected,
     );
 
     // Generate the dispatcher/producer to match, swap in our walker,

@@ -36,18 +36,22 @@ fn main() {
         q.index_fraction * 100.0
     );
 
-    let (index, probes) = q.build();
+    let (index, pairs, probes) = q.build();
     let sys = SystemConfig::default();
     let mut mem = MemorySystem::new(sys.clone());
     let mut alloc = RegionAllocator::new();
-    let expected: u64 = probes
-        .iter()
-        .map(|p| index.lookup_all(*p).len() as u64)
-        .sum();
-    let image = memimg::materialize(&mut mem, &mut alloc, &index, &probes, q.layout, expected);
+    let image = memimg::materialize(
+        &mut mem,
+        &mut alloc,
+        index.recipe(),
+        index.bucket_count() as u64,
+        &pairs,
+        &probes,
+        q.layout,
+    );
     memimg::warm(&mut mem, &image);
 
-    let t = trace::probe_trace(&index, &image, &probes);
+    let t = trace::probe_trace(&mem, &image, &probes);
     let ooo = run_ooo(&sys.ooo, &t, &mut mem.clone(), 0);
     let ino = run_inorder(&sys.inorder, &t, &mut mem.clone(), 0);
     println!(

@@ -17,11 +17,8 @@ use widx_repro::workloads::{memimg, trace};
 fn main() {
     // 1. A table of a million 8-byte keys, indexed with a robust hash.
     let entries = 1 << 17;
-    let index = HashIndex::build(
-        HashRecipe::robust64(),
-        entries,
-        (0..entries as u64).map(|k| (k * 3, k)), // key -> row id
-    );
+    let pairs: Vec<(u64, u64)> = (0..entries as u64).map(|k| (k * 3, k)).collect(); // key -> row id
+    let index = HashIndex::build(HashRecipe::robust64(), entries, pairs.iter().copied());
     println!(
         "built index: {} entries, {} buckets",
         index.len(),
@@ -35,17 +32,14 @@ fn main() {
     let sys = SystemConfig::default(); // Table 2 parameters
     let mut mem = MemorySystem::new(sys.clone());
     let mut alloc = RegionAllocator::new();
-    let expected: u64 = probes
-        .iter()
-        .map(|p| index.lookup_all(*p).len() as u64)
-        .sum();
     let image = memimg::materialize(
         &mut mem,
         &mut alloc,
-        &index,
+        index.recipe(),
+        index.bucket_count() as u64,
+        &pairs,
         &probes,
         NodeLayout::direct8(),
-        expected,
     );
     memimg::warm(&mut mem, &image);
 
@@ -72,7 +66,7 @@ fn main() {
     );
 
     // 4. The OoO baseline runs the equivalent software loop.
-    let t = trace::probe_trace(&index, &image, &probes);
+    let t = trace::probe_trace(&mem, &image, &probes);
     let baseline = run_ooo(&sys.ooo, &t, &mut mem, 0);
     println!(
         "OoO baseline: {:.1} cycles/tuple -> Widx speedup {:.2}x",

@@ -25,20 +25,23 @@ struct World {
 
 fn world(layout: NodeLayout) -> World {
     let entries = 2000usize;
-    let keys = datagen::unique_shuffled_keys(31, entries);
-    let index = HashIndex::build(
-        HashRecipe::robust64(),
-        1024,
-        keys.iter().enumerate().map(|(r, k)| (*k, r as u64)),
-    );
+    let pairs: Vec<(u64, u64)> = datagen::unique_shuffled_keys(31, entries)
+        .into_iter()
+        .zip(0..)
+        .collect();
+    let index = HashIndex::build(HashRecipe::robust64(), 1024, pairs.iter().copied());
     let probes = datagen::uniform_keys(32, 500, (entries * 2) as u64);
     let mut mem = MemorySystem::new(SystemConfig::default());
     let mut alloc = RegionAllocator::new();
-    let expected: u64 = probes
-        .iter()
-        .map(|p| index.lookup_all(*p).len() as u64)
-        .sum();
-    let image = memimg::materialize(&mut mem, &mut alloc, &index, &probes, layout, expected);
+    let image = memimg::materialize(
+        &mut mem,
+        &mut alloc,
+        index.recipe(),
+        index.bucket_count() as u64,
+        &pairs,
+        &probes,
+        layout,
+    );
     World {
         index,
         probes,
@@ -87,7 +90,7 @@ fn trace_stores_equal_match_count() {
     // The baseline trace emits exactly one store per match, so the trace
     // and the accelerator agree on output volume.
     let w = world(NodeLayout::indirect8());
-    let t = trace::probe_trace(&w.index, &w.image, &w.probes);
+    let t = trace::probe_trace(&w.mem, &w.image, &w.probes);
     let stores = t
         .uops()
         .iter()
@@ -101,7 +104,7 @@ fn trace_stores_equal_match_count() {
 #[test]
 fn both_cores_replay_the_same_trace() {
     let w = world(NodeLayout::direct8());
-    let t = trace::probe_trace(&w.index, &w.image, &w.probes);
+    let t = trace::probe_trace(&w.mem, &w.image, &w.probes);
     let sys = SystemConfig::default();
     let ooo = run_ooo(&sys.ooo, &t, &mut w.mem.clone(), 0);
     let ino = run_inorder(&sys.inorder, &t, &mut w.mem.clone(), 0);

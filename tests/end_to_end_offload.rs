@@ -22,18 +22,21 @@ fn oracle(index: &HashIndex, probes: &[u64]) -> Vec<(u64, u64)> {
 }
 
 fn offload_and_check(
-    index: &HashIndex,
-    probes: &[u64],
+    (index, pairs, probes): &(HashIndex, Vec<(u64, u64)>, Vec<u64>),
     layout: NodeLayout,
     config: &WidxConfig,
 ) -> widx_repro::accel::widx::WidxRunStats {
     let mut mem = MemorySystem::new(SystemConfig::default());
     let mut alloc = RegionAllocator::new();
-    let expected: u64 = probes
-        .iter()
-        .map(|p| index.lookup_all(*p).len() as u64)
-        .sum();
-    let image = memimg::materialize(&mut mem, &mut alloc, index, probes, layout, expected);
+    let image = memimg::materialize(
+        &mut mem,
+        &mut alloc,
+        index.recipe(),
+        index.bucket_count() as u64,
+        pairs,
+        probes,
+        layout,
+    );
     memimg::warm(&mut mem, &image);
     let r = offload_probe(&mut mem, index, &image, probes, config);
     let mut got = r.matches().to_vec();
@@ -48,13 +51,12 @@ fn offload_and_check(
 
 #[test]
 fn kernel_small_all_walker_counts() {
-    let (index, probes) = KernelConfig::new(KernelSize::Small)
+    let built = KernelConfig::new(KernelSize::Small)
         .with_probes(600)
         .build();
     for walkers in [1, 2, 4] {
         let stats = offload_and_check(
-            &index,
-            &probes,
+            &built,
             NodeLayout::kernel4(),
             &WidxConfig::with_walkers(walkers),
         );
@@ -65,21 +67,11 @@ fn kernel_small_all_walker_counts() {
 
 #[test]
 fn kernel_medium_scales_with_walkers() {
-    let (index, probes) = KernelConfig::new(KernelSize::Medium)
+    let built = KernelConfig::new(KernelSize::Medium)
         .with_probes(800)
         .build();
-    let one = offload_and_check(
-        &index,
-        &probes,
-        NodeLayout::kernel4(),
-        &WidxConfig::with_walkers(1),
-    );
-    let four = offload_and_check(
-        &index,
-        &probes,
-        NodeLayout::kernel4(),
-        &WidxConfig::with_walkers(4),
-    );
+    let one = offload_and_check(&built, NodeLayout::kernel4(), &WidxConfig::with_walkers(1));
+    let four = offload_and_check(&built, NodeLayout::kernel4(), &WidxConfig::with_walkers(4));
     assert!(
         four.total_cycles * 2 < one.total_cycles,
         "4 walkers ({}) should be >2x faster than 1 ({})",
@@ -91,8 +83,7 @@ fn kernel_medium_scales_with_walkers() {
 #[test]
 fn dss_profile_indirect_layout_round_trips() {
     let q = QueryProfile::tpcds().remove(0).with_probes(700);
-    let (index, probes) = q.build();
-    let stats = offload_and_check(&index, &probes, q.layout, &WidxConfig::paper_default());
+    let stats = offload_and_check(&q.build(), q.layout, &WidxConfig::paper_default());
     assert_eq!(stats.tuples, 700);
     // Some probes are misses by construction.
     assert!(stats.matches < 700);
@@ -100,21 +91,19 @@ fn dss_profile_indirect_layout_round_trips() {
 
 #[test]
 fn coupled_and_decoupled_agree_on_results() {
-    let index = HashIndex::build(HashRecipe::robust64(), 512, (0..400u64).map(|k| (k, k + 1)));
+    let pairs: Vec<(u64, u64)> = (0..400u64).map(|k| (k, k + 1)).collect();
+    let index = HashIndex::build(HashRecipe::robust64(), 512, pairs.iter().copied());
     let probes: Vec<u64> = (0..300u64).map(|i| i * 2).collect();
     let mut mem = MemorySystem::new(SystemConfig::default());
     let mut alloc = RegionAllocator::new();
-    let expected: u64 = probes
-        .iter()
-        .map(|p| index.lookup_all(*p).len() as u64)
-        .sum();
     let image = memimg::materialize(
         &mut mem,
         &mut alloc,
-        &index,
+        index.recipe(),
+        index.bucket_count() as u64,
+        &pairs,
         &probes,
         NodeLayout::direct8(),
-        expected,
     );
     let cfg = WidxConfig::with_walkers(2);
     let mut mem_a = mem.clone();
@@ -131,12 +120,11 @@ fn coupled_and_decoupled_agree_on_results() {
 #[test]
 fn llc_side_placement_round_trips() {
     use widx_repro::accel::placement::Placement;
-    let (index, probes) = KernelConfig::new(KernelSize::Small)
+    let built = KernelConfig::new(KernelSize::Small)
         .with_probes(400)
         .build();
     let stats = offload_and_check(
-        &index,
-        &probes,
+        &built,
         NodeLayout::kernel4(),
         &WidxConfig::with_walkers(2).with_placement(Placement::LlcSide),
     );
@@ -145,12 +133,11 @@ fn llc_side_placement_round_trips() {
 
 #[test]
 fn touch_ahead_round_trips() {
-    let (index, probes) = KernelConfig::new(KernelSize::Small)
+    let built = KernelConfig::new(KernelSize::Small)
         .with_probes(400)
         .build();
     let stats = offload_and_check(
-        &index,
-        &probes,
+        &built,
         NodeLayout::kernel4(),
         &WidxConfig::with_walkers(4).with_touch_ahead(),
     );
