@@ -21,7 +21,7 @@ pub struct ProbeSetup {
     /// Cold memory with the workload image materialized (cloned and
     /// warmed per measurement).
     pub mem: MemorySystem,
-    /// The logical index (walk oracle).
+    /// The logical index over the same pairs (offload reads its recipe).
     pub index: HashIndex,
     /// The materialized image.
     pub image: IndexImage,

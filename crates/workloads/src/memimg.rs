@@ -9,12 +9,9 @@
 //! side's key column so that key reads really do take the extra
 //! dereference.
 //!
-//! Which pool slot an overflow entry takes is decided here, from the
-//! build pairs in input order, not read off a serving index: the first
-//! entry of a bucket lives in its header, and each later one takes the
-//! next pool slot and is linked right after the header. Every reader —
-//! the Widx programs, the baseline trace, the tests — walks the bytes
-//! this module wrote.
+//! Which pool slot an overflow entry takes is decided here, by
+//! [`materialize`], from the build pairs. Every reader — the Widx
+//! programs, the baseline trace, the tests — walks the bytes it wrote.
 
 use widx_db::hash::HashRecipe;
 use widx_db::index::{KeyKind, NodeLayout};

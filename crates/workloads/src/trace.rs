@@ -58,7 +58,8 @@ fn compare_mispredicts(key: u64, node_addr: u64) -> bool {
 }
 
 /// Generates the software probe trace for `probes` over `image`,
-/// following the header and `next` words `image` wrote into `mem`.
+/// following the header and `next` words
+/// [`materialize`](crate::memimg::materialize) wrote into `mem`.
 #[must_use]
 pub fn probe_trace(mem: &MemorySystem, image: &IndexImage, probes: &[u64]) -> Trace {
     let mut t = Trace::new();
@@ -126,9 +127,8 @@ pub fn probe_trace(mem: &MemorySystem, image: &IndexImage, probes: &[u64]) -> Tr
         let next_addr = header.offset(NodeLayout::HEADER_NEXT_OFFSET as i64);
         let mut next_load = t.load(next_addr, 8, [Some(check), None]);
 
-        let mut next = VAddr::new(mem.read_u64(next_addr));
-        while !next.is_null() {
-            let node_addr = next;
+        let mut node_addr = VAddr::new(mem.read_u64(next_addr));
+        while !node_addr.is_null() {
             let slot_addr = node_addr.offset(NodeLayout::NODE_SLOT_OFFSET as i64);
             let node_key = key_load(&mut t, slot_addr, next_load);
             let cmp = t.comp(1, [Some(node_key), Some(key_in)]);
@@ -142,7 +142,7 @@ pub fn probe_trace(mem: &MemorySystem, image: &IndexImage, probes: &[u64]) -> Tr
             next_load = t.load(next_addr, 8, [Some(next_load), None]);
             // Chain-exit test: fixed-length chains predict well.
             t.branch(false, [Some(next_load), None]);
-            next = VAddr::new(mem.read_u64(next_addr));
+            node_addr = VAddr::new(mem.read_u64(next_addr));
         }
     }
     t
