@@ -21,7 +21,7 @@ use widx_bench::table::{f2, Table};
 use widx_core::btree::offload_btree_probe;
 use widx_core::config::WidxConfig;
 use widx_db::hash::HashRecipe;
-use widx_db::index::{BTreeIndex, HashIndex, NodeLayout};
+use widx_db::index::{BTreeIndex, HashIndex};
 use widx_sim::config::SystemConfig;
 use widx_sim::core::run_ooo;
 use widx_sim::mem::{MemorySystem, RegionAllocator};
@@ -86,7 +86,6 @@ fn main() {
         row.push(f2(ooo.cpt / r.stats.cycles_per_tuple()));
     }
     t.row(&row);
-    let _ = NodeLayout::kernel4();
 
     println!("{}", t.render());
     println!(

@@ -31,22 +31,19 @@ fn main() {
     let mut t = Table::new(&["hash", "walkers", "decoupled cpt", "coupled cpt", "saving"]);
     for recipe in [HashRecipe::robust64(), HashRecipe::heavy128()] {
         // LLC-resident index so hashing is a meaningful share of time.
-        let entries = 32 * 1024;
-        let pairs: Vec<(u64, u64)> = datagen::unique_shuffled_keys(7, entries)
+        let entries = 32 * 1024u64;
+        let pairs: Vec<(u64, u64)> = datagen::unique_shuffled_keys(7, entries as usize)
             .into_iter()
             .zip(0..)
             .collect();
-        let index =
-            widx_db::index::HashIndex::build(recipe.clone(), entries, pairs.iter().copied());
-        let probes = datagen::uniform_keys(11, probes_n, entries as u64);
-        let setup = ProbeSetup::new(index, &pairs, probes, NodeLayout::direct8());
+        let probes = datagen::uniform_keys(11, probes_n, entries);
+        let setup = ProbeSetup::new(&recipe, entries, &pairs, probes, NodeLayout::direct8());
         for walkers in [1usize, 2, 4] {
             let cfg = WidxConfig::with_walkers(walkers);
             let (dec, _) = setup.run_widx(&cfg);
             let mut mem = setup.mem.clone();
             widx_workloads::memimg::warm(&mut mem, &setup.image);
-            let cou =
-                offload_probe_coupled(&mut mem, &setup.index, &setup.image, &setup.probes, &cfg);
+            let cou = offload_probe_coupled(&mut mem, &setup.image, &cfg);
             let d = dec.stats.cycles_per_tuple();
             let c = cou.stats.cycles_per_tuple();
             t.row(&[

@@ -11,7 +11,6 @@
 use widx_bench::runner::ProbeSetup;
 use widx_bench::table::{f2, Table};
 use widx_core::config::WidxConfig;
-use widx_db::index::NodeLayout;
 use widx_workloads::datagen::{self, Zipf};
 use widx_workloads::kernel::{KernelConfig, KernelSize};
 
@@ -21,7 +20,8 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(8192);
     let cfg = KernelConfig::new(KernelSize::Large);
-    let (index, pairs, _) = cfg.build();
+    let recipe = cfg.recipe();
+    let (pairs, _) = cfg.build();
     let tuples = KernelSize::Large.tuples();
 
     println!("== Ablation: probe-key skew on the Large kernel (4 walkers) ==\n");
@@ -46,7 +46,7 @@ fn main() {
                 z.sample_n(&mut rng, probes_n)
             }
         };
-        let setup = ProbeSetup::new(index.clone(), &pairs, probes, NodeLayout::kernel4());
+        let setup = ProbeSetup::new(&recipe, cfg.bucket_count(), &pairs, probes, cfg.layout());
         let ooo = setup.run_ooo();
         let (r, _) = setup.run_widx(&WidxConfig::with_walkers(4));
         let per = r.stats.walker_cycles_per_tuple();

@@ -4,7 +4,8 @@
 
 use widx_core::config::WidxConfig;
 use widx_core::offload::{self, OffloadResult};
-use widx_db::index::HashIndex;
+use widx_db::hash::HashRecipe;
+use widx_db::index::NodeLayout;
 use widx_sim::config::SystemConfig;
 use widx_sim::core::{run_inorder, run_ooo, CoreRunResult};
 use widx_sim::mem::{MemorySystem, RegionAllocator};
@@ -21,8 +22,6 @@ pub struct ProbeSetup {
     /// Cold memory with the workload image materialized (cloned and
     /// warmed per measurement).
     pub mem: MemorySystem,
-    /// The logical index over the same pairs (offload reads its recipe).
-    pub index: HashIndex,
     /// The materialized image.
     pub image: IndexImage,
     /// The probe stream.
@@ -41,14 +40,16 @@ pub struct Measured {
 }
 
 impl ProbeSetup {
-    /// Materializes the build side `pairs` (the pairs `index` was built
-    /// from, in input order) and `probes` into a cold memory system.
+    /// Materializes the build side `pairs`, placed by `recipe` into
+    /// `bucket_count` buckets (a power of two), and `probes` into a cold
+    /// memory system.
     #[must_use]
     pub fn new(
-        index: HashIndex,
+        recipe: &HashRecipe,
+        bucket_count: u64,
         pairs: &[(u64, u64)],
         probes: Vec<u64>,
-        layout: widx_db::index::NodeLayout,
+        layout: NodeLayout,
     ) -> ProbeSetup {
         let sys = SystemConfig::default();
         let mut mem = MemorySystem::new(sys.clone());
@@ -56,8 +57,8 @@ impl ProbeSetup {
         let image = memimg::materialize(
             &mut mem,
             &mut alloc,
-            index.recipe(),
-            index.bucket_count() as u64,
+            recipe,
+            bucket_count,
             pairs,
             &probes,
             layout,
@@ -65,7 +66,6 @@ impl ProbeSetup {
         ProbeSetup {
             sys,
             mem,
-            index,
             image,
             probes,
         }
@@ -74,15 +74,17 @@ impl ProbeSetup {
     /// Builds the setup for a hash-join kernel configuration.
     #[must_use]
     pub fn kernel(cfg: &KernelConfig) -> ProbeSetup {
-        let (index, pairs, probes) = cfg.build();
-        ProbeSetup::new(index, &pairs, probes, cfg.layout())
+        let recipe = cfg.recipe();
+        let (pairs, probes) = cfg.build();
+        ProbeSetup::new(&recipe, cfg.bucket_count(), &pairs, probes, cfg.layout())
     }
 
     /// Builds the setup for a DSS query profile.
     #[must_use]
     pub fn profile(q: &QueryProfile) -> ProbeSetup {
-        let (index, pairs, probes) = q.build();
-        ProbeSetup::new(index, &pairs, probes, q.layout)
+        let recipe = q.recipe.recipe();
+        let (pairs, probes) = q.build();
+        ProbeSetup::new(&recipe, q.bucket_count(), &pairs, probes, q.layout)
     }
 
     fn warmed_mem(&self) -> MemorySystem {
@@ -97,7 +99,7 @@ impl ProbeSetup {
     #[must_use]
     pub fn run_widx(&self, config: &WidxConfig) -> (OffloadResult, MemStats) {
         let mut mem = self.warmed_mem();
-        let r = offload::offload_probe(&mut mem, &self.index, &self.image, &self.probes, config);
+        let r = offload::offload_probe(&mut mem, &self.image, config);
         let stats = mem.stats();
         (r, stats)
     }

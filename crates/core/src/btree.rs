@@ -13,8 +13,8 @@ use widx_sim::mem::MemorySystem;
 use widx_workloads::btree_img::BTreeImage;
 
 use crate::config::{ConfigRegisters, WidxConfig};
+use crate::offload::{offload, OffloadResult};
 use crate::programs::ProgramSet;
-use crate::widx::Widx;
 use crate::POISON_KEY;
 
 /// Builds the B+-tree dispatcher: stream `(key, root)` pairs, then
@@ -152,48 +152,30 @@ pub fn btree_producer_program(image: &BTreeImage, walkers: usize) -> Program {
     b.build().expect("btree producer verifies")
 }
 
-/// Result of a B+-tree offload.
-#[derive(Clone, Debug)]
-pub struct BTreeOffloadResult {
-    /// Timing and per-unit accounting.
-    pub stats: crate::widx::WidxRunStats,
-    /// `(key, payload)` matches read back from the output region.
-    pub matches: Vec<(u64, u64)>,
-    /// Configuration registers used.
-    pub registers: ConfigRegisters,
-}
-
 /// Offloads a B+-tree probe batch (already materialized as `image`).
+///
+/// # Panics
+///
+/// Panics if Widx writes more result slots than the image reserved.
 #[must_use]
 pub fn offload_btree_probe(
     mem: &mut MemorySystem,
     image: &BTreeImage,
     config: &WidxConfig,
-) -> BTreeOffloadResult {
+) -> OffloadResult {
     let set = ProgramSet {
         dispatcher: btree_dispatcher_program(image, config.walkers),
         walker: btree_walker_program(image),
         producer: btree_producer_program(image, config.walkers),
     };
-    let mut widx = Widx::new(&set, config, 0);
-    let stats = widx.run(mem);
-    let matches = (0..stats.matches)
-        .map(|i| {
-            let slot = image.output_addr(i);
-            (mem.read_u64(slot), mem.read_u64(slot.offset(8)))
-        })
-        .collect();
-    BTreeOffloadResult {
-        registers: ConfigRegisters {
-            input_base: image.input_base,
-            input_len: image.input_count,
-            hash_table_base: image.root_addr,
-            results_base: image.output_base,
-            null_id: POISON_KEY,
-        },
-        stats,
-        matches,
-    }
+    let registers = ConfigRegisters {
+        input_base: image.input_base,
+        input_len: image.input_count,
+        hash_table_base: image.root_addr,
+        results_base: image.output_base,
+        null_id: POISON_KEY,
+    };
+    offload(mem, &set, registers, image.output_capacity, config)
 }
 
 /// Builds a tree + probes, materializes, and offloads in one call (used
@@ -203,7 +185,7 @@ pub fn run_btree(
     tree: &BTreeIndex,
     probes: &[u64],
     config: &WidxConfig,
-) -> (BTreeOffloadResult, BTreeImage) {
+) -> (OffloadResult, BTreeImage) {
     use widx_sim::config::SystemConfig;
     use widx_sim::mem::RegionAllocator;
     let mut mem = MemorySystem::new(SystemConfig::default());
@@ -225,7 +207,7 @@ mod tests {
 
     fn check(tree: &BTreeIndex, probes: &[u64], walkers: usize) {
         let (result, _) = run_btree(tree, probes, &WidxConfig::with_walkers(walkers));
-        let mut got = result.matches.clone();
+        let mut got = result.matches().to_vec();
         got.sort_unstable();
         let mut want: Vec<(u64, u64)> = probes
             .iter()
@@ -270,6 +252,19 @@ mod tests {
             four.stats.total_cycles,
             one.stats.total_cycles
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "output region overflow: 40 matches, capacity 39")]
+    fn overflow_is_caught() {
+        let t = tree(100, 8);
+        let probes: Vec<u64> = (0..40u64).map(|i| i * 3).collect();
+        let mut mem = MemorySystem::new(widx_sim::config::SystemConfig::default());
+        let mut alloc = widx_sim::mem::RegionAllocator::new();
+        let mut image =
+            widx_workloads::btree_img::materialize_btree(&mut mem, &mut alloc, &t, &probes, 40);
+        image.output_capacity = 39;
+        let _ = offload_btree_probe(&mut mem, &image, &WidxConfig::with_walkers(2));
     }
 
     #[test]

@@ -93,7 +93,10 @@ impl Default for WidxConfig {
 /// The memory-mapped configuration registers the host writes before
 /// signalling Widx to begin (paper Section 4.3): "base address and
 /// length of the input table, base address of the hash table, starting
-/// address of the results region, and a NULL value identifier".
+/// address of the results region, and a NULL value identifier". Each
+/// offload entry point fills them from its image; the offload routine
+/// checks the input length and reads the matches back from the results
+/// region.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ConfigRegisters {
     /// Base of the probe-key input table.

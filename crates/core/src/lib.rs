@@ -28,8 +28,8 @@
 //! * [`widx`] — the accelerator itself: the time-ordered scheduler over
 //!   all units, pair routing (round-robin dispatch to walkers, poison-
 //!   pill termination), and per-unit Comp/Mem/TLB/Idle accounting.
-//! * [`offload`] — one-call offload of a materialized index probe, plus
-//!   result read-back.
+//! * [`offload`] — one-call offload of a materialized index probe: the
+//!   image's configuration registers in, the read-back matches out.
 //! * [`placement`] — the LLC-side Widx ablation of Section 7.
 //! * [`btree`] — B+-tree walker programs, the Section 7 "other index
 //!   structures" extension.
@@ -40,7 +40,7 @@
 //! use widx_core::config::WidxConfig;
 //! use widx_core::offload;
 //! use widx_db::hash::HashRecipe;
-//! use widx_db::index::{HashIndex, NodeLayout};
+//! use widx_db::index::NodeLayout;
 //! use widx_sim::config::SystemConfig;
 //! use widx_sim::mem::{MemorySystem, RegionAllocator};
 //! use widx_workloads::memimg;
@@ -48,13 +48,11 @@
 //! let mut mem = MemorySystem::new(SystemConfig::default());
 //! let mut alloc = RegionAllocator::new();
 //! let pairs: Vec<(u64, u64)> = (0..100u64).map(|k| (k, k)).collect();
-//! let index = HashIndex::build(HashRecipe::robust64(), 64, pairs.iter().copied());
 //! let probes: Vec<u64> = (0..20u64).collect();
-//! let image = memimg::materialize(&mut mem, &mut alloc, index.recipe(), 64, &pairs,
-//!                                 &probes, NodeLayout::direct8());
+//! let image = memimg::materialize(&mut mem, &mut alloc, &HashRecipe::robust64(), 64,
+//!                                 &pairs, &probes, NodeLayout::direct8());
 //!
-//! let result = offload::offload_probe(&mut mem, &index, &image, &probes,
-//!                                     &WidxConfig::with_walkers(4));
+//! let result = offload::offload_probe(&mut mem, &image, &WidxConfig::with_walkers(4));
 //! assert_eq!(result.matches().len(), 20); // every probe matched once
 //! ```
 

@@ -1,16 +1,17 @@
-//! Full offload of an index-probe operation (paper Section 4.3).
+//! Full offload of an index probe (paper Section 4.3).
 //!
 //! The host core writes Widx's configuration registers, signals it to
 //! start, and "enters an idle loop" — Widx owns the probe until the
 //! producer halts, after which the results sit in the output region.
+//! One routine does that for every program set; each entry point only
+//! picks its programs and its image's registers.
 
-use widx_db::index::HashIndex;
 use widx_sim::mem::MemorySystem;
-use widx_sim::Cycle;
 use widx_workloads::memimg::IndexImage;
 
 use crate::config::{ConfigRegisters, WidxConfig};
-use crate::programs::program_set;
+use crate::placement::Placement;
+use crate::programs::{coupled_program_set, program_set, ProgramSet};
 use crate::widx::{Widx, WidxRunStats};
 
 /// Result of a completed offload.
@@ -20,8 +21,6 @@ pub struct OffloadResult {
     pub stats: WidxRunStats,
     /// `(probe key, payload)` pairs read back from the output region.
     matches: Vec<(u64, u64)>,
-    /// The configuration registers used.
-    pub registers: ConfigRegisters,
 }
 
 impl OffloadResult {
@@ -32,112 +31,98 @@ impl OffloadResult {
     }
 }
 
-/// Offloads probing `image` with `probes` (already materialized into
-/// `mem`) onto a Widx instance configured by `config`, starting at
-/// cycle 0.
-#[must_use]
-pub fn offload_probe(
-    mem: &mut MemorySystem,
-    index: &HashIndex,
-    image: &IndexImage,
-    probes: &[u64],
-    config: &WidxConfig,
-) -> OffloadResult {
-    offload_probe_at(mem, index, image, probes, config, 0)
-}
-
-/// [`offload_probe`] with an explicit start cycle.
+/// Offloads probing `image` with its own probe column (already
+/// materialized into `mem`) onto a Widx instance configured by `config`,
+/// hashing with the image's recipe on the shared dispatcher.
 ///
 /// # Panics
 ///
-/// Panics if Widx writes more result slots than the image reserved
-/// (the caller under-sized `expected_matches` at materialization).
+/// Panics if Widx writes more result slots than the image reserved.
 #[must_use]
-pub fn offload_probe_at(
+pub fn offload_probe(
     mem: &mut MemorySystem,
-    index: &HashIndex,
     image: &IndexImage,
-    probes: &[u64],
     config: &WidxConfig,
-    start: Cycle,
 ) -> OffloadResult {
-    let registers = ConfigRegisters {
-        input_base: image.input_base,
-        input_len: probes.len() as u64,
-        hash_table_base: image.bucket_base,
-        results_base: image.output_base,
-        null_id: crate::POISON_KEY,
-    };
-    if config.placement == crate::placement::Placement::LlcSide {
-        mem.install_dedicated_tlb(&crate::placement::Placement::dedicated_tlb_config());
-    }
-    let set = program_set(index.recipe(), image, config.walkers, config.touch_ahead);
-    let mut widx = Widx::new(&set, config, start);
-    let stats = widx.run(mem);
-
-    assert!(
-        stats.matches <= image.output_capacity,
-        "output region overflow: {} matches, capacity {}",
-        stats.matches,
-        image.output_capacity
-    );
-    let matches = (0..stats.matches)
-        .map(|i| {
-            let slot = image.output_addr(i);
-            (mem.read_u64(slot), mem.read_u64(slot.offset(8)))
-        })
-        .collect();
-    OffloadResult {
-        stats,
-        matches,
-        registers,
-    }
+    let set = program_set(&image.recipe, image, config.walkers, config.touch_ahead);
+    offload(mem, &set, registers(image), image.output_capacity, config)
 }
 
 /// Offloads with the *coupled* (Figure 3b) design: a streaming
 /// dispatcher and walkers that hash their own keys — the ablation
 /// quantifying what decoupled hashing buys (the paper: decoupling
 /// "reduces the time per list traversal by 29% on average").
+///
+/// # Panics
+///
+/// Panics if Widx writes more result slots than the image reserved.
 #[must_use]
 pub fn offload_probe_coupled(
     mem: &mut MemorySystem,
-    index: &HashIndex,
     image: &IndexImage,
-    probes: &[u64],
     config: &WidxConfig,
 ) -> OffloadResult {
-    let registers = ConfigRegisters {
+    let set = coupled_program_set(&image.recipe, image, config.walkers);
+    offload(mem, &set, registers(image), image.output_capacity, config)
+}
+
+/// The registers the host writes for a hash-index probe over `image`.
+fn registers(image: &IndexImage) -> ConfigRegisters {
+    ConfigRegisters {
         input_base: image.input_base,
-        input_len: probes.len() as u64,
+        input_len: image.input_count,
         hash_table_base: image.bucket_base,
         results_base: image.output_base,
         null_id: crate::POISON_KEY,
-    };
-    let set = crate::programs::coupled_program_set(index.recipe(), image, config.walkers);
-    let mut widx = Widx::new(&set, config, 0);
-    let stats = widx.run(mem);
+    }
+}
+
+/// Runs `set` on a Widx instance configured by `config`, starting at
+/// cycle 0, and reads back the matches from `registers.results_base`
+/// (16-byte `(key, payload)` slots). An LLC-side placement first
+/// installs its dedicated TLB.
+///
+/// # Panics
+///
+/// Panics if the programs consumed other than `registers.input_len`
+/// keys, or wrote more than `output_capacity` result slots.
+pub(crate) fn offload(
+    mem: &mut MemorySystem,
+    set: &ProgramSet,
+    registers: ConfigRegisters,
+    output_capacity: u64,
+    config: &WidxConfig,
+) -> OffloadResult {
+    if config.placement == Placement::LlcSide {
+        mem.install_dedicated_tlb(&Placement::dedicated_tlb_config());
+    }
+    let stats = Widx::new(set, config, 0).run(mem);
+    assert_eq!(stats.tuples, registers.input_len, "input keys consumed");
+    assert!(
+        stats.matches <= output_capacity,
+        "output region overflow: {} matches, capacity {output_capacity}",
+        stats.matches,
+    );
     let matches = (0..stats.matches)
         .map(|i| {
-            let slot = image.output_addr(i);
+            let slot = registers.results_base + 16 * i;
             (mem.read_u64(slot), mem.read_u64(slot.offset(8)))
         })
         .collect();
-    OffloadResult {
-        stats,
-        matches,
-        registers,
-    }
+    OffloadResult { stats, matches }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use widx_db::hash::HashRecipe;
-    use widx_db::index::NodeLayout;
+    use widx_db::index::{HashIndex, NodeLayout};
     use widx_sim::config::SystemConfig;
     use widx_sim::mem::RegionAllocator;
     use widx_workloads::memimg;
 
+    /// A materialized image and the logical index over the same pairs,
+    /// kept as the oracle.
     struct Fixture {
         mem: MemorySystem,
         index: HashIndex,
@@ -145,18 +130,22 @@ mod tests {
         probes: Vec<u64>,
     }
 
-    fn fixture(layout: NodeLayout, recipe: HashRecipe, entries: u64, probes: Vec<u64>) -> Fixture {
+    fn build(
+        layout: NodeLayout,
+        recipe: HashRecipe,
+        min_buckets: usize,
+        pairs: &[(u64, u64)],
+        probes: Vec<u64>,
+    ) -> Fixture {
         let mut mem = MemorySystem::new(SystemConfig::default());
         let mut alloc = RegionAllocator::new();
-        // Payloads are the build-row ids, as indirect layouts require.
-        let pairs: Vec<(u64, u64)> = (0..entries).map(|k| (k, k)).collect();
-        let index = HashIndex::build(recipe, entries as usize, pairs.iter().copied());
+        let index = HashIndex::build(recipe, min_buckets, pairs.iter().copied());
         let image = memimg::materialize(
             &mut mem,
             &mut alloc,
             index.recipe(),
             index.bucket_count() as u64,
-            &pairs,
+            pairs,
             &probes,
             layout,
         );
@@ -166,6 +155,12 @@ mod tests {
             image,
             probes,
         }
+    }
+
+    fn fixture(layout: NodeLayout, recipe: HashRecipe, entries: u64, probes: Vec<u64>) -> Fixture {
+        // Payloads are the build-row ids, as indirect layouts require.
+        let pairs: Vec<(u64, u64)> = (0..entries).map(|k| (k, k)).collect();
+        build(layout, recipe, entries as usize, &pairs, probes)
     }
 
     /// Oracle: multiset of (key, payload) matches.
@@ -178,12 +173,12 @@ mod tests {
         out
     }
 
-    fn check_matches(result: &OffloadResult, index: &HashIndex, probes: &[u64]) {
+    fn check_matches(result: &OffloadResult, f: &Fixture) {
         let mut got = result.matches().to_vec();
         got.sort_unstable();
         assert_eq!(
             got,
-            oracle(index, probes),
+            oracle(&f.index, &f.probes),
             "Widx results must match the oracle"
         );
     }
@@ -191,87 +186,50 @@ mod tests {
     #[test]
     fn direct_layout_results_match_oracle() {
         let probes: Vec<u64> = (0..50).map(|i| i * 3).collect();
-        let mut f = fixture(NodeLayout::direct8(), HashRecipe::robust64(), 100, probes);
+        let f = fixture(NodeLayout::direct8(), HashRecipe::robust64(), 100, probes);
         for walkers in [1, 2, 4] {
             let mut mem = f.mem.clone();
-            let r = offload_probe(
-                &mut mem,
-                &f.index,
-                &f.image,
-                &f.probes,
-                &WidxConfig::with_walkers(walkers),
-            );
-            check_matches(&r, &f.index, &f.probes);
+            let r = offload_probe(&mut mem, &f.image, &WidxConfig::with_walkers(walkers));
+            check_matches(&r, &f);
             assert_eq!(r.stats.tuples, 50);
         }
-        let _ = &mut f;
     }
 
     #[test]
     fn indirect_layout_results_match_oracle() {
         let probes: Vec<u64> = (0..40).collect();
         let mut f = fixture(NodeLayout::indirect8(), HashRecipe::robust64(), 64, probes);
-        let r = offload_probe(
-            &mut f.mem,
-            &f.index,
-            &f.image,
-            &f.probes,
-            &WidxConfig::paper_default(),
-        );
-        check_matches(&r, &f.index, &f.probes);
+        let r = offload_probe(&mut f.mem, &f.image, &WidxConfig::paper_default());
+        check_matches(&r, &f);
     }
 
     #[test]
     fn kernel4_layout_results_match_oracle() {
         let probes: Vec<u64> = (0..30).collect();
         let mut f = fixture(NodeLayout::kernel4(), HashRecipe::trivial(), 64, probes);
-        let r = offload_probe(
-            &mut f.mem,
-            &f.index,
-            &f.image,
-            &f.probes,
-            &WidxConfig::with_walkers(2),
-        );
-        check_matches(&r, &f.index, &f.probes);
+        let r = offload_probe(&mut f.mem, &f.image, &WidxConfig::with_walkers(2));
+        check_matches(&r, &f);
     }
 
     #[test]
     fn duplicate_keys_all_emitted() {
-        let mut mem = MemorySystem::new(SystemConfig::default());
-        let mut alloc = RegionAllocator::new();
-        let pairs = vec![(5u64, 1u64), (5, 2), (5, 3), (7, 9)];
-        let index = HashIndex::build(HashRecipe::robust64(), 8, pairs.iter().copied());
-        let probes = vec![5u64, 7, 11];
-        let image = memimg::materialize(
-            &mut mem,
-            &mut alloc,
-            index.recipe(),
-            index.bucket_count() as u64,
-            &pairs,
-            &probes,
+        let pairs = [(5u64, 1u64), (5, 2), (5, 3), (7, 9)];
+        let mut f = build(
             NodeLayout::direct8(),
+            HashRecipe::robust64(),
+            8,
+            &pairs,
+            vec![5, 7, 11],
         );
-        let r = offload_probe(
-            &mut mem,
-            &index,
-            &image,
-            &probes,
-            &WidxConfig::with_walkers(2),
-        );
-        check_matches(&r, &index, &probes);
+        let r = offload_probe(&mut f.mem, &f.image, &WidxConfig::with_walkers(2));
+        check_matches(&r, &f);
         assert_eq!(r.stats.matches, 4);
     }
 
     #[test]
     fn empty_probe_stream_terminates() {
         let mut f = fixture(NodeLayout::direct8(), HashRecipe::robust64(), 16, vec![]);
-        let r = offload_probe(
-            &mut f.mem,
-            &f.index,
-            &f.image,
-            &f.probes,
-            &WidxConfig::with_walkers(4),
-        );
+        let r = offload_probe(&mut f.mem, &f.image, &WidxConfig::with_walkers(4));
         assert_eq!(r.stats.tuples, 0);
         assert_eq!(r.stats.matches, 0);
         assert!(r.matches().is_empty());
@@ -281,13 +239,7 @@ mod tests {
     fn misses_produce_no_output() {
         let probes: Vec<u64> = (1000..1050).collect(); // all misses
         let mut f = fixture(NodeLayout::direct8(), HashRecipe::robust64(), 100, probes);
-        let r = offload_probe(
-            &mut f.mem,
-            &f.index,
-            &f.image,
-            &f.probes,
-            &WidxConfig::with_walkers(4),
-        );
+        let r = offload_probe(&mut f.mem, &f.image, &WidxConfig::with_walkers(4));
         assert_eq!(r.stats.matches, 0);
         assert_eq!(r.stats.tuples, 50);
     }
@@ -295,23 +247,12 @@ mod tests {
     #[test]
     fn more_walkers_do_not_change_results_but_speed_up() {
         let probes: Vec<u64> = (0..400).map(|i| i % 128).collect();
-        let f = fixture(
-            NodeLayout::direct8(),
-            HashRecipe::robust64(),
-            128,
-            probes.clone(),
-        );
+        let f = fixture(NodeLayout::direct8(), HashRecipe::robust64(), 128, probes);
         let mut cycles = Vec::new();
         for walkers in [1, 2, 4] {
             let mut mem = f.mem.clone();
-            let r = offload_probe(
-                &mut mem,
-                &f.index,
-                &f.image,
-                &probes,
-                &WidxConfig::with_walkers(walkers),
-            );
-            check_matches(&r, &f.index, &probes);
+            let r = offload_probe(&mut mem, &f.image, &WidxConfig::with_walkers(walkers));
+            check_matches(&r, &f);
             cycles.push(r.stats.total_cycles);
         }
         assert!(
@@ -334,24 +275,40 @@ mod tests {
         // critical path should cost measurably more than the decoupled
         // design (the paper's ~29% traversal-time claim).
         let probes: Vec<u64> = (0..600).map(|i| i % 256).collect();
-        let f = fixture(
-            NodeLayout::direct8(),
-            HashRecipe::robust64(),
-            256,
-            probes.clone(),
-        );
+        let f = fixture(NodeLayout::direct8(), HashRecipe::robust64(), 256, probes);
         let cfg = WidxConfig::with_walkers(1);
-        let mut mem_a = f.mem.clone();
-        let decoupled = offload_probe(&mut mem_a, &f.index, &f.image, &probes, &cfg);
-        let mut mem_b = f.mem.clone();
-        let coupled = offload_probe_coupled(&mut mem_b, &f.index, &f.image, &probes, &cfg);
-        check_matches(&coupled, &f.index, &probes);
+        let decoupled = offload_probe(&mut f.mem.clone(), &f.image, &cfg);
+        let coupled = offload_probe_coupled(&mut f.mem.clone(), &f.image, &cfg);
+        check_matches(&coupled, &f);
         assert!(
             coupled.stats.total_cycles > decoupled.stats.total_cycles,
             "coupled {} should exceed decoupled {}",
             coupled.stats.total_cycles,
             decoupled.stats.total_cycles
         );
+    }
+
+    /// A fixture whose image reserves one result slot fewer than its
+    /// probes match.
+    fn undersized() -> Fixture {
+        let probes: Vec<u64> = (0..40).collect();
+        let mut f = fixture(NodeLayout::direct8(), HashRecipe::robust64(), 64, probes);
+        f.image.output_capacity = f.probes.len() as u64 - 1;
+        f
+    }
+
+    #[test]
+    #[should_panic(expected = "output region overflow: 40 matches, capacity 39")]
+    fn decoupled_overflow_is_caught() {
+        let mut f = undersized();
+        let _ = offload_probe(&mut f.mem, &f.image, &WidxConfig::with_walkers(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "output region overflow: 40 matches, capacity 39")]
+    fn coupled_overflow_is_caught() {
+        let mut f = undersized();
+        let _ = offload_probe_coupled(&mut f.mem, &f.image, &WidxConfig::with_walkers(2));
     }
 
     #[test]
@@ -362,13 +319,7 @@ mod tests {
         let probes: Vec<u64> = (0..300).map(|i| i % 16).collect();
         let mut f = fixture(NodeLayout::direct8(), HashRecipe::heavy128(), 16, probes);
         widx_workloads::memimg::warm(&mut f.mem, &f.image);
-        let r = offload_probe(
-            &mut f.mem,
-            &f.index,
-            &f.image,
-            &f.probes,
-            &WidxConfig::with_walkers(4),
-        );
+        let r = offload_probe(&mut f.mem, &f.image, &WidxConfig::with_walkers(4));
         let idle: u64 = r.stats.walkers.iter().map(|w| w.idle).sum();
         assert!(
             idle > 0,

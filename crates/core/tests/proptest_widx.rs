@@ -58,7 +58,7 @@ proptest! {
         let image = memimg::materialize(
             &mut mem, &mut alloc, index.recipe(), index.bucket_count() as u64, &pairs, &probes, layout,
         );
-        let result = offload_probe(&mut mem, &index, &image, &probes, &WidxConfig::with_walkers(walkers));
+        let result = offload_probe(&mut mem, &image, &WidxConfig::with_walkers(walkers));
 
         let mut got = result.matches().to_vec();
         got.sort_unstable();

@@ -249,7 +249,8 @@ struct TierRuntime<T: Tier> {
 }
 
 impl<T: Tier> TierRuntime<T> {
-    /// Spawns one worker per shard of `index`.
+    /// Spawns one worker per shard of `index` and returns once each has
+    /// parked on its empty queue.
     fn start(index: T, config: &ServeConfig, stages: &Arc<StageTimes>) -> TierRuntime<T> {
         let mut tier = TierRuntime {
             index: Arc::new(index),
@@ -278,6 +279,13 @@ impl<T: Tier> TierRuntime<T> {
                 .spawn(move || run_worker(&ctx))
                 .expect("spawn shard worker");
             tier.workers.push(worker);
+        }
+        // Return only once every worker has parked (or exited): one still
+        // starting up refuses sub-ring writes and allocates on its way in.
+        for (queue, worker) in tier.queues.iter().zip(&tier.workers) {
+            while !queue.idle() && !worker.is_finished() {
+                std::thread::yield_now();
+            }
         }
         tier
     }

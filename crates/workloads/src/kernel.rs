@@ -22,7 +22,7 @@
 //! intervals over windows of it.
 
 use widx_db::hash::HashRecipe;
-use widx_db::index::{HashIndex, NodeLayout};
+use widx_db::index::NodeLayout;
 
 use crate::datagen;
 
@@ -107,30 +107,36 @@ impl KernelConfig {
         HashRecipe::trivial()
     }
 
-    /// Builds the `(key, row)` pairs in input order, the index over them,
-    /// and the sampled probe stream.
+    /// Buckets in the kernel's index: half the tuple count, rounded up to
+    /// a power of two, giving exactly the paper's "up to two nodes per
+    /// bucket" occupancy (a header node plus one chained node).
+    #[must_use]
+    pub fn bucket_count(&self) -> u64 {
+        (self.size.tuples() / 2).max(1).next_power_of_two() as u64
+    }
+
+    /// Builds the `(key, row)` pairs in input order and the sampled probe
+    /// stream.
     ///
     /// Build keys are the dense set `0..tuples` (every probe can match);
     /// probes are uniform over the key space, like the paper's uniform
-    /// outer relation. The bucket count is half the tuple count, giving
-    /// exactly the paper's "up to two nodes per bucket" occupancy (a
-    /// header node plus one chained node).
+    /// outer relation.
     #[must_use]
-    pub fn build(&self) -> (HashIndex, Vec<(u64, u64)>, Vec<u64>) {
+    pub fn build(&self) -> (Vec<(u64, u64)>, Vec<u64>) {
         let tuples = self.size.tuples();
         let pairs: Vec<(u64, u64)> = datagen::unique_shuffled_keys(self.seed, tuples)
             .into_iter()
             .zip(0..)
             .collect();
-        let index = HashIndex::build(self.recipe(), (tuples / 2).max(1), pairs.iter().copied());
         let probes = datagen::uniform_keys(self.seed ^ 0xABCD, self.probes, tuples as u64);
-        (index, pairs, probes)
+        (pairs, probes)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use widx_db::index::HashIndex;
 
     #[test]
     fn sizes_scale() {
@@ -142,10 +148,18 @@ mod tests {
         assert!(KernelSize::Large.tuples() * header >= 16 * 4 * 1024 * 1024);
     }
 
+    /// The logical index over the kernel's build side.
+    fn index(cfg: &KernelConfig) -> (HashIndex, Vec<u64>) {
+        let (pairs, probes) = cfg.build();
+        let index = HashIndex::build(cfg.recipe(), cfg.bucket_count() as usize, pairs);
+        assert_eq!(index.bucket_count() as u64, cfg.bucket_count());
+        (index, probes)
+    }
+
     #[test]
     fn build_produces_probeable_index() {
         let cfg = KernelConfig::new(KernelSize::Small).with_probes(100);
-        let (index, _, probes) = cfg.build();
+        let (index, probes) = index(&cfg);
         assert_eq!(index.len(), KernelSize::Small.tuples());
         assert_eq!(probes.len(), 100);
         // All probes fall in the key space and hence match exactly once.
@@ -156,8 +170,7 @@ mod tests {
 
     #[test]
     fn bucket_occupancy_matches_paper() {
-        let cfg = KernelConfig::new(KernelSize::Small);
-        let (index, _, _) = cfg.build();
+        let (index, _) = index(&KernelConfig::new(KernelSize::Small));
         let stats = index.stats();
         // Dense keys over half as many buckets: exactly two nodes per
         // bucket, the paper's kernel occupancy.
@@ -174,11 +187,11 @@ mod tests {
         let a = KernelConfig::new(KernelSize::Small)
             .with_probes(64)
             .build()
-            .2;
+            .1;
         let b = KernelConfig::new(KernelSize::Small)
             .with_probes(64)
             .build()
-            .2;
+            .1;
         assert_eq!(a, b);
     }
 }

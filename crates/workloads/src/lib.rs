@@ -11,6 +11,8 @@
 //!   Large), scaled so the cache-residency relationships of the paper
 //!   hold for the simulated hierarchy (L1-resident / LLC-resident /
 //!   DRAM-resident); scale factors are documented per configuration.
+//!   Each configuration, like each query profile, builds its pairs and
+//!   probes and states its own bucket count; neither builds an index.
 //! * [`profiles`] — per-query *index profiles* for the 12 queries the
 //!   paper simulates (TPC-H 2, 11, 17, 19, 20, 22; TPC-DS 5, 37, 40, 52,
 //!   64, 82): index size, layout, hash cost, probe count, and the

@@ -20,7 +20,7 @@
 //!   paper does in Section 6.2.
 
 use widx_db::hash::HashRecipe;
-use widx_db::index::{HashIndex, NodeLayout};
+use widx_db::index::NodeLayout;
 
 use crate::datagen;
 
@@ -92,22 +92,24 @@ impl QueryProfile {
     /// Default sampled probes per query.
     pub const DEFAULT_PROBES: usize = 12 * 1024;
 
-    /// Builds the query's `(key, row)` pairs in input order, the index
-    /// over them, and the probe stream.
+    /// Buckets in the query's index: one per entry, rounded up to a power
+    /// of two.
+    #[must_use]
+    pub fn bucket_count(&self) -> u64 {
+        self.entries.max(1).next_power_of_two() as u64
+    }
+
+    /// Builds the query's `(key, row)` pairs in input order and the probe
+    /// stream.
     ///
     /// Build keys are unique and shuffled; the probe stream mixes hits
     /// and misses per [`match_fraction`](QueryProfile::match_fraction).
     #[must_use]
-    pub fn build(&self) -> (HashIndex, Vec<(u64, u64)>, Vec<u64>) {
+    pub fn build(&self) -> (Vec<(u64, u64)>, Vec<u64>) {
         let pairs: Vec<(u64, u64)> = datagen::unique_shuffled_keys(self.seed, self.entries)
             .into_iter()
             .zip(0..)
             .collect();
-        let index = HashIndex::build(
-            self.recipe.recipe(),
-            self.entries.max(1),
-            pairs.iter().copied(),
-        );
         // Probes: hits are uniform over the key space [0, entries);
         // misses use keys >= entries which can never match.
         let raw = datagen::uniform_keys(self.seed ^ 0x9999, self.probes, self.entries as u64);
@@ -124,15 +126,15 @@ impl QueryProfile {
                 }
             })
             .collect();
-        (index, pairs, probes)
+        (pairs, probes)
     }
 
     /// Approximate bytes of the materialized index (headers + overflow
     /// nodes + key column).
     #[must_use]
     pub fn index_bytes(&self) -> usize {
-        let buckets = self.entries.next_power_of_two();
-        buckets * NodeLayout::HEADER_STRIDE + self.entries * self.layout.key_width
+        self.bucket_count() as usize * NodeLayout::HEADER_STRIDE
+            + self.entries * self.layout.key_width
     }
 
     /// Overrides the probe count (for quick tests).
@@ -207,6 +209,7 @@ impl QueryProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use widx_db::index::HashIndex;
 
     #[test]
     fn twelve_queries() {
@@ -255,7 +258,8 @@ mod tests {
     #[test]
     fn match_fraction_is_respected() {
         let q = QueryProfile::tpcds().remove(0).with_probes(4000);
-        let (index, _, probes) = q.build();
+        let (pairs, probes) = q.build();
+        let index = HashIndex::build(q.recipe.recipe(), q.bucket_count() as usize, pairs);
         let hits = probes
             .iter()
             .filter(|p| index.lookup(**p).is_some())

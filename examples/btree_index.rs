@@ -5,7 +5,7 @@
 //! cargo run --release --example btree_index
 //! ```
 
-use widx_repro::accel::btree::{offload_btree_probe, run_btree};
+use widx_repro::accel::btree::run_btree;
 use widx_repro::accel::config::WidxConfig;
 use widx_repro::db::index::BTreeIndex;
 use widx_repro::workloads::datagen;
@@ -39,10 +39,18 @@ fn main() {
         );
     }
 
-    // Verify against the software tree.
+    // Verify against the software tree, pair for pair.
     let (result, _) = run_btree(&tree, &probes, &WidxConfig::paper_default());
-    let oracle: usize = probes.iter().filter(|p| tree.lookup(**p).is_some()).count();
-    assert_eq!(result.matches.len(), oracle);
-    println!("verified {oracle} matches against the software tree");
-    let _ = offload_btree_probe; // lower-level entry point, see docs
+    let mut got = result.matches().to_vec();
+    got.sort_unstable();
+    let mut oracle: Vec<(u64, u64)> = probes
+        .iter()
+        .filter_map(|&p| tree.lookup(p).map(|v| (p, v)))
+        .collect();
+    oracle.sort_unstable();
+    assert_eq!(got, oracle, "Widx matches must equal the software tree's");
+    println!(
+        "verified {} (key, payload) matches against the software tree",
+        oracle.len()
+    );
 }

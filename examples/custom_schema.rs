@@ -8,7 +8,7 @@
 
 use widx_repro::accel::config::WidxConfig;
 use widx_repro::accel::control::{load_control_block, write_control_block};
-use widx_repro::accel::{offload, programs};
+use widx_repro::accel::programs;
 use widx_repro::db::hash::{HashRecipe, HashStep};
 use widx_repro::db::index::{HashIndex, NodeLayout};
 use widx_repro::isa::{asm, UnitClass};
@@ -118,5 +118,4 @@ cnext:
         stats.cycles_per_tuple()
     );
     assert_eq!(stats.matches as usize, oracle);
-    let _ = offload::offload_probe; // see quickstart for the one-call path
 }

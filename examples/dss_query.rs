@@ -36,15 +36,15 @@ fn main() {
         q.index_fraction * 100.0
     );
 
-    let (index, pairs, probes) = q.build();
+    let (pairs, probes) = q.build();
     let sys = SystemConfig::default();
     let mut mem = MemorySystem::new(sys.clone());
     let mut alloc = RegionAllocator::new();
     let image = memimg::materialize(
         &mut mem,
         &mut alloc,
-        index.recipe(),
-        index.bucket_count() as u64,
+        &q.recipe.recipe(),
+        q.bucket_count(),
         &pairs,
         &probes,
         q.layout,
@@ -65,13 +65,7 @@ fn main() {
 
     for walkers in [1usize, 2, 4] {
         let mut m = mem.clone();
-        let r = offload::offload_probe(
-            &mut m,
-            &index,
-            &image,
-            &probes,
-            &WidxConfig::with_walkers(walkers),
-        );
+        let r = offload::offload_probe(&mut m, &image, &WidxConfig::with_walkers(walkers));
         let per = r.stats.walker_cycles_per_tuple();
         println!(
             "Widx {walkers}w      : {:>8.1} cycles/tuple ({:.2}x vs OoO)  \

@@ -45,13 +45,7 @@ fn main() {
 
     // 3. Offload to Widx with the paper's 4-walker design point.
     let mut widx_mem = mem.clone();
-    let result = offload::offload_probe(
-        &mut widx_mem,
-        &index,
-        &image,
-        &probes,
-        &WidxConfig::paper_default(),
-    );
+    let result = offload::offload_probe(&mut widx_mem, &image, &WidxConfig::paper_default());
     println!(
         "Widx: {} tuples, {} matches, {} cycles ({:.1} cycles/tuple)",
         result.stats.tuples,

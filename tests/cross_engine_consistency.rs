@@ -64,13 +64,7 @@ fn all_engines_agree_on_matches() {
 
     // Widx.
     let mut mem = w.mem.clone();
-    let widx = offload_probe(
-        &mut mem,
-        &w.index,
-        &w.image,
-        &w.probes,
-        &WidxConfig::paper_default(),
-    );
+    let widx = offload_probe(&mut mem, &w.image, &WidxConfig::paper_default());
 
     let mut a = scalar.clone();
     let mut b = amac;
@@ -164,20 +158,8 @@ fn deterministic_across_runs() {
     let w2 = world(NodeLayout::direct8());
     let mut m1 = w1.mem.clone();
     let mut m2 = w2.mem.clone();
-    let r1 = offload_probe(
-        &mut m1,
-        &w1.index,
-        &w1.image,
-        &w1.probes,
-        &WidxConfig::with_walkers(2),
-    );
-    let r2 = offload_probe(
-        &mut m2,
-        &w2.index,
-        &w2.image,
-        &w2.probes,
-        &WidxConfig::with_walkers(2),
-    );
+    let r1 = offload_probe(&mut m1, &w1.image, &WidxConfig::with_walkers(2));
+    let r2 = offload_probe(&mut m2, &w2.image, &WidxConfig::with_walkers(2));
     assert_eq!(
         r1.stats.total_cycles, r2.stats.total_cycles,
         "bit-stable simulation"
