@@ -51,8 +51,7 @@ fn main() {
 
         let mut mem = MemorySystem::new(SystemConfig::default());
         let mut alloc = RegionAllocator::new();
-        let expected = probes.iter().filter(|p| tree.lookup(**p).is_some()).count() as u64;
-        let image = materialize_btree(&mut mem, &mut alloc, &tree, &probes, expected);
+        let image = materialize_btree(&mut mem, &mut alloc, &tree, &probes);
 
         let trace = btree_probe_trace(&tree, &image, &probes);
         let sys = SystemConfig::default();

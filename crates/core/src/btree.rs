@@ -1,68 +1,33 @@
-//! Widx programs for B+-tree traversal — the paper's Section 7
-//! extension to "other index structures, such as balanced trees".
+//! Widx programs for B+-tree traversal — the paper's Section 7 extension
+//! to "other index structures, such as balanced trees".
 //!
-//! The division of labour mirrors the hash pipeline: the dispatcher
-//! streams `(key, root address)` pairs (trees need no key hashing — the
-//! dispatcher is pure key fetch), walkers descend the tree comparing
-//! separator keys and chasing child pointers, and the shared producer
-//! writes `(key, payload)` matches.
+//! The division of labour mirrors the hash pipeline and shares its
+//! emitters ([`crate::programs`]): the dispatcher's key-stream loop
+//! sends `(key, root)` pairs (trees need no key hashing — the root is
+//! the registers' `hash_table_base`), walkers start with the common
+//! prologue and descend the tree comparing separator keys and chasing
+//! child pointers, and the common producer writes `(key, payload)`
+//! matches.
 
 use widx_db::index::BTreeIndex;
-use widx_isa::{Program, ProgramBuilder, Reg, Src, UnitClass};
+use widx_isa::{Program, Reg, Src};
 use widx_sim::mem::MemorySystem;
 use widx_workloads::btree_img::BTreeImage;
 
 use crate::config::{ConfigRegisters, WidxConfig};
 use crate::offload::{offload, OffloadResult};
-use crate::programs::ProgramSet;
-use crate::POISON_KEY;
-
-/// Builds the B+-tree dispatcher: stream `(key, root)` pairs, then
-/// poison pills.
-#[must_use]
-pub fn btree_dispatcher_program(image: &BTreeImage, walkers: usize) -> Program {
-    let mut b = ProgramBuilder::new(UnitClass::Dispatcher);
-    b.init_reg(Reg::R1, image.input_base.get());
-    b.init_reg(Reg::R2, image.input_base.get() + image.input_count * 8);
-    b.init_reg(Reg::R7, image.root_addr.get());
-    b.init_reg(Reg::R26, POISON_KEY);
-    let top = b.new_label();
-    let done = b.new_label();
-    b.bind(top);
-    b.ble(Reg::R2, Src::Reg(Reg::R1), done);
-    b.ld_d(Reg::R3, Reg::R1, 0);
-    b.add(Reg::OUT, Reg::R3, Src::Imm(0));
-    b.add(Reg::OUT, Reg::R7, Src::Imm(0));
-    b.add(Reg::R1, Reg::R1, Src::Imm(8));
-    b.ba(top);
-    b.bind(done);
-    for _ in 0..walkers {
-        b.add(Reg::OUT, Reg::R26, Src::Imm(0));
-        b.add(Reg::OUT, Reg::ZERO, Src::Imm(0));
-    }
-    b.halt();
-    b.build().expect("btree dispatcher verifies")
-}
+use crate::programs::{dispatcher_program, producer_program, walker_prologue, ProgramSet, Second};
 
 /// Builds the B+-tree walker: descend `inner_levels` inner nodes by
 /// scanning separators, then scan the leaf and emit the first match
 /// (the tree's `lookup` semantics).
-///
-/// # Panics
-///
-/// Panics if the fanout's field offsets exceed the load-offset
-/// immediate range (fanout ≤ 128 is always safe).
-#[must_use]
-pub fn btree_walker_program(image: &BTreeImage) -> Program {
+fn btree_walker_program(image: &BTreeImage, registers: &ConfigRegisters) -> Program {
     let f = image.fanout;
     let child_off = i16::try_from(BTreeImage::child_array_offset(f)).expect("fanout in range");
     let payload_delta = i16::try_from(8 * f).expect("fanout in range");
-    let mut b = ProgramBuilder::new(UnitClass::Walker);
-    b.init_reg(Reg::R20, POISON_KEY);
+    let (mut b, item) = walker_prologue(registers, Reg::R2); // root address
     b.init_reg(Reg::R12, image.inner_levels);
 
-    let item = b.new_label();
-    let descend = b.new_label();
     let inner_top = b.new_label();
     let scan = b.new_label();
     let pick = b.new_label();
@@ -70,16 +35,6 @@ pub fn btree_walker_program(image: &BTreeImage) -> Program {
     let lscan = b.new_label();
     let lnext = b.new_label();
 
-    b.bind(item);
-    b.add(Reg::R1, Reg::IN, Src::Imm(0)); // key
-    b.add(Reg::R2, Reg::IN, Src::Imm(0)); // root address
-    b.cmp(Reg::R9, Reg::R1, Src::Reg(Reg::R20));
-    b.ble(Reg::R9, Src::Imm(0), descend);
-    b.add(Reg::OUT, Reg::R20, Src::Imm(0)); // forward poison
-    b.add(Reg::OUT, Reg::ZERO, Src::Imm(0));
-    b.halt();
-
-    b.bind(descend);
     b.mov(Reg::R10, Reg::R12); // levels remaining
 
     b.bind(inner_top);
@@ -123,33 +78,24 @@ pub fn btree_walker_program(image: &BTreeImage) -> Program {
     b.build().expect("btree walker verifies")
 }
 
-/// Builds the producer for a B+-tree offload (identical role to the
-/// hash producer; only the output base differs).
+/// Generates the B+-tree program triple for probing `image` at
+/// `registers`.
+///
+/// # Panics
+///
+/// Panics if the fanout's field offsets exceed the load-offset
+/// immediate range (fanout ≤ 128 is always safe).
 #[must_use]
-pub fn btree_producer_program(image: &BTreeImage, walkers: usize) -> Program {
-    let mut b = ProgramBuilder::new(UnitClass::Producer);
-    b.init_reg(Reg::R1, image.output_base.get());
-    b.init_reg(Reg::R20, POISON_KEY);
-    b.init_reg(Reg::R21, walkers as u64);
-    let top = b.new_label();
-    let store = b.new_label();
-    let done = b.new_label();
-    b.bind(top);
-    b.add(Reg::R3, Reg::IN, Src::Imm(0));
-    b.add(Reg::R4, Reg::IN, Src::Imm(0));
-    b.cmp(Reg::R9, Reg::R3, Src::Reg(Reg::R20));
-    b.ble(Reg::R9, Src::Imm(0), store);
-    b.add(Reg::R21, Reg::R21, Src::Imm(-1));
-    b.ble(Reg::R21, Src::Imm(0), done);
-    b.ba(top);
-    b.bind(store);
-    b.st_d(Reg::R3, Reg::R1, 0);
-    b.st_d(Reg::R4, Reg::R1, 8);
-    b.add(Reg::R1, Reg::R1, Src::Imm(16));
-    b.ba(top);
-    b.bind(done);
-    b.halt();
-    b.build().expect("btree producer verifies")
+pub fn btree_program_set(
+    image: &BTreeImage,
+    registers: &ConfigRegisters,
+    walkers: usize,
+) -> ProgramSet {
+    ProgramSet {
+        dispatcher: dispatcher_program(registers, 8, walkers, Second::Root),
+        walker: btree_walker_program(image, registers),
+        producer: producer_program(registers, walkers),
+    }
 }
 
 /// Offloads a B+-tree probe batch (already materialized as `image`).
@@ -163,23 +109,14 @@ pub fn offload_btree_probe(
     image: &BTreeImage,
     config: &WidxConfig,
 ) -> OffloadResult {
-    let set = ProgramSet {
-        dispatcher: btree_dispatcher_program(image, config.walkers),
-        walker: btree_walker_program(image),
-        producer: btree_producer_program(image, config.walkers),
-    };
-    let registers = ConfigRegisters {
-        input_base: image.input_base,
-        input_len: image.input_count,
-        hash_table_base: image.root_addr,
-        results_base: image.output_base,
-        null_id: POISON_KEY,
-    };
+    let registers = ConfigRegisters::btree_probe(image);
+    let set = btree_program_set(image, &registers, config.walkers);
     offload(mem, &set, registers, image.output_capacity, config)
 }
 
-/// Builds a tree + probes, materializes, and offloads in one call (used
-/// by tests and the ablation harness).
+/// Materializes `tree` and `probes` into a fresh memory system and
+/// offloads the probe batch in one call (used by the tests and the
+/// `btree_index` example).
 #[must_use]
 pub fn run_btree(
     tree: &BTreeIndex,
@@ -190,9 +127,7 @@ pub fn run_btree(
     use widx_sim::mem::RegionAllocator;
     let mut mem = MemorySystem::new(SystemConfig::default());
     let mut alloc = RegionAllocator::new();
-    let expected = probes.iter().filter(|p| tree.lookup(**p).is_some()).count() as u64;
-    let image =
-        widx_workloads::btree_img::materialize_btree(&mut mem, &mut alloc, tree, probes, expected);
+    let image = widx_workloads::btree_img::materialize_btree(&mut mem, &mut alloc, tree, probes);
     let result = offload_btree_probe(&mut mem, &image, config);
     (result, image)
 }
@@ -262,7 +197,7 @@ mod tests {
         let mut mem = MemorySystem::new(widx_sim::config::SystemConfig::default());
         let mut alloc = widx_sim::mem::RegionAllocator::new();
         let mut image =
-            widx_workloads::btree_img::materialize_btree(&mut mem, &mut alloc, &t, &probes, 40);
+            widx_workloads::btree_img::materialize_btree(&mut mem, &mut alloc, &t, &probes);
         image.output_capacity = 39;
         let _ = offload_btree_probe(&mut mem, &image, &WidxConfig::with_walkers(2));
     }
@@ -273,13 +208,9 @@ mod tests {
         let probes = vec![1u64];
         let mut mem = MemorySystem::new(widx_sim::config::SystemConfig::default());
         let mut alloc = widx_sim::mem::RegionAllocator::new();
-        let image =
-            widx_workloads::btree_img::materialize_btree(&mut mem, &mut alloc, &t, &probes, 1);
-        for p in [
-            btree_dispatcher_program(&image, 4),
-            btree_walker_program(&image),
-            btree_producer_program(&image, 4),
-        ] {
+        let image = widx_workloads::btree_img::materialize_btree(&mut mem, &mut alloc, &t, &probes);
+        let set = btree_program_set(&image, &ConfigRegisters::btree_probe(&image), 4);
+        for p in [set.dispatcher, set.walker, set.producer] {
             assert!(p.verify().is_ok());
             assert!(p.encode_words().is_ok());
         }

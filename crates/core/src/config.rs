@@ -2,8 +2,11 @@
 //! configuration registers of the paper's Section 4.3.
 
 use widx_sim::mem::VAddr;
+use widx_workloads::btree_img::BTreeImage;
+use widx_workloads::memimg::IndexImage;
 
 use crate::placement::Placement;
+use crate::POISON_KEY;
 
 /// Accelerator configuration.
 ///
@@ -93,22 +96,53 @@ impl Default for WidxConfig {
 /// The memory-mapped configuration registers the host writes before
 /// signalling Widx to begin (paper Section 4.3): "base address and
 /// length of the input table, base address of the hash table, starting
-/// address of the results region, and a NULL value identifier". Each
-/// offload entry point fills them from its image; the offload routine
-/// checks the input length and reads the matches back from the results
-/// region.
+/// address of the results region, and a NULL value identifier". The
+/// programs are generated from them: the dispatcher reads the input
+/// table, the hash walk or tree descent starts at `hash_table_base`, the
+/// producer stores from `results_base`, and every unit compares against
+/// `null_id`. The offload routine checks the input length and reads the
+/// matches back from the results region.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ConfigRegisters {
     /// Base of the probe-key input table.
     pub input_base: VAddr,
     /// Number of input keys.
     pub input_len: u64,
-    /// Base of the hash-table bucket array.
+    /// Base of the index: the hash table's bucket array, or the B+-tree
+    /// root.
     pub hash_table_base: VAddr,
     /// Base of the results region.
     pub results_base: VAddr,
     /// NULL identifier (doubles as the poison key).
     pub null_id: u64,
+}
+
+impl ConfigRegisters {
+    /// The registers for probing a hash `image` with its own probe
+    /// column into its own output region.
+    #[must_use]
+    pub fn hash_probe(image: &IndexImage) -> ConfigRegisters {
+        ConfigRegisters {
+            input_base: image.input_base,
+            input_len: image.input_count,
+            hash_table_base: image.bucket_base,
+            results_base: image.output_base,
+            null_id: POISON_KEY,
+        }
+    }
+
+    /// The registers for probing a B+-tree `image` with its own probe
+    /// column into its own output region.
+    #[must_use]
+    pub fn btree_probe(image: &BTreeImage) -> ConfigRegisters {
+        ConfigRegisters {
+            input_base: image.input_base,
+            input_len: image.input_count,
+            hash_table_base: image.root_addr,
+            results_base: image.output_base,
+            null_id: POISON_KEY,
+        }
+    }
 }
 
 #[cfg(test)]

@@ -177,6 +177,7 @@ pub fn load_control_block(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ConfigRegisters;
     use crate::programs;
     use widx_db::hash::HashRecipe;
     use widx_db::index::NodeLayout;
@@ -196,7 +197,8 @@ mod tests {
             &[1, 2],
             NodeLayout::direct8(),
         );
-        let set = programs::program_set(&HashRecipe::robust64(), &image, 4, false);
+        let registers = ConfigRegisters::hash_probe(&image);
+        let set = programs::program_set(&image, &registers, 4, false);
         (mem, alloc, set)
     }
 

@@ -19,10 +19,13 @@
 //!   blocking loads, `TOUCH` prefetch, queue-port register semantics,
 //!   and retry-on-TLB-miss (Section 4.3).
 //! * [`programs`] — canonical dispatcher / walker / producer programs
-//!   generated for a hash recipe + node layout (Section 4.2's
-//!   "three functions" the DBMS developer supplies).
-//! * [`config`] — [`config::WidxConfig`]: walker count, queue depths,
-//!   and the memory-mapped configuration registers of Section 4.3.
+//!   (Section 4.2's "three functions" the DBMS developer supplies),
+//!   generated from the configuration registers for a hash recipe +
+//!   node layout, decoupled or coupled, by emitters the B+-tree
+//!   programs share.
+//! * [`config`] — [`config::WidxConfig`]: walker count, queue depths;
+//!   and [`config::ConfigRegisters`], the memory-mapped configuration
+//!   registers of Section 4.3 that the programs are generated from.
 //! * [`control`] — the in-memory Widx control block (encoded programs +
 //!   initial register images) and its load path.
 //! * [`widx`] — the accelerator itself: the time-ordered scheduler over
@@ -31,8 +34,8 @@
 //! * [`offload`] — one-call offload of a materialized index probe: the
 //!   image's configuration registers in, the read-back matches out.
 //! * [`placement`] — the LLC-side Widx ablation of Section 7.
-//! * [`btree`] — B+-tree walker programs, the Section 7 "other index
-//!   structures" extension.
+//! * [`btree`] — the B+-tree program triple and its offload, the
+//!   Section 7 "other index structures" extension.
 //!
 //! # Example
 //!

@@ -4,7 +4,7 @@
 //! start, and "enters an idle loop" — Widx owns the probe until the
 //! producer halts, after which the results sit in the output region.
 //! One routine does that for every program set; each entry point only
-//! picks its programs and its image's registers.
+//! writes its image's registers and generates its programs from them.
 
 use widx_sim::mem::MemorySystem;
 use widx_workloads::memimg::IndexImage;
@@ -44,8 +44,9 @@ pub fn offload_probe(
     image: &IndexImage,
     config: &WidxConfig,
 ) -> OffloadResult {
-    let set = program_set(&image.recipe, image, config.walkers, config.touch_ahead);
-    offload(mem, &set, registers(image), image.output_capacity, config)
+    let registers = ConfigRegisters::hash_probe(image);
+    let set = program_set(image, &registers, config.walkers, config.touch_ahead);
+    offload(mem, &set, registers, image.output_capacity, config)
 }
 
 /// Offloads with the *coupled* (Figure 3b) design: a streaming
@@ -62,23 +63,13 @@ pub fn offload_probe_coupled(
     image: &IndexImage,
     config: &WidxConfig,
 ) -> OffloadResult {
-    let set = coupled_program_set(&image.recipe, image, config.walkers);
-    offload(mem, &set, registers(image), image.output_capacity, config)
+    let registers = ConfigRegisters::hash_probe(image);
+    let set = coupled_program_set(image, &registers, config.walkers);
+    offload(mem, &set, registers, image.output_capacity, config)
 }
 
-/// The registers the host writes for a hash-index probe over `image`.
-fn registers(image: &IndexImage) -> ConfigRegisters {
-    ConfigRegisters {
-        input_base: image.input_base,
-        input_len: image.input_count,
-        hash_table_base: image.bucket_base,
-        results_base: image.output_base,
-        null_id: crate::POISON_KEY,
-    }
-}
-
-/// Runs `set` on a Widx instance configured by `config`, starting at
-/// cycle 0, and reads back the matches from `registers.results_base`
+/// Runs `set`, generated from `registers`, on a Widx instance
+/// configured by `config`, starting at cycle 0, and reads back the matches from `registers.results_base`
 /// (16-byte `(key, payload)` slots). An LLC-side placement first
 /// installs its dedicated TLB.
 ///
@@ -125,6 +116,7 @@ mod tests {
     /// kept as the oracle.
     struct Fixture {
         mem: MemorySystem,
+        alloc: RegionAllocator,
         index: HashIndex,
         image: IndexImage,
         probes: Vec<u64>,
@@ -151,6 +143,7 @@ mod tests {
         );
         Fixture {
             mem,
+            alloc,
             index,
             image,
             probes,
@@ -286,6 +279,32 @@ mod tests {
             coupled.stats.total_cycles,
             decoupled.stats.total_cycles
         );
+    }
+
+    #[test]
+    fn programs_follow_the_registers() {
+        // The results register points at a second region: both program
+        // sets must store there and the matches be read back from there,
+        // leaving the image's own output region zero.
+        let probes: Vec<u64> = (0..40).map(|i| i * 2).collect();
+        let mut f = fixture(NodeLayout::direct8(), HashRecipe::robust64(), 64, probes);
+        let capacity = f.image.output_capacity;
+        let elsewhere = f.alloc.alloc_pages("results.elsewhere", capacity * 16);
+        let registers = ConfigRegisters {
+            results_base: elsewhere.base(),
+            ..ConfigRegisters::hash_probe(&f.image)
+        };
+        let config = WidxConfig::with_walkers(2);
+        for set in [
+            program_set(&f.image, &registers, config.walkers, false),
+            coupled_program_set(&f.image, &registers, config.walkers),
+        ] {
+            let mut mem = f.mem.clone();
+            let r = offload(&mut mem, &set, registers, capacity, &config);
+            check_matches(&r, &f);
+            assert_eq!(r.matches().len(), 32);
+            assert!((0..2 * capacity).all(|w| mem.read_u64(f.image.output_base + 8 * w) == 0));
+        }
     }
 
     /// A fixture whose image reserves one result slot fewer than its

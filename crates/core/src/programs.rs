@@ -3,25 +3,31 @@
 //! The paper's programming API (Section 4.2): "a database system
 //! developer must specify three functions: one for key hashing, another
 //! for the node walk, and the last one for emitting the results". These
-//! generators produce exactly those three programs for a given hash
-//! recipe, node layout, and materialized index image — covering every
-//! schema the evaluation uses (4-byte direct keys for the join kernel,
-//! 8-byte MonetDB-style indirect keys for the DSS queries).
+//! generators produce the three programs of every offload — the
+//! decoupled hash probe, the coupled hash probe of Figure 3b and the
+//! B+-tree probe of [`crate::btree`] — from one dispatcher key-stream
+//! loop, one walker prologue, one bucket walk, one hash emitter and one
+//! producer. Every address and the NULL id come from the
+//! [`ConfigRegisters`] the offload hands Widx; the image supplies only
+//! the schema (recipe, node layout and bucket mask, or fanout and inner
+//! levels). The hash schemas cover every layout the evaluation uses
+//! (4-byte direct keys for the join kernel, 8-byte MonetDB-style
+//! indirect keys for the DSS queries).
 //!
-//! Register conventions:
+//! Register conventions, for all three triples:
 //!
 //! | Unit | Registers |
 //! |---|---|
-//! | dispatcher | `r1` input cursor, `r2` input end, `r3` hash value, `r4` saved key, `r5` bucket mask, `r6` bucket base, `r16..` hash constants, `r26` poison |
-//! | walker | `r1` probe key, `r2` node address, `r3` count, `r4` node key, `r5` payload, `r6` next pointer, `r9` flag, `r20` poison |
-//! | producer | `r1` output cursor, `r3` key, `r4` payload, `r9` flag, `r20` poison, `r21` live-walker count |
+//! | dispatcher | `r1` input cursor, `r2` input end, `r3` key, then its bucket address, `r4` saved key, `r5` bucket mask, `r6` bucket base, `r7` B+-tree root, `r16..` hash constants, `r26` NULL id |
+//! | walker | `r1` probe key, `r2` bucket or tree-node address, `r3` count, `r4` node key, `r5` payload (hash) or key cursor (tree), `r6` next pointer (hash) or slot (tree), `r7` child-slot address, `r8` hash scratch (coupled) or leaf payload (tree), `r9` flag, `r10` pair filler (coupled) or levels left (tree), `r12` inner levels, `r14` bucket mask, `r15` bucket base, `r16..` hash constants, `r20` NULL id |
+//! | producer | `r1` output cursor, `r3` key, `r4` payload, `r9` flag, `r20` NULL id, `r21` live-walker count |
 
 use widx_db::hash::{HashRecipe, HashStep};
 use widx_db::index::{KeyKind, NodeLayout};
-use widx_isa::{Program, ProgramBuilder, Reg, Shift, Src, UnitClass, Width};
+use widx_isa::{Label, Program, ProgramBuilder, Reg, Shift, Src, UnitClass, Width};
 use widx_workloads::memimg::IndexImage;
 
-use crate::POISON_KEY;
+use crate::config::ConfigRegisters;
 
 fn width_of(bytes: usize) -> Width {
     match bytes {
@@ -36,128 +42,215 @@ fn width_of(bytes: usize) -> Width {
 /// First register used for hash constants.
 const CONST_BASE: u8 = 16;
 
-/// Compiles one hash step onto `x` (in place), allocating constant
-/// registers through `alloc`.
-fn emit_hash_step(b: &mut ProgramBuilder, x: Reg, step: HashStep, alloc: &mut Vec<u64>) {
-    let mut const_reg = |b: &mut ProgramBuilder, value: u64| -> Reg {
-        if let Some(pos) = alloc.iter().position(|v| *v == value) {
-            return Reg::new(CONST_BASE + pos as u8);
-        }
-        alloc.push(value);
-        let reg = Reg::new(CONST_BASE + (alloc.len() - 1) as u8);
-        assert!(reg.index() < 26, "hash recipe uses too many constants");
-        b.init_reg(reg, value);
-        reg
-    };
-    match step {
-        HashStep::XorConst(c) => {
-            let r = const_reg(b, c);
-            b.xor(x, x, Src::Reg(r));
-        }
-        HashStep::AddConst(c) => {
-            let r = const_reg(b, c);
-            b.add(x, x, Src::Reg(r));
-        }
-        HashStep::AndConst(c) => {
-            let r = const_reg(b, c);
-            b.and(x, x, Src::Reg(r));
-        }
-        HashStep::XorShr(a) => {
-            b.xor_shf(x, x, x, Shift::right(a));
-        }
-        HashStep::XorShl(a) => {
-            b.xor_shf(x, x, x, Shift::left(a));
-        }
-        HashStep::AddShl(a) => {
-            b.add_shf(x, x, x, Shift::left(a));
-        }
-        HashStep::AddShr(a) => {
-            b.add_shf(x, x, x, Shift::right(a));
-        }
+/// Bucket index → header offset: `HEADER_STRIDE` is a power of two.
+const BUCKET_SHIFT: i16 = NodeLayout::HEADER_STRIDE.trailing_zeros() as i16;
+const _: () = assert!(NodeLayout::HEADER_STRIDE.is_power_of_two());
+
+/// The register holding `value`: one of `r16..r25`, allocated (with its
+/// initial value) on first use.
+fn const_reg(b: &mut ProgramBuilder, consts: &mut Vec<u64>, value: u64) -> Reg {
+    if let Some(pos) = consts.iter().position(|v| *v == value) {
+        return Reg::new(CONST_BASE + pos as u8);
     }
+    consts.push(value);
+    let reg = Reg::new(CONST_BASE + (consts.len() - 1) as u8);
+    assert!(reg.index() < 26, "hash recipe uses too many constants");
+    b.init_reg(reg, value);
+    reg
 }
 
-/// Builds the dispatcher program: the key-iterator loop of Listing 1
-/// with the hash function inlined, streaming `(key, bucket address)`
-/// pairs to the walkers and poison pairs at end-of-input.
+/// Hashes `x` in place with `recipe`, then turns the hash into its
+/// bucket-header address: `base + ((x & mask) << BUCKET_SHIFT)`.
+///
+/// With a `scratch` register, each `XOR-SHF` step is expanded into a
+/// shift plus an `XOR` through it: Table 1 reserves `XOR-SHF` for the
+/// dispatcher (`ADD-SHF` is also available to walkers), so a walker
+/// hashing its own keys — the coupled design of Figure 3b — pays an
+/// instruction more per such step. This is precisely why the paper puts
+/// hashing on a dedicated unit class.
 ///
 /// # Panics
 ///
 /// Panics if the recipe needs more constant registers than available.
-#[must_use]
-pub fn dispatcher_program(
+fn emit_bucket_address(
+    b: &mut ProgramBuilder,
+    x: Reg,
     recipe: &HashRecipe,
-    image: &IndexImage,
-    walkers: usize,
-    touch_ahead: bool,
-) -> Program {
-    let kw = image.layout.key_width;
-    let mut b = ProgramBuilder::new(UnitClass::Dispatcher);
-    b.init_reg(Reg::R1, image.input_base.get());
-    b.init_reg(
-        Reg::R2,
-        image.input_base.get() + image.input_count * kw as u64,
-    );
-    b.init_reg(Reg::R5, image.bucket_count - 1);
-    b.init_reg(Reg::R6, image.bucket_base.get());
-    b.init_reg(Reg::R26, POISON_KEY);
+    scratch: Option<Reg>,
+    mask: Reg,
+    base: Reg,
+) {
     let mut consts = Vec::new();
+    for step in recipe.steps() {
+        match (*step, scratch) {
+            (HashStep::XorConst(c), _) => {
+                let r = const_reg(b, &mut consts, c);
+                b.xor(x, x, Src::Reg(r));
+            }
+            (HashStep::AddConst(c), _) => {
+                let r = const_reg(b, &mut consts, c);
+                b.add(x, x, Src::Reg(r));
+            }
+            (HashStep::AndConst(c), _) => {
+                let r = const_reg(b, &mut consts, c);
+                b.and(x, x, Src::Reg(r));
+            }
+            (HashStep::XorShr(a), None) => {
+                b.xor_shf(x, x, x, Shift::right(a));
+            }
+            (HashStep::XorShl(a), None) => {
+                b.xor_shf(x, x, x, Shift::left(a));
+            }
+            (HashStep::XorShr(a), Some(tmp)) => {
+                b.shr(tmp, x, Src::Imm(i16::from(a)));
+                b.xor(x, x, Src::Reg(tmp));
+            }
+            (HashStep::XorShl(a), Some(tmp)) => {
+                b.shl(tmp, x, Src::Imm(i16::from(a)));
+                b.xor(x, x, Src::Reg(tmp));
+            }
+            (HashStep::AddShl(a), _) => {
+                b.add_shf(x, x, x, Shift::left(a));
+            }
+            (HashStep::AddShr(a), _) => {
+                b.add_shf(x, x, x, Shift::right(a));
+            }
+        }
+    }
+    b.and(x, x, Src::Reg(mask));
+    b.shl(x, x, Src::Imm(BUCKET_SHIFT));
+    b.add(x, x, Src::Reg(base));
+}
+
+/// The second word of the `(key, ·)` pair a dispatcher sends per key.
+#[derive(Clone, Copy)]
+pub(crate) enum Second<'a> {
+    /// The key's bucket-header address, hashed on the dispatcher, with a
+    /// `TOUCH` of the header first when `touch_ahead` is set.
+    Bucket {
+        recipe: &'a HashRecipe,
+        bucket_mask: u64,
+        touch_ahead: bool,
+    },
+    /// `0`: the coupled walkers hash their own keys.
+    Zero,
+    /// The B+-tree root, the registers' `hash_table_base`.
+    Root,
+}
+
+/// Builds a dispatcher: the key-iterator loop of Listing 1 over the
+/// registers' input table of `key_width`-byte keys, sending one
+/// `(key, second)` pair per key, then one NULL-id pair per walker.
+pub(crate) fn dispatcher_program(
+    registers: &ConfigRegisters,
+    key_width: usize,
+    walkers: usize,
+    second: Second,
+) -> Program {
+    let mut b = ProgramBuilder::new(UnitClass::Dispatcher);
+    let input = registers.input_base.get();
+    b.init_reg(Reg::R1, input);
+    b.init_reg(Reg::R2, input + registers.input_len * key_width as u64);
+    match second {
+        Second::Bucket { bucket_mask, .. } => {
+            b.init_reg(Reg::R5, bucket_mask);
+            b.init_reg(Reg::R6, registers.hash_table_base.get());
+        }
+        Second::Zero => {}
+        Second::Root => {
+            b.init_reg(Reg::R7, registers.hash_table_base.get());
+        }
+    }
+    b.init_reg(Reg::R26, registers.null_id);
 
     let top = b.new_label();
     let done = b.new_label();
     b.bind(top);
     b.ble(Reg::R2, Src::Reg(Reg::R1), done); // end <= cursor → done
-    b.ld(Reg::R3, Reg::R1, 0, width_of(kw));
-    b.mov(Reg::R4, Reg::R3);
-    for step in recipe.steps() {
-        emit_hash_step(&mut b, Reg::R3, *step, &mut consts);
-    }
-    b.and(Reg::R3, Reg::R3, Src::Reg(Reg::R5));
-    // bucket address = base + idx * HEADER_STRIDE (32 = << 5).
-    b.shl(Reg::R3, Reg::R3, Src::Imm(5));
-    b.add(Reg::R3, Reg::R3, Src::Reg(Reg::R6));
-    if touch_ahead {
-        b.touch(Reg::R3, 0);
-    }
-    b.add(Reg::OUT, Reg::R4, Src::Imm(0)); // key
-    b.add(Reg::OUT, Reg::R3, Src::Imm(0)); // bucket address
-    b.add(Reg::R1, Reg::R1, Src::Imm(kw as i16));
+    b.ld(Reg::R3, Reg::R1, 0, width_of(key_width));
+    let (key, word) = match second {
+        Second::Bucket {
+            recipe,
+            touch_ahead,
+            ..
+        } => {
+            b.mov(Reg::R4, Reg::R3);
+            emit_bucket_address(&mut b, Reg::R3, recipe, None, Reg::R5, Reg::R6);
+            if touch_ahead {
+                b.touch(Reg::R3, 0);
+            }
+            (Reg::R4, Reg::R3)
+        }
+        Second::Zero => (Reg::R3, Reg::ZERO),
+        Second::Root => (Reg::R3, Reg::R7),
+    };
+    b.mov(Reg::OUT, key);
+    b.mov(Reg::OUT, word);
+    b.add(Reg::R1, Reg::R1, Src::Imm(key_width as i16));
     b.ba(top);
     b.bind(done);
     for _ in 0..walkers {
-        b.add(Reg::OUT, Reg::R26, Src::Imm(0));
-        b.add(Reg::OUT, Reg::ZERO, Src::Imm(0));
+        b.mov(Reg::OUT, Reg::R26);
+        b.mov(Reg::OUT, Reg::ZERO);
     }
     b.halt();
     b.build().expect("dispatcher program verifies")
 }
 
-/// Builds the walker program: pop `(key, bucket address)`, halt on
-/// poison (forwarding it), otherwise walk the header node and the
-/// overflow chain emitting `(key, payload)` for every match.
-#[must_use]
-pub fn walker_program(layout: NodeLayout) -> Program {
-    let kw = width_of(layout.key_width);
-    let sw = width_of(layout.slot_width());
+/// Starts a walker: pop a pair into `r1` (the key) and `second`; on the
+/// NULL id, forward it to the producer and halt. Returns the builder,
+/// positioned at the walk, and the label of the pop, where the walk
+/// returns for the next pair.
+pub(crate) fn walker_prologue(registers: &ConfigRegisters, second: Reg) -> (ProgramBuilder, Label) {
     let mut b = ProgramBuilder::new(UnitClass::Walker);
-    b.init_reg(Reg::R20, POISON_KEY);
-
+    b.init_reg(Reg::R20, registers.null_id);
     let item = b.new_label();
     let walk = b.new_label();
-    let hnext = b.new_label();
-    let chain = b.new_label();
-    let cnext = b.new_label();
-
     b.bind(item);
-    b.add(Reg::R1, Reg::IN, Src::Imm(0)); // key
-    b.add(Reg::R2, Reg::IN, Src::Imm(0)); // bucket address
+    b.mov(Reg::R1, Reg::IN);
+    b.mov(second, Reg::IN);
     b.cmp(Reg::R9, Reg::R1, Src::Reg(Reg::R20));
-    b.ble(Reg::R9, Src::Imm(0), walk); // not poison → walk
-    b.add(Reg::OUT, Reg::R20, Src::Imm(0)); // forward poison
-    b.add(Reg::OUT, Reg::ZERO, Src::Imm(0));
+    b.ble(Reg::R9, Src::Imm(0), walk); // not the NULL id → walk
+    b.mov(Reg::OUT, Reg::R20); // forward it
+    b.mov(Reg::OUT, Reg::ZERO);
     b.halt();
-
     b.bind(walk);
+    (b, item)
+}
+
+/// One node of a bucket at `node`: compare its key (loaded through the
+/// slot for indirect layouts) with `r1`, emit `(key, payload)` on a
+/// match, and load its next pointer into `r6`.
+fn emit_node(b: &mut ProgramBuilder, layout: NodeLayout, node: Reg, offsets: [usize; 3]) {
+    let [slot, payload, next] = offsets.map(|o| o as i16);
+    let skip = b.new_label();
+    b.ld(Reg::R4, node, slot, width_of(layout.slot_width()));
+    if layout.key_kind == KeyKind::Indirect {
+        b.ld(Reg::R4, Reg::R4, 0, width_of(layout.key_width));
+    }
+    b.cmp(Reg::R9, Reg::R4, Src::Reg(Reg::R1));
+    b.ble(Reg::R9, Src::Imm(0), skip); // no match
+    b.ld(Reg::R5, node, payload, Width::D);
+    b.mov(Reg::OUT, Reg::R1);
+    b.mov(Reg::OUT, Reg::R5);
+    b.bind(skip);
+    b.ld(Reg::R6, node, next, Width::D);
+}
+
+/// Builds a hash walker: pop `(key, bucket address)` and walk the header
+/// node and the overflow chain, emitting `(key, payload)` for every
+/// match. The `coupled` walker of Figure 3b pops a raw key and hashes it
+/// *itself* first — hashing sits on the critical path of every
+/// traversal, which is exactly what the decoupled design removes.
+fn walker_program(image: &IndexImage, registers: &ConfigRegisters, coupled: bool) -> Program {
+    let (mut b, item) = walker_prologue(registers, if coupled { Reg::R10 } else { Reg::R2 });
+    if coupled {
+        let (mask, base) = (Reg::R14, Reg::R15);
+        b.init_reg(mask, image.bucket_count - 1);
+        b.init_reg(base, registers.hash_table_base.get());
+        b.mov(Reg::R2, Reg::R1);
+        emit_bucket_address(&mut b, Reg::R2, &image.recipe, Some(Reg::R8), mask, base);
+    }
     b.ld(
         Reg::R3,
         Reg::R2,
@@ -165,75 +258,50 @@ pub fn walker_program(layout: NodeLayout) -> Program {
         Width::W,
     );
     b.ble(Reg::R3, Src::Imm(0), item); // empty bucket
-                                       // Header node key (extra dereference when indirect).
-    b.ld(Reg::R4, Reg::R2, NodeLayout::HEADER_SLOT_OFFSET as i16, sw);
-    if layout.key_kind == KeyKind::Indirect {
-        b.ld(Reg::R4, Reg::R4, 0, kw);
-    }
-    b.cmp(Reg::R9, Reg::R4, Src::Reg(Reg::R1));
-    b.ble(Reg::R9, Src::Imm(0), hnext); // no match
-    b.ld(
-        Reg::R5,
+    emit_node(
+        &mut b,
+        image.layout,
         Reg::R2,
-        NodeLayout::HEADER_PAYLOAD_OFFSET as i16,
-        Width::D,
+        [
+            NodeLayout::HEADER_SLOT_OFFSET,
+            NodeLayout::HEADER_PAYLOAD_OFFSET,
+            NodeLayout::HEADER_NEXT_OFFSET,
+        ],
     );
-    b.add(Reg::OUT, Reg::R1, Src::Imm(0));
-    b.add(Reg::OUT, Reg::R5, Src::Imm(0));
-    b.bind(hnext);
-    b.ld(
-        Reg::R6,
-        Reg::R2,
-        NodeLayout::HEADER_NEXT_OFFSET as i16,
-        Width::D,
-    );
-
+    let chain = b.new_label();
     b.bind(chain);
-    b.ble(Reg::R6, Src::Imm(0), item); // NULL → next item
-    b.ld(Reg::R4, Reg::R6, NodeLayout::NODE_SLOT_OFFSET as i16, sw);
-    if layout.key_kind == KeyKind::Indirect {
-        b.ld(Reg::R4, Reg::R4, 0, kw);
-    }
-    b.cmp(Reg::R9, Reg::R4, Src::Reg(Reg::R1));
-    b.ble(Reg::R9, Src::Imm(0), cnext);
-    b.ld(
-        Reg::R5,
+    b.ble(Reg::R6, Src::Imm(0), item); // NULL → next pair
+    emit_node(
+        &mut b,
+        image.layout,
         Reg::R6,
-        NodeLayout::NODE_PAYLOAD_OFFSET as i16,
-        Width::D,
-    );
-    b.add(Reg::OUT, Reg::R1, Src::Imm(0));
-    b.add(Reg::OUT, Reg::R5, Src::Imm(0));
-    b.bind(cnext);
-    b.ld(
-        Reg::R6,
-        Reg::R6,
-        NodeLayout::NODE_NEXT_OFFSET as i16,
-        Width::D,
+        [
+            NodeLayout::NODE_SLOT_OFFSET,
+            NodeLayout::NODE_PAYLOAD_OFFSET,
+            NodeLayout::NODE_NEXT_OFFSET,
+        ],
     );
     b.ba(chain);
-
     b.build().expect("walker program verifies")
 }
 
-/// Builds the producer program: pop `(key, payload)` pairs, store them
-/// to consecutive 16-byte result slots, and halt after one poison per
-/// walker has arrived.
-#[must_use]
-pub fn producer_program(image: &IndexImage, walkers: usize) -> Program {
+/// Builds the producer: pop `(key, payload)` pairs, store them to
+/// consecutive 16-byte result slots from the registers' `results_base`,
+/// and halt after one NULL-id pair per walker has arrived.
+pub(crate) fn producer_program(registers: &ConfigRegisters, walkers: usize) -> Program {
     let mut b = ProgramBuilder::new(UnitClass::Producer);
-    b.init_reg(Reg::R1, image.output_base.get());
-    b.init_reg(Reg::R20, POISON_KEY);
+    b.init_reg(Reg::R1, registers.results_base.get());
+    b.init_reg(Reg::R20, registers.null_id);
     b.init_reg(Reg::R21, walkers as u64);
 
     let top = b.new_label();
     let store = b.new_label();
     let done = b.new_label();
     b.bind(top);
-    b.add(Reg::R3, Reg::IN, Src::Imm(0));
-    b.add(Reg::R4, Reg::IN, Src::Imm(0));
+    b.mov(Reg::R3, Reg::IN);
+    b.mov(Reg::R4, Reg::IN);
     b.cmp(Reg::R9, Reg::R3, Src::Reg(Reg::R20));
-    b.ble(Reg::R9, Src::Imm(0), store); // not poison
+    b.ble(Reg::R9, Src::Imm(0), store); // not the NULL id
     b.add(Reg::R21, Reg::R21, Src::Imm(-1));
     b.ble(Reg::R21, Src::Imm(0), done);
     b.ba(top);
@@ -247,200 +315,6 @@ pub fn producer_program(image: &IndexImage, walkers: usize) -> Program {
     b.build().expect("producer program verifies")
 }
 
-/// Compiles one hash step *without* the dispatcher-only fused forms.
-///
-/// Table 1 reserves `XOR-SHF`/`AND-SHF` for the dispatcher (`ADD-SHF`
-/// is also available to walkers), so a walker hashing its own keys —
-/// the coupled design of Figure 3b — must expand those steps into a
-/// shift + logic pair through a scratch register. This is precisely why
-/// the paper puts hashing on a dedicated unit class.
-fn emit_hash_step_unfused(
-    b: &mut ProgramBuilder,
-    x: Reg,
-    tmp: Reg,
-    step: HashStep,
-    alloc: &mut Vec<u64>,
-) {
-    let mut const_reg = |b: &mut ProgramBuilder, value: u64| -> Reg {
-        if let Some(pos) = alloc.iter().position(|v| *v == value) {
-            return Reg::new(CONST_BASE + pos as u8);
-        }
-        alloc.push(value);
-        let reg = Reg::new(CONST_BASE + (alloc.len() - 1) as u8);
-        assert!(reg.index() < 26, "hash recipe uses too many constants");
-        b.init_reg(reg, value);
-        reg
-    };
-    match step {
-        HashStep::XorConst(c) => {
-            let r = const_reg(b, c);
-            b.xor(x, x, Src::Reg(r));
-        }
-        HashStep::AddConst(c) => {
-            let r = const_reg(b, c);
-            b.add(x, x, Src::Reg(r));
-        }
-        HashStep::AndConst(c) => {
-            let r = const_reg(b, c);
-            b.and(x, x, Src::Reg(r));
-        }
-        HashStep::XorShr(a) => {
-            b.shr(tmp, x, Src::Imm(i16::from(a)));
-            b.xor(x, x, Src::Reg(tmp));
-        }
-        HashStep::XorShl(a) => {
-            b.shl(tmp, x, Src::Imm(i16::from(a)));
-            b.xor(x, x, Src::Reg(tmp));
-        }
-        // ADD-SHF is walker-legal per Table 1.
-        HashStep::AddShl(a) => {
-            b.add_shf(x, x, x, Shift::left(a));
-        }
-        HashStep::AddShr(a) => {
-            b.add_shf(x, x, x, Shift::right(a));
-        }
-    }
-}
-
-/// Builds the *streaming* dispatcher of the coupled design (Figure 3b):
-/// no hashing, it only feeds raw keys to the walkers.
-#[must_use]
-pub fn streaming_dispatcher_program(image: &IndexImage, walkers: usize) -> Program {
-    let kw = image.layout.key_width;
-    let mut b = ProgramBuilder::new(UnitClass::Dispatcher);
-    b.init_reg(Reg::R1, image.input_base.get());
-    b.init_reg(
-        Reg::R2,
-        image.input_base.get() + image.input_count * kw as u64,
-    );
-    b.init_reg(Reg::R26, POISON_KEY);
-    let top = b.new_label();
-    let done = b.new_label();
-    b.bind(top);
-    b.ble(Reg::R2, Src::Reg(Reg::R1), done);
-    b.ld(Reg::R3, Reg::R1, 0, width_of(kw));
-    b.add(Reg::OUT, Reg::R3, Src::Imm(0));
-    b.add(Reg::OUT, Reg::ZERO, Src::Imm(0)); // pair filler
-    b.add(Reg::R1, Reg::R1, Src::Imm(kw as i16));
-    b.ba(top);
-    b.bind(done);
-    for _ in 0..walkers {
-        b.add(Reg::OUT, Reg::R26, Src::Imm(0));
-        b.add(Reg::OUT, Reg::ZERO, Src::Imm(0));
-    }
-    b.halt();
-    b.build().expect("streaming dispatcher verifies")
-}
-
-/// Builds the coupled walker of Figure 3b: pops a raw key, hashes it
-/// *itself* (with the unfused expansions Table 1 forces on walkers),
-/// computes the bucket address, then walks — hashing sits on the
-/// critical path of every traversal, which is exactly what the
-/// decoupled design removes.
-#[must_use]
-pub fn hashing_walker_program(recipe: &HashRecipe, image: &IndexImage) -> Program {
-    let layout = image.layout;
-    let kw = width_of(layout.key_width);
-    let sw = width_of(layout.slot_width());
-    let mut b = ProgramBuilder::new(UnitClass::Walker);
-    b.init_reg(Reg::R20, POISON_KEY);
-    b.init_reg(Reg::R14, image.bucket_count - 1);
-    b.init_reg(Reg::R15, image.bucket_base.get());
-    let mut consts = Vec::new();
-
-    let item = b.new_label();
-    let walk = b.new_label();
-    let hnext = b.new_label();
-    let chain = b.new_label();
-    let cnext = b.new_label();
-
-    b.bind(item);
-    b.add(Reg::R1, Reg::IN, Src::Imm(0)); // key
-    b.add(Reg::R10, Reg::IN, Src::Imm(0)); // pair filler
-    b.cmp(Reg::R9, Reg::R1, Src::Reg(Reg::R20));
-    b.ble(Reg::R9, Src::Imm(0), walk);
-    b.add(Reg::OUT, Reg::R20, Src::Imm(0));
-    b.add(Reg::OUT, Reg::ZERO, Src::Imm(0));
-    b.halt();
-
-    b.bind(walk);
-    // Hash on the walker itself (coupled design).
-    b.mov(Reg::R2, Reg::R1);
-    for step in recipe.steps() {
-        emit_hash_step_unfused(&mut b, Reg::R2, Reg::R8, *step, &mut consts);
-    }
-    b.and(Reg::R2, Reg::R2, Src::Reg(Reg::R14));
-    b.shl(Reg::R2, Reg::R2, Src::Imm(5));
-    b.add(Reg::R2, Reg::R2, Src::Reg(Reg::R15));
-
-    b.ld(
-        Reg::R3,
-        Reg::R2,
-        NodeLayout::HEADER_COUNT_OFFSET as i16,
-        Width::W,
-    );
-    b.ble(Reg::R3, Src::Imm(0), item);
-    b.ld(Reg::R4, Reg::R2, NodeLayout::HEADER_SLOT_OFFSET as i16, sw);
-    if layout.key_kind == KeyKind::Indirect {
-        b.ld(Reg::R4, Reg::R4, 0, kw);
-    }
-    b.cmp(Reg::R9, Reg::R4, Src::Reg(Reg::R1));
-    b.ble(Reg::R9, Src::Imm(0), hnext);
-    b.ld(
-        Reg::R5,
-        Reg::R2,
-        NodeLayout::HEADER_PAYLOAD_OFFSET as i16,
-        Width::D,
-    );
-    b.add(Reg::OUT, Reg::R1, Src::Imm(0));
-    b.add(Reg::OUT, Reg::R5, Src::Imm(0));
-    b.bind(hnext);
-    b.ld(
-        Reg::R6,
-        Reg::R2,
-        NodeLayout::HEADER_NEXT_OFFSET as i16,
-        Width::D,
-    );
-
-    b.bind(chain);
-    b.ble(Reg::R6, Src::Imm(0), item);
-    b.ld(Reg::R4, Reg::R6, NodeLayout::NODE_SLOT_OFFSET as i16, sw);
-    if layout.key_kind == KeyKind::Indirect {
-        b.ld(Reg::R4, Reg::R4, 0, kw);
-    }
-    b.cmp(Reg::R9, Reg::R4, Src::Reg(Reg::R1));
-    b.ble(Reg::R9, Src::Imm(0), cnext);
-    b.ld(
-        Reg::R5,
-        Reg::R6,
-        NodeLayout::NODE_PAYLOAD_OFFSET as i16,
-        Width::D,
-    );
-    b.add(Reg::OUT, Reg::R1, Src::Imm(0));
-    b.add(Reg::OUT, Reg::R5, Src::Imm(0));
-    b.bind(cnext);
-    b.ld(
-        Reg::R6,
-        Reg::R6,
-        NodeLayout::NODE_NEXT_OFFSET as i16,
-        Width::D,
-    );
-    b.ba(chain);
-
-    b.build().expect("hashing walker verifies")
-}
-
-/// Generates the coupled (non-decoupled, Figure 3b) program triple:
-/// a streaming dispatcher plus hashing walkers.
-#[must_use]
-pub fn coupled_program_set(recipe: &HashRecipe, image: &IndexImage, walkers: usize) -> ProgramSet {
-    ProgramSet {
-        dispatcher: streaming_dispatcher_program(image, walkers),
-        walker: hashing_walker_program(recipe, image),
-        producer: producer_program(image, walkers),
-    }
-}
-
 /// The full program triple for an offload.
 #[derive(Clone, Debug)]
 pub struct ProgramSet {
@@ -452,18 +326,49 @@ pub struct ProgramSet {
     pub producer: Program,
 }
 
-/// Generates all three programs for an offload over `image`.
+/// Generates the decoupled program triple for probing `image` at
+/// `registers`: the dispatcher hashes with the image's recipe, the
+/// walkers only walk.
+///
+/// # Panics
+///
+/// Panics if the recipe needs more constant registers than available.
 #[must_use]
 pub fn program_set(
-    recipe: &HashRecipe,
     image: &IndexImage,
+    registers: &ConfigRegisters,
     walkers: usize,
     touch_ahead: bool,
 ) -> ProgramSet {
+    let second = Second::Bucket {
+        recipe: &image.recipe,
+        bucket_mask: image.bucket_count - 1,
+        touch_ahead,
+    };
     ProgramSet {
-        dispatcher: dispatcher_program(recipe, image, walkers, touch_ahead),
-        walker: walker_program(image.layout),
-        producer: producer_program(image, walkers),
+        dispatcher: dispatcher_program(registers, image.layout.key_width, walkers, second),
+        walker: walker_program(image, registers, false),
+        producer: producer_program(registers, walkers),
+    }
+}
+
+/// Generates the coupled (Figure 3b) program triple: a dispatcher that
+/// only streams raw keys, plus walkers that hash their own.
+///
+/// # Panics
+///
+/// Panics if the recipe needs more constant registers than available.
+#[must_use]
+pub fn coupled_program_set(
+    image: &IndexImage,
+    registers: &ConfigRegisters,
+    walkers: usize,
+) -> ProgramSet {
+    let key_width = image.layout.key_width;
+    ProgramSet {
+        dispatcher: dispatcher_program(registers, key_width, walkers, Second::Zero),
+        walker: walker_program(image, registers, true),
+        producer: producer_program(registers, walkers),
     }
 }
 
@@ -474,30 +379,27 @@ mod tests {
     use widx_sim::mem::{MemorySystem, RegionAllocator};
     use widx_workloads::memimg;
 
-    fn image(layout: NodeLayout) -> IndexImage {
+    fn image(layout: NodeLayout, recipe: &HashRecipe) -> IndexImage {
         let mut mem = MemorySystem::new(SystemConfig::default());
         let mut alloc = RegionAllocator::new();
         let pairs: Vec<(u64, u64)> = (0..10u64).map(|k| (k, k)).collect();
-        memimg::materialize(
-            &mut mem,
-            &mut alloc,
-            &HashRecipe::robust64(),
-            64,
-            &pairs,
-            &[1, 2, 3],
-            layout,
-        )
+        memimg::materialize(&mut mem, &mut alloc, recipe, 64, &pairs, &[1, 2, 3], layout)
+    }
+
+    /// The decoupled set for probing a fresh image at its own registers.
+    fn set(layout: NodeLayout, recipe: &HashRecipe, walkers: usize, touch: bool) -> ProgramSet {
+        let img = image(layout, recipe);
+        program_set(&img, &ConfigRegisters::hash_probe(&img), walkers, touch)
     }
 
     #[test]
     fn all_programs_verify() {
-        let img = image(NodeLayout::direct8());
         for recipe in [
             HashRecipe::trivial(),
             HashRecipe::robust64(),
             HashRecipe::heavy128(),
         ] {
-            let set = program_set(&recipe, &img, 4, false);
+            let set = set(NodeLayout::direct8(), &recipe, 4, false);
             assert!(set.dispatcher.verify().is_ok());
             assert!(set.walker.verify().is_ok());
             assert!(set.producer.verify().is_ok());
@@ -506,16 +408,17 @@ mod tests {
 
     #[test]
     fn indirect_walker_has_extra_loads() {
-        let direct = walker_program(NodeLayout::direct8());
-        let indirect = walker_program(NodeLayout::indirect8());
+        let recipe = HashRecipe::robust64();
+        let direct = set(NodeLayout::direct8(), &recipe, 1, false).walker;
+        let indirect = set(NodeLayout::indirect8(), &recipe, 1, false).walker;
         assert_eq!(indirect.len(), direct.len() + 2);
     }
 
     #[test]
     fn dispatcher_length_tracks_hash_cost() {
-        let img = image(NodeLayout::direct8());
-        let light = dispatcher_program(&HashRecipe::trivial(), &img, 1, false);
-        let heavy = dispatcher_program(&HashRecipe::heavy128(), &img, 1, false);
+        let layout = NodeLayout::direct8();
+        let light = set(layout, &HashRecipe::trivial(), 1, false).dispatcher;
+        let heavy = set(layout, &HashRecipe::heavy128(), 1, false).dispatcher;
         assert!(heavy.len() > light.len());
         let diff = HashRecipe::heavy128().op_count() - HashRecipe::trivial().op_count();
         assert_eq!(heavy.len() - light.len(), diff);
@@ -523,24 +426,23 @@ mod tests {
 
     #[test]
     fn touch_ahead_adds_one_instruction() {
-        let img = image(NodeLayout::direct8());
-        let plain = dispatcher_program(&HashRecipe::robust64(), &img, 2, false);
-        let touch = dispatcher_program(&HashRecipe::robust64(), &img, 2, true);
+        let recipe = HashRecipe::robust64();
+        let plain = set(NodeLayout::direct8(), &recipe, 2, false).dispatcher;
+        let touch = set(NodeLayout::direct8(), &recipe, 2, true).dispatcher;
         assert_eq!(touch.len(), plain.len() + 1);
     }
 
     #[test]
     fn poison_epilogue_scales_with_walkers() {
-        let img = image(NodeLayout::direct8());
-        let one = dispatcher_program(&HashRecipe::trivial(), &img, 1, false);
-        let four = dispatcher_program(&HashRecipe::trivial(), &img, 4, false);
+        let recipe = HashRecipe::trivial();
+        let one = set(NodeLayout::direct8(), &recipe, 1, false).dispatcher;
+        let four = set(NodeLayout::direct8(), &recipe, 4, false).dispatcher;
         assert_eq!(four.len() - one.len(), 6); // 2 pushes per extra walker
     }
 
     #[test]
     fn programs_encode_for_control_block() {
-        let img = image(NodeLayout::indirect8());
-        let set = program_set(&HashRecipe::heavy128(), &img, 4, true);
+        let set = set(NodeLayout::indirect8(), &HashRecipe::heavy128(), 4, true);
         assert!(set.dispatcher.encode_words().is_ok());
         assert!(set.walker.encode_words().is_ok());
         assert!(set.producer.encode_words().is_ok());

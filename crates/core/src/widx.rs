@@ -422,6 +422,7 @@ impl UnitIo for ProducerIo<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ConfigRegisters;
     use crate::programs::program_set;
     use widx_db::hash::HashRecipe;
     use widx_db::index::NodeLayout;
@@ -444,7 +445,7 @@ mod tests {
             &probe_keys,
             NodeLayout::direct8(),
         );
-        let set = program_set(&recipe, &image, walkers, false);
+        let set = program_set(&image, &ConfigRegisters::hash_probe(&image), walkers, false);
         Widx::new(&set, &WidxConfig::with_walkers(walkers), 0).run(&mut mem)
     }
 

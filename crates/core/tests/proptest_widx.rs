@@ -1,11 +1,13 @@
 //! Property test: for arbitrary build/probe multisets, layouts, hash
 //! recipes, and walker counts, the Widx accelerator's output equals the
-//! software oracle — the strongest end-to-end guarantee the functional
-//! simulation offers.
+//! software oracle on both the decoupled and the coupled (Figure 3b)
+//! program sets — the strongest end-to-end guarantee the functional
+//! simulation offers. The named recipes between them use every hash
+//! step, so the walker's unfused expansions run too.
 
 use proptest::prelude::*;
 use widx_core::config::WidxConfig;
-use widx_core::offload::offload_probe;
+use widx_core::offload::{offload_probe, offload_probe_coupled};
 use widx_db::hash::HashRecipe;
 use widx_db::index::{HashIndex, KeyKind, NodeLayout};
 use widx_sim::config::SystemConfig;
@@ -58,21 +60,23 @@ proptest! {
         let image = memimg::materialize(
             &mut mem, &mut alloc, index.recipe(), index.bucket_count() as u64, &pairs, &probes, layout,
         );
-        let result = offload_probe(&mut mem, &image, &WidxConfig::with_walkers(walkers));
-
-        let mut got = result.matches().to_vec();
-        got.sort_unstable();
         let mut want: Vec<(u64, u64)> = probes
             .iter()
             .flat_map(|p| index.lookup_all(*p).into_iter().map(move |v| (*p, v)))
             .collect();
         want.sort_unstable();
-        prop_assert_eq!(got, want);
-        prop_assert_eq!(result.stats.tuples as usize, probes.len());
-        // Time accounting sanity: every walker's breakdown sums to no
-        // more than the elapsed window.
-        for w in &result.stats.walkers {
-            prop_assert!(w.total() <= result.stats.total_cycles + 2);
+        let config = WidxConfig::with_walkers(walkers);
+        for offload in [offload_probe, offload_probe_coupled] {
+            let result = offload(&mut mem.clone(), &image, &config);
+            let mut got = result.matches().to_vec();
+            got.sort_unstable();
+            prop_assert_eq!(&got, &want);
+            prop_assert_eq!(result.stats.tuples as usize, probes.len());
+            // Time accounting sanity: every walker's breakdown sums to
+            // no more than the elapsed window.
+            for w in &result.stats.walkers {
+                prop_assert!(w.total() <= result.stats.total_cycles + 2);
+            }
         }
     }
 }

@@ -87,7 +87,10 @@ impl BTreeImage {
     }
 }
 
-/// Serializes `tree` plus a probe column into `mem`.
+/// Serializes `tree` plus a probe column into `mem`, with an output
+/// region of `(hits + probes).max(16)` 16-byte slots, where `hits` counts
+/// the probes found in the tree's leaves (one slot each: the walker
+/// emits the first match only).
 ///
 /// # Panics
 ///
@@ -98,7 +101,6 @@ pub fn materialize_btree(
     alloc: &mut RegionAllocator,
     tree: &BTreeIndex,
     probes: &[u64],
-    expected_matches: u64,
 ) -> BTreeImage {
     let export = tree.export();
     let f = export.fanout as u64;
@@ -122,7 +124,17 @@ pub fn materialize_btree(
         })
         .collect();
     let input_region = alloc.alloc_pages("btree.input", (probes.len() as u64).max(1) * 8);
-    let output_capacity = (expected_matches + probes.len() as u64).max(16);
+    // The leaves in order hold the tree's keys sorted.
+    let leaf_keys: Vec<u64> = export
+        .leaves
+        .iter()
+        .flat_map(|(keys, _)| keys.iter().copied())
+        .collect();
+    let hits = probes
+        .iter()
+        .filter(|p| leaf_keys.binary_search(p).is_ok())
+        .count() as u64;
+    let output_capacity = (hits + probes.len() as u64).max(16);
     let output_region = alloc.alloc_pages("btree.output", output_capacity * 16);
 
     // Leaves.
@@ -206,7 +218,7 @@ mod tests {
         let mut alloc = RegionAllocator::new();
         let tree = BTreeIndex::build(fanout, (0..entries).map(|k| (k * 2, k)));
         let probes: Vec<u64> = (0..50).collect();
-        let image = materialize_btree(&mut mem, &mut alloc, &tree, &probes, 50);
+        let image = materialize_btree(&mut mem, &mut alloc, &tree, &probes);
         (mem, tree, image)
     }
 
@@ -250,6 +262,16 @@ mod tests {
         for key in 0..10u64 {
             assert_eq!(image_lookup(&mem, &image, key), tree.lookup(key));
         }
+    }
+
+    #[test]
+    fn output_region_holds_a_slot_per_probe_and_hit() {
+        // Every even key twice: a hit still takes one slot.
+        let tree = BTreeIndex::build(8, (0..100u64).flat_map(|k| [(k * 2, k), (k * 2, k + 1)]));
+        let probes: Vec<u64> = (0..50).collect();
+        let mut mem = MemorySystem::new(SystemConfig::default());
+        let image = materialize_btree(&mut mem, &mut RegionAllocator::new(), &tree, &probes);
+        assert_eq!(image.output_capacity, 25 + 50);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! cargo run --release --example custom_schema
 //! ```
 
-use widx_repro::accel::config::WidxConfig;
+use widx_repro::accel::config::{ConfigRegisters, WidxConfig};
 use widx_repro::accel::control::{load_control_block, write_control_block};
 use widx_repro::accel::programs;
 use widx_repro::db::hash::{HashRecipe, HashStep};
@@ -90,7 +90,8 @@ cnext:
     // and round-trip everything through a real control block in
     // simulated memory (Section 4.3's configuration interface).
     let cfg = WidxConfig::with_walkers(4);
-    let mut set = programs::program_set(&recipe, &image, cfg.walkers, false);
+    let registers = ConfigRegisters::hash_probe(&image);
+    let mut set = programs::program_set(&image, &registers, cfg.walkers, false);
     set.walker = walker;
     let (base, len) = write_control_block(
         &mut mem,

@@ -70,7 +70,7 @@ fn offload_and_check(w: &Workload, path: Path, config: &WidxConfig) -> WidxRunSt
     let want = oracle(w);
     let r = if let Path::BTree = path {
         let tree = BTreeIndex::build(16, w.pairs.iter().copied());
-        let image = materialize_btree(&mut mem, &mut alloc, &tree, &w.probes, want.len() as u64);
+        let image = materialize_btree(&mut mem, &mut alloc, &tree, &w.probes);
         offload_btree_probe(&mut mem, &image, config)
     } else {
         let image = memimg::materialize(
