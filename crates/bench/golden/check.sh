@@ -15,8 +15,6 @@ golden=crates/bench/golden/all_experiments_quick.txt
 run=$(mktemp)
 filtered=$(mktemp)
 trap 'rm -f "$run" "$filtered"' EXIT
-# `all_experiments` launches its sibling harness binaries: build them all.
-cargo build --release --quiet -p widx-bench --bins
 status=0
 cargo run --release --quiet --bin all_experiments -- quick > "$run" || status=$?
 cat "$run"

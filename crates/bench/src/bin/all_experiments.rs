@@ -1,52 +1,99 @@
-//! Runs every experiment harness in sequence — the paper's tables,
-//! figures and ablations — each followed by its wall time, `# <name>: <s> s`.
+//! Runs the paper's tables, figures and ablations in one process, in
+//! registry order, each followed by its wall time, `# <name>: <s> s`.
 //!
-//! Usage: `all_experiments [quick]` — `quick` shrinks workload sizes
-//! for a fast smoke run.
+//! Usage: `all_experiments [quick] [--profile] [name ...]`
+//!
+//! * `quick` runs at the smoke size CI diffs against the golden file;
+//!   without it, at full size. There is no other size.
+//! * Names run only those harnesses, still in registry order.
+//! * `--profile` adds `ablation_btree`'s live per-engine profile.
+//!
+//! Anything else exits with status 2 and lists the harness names.
 
-use std::process::Command;
+use std::time::Instant;
+
+use widx_bench::grid::{Grid, Size};
+use widx_bench::{ablations, HARNESSES};
+
+/// Parses the arguments into `(quick, profile, names)`, the names in
+/// registry order (every harness when none is given).
+fn parse(args: &[&str]) -> Result<(bool, bool, Vec<&'static str>), String> {
+    let (mut quick, mut profile, mut picked) = (false, false, Vec::new());
+    for &arg in args {
+        match arg {
+            "quick" => quick = true,
+            "--profile" => profile = true,
+            name if HARNESSES.iter().any(|h| h.0 == name) => picked.push(name),
+            other => return Err(format!("unknown argument `{other}`")),
+        }
+    }
+    let names = HARNESSES.map(|h| h.0).into_iter();
+    let names: Vec<_> = names
+        .filter(|n| picked.is_empty() || picked.contains(n))
+        .collect();
+    if profile && !names.contains(&"ablation_btree") {
+        return Err("`--profile` profiles `ablation_btree`, which is not selected".into());
+    }
+    Ok((quick, profile, names))
+}
 
 fn main() {
-    let quick = std::env::args().nth(1).is_some_and(|a| a == "quick");
-    let (kernel_probes, dss_probes, fig2_scale) = if quick {
-        ("2048", "2048", "0.05")
-    } else {
-        ("16384", "12288", "1.0")
-    };
-
-    let exe = std::env::current_exe().expect("current exe path");
-    let bin_dir = exe.parent().expect("bin dir").to_path_buf();
-    let run = |name: &str, args: &[&str]| {
-        println!(
-            "\n{}\n# {name} {}\n{}",
-            "#".repeat(72),
-            args.join(" "),
-            "#".repeat(72)
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let argv: Vec<&str> = argv.iter().map(String::as_str).collect();
+    let (quick, profile, names) = parse(&argv).unwrap_or_else(|e| {
+        eprintln!(
+            "all_experiments: {e}\nusage: all_experiments [quick] [--profile] [name ...]\n\
+             names: {}",
+            HARNESSES.map(|h| h.0).join(" ")
         );
-        let started = std::time::Instant::now();
-        let status = Command::new(bin_dir.join(name))
-            .args(args)
-            .status()
-            .unwrap_or_else(|e| panic!("failed to launch {name}: {e}"));
-        assert!(status.success(), "{name} failed with {status}");
+        std::process::exit(2);
+    });
+    let mut grid = Grid::new(if quick { Size::QUICK } else { Size::FULL });
+    for (name, arg, run) in HARNESSES.iter().filter(|h| names.contains(&h.0)) {
+        let rule = "#".repeat(72);
+        println!("\n{rule}\n# {name} {}\n{rule}", arg(&grid.size));
+        let started = Instant::now();
+        run(&mut grid);
+        if profile && *name == "ablation_btree" {
+            ablations::btree_engine_profile(grid.size.dss_probes);
+        }
         println!("# {name}: {:.2} s", started.elapsed().as_secs_f64());
-    };
-
-    run("table1_isa", &[]);
-    run("table2_params", &[]);
-    run("fig2_breakdown", &[fig2_scale]);
-    run("fig4_bottlenecks", &[]);
-    run("fig5_utilization", &[]);
-    run("fig8_hashjoin", &[kernel_probes]);
-    run("fig9_dss", &[dss_probes]);
-    run("fig10_speedup", &[dss_probes]);
-    run("fig11_energy", &[dss_probes]);
-    run("table3_area", &[]);
-    run("ablation_dispatcher", &[kernel_probes]);
-    run("ablation_queue_depth", &[kernel_probes]);
-    run("ablation_llc_widx", &[kernel_probes]);
-    run("ablation_touch", &[kernel_probes]);
-    run("ablation_btree", &[dss_probes]);
-    run("ablation_skew", &[kernel_probes]);
+    }
     println!("\nall experiments completed");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn no_arguments_run_everything_at_full_size() {
+        let (quick, profile, names) = parse(&[]).unwrap();
+        assert!(!quick && !profile);
+        assert_eq!(names, HARNESSES.map(|h| h.0));
+    }
+
+    #[test]
+    fn quick_with_names_runs_those_in_registry_order() {
+        let (quick, profile, names) = parse(&["fig9_dss", "quick", "table1_isa"]).unwrap();
+        assert!(quick && !profile);
+        assert_eq!(names, ["table1_isa", "fig9_dss"]);
+    }
+
+    #[test]
+    fn profile_goes_with_ablation_btree() {
+        let (quick, profile, names) = parse(&["quick", "ablation_btree", "--profile"]).unwrap();
+        assert!(quick && profile);
+        assert_eq!(names, ["ablation_btree"]);
+        assert!(parse(&["--profile"]).unwrap().1);
+        assert!(parse(&["fig8_hashjoin", "--profile"]).is_err());
+    }
+
+    #[test]
+    fn unknown_arguments_are_refused() {
+        for bad in ["quik", "--quick", "2048", "fig8"] {
+            let err = parse(&["quick", bad]).unwrap_err();
+            assert!(err.contains(bad), "{err}");
+        }
+    }
 }

@@ -1,8 +1,8 @@
-//! The per-engine profiled sweep behind `ablation_btree --profile` —
-//! the paper's Figure 2 measured live, with scalar / group-prefetch /
-//! AMAC walkers each run under a [`ThreadProfiler`] over the same
-//! probe stream so their cycle breakdowns (IPC, LLC MPKI, stall
-//! fraction, effective MLP) are directly comparable.
+//! The per-engine profiled sweep behind `all_experiments ablation_btree
+//! --profile` — the paper's Figure 2 measured live, with scalar /
+//! group-prefetch / AMAC walkers each run under a [`ThreadProfiler`]
+//! over the same probe stream so their cycle breakdowns (IPC, LLC
+//! MPKI, stall fraction, effective MLP) are directly comparable.
 
 use std::sync::Arc;
 

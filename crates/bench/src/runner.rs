@@ -100,8 +100,17 @@ impl ProbeSetup {
     pub fn run_widx(&self, config: &WidxConfig) -> (OffloadResult, MemStats) {
         let mut mem = self.warmed_mem();
         let r = offload::offload_probe(&mut mem, &self.image, config);
-        let stats = mem.stats();
-        (r, stats)
+        (r, mem.stats())
+    }
+
+    /// Runs the coupled design (Figure 3b: each walker hashes its own
+    /// keys) with `config`, returning what [`run_widx`](Self::run_widx)
+    /// does.
+    #[must_use]
+    pub fn run_coupled(&self, config: &WidxConfig) -> (OffloadResult, MemStats) {
+        let mut mem = self.warmed_mem();
+        let r = offload::offload_probe_coupled(&mut mem, &self.image, config);
+        (r, mem.stats())
     }
 
     /// Runs the OoO baseline core over the software probe trace.
@@ -143,6 +152,7 @@ pub fn geomean(values: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grid::{Engine, Grid, Size, Workload};
     use widx_workloads::kernel::KernelSize;
 
     #[test]
@@ -161,5 +171,17 @@ mod tests {
         assert_eq!(widx.stats.matches, 256);
         let ooo = setup.run_ooo();
         assert!(ooo.cycles > 0);
+
+        // The grid builds the setup once and simulates each point once,
+        // and its answers are those of the fresh setup above.
+        let mut grid = Grid::new(Size::QUICK);
+        let w = Workload::Kernel(cfg);
+        for _ in 0..2 {
+            let p = grid.point(&w, Engine::walkers(2));
+            assert_eq!(p.cpt, widx.stats.cycles_per_tuple());
+            assert_eq!(p.walker, widx.stats.walker_cycles_per_tuple());
+            assert_eq!(grid.point(&w, Engine::Ooo).cpt, ooo.cpt);
+        }
+        assert_eq!((grid.setups.len(), grid.points.len()), (1, 2));
     }
 }

@@ -28,6 +28,14 @@ impl Table {
         self
     }
 
+    /// Appends a row of `labels` followed by `values`, each formatted by
+    /// `fmt` (e.g. [`f2`] or [`pct`]).
+    pub fn row_fmt(&mut self, labels: &[&str], values: &[f64], fmt: fn(f64) -> String) {
+        let mut row: Vec<String> = labels.iter().map(|l| (*l).to_string()).collect();
+        row.extend(values.iter().copied().map(fmt));
+        self.row(&row);
+    }
+
     /// Renders the table with aligned columns.
     #[must_use]
     pub fn render(&self) -> String {

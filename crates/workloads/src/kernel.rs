@@ -63,7 +63,7 @@ impl KernelSize {
 }
 
 /// A fully specified kernel workload.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct KernelConfig {
     /// Which index size.
     pub size: KernelSize,

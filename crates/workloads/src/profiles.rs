@@ -65,7 +65,7 @@ impl RecipeKind {
 }
 
 /// The indexing profile of one simulated DSS query.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct QueryProfile {
     /// Query name as in the paper's figures (e.g. `qry17`).
     pub name: &'static str,
